@@ -13,7 +13,6 @@ from .series import (
     TruncatedSeries,
     phi_r_apply,
     phi_r_invert,
-    series_arith,
 )
 from .specfun import gamma, hyp2F1, puiseux_constants, reference_Jj
 from .model import (
@@ -36,7 +35,7 @@ from .model import (
     node_model,
     one_dof_model,
 )
-from .brieskorn import BrieskornPair, reduce, reduce_batch
+from .brieskorn import BrieskornPair, reduce
 from .quadrature import (
     ActionChart,
     ActionChartRow,
@@ -77,8 +76,6 @@ from .flows import (
     BumpPushforward,
     PeriodLattice,
     SymplecticModel,
-    flow,
-    hamiltonian_field,
     period_lattice,
     pullback_residual,
     trajectory_csv,

@@ -53,13 +53,6 @@ class FitReport:
         }
 
 
-def fit_report_json(triple: PuiseuxTriple, report: FitReport) -> dict:
-    """Combined JSON payload: coefficients, residual, condition number, grid."""
-    out = report.to_json()
-    out["coefficients"] = triple.to_json()
-    return out
-
-
 def _orders(order) -> tuple[int, int, int]:
     if isinstance(order, int):
         return order, order, order

@@ -106,8 +106,3 @@ def reduce(f, order: int | None = None) -> BrieskornPair:
         return TruncatedSeries(coeffs)
 
     return BrieskornPair(alpha=to_series(alpha), beta=to_series(beta))
-
-
-def reduce_batch(densities, order: int | None = None) -> list[BrieskornPair]:
-    """Elementwise :func:`reduce`; deterministic input order."""
-    return [reduce(f, order=order) for f in densities]

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 
 import numpy as np
@@ -79,10 +80,12 @@ def _json_dumps(obj) -> str:
 
 def _parse_grid(spec: str) -> tuple[int, int]:
     try:
-        nh, nl = spec.lower().split("x")
-        return int(nh), int(nl)
+        nh, nl = (int(n) for n in spec.lower().split("x"))
     except ValueError as exc:
         raise InputError(f"bad grid spec {spec!r}; expected like 9x7") from exc
+    if nh < 1 or nl < 1:
+        raise InputError(f"bad grid spec {spec!r}; both sizes must be at least 1")
+    return nh, nl
 
 
 def _trim_zeros(coeffs: list) -> list:
@@ -225,8 +228,16 @@ def cmd_transport(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reads an exponent-form negative number (``-5e-05``) as a value, not an option."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-\.?\d")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="cuspinv",
         description="Symplectic invariants of parabolic orbits and cuspidal tori",
     )
@@ -286,17 +297,48 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _config_value(action: argparse.Action, key: str, value):
+    """A config entry checked and converted as its command-line option would be."""
+    if action.nargs == 0:  # a flag
+        if not isinstance(value, bool):
+            raise InputError(f"config entry {key!r} must be true or false")
+        return value
+    items = value if action.nargs else [value]
+    try:
+        if not isinstance(items, list) or len(items) != (action.nargs or 1):
+            raise ValueError(f"expected {action.nargs or 1} value(s)")
+        if any(isinstance(v, bool) or not isinstance(v, (str, int, float)) for v in items):
+            raise ValueError("values must be strings or numbers")
+        out = [(action.type or str)(str(v)) for v in items]
+        if action.choices and any(v not in action.choices for v in out):
+            raise ValueError(f"must be one of {list(action.choices)}")
+    except ValueError as exc:
+        raise InputError(f"config entry {key!r}: {exc}") from exc
+    return out if action.nargs else out[0]
+
+
+def _apply_config(parser: argparse.ArgumentParser, args) -> None:
+    """Override the parsed flags with the subcommand options in the --config file."""
+    overrides = _load_json(args.config)
+    if not isinstance(overrides, dict):
+        raise InputError(f"config {args.config} must hold a JSON object")
+    (commands,) = [a for a in parser._actions if a.dest == "command"]
+    options = {
+        a.dest: a for a in commands.choices[args.command]._actions if a.option_strings
+    }
+    for key, value in overrides.items():
+        action = options.get(key.replace("-", "_"))
+        if action is None or action.dest == "help":
+            raise InputError(f"config entry {key!r} is no option of {args.command}")
+        setattr(args, action.dest, _config_value(action, key, value))
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if getattr(args, "config", None):
-            # opt-in config file; its entries override the parsed flags
-            overrides = _load_json(args.config)
-            if not isinstance(overrides, dict):
-                raise InputError(f"config {args.config} must hold a JSON object")
-            for key, value in overrides.items():
-                setattr(args, key.replace("-", "_"), value)
+        if args.config:
+            _apply_config(parser, args)
         return args.func(args)
     except InputError as exc:
         print(f"input error: {exc}", file=sys.stderr)

@@ -31,8 +31,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from .model import CUSP_COMPACT, Density, FibrationModel, bifurcation_diagram
-from .quadrature import loop_action, oval_area_integral, oval_loop_integral, wide_action
+from .model import Density, FibrationModel
+from .quadrature import oval_area_integral, oval_loop_integral
 
 FLOW_RTOL = 1e-12
 FLOW_ATOL = 1e-12
@@ -63,6 +63,10 @@ class SymplecticModel:
     def hamiltonian_value(self, point) -> float:
         x, y, lam = point[0], point[1], point[2]
         return self._H.eval(x, y, lam)
+
+    def reduced(self) -> "ReducedSystem":
+        """The reduced (x, y) dynamics, as taken by :func:`transport_map`."""
+        return ReducedSystem(self)
 
     def omega_matrix(self, point) -> np.ndarray:
         """Matrix of Omega on (dx, dy, dlambda, dphi) at the point."""
@@ -156,10 +160,6 @@ class SymplecticModel:
         return -float(sol.t_events[0][0])
 
 
-def hamiltonian_field(sm: SymplecticModel, generator: str, point) -> np.ndarray:
-    return sm.hamiltonian_field(point, generator)
-
-
 def trajectory_csv(
     sm: SymplecticModel, point, generator: str, t_final: float, n_samples: int = 101
 ) -> str:
@@ -181,10 +181,6 @@ def trajectory_csv(
     return "\n".join(lines) + "\n"
 
 
-def flow(sm: SymplecticModel, point, generator: str, t: float, tol: float = FLOW_RTOL):
-    return sm.flow(point, generator, t, rtol=tol, atol=tol)
-
-
 # -- period lattices ---------------------------------------------------------
 
 
@@ -198,48 +194,12 @@ class PeriodLattice:
         return {"basis": self.basis.tolist()}
 
 
-def _action_function(sm: SymplecticModel, stratum: str, k: int = 0):
-    if stratum == "narrow":
-        return lambda h, lam: loop_action(sm.model, h, lam)
-    if stratum == "wide":
-        if sm.model.kind != CUSP_COMPACT:
-            raise ValueError("wide stratum requires the compact model")
-        return lambda h, lam: wide_action(sm.model, h, lam, k=k)
-    raise ValueError(f"no second action on stratum {stratum!r}")
-
-
-def _fourth_order_partials(func, h0: float, lam0: float, step: float):
-    """(d/dH, d/dlambda) by 5-point central differences of 4th order."""
-    stencil = (1.0, -8.0, 8.0, -1.0)
-    offsets = (-2.0, -1.0, 1.0, 2.0)
-    dh = sum(
-        w * func(h0 + o * step, lam0) for w, o in zip(stencil, offsets)
-    ) / (12.0 * step)
-    dl = sum(
-        w * func(h0, lam0 + o * step) for w, o in zip(stencil, offsets)
-    ) / (12.0 * step)
-    return dh, dl
-
-
-def _auto_fd_step(sm: SymplecticModel, H: float, lam: float, stratum: str) -> float:
-    step = 1e-3
-    if lam < 0:
-        diagram = bifurcation_diagram(sm.model, domain_radius=math.inf)
-        width = diagram.hyperbolic_value(lam) - diagram.elliptic_value(lam)
-        if stratum == "narrow":
-            step = min(step, width / 12.0)
-        step = min(step, abs(lam) / 5.0)
-    return step
-
-
 def period_lattice(
     sm: SymplecticModel,
     H: float,
     lam: float,
     stratum: str = "narrow",
-    fd_step: float | None = None,
     k: int = 0,
-    method: str = "quadrature",
 ) -> PeriodLattice:
     """Stationary lattice of the torus over (H, lambda).
 
@@ -248,38 +208,19 @@ def period_lattice(
     2 pi turn of the F-flow, the second has H-time 2 pi dI_2/dH (the loop
     period on narrow tori).
 
-    ``method='fd'`` differentiates the action chart with a 4th-order
-    stencil (step auto-scaled to the stratum width unless given);
-    ``method='quadrature'`` uses the boundary-integral identities
+    The derivatives come from the boundary-integral identities
     2 pi dI_2/dH = contour(f dy/2x) and
     2 pi dI_2/dlambda = area(f_lambda) - contour(f W_lambda dy/2x),
     which are exact up to quadrature tolerance (W_lambda = y here).
     """
-    if method == "quadrature":
-        oval = stratum
-        f = sm.model.density
-        di_dh = oval_loop_integral(sm.model, H, lam, f, oval)
-        y_density = Density({(0, 1, 0): 1})
-        di_dl = oval_area_integral(
-            sm.model, H, lam, f.diff(2), oval
-        ) - oval_loop_integral(sm.model, H, lam, f * y_density, oval)
-        basis = np.array(
-            [[0.0, 2.0 * math.pi], [di_dh, di_dl + 2.0 * math.pi * (k if stratum == "wide" else 0)]]
-        )
-        return PeriodLattice(basis=basis)
-    if method != "fd":
-        raise ValueError(f"unknown method {method!r}")
-    if fd_step is None:
-        fd_step = _auto_fd_step(sm, H, lam, stratum)
-    action = _action_function(sm, stratum, k)
-    di_dh, di_dl = _fourth_order_partials(action, H, lam, fd_step)
-    if abs(di_dh) < 1e-14:
-        raise ValueError("degenerate action Jacobian near the bifurcation diagram")
+    f = sm.model.density
+    di_dh = oval_loop_integral(sm.model, H, lam, f, stratum)
+    y_density = Density({(0, 1, 0): 1})
+    di_dl = oval_area_integral(
+        sm.model, H, lam, f.diff(2), stratum
+    ) - oval_loop_integral(sm.model, H, lam, f * y_density, stratum)
     basis = np.array(
-        [
-            [0.0, 2.0 * math.pi],
-            [2.0 * math.pi * di_dh, 2.0 * math.pi * di_dl],
-        ]
+        [[0.0, 2.0 * math.pi], [di_dh, di_dl + 2.0 * math.pi * (k if stratum == "wide" else 0)]]
     )
     return PeriodLattice(basis=basis)
 
@@ -305,7 +246,12 @@ class ReducedSystem:
 
     def __init__(self, sm: SymplecticModel):
         self.sm = sm
-        self.x0 = sm.model.x0
+
+    def reduced(self) -> "ReducedSystem":
+        return self
+
+    def hamiltonian_value(self, point) -> float:
+        return self.sm.hamiltonian_value(point)
 
     def rhs(self, lam: float):
         f = self.sm._f
@@ -330,9 +276,15 @@ class ReducedSystem:
             raise RuntimeError(f"reduced flow failed: {sol.message}")
         return sol.y[:, -1]
 
-    def section_time(self, xy, lam: float, t_max: float = 200.0) -> float:
+    def section_time(
+        self, xy, lam: float, x0: float | None = None, t_max: float = 200.0
+    ) -> float:
+        """Smallest t > 0 with the backward flow of xy on {x = x0} (default: the model's)."""
+        if x0 is None:
+            x0 = self.sm.model.x0
+
         def event(_t, state):
-            return state[0] - self.x0
+            return state[0] - x0
 
         event.terminal = True
         sol = solve_ivp(
@@ -354,18 +306,14 @@ def transport_map(sys1, sys2, point, x0: float | None = None) -> np.ndarray:
     the two systems; N1 is fixed pointwise and fibers are preserved.  The
     lambda and phi components pass through unchanged (the phi-shift freedom
     is the removable gauge).  Both systems must expose the reduced-flow
-    protocol; SymplecticModel instances are adapted automatically.
+    protocol through ``reduced()``; ``x0`` overrides the section of both.
     """
-    s1 = ReducedSystem(sys1) if isinstance(sys1, SymplecticModel) else sys1
-    s2 = ReducedSystem(sys2) if isinstance(sys2, SymplecticModel) else sys2
-    if x0 is not None:
-        s1.x0 = x0
-        s2.x0 = x0
+    s1, s2 = sys1.reduced(), sys2.reduced()
     point = np.asarray(point, dtype=float)
     xy = point[:2]
     lam = float(point[2]) if point.size > 2 else 0.0
-    t1 = s1.section_time(xy, lam)
-    t2 = s2.section_time(xy, lam)
+    t1 = s1.section_time(xy, lam, x0)
+    t2 = s2.section_time(xy, lam, x0)
     image_xy = s2.reduced_flow(xy, lam, t1 - t2)
     out = point.copy()
     out[:2] = image_xy
@@ -386,7 +334,6 @@ class BumpPushforward:
     def __init__(self, sm: SymplecticModel, amplitude: float = 0.15, support: float = 0.5):
         self.sm = sm
         self.base = ReducedSystem(sm)
-        self.x0 = sm.model.x0
         self.amplitude = amplitude
         self.support = support * sm.model.x0
 
@@ -457,11 +404,22 @@ class BumpPushforward:
         img, _ = self.bump_map(moved, lam, inverse=False)
         return img
 
-    def section_time(self, xy, lam: float, t_max: float = 200.0) -> float:
+    def reduced(self) -> "BumpPushforward":
+        return self
+
+    def hamiltonian_value(self, point) -> float:
+        # psi0 preserves every fiber, so the pushed system has the same H
+        return self.sm.hamiltonian_value(point)
+
+    def section_time(
+        self, xy, lam: float, x0: float | None = None, t_max: float = 200.0
+    ) -> float:
+        if x0 is not None and abs(x0) < self.support:
+            raise ValueError("section inside the bump's support")
         # psi0 is the identity near the section, so the conjugated backward
         # trajectory hits {x = x0} exactly when the base one from psi0^-1 does
         pre, _ = self.bump_map(xy, lam, inverse=True)
-        return self.base.section_time(pre, lam, t_max)
+        return self.base.section_time(pre, lam, x0, t_max)
 
 
 def pullback_residual(sys1, sys2, point, x0: float | None = None, h: float = 1e-5) -> dict:
@@ -473,17 +431,13 @@ def pullback_residual(sys1, sys2, point, x0: float | None = None, h: float = 1e-
     ((lambda, phi)); the (x, lambda), (y, lambda) components carry the
     removable phi-shift terms and are not invariants.
     """
-    s1 = ReducedSystem(sys1) if isinstance(sys1, SymplecticModel) else sys1
-    s2 = ReducedSystem(sys2) if isinstance(sys2, SymplecticModel) else sys2
-    if x0 is not None:
-        s1.x0 = x0
-        s2.x0 = x0
+    s1, s2 = sys1.reduced(), sys2.reduced()
     point = np.asarray(point, dtype=float)
     lam = float(point[2]) if point.size > 2 else 0.0
 
     def tmap(xy):
         q = np.array([xy[0], xy[1], lam, 0.0])
-        return transport_map(s1, s2, q)[:2]
+        return transport_map(s1, s2, q, x0)[:2]
 
     base = tmap(point[:2])
     jx = (tmap(point[:2] + (h, 0.0)) - tmap(point[:2] - (h, 0.0))) / (2.0 * h)
@@ -492,20 +446,11 @@ def pullback_residual(sys1, sys2, point, x0: float | None = None, h: float = 1e-
     f1 = s1.density_eval(point[0], point[1], lam)
     f2 = s2.density_eval(base[0], base[1], lam)
     residual = f2 * det - f1
-    h1 = sys1.hamiltonian_value((point[0], point[1], lam)) if isinstance(
-        sys1, SymplecticModel
-    ) else None
-    h2 = sys2.sm.hamiltonian_value((base[0], base[1], lam)) if isinstance(
-        sys2, BumpPushforward
-    ) else (
-        sys2.hamiltonian_value((base[0], base[1], lam))
-        if isinstance(sys2, SymplecticModel)
-        else None
-    )
-    fiber_drift = None if h1 is None or h2 is None else abs(h2 - h1)
+    h1 = s1.hamiltonian_value((point[0], point[1], lam))
+    h2 = s2.hamiltonian_value((base[0], base[1], lam))
     return {
         "xy_residual": float(residual),
         "det": float(det),
-        "fiber_drift": fiber_drift,
+        "fiber_drift": float(abs(h2 - h1)),
         "image": base.tolist(),
     }

@@ -2,11 +2,15 @@
 model fibrations.
 
 All level sets of the cusp models are treated through the potential form
-x^2 = H - W(y).  The Gelfand-Leray form is f dy/(2x) away from x = 0 and
--f dx/W'(y) away from turning points; integrals are parametrized by y with
-the vanishing factor of H - W(y) deflated at turning points (substitution
-y = y_turn -+ s^2, and y = a + (b-a) sin^2(theta) on closed ovals), so every
-integrand handed to the adaptive quadrature is smooth.
+x^2 = P(y) = H - W(y).  Every invariant comes from one engine, ``_level_integral``:
+the integral of kernel(y, x) dy/x between two ends of a level set, with the
+vanishing factor of P deflated at turning points (y = a + (b-a) sin^2(theta)
+on a closed oval, y = turn - s^2 on an arc), so dy/x = 2 dt/sqrt(R(y)) and
+every integrand handed to the adaptive quadrature is smooth.  The form
+kernel (w(x, y) + w(-x, y))/2 gives the Gelfand-Leray form w dy/(2x) over
+both branches (passage times, loop periods); the area kernel
+x^2 sum_i GLw_i f(x GLnode_i, y), x times the Gauss-Legendre integral of f
+across the level, gives areas (loop, wide and separatrix actions).
 
 Orientation conventions: loop periods and loop actions are positive;
 passage times run from N1 = {x = +x0} to N2 = {x = -x0} (swapping the
@@ -51,30 +55,6 @@ class StratumError(ValueError):
     """Base point is outside the stratum required by the operation."""
 
 
-def _feval(f):
-    if isinstance(f, Density):
-        return f.eval
-    if isinstance(f, FibrationModel):
-        return f.density.eval
-    return f
-
-
-def _vector_feval(f):
-    """Evaluator accepting an array of x values (scalar callables get looped)."""
-    fe = _feval(f)
-    try:
-        probe = np.asarray(fe(np.array([0.1, 0.2]), 0.3, 0.0), dtype=float)
-        if probe.shape == (2,):
-            return fe
-    except Exception:
-        pass
-
-    def looped(xs, y, lam):
-        return np.array([fe(float(xx), y, lam) for xx in np.atleast_1d(xs)])
-
-    return looped
-
-
 # -- polynomial root utilities ---------------------------------------------------
 
 
@@ -111,14 +91,18 @@ def _clusters(roots: list[float], tol: float) -> list[tuple[float, int]]:
     return out
 
 
-def _level_clusters(model: FibrationModel, H: float, lam: float):
-    """Root clusters of P(y) = H - W(y) (polished), plus the coefficients."""
-    w = model.potential_coeffs(lam)
-    p = -w
+def _level_poly(wc: np.ndarray, H: float) -> np.ndarray:
+    """Coefficients of P(y) = H - W(y), highest first."""
+    p = -np.array(wc, dtype=float)
     p[-1] += H
-    roots = [_polish(p, r) for r in _real_roots(p)]
+    return p
+
+
+def _root_clusters(p: np.ndarray) -> list[tuple[float, int]]:
+    """Clusters of the polished real roots of P."""
+    roots = sorted(_polish(p, r) for r in _real_roots(p))
     span = max((abs(r) for r in roots), default=1.0)
-    return _clusters(sorted(roots), tol=1e-8 * max(1.0, span)), p
+    return _clusters(roots, tol=1e-8 * max(1.0, span))
 
 
 def _synthetic_division(coeffs: np.ndarray, root: float) -> np.ndarray:
@@ -134,27 +118,19 @@ def _synthetic_division(coeffs: np.ndarray, root: float) -> np.ndarray:
 # -- oval selection ---------------------------------------------------------------
 
 
-def oval_bounds(
-    model: FibrationModel, H: float, lam: float, oval: str = "narrow"
-) -> tuple[float, float]:
-    """Endpoints (y-, y+) of the requested oval of {H - W(y) >= 0}.
-
-    'narrow' is the vanishing-cycle oval (collapses on the elliptic branch),
-    'wide' the deep-well/full oval of the compact model.  Brackets whose own
-    endpoints carry a double root (the point sits on Sigma) are rejected; an
-    odd-order contact at the far end (the cusp itself) is allowed, matching
-    the separatrix-like level through the cusp.
-    """
+def _oval(model: FibrationModel, H: float, lam: float, oval: str):
+    """(a, b, P): the ends of the requested oval and the level polynomial."""
     if model.kind not in (CUSP_LOCAL, CUSP_COMPACT):
         raise ValueError(f"no closed ovals for model kind {model.kind}")
-    clusters, p = _level_clusters(model, H, lam)
+    p = _level_poly(model.potential_coeffs(lam), H)
+    clusters = _root_clusters(p)
     if oval == "narrow":
         need = 3 if model.kind == CUSP_LOCAL else 4
         if len(clusters) != need or any(m != 1 for _, m in clusters):
             raise OnSigmaError(
                 f"no narrow oval at (H, lambda) = ({H}, {lam}): degenerate level"
             )
-        return clusters[-2][0], clusters[-1][0]
+        return clusters[-2][0], clusters[-1][0], p
     if oval == "wide":
         if model.kind != CUSP_COMPACT:
             raise ValueError("wide ovals exist for the compact model only")
@@ -168,41 +144,91 @@ def oval_bounds(
         mid = 0.5 * (a + b)
         if np.polyval(p, mid) <= 0:
             raise StratumError(f"empty wide oval at (H, lambda) = ({H}, {lam})")
-        return a, b
+        return a, b, p
     raise ValueError(f"unknown oval {oval!r}")
 
 
-def _deflate_bracket(p: np.ndarray, a: float, b: float) -> np.ndarray:
-    """R(y) with P(y) = (y - a)(b - y) R(y) on the bracket, R > 0 inside."""
-    q1 = _synthetic_division(p, a)
-    q2 = _synthetic_division(q1, b)
-    r = -q2
-    mid = 0.5 * (a + b)
-    if np.polyval(r, mid) <= 0:
-        raise OnSigmaError("deflated factor not positive on the oval")
-    return r
+def oval_bounds(
+    model: FibrationModel, H: float, lam: float, oval: str = "narrow"
+) -> tuple[float, float]:
+    """Endpoints (y-, y+) of the requested oval of {H - W(y) >= 0}.
+
+    'narrow' is the vanishing-cycle oval (collapses on the elliptic branch),
+    'wide' the deep-well/full oval of the compact model.  Brackets whose own
+    endpoints carry a double root (the point sits on Sigma) are rejected; an
+    odd-order contact at the far end (the cusp itself) is allowed, matching
+    the separatrix-like level through the cusp.
+    """
+    a, b, _ = _oval(model, H, lam, oval)
+    return a, b
+
+
+# -- the level-set integral --------------------------------------------------------
+
+
+def _level_integral(p: np.ndarray, kernel, a: float, b: float, oval: bool) -> float:
+    """Integral of kernel(y, x) dy/x over y in (a, b) on the level x^2 = P(y).
+
+    With ``oval`` a and b are simple roots of P, P = (y - a)(b - y) R and
+    y = a + (b - a) sin^2(t); otherwise b alone is a turning point,
+    P = (b - y) R and y = b - t^2.  Either way dy/x = 2 dt/sqrt(R(y)).
+    """
+    if oval:
+        r_coeffs = -_synthetic_division(_synthetic_division(p, a), b)
+        if np.polyval(r_coeffs, 0.5 * (a + b)) <= 0:
+            raise OnSigmaError("deflated factor not positive on the oval")
+        upper = math.pi / 2.0
+    else:
+        r_coeffs = -_synthetic_division(p, b)
+        upper = math.sqrt(b - a)
+    width = b - a
+
+    def integrand(t: float) -> float:
+        if oval:
+            st, ct = math.sin(t), math.cos(t)
+            y = a + width * st * st
+            u = width * st * ct
+        else:
+            y = b - t * t
+            u = t
+        rv = np.polyval(r_coeffs, y)
+        if rv <= 0:
+            return 0.0
+        sr = math.sqrt(rv)
+        return 2.0 * kernel(y, u * sr) / sr
+
+    val, _ = quad(
+        integrand, 0.0, upper, epsabs=QUAD_EPSABS, epsrel=QUAD_EPSREL, limit=QUAD_LIMIT
+    )
+    return val
+
+
+def _form_kernel(w, lam: float):
+    """(w(x, y) + w(-x, y))/2 for a Density or a callable w(x, y, lambda)."""
+    w = w.eval if isinstance(w, Density) else w
+    return lambda y, x: 0.5 * (w(x, y, lam) + w(-x, y, lam))
+
+
+def _area_kernel(f: Density, lam: float):
+    """x^2 sum_i GLw_i f(x GLnode_i, y): x times the integral of f over [-x, x]."""
+    if not isinstance(f, Density):
+        raise TypeError("area integrals take a polynomial Density")
+    if not f.terms:
+        # the zero polynomial evaluates to a bare 0.0, not to an array
+        return lambda y, x: 0.0
+    return lambda y, x: x * x * float(np.dot(_GL_WEIGHTS, f.eval(x * _GL_NODES, y, lam)))
 
 
 # -- passage time -----------------------------------------------------------------
 
 
-def _passage_engine(wc: np.ndarray, fpm, H: float, x0: float) -> float:
-    """Passage integral on the arc through the turning point above the section.
-
-    ``fpm(y, x)`` must return f(x, y, lam) + f(-x, y, lam).
-    """
-    sec = np.array(wc, dtype=float)
-    sec[-1] -= H - x0 * x0
+def _arc_ends(p: np.ndarray, sec: np.ndarray) -> tuple[float, float]:
+    """Lowest crossing of the sections (roots of sec) and the turning point above it."""
     sec_roots = [_polish(sec, r) for r in _real_roots(sec)]
     if not sec_roots:
         raise StratumError("trajectory does not reach the sections {x = +-x0}")
-    p = -np.array(wc, dtype=float)
-    p[-1] += H
-    roots = sorted(_polish(p, r) for r in _real_roots(p))
-    span = max((abs(r) for r in roots), default=1.0)
-    clusters = _clusters(roots, tol=1e-8 * max(1.0, span))
     y_sec = min(sec_roots)
-    turn = None
+    clusters = _root_clusters(p)
     for idx, (c, m) in enumerate(clusters):
         if c > y_sec + 1e-12:
             # a multiple turning root, or one about to collide with the next
@@ -212,26 +238,8 @@ def _passage_engine(wc: np.ndarray, fpm, H: float, x0: float) -> float:
             )
             if m != 1 or not gap_ok:
                 raise OnSigmaError("passage trajectory degenerates (on Sigma_hyp)")
-            turn = c
-            break
-    if turn is None:
-        raise StratumError("no turning point above the section crossing")
-    s_coeffs = -_synthetic_division(p, turn)
-
-    def integrand(s: float) -> float:
-        # dy = -2s ds cancels the 1/(2x) of the Gelfand-Leray form up to 1/sqrt(S)
-        y = turn - s * s
-        sv = np.polyval(s_coeffs, y)
-        if sv <= 0:
-            return 0.0
-        x = s * math.sqrt(sv)
-        return fpm(y, x) / math.sqrt(sv)
-
-    smax = math.sqrt(turn - y_sec)
-    val, _ = quad(
-        integrand, 0.0, smax, epsabs=QUAD_EPSABS, epsrel=QUAD_EPSREL, limit=QUAD_LIMIT
-    )
-    return val
+            return y_sec, c
+    raise StratumError("no turning point above the section crossing")
 
 
 def passage_time(model: FibrationModel, H: float, lam: float = 0.0) -> float:
@@ -240,48 +248,29 @@ def passage_time(model: FibrationModel, H: float, lam: float = 0.0) -> float:
     For the one-dof model with f = 1 resp. f = y this equals the basic
     integral J_0(H) resp. J_1(H).
     """
-    f = _feval(model.density)
+    f = density = model.density
     if model.kind == ONE_DOF:
         if H <= 0:
             raise ValueError("one-dof passage requires H > 0")
-        fm = model.density.mirror_y().eval if isinstance(model.density, Density) else (
-            lambda x, y, l: f(x, -y, l)
+        f = density.mirror_y() if isinstance(density, Density) else (
+            lambda x, y, l: density(x, -y, l)
         )
-        wc = np.array([1.0, 0.0, 0.0, 0.0])
-        return _passage_engine(
-            wc, lambda y, x: fm(x, y, 0.0) + fm(-x, y, 0.0), -H, model.x0
-        )
-    if model.kind == NODE:
+        wc, H, lam = np.array([1.0, 0.0, 0.0, 0.0]), -H, 0.0
+    elif model.kind == NODE:
         raise ValueError("use asymptotics.node_passage for the node model")
-    wc = model.potential_coeffs(lam)
+    else:
+        wc = model.potential_coeffs(lam)
+    sec = _level_poly(wc, H - model.x0**2)
     if model.kind == CUSP_COMPACT:
-        a, b = oval_bounds(model, H, lam, "wide")
-        sec = np.array(wc, dtype=float)
-        sec[-1] -= H - model.x0**2
-        inside = [r for r in _real_roots(sec) if a < r < b]
+        a, turn, p = _oval(model, H, lam, "wide")
+        inside = [r for r in _real_roots(sec) if a < r < turn]
         if not inside:
             raise StratumError("wide oval does not reach the sections {x = +-x0}")
         y_sec = max(inside)
-        p = -np.array(wc, dtype=float)
-        p[-1] += H
-        s_coeffs = -_synthetic_division(p, b)
-
-        def integrand(s: float) -> float:
-            y = b - s * s
-            sv = np.polyval(s_coeffs, y)
-            if sv <= 0:
-                return 0.0
-            x = s * math.sqrt(sv)
-            return (f(x, y, lam) + f(-x, y, lam)) / math.sqrt(sv)
-
-        smax = math.sqrt(b - y_sec)
-        val, _ = quad(
-            integrand, 0.0, smax, epsabs=QUAD_EPSABS, epsrel=QUAD_EPSREL, limit=QUAD_LIMIT
-        )
-        return val
-    return _passage_engine(
-        wc, lambda y, x: f(x, y, lam) + f(-x, y, lam), H, model.x0
-    )
+    else:
+        p = _level_poly(wc, H)
+        y_sec, turn = _arc_ends(p, sec)
+    return _level_integral(p, _form_kernel(f, lam), y_sec, turn, oval=False)
 
 
 # -- loop period and actions -------------------------------------------------------
@@ -289,36 +278,15 @@ def passage_time(model: FibrationModel, H: float, lam: float = 0.0) -> float:
 
 def oval_loop_integral(model: FibrationModel, H: float, lam: float, weight, oval: str) -> float:
     """Contour integral of w dy/(2x) over both branches of the given oval."""
-    w = _feval(weight)
-    a, b = oval_bounds(model, H, lam, oval)
-    _, p = _level_clusters(model, H, lam)
-    r_coeffs = _deflate_bracket(p, a, b)
-    width = b - a
-
-    def integrand(theta: float) -> float:
-        st, ct = math.sin(theta), math.cos(theta)
-        y = a + width * st * st
-        rv = np.polyval(r_coeffs, y)
-        x = width * st * ct * math.sqrt(rv)
-        return (w(x, y, lam) + w(-x, y, lam)) / math.sqrt(rv)
-
-    val, _ = quad(
-        integrand,
-        0.0,
-        math.pi / 2.0,
-        epsabs=QUAD_EPSABS,
-        epsrel=QUAD_EPSREL,
-        limit=QUAD_LIMIT,
-    )
-    return val
+    a, b, p = _oval(model, H, lam, oval)
+    return _level_integral(p, _form_kernel(weight, lam), a, b, oval=True)
 
 
 def oval_area_integral(model: FibrationModel, H: float, lam: float, weight, oval: str) -> float:
-    """Integral of a weight over the closed region bounded by the oval."""
-    w = _vector_feval(weight)
-    a, b = oval_bounds(model, H, lam, oval)
-    _, p = _level_clusters(model, H, lam)
-    return _bracket_area(p, a, b, w, lam)
+    """Integral of a Density weight over the closed region bounded by the oval."""
+    kernel = _area_kernel(weight, lam)
+    a, b, p = _oval(model, H, lam, oval)
+    return _level_integral(p, kernel, a, b, oval=True)
 
 
 def loop_period(model: FibrationModel, H: float, lam: float) -> float:
@@ -330,36 +298,9 @@ def loop_period(model: FibrationModel, H: float, lam: float) -> float:
     return oval_loop_integral(model, H, lam, model.density, "narrow")
 
 
-def _bracket_area(p: np.ndarray, a: float, b: float, f, lam: float) -> float:
-    """Integral of f over {(x, y): y in (a, b), x^2 <= P(y)} via theta nodes."""
-    r_coeffs = _deflate_bracket(p, a, b)
-    width = b - a
-
-    def integrand(theta: float) -> float:
-        st, ct = math.sin(theta), math.cos(theta)
-        y = a + width * st * st
-        rv = np.polyval(r_coeffs, y)
-        s = width * st * ct * math.sqrt(rv)
-        inner = s * float(np.dot(_GL_WEIGHTS, f(s * _GL_NODES, y, lam)))
-        return inner * 2.0 * width * st * ct
-
-    val, _ = quad(
-        integrand,
-        0.0,
-        math.pi / 2.0,
-        epsabs=QUAD_EPSABS,
-        epsrel=QUAD_EPSREL,
-        limit=QUAD_LIMIT,
-    )
-    return val
-
-
 def loop_action(model: FibrationModel, H: float, lam: float) -> float:
     """I_o(H, lambda) = area of the narrow oval w.r.t. f dx^dy, over 2 pi."""
-    f = _vector_feval(model.density)
-    a, b = oval_bounds(model, H, lam, "narrow")
-    _, p = _level_clusters(model, H, lam)
-    return _bracket_area(p, a, b, f, lam) / (2.0 * math.pi)
+    return oval_area_integral(model, H, lam, model.density, "narrow") / (2.0 * math.pi)
 
 
 def wide_action(model: FibrationModel, H: float, lam: float, k: int = 0) -> float:
@@ -370,10 +311,7 @@ def wide_action(model: FibrationModel, H: float, lam: float, k: int = 0) -> floa
     """
     if model.kind != CUSP_COMPACT:
         raise StratumError("I_mu lives on the compact model's wide tori")
-    f = _vector_feval(model.density)
-    a, b = oval_bounds(model, H, lam, "wide")
-    _, p = _level_clusters(model, H, lam)
-    return _bracket_area(p, a, b, f, lam) / (2.0 * math.pi) + k * lam
+    return oval_area_integral(model, H, lam, model.density, "wide") / (2.0 * math.pi) + k * lam
 
 
 def separatrix_action(model: FibrationModel, lam: float) -> float:
@@ -384,7 +322,7 @@ def separatrix_action(model: FibrationModel, lam: float) -> float:
     """
     if lam >= 0:
         raise ValueError("h(lambda) requires lambda < 0")
-    f = _vector_feval(model.density)
+    kernel = _area_kernel(model.density, lam)
     # the saddle is a simple (well-conditioned) root of W', unlike the double
     # root it produces in H_hyp - W
     wc = model.potential_coeffs(lam)
@@ -400,34 +338,14 @@ def separatrix_action(model: FibrationModel, lam: float) -> float:
         if not saddles:
             raise StratumError(f"no saddle near the cusp at lambda={lam}")
         a = saddles[0]
-    h_hyp = float(np.polyval(wc, a))
-    p = -np.array(wc, dtype=float)
-    p[-1] += h_hyp
-    gap = 1e-3 * (1.0 + abs(a))
-    uppers = [r for r in _real_roots(p) if r > a + gap]
+    p = _level_poly(wc, float(np.polyval(wc, a)))
+    # the lobe is about 3|a| wide, so its far end is told from the split
+    # double root at the saddle relative to |a|
+    uppers = [r for r in _real_roots(p) if r > a + 1e-3 * abs(a)]
     if not uppers:
         raise OnSigmaError("no upper bound for the separatrix lobe")
     b = _polish(p, min(uppers))
-
-    def inner(y: float) -> float:
-        pv = np.polyval(p, y)
-        if pv <= 0:
-            return 0.0
-        s = math.sqrt(pv)
-        return s * float(np.dot(_GL_WEIGHTS, f(s * _GL_NODES, y, lam)))
-
-    def integrand(s: float) -> float:
-        return inner(b - s * s) * 2.0 * s
-
-    val, _ = quad(
-        integrand,
-        0.0,
-        math.sqrt(b - a),
-        epsabs=QUAD_EPSABS,
-        epsrel=QUAD_EPSREL,
-        limit=QUAD_LIMIT,
-    )
-    return val / (2.0 * math.pi)
+    return _level_integral(p, kernel, a, b, oval=False) / (2.0 * math.pi)
 
 
 # -- action charts -----------------------------------------------------------------

@@ -233,17 +233,6 @@ class TruncatedSeries:
         return cls([0, 1], order=order)
 
 
-def series_arith(lhs: TruncatedSeries, rhs: TruncatedSeries, op: str) -> TruncatedSeries:
-    """Dispatch add/sub/mul on two series (min-order truncation)."""
-    if op == "add":
-        return lhs + rhs
-    if op == "sub":
-        return lhs - rhs
-    if op == "mul":
-        return lhs * rhs
-    raise ValueError(f"unknown op {op!r}")
-
-
 def _is_integral(r) -> bool:
     if isinstance(r, Fraction):
         return r.denominator == 1

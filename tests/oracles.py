@@ -2,8 +2,9 @@
 
 These deliberately avoid the code paths they check: areas come from a
 midpoint indicator grid, hypergeometric values from the Euler integral
-representation, and the basic period integrals from direct quadrature of
-their defining formulas.
+representation, the basic period integrals from direct quadrature of
+their defining formulas, and period lattices from finite differences of the
+action chart.
 """
 
 from __future__ import annotations
@@ -13,8 +14,9 @@ import math
 import numpy as np
 from scipy.integrate import quad
 
-from cuspinv.model import FibrationModel
-from cuspinv.quadrature import oval_bounds
+from cuspinv.flows import PeriodLattice
+from cuspinv.model import CUSP_COMPACT, FibrationModel, bifurcation_diagram
+from cuspinv.quadrature import loop_action, oval_bounds, wide_action
 
 
 def grid_area(model: FibrationModel, H: float, lam: float, oval: str = "narrow", n: int = 2400) -> float:
@@ -90,3 +92,57 @@ def onedof_section_area(density, H: float, x0: float = 1.0) -> float:
 
     val, _ = quad(inner, -x0, x0, epsabs=1e-12, epsrel=1e-11, limit=200)
     return val
+
+
+def _fourth_order_partials(func, h0: float, lam0: float, step: float):
+    """(d/dH, d/dlambda) by 5-point central differences of 4th order."""
+    stencil = (1.0, -8.0, 8.0, -1.0)
+    offsets = (-2.0, -1.0, 1.0, 2.0)
+    dh = sum(
+        w * func(h0 + o * step, lam0) for w, o in zip(stencil, offsets)
+    ) / (12.0 * step)
+    dl = sum(
+        w * func(h0, lam0 + o * step) for w, o in zip(stencil, offsets)
+    ) / (12.0 * step)
+    return dh, dl
+
+
+def _auto_fd_step(model: FibrationModel, lam: float, stratum: str) -> float:
+    step = 1e-3
+    if lam < 0:
+        diagram = bifurcation_diagram(model, domain_radius=math.inf)
+        width = diagram.hyperbolic_value(lam) - diagram.elliptic_value(lam)
+        if stratum == "narrow":
+            step = min(step, width / 12.0)
+        step = min(step, abs(lam) / 5.0)
+    return step
+
+
+def fd_period_lattice(
+    sm, H: float, lam: float, stratum: str = "narrow", fd_step: float | None = None, k: int = 0
+) -> PeriodLattice:
+    """Period lattice from a 4th-order stencil on the action chart.
+
+    The step is auto-scaled to the stratum width unless given.
+    """
+    model = sm.model
+    if stratum == "narrow":
+        action = lambda h, l: loop_action(model, h, l)  # noqa: E731
+    elif stratum == "wide":
+        if model.kind != CUSP_COMPACT:
+            raise ValueError("wide stratum requires the compact model")
+        action = lambda h, l: wide_action(model, h, l, k=k)  # noqa: E731
+    else:
+        raise ValueError(f"no second action on stratum {stratum!r}")
+    if fd_step is None:
+        fd_step = _auto_fd_step(model, lam, stratum)
+    di_dh, di_dl = _fourth_order_partials(action, H, lam, fd_step)
+    if abs(di_dh) < 1e-14:
+        raise ValueError("degenerate action Jacobian near the bifurcation diagram")
+    basis = np.array(
+        [
+            [0.0, 2.0 * math.pi],
+            [2.0 * math.pi * di_dh, 2.0 * math.pi * di_dl],
+        ]
+    )
+    return PeriodLattice(basis=basis)

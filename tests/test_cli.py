@@ -136,6 +136,49 @@ class TestActions:
         assert out == ""
         assert dest.read_text().startswith("H,lambda")
 
+    def test_empty_grid_exit_2(self, files, capsys):
+        code, out, err = _run(
+            capsys, ["actions", "--model", str(files["compact"]), "--grid", "0x3"]
+        )
+        assert code == 2
+        assert "input error" in err
+        assert out == ""
+
+
+class TestConfig:
+    def _run_config(self, files, capsys, config, extra=()):
+        cfg = files["tmp"] / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        argv = ["--config", str(cfg), "actions", "--model", str(files["compact"])]
+        return _run(capsys, argv + TestActions.ARGS + list(extra))
+
+    def test_wrong_type_exit_2(self, files, capsys):
+        code, out, err = self._run_config(files, capsys, {"grid": 5})
+        assert code == 2
+        assert "input error" in err
+        assert out == ""
+
+    def test_non_option_keys_exit_2(self, files, capsys):
+        for config in ({"func": "x"}, {"command": "lattice"}, {"colour": "red"}):
+            code, out, err = self._run_config(files, capsys, config)
+            assert code == 2
+            assert out == ""
+
+    def test_values_converted_by_option_type(self, files, capsys):
+        code, out, _ = self._run_config(
+            files, capsys, {"mu-shift": "1", "l_range": ["-0.05", 0.01], "format": "json"}
+        )
+        assert code == 0
+        data = json.loads(out)
+        assert data["mu_shift"] == 1
+        assert data["rows"][0]["lambda"] == -0.05
+
+    def test_bad_values_exit_2(self, files, capsys):
+        for config in ({"mu_shift": 1.5}, {"h_range": [0.0]}, {"format": "xml"}, {"out": True}):
+            code, out, _ = self._run_config(files, capsys, config)
+            assert code == 2
+            assert out == ""
+
 
 class TestCompare:
     def test_self_comparison(self, files, capsys):
@@ -198,6 +241,15 @@ class TestLattice:
         )
         data = json.loads(out)
         assert abs(data["basis"][0][1] - 2 * math.pi) < 1e-12
+
+    def test_exponent_form_negative_lambda(self, files, capsys):
+        outs = []
+        for lam in ("-5e-05", "-0.00005"):
+            argv = ["lattice", "--sys", str(files["compact"]), "--at", "0.01", lam]
+            code, out, _ = _run(capsys, argv + ["--stratum", "wide"])
+            assert code == 0
+            outs.append(out)
+        assert outs[0] == outs[1]
 
 
 class TestTransport:

@@ -15,6 +15,8 @@ from cuspinv.flows import (
 from cuspinv.model import Density, cusp_compact_model, cusp_local_model
 from cuspinv.quadrature import loop_period, oval_bounds
 
+from oracles import fd_period_lattice
+
 F_ONE = Density.constant(1)
 F_TILT = Density({(0, 0, 0): 1.0, (0, 1, 0): 0.1})
 
@@ -120,13 +122,13 @@ class TestPeriodLattice:
     def test_fd_route_consistent(self):
         sm = SymplecticModel(cusp_compact_model(F_ONE))
         lat_q = period_lattice(sm, 0.05, 0.02, "wide")
-        lat_fd = period_lattice(sm, 0.05, 0.02, "wide", method="fd")
+        lat_fd = fd_period_lattice(sm, 0.05, 0.02, "wide")
         assert np.abs(lat_q.basis - lat_fd.basis).max() < 1e-5
 
     def test_fd_step_refinement_stable(self):
         sm = SymplecticModel(cusp_compact_model(F_ONE))
-        lat3 = period_lattice(sm, 0.05, 0.02, "wide", method="fd", fd_step=1e-3)
-        lat4 = period_lattice(sm, 0.05, 0.02, "wide", method="fd", fd_step=1e-4)
+        lat3 = fd_period_lattice(sm, 0.05, 0.02, "wide", fd_step=1e-3)
+        lat4 = fd_period_lattice(sm, 0.05, 0.02, "wide", fd_step=1e-4)
         assert np.abs(lat3.basis - lat4.basis).max() < 1e-5
 
     def test_lattice_vectors_return(self):
@@ -194,6 +196,37 @@ class TestTransport:
             img = transport_map(sm, push, q)
             assert abs(h.eval(*img[:3]) - h.eval(*q[:3])) < 1e-9
             assert img[2] == q[2]
+
+    def test_identity_bump_with_section_override(self):
+        sm = SymplecticModel(cusp_local_model(F_ONE))
+        q = _branch_point(sm, -0.3, 0.034)
+        img = transport_map(sm, BumpPushforward(sm, amplitude=0.0), q, x0=0.9)
+        assert np.abs(img - q).max() < 1e-12
+
+    def test_section_override_leaves_systems_alone(self):
+        sm = SymplecticModel(cusp_local_model(F_ONE))
+        r1, r2 = ReducedSystem(sm), ReducedSystem(sm)
+        push = BumpPushforward(sm, amplitude=0.2)
+        q = _branch_point(sm, -0.3, 0.034)
+        transport_map(r1, r2, q, x0=0.8)
+        pullback_residual(sm, push, q, x0=0.8)
+        assert sm.model.x0 == 1.0
+        assert r1.section_time(q[:2], q[2]) == ReducedSystem(sm).section_time(q[:2], q[2], 1.0)
+        assert r2.section_time(q[:2], q[2]) != r2.section_time(q[:2], q[2], 0.8)
+        assert push.section_time(q[:2], q[2]) == push.section_time(q[:2], q[2], 1.0)
+
+    def test_fiber_drift_is_float_for_reduced_systems(self):
+        sm = SymplecticModel(cusp_local_model(F_ONE))
+        q = _branch_point(sm, -0.3, 0.034)
+        res = pullback_residual(ReducedSystem(sm), BumpPushforward(sm, amplitude=0.2), q)
+        assert isinstance(res["fiber_drift"], float)
+        assert res["fiber_drift"] < 1e-9
+
+    def test_section_inside_bump_rejected(self):
+        sm = SymplecticModel(cusp_local_model(F_ONE))
+        q = _branch_point(sm, -0.3, 0.034)
+        with pytest.raises(ValueError):
+            transport_map(sm, BumpPushforward(sm, amplitude=0.2), q, x0=0.3)
 
     def test_unreachable_point_rejected(self):
         sm = SymplecticModel(cusp_local_model(F_ONE))

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from cuspinv import quadrature
 from cuspinv.model import Density, bifurcation_diagram, cusp_compact_model, cusp_local_model, node_model, one_dof_model
 from cuspinv.quadrature import (
     OnSigmaError,
@@ -10,6 +11,7 @@ from cuspinv.quadrature import (
     action_chart,
     loop_action,
     loop_period,
+    oval_area_integral,
     oval_bounds,
     oval_loop_integral,
     passage_time,
@@ -268,6 +270,40 @@ class TestSeparatrixAction:
         limit = loop_action(m, h_hyp - 1e-7, lam)
         assert abs(separatrix_action(m, lam) - limit) < 1e-5
 
+    def test_tiny_lambda_on_both_models(self):
+        # the lobe is ~3|a| = sqrt(-3 lambda) wide; near the cusp the compact
+        # model's lobe tends to the local one
+        for lam in (-3e-7, -1e-8, -1e-12):
+            h_local = separatrix_action(cusp_local_model(F_ONE), lam)
+            h_compact = separatrix_action(cusp_compact_model(F_ONE), lam)
+            assert h_local > 0
+            assert abs(h_compact / h_local - 1.0) < 1e-3
+
+
+class TestQuasiHomogeneity:
+    # H = x^2 + y^3 + lambda y has weights (x, y, H, lambda) = (3, 2, 6, 4)
+    LAM0 = -0.05
+    SCALES = (0.3, 0.1, 0.03, 0.01)
+
+    def _points(self):
+        h_hyp = 2.0 * (-self.LAM0 / 3.0) ** 1.5
+        return [t * h_hyp for t in (-0.5, 0.0, 0.5)]
+
+    def test_loop_period_and_action(self):
+        m = cusp_local_model(F_ONE)
+        for h in self._points():
+            p0, i0 = loop_period(m, h, self.LAM0), loop_action(m, h, self.LAM0)
+            for s in self.SCALES:
+                hs, ls = s**6 * h, s**4 * self.LAM0
+                assert abs(s * loop_period(m, hs, ls) - p0) <= 1e-10 * p0
+                assert abs(loop_action(m, hs, ls) - s**5 * i0) <= 1e-10 * s**5 * i0
+
+    def test_separatrix_action(self):
+        m = cusp_local_model(F_ONE)
+        h0 = separatrix_action(m, self.LAM0)
+        for s in self.SCALES:
+            assert abs(separatrix_action(m, s**4 * self.LAM0) - s**5 * h0) <= 1e-10 * s**5 * h0
+
 
 class TestFubini:
     def test_area_derivative_is_passage_time(self):
@@ -323,3 +359,31 @@ class TestOvalLoopIntegral:
         d_fd = (wide_action(m, h + step, lam) - wide_action(m, h - step, lam)) / (2 * step)
         d_q = oval_loop_integral(m, h, lam, m.density, "wide") / (2.0 * math.pi)
         assert abs(d_fd - d_q) <= 1e-6 * abs(d_q)
+
+
+class TestEngine:
+    def test_roots_isolated_once_per_call(self, monkeypatch):
+        calls = []
+        real_roots = quadrature._real_roots
+
+        def counted(coeffs):
+            calls.append(1)
+            return real_roots(coeffs)
+
+        monkeypatch.setattr(quadrature, "_real_roots", counted)
+        m = cusp_compact_model(F_MIXED)
+        for fn, args in (
+            (loop_period, (m, 0.0, -0.05)),
+            (loop_action, (m, 0.0, -0.05)),
+            (wide_action, (m, 0.0, -0.05)),
+            (oval_loop_integral, (m, 0.0, -0.05, F_Y, "narrow")),
+            (oval_area_integral, (m, 0.05, 0.02, F_Y, "wide")),
+        ):
+            calls.clear()
+            assert fn(*args) != 0.0
+            assert len(calls) == 1, fn.__name__
+
+    def test_area_integral_requires_density(self):
+        m = cusp_local_model(F_ONE)
+        with pytest.raises(TypeError):
+            oval_area_integral(m, 0.0, -3.0, lambda x, y, lam: 1.0 + 0 * x, "narrow")

@@ -9,13 +9,12 @@ from cuspinv.series import (
     TruncatedSeries,
     phi_r_apply,
     phi_r_invert,
-    series_arith,
 )
 
 
 class TestArithmetic:
     def test_cancellation(self):
-        s = series_arith(TruncatedSeries([1, 1]), TruncatedSeries([1, -1]), "add")
+        s = TruncatedSeries([1, 1]) + TruncatedSeries([1, -1])
         assert s.coeffs == [2, 0]
 
     def test_product_truncated_at_2(self):
