@@ -19,7 +19,6 @@ period of the invisible cycle up to the full turn factor.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass, field
 
@@ -27,7 +26,7 @@ import numpy as np
 from scipy.integrate import quad
 
 from .model import CUSP_LOCAL, Density, FibrationModel, bifurcation_diagram
-from .quadrature import QUAD_EPSABS, QUAD_EPSREL, QUAD_LIMIT, loop_period, passage_time
+from .quadrature import QUAD_EPSABS, QUAD_EPSREL, QUAD_LIMIT, loop_period
 from .series import PuiseuxTriple, TruncatedSeries
 
 COND_FLAG = 1e12
@@ -170,34 +169,17 @@ def node_passage(f, H: float) -> float:
     return val
 
 
-def node_complex_period(f: Density, H: float, method: str = "residue") -> complex:
+def node_complex_period(f: Density, H: float) -> complex:
     """Pi_hat(H) over the cycle x = H e^(it), y = e^(-it).
 
     The Gelfand-Leray form is f dy/y, so for f = sum c_mn x^m y^n only the
-    diagonal terms survive: Pi_hat = -2 pi i sum_m c_mm H^m.  The contour
-    method sums the trapezoid rule over the unit circle (spectrally
-    accurate) and exists as the independent cross-check.
+    diagonal terms survive: Pi_hat = -2 pi i sum_m c_mm H^m.
     """
-    if method == "residue":
-        acc = 0.0
-        for (m, n, k), c in f.terms.items():
-            if k == 0 and m == n:
-                acc += float(c) * H**m
-        return -2.0j * math.pi * acc
-    if method == "contour":
-        n_nodes = 512
-        total = 0.0 + 0.0j
-        for idx in range(n_nodes):
-            t = 2.0 * math.pi * idx / n_nodes
-            x = H * cmath.exp(1j * t)
-            y = cmath.exp(-1j * t)
-            fv = 0.0 + 0.0j
-            for (m, n, k), c in f.terms.items():
-                if k == 0:
-                    fv += float(c) * x**m * y**n
-            total += fv * (-1j)
-        return total * (2.0 * math.pi / n_nodes)
-    raise ValueError(f"unknown method {method!r}")
+    acc = 0.0
+    for (m, n, k), c in f.terms.items():
+        if k == 0 and m == n:
+            acc += float(c) * H**m
+    return -2.0j * math.pi * acc
 
 
 def fit_node_log(f, h_grid=None, order: int | None = None):
@@ -254,7 +236,6 @@ def verify_node_log_identity(f: Density, h_grid, tol: float = 1e-4) -> dict:
 def hyperbolic_log_coeff(
     model: FibrationModel,
     lam: float,
-    source: str = "loop",
     s0_frac: float = 0.35,
     levels: int = 10,
 ) -> tuple[float, dict]:
@@ -263,8 +244,7 @@ def hyperbolic_log_coeff(
     Approaches the hyperbolic branch from the swallow-tail interior on the
     halving grid H = H_hyp - s0*2^-m and extracts the coefficient of
     ln|3 sqrt(3) H - 2(-lambda)^(3/2)| (constants inside the log are
-    absorbed into the analytic part).  ``source`` selects the loop period
-    or the passage time; the two must agree.
+    absorbed into the analytic part).
     """
     if model.kind != CUSP_LOCAL:
         raise ValueError("hyperbolic log extraction implemented on the local model")
@@ -277,18 +257,8 @@ def hyperbolic_log_coeff(
     samples = []
     for m in range(levels):
         s = s0 * 2.0**-m
-        h = h_hyp - s
-        if source == "loop":
-            val = loop_period(model, h, lam)
-        elif source == "passage":
-            val = passage_time(model, h, lam)
-        elif source == "passage_outside":
-            val = passage_time(model, h_hyp + s, lam)
-        else:
-            raise ValueError(f"unknown source {source!r}")
-        samples.append((s, val))
+        samples.append((s, loop_period(model, h_hyp - s, lam)))
     alpha, diag = extract_log_coeff(samples, min_points=min(7, levels))
     diag["lambda"] = lam
     diag["H_hyp"] = h_hyp
-    diag["source"] = source
     return alpha, diag

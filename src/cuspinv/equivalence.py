@@ -201,19 +201,12 @@ def verify_relations_numeric(
         gv = float(g.eval(h))
         hp = gv + float(dg.eval(h)) * h
         deltas.append(passage_time(mdl, h) - hp * passage_time(mdl_t, h * gv))
-    deltas = np.array(deltas)
-    cols = [grid ** (k - 1.0 / 6.0) for k in range(3)]
-    cols += [grid ** (k + 1.0 / 6.0) for k in range(3)]
-    cols += [grid ** float(k) for k in range(analytic_order + 1)]
-    design = np.column_stack(cols)
-    scale = np.abs(design).max(axis=0)
-    coef, _, _, _ = np.linalg.lstsq(design / scale, deltas, rcond=None)
-    coef = coef / scale
+    fit, report = asymptotics.fit_puiseux(zip(grid, deltas), order=(2, 2, analytic_order))
     return {
-        "a_defect": coef[:3].tolist(),
-        "b_defect": coef[3:6].tolist(),
-        "max_abs": float(np.abs(coef[:6]).max()),
-        "cond": float(np.linalg.cond(design / scale)),
+        "a_defect": fit.a.coeffs,
+        "b_defect": fit.b.coeffs,
+        "max_abs": float(np.abs(fit.a.coeffs + fit.b.coeffs).max()),
+        "cond": report.cond,
     }
 
 
@@ -617,7 +610,7 @@ def invariant_report(
     log_coeffs = []
     if sys.kind == CUSP_LOCAL:
         for lam in log_lam_values:
-            a, _ = asymptotics.hyperbolic_log_coeff(sys, lam, source="loop")
+            a, _ = asymptotics.hyperbolic_log_coeff(sys, lam)
             log_coeffs.append((lam, a))
     orientation = {
         "density_positive_at_orbit": float(sys.density.eval(0.0, 0.0, 0.0)) > 0,

@@ -17,6 +17,13 @@ Fields are defined by i_v Omega = -dG.  In components, for G(x, y, lambda):
 
     v = (-G_y / f,  G_x / f,  0,  G_lambda - X_lambda G_x / f).
 
+The plane part (-H_y / f, H_x / f) of the H-field is computed only by
+SymplecticModel._plane_field (ValueError where f = 0); the 4-D field, the
+reduced dynamics and the bump field use it, the bump's log det through
+div v = -(v . grad f) / f (the flow preserves f dx^dy, so div(f v) = 0).
+Every flow is solved by _solve: RK45 at FLOW_RTOL / FLOW_ATOL, RuntimeError
+on solver failure, section crossings as terminal events.
+
 Period lattices follow Gamma(T_p) = Gamma_0 . J^-1(p) with Gamma_0 =
 2 pi Z^2 and J the Jacobian of the generators (H, F) with respect to the
 actions (I_1, I_2) = (lambda, I_o or I_mu); the second basis vector's
@@ -26,7 +33,7 @@ H-time is the loop period.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import solve_ivp
@@ -82,6 +89,13 @@ class SymplecticModel:
             ]
         )
 
+    def _plane_field(self, x, y, lam):
+        """(v_x, v_y, f) = (-H_y / f, H_x / f, f): the (x, y) part of the H-field."""
+        fv = self._f.eval(x, y, lam)
+        if fv == 0.0:
+            raise ValueError("degenerate Omega: density vanishes at the point")
+        return -self._H_y.eval(x, y, lam) / fv, self._H_x.eval(x, y, lam) / fv, fv
+
     def hamiltonian_field(self, point, generator: str = "H") -> np.ndarray:
         """The unique v with i_v Omega = -dG, G in {H, F}."""
         x, y, lam = point[0], point[1], point[2]
@@ -89,28 +103,14 @@ class SymplecticModel:
             return np.array([0.0, 0.0, 0.0, 1.0])
         if generator != "H":
             raise ValueError("generator must be 'H' or 'F'")
-        fv = self._f.eval(x, y, lam)
-        if fv == 0.0:
-            raise ValueError("degenerate Omega: density vanishes at the point")
-        gx = self._H_x.eval(x, y, lam)
-        gy = self._H_y.eval(x, y, lam)
+        vx, vy, _ = self._plane_field(x, y, lam)
         gl = self._H_lam.eval(x, y, lam)
         xl = self._X_lam.eval(x, y, lam)
-        return np.array([-gy / fv, gx / fv, 0.0, gl - xl * gx / fv])
+        return np.array([vx, vy, 0.0, gl - xl * vy])
 
     # -- flows ------------------------------------------------------------
 
-    def _rhs(self, _t, state):
-        return self.hamiltonian_field(state, "H")
-
-    def flow(
-        self,
-        point,
-        generator: str,
-        t: float,
-        rtol: float = FLOW_RTOL,
-        atol: float = FLOW_ATOL,
-    ) -> np.ndarray:
+    def flow(self, point, generator: str, t: float) -> np.ndarray:
         """Flow the point by time t along the H- or F-field."""
         point = np.asarray(point, dtype=float)
         if t == 0.0:
@@ -119,45 +119,34 @@ class SymplecticModel:
             out = point.copy()
             out[3] += t
             return out
-        sol = solve_ivp(
-            self._rhs,
-            (0.0, t),
-            point,
-            method="RK45",
-            rtol=rtol,
-            atol=atol,
-            dense_output=False,
-        )
-        if not sol.success:
-            raise RuntimeError(f"flow integration failed: {sol.message}")
-        return sol.y[:, -1]
+        return _solve(lambda _t, state: self.hamiltonian_field(state, generator), t, point)
 
     def flow_pair(self, point, t1: float, t2: float) -> np.ndarray:
         """sigma^(t1, t2): H-flow by t1 then F-flow by t2 (they commute)."""
         return self.flow(self.flow(point, "H", t1), "F", t2)
 
-    def section_time(self, point, x0: float | None = None, t_max: float = 200.0) -> float:
-        """Smallest t > 0 with sigma^(-t)(point) on the section {x = x0}."""
-        if x0 is None:
-            x0 = self.model.x0
-        point = np.asarray(point, dtype=float)
 
-        def event(_t, state):
-            return state[0] - x0
-
+def _solve(rhs, t_end: float, y0, event=None):
+    """The state at t_end of y' = rhs(t, y), y(0) = y0, or with ``event`` the
+    first time it crosses zero (ValueError if it never does before t_end)."""
+    if event is not None:
         event.terminal = True
-        sol = solve_ivp(
-            self._rhs,
-            (0.0, -t_max),
-            point,
-            method="RK45",
-            rtol=FLOW_RTOL,
-            atol=FLOW_ATOL,
-            events=event,
-        )
-        if not sol.t_events[0].size:
-            raise ValueError("backward trajectory does not reach the section")
-        return -float(sol.t_events[0][0])
+    sol = solve_ivp(
+        rhs,
+        (0.0, t_end),
+        np.asarray(y0, dtype=float),
+        method="RK45",
+        rtol=FLOW_RTOL,
+        atol=FLOW_ATOL,
+        events=event,
+    )
+    if not sol.success:
+        raise RuntimeError(f"flow integration failed: {sol.message}")
+    if event is None:
+        return sol.y[:, -1]
+    if not sol.t_events[0].size:
+        raise ValueError("trajectory does not reach the section")
+    return float(sol.t_events[0][0])
 
 
 def trajectory_csv(
@@ -254,27 +243,17 @@ class ReducedSystem:
         return self.sm.hamiltonian_value(point)
 
     def rhs(self, lam: float):
-        f = self.sm._f
-        hx = self.sm._H_x
-        hy = self.sm._H_y
+        field = self.sm._plane_field
 
         def rhs(_t, state):
-            x, y = state
-            fv = f.eval(x, y, lam)
-            return (-hy.eval(x, y, lam) / fv, hx.eval(x, y, lam) / fv)
+            return field(state[0], state[1], lam)[:2]
 
         return rhs
 
     def reduced_flow(self, xy, lam: float, t: float) -> np.ndarray:
         if t == 0.0:
             return np.asarray(xy, dtype=float)
-        sol = solve_ivp(
-            self.rhs(lam), (0.0, t), np.asarray(xy, dtype=float),
-            method="RK45", rtol=FLOW_RTOL, atol=FLOW_ATOL,
-        )
-        if not sol.success:
-            raise RuntimeError(f"reduced flow failed: {sol.message}")
-        return sol.y[:, -1]
+        return _solve(self.rhs(lam), t, xy)
 
     def section_time(
         self, xy, lam: float, x0: float | None = None, t_max: float = 200.0
@@ -282,18 +261,7 @@ class ReducedSystem:
         """Smallest t > 0 with the backward flow of xy on {x = x0} (default: the model's)."""
         if x0 is None:
             x0 = self.sm.model.x0
-
-        def event(_t, state):
-            return state[0] - x0
-
-        event.terminal = True
-        sol = solve_ivp(
-            self.rhs(lam), (0.0, -t_max), np.asarray(xy, dtype=float),
-            method="RK45", rtol=FLOW_RTOL, atol=FLOW_ATOL, events=event,
-        )
-        if not sol.t_events[0].size:
-            raise ValueError("backward reduced trajectory does not reach the section")
-        return -float(sol.t_events[0][0])
+        return -_solve(self.rhs(lam), -t_max, xy, event=lambda _t, state: state[0] - x0)
 
     def density_eval(self, x, y, lam):
         return self.sm._f.eval(x, y, lam)
@@ -336,60 +304,36 @@ class BumpPushforward:
         self.base = ReducedSystem(sm)
         self.amplitude = amplitude
         self.support = support * sm.model.x0
+        self._f_x = sm.density.diff(0)
+        self._f_y = sm.density.diff(1)
 
-    def _bump(self, x: float) -> float:
+    def _bump(self, x: float) -> tuple[float, float]:
+        """rho(x) and rho'(x)."""
         u = x / self.support
         if abs(u) >= 1.0:
-            return 0.0
-        return self.amplitude * math.exp(-1.0 / (1.0 - u * u))
-
-    def _bump_prime(self, x: float) -> float:
-        u = x / self.support
-        if abs(u) >= 1.0:
-            return 0.0
+            return 0.0, 0.0
         w = 1.0 - u * u
-        return self.amplitude * math.exp(-1.0 / w) * (-2.0 * u / (w * w)) / self.support
+        rho = self.amplitude * math.exp(-1.0 / w)
+        return rho, rho * (-2.0 * u / (w * w)) / self.support
 
-    def _z_rhs(self, lam: float, with_logdet: bool):
-        f = self.sm._f
-        fx = self.sm._f.diff(0)
-        fy = self.sm._f.diff(1)
-        hx = self.sm._H_x
-        hy = self.sm._H_y
-        hxx = self.sm._H_x.diff(0)
-        hxy = self.sm._H_x.diff(1)
-        hyy = self.sm._H_y.diff(1)
+    def _z_rhs(self, lam: float):
+        """Z = rho v, with d/dt log det Dpsi0 = div Z as a third component."""
+        field = self.sm._plane_field
+        fx, fy = self._f_x, self._f_y
 
         def rhs(_t, state):
             x, y = state[0], state[1]
-            fv = f.eval(x, y, lam)
-            vx = -hy.eval(x, y, lam) / fv
-            vy = hx.eval(x, y, lam) / fv
-            rho = self._bump(x)
-            if not with_logdet:
-                return (rho * vx, rho * vy)
-            # div(rho v) = rho' vx + rho (dvx/dx + dvy/dy)
-            dvx_dx = (-hxy.eval(x, y, lam) * fv + hy.eval(x, y, lam) * fx.eval(x, y, lam)) / fv**2
-            dvy_dy = (hxy.eval(x, y, lam) * fv - hx.eval(x, y, lam) * fy.eval(x, y, lam)) / fv**2
-            div = self._bump_prime(x) * vx + rho * (dvx_dx + dvy_dy)
-            return (rho * vx, rho * vy, div)
+            vx, vy, fv = field(x, y, lam)
+            rho, rho_prime = self._bump(x)
+            # div(rho v) = rho' vx + rho div v, div v = -(v . grad f) / f
+            div_v = -(vx * fx.eval(x, y, lam) + vy * fy.eval(x, y, lam)) / fv
+            return (rho * vx, rho * vy, rho_prime * vx + rho * div_v)
 
         return rhs
 
     def bump_map(self, xy, lam: float, inverse: bool = False):
         """psi0 (or its inverse) with log det Dpsi0 integrated alongside."""
-        state = [float(xy[0]), float(xy[1]), 0.0]
-        sol = solve_ivp(
-            self._z_rhs(lam, True),
-            (0.0, -1.0 if inverse else 1.0),
-            state,
-            method="RK45",
-            rtol=FLOW_RTOL,
-            atol=FLOW_ATOL,
-        )
-        if not sol.success:
-            raise RuntimeError(f"bump flow failed: {sol.message}")
-        out = sol.y[:, -1]
+        out = _solve(self._z_rhs(lam), -1.0 if inverse else 1.0, (xy[0], xy[1], 0.0))
         return np.array([out[0], out[1]]), math.exp(out[2])
 
     def density_eval(self, x, y, lam):

@@ -145,6 +145,9 @@ class Density:
 
     def eval(self, x, y, lam=0.0):
         """Float evaluation; numpy-array friendly."""
+        if not self.terms:
+            shape = np.broadcast(x, y, lam).shape
+            return np.zeros(shape) if shape else 0.0
         acc = 0.0
         for (i, j, k), c in self.terms.items():
             acc = acc + float(c) * x**i * y**j * lam**k

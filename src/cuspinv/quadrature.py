@@ -213,9 +213,6 @@ def _area_kernel(f: Density, lam: float):
     """x^2 sum_i GLw_i f(x GLnode_i, y): x times the integral of f over [-x, x]."""
     if not isinstance(f, Density):
         raise TypeError("area integrals take a polynomial Density")
-    if not f.terms:
-        # the zero polynomial evaluates to a bare 0.0, not to an array
-        return lambda y, x: 0.0
     return lambda y, x: x * x * float(np.dot(_GL_WEIGHTS, f.eval(x * _GL_NODES, y, lam)))
 
 

@@ -3,8 +3,10 @@
 These deliberately avoid the code paths they check: areas come from a
 midpoint indicator grid, hypergeometric values from the Euler integral
 representation, the basic period integrals from direct quadrature of
-their defining formulas, and period lattices from finite differences of the
-action chart.
+their defining formulas, period lattices from finite differences of the
+action chart, the node model's complex period from the trapezoid rule on its
+cycle, and the hyperbolic log coefficient from passage times instead of loop
+periods.
 """
 
 from __future__ import annotations
@@ -14,9 +16,10 @@ import math
 import numpy as np
 from scipy.integrate import quad
 
+from cuspinv.asymptotics import extract_log_coeff
 from cuspinv.flows import PeriodLattice
 from cuspinv.model import CUSP_COMPACT, FibrationModel, bifurcation_diagram
-from cuspinv.quadrature import loop_action, oval_bounds, wide_action
+from cuspinv.quadrature import loop_action, oval_bounds, passage_time, wide_action
 
 
 def grid_area(model: FibrationModel, H: float, lam: float, oval: str = "narrow", n: int = 2400) -> float:
@@ -146,3 +149,31 @@ def fd_period_lattice(
         ]
     )
     return PeriodLattice(basis=basis)
+
+
+def contour_node_complex_period(f, H: float, n_nodes: int = 512) -> complex:
+    """Pi_hat(H) = int f dy/y over x = H e^(it), y = e^(-it) by the trapezoid
+    rule on the circle (spectrally accurate for a polynomial f)."""
+    t = 2.0 * math.pi * np.arange(n_nodes) / n_nodes
+    x = H * np.exp(1j * t)
+    y = np.exp(-1j * t)
+    fv = sum(float(c) * x**m * y**n for (m, n, k), c in f.terms.items() if k == 0)
+    return complex(np.sum(fv * -1j) * (2.0 * math.pi / n_nodes))
+
+
+def passage_log_coeff(
+    model: FibrationModel, lam: float, outside: bool = False, s0_frac: float = 0.35, levels: int = 10
+) -> float:
+    """Log coefficient of the passage time at Sigma_hyp on the halving grid of
+    ``hyperbolic_log_coeff``, approached from inside (H = H_hyp - s) or, with
+    ``outside``, from outside (H = H_hyp + s) the swallow tail."""
+    diagram = bifurcation_diagram(model, domain_radius=math.inf)
+    h_hyp = diagram.hyperbolic_value(lam)
+    s0 = s0_frac * (h_hyp - diagram.elliptic_value(lam))
+    sign = 1.0 if outside else -1.0
+    samples = []
+    for m in range(levels):
+        s = s0 * 2.0**-m
+        samples.append((s, passage_time(model, h_hyp + sign * s, lam)))
+    alpha, _ = extract_log_coeff(samples, min_points=min(7, levels))
+    return alpha

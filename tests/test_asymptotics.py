@@ -10,6 +10,8 @@ from cuspinv.quadrature import passage_time
 from cuspinv.series import PuiseuxTriple, TruncatedSeries
 from cuspinv.specfun import puiseux_constants
 
+from oracles import contour_node_complex_period, passage_log_coeff
+
 
 class TestFitPuiseux:
     def test_synthetic_roundtrip(self):
@@ -152,8 +154,8 @@ class TestNodeComplexPeriod:
             if not terms:
                 terms[(0, 0, 0)] = 1.0
             f = Density(terms)
-            r = asy.node_complex_period(f, 0.35, "residue")
-            q = asy.node_complex_period(f, 0.35, "contour")
+            r = asy.node_complex_period(f, 0.35)
+            q = contour_node_complex_period(f, 0.35)
             assert abs(r - q) < 1e-10 * max(1.0, abs(r))
 
 
@@ -187,14 +189,14 @@ class TestHyperbolicLogCoeff:
 
     def test_loop_and_passage_agree(self):
         m = cusp_local_model(Density({(0, 0, 0): 1, (0, 1, 0): 0.2}))
-        a_loop, _ = asy.hyperbolic_log_coeff(m, -1.0, source="loop")
-        a_pass, _ = asy.hyperbolic_log_coeff(m, -1.0, source="passage")
+        a_loop, _ = asy.hyperbolic_log_coeff(m, -1.0)
+        a_pass = passage_log_coeff(m, -1.0)
         assert abs(a_loop - a_pass) <= 1e-3 * abs(a_loop)
 
     def test_outside_factor_two(self):
         m = cusp_local_model(Density.constant(1))
-        a_in, _ = asy.hyperbolic_log_coeff(m, -1.0, source="passage")
-        a_out, _ = asy.hyperbolic_log_coeff(m, -1.0, source="passage_outside")
+        a_in = passage_log_coeff(m, -1.0)
+        a_out = passage_log_coeff(m, -1.0, outside=True)
         assert abs(a_out / a_in - 2.0) < 1e-2
 
     def test_continuity_in_lambda(self):

@@ -274,6 +274,20 @@ class TestTransport:
         assert abs(entry["xy_residual"]) < 1e-6
         assert entry["fiber_drift"] < 1e-9
 
+    def test_vanishing_density_exit_1(self, files, capsys):
+        # f = y vanishes at the point; the flows stop there instead of looping on NaN
+        model = files["tmp"] / "fy.json"
+        density = {"terms": [{"c": 1.0, "e": [0, 1, 0]}]}
+        model.write_text(json.dumps({"kind": "cusp_local", "density": density, "x0": 1.0}))
+        pts = files["tmp"] / "pts.json"
+        pts.write_text(json.dumps([[0.3, 0.0, 0.0]]))
+        code, _, err = _run(
+            capsys,
+            ["transport", "--sys1", str(model), "--sys2", str(model), "--points", str(pts)],
+        )
+        assert code == 1
+        assert "density vanishes" in err
+
     def test_bad_points_exit_2(self, files, capsys):
         pts = files["tmp"] / "pts.json"
         pts.write_text(json.dumps([[0.1]]))

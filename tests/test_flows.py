@@ -80,6 +80,25 @@ class TestHamiltonianField:
             sm.hamiltonian_field((0.0, 0.0, 0.0, 0.0), "H")
 
 
+class TestVanishingDensity:
+    # f = y vanishes at (0.3, 0); numpy-float 0/0 there would give a NaN
+    # field, on which RK45 never terminates
+    SM = SymplecticModel(cusp_local_model(Density({(0, 1, 0): 1})))
+
+    def test_reduced_field_rejected(self):
+        with pytest.raises(ValueError, match="density vanishes"):
+            ReducedSystem(self.SM).rhs(0.0)(0.0, np.array([0.3, 0.0]))
+
+    def test_bump_field_rejected(self):
+        with pytest.raises(ValueError, match="density vanishes"):
+            BumpPushforward(self.SM)._z_rhs(0.0)(0.0, np.array([0.3, 0.0, 0.0]))
+
+    def test_solver_failure_is_not_a_missed_section(self):
+        # the backward flow runs into {y = 0}, where the field blows up
+        with pytest.raises(RuntimeError, match="flow integration failed"):
+            ReducedSystem(self.SM).section_time((0.3, 0.2), 0.0)
+
+
 class TestFlow:
     def test_zero_time_identity(self):
         sm = SymplecticModel(cusp_local_model(F_ONE))
@@ -221,6 +240,20 @@ class TestTransport:
         res = pullback_residual(ReducedSystem(sm), BumpPushforward(sm, amplitude=0.2), q)
         assert isinstance(res["fiber_drift"], float)
         assert res["fiber_drift"] < 1e-9
+
+    def test_bump_determinant_matches_jacobian(self):
+        f = Density({(0, 0, 0): 1.0, (0, 1, 0): 0.3, (1, 0, 1): 0.2})
+        push = BumpPushforward(SymplecticModel(cusp_local_model(f)), amplitude=0.2)
+        lam, h = -0.3, 1e-5
+        for xy in ((0.2, 0.1), (-0.3, 0.4), (0.1, -0.5)):
+            _, det = push.bump_map(xy, lam)
+
+            def image(dx, dy):
+                return push.bump_map((xy[0] + dx, xy[1] + dy), lam)[0]
+
+            jx = (image(h, 0.0) - image(-h, 0.0)) / (2 * h)
+            jy = (image(0.0, h) - image(0.0, -h)) / (2 * h)
+            assert abs(det - (jx[0] * jy[1] - jx[1] * jy[0])) < 1e-8
 
     def test_section_inside_bump_rejected(self):
         sm = SymplecticModel(cusp_local_model(F_ONE))

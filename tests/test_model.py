@@ -35,6 +35,11 @@ class TestDensity:
         xs = np.array([1.0, 2.0])
         assert np.allclose(f.eval(xs, 3.0, 0.0), [3.0, 6.0])
 
+    def test_zero_polynomial_keeps_shape(self):
+        zero = Density({})
+        assert np.array_equal(zero.eval(np.ones(3), 0, 0), np.zeros(3))
+        assert zero.eval(0.5, 0.2, 0.1) == 0.0
+
     def test_diff(self):
         f = Density({(2, 1, 0): 1})
         assert f.diff(0).terms == {(1, 1, 0): 2}
