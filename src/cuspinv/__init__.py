@@ -14,7 +14,7 @@ from .series import (
     phi_r_apply,
     phi_r_invert,
 )
-from .specfun import gamma, hyp2F1, puiseux_constants, reference_Jj
+from .specfun import puiseux_constants
 from .model import (
     CUSP_COMPACT,
     CUSP_LOCAL,
@@ -68,7 +68,6 @@ from .equivalence import (
     normalize_invariant,
     one_dof_equivalent,
     parabolic_equivalent,
-    rescale_r_h,
     verify_relations,
     verify_relations_numeric,
 )

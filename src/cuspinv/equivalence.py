@@ -75,9 +75,6 @@ class RescaleMap:
     def h(self, H: float) -> float:
         return H * float(self.g.eval(H))
 
-    def h_series(self) -> TruncatedSeries:
-        return _series_h(self.g)
-
     def apply(self, x: float, y: float) -> tuple[float, float]:
         H = y**3 - x**2
         gv = float(self.g.eval(H))
@@ -122,11 +119,6 @@ class RescaleMap:
             return fe(x, y, lam) / self.jacobian_det(x, y)
 
         return ftilde
-
-
-def rescale_r_h(g: TruncatedSeries) -> RescaleMap:
-    """Coordinate map for h(H) = H g(H); rejects g(0) <= 0."""
-    return RescaleMap(g)
 
 
 # -- series relations --------------------------------------------------------------
@@ -284,13 +276,19 @@ class OneDofVerdict:
         }
 
 
+def _flip_orientation(f: Density) -> Density:
+    """The density after the sign map (x, y) -> (-x, y): f -> -f(-x, y).
+
+    The map fixes H and reverses the orientation of f dx^dy.
+    """
+    return Density({e: (c if e[0] % 2 else -c) for e, c in f.terms.items()})
+
+
 def _oriented_reduce(f: Density) -> tuple[BrieskornPair, bool]:
     pair = brieskorn_reduce(f)
     if float(pair.alpha.coeffs[0]) >= 0:
         return pair, False
-    # flip orientation with (x, y) -> (-x, y): density f -> -f(-x, y)
-    flipped = Density({e: (c if e[0] % 2 else -c) for e, c in f.terms.items()})
-    return brieskorn_reduce(flipped), True
+    return brieskorn_reduce(_flip_orientation(f)), True
 
 
 def one_dof_equivalent(
@@ -389,10 +387,17 @@ def _orient_system(sys: FibrationModel) -> tuple[FibrationModel, bool]:
     """
     if float(sys.density.eval(0.0, 0.0, 0.0)) > 0:
         return sys, False
-    flipped = Density(
-        {e: (c if e[0] % 2 else -c) for e, c in sys.density.terms.items()}
-    )
-    return FibrationModel(sys.kind, flipped, sys.x0), True
+    return FibrationModel(sys.kind, _flip_orientation(sys.density), sys.x0), True
+
+
+def _oriented_pair(sys1: FibrationModel, sys2: FibrationModel):
+    """Both systems positively oriented, and the checks dict reporting it."""
+    sys1, flip1 = _orient_system(sys1)
+    sys2, flip2 = _orient_system(sys2)
+    checks: dict = {}
+    if flip1 or flip2:
+        checks["orientation_corrected"] = {"sys1": flip1, "sys2": flip2}
+    return sys1, sys2, checks
 
 
 def parabolic_equivalent(
@@ -410,14 +415,24 @@ def parabolic_equivalent(
     grid.  Only verification of the supplied map is performed; invariants
     that do not depend on phi live in :func:`invariant_report`.
     """
+    sys1, sys2, checks = _oriented_pair(sys1, sys2)
+    ok = _parabolic_checks(sys1, sys2, phi, checks, lam_values, action_rtol, sigma_rtol)
+    return EquivalenceVerdict(equivalent=ok, checks=checks)
+
+
+def _parabolic_checks(
+    sys1: FibrationModel,
+    sys2: FibrationModel,
+    phi,
+    checks: dict,
+    lam_values,
+    action_rtol: float,
+    sigma_rtol: float,
+) -> bool:
+    """The sigma, I and I_circ checks of two oriented systems, added to ``checks``."""
     _phi_check_invertible(phi)
-    sys1, flip1 = _orient_system(sys1)
-    sys2, flip2 = _orient_system(sys2)
     d1 = bifurcation_diagram(sys1)
     d2 = bifurcation_diagram(sys2)
-    checks: dict = {}
-    if flip1 or flip2:
-        checks["orientation_corrected"] = {"sys1": flip1, "sys2": flip2}
 
     # cusp point must map to the cusp point
     hc, lc = _phi_eval(phi, *d1.cusp_point)
@@ -467,8 +482,7 @@ def parabolic_equivalent(
         io_ok = io_ok and r_o <= action_rtol
     checks["I"] = {"ok": i_ok, "residuals": i_resid}
     checks["I_circ"] = {"ok": io_ok, "residuals": io_resid}
-
-    return EquivalenceVerdict(equivalent=sigma_ok and i_ok and io_ok, checks=checks)
+    return sigma_ok and i_ok and io_ok
 
 
 def cusp_torus_equivalent(
@@ -490,8 +504,9 @@ def cusp_torus_equivalent(
     """
     if sys1.kind != CUSP_COMPACT or sys2.kind != CUSP_COMPACT:
         raise ValueError("cusp-torus comparison needs compact models")
-    base = parabolic_equivalent(
-        sys1, sys2, phi, lam_values=lam_values, action_rtol=action_rtol
+    sys1, sys2, checks = _oriented_pair(sys1, sys2)
+    base_ok = _parabolic_checks(
+        sys1, sys2, phi, checks, lam_values, action_rtol, SIGMA_RTOL
     )
     d1 = bifurcation_diagram(sys1)
     r = d1.domain_radius
@@ -512,7 +527,6 @@ def cusp_torus_equivalent(
             ok_pts = False
             continue
         deltas.append(((v1 - v2), lam))
-    checks = dict(base.checks)
     k_found = None
     if ok_pts and deltas:
         k_est = np.array([d / lam for d, lam in deltas])
@@ -530,9 +544,7 @@ def cusp_torus_equivalent(
     else:
         checks["I_mu"] = {"ok": False, "k": None, "residuals": []}
         mu_ok = False
-    return EquivalenceVerdict(
-        equivalent=base.equivalent and mu_ok, checks=checks, k=k_found
-    )
+    return EquivalenceVerdict(equivalent=base_ok and mu_ok, checks=checks, k=k_found)
 
 
 # -- phi-independent invariant report -------------------------------------------------

@@ -24,7 +24,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .series import TruncatedSeries
+from .series import TruncatedSeries, _is_finite
 
 _EXACT_TYPES = (int, Fraction)
 
@@ -66,6 +66,8 @@ class Density:
             i, j, k = (int(v) for v in expo)
             if i < 0 or j < 0 or k < 0:
                 raise ValueError(f"negative exponent in {expo}")
+            if not _is_finite(c):
+                raise ValueError(f"non-finite coefficient {c!r} at {expo}")
             if c == 0:
                 continue
             key = (i, j, k)
@@ -236,6 +238,8 @@ class Poly2:
             items = ((tuple(e), c) for c, e in terms)
         for expo, c in items:
             i, j = (int(v) for v in expo)
+            if not _is_finite(c):
+                raise ValueError(f"non-finite coefficient {c!r} at {expo}")
             if c == 0:
                 continue
             data[(i, j)] = data.get((i, j), 0) + c
@@ -308,8 +312,8 @@ class FibrationModel:
     def __post_init__(self):
         if self.kind not in MODEL_KINDS:
             raise ValueError(f"unknown model kind {self.kind!r}")
-        if self.x0 <= 0:
-            raise ValueError("section offset x0 must be positive")
+        if not (math.isfinite(self.x0) and self.x0 > 0):
+            raise ValueError("section offset x0 must be positive and finite")
 
     def hamiltonian(self) -> Density:
         return _hamiltonian_for(self.kind)

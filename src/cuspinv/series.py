@@ -70,9 +70,6 @@ class TruncatedSeries:
             return NotImplemented
         return self.coeffs == other.coeffs
 
-    def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
-
     def copy(self) -> "TruncatedSeries":
         return TruncatedSeries(list(self.coeffs))
 

@@ -1,138 +1,19 @@
-"""Gamma, the Gauss hypergeometric function on the parameter island used by
-the basic period integrals, and the leading Puiseux constants C0, C1.
+"""The leading Puiseux constants C0, C1 of the basic period integrals.
 
 The basic integrals J_j(H) = (2/3) * int_0^1 (H + x^2)^((j-2)/3) dx, j = 0, 1,
-have the closed form
-
-    J_j(H) = (2/3) * c1 * F((2-j)/3, (1-2j)/6, (7-2j)/6; -H) + C_j * H^((2j-1)/6)
-
-obtained from F((2-j)/3, 1/2, 3/2; -1/H) by the z -> 1/z connection formula,
-with C_0 = (sqrt(pi)/3) Gamma(1/6)/Gamma(2/3) > 0 and
+split as an analytic part plus C_j * H^((2j-1)/6), with
+C_0 = (sqrt(pi)/3) Gamma(1/6)/Gamma(2/3) > 0 and
 C_1 = (sqrt(pi)/3) Gamma(-1/6)/Gamma(1/3) < 0.
-
-Only the parameter/argument region that actually occurs here is supported;
-anything else is rejected with a diagnostic rather than silently extended.
 """
 
 from __future__ import annotations
 
 import math
 
-# Lanczos approximation, g = 7, 9 terms.  Relative error ~1e-15 on the
-# positive real axis, which is ample for the 1e-12 contract.
-_LANCZOS_G = 7.0
-_LANCZOS_COEFFS = (
-    0.99999999999980993,
-    676.5203681218851,
-    -1259.1392167224028,
-    771.32342877765313,
-    -176.61502916214059,
-    12.507343278686905,
-    -0.13857109526572012,
-    9.9843695780195716e-6,
-    1.5056327351493116e-7,
-)
-
-_SQRT_2PI = math.sqrt(2.0 * math.pi)
-
-
-def _is_nonpositive_integer(x: float, tol: float = 0.0) -> bool:
-    if x > 0:
-        return False
-    n = round(x)
-    return abs(x - n) <= tol
-
-
-def gamma(x: float) -> float:
-    """Gamma function on the real line, poles rejected."""
-    x = float(x)
-    if _is_nonpositive_integer(x):
-        raise ValueError(f"gamma pole at non-positive integer x={x}")
-    if x < 0.5:
-        # reflection: Gamma(x) = pi / (sin(pi x) * Gamma(1 - x))
-        return math.pi / (math.sin(math.pi * x) * gamma(1.0 - x))
-    z = x - 1.0
-    acc = _LANCZOS_COEFFS[0]
-    for i, c in enumerate(_LANCZOS_COEFFS[1:], start=1):
-        acc += c / (z + i)
-    t = z + _LANCZOS_G + 0.5
-    return _SQRT_2PI * t ** (z + 0.5) * math.exp(-t) * acc
-
-
-def _gauss_series(a: float, b: float, c: float, z: float, max_terms: int = 2000) -> float:
-    """Plain Gauss series sum_k (a)_k (b)_k / (c)_k z^k / k! for |z| < 1."""
-    term = 1.0
-    total = 1.0
-    for k in range(max_terms):
-        term *= (a + k) * (b + k) / ((c + k) * (k + 1.0)) * z
-        total += term
-        if abs(term) <= 1e-17 * max(1.0, abs(total)):
-            return total
-    raise ValueError(
-        f"hypergeometric series did not converge: a={a}, b={b}, c={c}, z={z}"
-    )
-
-
-def hyp2F1(p: float, q: float, r: float, z: float) -> float:
-    """Gauss 2F1 on the restricted island: z <= 0, or 0 <= z <= 0.9.
-
-    For -1 <= z < 0 the series is summed after the Pfaff transformation
-    F(p,q,r;z) = (1-z)^(-p) F(p, r-q, r; z/(z-1)), which keeps the argument
-    in [0, 1/2] and all terms positive for the parameters used here.  For
-    z < -1 the z -> 1/z connection formula is applied first:
-
-        F(p,q,r;z) = c1 (-z)^(-p) F(p, 1+p-r, 1+p-q; 1/z)
-                   + c2 (-z)^(-q) F(q, 1+q-r, 1+q-p; 1/z),
-        c1 = Gamma(r)Gamma(q-p) / (Gamma(r-p)Gamma(q)),
-        c2 = Gamma(r)Gamma(p-q) / (Gamma(r-q)Gamma(p)).
-    """
-    if _is_nonpositive_integer(r, tol=1e-12):
-        raise ValueError(f"hyp2F1 pole: r={r} is a non-positive integer")
-    if z == 0.0 or p == 0.0 or q == 0.0:
-        return 1.0
-    if z < -1.0:
-        if abs((p - q) - round(p - q)) < 1e-9:
-            raise ValueError(
-                f"connection formula needs non-integral p-q (got p={p}, q={q})"
-            )
-        c1 = gamma(r) * gamma(q - p) / (gamma(r - p) * gamma(q))
-        c2 = gamma(r) * gamma(p - q) / (gamma(r - q) * gamma(p))
-        w = 1.0 / z
-        return c1 * (-z) ** (-p) * hyp2F1(p, 1.0 + p - r, 1.0 + p - q, w) + c2 * (
-            -z
-        ) ** (-q) * hyp2F1(q, 1.0 + q - r, 1.0 + q - p, w)
-    if z < 0.0:
-        w = z / (z - 1.0)
-        return (1.0 - z) ** (-p) * _gauss_series(p, r - q, r, w)
-    if z <= 0.9:
-        return _gauss_series(p, q, r, z)
-    raise ValueError(f"hyp2F1 argument z={z} outside the supported island")
-
 
 def puiseux_constants() -> dict[str, float]:
     """The constants C0 > 0 and C1 < 0 of the leading Puiseux terms."""
     sqrt_pi = math.sqrt(math.pi)
-    c0 = sqrt_pi / 3.0 * gamma(1.0 / 6.0) / gamma(2.0 / 3.0)
-    c1 = sqrt_pi / 3.0 * gamma(-1.0 / 6.0) / gamma(1.0 / 3.0)
+    c0 = sqrt_pi / 3.0 * math.gamma(1.0 / 6.0) / math.gamma(2.0 / 3.0)
+    c1 = sqrt_pi / 3.0 * math.gamma(-1.0 / 6.0) / math.gamma(1.0 / 3.0)
     return {"C0": c0, "C1": c1}
-
-
-def reference_Jj(H: float, j: int) -> float:
-    """Closed-form value of J_j(H) = (2/3) int_0^1 (H+x^2)^((j-2)/3) dx, H > 0.
-
-    Evaluated via the connected hypergeometric form, so that the fractional
-    part C_j * H^((2j-1)/6) is explicit and the remainder is analytic at 0.
-    """
-    if H <= 0:
-        raise ValueError("reference_Jj requires H > 0")
-    if j not in (0, 1):
-        raise ValueError("j must be 0 or 1")
-    p = (2.0 - j) / 3.0
-    q = 0.5
-    r = 1.5
-    # coefficients of the z -> 1/z connection applied to F(p, q, r; -1/H)
-    c1 = gamma(r) * gamma(q - p) / (gamma(r - p) * gamma(q))
-    c2 = gamma(r) * gamma(p - q) / (gamma(r - q) * gamma(p))
-    analytic = (2.0 / 3.0) * c1 * hyp2F1(p, (1.0 - 2.0 * j) / 6.0, (7.0 - 2.0 * j) / 6.0, -H)
-    fractional = (2.0 / 3.0) * c2 * H ** ((2.0 * j - 1.0) / 6.0)
-    return analytic + fractional

@@ -1,8 +1,8 @@
 """Independent brute-force oracles used by the tests.
 
 These deliberately avoid the code paths they check: areas come from a
-midpoint indicator grid, hypergeometric values from the Euler integral
-representation, the basic period integrals from direct quadrature of
+midpoint indicator grid, the basic period integrals from their
+hypergeometric closed form (scipy's 2F1) and from direct quadrature of
 their defining formulas, period lattices from finite differences of the
 action chart, the node model's complex period from the trapezoid rule on its
 cycle, and the hyperbolic log coefficient from passage times instead of loop
@@ -15,6 +15,7 @@ import math
 
 import numpy as np
 from scipy.integrate import quad
+from scipy.special import hyp2f1
 
 from cuspinv.asymptotics import extract_log_coeff
 from cuspinv.flows import PeriodLattice
@@ -50,24 +51,26 @@ def grid_area(model: FibrationModel, H: float, lam: float, oval: str = "narrow",
     return total / 2.0
 
 
-def euler_2f1(p: float, q: float, r: float, z: float) -> float:
-    """Euler integral for 2F1; valid for r > q > 0 and z < 1."""
-    if not (r > q > 0 and z < 1):
-        raise ValueError("Euler representation needs r > q > 0, z < 1")
-    coef = math.gamma(r) / (math.gamma(q) * math.gamma(r - q))
+def reference_Jj(H: float, j: int) -> float:
+    """Closed-form value of J_j(H) = (2/3) int_0^1 (H+x^2)^((j-2)/3) dx, H > 0.
 
-    def integrand(theta: float) -> float:
-        s = math.sin(theta)
-        c = math.cos(theta)
-        return (
-            2.0
-            * s ** (2.0 * q - 1.0)
-            * c ** (2.0 * r - 2.0 * q - 1.0)
-            * (1.0 - z * s * s) ** (-p)
-        )
-
-    val, _ = quad(integrand, 0.0, math.pi / 2.0, epsabs=1e-14, epsrel=1e-13, limit=300)
-    return coef * val
+    J_j(H) = (2/3) F(p, 1/2, 3/2; -1/H) H^(-p) with p = (2-j)/3; the z -> 1/z
+    connection formula splits it into an analytic part and the fractional
+    part C_j * H^((2j-1)/6).
+    """
+    if H <= 0:
+        raise ValueError("reference_Jj requires H > 0")
+    if j not in (0, 1):
+        raise ValueError("j must be 0 or 1")
+    p = (2.0 - j) / 3.0
+    q = 0.5
+    r = 1.5
+    # coefficients of the z -> 1/z connection applied to F(p, q, r; -1/H)
+    c1 = math.gamma(r) * math.gamma(q - p) / (math.gamma(r - p) * math.gamma(q))
+    c2 = math.gamma(r) * math.gamma(p - q) / (math.gamma(r - q) * math.gamma(p))
+    analytic = (2.0 / 3.0) * c1 * hyp2f1(p, (1.0 - 2.0 * j) / 6.0, (7.0 - 2.0 * j) / 6.0, -H)
+    fractional = (2.0 / 3.0) * c2 * H ** ((2.0 * j - 1.0) / 6.0)
+    return float(analytic + fractional)
 
 
 def direct_Jj(H: float, j: int) -> float:

@@ -87,6 +87,14 @@ class TestDecompose:
         assert "input error" in err
         assert out == ""
 
+    def test_non_finite_coefficient_exit_2(self, files, capsys):
+        path = files["tmp"] / "nan.json"
+        path.write_text(json.dumps({"terms": [{"c": math.nan, "e": [0, 1, 0]}]}))
+        code, out, err = _run(capsys, ["decompose", "--density", str(path)])
+        assert code == 2
+        assert "non-finite" in err
+        assert out == ""
+
 
 class TestActions:
     ARGS = ["--grid", "3x3", "--h-range", "-0.003", "0.003", "--l-range", "-0.05", "0.01"]
@@ -144,6 +152,18 @@ class TestActions:
         assert "input error" in err
         assert out == ""
 
+    @pytest.mark.parametrize(
+        "c, x0", [(math.nan, 0.25), (math.inf, 0.25), (1.0, math.nan), (1.0, math.inf)]
+    )
+    def test_non_finite_model_exit_2(self, files, capsys, c, x0):
+        path = files["tmp"] / "nonfinite.json"
+        model = {"kind": "cusp_compact", "density": {"terms": [{"c": c, "e": [0, 0, 0]}]}}
+        path.write_text(json.dumps(dict(model, x0=x0)))
+        code, out, err = _run(capsys, ["actions", "--model", str(path)] + self.ARGS)
+        assert code == 2
+        assert "input error" in err
+        assert out == ""
+
 
 class TestConfig:
     def _run_config(self, files, capsys, config, extra=()):
@@ -193,6 +213,22 @@ class TestCompare:
             capsys, ["compare", "--sys1", str(files["local"]), "--sys2", str(files["local2"])]
         )
         assert json.loads(out)["equivalent"] is False
+
+    def test_non_finite_base_map_exit_2(self, files, capsys):
+        phi = files["tmp"] / "phi.json"
+        phi.write_text(
+            json.dumps(
+                {
+                    "Ht": {"terms": [{"c": 1.0, "e": [1, 0]}, {"c": math.nan, "e": [0, 0]}]},
+                    "Ft": {"terms": [{"c": 1.0, "e": [0, 1]}]},
+                }
+            )
+        )
+        argv = ["compare", "--sys1", str(files["local"]), "--sys2", str(files["local"])]
+        code, out, err = _run(capsys, argv + ["--phi", str(phi)])
+        assert code == 2
+        assert "non-finite" in err
+        assert out == ""
 
     def test_compact_self_comparison_reports_k(self, files, capsys):
         _, out, _ = _run(

@@ -6,13 +6,13 @@ import pytest
 
 from cuspinv import brieskorn
 from cuspinv.equivalence import (
+    RescaleMap,
     cusp_torus_equivalent,
     fitted_pair,
     invariant_report,
     normalize_invariant,
     one_dof_equivalent,
     parabolic_equivalent,
-    rescale_r_h,
     verify_relations,
     verify_relations_numeric,
 )
@@ -43,43 +43,43 @@ def _area_pair(density):
 
 class TestRescaleMap:
     def test_identity_for_unit_g(self):
-        rmap = rescale_r_h(TruncatedSeries([1.0], order=3))
+        rmap = RescaleMap(TruncatedSeries([1.0], order=3))
         assert rmap.apply(0.4, 0.7) == (0.4, 0.7)
         assert rmap.jacobian_det(0.4, 0.7) == 1.0
 
     def test_constant_scaling(self):
-        rmap = rescale_r_h(TruncatedSeries([4.0], order=3))
+        rmap = RescaleMap(TruncatedSeries([4.0], order=3))
         for (x, y) in ((0.3, 0.5), (-0.2, 0.9), (0.1, -0.3)):
             u, v = rmap.apply(x, y)
             H = y**3 - x**2
             assert abs((v**3 - u**2) - 4.0 * H) < 1e-12
 
     def test_jacobian_formula_at_zero_level(self):
-        rmap = rescale_r_h(TruncatedSeries([1.0, 0.5], order=3))
+        rmap = RescaleMap(TruncatedSeries([1.0, 0.5], order=3))
         # points on H = 0: det = g(0)^(-1/6) g(0) = 1
         assert abs(rmap.jacobian_det(1.0, 1.0) - 1.0) < 1e-14
 
     def test_h_compatibility_pointwise(self):
-        rmap = rescale_r_h(TruncatedSeries([1.0, 0.5, -0.2], order=4))
+        rmap = RescaleMap(TruncatedSeries([1.0, 0.5, -0.2], order=4))
         for (x, y) in ((0.3, 0.7), (-0.25, 0.55)):
             u, v = rmap.apply(x, y)
             H = y**3 - x**2
             assert abs((v**3 - u**2) - rmap.h(H)) < 1e-13
 
     def test_inverse_roundtrip(self):
-        rmap = rescale_r_h(TruncatedSeries([1.0, 0.5], order=4))
+        rmap = RescaleMap(TruncatedSeries([1.0, 0.5], order=4))
         u, v = rmap.apply(0.3, 0.7)
         x, y = rmap.inverse(u, v)
         assert abs(x - 0.3) < 1e-12 and abs(y - 0.7) < 1e-12
 
     def test_nonpositive_g_rejected(self):
         with pytest.raises(ValueError):
-            rescale_r_h(TruncatedSeries([-1.0, 0.2]))
+            RescaleMap(TruncatedSeries([-1.0, 0.2]))
 
     def test_h_inverse_rejects_beyond_monotone_branch(self):
         # h(H) = H(1 - 2H) folds at H = 1/4; targets above the fold value
         # cannot be reached on the branch through 0
-        rmap = rescale_r_h(TruncatedSeries([1.0, -2.0], order=3))
+        rmap = RescaleMap(TruncatedSeries([1.0, -2.0], order=3))
         assert abs(rmap.h_inverse(0.1) - rmap.h_inverse(0.1)) == 0.0
         with pytest.raises(ValueError):
             rmap.h_inverse(0.2)
@@ -105,14 +105,14 @@ class TestVerifyRelations:
 
     def test_numeric_pullback_defect(self):
         g = TruncatedSeries([1.0, 0.5], order=4)
-        rmap = rescale_r_h(g)
+        rmap = RescaleMap(g)
         ftilde = rmap.pushforward_density(F_ONE_PLUS_Y)
         res = verify_relations_numeric(F_ONE_PLUS_Y, ftilde, g)
         assert res["max_abs"] < 1e-4
 
     def test_numeric_defect_detects_wrong_g(self):
         g = TruncatedSeries([1.0, 0.5], order=4)
-        rmap = rescale_r_h(g)
+        rmap = RescaleMap(g)
         ftilde = rmap.pushforward_density(F_ONE_PLUS_Y)
         wrong = TruncatedSeries([1.0, 0.8], order=4)
         res = verify_relations_numeric(F_ONE_PLUS_Y, ftilde, wrong)
@@ -198,7 +198,7 @@ class TestCanonicalFInvariance:
                  float(rng.uniform(-0.2, 0.2))],
                 order=4,
             )
-            rmap = rescale_r_h(g)
+            rmap = RescaleMap(g)
             ftilde = rmap.pushforward_density(f)
             triple, _ = fitted_pair(ftilde, h_max=0.05, n_samples=36, order=(3, 3, 5))
             out = normalize_invariant(triple)
@@ -273,6 +273,16 @@ class TestCuspTorusEquivalent:
     def test_local_models_rejected(self):
         with pytest.raises(ValueError):
             cusp_torus_equivalent(cusp_local_model(F_ONE), cusp_local_model(F_ONE))
+
+    def test_orientation_corrected_for_every_check(self):
+        # f = -1 is f = 1 after (x, y) -> (-x, y); I_mu must be compared on
+        # the oriented systems, as the parabolic checks are
+        m_neg = cusp_compact_model(Density.constant(-1))
+        v = cusp_torus_equivalent(m_neg, cusp_compact_model(F_ONE))
+        assert v.equivalent
+        assert v.k == 0
+        assert v.checks["orientation_corrected"] == {"sys1": True, "sys2": False}
+        assert max(v.checks["I_mu"]["residuals"]) < 1e-12
 
 
 class TestInvariantReport:

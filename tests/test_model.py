@@ -40,6 +40,11 @@ class TestDensity:
         assert np.array_equal(zero.eval(np.ones(3), 0, 0), np.zeros(3))
         assert zero.eval(0.5, 0.2, 0.1) == 0.0
 
+    @pytest.mark.parametrize("c", [math.nan, math.inf, -math.inf])
+    def test_non_finite_coefficient_rejected(self, c):
+        with pytest.raises(ValueError, match="non-finite"):
+            Density({(0, 0, 0): 1.0, (0, 1, 0): c})
+
     def test_diff(self):
         f = Density({(2, 1, 0): 1})
         assert f.diff(0).terms == {(1, 1, 0): 2}
@@ -79,6 +84,11 @@ class TestFibrationModel:
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
             FibrationModel("spiral", Density.constant(1))
+
+    @pytest.mark.parametrize("x0", [0.0, -1.0, math.nan, math.inf])
+    def test_bad_section_offset_rejected(self, x0):
+        with pytest.raises(ValueError, match="x0"):
+            FibrationModel(CUSP_LOCAL, Density.constant(1), x0)
 
     def test_model_germs_are_parabolic(self):
         for m in (cusp_local_model(), cusp_compact_model()):

@@ -18,9 +18,9 @@ from cuspinv.quadrature import (
     separatrix_action,
     wide_action,
 )
-from cuspinv.specfun import puiseux_constants, reference_Jj
+from cuspinv.specfun import puiseux_constants
 
-from oracles import grid_area, onedof_section_area
+from oracles import grid_area, onedof_section_area, reference_Jj
 
 F_ONE = Density.constant(1)
 F_Y = Density({(0, 1, 0): 1})
