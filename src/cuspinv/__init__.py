@@ -24,8 +24,8 @@ from .model import (
     CanonicalBaseTransform,
     Density,
     FibrationModel,
+    IDENTITY_BASE_MAP,
     ParabolicVerdict,
-    Poly2,
     base_change_parabolic_test,
     bifurcation_diagram,
     canonicalize_base,

@@ -23,7 +23,7 @@ import sys
 import numpy as np
 
 from . import brieskorn, equivalence, flows
-from .model import Density, FibrationModel, Poly2
+from .model import IDENTITY_BASE_MAP, Density, FibrationModel
 from .quadrature import action_chart
 from .specfun import puiseux_constants
 
@@ -57,13 +57,22 @@ def _load_model(path: str) -> FibrationModel:
 
 
 def _load_phi(path: str | None):
+    """The base map (H~, F~) of a file with entries "Ht" and "Ft", each
+    {"terms": [{"c": c, "e": [i, j]}]} in (H, F); the identity without a file."""
     if path is None:
-        return None
+        return IDENTITY_BASE_MAP
     data = _load_json(path)
     try:
-        return Poly2.from_json(data["Ht"]), Poly2.from_json(data["Ft"])
+        return tuple(_base_map_component(data[key]) for key in ("Ht", "Ft"))
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"bad base-map file {path}: {exc}") from exc
+
+
+def _base_map_component(data) -> Density:
+    terms = [(t["c"], tuple(t["e"])) for t in data["terms"]]
+    if any(len(e) != 2 for _, e in terms):
+        raise ValueError("base-map exponents are pairs [i, j]")
+    return Density([(c, (*e, 0)) for c, e in terms])
 
 
 def _emit(text: str, out: str | None) -> None:

@@ -30,9 +30,10 @@ from .brieskorn import BrieskornPair, reduce as brieskorn_reduce
 from .model import (
     CUSP_COMPACT,
     CUSP_LOCAL,
+    IDENTITY_BASE_MAP,
     Density,
     FibrationModel,
-    Poly2,
+    base_map_jacobian,
     bifurcation_diagram,
     one_dof_model,
 )
@@ -336,21 +337,8 @@ def one_dof_equivalent(
 
 
 def _phi_eval(phi, H: float, lam: float) -> tuple[float, float]:
-    if phi is None:
-        return H, lam
     ht, ft = phi
     return ht.eval(H, lam), ft.eval(H, lam)
-
-
-def _phi_check_invertible(phi) -> None:
-    if phi is None:
-        return
-    ht, ft = phi
-    jac = ht.diff(0)(0.0, 0.0) * ft.diff(1)(0.0, 0.0) - ht.diff(1)(0.0, 0.0) * ft.diff(0)(
-        0.0, 0.0
-    )
-    if abs(jac) < 1e-12:
-        raise ValueError("base map phi is degenerate at the cusp point")
 
 
 def _default_grid(diagram, lam_values=None, h_fracs=(-0.5, 0.0, 0.5)):
@@ -383,9 +371,13 @@ def _orient_system(sys: FibrationModel) -> tuple[FibrationModel, bool]:
 
     A negative density at the orbit is corrected by (x, y) -> (-x, y),
     which flips the sign of f while fixing H; the correction is reported,
-    not treated as an error.
+    not treated as an error.  A density vanishing at the orbit is not
+    symplectic there and raises ValueError.
     """
-    if float(sys.density.eval(0.0, 0.0, 0.0)) > 0:
+    f0 = float(sys.density.eval(0.0, 0.0, 0.0))
+    if f0 == 0:
+        raise ValueError("density vanishes at the orbit")
+    if f0 > 0:
         return sys, False
     return FibrationModel(sys.kind, _flip_orientation(sys.density), sys.x0), True
 
@@ -403,7 +395,7 @@ def _oriented_pair(sys1: FibrationModel, sys2: FibrationModel):
 def parabolic_equivalent(
     sys1: FibrationModel,
     sys2: FibrationModel,
-    phi=None,
+    phi=IDENTITY_BASE_MAP,
     lam_values=None,
     action_rtol: float = ACTION_RTOL,
     sigma_rtol: float = SIGMA_RTOL,
@@ -430,7 +422,8 @@ def _parabolic_checks(
     sigma_rtol: float,
 ) -> bool:
     """The sigma, I and I_circ checks of two oriented systems, added to ``checks``."""
-    _phi_check_invertible(phi)
+    if abs(base_map_jacobian(phi, 0.0, 0.0)) < 1e-12:
+        raise ValueError("base map phi is degenerate at the cusp point")
     d1 = bifurcation_diagram(sys1)
     d2 = bifurcation_diagram(sys2)
 
@@ -444,20 +437,18 @@ def _parabolic_checks(
     else:
         branch_lams = lam_values
     for lam in branch_lams:
-        for branch, value in (
-            ("ell", d1.elliptic_value(lam)),
-            ("hyp", d1.hyperbolic_value(lam)),
+        for branch1, branch2 in (
+            (d1.elliptic_value, d2.elliptic_value),
+            (d1.hyperbolic_value, d2.hyperbolic_value),
         ):
+            value = branch1(lam)
             h_t, lam_t = _phi_eval(phi, value, lam)
             scale = max(abs(value), 1e-6)
             if lam_t >= 0:
                 sigma_ok = False
                 sigma_resid.append(float("inf"))
                 continue
-            target = (
-                d2.elliptic_value(lam_t) if branch == "ell" else d2.hyperbolic_value(lam_t)
-            )
-            r_ = abs(h_t - target) / scale
+            r_ = abs(h_t - branch2(lam_t)) / scale
             sigma_resid.append(r_)
             sigma_ok = sigma_ok and r_ <= sigma_rtol
     checks["sigma"] = {"ok": sigma_ok, "residuals": sigma_resid}
@@ -488,7 +479,7 @@ def _parabolic_checks(
 def cusp_torus_equivalent(
     sys1: FibrationModel,
     sys2: FibrationModel,
-    phi=None,
+    phi=IDENTITY_BASE_MAP,
     k_range: tuple[int, int] = (-3, 3),
     mu_shift1: int = 0,
     mu_shift2: int = 0,

@@ -11,6 +11,11 @@ Model kinds
 ``one_dof``       H = y^3 - x^2                   (one-degree-of-freedom cusp)
 ``node``          H = x*y                         (non-degenerate saddle model)
 
+Each Hamiltonian is written once, in ``_hamiltonian_for``; the potential W of
+the cusp models (H = x^2 + W(y; lambda)) is read off it, and the bifurcation
+diagram Sigma is the pair of critical values of W at the two critical points
+nearest y = 0 (``cusp_pair``), solved for at each lambda asked about.
+
 The map (x, y, H) -> (x, -y, -H) carries the cusp_local model at lambda = 0
 to the one_dof model; densities transform by f(x, y) -> f(x, -y).
 """
@@ -19,8 +24,10 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
@@ -40,18 +47,15 @@ MODEL_KINDS = (CUSP_LOCAL, CUSP_COMPACT, ONE_DOF, NODE)
 DEFAULT_DOMAIN_RADIUS = 0.08
 
 
-def _all_exact(values) -> bool:
-    return all(isinstance(v, _EXACT_TYPES) for v in values)
-
-
 class Density:
     """Trivariate polynomial sum c * x^i y^j lambda^k.
 
-    Doubles as the container for model Hamiltonians and for the reduced
-    symplectic densities omega_lambda = f dx^dy.  For symplectic use the
-    value at the origin must be positive; that is checked where the
-    mathematics requires it, not at construction (formal densities such as
-    f = y are legitimate inputs to the period integrals).
+    Doubles as the container for model Hamiltonians, for the reduced
+    symplectic densities omega_lambda = f dx^dy and, lambda-free with (x, y)
+    read as (H, F), for the components of base maps phi(H, F).  For
+    symplectic use the value at the origin must be positive; that is checked
+    where the mathematics requires it, not at construction (formal densities
+    such as f = y are legitimate inputs to the period integrals).
     """
 
     __slots__ = ("terms",)
@@ -63,7 +67,7 @@ class Density:
         else:
             items = ((tuple(e), c) for c, e in terms)
         for expo, c in items:
-            i, j, k = (int(v) for v in expo)
+            i, j, k = (operator.index(v) for v in expo)
             if i < 0 or j < 0 or k < 0:
                 raise ValueError(f"negative exponent in {expo}")
             if not _is_finite(c):
@@ -192,25 +196,22 @@ class Density:
         return Density({e: (-c if e[1] % 2 else c) for e, c in self.terms.items()})
 
     def is_exact(self) -> bool:
-        return _all_exact(self.terms.values())
+        return all(isinstance(v, _EXACT_TYPES) for v in self.terms.values())
 
-    def gradient(self, point, exact: bool = False):
-        if exact:
-            return [self.diff(a).eval_exact(*point) for a in range(3)]
-        return [self.diff(a).eval(*point) for a in range(3)]
+    def gradient(self, point):
+        return [_eval_at(self.diff(a), point) for a in range(3)]
 
-    def hessian(self, point, exact: bool = False):
+    def hessian(self, point):
         out = [[0] * 3 for _ in range(3)]
         for a in range(3):
             da = self.diff(a)
             for b in range(a, 3):
-                dab = da.diff(b)
-                v = dab.eval_exact(*point) if exact else dab.eval(*point)
+                v = _eval_at(da.diff(b), point)
                 out[a][b] = v
                 out[b][a] = v
         return out
 
-    def third_directional(self, point, v, exact: bool = False):
+    def third_directional(self, point, v):
         """d^3 f (v, v, v) at the point."""
         acc = 0
         for a in range(3):
@@ -218,69 +219,36 @@ class Density:
             for b in range(3):
                 dab = da.diff(b)
                 for c in range(3):
-                    dabc = dab.diff(c)
-                    val = dabc.eval_exact(*point) if exact else dabc.eval(*point)
+                    val = _eval_at(dab.diff(c), point)
                     if val != 0:
                         acc += val * v[a] * v[b] * v[c]
         return acc
 
-
-class Poly2:
-    """Bivariate polynomial in (H, F); used for base maps phi(H, F)."""
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms):
-        data: dict[tuple[int, int], object] = {}
-        if isinstance(terms, dict):
-            items = terms.items()
-        else:
-            items = ((tuple(e), c) for c, e in terms)
-        for expo, c in items:
-            i, j = (int(v) for v in expo)
-            if not _is_finite(c):
-                raise ValueError(f"non-finite coefficient {c!r} at {expo}")
-            if c == 0:
-                continue
-            data[(i, j)] = data.get((i, j), 0) + c
-        self.terms = {k: v for k, v in sorted(data.items()) if v != 0}
-
-    def eval(self, h, f):
-        acc = 0.0
-        for (i, j), c in self.terms.items():
-            acc = acc + float(c) * h**i * f**j
-        return acc
-
-    __call__ = eval
-
-    def diff(self, axis: int) -> "Poly2":
-        out = {}
-        for e, c in self.terms.items():
-            n = e[axis]
-            if n == 0:
-                continue
-            ne = list(e)
-            ne[axis] = n - 1
-            out[tuple(ne)] = out.get(tuple(ne), 0) + n * c
-        return Poly2(out)
-
-    def substitute(self, h_poly: Density, f_poly: Density) -> "Density":
-        """Exact composition self(h_poly(x,y,l), f_poly(x,y,l))."""
+    def compose(self, h: "Density", f: "Density") -> "Density":
+        """Exact composition self(h, f) of a lambda-free base-map component."""
+        if any(e[2] for e in self.terms):
+            raise ValueError("a base-map component must be free of lambda")
         acc = Density({})
-        for (i, j), c in self.terms.items():
-            acc = acc + (h_poly**i) * (f_poly**j) * c
+        for (i, j, _), c in self.terms.items():
+            acc = acc + (h**i) * (f**j) * c
         return acc
 
-    def to_json(self) -> dict:
-        return {"terms": [{"c": float(c), "e": list(e)} for e, c in self.terms.items()]}
 
-    @classmethod
-    def from_json(cls, data) -> "Poly2":
-        return cls([(t["c"], tuple(t["e"])) for t in data["terms"]])
+def _eval_at(poly: Density, point):
+    """Exact evaluation at an all-Fraction point, float evaluation otherwise."""
+    if all(isinstance(v, Fraction) for v in point):
+        return poly.eval_exact(*point)
+    return poly.eval(*point)
 
-    @classmethod
-    def identity_pair(cls) -> tuple["Poly2", "Poly2"]:
-        return cls({(1, 0): 1}), cls({(0, 1): 1})
+
+#: the base map phi(H, F) = (H, F)
+IDENTITY_BASE_MAP = (Density({(1, 0, 0): 1}), Density({(0, 1, 0): 1}))
+
+
+def base_map_jacobian(phi, h: float, f: float) -> float:
+    """det D phi at (H, F) = (h, f) for a base map phi = (H~, F~)."""
+    h_map, f_map = phi
+    return h_map.diff(0)(h, f) * f_map.diff(1)(h, f) - h_map.diff(1)(h, f) * f_map.diff(0)(h, f)
 
 
 # -- model definitions ---------------------------------------------------------
@@ -296,6 +264,16 @@ def _hamiltonian_for(kind: str) -> Density:
     if kind == NODE:
         return Density({(1, 1, 0): 1})
     raise ValueError(f"unknown model kind {kind!r}")
+
+
+@lru_cache(maxsize=None)
+def _potential_terms(kind: str) -> tuple[int, tuple[tuple[int, int, object], ...]]:
+    """(degree in y, terms (j, k, c) of c y^j lambda^k) of W = H - x^2."""
+    H = _hamiltonian_for(kind)
+    W = Density({e: c for e, c in H.terms.items() if e[0] == 0})
+    if H - W != Density({(2, 0, 0): 1}):
+        raise ValueError(f"{kind} has no x^2 + W(y) potential form")
+    return max(j for _, j, _ in W.terms), tuple((j, k, c) for (_, j, k), c in W.terms.items())
 
 
 @dataclass
@@ -319,12 +297,13 @@ class FibrationModel:
         return _hamiltonian_for(self.kind)
 
     def potential_coeffs(self, lam: float) -> np.ndarray:
-        """Coefficients (highest first) of W(y) for kinds with H = x^2 + W(y)."""
-        if self.kind == CUSP_LOCAL:
-            return np.array([1.0, 0.0, lam, 0.0])
-        if self.kind == CUSP_COMPACT:
-            return np.array([1.0, 1.0, 0.0, lam, 0.0])
-        raise ValueError(f"{self.kind} has no x^2 + W(y) potential form")
+        """Coefficients (highest first) of W(y; lambda), the x-free part of
+        H = x^2 + W; ValueError for kinds whose H is not of that form."""
+        degree, terms = _potential_terms(self.kind)
+        out = np.zeros(degree + 1)
+        for j, k, c in terms:
+            out[degree - j] += c * lam**k
+        return out
 
     def to_json(self) -> dict:
         return {"kind": self.kind, "density": self.density.to_json(), "x0": self.x0}
@@ -356,126 +335,138 @@ def node_model(density=None) -> FibrationModel:
     return FibrationModel(NODE, density or Density.constant(1))
 
 
+# -- polynomial roots ----------------------------------------------------------
+
+
+def _horner(coeffs, x: float) -> float:
+    """np.polyval(coeffs, x) for a list of floats and a scalar x, without
+    numpy's per-call cost (the same operations in the same order)."""
+    acc = 0.0
+    for c in coeffs:
+        acc = acc * x + c
+    return acc
+
+
+def _polish(coeffs: np.ndarray, r: float) -> float:
+    c, d = np.asarray(coeffs).tolist(), np.polyder(coeffs).tolist()
+    for _ in range(3):
+        fv = _horner(c, r)
+        dv = _horner(d, r)
+        if dv == 0:
+            break
+        r = r - fv / dv
+    return r
+
+
+def _real_roots(coeffs: np.ndarray) -> list[float]:
+    roots = np.roots(np.asarray(coeffs, dtype=float))
+    scale = 1.0 + max(abs(roots.real).max(initial=0.0), abs(roots.imag).max(initial=0.0))
+    return sorted(roots.real[abs(roots.imag) <= 1e-8 * scale].tolist())
+
+
+def _synthetic_division(coeffs: np.ndarray, root: float) -> np.ndarray:
+    """coeffs / (y - root), highest first; remainder discarded."""
+    out = np.empty(len(coeffs) - 1)
+    acc = 0.0
+    for i, c in enumerate(coeffs[:-1]):
+        acc = acc * root + c
+        out[i] = acc
+    return out
+
+
 # -- bifurcation diagram -------------------------------------------------------
 
 
-def _near_cusp_critical_values(lam: float) -> tuple[float | None, float | None]:
-    """(H_ell, H_hyp) of the compact model's unfolded cusp pair at this lambda.
+def cusp_pair(wc: np.ndarray) -> tuple[float | None, float | None]:
+    """(y_ell, y_hyp): the two critical points of W nearest y = 0.
 
-    Critical points solve W'(y) = 4y^3 + 3y^2 + lambda = 0; only the pair that
-    unfolds from the cusp at y = 0 is kept (|y| < 0.45 separates it from the
-    deep well near y = -3/4).
+    ``wc`` holds W's coefficients (highest first) at a lambda < 0, where the
+    pair has unfolded from the cusp at y = 0.  The sign of W'' labels them:
+    the minimum (W'' > 0) carries the elliptic branch, the saddle (W'' < 0)
+    the hyperbolic one; a branch absent at this lambda is None.  The compact
+    model's deep well near y = -3/4 lies farther from 0 than both.
     """
-    roots = np.roots([4.0, 3.0, 0.0, lam])
-    real = [float(r.real) for r in roots if abs(r.imag) < 1e-9 * (1.0 + abs(r))]
-    h_ell = None
-    h_hyp = None
-    for y in real:
-        if abs(y) >= 0.45:
-            continue
-        w2 = 12.0 * y * y + 6.0 * y
-        h = y**4 + y**3 + lam * y
-        if w2 > 0:
-            h_ell = h
-        elif w2 < 0:
-            h_hyp = h
-    return h_ell, h_hyp
+    dw = np.polyder(wc)
+    d2w = np.polyder(dw).tolist()
+    pair = [_polish(dw, y) for y in sorted(_real_roots(dw), key=abs)[:2]]
+    y_ell = next((y for y in pair if _horner(d2w, y) > 0), None)
+    y_hyp = next((y for y in pair if _horner(d2w, y) < 0), None)
+    return y_ell, y_hyp
 
 
 @dataclass
 class BifurcationDiagram:
-    """Sampled bifurcation diagram Sigma near the cusp point.
+    """Bifurcation diagram Sigma near the cusp point.
 
-    For the canonical local model Sigma = {H^2 = -(4/27) lambda^3} with the
+    At each lambda < 0 asked about, the elliptic and hyperbolic values are
+    W at the cusp pair of critical points (one root solve per query).  For
+    the canonical local model Sigma = {H^2 = -(4/27) lambda^3} with the
     elliptic branch at H < 0 and the hyperbolic branch at H > 0; the
     swallow-tail interior is {H^2 < -(4/27) lambda^3}.
     """
 
-    model_kind: str
+    model: FibrationModel
     domain_radius: float
-    cusp_point: tuple[float, float]
-    ell: list[tuple[float, float]]
-    hyp: list[tuple[float, float]]
+    cusp_point: tuple[float, float] = (0.0, 0.0)
+
+    def _branches(self, lam: float) -> tuple[float | None, float | None]:
+        """(H_ell, H_hyp) at this lambda; None for a branch absent there."""
+        if lam >= 0:
+            raise ValueError("branches exist for lambda < 0 only")
+        wc = self.model.potential_coeffs(lam)
+        w = wc.tolist()
+        return tuple(None if y is None else _horner(w, y) for y in cusp_pair(wc))
+
+    def _branch_value(self, lam: float, index: int, name: str) -> float:
+        value = self._branches(lam)[index]
+        if value is None:
+            raise ValueError(f"no {name} branch at lambda={lam}")
+        return value
 
     def elliptic_value(self, lam: float) -> float:
-        if lam >= 0:
-            raise ValueError("branches exist for lambda < 0 only")
-        if self.model_kind == CUSP_LOCAL:
-            return -2.0 * (-lam) ** 1.5 / (3.0 * math.sqrt(3.0))
-        h_ell, _ = _near_cusp_critical_values(lam)
-        if h_ell is None:
-            raise ValueError(f"no elliptic branch at lambda={lam}")
-        return h_ell
+        return self._branch_value(lam, 0, "elliptic")
 
     def hyperbolic_value(self, lam: float) -> float:
-        if lam >= 0:
-            raise ValueError("branches exist for lambda < 0 only")
-        if self.model_kind == CUSP_LOCAL:
-            return 2.0 * (-lam) ** 1.5 / (3.0 * math.sqrt(3.0))
-        _, h_hyp = _near_cusp_critical_values(lam)
-        if h_hyp is None:
-            raise ValueError(f"no hyperbolic branch at lambda={lam}")
-        return h_hyp
+        return self._branch_value(lam, 1, "hyperbolic")
+
+    def _position(self, H: float, lam: float, tol: float) -> str:
+        """'sigma' within tol of Sigma, 'inside' the swallow tail, else 'off'."""
+        if lam > tol:
+            return "off"
+        if abs(lam) <= tol:
+            return "sigma" if abs(H) <= tol else "off"
+        h_ell, h_hyp = self._branches(lam)
+        if any(v is not None and abs(H - v) <= tol for v in (h_ell, h_hyp)):
+            return "sigma"
+        if h_ell is not None and h_hyp is not None and h_ell < H < h_hyp:
+            return "inside"
+        return "off"
 
     def in_swallowtail(self, H: float, lam: float) -> bool:
-        if lam >= 0:
-            return False
-        try:
-            return self.elliptic_value(lam) < H < self.hyperbolic_value(lam)
-        except ValueError:
-            return False
+        return self._position(H, lam, 0.0) == "inside"
 
     def on_sigma(self, H: float, lam: float, tol: float = 1e-10) -> bool:
-        if lam > tol:
-            return False
-        if abs(lam) <= tol:
-            return abs(H) <= tol
-        return (
-            abs(H - self.hyperbolic_value(lam)) <= tol
-            or abs(H - self.elliptic_value(lam)) <= tol
-        )
+        return self._position(H, lam, tol) == "sigma"
 
     def stratum(self, H: float, lam: float) -> str:
         """'narrow' on the swallow-tail interior, 'wide' elsewhere in the
         domain (compact model only), 'outside' otherwise."""
-        if math.hypot(H, lam) > self.domain_radius or self.on_sigma(H, lam, tol=1e-12):
+        if math.hypot(H, lam) > self.domain_radius:
             return "outside"
-        if self.in_swallowtail(H, lam):
+        position = self._position(H, lam, 1e-12)
+        if position == "inside":
             return "narrow"
-        if self.model_kind == CUSP_COMPACT:
+        if position == "off" and self.model.kind == CUSP_COMPACT:
             return "wide"
         return "outside"
 
 
 def bifurcation_diagram(
-    model: FibrationModel,
-    lam_range: tuple[float, float] = (-DEFAULT_DOMAIN_RADIUS, 0.0),
-    n: int = 33,
-    domain_radius: float = DEFAULT_DOMAIN_RADIUS,
+    model: FibrationModel, domain_radius: float = DEFAULT_DOMAIN_RADIUS
 ) -> BifurcationDiagram:
     if model.kind not in (CUSP_LOCAL, CUSP_COMPACT):
         raise ValueError("bifurcation diagram defined for the cusp models")
-    diagram = BifurcationDiagram(
-        model_kind=model.kind,
-        domain_radius=domain_radius,
-        cusp_point=(0.0, 0.0),
-        ell=[],
-        hyp=[],
-    )
-    lo, hi = lam_range
-    for lam in np.linspace(lo, min(hi, 0.0), n):
-        if lam >= 0:
-            continue
-        try:
-            h_e = diagram.elliptic_value(float(lam))
-            h_h = diagram.hyperbolic_value(float(lam))
-        except ValueError:
-            continue
-        if math.hypot(h_e, lam) <= domain_radius:
-            diagram.ell.append((h_e, float(lam)))
-        if math.hypot(h_h, lam) <= domain_radius:
-            diagram.hyp.append((h_h, float(lam)))
-    return diagram
+    return BifurcationDiagram(model, domain_radius)
 
 
 # -- base canonicalization -----------------------------------------------------
@@ -509,36 +500,22 @@ def canonicalize_base(
     Requires a simple zero f0 of b inside ``search_range``; rejects degenerate
     zeros (b'(f0) = 0), which are not parabolic.
     """
-    coeffs = [float(c) for c in b.coeffs]
+    coeffs = [float(c) for c in b.coeffs][::-1]
     if all(c == 0 for c in coeffs):
         raise ValueError("b is identically zero; no simple zero exists")
-    roots = np.roots(list(reversed(coeffs))) if len(coeffs) > 1 else np.array([])
     lo, hi = search_range
-    candidates = sorted(
-        (
-            float(r.real)
-            for r in roots
-            if abs(r.imag) < 1e-9 * (1.0 + abs(r)) and lo <= r.real <= hi
-        ),
-        key=abs,
-    )
+    candidates = sorted((r for r in _real_roots(coeffs) if lo <= r <= hi), key=abs)
     if not candidates:
         raise ValueError(f"b has no real zero in {search_range}")
     f0 = candidates[0]
     db = b.deriv()
     if abs(float(db.eval(f0))) < 1e-10:
         raise ValueError(f"degenerate zero of b at {f0}: b'(f0) = 0, not parabolic")
-    # synthetic division of b by (lambda - f0); remainder must vanish
-    rev = list(reversed(coeffs))
-    out = []
-    acc = 0.0
-    for c in rev:
-        acc = acc * f0 + c
-        out.append(acc)
-    remainder = out.pop()
+    # b = (lambda - f0) c + remainder; the remainder must vanish
+    remainder = float(np.polyval(coeffs, f0))
     if abs(remainder) > 1e-9 * max(1.0, max(abs(c) for c in coeffs)):
         raise ValueError(f"inexact division: remainder {remainder}")
-    c_series = TruncatedSeries(list(reversed(out)))
+    c_series = TruncatedSeries([float(c) for c in _synthetic_division(coeffs, f0)[::-1]])
     c0 = float(c_series.eval(f0))
     eta = 1 if c0 > 0 else -1
     return CanonicalBaseTransform(f0=f0, c=c_series, eta=eta, a=a.copy())
@@ -631,15 +608,15 @@ def is_parabolic(
     exact = exact_pt is not None and H.is_exact() and F.is_exact()
     pt = exact_pt if exact else tuple(float(v) for v in point)
 
-    dF = F.gradient(pt, exact=exact)
-    dH = H.gradient(pt, exact=exact)
+    dF = F.gradient(pt)
+    dH = H.gradient(pt)
     nF = max(abs(float(v)) for v in dF)
     if nF == 0:
         raise ValueError("dF(P) = 0: the standing assumption dF != 0 fails")
 
     # k from dH = k dF, checked for consistency; inconsistent => rank 2, regular
     m = max(range(3), key=lambda i: abs(float(dF[i])))
-    k = dH[m] / dF[m] if not exact else Fraction(dH[m], dF[m])
+    k = dH[m] / dF[m]
     if exact:
         consistent = all(dH[i] - k * dF[i] == 0 for i in range(3))
     else:
@@ -650,7 +627,7 @@ def is_parabolic(
         return ParabolicVerdict(REGULAR, k, -1, 0, -1)
 
     W = H - F * k
-    hess = W.hessian(pt, exact=exact)
+    hess = W.hessian(pt)
 
     # basis of ker dF
     p, q, r = dF
@@ -693,8 +670,8 @@ def is_parabolic(
 
     # third derivative along v within {F = F(P)}: the curve's acceleration is
     # constrained by F, contributing -3 d2F(v,v) d2W(v,n)/dF(n)
-    d3 = W.third_directional(pt, v, exact=exact)
-    hF = F.hessian(pt, exact=exact)
+    d3 = W.third_directional(pt, v)
+    hF = F.hessian(pt)
     d2F_vv = quad(hF, v, v)
     n_vec = tuple(1 if i == m else 0 for i in range(3))
     d2W_vn = quad(hess, v, n_vec)
@@ -718,7 +695,7 @@ def base_change_parabolic_test(
     H: Density,
     F: Density,
     point,
-    phi: tuple[Poly2, Poly2],
+    phi: tuple[Density, Density],
 ) -> tuple[ParabolicVerdict, ParabolicVerdict]:
     """Rerun the checker on (H~, F~) = phi(H, F); verdicts must agree.
 
@@ -726,16 +703,11 @@ def base_change_parabolic_test(
     """
     h_map, f_map = phi
     pt = tuple(float(v) for v in point)
-    h0, f0 = H.eval(*pt), F.eval(*pt)
-    jac = (
-        h_map.diff(0)(h0, f0) * f_map.diff(1)(h0, f0)
-        - h_map.diff(1)(h0, f0) * f_map.diff(0)(h0, f0)
-    )
-    if abs(jac) < 1e-12:
+    if abs(base_map_jacobian(phi, H.eval(*pt), F.eval(*pt))) < 1e-12:
         raise ValueError("degenerate base map: Jacobian vanishes at phi(H(P), F(P))")
     before = is_parabolic(H, F, point)
-    H_t = h_map.substitute(H, F)
-    F_t = f_map.substitute(H, F)
+    H_t = h_map.compose(H, F)
+    F_t = f_map.compose(H, F)
     dFt = F_t.gradient(pt)
     if max(abs(float(v)) for v in dFt) < 1e-12:
         raise ValueError("dF~(P) = 0 after the base change; precondition fails")

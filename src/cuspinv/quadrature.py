@@ -2,11 +2,13 @@
 model fibrations.
 
 All level sets of the cusp models are treated through the potential form
-x^2 = P(y) = H - W(y).  Every invariant comes from one engine, ``_level_integral``:
-the integral of kernel(y, x) dy/x between two ends of a level set, with the
-vanishing factor of P deflated at turning points (y = a + (b-a) sin^2(theta)
-on a closed oval, y = turn - s^2 on an arc), so dy/x = 2 dt/sqrt(R(y)) and
-every integrand handed to the adaptive quadrature is smooth.  The form
+x^2 = P(y) = H - W(y), with W read off the model's Hamiltonian and the roots
+of P found by the root helpers of ``model``.  Every invariant comes from one
+engine, ``_level_integral``: the integral of kernel(y, x) dy/x between two
+ends of a level set, with the vanishing factor of P deflated at turning
+points (y = a + (b-a) sin^2(theta) on a closed oval, y = turn - s^2 on an
+arc), so dy/x = 2 dt/sqrt(R(y)) and every integrand handed to the adaptive
+quadrature is smooth.  The form
 kernel (w(x, y) + w(-x, y))/2 gives the Gelfand-Leray form w dy/(2x) over
 both branches (passage times, loop periods); the area kernel
 x^2 sum_i GLw_i f(x GLnode_i, y), x times the Gauss-Legendre integral of f
@@ -18,7 +20,8 @@ sections flips the sign).
 
 The one-degree-of-freedom model H = y^3 - x^2 is routed through the sign
 bridge (x, y, H) -> (x, -y, -H) onto the same engine; densities transform
-by f(x, y) -> f(x, -y).
+by f(x, y) -> f(x, -y): its level polynomial is the cusp_local one at
+lambda = 0.
 """
 
 from __future__ import annotations
@@ -31,13 +34,17 @@ from scipy.integrate import quad
 
 from .model import (
     CUSP_COMPACT,
-    CUSP_LOCAL,
     NODE,
     ONE_DOF,
     BifurcationDiagram,
     Density,
     FibrationModel,
+    _polish,
+    _real_roots,
+    _synthetic_division,
     bifurcation_diagram,
+    cusp_local_model,
+    cusp_pair,
 )
 
 QUAD_EPSABS = 1e-13
@@ -56,27 +63,6 @@ class StratumError(ValueError):
 
 
 # -- polynomial root utilities ---------------------------------------------------
-
-
-def _polish(coeffs: np.ndarray, r: float) -> float:
-    d = np.polyder(coeffs)
-    for _ in range(3):
-        fv = np.polyval(coeffs, r)
-        dv = np.polyval(d, r)
-        if dv == 0:
-            break
-        r = r - fv / dv
-    return r
-
-
-def _real_roots(coeffs: np.ndarray) -> list[float]:
-    coeffs = np.trim_zeros(np.asarray(coeffs, dtype=float), "f")
-    if len(coeffs) <= 1:
-        return []
-    roots = np.roots(coeffs)
-    scale = 1.0 + max(abs(roots.real).max(initial=0.0), abs(roots.imag).max(initial=0.0))
-    out = [float(r.real) for r in roots if abs(r.imag) <= 1e-8 * scale]
-    return sorted(out)
 
 
 def _clusters(roots: list[float], tol: float) -> list[tuple[float, int]]:
@@ -105,28 +91,15 @@ def _root_clusters(p: np.ndarray) -> list[tuple[float, int]]:
     return _clusters(roots, tol=1e-8 * max(1.0, span))
 
 
-def _synthetic_division(coeffs: np.ndarray, root: float) -> np.ndarray:
-    """coeffs / (y - root), highest first; remainder discarded."""
-    out = np.empty(len(coeffs) - 1)
-    acc = 0.0
-    for i, c in enumerate(coeffs[:-1]):
-        acc = acc * root + c
-        out[i] = acc
-    return out
-
-
 # -- oval selection ---------------------------------------------------------------
 
 
 def _oval(model: FibrationModel, H: float, lam: float, oval: str):
     """(a, b, P): the ends of the requested oval and the level polynomial."""
-    if model.kind not in (CUSP_LOCAL, CUSP_COMPACT):
-        raise ValueError(f"no closed ovals for model kind {model.kind}")
     p = _level_poly(model.potential_coeffs(lam), H)
     clusters = _root_clusters(p)
     if oval == "narrow":
-        need = 3 if model.kind == CUSP_LOCAL else 4
-        if len(clusters) != need or any(m != 1 for _, m in clusters):
+        if len(clusters) != len(p) - 1 or any(m != 1 for _, m in clusters):
             raise OnSigmaError(
                 f"no narrow oval at (H, lambda) = ({H}, {lam}): degenerate level"
             )
@@ -252,7 +225,7 @@ def passage_time(model: FibrationModel, H: float, lam: float = 0.0) -> float:
         f = density.mirror_y() if isinstance(density, Density) else (
             lambda x, y, l: density(x, -y, l)
         )
-        wc, H, lam = np.array([1.0, 0.0, 0.0, 0.0]), -H, 0.0
+        wc, H, lam = cusp_local_model().potential_coeffs(0.0), -H, 0.0
     elif model.kind == NODE:
         raise ValueError("use asymptotics.node_passage for the node model")
     else:
@@ -315,7 +288,9 @@ def separatrix_action(model: FibrationModel, lam: float) -> float:
     """h(lambda) = max_H I_o(H, lambda), attained on the hyperbolic branch.
 
     The separatrix loop area is an improper but convergent integral: the
-    double root at the saddle makes sqrt(H - W) vanish linearly there.
+    double root at the saddle makes sqrt(H - W) vanish linearly there.  The
+    saddle is the one the bifurcation diagram uses (``model.cusp_pair``);
+    StratumError where the hyperbolic branch does not exist.
     """
     if lam >= 0:
         raise ValueError("h(lambda) requires lambda < 0")
@@ -323,18 +298,9 @@ def separatrix_action(model: FibrationModel, lam: float) -> float:
     # the saddle is a simple (well-conditioned) root of W', unlike the double
     # root it produces in H_hyp - W
     wc = model.potential_coeffs(lam)
-    dwc = np.polyder(wc)
-    if model.kind == CUSP_LOCAL:
-        a = -math.sqrt(-lam / 3.0)
-    else:
-        saddles = [
-            r
-            for r in (_polish(dwc, r) for r in _real_roots(dwc))
-            if abs(r) < 0.45 and np.polyval(np.polyder(dwc), r) < 0
-        ]
-        if not saddles:
-            raise StratumError(f"no saddle near the cusp at lambda={lam}")
-        a = saddles[0]
+    _, a = cusp_pair(wc)
+    if a is None:
+        raise StratumError(f"no saddle near the cusp at lambda={lam}")
     p = _level_poly(wc, float(np.polyval(wc, a)))
     # the lobe is about 3|a| wide, so its far end is told from the split
     # double root at the saddle relative to |a|

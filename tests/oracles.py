@@ -5,8 +5,8 @@ midpoint indicator grid, the basic period integrals from their
 hypergeometric closed form (scipy's 2F1) and from direct quadrature of
 their defining formulas, period lattices from finite differences of the
 action chart, the node model's complex period from the trapezoid rule on its
-cycle, and the hyperbolic log coefficient from passage times instead of loop
-periods.
+cycle, the hyperbolic log coefficient from passage times instead of loop
+periods, and the local model's bifurcation diagram from its closed form.
 """
 
 from __future__ import annotations
@@ -49,6 +49,12 @@ def grid_area(model: FibrationModel, H: float, lam: float, oval: str = "narrow",
                 acc += float(np.sum(f(xs[mask], yi, lam))) * cell
         total += acc
     return total / 2.0
+
+
+def local_sigma_values(lam: float) -> tuple[float, float]:
+    """(H_ell, H_hyp) of the local model in closed form: H^2 = -(4/27) lambda^3."""
+    h = 2.0 * (-lam) ** 1.5 / (3.0 * math.sqrt(3.0))
+    return -h, h
 
 
 def reference_Jj(H: float, j: int) -> float:

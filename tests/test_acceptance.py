@@ -30,7 +30,6 @@ from cuspinv.flows import (
 )
 from cuspinv.model import (
     Density,
-    Poly2,
     base_change_parabolic_test,
     bifurcation_diagram,
     cusp_compact_model,
@@ -277,11 +276,11 @@ def test_criterion_10_parabolic_checker_invariance():
                     continue
                 c1, c2 = int(rng.integers(-3, 4)), int(rng.integers(-3, 4))
                 if c1:
-                    ht[(i, j)] = c1
+                    ht[(i, j, 0)] = c1
                 if c2:
-                    ft[(i, j)] = c2
-        ht[(1, 0)] = ht.get((1, 0), 0) or 1
-        phi = (Poly2(ht), Poly2(ft))
+                    ft[(i, j, 0)] = c2
+        ht[(1, 0, 0)] = ht.get((1, 0, 0), 0) or 1
+        phi = (Density(ht), Density(ft))
         jac = (
             phi[0].diff(0)(0, 0) * phi[1].diff(1)(0, 0)
             - phi[0].diff(1)(0, 0) * phi[1].diff(0)(0, 0)

@@ -1,9 +1,13 @@
 import json
 import math
+from pathlib import Path
 
 import pytest
 
 from cuspinv.cli import main
+
+
+FIXTURES = Path(__file__).parent / "fixtures"
 
 
 @pytest.fixture
@@ -85,6 +89,15 @@ class TestDecompose:
         code, out, err = _run(capsys, ["decompose", "--density", str(files["bad"])])
         assert code == 2
         assert "input error" in err
+        assert out == ""
+
+    def test_non_integer_exponent_exit_2(self, files, capsys):
+        # [1.5, 0, 0] was read as [1, 0, 0]
+        path = files["tmp"] / "half.json"
+        path.write_text(json.dumps({"terms": [{"c": 1.0, "e": [1.5, 0, 0]}]}))
+        code, out, err = _run(capsys, ["decompose", "--density", str(path)])
+        assert code == 2
+        assert "bad density file" in err
         assert out == ""
 
     def test_non_finite_coefficient_exit_2(self, files, capsys):
@@ -228,6 +241,54 @@ class TestCompare:
         code, out, err = _run(capsys, argv + ["--phi", str(phi)])
         assert code == 2
         assert "non-finite" in err
+        assert out == ""
+
+    @pytest.mark.parametrize(
+        "name, phi, sys2",
+        [
+            # the identity in the file format: every residual vanishes
+            ("identity", {"Ht": [(1.0, [1, 0])], "Ft": [(1.0, [0, 1])]}, "local"),
+            # (H + F^2, -F) sends the swallow tail to lambda > 0: no branch to match
+            ("flip", {"Ht": [(1.0, [1, 0]), (1.0, [0, 2])], "Ft": [(-1.0, [0, 1])]}, "local2"),
+        ],
+    )
+    def test_base_map_file_output_pinned(self, files, capsys, name, phi, sys2):
+        path = files["tmp"] / "phi.json"
+        path.write_text(
+            json.dumps(
+                {k: {"terms": [{"c": c, "e": e} for c, e in v]} for k, v in phi.items()}
+            )
+        )
+        argv = ["compare", "--sys1", str(files["local"]), "--sys2", str(files[sys2])]
+        code, out, _ = _run(capsys, argv + ["--phi", str(path)])
+        assert code == 0
+        assert out == (FIXTURES / f"compare_phi_{name}.json").read_text()
+
+    @pytest.mark.parametrize("e", [[1, 0, 0], [1], [1.5, 0], [1.0, 0], ["1", 0], 1])
+    def test_base_map_exponents_not_two_integers_exit_2(self, files, capsys, e):
+        phi = files["tmp"] / "phi.json"
+        phi.write_text(
+            json.dumps(
+                {
+                    "Ht": {"terms": [{"c": 1.0, "e": e}]},
+                    "Ft": {"terms": [{"c": 1.0, "e": [0, 1]}]},
+                }
+            )
+        )
+        argv = ["compare", "--sys1", str(files["local"]), "--sys2", str(files["local"])]
+        code, out, err = _run(capsys, argv + ["--phi", str(phi)])
+        assert code == 2
+        assert "bad base-map file" in err
+        assert out == ""
+
+    def test_vanishing_density_exit_1(self, files, capsys):
+        # f = y vanishes at the orbit: f dx^dy is not symplectic there, no verdict
+        model = files["tmp"] / "fy.json"
+        density = {"terms": [{"c": 1.0, "e": [0, 1, 0]}]}
+        model.write_text(json.dumps({"kind": "cusp_local", "density": density, "x0": 1.0}))
+        code, out, err = _run(capsys, ["compare", "--sys1", str(model), "--sys2", str(model)])
+        assert code == 1
+        assert "density vanishes at the orbit" in err
         assert out == ""
 
     def test_compact_self_comparison_reports_k(self, files, capsys):

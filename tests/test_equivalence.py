@@ -18,7 +18,6 @@ from cuspinv.equivalence import (
 )
 from cuspinv.model import (
     Density,
-    Poly2,
     cusp_compact_model,
     cusp_local_model,
 )
@@ -223,7 +222,7 @@ class TestParabolicEquivalent:
 
     def test_sigma_violating_phi_rejected_as_nonequivalent(self):
         m = cusp_local_model(F_ONE)
-        phi = (Poly2({(1, 0): 1, (0, 3): 1}), Poly2({(0, 1): 1}))  # (H + F^3, F)
+        phi = (Density({(1, 0, 0): 1, (0, 3, 0): 1}), Density({(0, 1, 0): 1}))  # (H + F^3, F)
         v = parabolic_equivalent(m, m, phi)
         assert not v.equivalent
         assert not v.checks["sigma"]["ok"]
@@ -238,8 +237,8 @@ class TestParabolicEquivalent:
         # the actions; the verdict must agree with the phi^-1 comparison
         m = cusp_local_model(F_ONE)
         c = 1.3
-        phi = (Poly2({(1, 0): c**3}), Poly2({(0, 1): c**2}))
-        phi_inv = (Poly2({(1, 0): c**-3}), Poly2({(0, 1): c**-2}))
+        phi = (Density({(1, 0, 0): c**3}), Density({(0, 1, 0): c**2}))
+        phi_inv = (Density({(1, 0, 0): c**-3}), Density({(0, 1, 0): c**-2}))
         v12 = parabolic_equivalent(m, m, phi)
         v21 = parabolic_equivalent(m, m, phi_inv)
         assert v12.checks["sigma"]["ok"] and v21.checks["sigma"]["ok"]
@@ -247,9 +246,24 @@ class TestParabolicEquivalent:
 
     def test_degenerate_phi_rejected(self):
         m = cusp_local_model(F_ONE)
-        phi = (Poly2({(1, 0): 1}), Poly2({(1, 0): 1}))
+        phi = (Density({(1, 0, 0): 1}), Density({(1, 0, 0): 1}))
         with pytest.raises(ValueError):
             parabolic_equivalent(m, m, phi)
+
+
+class TestVanishingDensity:
+    # f = y vanishes at the orbit: f dx^dy is not symplectic there, so no
+    # orientation can be corrected and no verdict is given
+    @pytest.mark.parametrize(
+        "verdict, model",
+        [(parabolic_equivalent, cusp_local_model), (cusp_torus_equivalent, cusp_compact_model)],
+    )
+    def test_no_verdict(self, verdict, model):
+        m = model(Density({(0, 1, 0): 1}))
+        with pytest.raises(ValueError, match="density vanishes at the orbit"):
+            verdict(m, m)
+        with pytest.raises(ValueError, match="density vanishes at the orbit"):
+            verdict(model(F_ONE), m)
 
 
 class TestCuspTorusEquivalent:

@@ -4,13 +4,17 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
+from cuspinv import model as model_module
 from cuspinv.model import (
     CUSP_COMPACT,
     CUSP_LOCAL,
+    NODE,
+    ONE_DOF,
     Density,
     FibrationModel,
-    Poly2,
+    IDENTITY_BASE_MAP,
     base_change_parabolic_test,
     bifurcation_diagram,
     canonicalize_base,
@@ -18,7 +22,9 @@ from cuspinv.model import (
     cusp_local_model,
     is_parabolic,
 )
+from cuspinv.quadrature import separatrix_action
 from cuspinv.series import TruncatedSeries
+from oracles import local_sigma_values
 
 H_STD = Density({(2, 0, 0): 1, (0, 3, 0): 1, (0, 1, 1): 1})
 F_LAM = Density({(0, 0, 1): 1})
@@ -44,6 +50,26 @@ class TestDensity:
     def test_non_finite_coefficient_rejected(self, c):
         with pytest.raises(ValueError, match="non-finite"):
             Density({(0, 0, 0): 1.0, (0, 1, 0): c})
+
+    @pytest.mark.parametrize("e", [(1.5, 0, 0), (1.0, 0, 0), ("1", 0, 0)])
+    def test_non_integer_exponent_rejected(self, e):
+        with pytest.raises(TypeError):
+            Density({e: 1.0})
+
+    def test_compose(self):
+        # phi(H, F) = H + 2 F^2 at (H, F) = (x^2 + y^3, lambda)
+        phi_h = Density({(1, 0, 0): 1, (0, 2, 0): 2})
+        assert phi_h.compose(H_STD, F_LAM) == H_STD + F_LAM * F_LAM * 2
+        with pytest.raises(ValueError, match="free of lambda"):
+            F_LAM.compose(H_STD, F_LAM)
+
+    def test_exactness_follows_the_point(self):
+        f = Density({(0, 3, 0): 1, (1, 1, 1): 1})
+        exact = f.gradient((Fraction(1, 3), Fraction(1, 2), Fraction(2)))
+        assert exact == [Fraction(1), Fraction(3, 4) + Fraction(1, 3) * 2, Fraction(1, 6)]
+        assert all(isinstance(v, Fraction) for v in exact)
+        assert f.hessian((0.5, 0.5, 0.5))[1][1] == 3.0
+        assert f.third_directional((1, 0, 0), (0, 1, 0)) == 6.0
 
     def test_diff(self):
         f = Density({(2, 1, 0): 1})
@@ -90,6 +116,13 @@ class TestFibrationModel:
         with pytest.raises(ValueError, match="x0"):
             FibrationModel(CUSP_LOCAL, Density.constant(1), x0)
 
+    def test_potential_read_off_hamiltonian(self):
+        assert cusp_local_model().potential_coeffs(-0.3).tolist() == [1.0, 0.0, -0.3, 0.0]
+        assert cusp_compact_model().potential_coeffs(0.2).tolist() == [1.0, 1.0, 0.0, 0.2, 0.0]
+        for kind in (ONE_DOF, NODE):
+            with pytest.raises(ValueError, match="potential form"):
+                FibrationModel(kind).potential_coeffs(0.0)
+
     def test_model_germs_are_parabolic(self):
         for m in (cusp_local_model(), cusp_compact_model()):
             verdict = is_parabolic(m.hamiltonian(), F_LAM, (0, 0, 0))
@@ -98,7 +131,7 @@ class TestFibrationModel:
 
 class TestBifurcationDiagram:
     def test_local_hyperbolic_branch_value(self):
-        d = bifurcation_diagram(cusp_local_model(), lam_range=(-1.5, 0.0), domain_radius=10)
+        d = bifurcation_diagram(cusp_local_model(), domain_radius=10)
         assert abs(d.hyperbolic_value(-1.0) - 2.0 / (3.0 * math.sqrt(3.0))) < 1e-14
 
     def test_cusp_point(self):
@@ -132,6 +165,43 @@ class TestBifurcationDiagram:
         d_local = bifurcation_diagram(cusp_local_model())
         assert d_local.stratum(0.0, -0.05) == "narrow"
         assert d_local.stratum(0.05, 0.02) == "outside"
+
+    @pytest.mark.parametrize("lam", [-0.245, -0.249])
+    def test_compact_hyperbolic_branch_near_quarter(self, lam):
+        # for -1/4 < lambda < -0.2433 the saddle of W lies in (-0.5, -0.45),
+        # past the deep-well separator |y| < 0.45 the diagram once used
+        m = cusp_compact_model()
+        wc = m.potential_coeffs(lam)
+        y = brentq(lambda t: np.polyval(np.polyder(wc), t), -0.5, -0.45, xtol=1e-16)
+        expected = float(np.polyval(wc, y))
+        assert abs(bifurcation_diagram(m).hyperbolic_value(lam) - expected) <= 1e-14 * abs(expected)
+        h = separatrix_action(m, lam)
+        assert math.isfinite(h) and h > 0
+
+    @pytest.mark.parametrize("lam", list(-np.geomspace(1e-10, 1.0, 21)))
+    def test_local_values_match_closed_form(self, lam):
+        d = bifurcation_diagram(cusp_local_model(), domain_radius=10)
+        h_ell, h_hyp = local_sigma_values(lam)
+        assert abs(d.elliptic_value(lam) - h_ell) <= 1e-14 * abs(h_ell)
+        assert abs(d.hyperbolic_value(lam) - h_hyp) <= 1e-14 * h_hyp
+
+    def test_root_solves_counted(self, monkeypatch):
+        calls = []
+        real_roots = model_module._real_roots
+
+        def counted(coeffs):
+            calls.append(1)
+            return real_roots(coeffs)
+
+        monkeypatch.setattr(model_module, "_real_roots", counted)
+        d = bifurcation_diagram(cusp_compact_model())
+        assert len(calls) == 0
+        for m in (cusp_local_model(), cusp_compact_model()):
+            d = bifurcation_diagram(m)
+            for h in (-0.01, 0.0, 0.01):
+                calls.clear()
+                d.stratum(h, -0.05)
+                assert len(calls) == 1, (m.kind, h)
 
     def test_swallowtail_membership(self):
         d = bifurcation_diagram(cusp_local_model())
@@ -225,22 +295,22 @@ class TestIsParabolic:
 class TestBaseChange:
     def test_identity(self):
         before, after = base_change_parabolic_test(
-            H_STD, F_LAM, (0, 0, 0), Poly2.identity_pair()
+            H_STD, F_LAM, (0, 0, 0), IDENTITY_BASE_MAP
         )
         assert before.verdict == after.verdict == "parabolic"
 
     def test_h_plus_f_squared(self):
-        phi = (Poly2({(1, 0): 1, (0, 2): 1}), Poly2({(0, 1): 1}))
+        phi = (Density({(1, 0, 0): 1, (0, 2, 0): 1}), Density({(0, 1, 0): 1}))
         before, after = base_change_parabolic_test(H_STD, F_LAM, (0, 0, 0), phi)
         assert before.verdict == after.verdict == "parabolic"
 
     def test_swap_rejected(self):
-        phi = (Poly2({(0, 1): 1}), Poly2({(1, 0): 1}))
+        phi = (Density({(0, 1, 0): 1}), Density({(1, 0, 0): 1}))
         with pytest.raises(ValueError):
             base_change_parabolic_test(H_STD, F_LAM, (0, 0, 0), phi)
 
     def test_degenerate_phi_rejected(self):
-        phi = (Poly2({(1, 0): 1}), Poly2({(1, 0): 1}))
+        phi = (Density({(1, 0, 0): 1}), Density({(1, 0, 0): 1}))
         with pytest.raises(ValueError):
             base_change_parabolic_test(H_STD, F_LAM, (0, 0, 0), phi)
 
@@ -249,10 +319,10 @@ class TestBaseChange:
         rng = np.random.default_rng(2024)
         count = 0
         while count < 20:
-            ht = {(i, j): int(c) for (i, j), c in _random_poly2_terms(rng)}
-            ft = {(i, j): int(c) for (i, j), c in _random_poly2_terms(rng)}
-            ht[(1, 0)] = ht.get((1, 0), 0) or 1
-            phi = (Poly2(ht), Poly2(ft))
+            ht = {(i, j, 0): int(c) for (i, j), c in _random_poly2_terms(rng)}
+            ft = {(i, j, 0): int(c) for (i, j), c in _random_poly2_terms(rng)}
+            ht[(1, 0, 0)] = ht.get((1, 0, 0), 0) or 1
+            phi = (Density(ht), Density(ft))
             jac = (
                 phi[0].diff(0)(0, 0) * phi[1].diff(1)(0, 0)
                 - phi[0].diff(1)(0, 0) * phi[1].diff(0)(0, 0)
