@@ -250,9 +250,7 @@ def hyperbolic_log_coeff(
         raise ValueError("hyperbolic log extraction implemented on the local model")
     if lam >= 0:
         raise ValueError("requires lambda < 0")
-    diagram = bifurcation_diagram(model, domain_radius=math.inf)
-    h_hyp = diagram.hyperbolic_value(lam)
-    h_ell = diagram.elliptic_value(lam)
+    h_ell, h_hyp = bifurcation_diagram(model, domain_radius=math.inf).branch_values(lam)
     s0 = s0_frac * (h_hyp - h_ell)
     samples = []
     for m in range(levels):

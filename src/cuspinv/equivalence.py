@@ -20,7 +20,7 @@ an integer multiple of I).  No search for the base map is attempted.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 import numpy as np
@@ -58,6 +58,8 @@ def _series_h(g: TruncatedSeries) -> TruncatedSeries:
 
 # -- rescaling maps ---------------------------------------------------------------
 
+_ONE_DOF_H = one_dof_model().hamiltonian()
+
 
 @dataclass
 class RescaleMap:
@@ -77,13 +79,13 @@ class RescaleMap:
         return H * float(self.g.eval(H))
 
     def apply(self, x: float, y: float) -> tuple[float, float]:
-        H = y**3 - x**2
+        H = _ONE_DOF_H(x, y)
         gv = float(self.g.eval(H))
         return gv**0.5 * x, gv ** (1.0 / 3.0) * y
 
     def jacobian_det(self, x: float, y: float) -> float:
         """det Dr_h = g(H)^(-1/6) (g'(H) H + g(H))."""
-        H = y**3 - x**2
+        H = _ONE_DOF_H(x, y)
         gv = float(self.g.eval(H))
         gdv = float(self.g.deriv().eval(H))
         return gv ** (-1.0 / 6.0) * (gdv * H + gv)
@@ -107,17 +109,16 @@ class RescaleMap:
         return brentq(lambda t: self.h(t) - H_target, lo, hi, xtol=1e-15, rtol=1e-15)
 
     def inverse(self, u: float, v: float) -> tuple[float, float]:
-        H = self.h_inverse(v**3 - u**2)
+        H = self.h_inverse(_ONE_DOF_H(u, v))
         gv = float(self.g.eval(H))
         return u / gv**0.5, v / gv ** (1.0 / 3.0)
 
-    def pushforward_density(self, f):
+    def pushforward_density(self, f: Density):
         """Density of (r_h)_* (f dx^dy); the omega~ with r_h^* omega~ = omega."""
-        fe = f.eval if isinstance(f, Density) else f
 
         def ftilde(u, v, lam=0.0):
             x, y = self.inverse(float(u), float(v))
-            return fe(x, y, lam) / self.jacobian_det(x, y)
+            return f.eval(x, y, lam) / self.jacobian_det(x, y)
 
         return ftilde
 
@@ -135,10 +136,11 @@ def verify_relations(
     ``pair_a`` = (A, B) for omega, ``pair_b`` = (A~, B~) for omega~ with
     psi^* omega~ = omega and psi^* H = H g(H).  Checks
       (i)   A = g^(5/6) A~(h),  B = g^(7/6) B~(h),
-      (ii)  alpha-form with the Jacobian factor g^(-1/6)(g'H + g),
-      (iii) same for (a, b) = (phi_{5/6} A, phi_{7/6} B),
-    where (ii) and (iii) are generated from the same data, making the three
-    forms mutually consistent through the phi_r operators.
+      (iii) (a, b) = (phi_{5/6} A, phi_{7/6} B) with the Jacobian factor
+            g^(-1/6)(g'H + g),
+    both generated from the same data through the phi_r operators.  The
+    (alpha, beta) form (ii) is (iii) divided by C0 and |C1|, both above 1,
+    so its residuals never set ``max_abs`` and are not reported.
     """
     A, B = (_floats(pair_a[0]), _floats(pair_a[1]))
     At, Bt = (_floats(pair_b[0]), _floats(pair_b[1]))
@@ -158,9 +160,6 @@ def verify_relations(
     at, bt = phi_r_apply(At, Fraction(5, 6)), phi_r_apply(Bt, Fraction(7, 6))
     out["iii_a"] = residuals(a, jac * at.compose(h))
     out["iii_b"] = residuals(b, (g.pow(1.0 / 3.0) * jac) * bt.compose(h))
-    c = puiseux_constants()
-    out["ii_alpha"] = [r / c["C0"] for r in out["iii_a"]]
-    out["ii_beta"] = [r / abs(c["C1"]) for r in out["iii_b"]]
     out["max_abs"] = max(abs(r) for rs in out.values() for r in rs)
     return out
 
@@ -204,15 +203,11 @@ def verify_relations_numeric(
 
 
 def _coerce_alpha_beta(pair) -> tuple[TruncatedSeries, TruncatedSeries]:
-    """(alpha, beta) from a BrieskornPair, a fitted PuiseuxTriple, or (a, b)."""
-    c = puiseux_constants()
+    """(alpha, beta) from a BrieskornPair or a fitted PuiseuxTriple."""
     if isinstance(pair, BrieskornPair):
         return _floats(pair.alpha), _floats(pair.beta)
-    if isinstance(pair, PuiseuxTriple):
-        a, b = pair.a, pair.b
-    else:
-        a, b = pair
-    return _floats(a) / c["C0"], _floats(b) / c["C1"]
+    c = puiseux_constants()
+    return _floats(pair.a) / c["C0"], _floats(pair.b) / c["C1"]
 
 
 def normalize_invariant(pair) -> dict:
@@ -224,8 +219,7 @@ def normalize_invariant(pair) -> dict:
       canonical_f  the beta~ series of the alpha~ == 1 normal form
                    omega = dx^dy + canonical_f(H) y dx^dy.
 
-    ``pair`` may be a BrieskornPair (exact route), a fitted PuiseuxTriple,
-    or a raw (a, b) tuple of series.
+    ``pair`` may be a BrieskornPair (exact route) or a fitted PuiseuxTriple.
     """
     alpha, beta = _coerce_alpha_beta(pair)
     if not float(alpha.coeffs[0]) > 0:
@@ -244,19 +238,12 @@ def normalize_invariant(pair) -> dict:
 # -- one-degree-of-freedom verdicts -------------------------------------------------
 
 
-def _series_close(s1: TruncatedSeries, s2: TruncatedSeries, rtol: float, n: int | None = None):
-    k = min(s1.order, s2.order)
-    if n is not None:
-        k = min(k, n - 1)
+def _series_close(s1: TruncatedSeries, s2: TruncatedSeries):
     resid = []
-    ok = True
-    for i in range(k + 1):
+    for i in range(min(s1.order, s2.order) + 1):
         x1, x2 = float(s1.coeffs[i]), float(s2.coeffs[i])
-        scale = max(abs(x1), abs(x2), 1e-3)
-        r = abs(x1 - x2) / scale
-        resid.append(r)
-        ok = ok and r <= rtol
-    return ok, resid
+        resid.append(abs(x1 - x2) / max(abs(x1), abs(x2), 1e-3))
+    return all(r <= SERIES_RTOL for r in resid), resid
 
 
 @dataclass
@@ -280,21 +267,24 @@ class OneDofVerdict:
 def _flip_orientation(f: Density) -> Density:
     """The density after the sign map (x, y) -> (-x, y): f -> -f(-x, y).
 
-    The map fixes H and reverses the orientation of f dx^dy.
+    The map fixes the one-dof and cusp Hamiltonians, which are even in x,
+    and reverses the orientation of f dx^dy.
     """
     return Density({e: (c if e[0] % 2 else -c) for e, c in f.terms.items()})
 
 
-def _oriented_reduce(f: Density) -> tuple[BrieskornPair, bool]:
-    pair = brieskorn_reduce(f)
-    if float(pair.alpha.coeffs[0]) >= 0:
-        return pair, False
-    return brieskorn_reduce(_flip_orientation(f)), True
+def _oriented(f: Density) -> tuple[Density, bool]:
+    """(f, False) for f(0, 0, 0) > 0, (_flip_orientation(f), True) for
+    f(0, 0, 0) < 0; ValueError for a density vanishing at the orbit, which
+    is not symplectic there.
+    """
+    f0 = float(f.eval(0.0, 0.0, 0.0))
+    if f0 == 0:
+        raise ValueError("density vanishes at the orbit")
+    return (f, False) if f0 > 0 else (_flip_orientation(f), True)
 
 
-def one_dof_equivalent(
-    f1: Density, f2: Density, mode: str = "H_preserving", rtol: float = SERIES_RTOL
-) -> OneDofVerdict:
+def one_dof_equivalent(f1: Density, f2: Density, mode: str = "H_preserving") -> OneDofVerdict:
     """Equivalence of one-dof densities on H = y^3 - x^2.
 
     'H_preserving' compares (alpha, beta) coefficientwise; a map psi with
@@ -303,12 +293,12 @@ def one_dof_equivalent(
     returns the witness g of the base reparametrization relating the two.
     Negatively-oriented inputs are corrected by the sign map and reported.
     """
-    p1, c1 = _oriented_reduce(f1)
-    p2, c2 = _oriented_reduce(f2)
+    (f1, c1), (f2, c2) = _oriented(f1), _oriented(f2)
+    p1, p2 = brieskorn_reduce(f1), brieskorn_reduce(f2)
     corrected = c1 or c2
     if mode == "H_preserving":
-        ok_a, res_a = _series_close(p1.alpha, p2.alpha, rtol)
-        ok_b, res_b = _series_close(p1.beta, p2.beta, rtol)
+        ok_a, res_a = _series_close(p1.alpha, p2.alpha)
+        ok_b, res_b = _series_close(p1.beta, p2.beta)
         return OneDofVerdict(
             equivalent=ok_a and ok_b,
             mode=mode,
@@ -318,7 +308,7 @@ def one_dof_equivalent(
     if mode == "fibration_preserving":
         n1 = normalize_invariant(p1)
         n2 = normalize_invariant(p2)
-        ok, res = _series_close(n1["canonical_f"], n2["canonical_f"], rtol)
+        ok, res = _series_close(n1["canonical_f"], n2["canonical_f"])
         h1 = _series_h(n1["g_unit_alpha"])
         h2 = _series_h(n2["g_unit_alpha"])
         h_w = h2.reversion().compose(h1)
@@ -341,21 +331,6 @@ def _phi_eval(phi, H: float, lam: float) -> tuple[float, float]:
     return ht.eval(H, lam), ft.eval(H, lam)
 
 
-def _default_grid(diagram, lam_values=None, h_fracs=(-0.5, 0.0, 0.5)):
-    if lam_values is None:
-        r = diagram.domain_radius
-        lam_values = [-0.75 * r, -0.55 * r, -0.35 * r]
-    pts = []
-    for lam in lam_values:
-        h_e = diagram.elliptic_value(lam)
-        h_h = diagram.hyperbolic_value(lam)
-        mid = 0.5 * (h_e + h_h)
-        half = 0.5 * (h_h - h_e)
-        for t in h_fracs:
-            pts.append((mid + 0.8 * t * half, lam))
-    return pts
-
-
 @dataclass
 class EquivalenceVerdict:
     equivalent: bool
@@ -366,39 +341,21 @@ class EquivalenceVerdict:
         return {"equivalent": self.equivalent, "k": self.k, "checks": self.checks}
 
 
-def _orient_system(sys: FibrationModel) -> tuple[FibrationModel, bool]:
-    """Positively orient the reduced density via the coorientation sign map.
-
-    A negative density at the orbit is corrected by (x, y) -> (-x, y),
-    which flips the sign of f while fixing H; the correction is reported,
-    not treated as an error.  A density vanishing at the orbit is not
-    symplectic there and raises ValueError.
-    """
-    f0 = float(sys.density.eval(0.0, 0.0, 0.0))
-    if f0 == 0:
-        raise ValueError("density vanishes at the orbit")
-    if f0 > 0:
-        return sys, False
-    return FibrationModel(sys.kind, _flip_orientation(sys.density), sys.x0), True
-
-
 def _oriented_pair(sys1: FibrationModel, sys2: FibrationModel):
-    """Both systems positively oriented, and the checks dict reporting it."""
-    sys1, flip1 = _orient_system(sys1)
-    sys2, flip2 = _orient_system(sys2)
+    """Both systems positively oriented by :func:`_oriented`, and the checks
+    dict reporting a correction; the correction is not an error."""
+    (f1, flip1), (f2, flip2) = _oriented(sys1.density), _oriented(sys2.density)
     checks: dict = {}
     if flip1 or flip2:
         checks["orientation_corrected"] = {"sys1": flip1, "sys2": flip2}
-    return sys1, sys2, checks
+    return replace(sys1, density=f1), replace(sys2, density=f2), checks
 
 
 def parabolic_equivalent(
     sys1: FibrationModel,
     sys2: FibrationModel,
     phi=IDENTITY_BASE_MAP,
-    lam_values=None,
     action_rtol: float = ACTION_RTOL,
-    sigma_rtol: float = SIGMA_RTOL,
 ) -> EquivalenceVerdict:
     """Verdict of the action criteria for parabolic orbits under a given phi.
 
@@ -408,69 +365,64 @@ def parabolic_equivalent(
     that do not depend on phi live in :func:`invariant_report`.
     """
     sys1, sys2, checks = _oriented_pair(sys1, sys2)
-    ok = _parabolic_checks(sys1, sys2, phi, checks, lam_values, action_rtol, sigma_rtol)
+    ok = _parabolic_checks(sys1, sys2, phi, checks, action_rtol)
     return EquivalenceVerdict(equivalent=ok, checks=checks)
 
 
 def _parabolic_checks(
-    sys1: FibrationModel,
-    sys2: FibrationModel,
-    phi,
-    checks: dict,
-    lam_values,
-    action_rtol: float,
-    sigma_rtol: float,
+    sys1: FibrationModel, sys2: FibrationModel, phi, checks: dict, action_rtol: float
 ) -> bool:
-    """The sigma, I and I_circ checks of two oriented systems, added to ``checks``."""
+    """The sigma, I and I_circ checks of two oriented systems, added to ``checks``.
+
+    Each diagram is asked once per lambda for both branch values: d1 at the
+    sample lambdas, d2 at each distinct image lambda.
+    """
     if abs(base_map_jacobian(phi, 0.0, 0.0)) < 1e-12:
         raise ValueError("base map phi is degenerate at the cusp point")
     d1 = bifurcation_diagram(sys1)
     d2 = bifurcation_diagram(sys2)
+    r = d1.domain_radius
 
-    # cusp point must map to the cusp point
-    hc, lc = _phi_eval(phi, *d1.cusp_point)
-    sigma_ok = math.hypot(hc, lc) <= 1e-9
-    sigma_resid = [math.hypot(hc, lc)]
-    if lam_values is None:
-        r = d1.domain_radius
-        branch_lams = [-0.8 * r, -0.6 * r, -0.4 * r, -0.2 * r]
-    else:
-        branch_lams = lam_values
-    for lam in branch_lams:
-        for branch1, branch2 in (
-            (d1.elliptic_value, d2.elliptic_value),
-            (d1.hyperbolic_value, d2.hyperbolic_value),
-        ):
-            value = branch1(lam)
+    # cusp point must map to the cusp point, each branch onto the same branch
+    sigma_resid = [math.hypot(*_phi_eval(phi, *d1.cusp_point))]
+    sigma_ok = sigma_resid[0] <= 1e-9
+    targets = {}
+    for lam in (-0.8 * r, -0.6 * r, -0.4 * r, -0.2 * r):
+        for index, value in enumerate(d1.branch_values(lam)):
             h_t, lam_t = _phi_eval(phi, value, lam)
-            scale = max(abs(value), 1e-6)
             if lam_t >= 0:
                 sigma_ok = False
                 sigma_resid.append(float("inf"))
                 continue
-            r_ = abs(h_t - branch2(lam_t)) / scale
-            sigma_resid.append(r_)
-            sigma_ok = sigma_ok and r_ <= sigma_rtol
+            if lam_t not in targets:
+                targets[lam_t] = d2.branch_values(lam_t)
+            res = abs(h_t - targets[lam_t][index]) / max(abs(value), 1e-6)
+            sigma_resid.append(res)
+            sigma_ok = sigma_ok and res <= SIGMA_RTOL
     checks["sigma"] = {"ok": sigma_ok, "residuals": sigma_resid}
 
-    grid = _default_grid(d1, lam_values)
+    # I and I_circ at three points across the swallow tail per lambda
     i_ok, io_ok = True, True
     i_resid, io_resid = [], []
-    for h, lam in grid:
-        h_t, lam_t = _phi_eval(phi, h, lam)
-        r_i = abs(lam_t - lam) / max(abs(lam), 1e-9)
-        i_resid.append(r_i)
-        i_ok = i_ok and r_i <= action_rtol
-        io_1 = loop_action(sys1, h, lam)
-        try:
-            io_2 = loop_action(sys2, h_t, lam_t)
-        except ValueError:
-            io_ok = False
-            io_resid.append(float("inf"))
-            continue
-        r_o = abs(io_1 - io_2) / max(abs(io_1), 1e-12)
-        io_resid.append(r_o)
-        io_ok = io_ok and r_o <= action_rtol
+    for lam in (-0.75 * r, -0.55 * r, -0.35 * r):
+        h_e, h_h = d1.branch_values(lam)
+        mid, half = 0.5 * (h_e + h_h), 0.5 * (h_h - h_e)
+        for t in (-0.5, 0.0, 0.5):
+            h = mid + 0.8 * t * half
+            h_t, lam_t = _phi_eval(phi, h, lam)
+            r_i = abs(lam_t - lam) / max(abs(lam), 1e-9)
+            i_resid.append(r_i)
+            i_ok = i_ok and r_i <= action_rtol
+            io_1 = loop_action(sys1, h, lam)
+            try:
+                io_2 = loop_action(sys2, h_t, lam_t)
+            except ValueError:
+                io_ok = False
+                io_resid.append(float("inf"))
+                continue
+            r_o = abs(io_1 - io_2) / max(abs(io_1), 1e-12)
+            io_resid.append(r_o)
+            io_ok = io_ok and r_o <= action_rtol
     checks["I"] = {"ok": i_ok, "residuals": i_resid}
     checks["I_circ"] = {"ok": io_ok, "residuals": io_resid}
     return sigma_ok and i_ok and io_ok
@@ -483,7 +435,6 @@ def cusp_torus_equivalent(
     k_range: tuple[int, int] = (-3, 3),
     mu_shift1: int = 0,
     mu_shift2: int = 0,
-    lam_values=None,
     action_rtol: float = ACTION_RTOL,
 ) -> EquivalenceVerdict:
     """Cuspidal-torus verdict: parabolic checks plus the I_mu criterion.
@@ -496,11 +447,8 @@ def cusp_torus_equivalent(
     if sys1.kind != CUSP_COMPACT or sys2.kind != CUSP_COMPACT:
         raise ValueError("cusp-torus comparison needs compact models")
     sys1, sys2, checks = _oriented_pair(sys1, sys2)
-    base_ok = _parabolic_checks(
-        sys1, sys2, phi, checks, lam_values, action_rtol, SIGMA_RTOL
-    )
-    d1 = bifurcation_diagram(sys1)
-    r = d1.domain_radius
+    base_ok = _parabolic_checks(sys1, sys2, phi, checks, action_rtol)
+    r = bifurcation_diagram(sys1).domain_radius
     wide_grid = [
         (0.45 * r, 0.3 * r),
         (0.3 * r, 0.45 * r),
@@ -518,23 +466,17 @@ def cusp_torus_equivalent(
             ok_pts = False
             continue
         deltas.append(((v1 - v2), lam))
-    k_found = None
-    if ok_pts and deltas:
-        k_est = np.array([d / lam for d, lam in deltas])
-        k_round = int(round(float(np.median(k_est))))
-        lo, hi = k_range
+    checks["I_mu"] = {"ok": False, "k": None, "residuals": []}
+    if ok_pts:
+        k_round = int(round(float(np.median([d / lam for d, lam in deltas]))))
         resid = [abs(d - k_round * lam) for d, lam in deltas]
         scale = max(max(abs(d) for d, _ in deltas), 1e-9)
-        mu_ok = (
-            lo <= k_round <= hi
-            and all(abs(d - k_round * lam) <= action_rtol * max(1.0, scale) for d, lam in deltas)
+        mu_ok = k_range[0] <= k_round <= k_range[1] and all(
+            x <= action_rtol * max(1.0, scale) for x in resid
         )
-        if mu_ok:
-            k_found = k_round
         checks["I_mu"] = {"ok": mu_ok, "k": k_round, "residuals": resid}
-    else:
-        checks["I_mu"] = {"ok": False, "k": None, "residuals": []}
-        mu_ok = False
+    mu_ok = checks["I_mu"]["ok"]
+    k_found = checks["I_mu"]["k"] if mu_ok else None
     return EquivalenceVerdict(equivalent=base_ok and mu_ok, checks=checks, k=k_found)
 
 
@@ -596,19 +538,20 @@ def invariant_report(
     local model, a Puiseux fit of the model's own passage times for the
     compact one) and the canonical_f normal form.  h(lambda) and the
     hyperbolic log coefficients are sampled over the given lambda grids.
+    The density must be positive at the orbit: a vanishing one raises
+    through :func:`_oriented`, a negative one in the normalization.
     """
+    _, flipped = _oriented(sys.density)
     if sys.kind == CUSP_LOCAL:
         pair = brieskorn_reduce(sys.density.restrict_lambda0().mirror_y())
-        alpha, beta = _floats(pair.alpha), _floats(pair.beta)
-        norm = normalize_invariant(pair)
     elif sys.kind == CUSP_COMPACT:
         grid = np.geomspace(1e-10, 0.02, 40)
         samples = [(hp, passage_time(sys, -hp, 0.0)) for hp in grid]
-        triple, _ = asymptotics.fit_puiseux(samples, order=(4, 4, 5), relative_weights=True)
-        alpha, beta = _coerce_alpha_beta(triple)
-        norm = normalize_invariant(triple)
+        pair, _ = asymptotics.fit_puiseux(samples, order=(4, 4, 5), relative_weights=True)
     else:
         raise ValueError("invariant report defined for the cusp models")
+    alpha, beta = _coerce_alpha_beta(pair)
+    norm = normalize_invariant(pair)
     h_samples = [(lam, separatrix_action(sys, lam)) for lam in lam_values]
     log_coeffs = []
     if sys.kind == CUSP_LOCAL:
@@ -616,7 +559,7 @@ def invariant_report(
             a, _ = asymptotics.hyperbolic_log_coeff(sys, lam)
             log_coeffs.append((lam, a))
     orientation = {
-        "density_positive_at_orbit": float(sys.density.eval(0.0, 0.0, 0.0)) > 0,
+        "density_positive_at_orbit": not flipped,
         "alpha0_positive": float(alpha.coeffs[0]) > 0,
     }
     return InvariantReport(

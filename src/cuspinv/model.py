@@ -399,7 +399,8 @@ class BifurcationDiagram:
     """Bifurcation diagram Sigma near the cusp point.
 
     At each lambda < 0 asked about, the elliptic and hyperbolic values are
-    W at the cusp pair of critical points (one root solve per query).  For
+    W at the cusp pair of critical points (one root solve per query;
+    ``branch_values`` answers for both branches at once).  For
     the canonical local model Sigma = {H^2 = -(4/27) lambda^3} with the
     elliptic branch at H < 0 and the hyperbolic branch at H > 0; the
     swallow-tail interior is {H^2 < -(4/27) lambda^3}.
@@ -417,17 +418,23 @@ class BifurcationDiagram:
         w = wc.tolist()
         return tuple(None if y is None else _horner(w, y) for y in cusp_pair(wc))
 
-    def _branch_value(self, lam: float, index: int, name: str) -> float:
-        value = self._branches(lam)[index]
-        if value is None:
-            raise ValueError(f"no {name} branch at lambda={lam}")
-        return value
+    def _present(self, lam: float, indices: tuple[int, ...]) -> list[float]:
+        values = self._branches(lam)
+        for i in indices:
+            if values[i] is None:
+                raise ValueError(f"no {('elliptic', 'hyperbolic')[i]} branch at lambda={lam}")
+        return [values[i] for i in indices]
+
+    def branch_values(self, lam: float) -> tuple[float, float]:
+        """(H_ell, H_hyp) at this lambda from one root solve; ValueError
+        naming the branch when either is absent there."""
+        return tuple(self._present(lam, (0, 1)))
 
     def elliptic_value(self, lam: float) -> float:
-        return self._branch_value(lam, 0, "elliptic")
+        return self._present(lam, (0,))[0]
 
     def hyperbolic_value(self, lam: float) -> float:
-        return self._branch_value(lam, 1, "hyperbolic")
+        return self._present(lam, (1,))[0]
 
     def _position(self, H: float, lam: float, tol: float) -> str:
         """'sigma' within tol of Sigma, 'inside' the swallow tail, else 'off'."""

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from cuspinv import asymptotics as asy
+from cuspinv import model as model_module
 from cuspinv.model import Density, cusp_local_model, one_dof_model
 from cuspinv.quadrature import passage_time
 from cuspinv.series import PuiseuxTriple, TruncatedSeries
@@ -207,6 +208,18 @@ class TestHyperbolicLogCoeff:
         assert all(d < 0.5 * abs(vals[0]) for d in diffs)
         # smooth trend, no sign flips
         assert all(v < 0 for v in vals)
+
+    def test_one_diagram_solve_per_call(self, monkeypatch):
+        calls = []
+        real_pair = model_module.cusp_pair
+
+        def counted(wc):
+            calls.append(1)
+            return real_pair(wc)
+
+        monkeypatch.setattr(model_module, "cusp_pair", counted)
+        asy.hyperbolic_log_coeff(cusp_local_model(Density.constant(1)), -1.0)
+        assert len(calls) == 1
 
     def test_domain_checks(self):
         with pytest.raises(ValueError):

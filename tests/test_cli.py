@@ -299,6 +299,7 @@ class TestCompare:
         data = json.loads(out)
         assert data["equivalent"] is True
         assert data["k"] == 0
+        assert out == (FIXTURES / "compare_compact_self.json").read_text()
 
 
 class TestInvariants:
@@ -308,6 +309,18 @@ class TestInvariants:
         data = json.loads(out)
         assert all(abs(v) < 1e-9 for v in data["one_dof"]["canonical_f"])
         assert all(h > 0 for _, h in data["h_samples"])
+
+    @pytest.mark.parametrize("kind", ["cusp_local", "cusp_compact"])
+    def test_vanishing_density_exit_1(self, files, capsys, kind):
+        # f = y vanishes at the orbit: no invariants, where the compact fit
+        # once printed alpha0 ~ 1e-14 and a canonical_f of size 1e49
+        model = files["tmp"] / "fy.json"
+        density = {"terms": [{"c": 1.0, "e": [0, 1, 0]}]}
+        model.write_text(json.dumps({"kind": kind, "density": density, "x0": 0.25}))
+        code, out, err = _run(capsys, ["invariants", "--sys", str(model)])
+        assert code == 1
+        assert "density vanishes at the orbit" in err
+        assert out == ""
 
 
 class TestLattice:

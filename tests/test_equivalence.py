@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from cuspinv import brieskorn
+from cuspinv import model as model_module
 from cuspinv.equivalence import (
     RescaleMap,
     cusp_torus_equivalent,
@@ -251,12 +252,28 @@ class TestParabolicEquivalent:
             parabolic_equivalent(m, m, phi)
 
 
+def bare_density(f):
+    """The one-dof verdict takes densities, not models."""
+    return f
+
+
+def invariant_reports(sys1, sys2):
+    """invariant_report of each system, in the two-system shape of a verdict."""
+    return invariant_report(sys1), invariant_report(sys2)
+
+
 class TestVanishingDensity:
     # f = y vanishes at the orbit: f dx^dy is not symplectic there, so no
-    # orientation can be corrected and no verdict is given
+    # orientation can be corrected and no verdict or invariant is given
     @pytest.mark.parametrize(
         "verdict, model",
-        [(parabolic_equivalent, cusp_local_model), (cusp_torus_equivalent, cusp_compact_model)],
+        [
+            (parabolic_equivalent, cusp_local_model),
+            (cusp_torus_equivalent, cusp_compact_model),
+            (one_dof_equivalent, bare_density),
+            (invariant_reports, cusp_local_model),
+            (invariant_reports, cusp_compact_model),
+        ],
     )
     def test_no_verdict(self, verdict, model):
         m = model(Density({(0, 1, 0): 1}))
@@ -264,6 +281,27 @@ class TestVanishingDensity:
             verdict(m, m)
         with pytest.raises(ValueError, match="density vanishes at the orbit"):
             verdict(model(F_ONE), m)
+
+
+class TestDiagramQueries:
+    # one cusp_pair solve per (diagram, lambda): 4 sigma lambdas on each of the
+    # two diagrams and 3 grid lambdas on the first
+    @pytest.mark.parametrize(
+        "verdict, model",
+        [(parabolic_equivalent, cusp_local_model), (cusp_torus_equivalent, cusp_compact_model)],
+    )
+    def test_self_comparison_solves(self, monkeypatch, verdict, model):
+        calls = []
+        real_pair = model_module.cusp_pair
+
+        def counted(wc):
+            calls.append(1)
+            return real_pair(wc)
+
+        monkeypatch.setattr(model_module, "cusp_pair", counted)
+        m = model()
+        assert verdict(m, m).equivalent
+        assert len(calls) == 11
 
 
 class TestCuspTorusEquivalent:

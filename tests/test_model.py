@@ -185,6 +185,18 @@ class TestBifurcationDiagram:
         assert abs(d.elliptic_value(lam) - h_ell) <= 1e-14 * abs(h_ell)
         assert abs(d.hyperbolic_value(lam) - h_hyp) <= 1e-14 * h_hyp
 
+    @pytest.mark.parametrize("model", [cusp_local_model, cusp_compact_model])
+    def test_branch_values_match_single_branches(self, model):
+        d = bifurcation_diagram(model())
+        assert d.branch_values(-0.05) == (d.elliptic_value(-0.05), d.hyperbolic_value(-0.05))
+
+    def test_branch_values_name_the_absent_branch(self):
+        # past lambda = -1/4 the compact W keeps only its minimum near y = 0
+        d = bifurcation_diagram(cusp_compact_model())
+        assert d.elliptic_value(-0.3) < 0
+        with pytest.raises(ValueError, match="no hyperbolic branch at lambda=-0.3"):
+            d.branch_values(-0.3)
+
     def test_root_solves_counted(self, monkeypatch):
         calls = []
         real_roots = model_module._real_roots
