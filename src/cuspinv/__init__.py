@@ -35,7 +35,7 @@ from .model import (
     node_model,
     one_dof_model,
 )
-from .brieskorn import BrieskornPair, reduce
+from .brieskorn import BrieskornPair, model_pair, reduce
 from .quadrature import (
     ActionChart,
     ActionChartRow,

@@ -28,8 +28,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
-from .model import Density
+from .model import Density, FibrationModel, _potential_terms
 from .series import DEFAULT_ORDER, TruncatedSeries
 
 
@@ -58,18 +59,14 @@ def _as_fraction(c) -> Fraction:
     return c if isinstance(c, Fraction) else Fraction(c)
 
 
-def reduce(f, order: int | None = None) -> BrieskornPair:
+def reduce(f: Density) -> BrieskornPair:
     """Reduce a polynomial density (restricted to lambda = 0) exactly.
 
-    Returns Fraction-coefficient series padded to at least ``order``
-    (default DEFAULT_ORDER) so downstream series arithmetic keeps enough
-    headroom.
+    Returns Fraction-coefficient series padded to at least DEFAULT_ORDER so
+    downstream series arithmetic keeps enough headroom.
     """
-    if isinstance(f, Density):
-        poly = f.restrict_lambda0()
-        terms = {(e[0], e[1]): _as_fraction(c) for e, c in poly.terms.items()}
-    else:
-        terms = {(int(i), int(j)): _as_fraction(c) for (i, j), c in dict(f).items()}
+    poly = f.restrict_lambda0()
+    terms = {(e[0], e[1]): _as_fraction(c) for e, c in poly.terms.items()}
 
     # alpha/beta coefficients over H, indexed by power of H
     alpha: dict[int, Fraction] = {}
@@ -101,8 +98,40 @@ def reduce(f, order: int | None = None) -> BrieskornPair:
 
     def to_series(table: dict[int, Fraction]) -> TruncatedSeries:
         top = max(table.keys(), default=0)
-        k = max(order if order is not None else DEFAULT_ORDER, top)
+        k = max(DEFAULT_ORDER, top)
         coeffs = [table.get(i, Fraction(0)) for i in range(k + 1)]
         return TruncatedSeries(coeffs)
 
     return BrieskornPair(alpha=to_series(alpha), beta=to_series(beta))
+
+
+@lru_cache(maxsize=None)
+def _level_chart(kind: str) -> tuple[Density, Density]:
+    """(y(u), y'(u)) through u^(3K+2), K = DEFAULT_ORDER, on a cusp model.
+
+    After the sign bridge the lambda = 0 level of H = x^2 + W(y; 0) is
+    y^3 U(y) - x^2 with the unit U = -W(-y)/y^3; u = y U(y)^(1/3) makes it
+    u^3 - x^2.  A term x^a u^b reduces onto alpha_h if 3a + 2b = 6h and onto
+    beta_h if 3a + 2b = 6h + 2, so beta_K needs y'(u) through u^(3K+1).
+    """
+    n = 3 * DEFAULT_ORDER + 2
+    unit = [Fraction(0)] * (n + 1)
+    for j, k, c in _potential_terms(kind)[1]:
+        if k == 0:
+            unit[j - 3] -= (-1) ** j * c
+    root = TruncatedSeries(unit).pow(Fraction(1, 3))
+    y = TruncatedSeries([0] + root.coeffs[:n]).reversion()
+    return tuple(Density({(0, j, 0): c for j, c in enumerate(v.coeffs)}) for v in (y, y.deriv()))
+
+
+def model_pair(model: FibrationModel) -> BrieskornPair:
+    """(alpha, beta) through H^K of a cusp model's density at lambda = 0.
+
+    The mirrored density f(x, -y) is pulled back to (x, u), where the level
+    is u^3 - x^2, and reduced there; exact over Fractions for both kinds.
+    """
+    y, dy = _level_chart(model.kind)
+    f = model.density.restrict_lambda0().mirror_y()
+    exact = Density({e: _as_fraction(c) for e, c in f.terms.items()})
+    pair = reduce(exact.compose(Density({(1, 0, 0): 1}), y) * dy)
+    return BrieskornPair(pair.alpha.truncated(DEFAULT_ORDER), pair.beta.truncated(DEFAULT_ORDER))

@@ -26,7 +26,7 @@ from fractions import Fraction
 import numpy as np
 from scipy.optimize import brentq
 
-from .brieskorn import BrieskornPair, reduce as brieskorn_reduce
+from .brieskorn import BrieskornPair, model_pair, reduce as brieskorn_reduce
 from .model import (
     CUSP_COMPACT,
     CUSP_LOCAL,
@@ -38,7 +38,7 @@ from .model import (
     one_dof_model,
 )
 from .quadrature import loop_action, passage_time, separatrix_action, wide_action
-from .series import PuiseuxTriple, TruncatedSeries, phi_r_apply, phi_r_invert
+from .series import TruncatedSeries, phi_r_apply, phi_r_invert
 from .specfun import puiseux_constants
 from . import asymptotics
 
@@ -202,15 +202,7 @@ def verify_relations_numeric(
     }
 
 
-def _coerce_alpha_beta(pair) -> tuple[TruncatedSeries, TruncatedSeries]:
-    """(alpha, beta) from a BrieskornPair or a fitted PuiseuxTriple."""
-    if isinstance(pair, BrieskornPair):
-        return _floats(pair.alpha), _floats(pair.beta)
-    c = puiseux_constants()
-    return _floats(pair.a) / c["C0"], _floats(pair.b) / c["C1"]
-
-
-def normalize_invariant(pair) -> dict:
+def normalize_invariant(pair: BrieskornPair) -> dict:
     """Normal-form data of a positively-oriented one-dof density.
 
     Returns
@@ -218,10 +210,8 @@ def normalize_invariant(pair) -> dict:
       g_unit_alpha the rescale achieving alpha~ == 1,
       canonical_f  the beta~ series of the alpha~ == 1 normal form
                    omega = dx^dy + canonical_f(H) y dx^dy.
-
-    ``pair`` may be a BrieskornPair (exact route) or a fitted PuiseuxTriple.
     """
-    alpha, beta = _coerce_alpha_beta(pair)
+    alpha, beta = _floats(pair.alpha), _floats(pair.beta)
     if not float(alpha.coeffs[0]) > 0:
         raise ValueError("normalization requires a(0) > 0 (positively oriented)")
     c0 = puiseux_constants()["C0"]
@@ -375,28 +365,34 @@ def _parabolic_checks(
     """The sigma, I and I_circ checks of two oriented systems, added to ``checks``.
 
     Each diagram is asked once per lambda for both branch values: d1 at the
-    sample lambdas, d2 at each distinct image lambda.
+    sample lambdas, d2 at each distinct image lambda.  Sigma depends only on
+    the model kind, so the table is keyed by (kind, lambda) and two systems
+    of one kind share their values.
     """
     if abs(base_map_jacobian(phi, 0.0, 0.0)) < 1e-12:
         raise ValueError("base map phi is degenerate at the cusp point")
     d1 = bifurcation_diagram(sys1)
     d2 = bifurcation_diagram(sys2)
     r = d1.domain_radius
+    table: dict = {}
+
+    def values(diagram, lam):
+        key = (diagram.model.kind, lam)
+        if key not in table:
+            table[key] = diagram.branch_values(lam)
+        return table[key]
 
     # cusp point must map to the cusp point, each branch onto the same branch
     sigma_resid = [math.hypot(*_phi_eval(phi, *d1.cusp_point))]
     sigma_ok = sigma_resid[0] <= 1e-9
-    targets = {}
     for lam in (-0.8 * r, -0.6 * r, -0.4 * r, -0.2 * r):
-        for index, value in enumerate(d1.branch_values(lam)):
+        for index, value in enumerate(values(d1, lam)):
             h_t, lam_t = _phi_eval(phi, value, lam)
             if lam_t >= 0:
                 sigma_ok = False
                 sigma_resid.append(float("inf"))
                 continue
-            if lam_t not in targets:
-                targets[lam_t] = d2.branch_values(lam_t)
-            res = abs(h_t - targets[lam_t][index]) / max(abs(value), 1e-6)
+            res = abs(h_t - values(d2, lam_t)[index]) / max(abs(value), 1e-6)
             sigma_resid.append(res)
             sigma_ok = sigma_ok and res <= SIGMA_RTOL
     checks["sigma"] = {"ok": sigma_ok, "residuals": sigma_resid}
@@ -405,7 +401,7 @@ def _parabolic_checks(
     i_ok, io_ok = True, True
     i_resid, io_resid = [], []
     for lam in (-0.75 * r, -0.55 * r, -0.35 * r):
-        h_e, h_h = d1.branch_values(lam)
+        h_e, h_h = values(d1, lam)
         mid, half = 0.5 * (h_e + h_h), 0.5 * (h_h - h_e)
         for t in (-0.5, 0.0, 0.5):
             h = mid + 0.8 * t * half
@@ -533,24 +529,16 @@ def invariant_report(
 ) -> InvariantReport:
     """phi-independent symplectic invariants of a cusp system.
 
-    The one-dof block carries (alpha, beta) of the lambda = 0 slice (via
-    the sign bridge onto H = y^3 - x^2; exact Brieskorn reduction for the
-    local model, a Puiseux fit of the model's own passage times for the
-    compact one) and the canonical_f normal form.  h(lambda) and the
+    The one-dof block carries the exact (alpha, beta) of the lambda = 0
+    slice through H^K (:func:`brieskorn.model_pair`, the same route for both
+    kinds) and the canonical_f normal form.  h(lambda) and the
     hyperbolic log coefficients are sampled over the given lambda grids.
     The density must be positive at the orbit: a vanishing one raises
     through :func:`_oriented`, a negative one in the normalization.
     """
     _, flipped = _oriented(sys.density)
-    if sys.kind == CUSP_LOCAL:
-        pair = brieskorn_reduce(sys.density.restrict_lambda0().mirror_y())
-    elif sys.kind == CUSP_COMPACT:
-        grid = np.geomspace(1e-10, 0.02, 40)
-        samples = [(hp, passage_time(sys, -hp, 0.0)) for hp in grid]
-        pair, _ = asymptotics.fit_puiseux(samples, order=(4, 4, 5), relative_weights=True)
-    else:
-        raise ValueError("invariant report defined for the cusp models")
-    alpha, beta = _coerce_alpha_beta(pair)
+    pair = model_pair(sys)
+    alpha, beta = _floats(pair.alpha), _floats(pair.beta)
     norm = normalize_invariant(pair)
     h_samples = [(lam, separatrix_action(sys, lam)) for lam in lam_values]
     log_coeffs = []

@@ -125,12 +125,6 @@ class TruncatedSeries:
             return TruncatedSeries([0])
         return TruncatedSeries([k * self.coeffs[k] for k in range(1, self.order + 1)])
 
-    def integ(self, constant=0) -> "TruncatedSeries":
-        out = [constant]
-        for k, c in enumerate(self.coeffs):
-            out.append(Fraction(c) / (k + 1) if isinstance(c, _EXACT_TYPES) else c / (k + 1))
-        return TruncatedSeries(out)
-
     def eval(self, h):
         acc = 0
         for c in reversed(self.coeffs):
@@ -167,46 +161,40 @@ class TruncatedSeries:
         return TruncatedSeries(out)
 
     def reversion(self) -> "TruncatedSeries":
-        """Compositional inverse of a series with f(0)=0, f'(0) != 0."""
+        """Compositional inverse of a series with f(0)=0, f'(0) != 0.
+
+        With f(y) = y V(y), Lagrange inversion gives the coefficients of the
+        inverse as [u^n] y(u) = (1/n) [y^(n-1)] V(y)^(-n); exact for
+        Fraction coefficients.
+        """
         if self.coeffs[0] != 0:
             raise ValueError("reversion requires zero constant term")
         if self.order < 1 or self.coeffs[1] == 0:
             raise ValueError("reversion requires a non-zero linear coefficient")
-        k = self.order
-        ident = TruncatedSeries([0, 1], order=k)
-        v = TruncatedSeries([0, 1 / self.coeffs[1]], order=k)
-        dself = self.deriv()
-        for _ in range(k + 2):
-            fv = self.compose(v).truncated(k)
-            dv = TruncatedSeries(dself.coeffs, order=k).compose(v).truncated(k)
-            v = (v - (fv - ident) * dv.reciprocal()).truncated(k)
-        return v
-
-    # -- transcendental maps (float coefficients) ----------------------------
-
-    def log(self) -> "TruncatedSeries":
-        c0 = self.coeffs[0]
-        if not c0 > 0:
-            raise ValueError("log requires a positive constant term")
-        k = self.order
-        body = (self.deriv() * self.reciprocal()).truncated(max(k - 1, 0))
-        out = body.integ(math.log(c0))
-        return out.truncated(k)
-
-    def exp(self) -> "TruncatedSeries":
-        k = self.order
-        e0 = math.exp(float(self.coeffs[0]))
-        out = [e0]
-        for n in range(1, k + 1):
-            s = 0.0
-            for j in range(1, n + 1):
-                s += j * float(self.coeffs[j]) * out[n - j]
-            out.append(s / n)
+        v_inv = TruncatedSeries(self.coeffs[1:]).reciprocal()
+        power = v_inv
+        out = [0]
+        for n in range(1, self.order + 1):
+            out.append(power.coeffs[n - 1] / n)
+            power = power * v_inv
         return TruncatedSeries(out)
 
-    def pow(self, exponent: float) -> "TruncatedSeries":
-        """self**exponent via exp(exponent*log(self)); needs self(0) > 0."""
-        return (self.log() * exponent).exp()
+    def pow(self, exponent) -> "TruncatedSeries":
+        """self**exponent by J.C.P. Miller's recurrence
+        n c_0 b_n = sum_{k=1..n} ((exponent + 1) k - n) c_k b_{n-k};
+        exact for Fraction coefficients with c_0 = 1 and a Fraction exponent.
+        A non-integral exponent needs c_0 > 0.
+        """
+        c0 = self.coeffs[0]
+        if c0 == 0 or (c0 < 0 and not _is_integral(exponent)):
+            raise ValueError("pow requires c_0 != 0, and c_0 > 0 for a non-integral exponent")
+        out = [c0 if c0 == 1 else c0**exponent]
+        for n in range(1, self.order + 1):
+            s = 0
+            for k in range(1, n + 1):
+                s += ((exponent + 1) * k - n) * self.coeffs[k] * out[n - k]
+            out.append(s / (n * c0))
+        return TruncatedSeries(out)
 
     # -- serialization -------------------------------------------------------
 
@@ -216,14 +204,6 @@ class TruncatedSeries:
     @classmethod
     def from_json(cls, data) -> "TruncatedSeries":
         return cls([float(c) for c in data])
-
-    @classmethod
-    def zero(cls, order: int = DEFAULT_ORDER) -> "TruncatedSeries":
-        return cls([0], order=order)
-
-    @classmethod
-    def constant(cls, value, order: int = DEFAULT_ORDER) -> "TruncatedSeries":
-        return cls([value], order=order)
 
     @classmethod
     def identity(cls, order: int = DEFAULT_ORDER) -> "TruncatedSeries":

@@ -6,7 +6,9 @@ hypergeometric closed form (scipy's 2F1) and from direct quadrature of
 their defining formulas, period lattices from finite differences of the
 action chart, the node model's complex period from the trapezoid rule on its
 cycle, the hyperbolic log coefficient from passage times instead of loop
-periods, and the local model's bifurcation diagram from its closed form.
+periods, the local model's bifurcation diagram from its closed form, and a
+one-dof pair (alpha, beta) from a Puiseux fit of passage times instead of
+exact reduction.
 """
 
 from __future__ import annotations
@@ -17,10 +19,12 @@ import numpy as np
 from scipy.integrate import quad
 from scipy.special import hyp2f1
 
-from cuspinv.asymptotics import extract_log_coeff
+from cuspinv.asymptotics import extract_log_coeff, fit_puiseux
+from cuspinv.brieskorn import BrieskornPair
 from cuspinv.flows import PeriodLattice
 from cuspinv.model import CUSP_COMPACT, FibrationModel, bifurcation_diagram
 from cuspinv.quadrature import loop_action, oval_bounds, passage_time, wide_action
+from cuspinv.specfun import puiseux_constants
 
 
 def grid_area(model: FibrationModel, H: float, lam: float, oval: str = "narrow", n: int = 2400) -> float:
@@ -186,3 +190,18 @@ def passage_log_coeff(
         samples.append((s, passage_time(model, h_hyp + sign * s, lam)))
     alpha, _ = extract_log_coeff(samples, min_points=min(7, levels))
     return alpha
+
+
+def triple_pair(triple) -> BrieskornPair:
+    """(alpha, beta) = (a / C0, b / C1) of a fitted Puiseux triple."""
+    c = puiseux_constants()
+    return BrieskornPair(triple.a / c["C0"], triple.b / c["C1"])
+
+
+def compact_fitted_pair(model: FibrationModel) -> BrieskornPair:
+    """(alpha, beta) of a compact model from a fit at order (4, 4, 5) of 40
+    passages at lambda = 0 on H = -geomspace(1e-10, 0.02)."""
+    grid = np.geomspace(1e-10, 0.02, 40)
+    samples = [(hp, passage_time(model, -hp, 0.0)) for hp in grid]
+    triple, _ = fit_puiseux(samples, order=(4, 4, 5), relative_weights=True)
+    return triple_pair(triple)

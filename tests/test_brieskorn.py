@@ -5,7 +5,7 @@ import pytest
 
 from cuspinv import brieskorn
 from cuspinv.equivalence import fitted_pair
-from cuspinv.model import Density
+from cuspinv.model import Density, cusp_compact_model, cusp_local_model
 from cuspinv.specfun import puiseux_constants
 
 F = Fraction
@@ -126,3 +126,23 @@ def _random_density(rng) -> Density:
         e = (int(rng.integers(0, 3)), int(rng.integers(0, 4)), 0)
         terms[e] = F(int(rng.integers(-9, 10)), int(rng.integers(1, 5)))
     return Density(terms)
+
+
+class TestModelPair:
+    F_PERTURBED = Density(
+        {(0, 0, 0): 1.2, (0, 1, 0): 0.13, (2, 0, 0): -0.07, (1, 2, 0): 0.4, (0, 3, 0): -0.02, (0, 0, 1): 0.15}
+    )
+
+    def test_local_model_is_mirrored_reduction(self):
+        # on the local model u = y, so the pullback is the identity
+        f = self.F_PERTURBED
+        want = brieskorn.reduce(f.restrict_lambda0().mirror_y())
+        got = brieskorn.model_pair(cusp_local_model(f))
+        assert got == brieskorn.BrieskornPair(want.alpha.truncated(4), want.beta.truncated(4))
+
+    def test_float_density_reduced_exactly(self):
+        f = self.F_PERTURBED
+        exact = Density({e: F(c) for e, c in f.terms.items()})
+        assert brieskorn.model_pair(cusp_compact_model(f)) == brieskorn.model_pair(
+            cusp_compact_model(exact)
+        )

@@ -310,6 +310,42 @@ class TestInvariants:
         assert all(abs(v) < 1e-9 for v in data["one_dof"]["canonical_f"])
         assert all(h > 0 for _, h in data["h_samples"])
 
+    @pytest.mark.parametrize(
+        "name, terms",
+        [
+            ("one", {(0, 0, 0): 1.0}),
+            (
+                "perturbed",
+                {
+                    (0, 0, 0): 1.2,
+                    (0, 1, 0): 0.13,
+                    (2, 0, 0): -0.07,
+                    (1, 1, 0): 0.05,
+                    (0, 2, 0): 0.11,
+                    (0, 3, 0): -0.02,
+                    (0, 0, 1): 0.15,
+                },
+            ),
+        ],
+    )
+    def test_local_output_pinned(self, files, capsys, name, terms):
+        # the exact route reproduces the local model's report: every field
+        # byte for byte except canonical_f, which goes through float pow and
+        # reversion
+        model = files["tmp"] / f"local_{name}.json"
+        density = {"terms": [{"c": c, "e": list(e)} for e, c in terms.items()]}
+        model.write_text(json.dumps({"kind": "cusp_local", "density": density, "x0": 1.0}))
+        code, out, _ = _run(capsys, ["invariants", "--sys", str(model)])
+        assert code == 0
+        got = json.loads(out)
+        want = json.loads((FIXTURES / f"invariants_local_{name}.json").read_text())
+        for key in ("h_samples", "log_coeffs", "orientation"):
+            assert json.dumps(got[key]) == json.dumps(want[key])
+        for key in ("alpha", "beta"):
+            assert json.dumps(got["one_dof"][key]) == json.dumps(want["one_dof"][key])
+        for g, w in zip(got["one_dof"]["canonical_f"], want["one_dof"]["canonical_f"], strict=True):
+            assert abs(g - w) <= max(1e-13 * abs(w), 1e-15)
+
     @pytest.mark.parametrize("kind", ["cusp_local", "cusp_compact"])
     def test_vanishing_density_exit_1(self, files, capsys, kind):
         # f = y vanishes at the orbit: no invariants, where the compact fit

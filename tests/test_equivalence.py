@@ -4,7 +4,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from cuspinv import brieskorn
+from cuspinv import brieskorn, quadrature
+from cuspinv import equivalence as equivalence_module
 from cuspinv import model as model_module
 from cuspinv.equivalence import (
     RescaleMap,
@@ -24,6 +25,7 @@ from cuspinv.model import (
 )
 from cuspinv.series import TruncatedSeries, phi_r_apply, phi_r_invert
 from cuspinv.specfun import puiseux_constants
+from oracles import compact_fitted_pair, triple_pair
 
 F_ONE = Density.constant(1)
 F_ONE_PLUS_Y = Density({(0, 0, 0): 1, (0, 1, 0): 1})
@@ -145,7 +147,7 @@ class TestNormalizeInvariant:
         f = F_ONE_PLUS_Y
         exact = normalize_invariant(brieskorn.reduce(f))
         triple, _ = fitted_pair(f)
-        fitted = normalize_invariant(triple)
+        fitted = normalize_invariant(triple_pair(triple))
         for k in range(2):
             assert abs(
                 float(exact["canonical_f"].coeffs[k]) - float(fitted["canonical_f"].coeffs[k])
@@ -201,7 +203,7 @@ class TestCanonicalFInvariance:
             rmap = RescaleMap(g)
             ftilde = rmap.pushforward_density(f)
             triple, _ = fitted_pair(ftilde, h_max=0.05, n_samples=36, order=(3, 3, 5))
-            out = normalize_invariant(triple)
+            out = normalize_invariant(triple_pair(triple))
             for k in range(2):
                 ref = float(reference.coeffs[k])
                 got = float(out["canonical_f"].coeffs[k])
@@ -284,13 +286,36 @@ class TestVanishingDensity:
 
 
 class TestDiagramQueries:
-    # one cusp_pair solve per (diagram, lambda): 4 sigma lambdas on each of the
-    # two diagrams and 3 grid lambdas on the first
+    # one cusp_pair solve per lambda: 4 sigma lambdas and 3 grid lambdas on
+    # the first diagram; a second diagram of the same kind has the same Sigma
+    # and shares the first one's values
     @pytest.mark.parametrize(
-        "verdict, model",
-        [(parabolic_equivalent, cusp_local_model), (cusp_torus_equivalent, cusp_compact_model)],
+        "verdict, sys1, sys2, equivalent",
+        [
+            pytest.param(
+                parabolic_equivalent,
+                cusp_local_model(),
+                cusp_local_model(),
+                True,
+                id="parabolic_equivalent-cusp_local_model",
+            ),
+            pytest.param(
+                parabolic_equivalent,
+                cusp_local_model(F_ONE),
+                cusp_local_model(Density.constant(2)),
+                False,
+                id="parabolic_equivalent-cusp_local_model-f2",
+            ),
+            pytest.param(
+                cusp_torus_equivalent,
+                cusp_compact_model(),
+                cusp_compact_model(),
+                True,
+                id="cusp_torus_equivalent-cusp_compact_model",
+            ),
+        ],
     )
-    def test_self_comparison_solves(self, monkeypatch, verdict, model):
+    def test_self_comparison_solves(self, monkeypatch, verdict, sys1, sys2, equivalent):
         calls = []
         real_pair = model_module.cusp_pair
 
@@ -299,9 +324,8 @@ class TestDiagramQueries:
             return real_pair(wc)
 
         monkeypatch.setattr(model_module, "cusp_pair", counted)
-        m = model()
-        assert verdict(m, m).equivalent
-        assert len(calls) == 11
+        assert verdict(sys1, sys2).equivalent == equivalent
+        assert len(calls) == 7
 
 
 class TestCuspTorusEquivalent:
@@ -352,11 +376,46 @@ class TestInvariantReport:
         )
         assert abs(r2.h_samples[0][1] - 2.0 * r1.h_samples[0][1]) < 1e-12
 
-    def test_compact_report_fitted_route(self):
-        rep = invariant_report(cusp_compact_model(F_ONE), lam_values=(-0.05,), log_lam_values=())
-        assert float(rep.alpha.coeffs[0]) > 0
-        # the quartic term feeds the beta-content of the compact germ
-        assert abs(float(rep.beta.coeffs[0])) > 1e-3
+    def test_compact_report_exact_values(self, monkeypatch):
+        # after the sign bridge the compact level is y^3 (1 - y) - x^2; the
+        # quartic term feeds every order of alpha and beta
+        alpha = [
+            Fraction(1),
+            Fraction(56, 81),
+            Fraction(110656, 32805),
+            Fraction(34303360, 1594323),
+            Fraction(218306583040, 1420541793),
+        ]
+        beta = [
+            Fraction(2, 3),
+            Fraction(440, 243),
+            Fraction(1376320, 137781),
+            Fraction(319306240, 4782969),
+            Fraction(2461212497920, 5036466357),
+        ]
+        m = cusp_compact_model(F_ONE)
+        pair = brieskorn.model_pair(m)
+        assert pair.alpha.coeffs == alpha and pair.beta.coeffs == beta
+        calls = []
+        real_passage = quadrature.passage_time
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return real_passage(*args, **kwargs)
+
+        monkeypatch.setattr(quadrature, "passage_time", counted)
+        monkeypatch.setattr(equivalence_module, "passage_time", counted)
+        rep = invariant_report(m, lam_values=(-0.05,), log_lam_values=())
+        assert rep.alpha.coeffs == [float(v) for v in alpha]
+        assert rep.beta.coeffs == [float(v) for v in beta]
+        assert calls == []
+
+    def test_compact_fit_oracle_matches_exact_pair(self):
+        m = cusp_compact_model(F_ONE)
+        exact, fitted = brieskorn.model_pair(m), compact_fitted_pair(m)
+        for k in range(2):
+            assert float(fitted.alpha.coeffs[k]) == pytest.approx(float(exact.alpha.coeffs[k]), rel=1e-4)
+            assert float(fitted.beta.coeffs[k]) == pytest.approx(float(exact.beta.coeffs[k]), rel=1e-3)
 
     def test_h_invariance_under_fiber_relabeling(self):
         # h(lambda) depends only on the fiber structure: relabeling

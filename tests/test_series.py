@@ -59,15 +59,40 @@ class TestCalculus:
         assert abs(comp.coeffs[1] - 1.0) < 1e-12
         assert max(abs(c) for c in comp.coeffs[2:]) < 1e-12
 
-    def test_exp_log_roundtrip(self):
-        s = TruncatedSeries([2.0, -0.3, 0.12, 0.05])
-        back = s.log().exp()
-        assert np.allclose(back.coeffs, s.coeffs, rtol=1e-13, atol=1e-13)
+    def test_compose_reversion_exact(self):
+        h = TruncatedSeries(
+            [0, Fraction(3, 2)] + [Fraction((-1) ** k * k, k + 3) for k in range(2, 15)]
+        )
+        assert h.order == 14
+        assert h.compose(h.reversion()) == TruncatedSeries.identity(14)
+
+    def test_pow_roundtrip(self):
+        s = TruncatedSeries([1, Fraction(-3, 10), Fraction(3, 25), Fraction(1, 20)])
+        r = Fraction(2, 7)
+        assert s.pow(r) * s.pow(-r) == TruncatedSeries([1], order=3)
+        f = TruncatedSeries([2.0, -0.3, 0.12, 0.05])
+        back = f.pow(0.3) * f.pow(-0.3)
+        assert np.allclose(back.coeffs, [1.0, 0.0, 0.0, 0.0], rtol=1e-13, atol=1e-13)
 
     def test_pow(self):
         s = TruncatedSeries([4.0, 1.0, 0.2, 0.0])
         sq = s.pow(0.5)
         assert np.allclose((sq * sq).coeffs, s.coeffs, rtol=1e-12, atol=1e-12)
+
+    def test_cube_root_exact(self):
+        one_minus_y = TruncatedSeries([Fraction(1), Fraction(-1)], order=14)
+        root = one_minus_y.pow(Fraction(1, 3))
+        assert all(isinstance(c, Fraction) for c in root.coeffs)
+        assert root * root * root == TruncatedSeries([1, -1], order=14)
+
+    def test_pow_domain(self):
+        with pytest.raises(ValueError):
+            TruncatedSeries([-1.0, 0.5, 0.1]).pow(0.5)
+        with pytest.raises(ValueError):
+            TruncatedSeries([0.0, 1.0]).pow(2)
+        # an integral exponent needs only c_0 != 0
+        s = TruncatedSeries([-2.0, 1.0, 0.5])
+        assert np.allclose(s.pow(2).coeffs, (s * s).coeffs, rtol=1e-15, atol=0)
 
     def test_reciprocal(self):
         s = TruncatedSeries([2.0, 1.0, -0.5])
