@@ -23,10 +23,9 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import quad
 
 from .model import CUSP_LOCAL, Density, FibrationModel, bifurcation_diagram
-from .quadrature import QUAD_EPSABS, QUAD_EPSREL, QUAD_LIMIT, loop_period
+from .quadrature import form_kernel, integrals, node_jobs, oval_jobs
 from .series import PuiseuxTriple, TruncatedSeries
 
 COND_FLAG = 1e12
@@ -158,15 +157,7 @@ def node_passage(f, H: float) -> float:
     """Pi(H) = int_H^1 f(H/y, y) dy/y on the node model H = x*y, 0 < H < 1."""
     if not 0.0 < H < 1.0:
         raise ValueError("node passage requires 0 < H < 1")
-    fe = f.eval if isinstance(f, Density) else f
-
-    def integrand(y: float) -> float:
-        return fe(H / y, y, 0.0) / y
-
-    val, _ = quad(
-        integrand, H, 1.0, epsabs=QUAD_EPSABS, epsrel=QUAD_EPSREL, limit=QUAD_LIMIT
-    )
-    return val
+    return float(integrals(node_jobs(f, [H]))[0])
 
 
 def node_complex_period(f: Density, H: float) -> complex:
@@ -195,7 +186,7 @@ def fit_node_log(f, h_grid=None, order: int | None = None):
     if h_grid is None:
         h_grid = [0.4 * 2.0**-m for m in range(14)]
     hs = np.array(sorted(float(h) for h in h_grid))
-    vals = np.array([node_passage(f, h) for h in hs])
+    vals = integrals(node_jobs(f, hs))
     cols = [hs**k * np.log(hs) for k in range(order + 1)]
     cols += [hs**k for k in range(order + 1)]
     design = np.column_stack(cols)
@@ -252,10 +243,9 @@ def hyperbolic_log_coeff(
         raise ValueError("requires lambda < 0")
     h_ell, h_hyp = bifurcation_diagram(model, domain_radius=math.inf).branch_values(lam)
     s0 = s0_frac * (h_hyp - h_ell)
-    samples = []
-    for m in range(levels):
-        s = s0 * 2.0**-m
-        samples.append((s, loop_period(model, h_hyp - s, lam)))
+    steps = [s0 * 2.0**-m for m in range(levels)]
+    jobs = oval_jobs(model, [(h_hyp - s, lam) for s in steps], form_kernel(model.density), "narrow")
+    samples = list(zip(steps, integrals(jobs)))
     alpha, diag = extract_log_coeff(samples, min_points=min(7, levels))
     diag["lambda"] = lam
     diag["H_hyp"] = h_hyp

@@ -106,13 +106,13 @@ def reduce(f: Density) -> BrieskornPair:
 
 
 @lru_cache(maxsize=None)
-def _level_chart(kind: str) -> tuple[Density, Density]:
-    """(y(u), y'(u)) through u^(3K+2), K = DEFAULT_ORDER, on a cusp model.
+def _level_chart(kind: str) -> tuple[TruncatedSeries, TruncatedSeries]:
+    """(y(u), y'(u)) through u^(3K+2) and u^(3K+1), K = DEFAULT_ORDER, on a cusp model.
 
     After the sign bridge the lambda = 0 level of H = x^2 + W(y; 0) is
     y^3 U(y) - x^2 with the unit U = -W(-y)/y^3; u = y U(y)^(1/3) makes it
     u^3 - x^2.  A term x^a u^b reduces onto alpha_h if 3a + 2b = 6h and onto
-    beta_h if 3a + 2b = 6h + 2, so beta_K needs y'(u) through u^(3K+1).
+    beta_h if 3a + 2b = 6h + 2, so beta_K needs y^j y'(u) through u^(3K+1).
     """
     n = 3 * DEFAULT_ORDER + 2
     unit = [Fraction(0)] * (n + 1)
@@ -121,7 +121,7 @@ def _level_chart(kind: str) -> tuple[Density, Density]:
             unit[j - 3] -= (-1) ** j * c
     root = TruncatedSeries(unit).pow(Fraction(1, 3))
     y = TruncatedSeries([0] + root.coeffs[:n]).reversion()
-    return tuple(Density({(0, j, 0): c for j, c in enumerate(v.coeffs)}) for v in (y, y.deriv()))
+    return y, y.deriv()
 
 
 def model_pair(model: FibrationModel) -> BrieskornPair:
@@ -129,9 +129,19 @@ def model_pair(model: FibrationModel) -> BrieskornPair:
 
     The mirrored density f(x, -y) is pulled back to (x, u), where the level
     is u^3 - x^2, and reduced there; exact over Fractions for both kinds.
+    Reduction keeps the weight 3a + 2b of x^a u^b, so the pull-back drops
+    the terms of weight above 6K + 2, which cannot reach H^K.
     """
     y, dy = _level_chart(model.kind)
     f = model.density.restrict_lambda0().mirror_y()
-    exact = Density({e: _as_fraction(c) for e, c in f.terms.items()})
-    pair = reduce(exact.compose(Density({(1, 0, 0): 1}), y) * dy)
+    powers = [dy]  # y^j y'(u) through u^(3K+1)
+    while len(powers) <= max((j for _, j, _ in f.terms), default=0):
+        powers.append(powers[-1] * y)
+    pulled = Density(
+        (_as_fraction(c) * cb, (a, b, 0))
+        for (a, j, _), c in f.terms.items()
+        for b, cb in enumerate(powers[j].coeffs)
+        if 3 * a + 2 * b <= 6 * DEFAULT_ORDER + 2
+    )
+    pair = reduce(pulled)
     return BrieskornPair(pair.alpha.truncated(DEFAULT_ORDER), pair.beta.truncated(DEFAULT_ORDER))

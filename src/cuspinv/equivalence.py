@@ -37,7 +37,7 @@ from .model import (
     bifurcation_diagram,
     one_dof_model,
 )
-from .quadrature import loop_action, passage_time, separatrix_action, wide_action
+from .quadrature import integrals, loop_action, passage_jobs, separatrix_action, wide_action
 from .series import TruncatedSeries, phi_r_apply, phi_r_invert
 from .specfun import puiseux_constants
 from . import asymptotics
@@ -188,11 +188,11 @@ def verify_relations_numeric(
     mdl = one_dof_model(f, x0=x0)
     mdl_t = one_dof_model(f_tilde, x0=x0)
     grid = np.geomspace(1e-8, h_max, n_samples)
-    deltas = []
-    for h in grid:
-        gv = float(g.eval(h))
-        hp = gv + float(dg.eval(h)) * h
-        deltas.append(passage_time(mdl, h) - hp * passage_time(mdl_t, h * gv))
+    gv = np.array([float(g.eval(h)) for h in grid])
+    hp = gv + np.array([float(dg.eval(h)) for h in grid]) * grid
+    jobs = passage_jobs(mdl, [(h, 0.0) for h in grid])
+    pi = integrals(jobs + passage_jobs(mdl_t, [(h, 0.0) for h in grid * gv]))
+    deltas = pi[:n_samples] - hp * pi[n_samples:]
     fit, report = asymptotics.fit_puiseux(zip(grid, deltas), order=(2, 2, analytic_order))
     return {
         "a_defect": fit.a.coeffs,
@@ -517,7 +517,7 @@ def fitted_pair(
     """
     mdl = one_dof_model(density, x0=x0)
     grid = np.geomspace(h_min, h_max, n_samples)
-    samples = [(h, passage_time(mdl, h)) for h in grid]
+    samples = list(zip(grid, integrals(passage_jobs(mdl, [(h, 0.0) for h in grid]))))
     triple, report = asymptotics.fit_puiseux(samples, order=order, relative_weights=True)
     return triple, report
 

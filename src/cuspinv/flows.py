@@ -39,7 +39,7 @@ import numpy as np
 from scipy.integrate import solve_ivp
 
 from .model import Density, FibrationModel
-from .quadrature import oval_area_integral, oval_loop_integral
+from .quadrature import area_kernel, form_kernel, integrals, oval_jobs
 
 FLOW_RTOL = 1e-12
 FLOW_ATOL = 1e-12
@@ -202,12 +202,13 @@ def period_lattice(
     2 pi dI_2/dlambda = area(f_lambda) - contour(f W_lambda dy/2x),
     which are exact up to quadrature tolerance (W_lambda = y here).
     """
-    f = sm.model.density
-    di_dh = oval_loop_integral(sm.model, H, lam, f, stratum)
+    f, point = sm.model.density, [(H, lam)]
     y_density = Density({(0, 1, 0): 1})
-    di_dl = oval_area_integral(
-        sm.model, H, lam, f.diff(2), stratum
-    ) - oval_loop_integral(sm.model, H, lam, f * y_density, stratum)
+    kernels = (form_kernel(f), form_kernel(f * y_density), area_kernel(f.diff(2)))
+    di_dh, loop_y, area_l = integrals(
+        [job for k in kernels for job in oval_jobs(sm.model, point, k, stratum)]
+    )
+    di_dl = area_l - loop_y
     basis = np.array(
         [[0.0, 2.0 * math.pi], [di_dh, di_dl + 2.0 * math.pi * (k if stratum == "wide" else 0)]]
     )
@@ -306,6 +307,7 @@ class BumpPushforward:
         self.support = support * sm.model.x0
         self._f_x = sm.density.diff(0)
         self._f_y = sm.density.diff(1)
+        self._last_preimage = None
 
     def _bump(self, x: float) -> tuple[float, float]:
         """rho(x) and rho'(x)."""
@@ -336,14 +338,22 @@ class BumpPushforward:
         out = _solve(self._z_rhs(lam), -1.0 if inverse else 1.0, (xy[0], xy[1], 0.0))
         return np.array([out[0], out[1]]), math.exp(out[2])
 
+    def _preimage(self, xy, lam: float):
+        """bump_map(xy, lam, inverse=True), kept for the last point: a
+        transported point asks for it in section_time and again in reduced_flow."""
+        key = (float(xy[0]), float(xy[1]), float(lam))
+        if self._last_preimage is None or self._last_preimage[0] != key:
+            self._last_preimage = (key, self.bump_map(xy, lam, inverse=True))
+        return self._last_preimage[1]
+
     def density_eval(self, x, y, lam):
-        pre, det_along = self.bump_map((x, y), lam, inverse=True)
+        pre, det_along = self._preimage((x, y), lam)
         # det Dpsi0 at the preimage equals 1/det of the inverse map here
         det_fwd = 1.0 / det_along
         return self.sm._f.eval(pre[0], pre[1], lam) / det_fwd
 
     def reduced_flow(self, xy, lam: float, t: float) -> np.ndarray:
-        pre, _ = self.bump_map(xy, lam, inverse=True)
+        pre, _ = self._preimage(xy, lam)
         moved = self.base.reduced_flow(pre, lam, t)
         img, _ = self.bump_map(moved, lam, inverse=False)
         return img
@@ -362,7 +372,7 @@ class BumpPushforward:
             raise ValueError("section inside the bump's support")
         # psi0 is the identity near the section, so the conjugated backward
         # trajectory hits {x = x0} exactly when the base one from psi0^-1 does
-        pre, _ = self.bump_map(xy, lam, inverse=True)
+        pre, _ = self._preimage(xy, lam)
         return self.base.section_time(pre, lam, x0, t_max)
 
 

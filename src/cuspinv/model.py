@@ -436,13 +436,14 @@ class BifurcationDiagram:
     def hyperbolic_value(self, lam: float) -> float:
         return self._present(lam, (1,))[0]
 
-    def _position(self, H: float, lam: float, tol: float) -> str:
-        """'sigma' within tol of Sigma, 'inside' the swallow tail, else 'off'."""
+    def _position(self, H: float, lam: float, tol: float, branches=None) -> str:
+        """'sigma' within tol of Sigma, 'inside' the swallow tail, else 'off';
+        ``branches`` are this lambda's (H_ell, H_hyp) where already solved for."""
         if lam > tol:
             return "off"
         if abs(lam) <= tol:
             return "sigma" if abs(H) <= tol else "off"
-        h_ell, h_hyp = self._branches(lam)
+        h_ell, h_hyp = self._branches(lam) if branches is None else branches
         if any(v is not None and abs(H - v) <= tol for v in (h_ell, h_hyp)):
             return "sigma"
         if h_ell is not None and h_hyp is not None and h_ell < H < h_hyp:
@@ -458,9 +459,17 @@ class BifurcationDiagram:
     def stratum(self, H: float, lam: float) -> str:
         """'narrow' on the swallow-tail interior, 'wide' elsewhere in the
         domain (compact model only), 'outside' otherwise."""
+        return self._stratum(H, lam, None)
+
+    def strata(self, H_values, lam: float) -> list[str]:
+        """stratum(H, lam) for each H of one lambda, from one root solve."""
+        branches = self._branches(lam) if lam < 0 else None
+        return [self._stratum(H, lam, branches) for H in H_values]
+
+    def _stratum(self, H: float, lam: float, branches) -> str:
         if math.hypot(H, lam) > self.domain_radius:
             return "outside"
-        position = self._position(H, lam, 1e-12)
+        position = self._position(H, lam, 1e-12, branches)
         if position == "inside":
             return "narrow"
         if position == "off" and self.model.kind == CUSP_COMPACT:

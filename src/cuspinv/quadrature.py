@@ -3,16 +3,17 @@ model fibrations.
 
 All level sets of the cusp models are treated through the potential form
 x^2 = P(y) = H - W(y), with W read off the model's Hamiltonian and the roots
-of P found by the root helpers of ``model``.  Every invariant comes from one
-engine, ``_level_integral``: the integral of kernel(y, x) dy/x between two
-ends of a level set, with the vanishing factor of P deflated at turning
-points (y = a + (b-a) sin^2(theta) on a closed oval, y = turn - s^2 on an
-arc), so dy/x = 2 dt/sqrt(R(y)) and every integrand handed to the adaptive
-quadrature is smooth.  The form
-kernel (w(x, y) + w(-x, y))/2 gives the Gelfand-Leray form w dy/(2x) over
-both branches (passage times, loop periods); the area kernel
-x^2 sum_i GLw_i f(x GLnode_i, y), x times the Gauss-Legendre integral of f
-across the level, gives areas (loop, wide and separatrix actions).
+of P found by the root helpers of ``model``.  Every invariant is a
+``LevelJob``, the integral of kernel(x, y, lambda) dy/x between two ends of
+a level set, with the vanishing factor of P deflated at turning points
+(y = a + (b-a) sin^2(t) on a closed oval, y = turn - t^2 on an arc), so
+dy/x = 2 dt/sqrt(R(y)) and every integrand is smooth.  The form kernel gives
+the Gelfand-Leray form w dy/(2x) over both branches (passage times, loop
+periods), the area kernel x times the integral of f across the level
+(loop, wide and separatrix actions).  One engine, ``_level_integrals``,
+sums a batch of jobs with an adaptive Gauss-Kronrod G10K21 rule; a job's
+value depends on its own subintervals only, so the scalar functions are
+batches of one and callers with many samples make one engine call.
 
 Orientation conventions: loop periods and loop actions are positive;
 passage times run from N1 = {x = +x0} to N2 = {x = -x0} (swapping the
@@ -28,9 +29,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
-from scipy.integrate import quad
 
 from .model import (
     CUSP_COMPACT,
@@ -51,7 +52,22 @@ QUAD_EPSABS = 1e-13
 QUAD_EPSREL = 1e-12
 QUAD_LIMIT = 400
 
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(48)
+#: subintervals evaluated together; bounds the engine's scratch arrays
+_BLOCK = 128
+
+# G10K21 (QUADPACK qk21): the Kronrod abscissae on [0, 1] from the centre out
+# with their weights, and the Gauss weights of the odd ones
+_XK = (0.0, 0.14887433898163122, 0.2943928627014602, 0.4333953941292472, 0.5627571346686047,
+       0.6794095682990244, 0.7808177265864169, 0.8650633666889845, 0.9301574913557082,
+       0.9739065285171717, 0.9956571630258081)
+_WK = (0.1494455540029169, 0.14773910490133849, 0.14277593857706009, 0.13470921731147334,
+       0.12349197626206584, 0.10938715880229764, 0.0931254545836976, 0.07503967481091996,
+       0.054755896574351995, 0.032558162307964725, 0.011694638867371874)
+_WG = (0.0, 0.29552422471475287, 0.0, 0.26926671930999635, 0.0, 0.21908636251598204, 0.0,
+       0.1494513491505806, 0.0, 0.06667134430868814, 0.0)
+# the 21 nodes on [-1, 1] left to right and both rules' weights on them
+_GK_X = np.concatenate((-np.array(_XK[:0:-1]), _XK))
+_GK_W, _G_W = (np.array(w[:0:-1] + w) for w in (_WK, _WG))
 
 
 class OnSigmaError(ValueError):
@@ -62,7 +78,7 @@ class StratumError(ValueError):
     """Base point is outside the stratum required by the operation."""
 
 
-# -- polynomial root utilities ---------------------------------------------------
+# -- levels and their roots --------------------------------------------------------
 
 
 def _clusters(roots: list[float], tol: float) -> list[tuple[float, int]]:
@@ -84,28 +100,37 @@ def _level_poly(wc: np.ndarray, H: float) -> np.ndarray:
     return p
 
 
-def _root_clusters(p: np.ndarray) -> list[tuple[float, int]]:
-    """Clusters of the polished real roots of P."""
+class _Level(NamedTuple):
+    """The level H of a cusp model at lambda: the potential's coefficients wc,
+    P = H - W and the clusters of its polished real roots."""
+
+    kind: str
+    H: float
+    lam: float
+    wc: np.ndarray
+    p: np.ndarray
+    clusters: list[tuple[float, int]]
+
+
+def _level(model: FibrationModel, H: float, lam: float) -> _Level:
+    wc = model.potential_coeffs(lam)
+    p = _level_poly(wc, H)
     roots = sorted(_polish(p, r) for r in _real_roots(p))
     span = max((abs(r) for r in roots), default=1.0)
-    return _clusters(roots, tol=1e-8 * max(1.0, span))
+    return _Level(model.kind, H, lam, wc, p, _clusters(roots, tol=1e-8 * max(1.0, span)))
 
 
-# -- oval selection ---------------------------------------------------------------
-
-
-def _oval(model: FibrationModel, H: float, lam: float, oval: str):
-    """(a, b, P): the ends of the requested oval and the level polynomial."""
-    p = _level_poly(model.potential_coeffs(lam), H)
-    clusters = _root_clusters(p)
+def _oval_ends(level: _Level, oval: str) -> tuple[float, float]:
+    """(a, b): the ends of the requested oval of the level."""
+    p, clusters, H, lam = level.p, level.clusters, level.H, level.lam
     if oval == "narrow":
         if len(clusters) != len(p) - 1 or any(m != 1 for _, m in clusters):
             raise OnSigmaError(
                 f"no narrow oval at (H, lambda) = ({H}, {lam}): degenerate level"
             )
-        return clusters[-2][0], clusters[-1][0], p
+        return clusters[-2][0], clusters[-1][0]
     if oval == "wide":
-        if model.kind != CUSP_COMPACT:
+        if level.kind != CUSP_COMPACT:
             raise ValueError("wide ovals exist for the compact model only")
         if len(clusters) < 2:
             raise StratumError(f"no wide oval at (H, lambda) = ({H}, {lam})")
@@ -117,7 +142,7 @@ def _oval(model: FibrationModel, H: float, lam: float, oval: str):
         mid = 0.5 * (a + b)
         if np.polyval(p, mid) <= 0:
             raise StratumError(f"empty wide oval at (H, lambda) = ({H}, {lam})")
-        return a, b, p
+        return a, b
     raise ValueError(f"unknown oval {oval!r}")
 
 
@@ -132,73 +157,165 @@ def oval_bounds(
     odd-order contact at the far end (the cusp itself) is allowed, matching
     the separatrix-like level through the cusp.
     """
-    a, b, _ = _oval(model, H, lam, oval)
-    return a, b
+    return _oval_ends(_level(model, H, lam), oval)
 
 
-# -- the level-set integral --------------------------------------------------------
+# -- kernels and jobs --------------------------------------------------------------
 
 
-def _level_integral(p: np.ndarray, kernel, a: float, b: float, oval: bool) -> float:
-    """Integral of kernel(y, x) dy/x over y in (a, b) on the level x^2 = P(y).
-
-    With ``oval`` a and b are simple roots of P, P = (y - a)(b - y) R and
-    y = a + (b - a) sin^2(t); otherwise b alone is a turning point,
-    P = (b - y) R and y = b - t^2.  Either way dy/x = 2 dt/sqrt(R(y)).
-    """
-    if oval:
-        r_coeffs = -_synthetic_division(_synthetic_division(p, a), b)
-        if np.polyval(r_coeffs, 0.5 * (a + b)) <= 0:
-            raise OnSigmaError("deflated factor not positive on the oval")
-        upper = math.pi / 2.0
-    else:
-        r_coeffs = -_synthetic_division(p, b)
-        upper = math.sqrt(b - a)
-    width = b - a
-
-    def integrand(t: float) -> float:
-        if oval:
-            st, ct = math.sin(t), math.cos(t)
-            y = a + width * st * st
-            u = width * st * ct
-        else:
-            y = b - t * t
-            u = t
-        rv = np.polyval(r_coeffs, y)
-        if rv <= 0:
-            return 0.0
-        sr = math.sqrt(rv)
-        return 2.0 * kernel(y, u * sr) / sr
-
-    val, _ = quad(
-        integrand, 0.0, upper, epsabs=QUAD_EPSABS, epsrel=QUAD_EPSREL, limit=QUAD_LIMIT
-    )
-    return val
+def _weight(w):
+    """w(x, y, lambda) on arrays: a Density's eval, another callable vectorised."""
+    return w.eval if isinstance(w, Density) else np.vectorize(w, otypes=[float])
 
 
-def _form_kernel(w, lam: float):
-    """(w(x, y) + w(-x, y))/2 for a Density or a callable w(x, y, lambda)."""
-    w = w.eval if isinstance(w, Density) else w
-    return lambda y, x: 0.5 * (w(x, y, lam) + w(-x, y, lam))
+def form_kernel(w):
+    """(w(x, y, lambda) + w(-x, y, lambda))/2 for a Density or a callable w."""
+    w = _weight(w)
+    return lambda x, y, lam: 0.5 * (w(x, y, lam) + w(-x, y, lam))
 
 
-def _area_kernel(f: Density, lam: float):
-    """x^2 sum_i GLw_i f(x GLnode_i, y): x times the integral of f over [-x, x]."""
+def area_kernel(f: Density):
+    """x (X(x, y, lambda) - X(-x, y, lambda)) with X = f.antiderivative_x(): x
+    times the integral of f over [-x, x]."""
     if not isinstance(f, Density):
         raise TypeError("area integrals take a polynomial Density")
-    return lambda y, x: x * x * float(np.dot(_GL_WEIGHTS, f.eval(x * _GL_NODES, y, lam)))
+    X = f.antiderivative_x().eval
+    return lambda x, y, lam: x * (X(x, y, lam) - X(-x, y, lam))
 
 
-# -- passage time -----------------------------------------------------------------
+@dataclass(eq=False, slots=True)
+class LevelJob:
+    """kernel(x, y, lambda) dy/x over t in [0, upper] along a level.
+
+    ``sub`` is 'oval' (P = (y - a)(b - y) R) or 'arc' (P = (b - y) R), with
+    ``r`` holding R; or 'node', the node level x y = a from y = a to y = b = 1,
+    where y = a e^t and x = e^-t turn the form dy/y into dt.
+    """
+
+    kernel: object
+    lam: float
+    sub: str
+    a: float
+    b: float
+    r: np.ndarray
+    upper: float
 
 
-def _arc_ends(p: np.ndarray, sec: np.ndarray) -> tuple[float, float]:
+def _arc_job(kernel, p: np.ndarray, a: float, turn: float, lam: float) -> LevelJob:
+    r = -_synthetic_division(p, turn)
+    return LevelJob(kernel, lam, "arc", a, turn, r, math.sqrt(turn - a))
+
+
+def _oval_job(kernel, level: _Level, oval: str) -> LevelJob:
+    a, b = _oval_ends(level, oval)
+    r = -_synthetic_division(_synthetic_division(level.p, a), b)
+    if np.polyval(r, 0.5 * (a + b)) <= 0:
+        raise OnSigmaError("deflated factor not positive on the oval")
+    return LevelJob(kernel, level.lam, "oval", a, b, r, math.pi / 2.0)
+
+
+# -- the engine --------------------------------------------------------------------
+
+
+def _level_integrals(jobs) -> np.ndarray:
+    """The jobs' values; NaN for a job that needs more than QUAD_LIMIT subintervals.
+
+    Each round evaluates all active subintervals in blocks of _BLOCK with the
+    G10K21 rule and QUADPACK's error estimate, accepts those whose error is
+    within max(QUAD_EPSABS, QUAD_EPSREL |I|) (length / upper), I the job's
+    current estimate, and bisects the rest.  A job's subintervals stay in
+    order along its range and every sum over them runs in that order.
+    """
+    n = len(jobs)
+    if not n:
+        return np.zeros(0)
+    a, b, lam, upper = (
+        np.array([getattr(j, k) for j in jobs], dtype=float) for k in ("a", "b", "lam", "upper")
+    )
+    # R padded with leading zeros, which leave Horner's sums unchanged
+    width = max(len(j.r) for j in jobs)
+    r = np.array([np.concatenate((np.zeros(width - len(j.r)), j.r)) for j in jobs])
+    # jobs sharing a kernel and a substitution are evaluated together
+    keys = [(id(j.kernel), j.sub) for j in jobs]
+    groups = [
+        (jobs[keys.index(key)], np.array([k == key for k in keys])) for key in dict.fromkeys(keys)
+    ]
+
+    def integrand(jk: np.ndarray, t: np.ndarray) -> np.ndarray:
+        out = np.zeros_like(t)
+        for job, member in groups:
+            rows = member[jk]
+            if not rows.any():
+                continue
+            js, ts = jk[rows], t[rows]
+            aj, bj, lj = a[js, None], b[js, None], lam[js, None]
+            if job.sub == "node":
+                out[rows] = job.kernel(np.exp(-ts), aj * np.exp(ts), lj)
+                continue
+            if job.sub == "oval":
+                st, ct = np.sin(ts), np.cos(ts)
+                y, u = aj + (bj - aj) * st * st, (bj - aj) * st * ct
+            else:
+                y, u = bj - ts * ts, ts
+            rv = np.zeros_like(y)
+            for c in r[js].T:
+                rv = rv * y + c[:, None]
+            pos = rv > 0
+            sr = np.sqrt(np.where(pos, rv, 1.0))
+            out[rows] = np.where(pos, 2.0 * job.kernel(u * sr, y, lj) / sr, 0.0)
+        return out
+
+    def gk21(jk, lo, hi):
+        # the nodes of a subinterval form a contiguous row; every sum is a
+        # row-wise reduction, independent of the other rows
+        half = 0.5 * (hi - lo)
+        fv = integrand(jk, (0.5 * (lo + hi))[:, None] + half[:, None] * _GK_X)
+        resk = (fv * _GK_W).sum(axis=1)
+        resabs = (np.abs(fv) * _GK_W).sum(axis=1) * half
+        resasc = (np.abs(fv - 0.5 * resk[:, None]) * _GK_W).sum(axis=1) * half
+        err = np.abs((resk - (fv * _G_W).sum(axis=1)) * half)
+        scaled = resasc * np.minimum(1.0, (200.0 * err / np.where(resasc > 0, resasc, 1.0)) ** 1.5)
+        err = np.where((resasc != 0) & (err != 0), scaled, err)
+        return resk * half, np.maximum(err, 50.0 * np.finfo(float).eps * resabs)
+
+    jk, lo, hi = np.arange(n), np.zeros(n), upper.copy()
+    total, count = np.zeros(n), np.ones(n, dtype=int)
+    while jk.size:
+        val, err = np.empty(jk.size), np.empty(jk.size)
+        for s in range(0, jk.size, _BLOCK):
+            blk = slice(s, s + _BLOCK)
+            val[blk], err[blk] = gk21(jk[blk], lo[blk], hi[blk])
+        estimate = total + np.bincount(jk, val, n)
+        tol = np.maximum(QUAD_EPSABS, QUAD_EPSREL * np.abs(estimate[jk])) * ((hi - lo) / upper[jk])
+        ok = err <= tol
+        total += np.bincount(jk[ok], val[ok], n)
+        count += np.bincount(jk[~ok], minlength=n)
+        split = ~ok & (count[jk] <= QUAD_LIMIT)
+        jk, lo, hi = np.repeat(jk[split], 2), lo[split], hi[split]
+        mid = 0.5 * (lo + hi)
+        lo, hi = np.column_stack((lo, mid)).ravel(), np.column_stack((mid, hi)).ravel()
+    total[count > QUAD_LIMIT] = np.nan
+    return total
+
+
+def integrals(jobs) -> np.ndarray:
+    """The jobs' values from one engine call; OnSigmaError if one does not converge."""
+    values = _level_integrals(jobs)
+    if np.isnan(values).any():
+        raise OnSigmaError(f"level integral needs more than {QUAD_LIMIT} subintervals")
+    return values
+
+
+# -- job builders ------------------------------------------------------------------
+
+
+def _arc_ends(level: _Level, sec: np.ndarray) -> tuple[float, float]:
     """Lowest crossing of the sections (roots of sec) and the turning point above it."""
     sec_roots = [_polish(sec, r) for r in _real_roots(sec)]
     if not sec_roots:
         raise StratumError("trajectory does not reach the sections {x = +-x0}")
     y_sec = min(sec_roots)
-    clusters = _root_clusters(p)
+    clusters = level.clusters
     for idx, (c, m) in enumerate(clusters):
         if c > y_sec + 1e-12:
             # a multiple turning root, or one about to collide with the next
@@ -212,51 +329,65 @@ def _arc_ends(p: np.ndarray, sec: np.ndarray) -> tuple[float, float]:
     raise StratumError("no turning point above the section crossing")
 
 
+def _passage_job(model: FibrationModel, kernel, level: _Level) -> LevelJob:
+    """The passage from N1 to N2 along a level of a cusp model."""
+    sec = _level_poly(level.wc, level.H - model.x0**2)
+    if model.kind == CUSP_COMPACT:
+        a, turn = _oval_ends(level, "wide")
+        inside = [r for r in _real_roots(sec) if a < r < turn]
+        if not inside:
+            raise StratumError("wide oval does not reach the sections {x = +-x0}")
+        y_sec = max(inside)
+    else:
+        y_sec, turn = _arc_ends(level, sec)
+    return _arc_job(kernel, level.p, y_sec, turn, level.lam)
+
+
+def passage_jobs(model: FibrationModel, points) -> list[LevelJob]:
+    """Jobs for the passage times at the (H, lambda) points."""
+    if model.kind == ONE_DOF:
+        if any(H <= 0 for H, _ in points):
+            raise ValueError("one-dof passage requires H > 0")
+        d = model.density
+        f = d.mirror_y() if isinstance(d, Density) else (lambda x, y, l: d(x, -y, l))
+        return passage_jobs(cusp_local_model(f, model.x0), [(-H, 0.0) for H, _ in points])
+    if model.kind == NODE:
+        raise ValueError("use asymptotics.node_passage for the node model")
+    kernel = form_kernel(model.density)
+    return [_passage_job(model, kernel, _level(model, H, lam)) for H, lam in points]
+
+
+def oval_jobs(model: FibrationModel, points, kernel, oval: str) -> list[LevelJob]:
+    """Jobs integrating a form or area kernel around the oval at the (H, lambda) points."""
+    return [_oval_job(kernel, _level(model, H, lam), oval) for H, lam in points]
+
+
+def node_jobs(f, H_values) -> list[LevelJob]:
+    """Jobs for Pi(H) = int_H^1 f(H/y, y) dy/y on the node model H = x*y."""
+    kernel = _weight(f)
+    return [LevelJob(kernel, 0.0, "node", H, 1.0, np.zeros(0), -math.log(H)) for H in H_values]
+
+
+# -- the scalar API: batches of one ------------------------------------------------
+
+
 def passage_time(model: FibrationModel, H: float, lam: float = 0.0) -> float:
     """Passage time Pi(H, lambda) of the Gelfand-Leray form from N1 to N2.
 
     For the one-dof model with f = 1 resp. f = y this equals the basic
     integral J_0(H) resp. J_1(H).
     """
-    f = density = model.density
-    if model.kind == ONE_DOF:
-        if H <= 0:
-            raise ValueError("one-dof passage requires H > 0")
-        f = density.mirror_y() if isinstance(density, Density) else (
-            lambda x, y, l: density(x, -y, l)
-        )
-        wc, H, lam = cusp_local_model().potential_coeffs(0.0), -H, 0.0
-    elif model.kind == NODE:
-        raise ValueError("use asymptotics.node_passage for the node model")
-    else:
-        wc = model.potential_coeffs(lam)
-    sec = _level_poly(wc, H - model.x0**2)
-    if model.kind == CUSP_COMPACT:
-        a, turn, p = _oval(model, H, lam, "wide")
-        inside = [r for r in _real_roots(sec) if a < r < turn]
-        if not inside:
-            raise StratumError("wide oval does not reach the sections {x = +-x0}")
-        y_sec = max(inside)
-    else:
-        p = _level_poly(wc, H)
-        y_sec, turn = _arc_ends(p, sec)
-    return _level_integral(p, _form_kernel(f, lam), y_sec, turn, oval=False)
-
-
-# -- loop period and actions -------------------------------------------------------
+    return float(integrals(passage_jobs(model, [(H, lam)]))[0])
 
 
 def oval_loop_integral(model: FibrationModel, H: float, lam: float, weight, oval: str) -> float:
     """Contour integral of w dy/(2x) over both branches of the given oval."""
-    a, b, p = _oval(model, H, lam, oval)
-    return _level_integral(p, _form_kernel(weight, lam), a, b, oval=True)
+    return float(integrals(oval_jobs(model, [(H, lam)], form_kernel(weight), oval))[0])
 
 
 def oval_area_integral(model: FibrationModel, H: float, lam: float, weight, oval: str) -> float:
     """Integral of a Density weight over the closed region bounded by the oval."""
-    kernel = _area_kernel(weight, lam)
-    a, b, p = _oval(model, H, lam, oval)
-    return _level_integral(p, kernel, a, b, oval=True)
+    return float(integrals(oval_jobs(model, [(H, lam)], area_kernel(weight), oval))[0])
 
 
 def loop_period(model: FibrationModel, H: float, lam: float) -> float:
@@ -294,7 +425,7 @@ def separatrix_action(model: FibrationModel, lam: float) -> float:
     """
     if lam >= 0:
         raise ValueError("h(lambda) requires lambda < 0")
-    kernel = _area_kernel(model.density, lam)
+    kernel = area_kernel(model.density)
     # the saddle is a simple (well-conditioned) root of W', unlike the double
     # root it produces in H_hyp - W
     wc = model.potential_coeffs(lam)
@@ -308,10 +439,13 @@ def separatrix_action(model: FibrationModel, lam: float) -> float:
     if not uppers:
         raise OnSigmaError("no upper bound for the separatrix lobe")
     b = _polish(p, min(uppers))
-    return _level_integral(p, kernel, a, b, oval=False) / (2.0 * math.pi)
+    return float(integrals([_arc_job(kernel, p, a, b, lam)])[0]) / (2.0 * math.pi)
 
 
 # -- action charts -----------------------------------------------------------------
+
+#: chart entries that exist wherever their stratum does; Pi and I_mu may be blank
+_NARROW = ("Pi_circ", "I_circ")
 
 
 @dataclass
@@ -374,30 +508,45 @@ def action_chart(
 
     I = lambda everywhere in the domain (F generates the S^1 action);
     Pi_circ and I_circ exist on the narrow stratum, I_mu on the compact
-    model away from Sigma_hyp.
+    model away from Sigma_hyp.  Each cell's level is isolated once, every
+    integral of the chart goes to one engine call, and each cell equals the
+    scalar function's value bit for bit.
     """
     if diagram is None:
         diagram = bifurcation_diagram(model)
+    form, area = form_kernel(model.density), area_kernel(model.density)
     rows: list[ActionChartRow] = []
+    cells: list[tuple[ActionChartRow, str, LevelJob]] = []
     for lam in lam_values:
-        for h in H_values:
-            stratum = diagram.stratum(h, lam)
+        for h, stratum in zip(H_values, diagram.strata(H_values, lam)):
             if stratum_filter and stratum != stratum_filter:
                 continue
             row = ActionChartRow(h, lam, stratum, None, None, None, None, None)
-            if stratum != "outside":
-                row.I = lam
-                try:
-                    row.Pi = passage_time(model, h, lam)
-                except (ValueError, OnSigmaError, StratumError):
-                    row.Pi = None
-                if stratum == "narrow":
-                    row.Pi_circ = loop_period(model, h, lam)
-                    row.I_circ = loop_action(model, h, lam)
-                if model.kind == CUSP_COMPACT:
-                    try:
-                        row.I_mu = wide_action(model, h, lam, k=mu_shift)
-                    except (ValueError, OnSigmaError, StratumError):
-                        row.I_mu = None
             rows.append(row)
+            if stratum == "outside":
+                continue
+            row.I, level = lam, _level(model, h, lam)
+            wanted = [("Pi", _passage_job, (model, form, level))]
+            if stratum == "narrow":
+                wanted.append(("Pi_circ", _oval_job, (form, level, "narrow")))
+                wanted.append(("I_circ", _oval_job, (area, level, "narrow")))
+            if model.kind == CUSP_COMPACT:
+                wanted.append(("I_mu", _oval_job, (area, level, "wide")))
+            for name, build, args in wanted:
+                try:
+                    cells.append((row, name, build(*args)))
+                except ValueError:
+                    if name in _NARROW:
+                        raise
+    values = _level_integrals([job for _, _, job in cells]).tolist()
+    for (row, name, _), v in zip(cells, values):
+        if math.isnan(v) and name in _NARROW:
+            raise OnSigmaError(f"{name} does not converge at (H, lambda) = ({row.H}, {row.lam})")
+        if math.isnan(v):
+            continue
+        if name == "I_circ":
+            v = v / (2.0 * math.pi)
+        elif name == "I_mu":
+            v = v / (2.0 * math.pi) + mu_shift * row.lam
+        setattr(row, name, v)
     return ActionChart(rows=rows, mu_shift=mu_shift)

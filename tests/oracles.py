@@ -6,15 +6,19 @@ hypergeometric closed form (scipy's 2F1) and from direct quadrature of
 their defining formulas, period lattices from finite differences of the
 action chart, the node model's complex period from the trapezoid rule on its
 cycle, the hyperbolic log coefficient from passage times instead of loop
-periods, the local model's bifurcation diagram from its closed form, and a
+periods, the local model's bifurcation diagram from its closed form, a
 one-dof pair (alpha, beta) from a Puiseux fit of passage times instead of
-exact reduction.
+exact reduction, level-set integrals from scipy's scalar adaptive ``quad``
+with a 48-node Gauss-Legendre inner rule for areas instead of the batched
+G10K21 engine, and the separatrix area h(lambda) of the local model at 30
+digits with mpmath.
 """
 
 from __future__ import annotations
 
 import math
 
+import mpmath
 import numpy as np
 from scipy.integrate import quad
 from scipy.special import hyp2f1
@@ -22,7 +26,7 @@ from scipy.special import hyp2f1
 from cuspinv.asymptotics import extract_log_coeff, fit_puiseux
 from cuspinv.brieskorn import BrieskornPair
 from cuspinv.flows import PeriodLattice
-from cuspinv.model import CUSP_COMPACT, FibrationModel, bifurcation_diagram
+from cuspinv.model import CUSP_COMPACT, FibrationModel, _synthetic_division, bifurcation_diagram
 from cuspinv.quadrature import loop_action, oval_bounds, passage_time, wide_action
 from cuspinv.specfun import puiseux_constants
 
@@ -205,3 +209,79 @@ def compact_fitted_pair(model: FibrationModel) -> BrieskornPair:
     samples = [(hp, passage_time(model, -hp, 0.0)) for hp in grid]
     triple, _ = fit_puiseux(samples, order=(4, 4, 5), relative_weights=True)
     return triple_pair(triple)
+
+
+QUAD_EPSABS, QUAD_EPSREL, QUAD_LIMIT = 1e-13, 1e-12, 400
+_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(48)
+
+
+def quad_level_integral(p: np.ndarray, kernel, a: float, b: float, oval: bool) -> float:
+    """Integral of kernel(y, x) dy/x over y in (a, b) on the level x^2 = P(y),
+    by scipy's scalar adaptive quad.
+
+    With ``oval`` a and b are simple roots of P, P = (y - a)(b - y) R and
+    y = a + (b - a) sin^2(t); otherwise b alone is a turning point,
+    P = (b - y) R and y = b - t^2.  Either way dy/x = 2 dt/sqrt(R(y)).
+    """
+    if oval:
+        r_coeffs = -_synthetic_division(_synthetic_division(p, a), b)
+        if np.polyval(r_coeffs, 0.5 * (a + b)) <= 0:
+            raise ValueError("deflated factor not positive on the oval")
+        upper = math.pi / 2.0
+    else:
+        r_coeffs = -_synthetic_division(p, b)
+        upper = math.sqrt(b - a)
+    width = b - a
+
+    def integrand(t: float) -> float:
+        if oval:
+            st, ct = math.sin(t), math.cos(t)
+            y = a + width * st * st
+            u = width * st * ct
+        else:
+            y = b - t * t
+            u = t
+        rv = np.polyval(r_coeffs, y)
+        if rv <= 0:
+            return 0.0
+        sr = math.sqrt(rv)
+        return 2.0 * kernel(y, u * sr) / sr
+
+    val, _ = quad(
+        integrand, 0.0, upper, epsabs=QUAD_EPSABS, epsrel=QUAD_EPSREL, limit=QUAD_LIMIT
+    )
+    return val
+
+
+def quad_form_kernel(w, lam: float):
+    """(w(x, y) + w(-x, y))/2 at lambda, as a scalar kernel(y, x)."""
+    return lambda y, x: 0.5 * (w(x, y, lam) + w(-x, y, lam))
+
+
+def quad_area_kernel(f, lam: float):
+    """x^2 sum_i GLw_i f(x GLnode_i, y): x times the 48-node Gauss-Legendre
+    integral of f over [-x, x], as a scalar kernel(y, x)."""
+    return lambda y, x: x * x * float(np.dot(_GL_WEIGHTS, f.eval(x * _GL_NODES, y, lam)))
+
+
+def mp_separatrix_action(density, lam: float, dps: int = 30) -> float:
+    """h(lambda) of the local model H = x^2 + y^3 + lambda y at ``dps`` digits.
+
+    The saddle y_s = -sqrt(-lambda/3), its level H_s = 2 lambda y_s / 3 and
+    the far end -2 y_s of the lobe {x^2 <= H_s - y^3 - lambda y} are closed
+    forms; the area of f over the lobe is the y-integral of the exact
+    x-integral of the polynomial f, by mpmath's tanh-sinh rule.
+    """
+    with mpmath.workdps(dps):
+        lam_m = mpmath.mpf(lam)
+        ys = -mpmath.sqrt(-lam_m / 3)
+        hs = 2 * lam_m * ys / 3
+
+        def strip(y):
+            x = mpmath.sqrt(max(hs - y**3 - lam_m * y, 0))
+            return sum(
+                mpmath.mpf(c) * y**j * lam_m**k * (x ** (i + 1) - (-x) ** (i + 1)) / (i + 1)
+                for (i, j, k), c in density.terms.items()
+            )
+
+        return float(mpmath.quad(strip, [ys, -2 * ys]) / (2 * mpmath.pi))

@@ -146,3 +146,26 @@ class TestModelPair:
         assert brieskorn.model_pair(cusp_compact_model(f)) == brieskorn.model_pair(
             cusp_compact_model(exact)
         )
+
+    def test_pullback_keeps_only_reachable_weights(self, monkeypatch):
+        # y^5 and x^3 y^2 pull back to long series in u; only x^a u^b with
+        # 3a + 2b <= 6K + 2 can reach H^K, which leaves 29 monomials
+        f = Density({(0, 0, 0): 1, (0, 5, 0): 0.3, (3, 2, 0): 0.1, (1, 4, 0): 0.2})
+        model = cusp_compact_model(f)
+        y, dy = brieskorn._level_chart(model.kind)
+        as_density = lambda s: Density({(0, j, 0): c for j, c in enumerate(s.coeffs)})  # noqa: E731
+        mirrored = f.restrict_lambda0().mirror_y()
+        exact = Density({e: F(c) for e, c in mirrored.terms.items()})
+        pulled = exact.compose(Density({(1, 0, 0): 1}), as_density(y)) * as_density(dy)
+        full = brieskorn.reduce(pulled)
+        sizes = []
+        real_reduce = brieskorn.reduce
+
+        def counted(density):
+            sizes.append(len(density.terms))
+            return real_reduce(density)
+
+        monkeypatch.setattr(brieskorn, "reduce", counted)
+        got = brieskorn.model_pair(model)
+        assert got == brieskorn.BrieskornPair(full.alpha.truncated(4), full.beta.truncated(4))
+        assert sizes == [29]

@@ -5,9 +5,29 @@ from pathlib import Path
 import pytest
 
 from cuspinv.cli import main
+from cuspinv.model import Density
+
+from oracles import mp_separatrix_action
 
 
 FIXTURES = Path(__file__).parent / "fixtures"
+
+#: the local-model densities whose `invariants` output is pinned in FIXTURES
+PINNED_LOCAL_DENSITIES = [
+    ("one", {(0, 0, 0): 1.0}),
+    (
+        "perturbed",
+        {
+            (0, 0, 0): 1.2,
+            (0, 1, 0): 0.13,
+            (2, 0, 0): -0.07,
+            (1, 1, 0): 0.05,
+            (0, 2, 0): 0.11,
+            (0, 3, 0): -0.02,
+            (0, 0, 1): 0.15,
+        },
+    ),
+]
 
 
 @pytest.fixture
@@ -310,24 +330,7 @@ class TestInvariants:
         assert all(abs(v) < 1e-9 for v in data["one_dof"]["canonical_f"])
         assert all(h > 0 for _, h in data["h_samples"])
 
-    @pytest.mark.parametrize(
-        "name, terms",
-        [
-            ("one", {(0, 0, 0): 1.0}),
-            (
-                "perturbed",
-                {
-                    (0, 0, 0): 1.2,
-                    (0, 1, 0): 0.13,
-                    (2, 0, 0): -0.07,
-                    (1, 1, 0): 0.05,
-                    (0, 2, 0): 0.11,
-                    (0, 3, 0): -0.02,
-                    (0, 0, 1): 0.15,
-                },
-            ),
-        ],
-    )
+    @pytest.mark.parametrize("name, terms", PINNED_LOCAL_DENSITIES)
     def test_local_output_pinned(self, files, capsys, name, terms):
         # the exact route reproduces the local model's report: every field
         # byte for byte except canonical_f, which goes through float pow and
@@ -345,6 +348,13 @@ class TestInvariants:
             assert json.dumps(got["one_dof"][key]) == json.dumps(want["one_dof"][key])
         for g, w in zip(got["one_dof"]["canonical_f"], want["one_dof"]["canonical_f"], strict=True):
             assert abs(g - w) <= max(1e-13 * abs(w), 1e-15)
+
+    @pytest.mark.parametrize("name, terms", PINNED_LOCAL_DENSITIES)
+    def test_pinned_h_samples_match_mpmath(self, name, terms):
+        want = json.loads((FIXTURES / f"invariants_local_{name}.json").read_text())
+        for lam, h in want["h_samples"]:
+            ref = mp_separatrix_action(Density(terms), lam)
+            assert abs(h - ref) <= 2e-15 * ref
 
     @pytest.mark.parametrize("kind", ["cusp_local", "cusp_compact"])
     def test_vanishing_density_exit_1(self, files, capsys, kind):

@@ -397,14 +397,14 @@ class TestInvariantReport:
         pair = brieskorn.model_pair(m)
         assert pair.alpha.coeffs == alpha and pair.beta.coeffs == beta
         calls = []
-        real_passage = quadrature.passage_time
+        real_passage = quadrature.passage_jobs
 
         def counted(*args, **kwargs):
             calls.append(1)
             return real_passage(*args, **kwargs)
 
-        monkeypatch.setattr(quadrature, "passage_time", counted)
-        monkeypatch.setattr(equivalence_module, "passage_time", counted)
+        monkeypatch.setattr(quadrature, "passage_jobs", counted)
+        monkeypatch.setattr(equivalence_module, "passage_jobs", counted)
         rep = invariant_report(m, lam_values=(-0.05,), log_lam_values=())
         assert rep.alpha.coeffs == [float(v) for v in alpha]
         assert rep.beta.coeffs == [float(v) for v in beta]

@@ -206,6 +206,24 @@ class TestTransport:
         assert abs(res["xy_residual"]) < 1e-4
         assert res["fiber_drift"] < 1e-9
 
+    def test_one_inverse_bump_solve_per_transported_point(self, monkeypatch):
+        # five transported points (the image and four stencil points) and the
+        # density at the image: each point needs psi0^-1 once and psi0 once
+        sm = SymplecticModel(cusp_local_model(F_ONE))
+        push = BumpPushforward(sm, amplitude=0.2)
+        q = _branch_point(sm, -0.3, 0.034)
+        calls = []
+        real = push.bump_map
+
+        def counted(*args, **kwargs):
+            calls.append(kwargs.get("inverse", False))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(push, "bump_map", counted)
+        res = pullback_residual(sm, push, q)
+        assert len(calls) == 11 and sum(calls) == 6
+        assert res == pullback_residual(sm, BumpPushforward(sm, amplitude=0.2), q)
+
     def test_fibers_preserved(self):
         sm = SymplecticModel(cusp_local_model(F_ONE))
         push = BumpPushforward(sm, amplitude=0.2)

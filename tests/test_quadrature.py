@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from cuspinv import model as model_module
 from cuspinv import quadrature
 from cuspinv.model import Density, bifurcation_diagram, cusp_compact_model, cusp_local_model, node_model, one_dof_model
 from cuspinv.quadrature import (
@@ -20,7 +21,15 @@ from cuspinv.quadrature import (
 )
 from cuspinv.specfun import puiseux_constants
 
-from oracles import grid_area, onedof_section_area, reference_Jj
+from oracles import (
+    grid_area,
+    local_sigma_values,
+    onedof_section_area,
+    quad_area_kernel,
+    quad_form_kernel,
+    quad_level_integral,
+    reference_Jj,
+)
 
 F_ONE = Density.constant(1)
 F_Y = Density({(0, 1, 0): 1})
@@ -387,3 +396,116 @@ class TestEngine:
         m = cusp_local_model(F_ONE)
         with pytest.raises(TypeError):
             oval_area_integral(m, 0.0, -3.0, lambda x, y, lam: 1.0 + 0 * x, "narrow")
+
+
+F_CHART = Density(
+    {(0, 0, 0): 1.0, (0, 1, 0): 0.13, (2, 0, 0): -0.07, (1, 1, 0): 0.05, (0, 0, 1): 0.15}
+)
+CHART_FIELDS = ("Pi", "Pi_circ", "I_circ", "I_mu")
+
+
+def _quad_cell(model, H, lam, name):
+    """A chart cell from scipy's scalar quad on the ends the engine uses."""
+    level = quadrature._level(model, H, lam)
+    f = model.density
+    if name == "Pi":
+        job = quadrature._passage_job(model, None, level)
+        return quad_level_integral(level.p, quad_form_kernel(f.eval, lam), job.a, job.b, False)
+    a, b = quadrature._oval_ends(level, "wide" if name == "I_mu" else "narrow")
+    if name == "Pi_circ":
+        return quad_level_integral(level.p, quad_form_kernel(f.eval, lam), a, b, True)
+    return quad_level_integral(level.p, quad_area_kernel(f, lam), a, b, True) / (2.0 * math.pi)
+
+
+def _cells(chart):
+    for row in chart.rows:
+        for name in CHART_FIELDS:
+            value = getattr(row, name)
+            if value is not None:
+                yield row, name, value
+
+
+class TestBatchedEngine:
+    GRID = (np.linspace(-0.01, 0.01, 9), np.linspace(-0.06, 0.02, 9))
+    # (H, lambda) on wide-stratum passages next to Sigma_hyp, where a fixed
+    # 128-node Gauss-Legendre rule is still 2e-4 off
+    NEAR_SIGMA = ((0.005, -0.052), (0.01, -0.048))
+
+    def _charts(self):
+        compact, local = cusp_compact_model(F_CHART), cusp_local_model(F_CHART)
+        yield compact, action_chart(compact, *self.GRID)
+        yield local, action_chart(local, *self.GRID)
+        for h, lam in self.NEAR_SIGMA:
+            yield compact, action_chart(compact, [h], [lam])
+
+    def test_chart_matches_scalar_quad(self):
+        names = set()
+        for model, chart in self._charts():
+            for row, name, value in _cells(chart):
+                want = _quad_cell(model, row.H, row.lam, name)
+                assert abs(value - want) <= 1e-13 * abs(want), (model.kind, row, name)
+                names.add(name)
+        assert names == set(CHART_FIELDS)
+
+    def test_chart_cells_are_the_scalar_values(self):
+        scalar = {
+            "Pi": passage_time,
+            "Pi_circ": loop_period,
+            "I_circ": loop_action,
+            "I_mu": wide_action,
+        }
+        for model, chart in self._charts():
+            for row, name, value in _cells(chart):
+                assert value == scalar[name](model, row.H, row.lam), (model.kind, row, name)
+
+    def test_one_engine_call_and_one_root_solve_per_level(self, monkeypatch):
+        engine_calls, pair_calls, root_calls = [], [], []
+        real_engine, real_pair, real_roots = (
+            quadrature._level_integrals,
+            model_module.cusp_pair,
+            quadrature._real_roots,
+        )
+
+        def engine(jobs):
+            engine_calls.append(len(jobs))
+            return real_engine(jobs)
+
+        def pair(wc):
+            pair_calls.append(1)
+            return real_pair(wc)
+
+        def roots(coeffs):
+            root_calls.append(tuple(coeffs))
+            return real_roots(coeffs)
+
+        monkeypatch.setattr(quadrature, "_level_integrals", engine)
+        monkeypatch.setattr(model_module, "cusp_pair", pair)
+        monkeypatch.setattr(quadrature, "_real_roots", roots)
+        hs, ls = self.GRID
+        for model in (cusp_compact_model(F_CHART), cusp_local_model(F_CHART)):
+            for calls in (engine_calls, pair_calls, root_calls):
+                calls.clear()
+            chart = action_chart(model, hs, ls)
+            levels = [
+                tuple(quadrature._level_poly(model.potential_coeffs(r.lam), r.H))
+                for r in chart.rows
+                if r.stratum != "outside"
+            ]
+            assert len(engine_calls) == 1 and engine_calls[0] > len(levels)
+            assert len(pair_calls) == len({lam for lam in ls if lam < 0})
+            assert sorted(c for c in root_calls if c in set(levels)) == sorted(levels)
+
+    def test_subinterval_limit_is_an_error(self, monkeypatch):
+        # near Sigma_hyp the loop period needs many subintervals; a job that
+        # runs out of them raises, in a chart as in the scalar call
+        m = cusp_local_model(F_ONE)
+        lam = -0.05
+        h_ell, h_hyp = local_sigma_values(lam)
+        h = h_hyp - 1e-6 * (h_hyp - h_ell)
+        assert loop_period(m, h, lam) > 0
+        assert action_chart(m, [h], [lam]).rows[0].stratum == "narrow"
+        monkeypatch.setattr(quadrature, "QUAD_LIMIT", 2)
+        with pytest.raises(OnSigmaError):
+            loop_period(m, h, lam)
+        with pytest.raises(OnSigmaError):
+            action_chart(m, [h], [lam])
