@@ -24,7 +24,7 @@ import numpy as np
 
 from . import brieskorn, equivalence, flows
 from .model import IDENTITY_BASE_MAP, Density, FibrationModel
-from .quadrature import action_chart
+from .quadrature import action_chart, oval_bounds
 from .specfun import puiseux_constants
 
 
@@ -188,26 +188,18 @@ def cmd_lattice(args) -> int:
     payload = lattice.to_json()
     if args.verify:
         start = _start_point(sm, h, lam, args.stratum)
-        checks = []
-        for row in lattice.basis:
-            dist = flows.verify_lattice(sm, start, row[0], row[1])
-            checks.append(
-                {"t1": row[0], "t2": row[1], "distance": dist, "returned": dist < args.tol}
-            )
-        half = lattice.basis[1] / 2.0
-        dist = flows.verify_lattice(sm, start, half[0], half[1])
-        checks.append(
-            {"t1": half[0], "t2": half[1], "distance": dist, "returned": dist < args.tol}
-        )
-        payload["verification"] = checks
+        # both basis vectors and the half vector, whose H-times share one flow
+        t1, t2 = np.vstack((lattice.basis, lattice.basis[1] / 2.0)).T
+        payload["verification"] = [
+            {"t1": a, "t2": b, "distance": dist, "returned": dist < args.tol}
+            for a, b, dist in zip(t1, t2, flows.verify_lattice(sm, start, t1, t2))
+        ]
         payload["start_point"] = list(start)
     _emit(_json_dumps(payload), args.out)
     return 0
 
 
 def _start_point(sm: flows.SymplecticModel, h: float, lam: float, stratum: str):
-    from .quadrature import oval_bounds
-
     a, b = oval_bounds(sm.model, h, lam, stratum)
     y_mid = 0.5 * (a + b)
     wc = sm.model.potential_coeffs(lam)

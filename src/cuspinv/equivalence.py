@@ -24,7 +24,6 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .brieskorn import BrieskornPair, model_pair, reduce as brieskorn_reduce
 from .model import (
@@ -105,6 +104,9 @@ class RescaleMap:
             end *= 1.5
         else:
             raise ValueError("h inverse bracket not found")
+        # scipy is imported here, so that importing the package does not load it
+        from scipy.optimize import brentq
+
         lo, hi = (0.0, end) if H_target > 0 else (end, 0.0)
         return brentq(lambda t: self.h(t) - H_target, lo, hi, xtol=1e-15, rtol=1e-15)
 

@@ -21,8 +21,9 @@ The plane part (-H_y / f, H_x / f) of the H-field is computed only by
 SymplecticModel._plane_field (ValueError where f = 0); the 4-D field, the
 reduced dynamics and the bump field use it, the bump's log det through
 div v = -(v . grad f) / f (the flow preserves f dx^dy, so div(f v) = 0).
-Every flow is solved by _solve: RK45 at FLOW_RTOL / FLOW_ATOL, RuntimeError
-on solver failure, section crossings as terminal events.
+Every flow is one DOP853 solve by _solve (Hairer, Norsett and Wanner,
+Solving ODEs I, II.5), at any number of times.  Section times are no flows
+but level integrals (``quadrature.section_time``), as y' = 2x/f.
 
 Period lattices follow Gamma(T_p) = Gamma_0 . J^-1(p) with Gamma_0 =
 2 pi Z^2 and J the Jacobian of the generators (H, F) with respect to the
@@ -36,10 +37,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .model import Density, FibrationModel
-from .quadrature import area_kernel, form_kernel, integrals, oval_jobs
+from .quadrature import area_kernel, form_kernel, integrals, oval_jobs, section_time
 
 FLOW_RTOL = 1e-12
 FLOW_ATOL = 1e-12
@@ -110,43 +110,30 @@ class SymplecticModel:
 
     # -- flows ------------------------------------------------------------
 
-    def flow(self, point, generator: str, t: float) -> np.ndarray:
-        """Flow the point by time t along the H- or F-field."""
-        point = np.asarray(point, dtype=float)
-        if t == 0.0:
-            return point.copy()
+    def flow(self, point, generator: str, t) -> np.ndarray:
+        """Flow the point by time t along the H- or F-field; for an array of
+        times, all of one sign, one row per time from one solve."""
+        point, times = np.asarray(point, dtype=float), np.atleast_1d(np.asarray(t, dtype=float))
+        out = np.tile(point, (times.size, 1))
         if generator == "F":
-            out = point.copy()
-            out[3] += t
-            return out
-        return _solve(lambda _t, state: self.hamiltonian_field(state, generator), t, point)
+            out[:, 3] += times
+        elif times.any():
+            order = np.argsort(np.abs(times))
+            moving = order[times[order] != 0.0]
+            rhs = lambda _t, state: self.hamiltonian_field(state, generator)  # noqa: E731
+            out[moving] = _solve(rhs, times[moving[-1]], point, times[moving]).T
+        return out if np.ndim(t) else out[0]
 
-    def flow_pair(self, point, t1: float, t2: float) -> np.ndarray:
-        """sigma^(t1, t2): H-flow by t1 then F-flow by t2 (they commute)."""
-        return self.flow(self.flow(point, "H", t1), "F", t2)
 
+def _solve(rhs, t_end: float, y0, t_eval=None) -> np.ndarray:
+    """The state of y' = rhs(t, y), y(0) = y0 at t_end, or at each t_eval (columns)."""
+    from scipy.integrate import solve_ivp  # here, so that importing cuspinv does not load scipy
 
-def _solve(rhs, t_end: float, y0, event=None):
-    """The state at t_end of y' = rhs(t, y), y(0) = y0, or with ``event`` the
-    first time it crosses zero (ValueError if it never does before t_end)."""
-    if event is not None:
-        event.terminal = True
-    sol = solve_ivp(
-        rhs,
-        (0.0, t_end),
-        np.asarray(y0, dtype=float),
-        method="RK45",
-        rtol=FLOW_RTOL,
-        atol=FLOW_ATOL,
-        events=event,
-    )
+    opts = {"method": "DOP853", "t_eval": t_eval, "rtol": FLOW_RTOL, "atol": FLOW_ATOL}
+    sol = solve_ivp(rhs, (0.0, t_end), np.asarray(y0, dtype=float), **opts)
     if not sol.success:
         raise RuntimeError(f"flow integration failed: {sol.message}")
-    if event is None:
-        return sol.y[:, -1]
-    if not sol.t_events[0].size:
-        raise ValueError("trajectory does not reach the section")
-    return float(sol.t_events[0][0])
+    return sol.y[:, -1] if t_eval is None else sol.y
 
 
 def trajectory_csv(
@@ -155,18 +142,9 @@ def trajectory_csv(
     """Sampled trajectory as CSV with columns t, x, y, lambda, phi, H, F."""
     times = np.linspace(0.0, t_final, n_samples)
     lines = ["t,x,y,lambda,phi,H,F"]
-    state = np.asarray(point, dtype=float)
-    prev_t = 0.0
-    for t in times:
-        state = sm.flow(state, generator, float(t) - prev_t)
-        prev_t = float(t)
+    for t, state in zip(times, sm.flow(point, generator, times)):
         h = sm.hamiltonian_value(state)
-        lines.append(
-            ",".join(
-                f"{v:.12g}"
-                for v in (t, state[0], state[1], state[2], state[3], h, state[2])
-            )
-        )
+        lines.append(",".join(f"{v:.12g}" for v in (t, *state, h, state[2])))
     return "\n".join(lines) + "\n"
 
 
@@ -215,17 +193,19 @@ def period_lattice(
     return PeriodLattice(basis=basis)
 
 
-def verify_lattice(sm: SymplecticModel, point, t1: float, t2: float) -> float:
-    """Distance between the point and its image under sigma^(t1, t2).
+def verify_lattice(sm: SymplecticModel, point, t1, t2):
+    """Distance between the point and its image under sigma^(t1, t2), the
+    H-flow by t1 and the F-flow by t2 (they commute); for arrays of times one
+    distance per time vector, all H-times from one solve.
 
     Lattice vectors must return to the start; the phi-component is compared
     modulo 2 pi.
     """
-    point = np.asarray(point, dtype=float)
-    image = sm.flow_pair(point, t1, t2)
-    dphi = (image[3] - point[3] + math.pi) % (2.0 * math.pi) - math.pi
-    delta = image - point
-    return float(math.sqrt(delta[0] ** 2 + delta[1] ** 2 + delta[2] ** 2 + dphi**2))
+    t1, t2 = np.asarray(t1, dtype=float), np.atleast_1d(np.asarray(t2, dtype=float))
+    delta = np.atleast_2d(sm.flow(point, "H", t1)) - np.asarray(point, dtype=float)
+    delta[:, 3] = (delta[:, 3] + t2 + math.pi) % (2.0 * math.pi) - math.pi
+    dist = np.sqrt((delta**2).sum(axis=1))
+    return dist.tolist() if t1.ndim else float(dist[0])
 
 
 # -- reduced flows and the transport map ----------------------------------------
@@ -256,13 +236,14 @@ class ReducedSystem:
             return np.asarray(xy, dtype=float)
         return _solve(self.rhs(lam), t, xy)
 
-    def section_time(
-        self, xy, lam: float, x0: float | None = None, t_max: float = 200.0
-    ) -> float:
-        """Smallest t > 0 with the backward flow of xy on {x = x0} (default: the model's)."""
-        if x0 is None:
-            x0 = self.sm.model.x0
-        return -_solve(self.rhs(lam), -t_max, xy, event=lambda _t, state: state[0] - x0)
+    def section_time(self, xy, lam: float, x0: float | None = None, t_max: float = 200.0):
+        """Smallest t > 0, at most t_max, with the backward flow of xy on
+        {x = x0} (default: the model's): ``quadrature.section_time``."""
+        model = self.sm.model
+        t = section_time(model, float(xy[0]), float(xy[1]), lam, model.x0 if x0 is None else x0)
+        if t > t_max:
+            raise ValueError("trajectory does not reach the section")
+        return t
 
     def density_eval(self, x, y, lam):
         return self.sm._f.eval(x, y, lam)
@@ -365,9 +346,7 @@ class BumpPushforward:
         # psi0 preserves every fiber, so the pushed system has the same H
         return self.sm.hamiltonian_value(point)
 
-    def section_time(
-        self, xy, lam: float, x0: float | None = None, t_max: float = 200.0
-    ) -> float:
+    def section_time(self, xy, lam: float, x0: float | None = None, t_max: float = 200.0):
         if x0 is not None and abs(x0) < self.support:
             raise ValueError("section inside the bump's support")
         # psi0 is the identity near the section, so the conjugated backward

@@ -17,7 +17,8 @@ batches of one and callers with many samples make one engine call.
 
 Orientation conventions: loop periods and loop actions are positive;
 passage times run from N1 = {x = +x0} to N2 = {x = -x0} (swapping the
-sections flips the sign).
+sections flips the sign), and so do section times, from N1 to a point of
+the passage arc: the reduced flows' backward times to N1.
 
 The one-degree-of-freedom model H = y^3 - x^2 is routed through the sign
 bridge (x, y, H) -> (x, -y, -H) onto the same engine; densities transform
@@ -185,7 +186,7 @@ def area_kernel(f: Density):
 
 @dataclass(eq=False, slots=True)
 class LevelJob:
-    """kernel(x, y, lambda) dy/x over t in [0, upper] along a level.
+    """kernel(x, y, lambda) dy/x over t in [lower, upper] along a level.
 
     ``sub`` is 'oval' (P = (y - a)(b - y) R) or 'arc' (P = (b - y) R), with
     ``r`` holding R; or 'node', the node level x y = a from y = a to y = b = 1,
@@ -198,12 +199,13 @@ class LevelJob:
     a: float
     b: float
     r: np.ndarray
+    lower: float
     upper: float
 
 
 def _arc_job(kernel, p: np.ndarray, a: float, turn: float, lam: float) -> LevelJob:
     r = -_synthetic_division(p, turn)
-    return LevelJob(kernel, lam, "arc", a, turn, r, math.sqrt(turn - a))
+    return LevelJob(kernel, lam, "arc", a, turn, r, 0.0, math.sqrt(turn - a))
 
 
 def _oval_job(kernel, level: _Level, oval: str) -> LevelJob:
@@ -211,7 +213,7 @@ def _oval_job(kernel, level: _Level, oval: str) -> LevelJob:
     r = -_synthetic_division(_synthetic_division(level.p, a), b)
     if np.polyval(r, 0.5 * (a + b)) <= 0:
         raise OnSigmaError("deflated factor not positive on the oval")
-    return LevelJob(kernel, level.lam, "oval", a, b, r, math.pi / 2.0)
+    return LevelJob(kernel, level.lam, "oval", a, b, r, 0.0, math.pi / 2.0)
 
 
 # -- the engine --------------------------------------------------------------------
@@ -222,15 +224,16 @@ def _level_integrals(jobs) -> np.ndarray:
 
     Each round evaluates all active subintervals in blocks of _BLOCK with the
     G10K21 rule and QUADPACK's error estimate, accepts those whose error is
-    within max(QUAD_EPSABS, QUAD_EPSREL |I|) (length / upper), I the job's
+    within max(QUAD_EPSABS, QUAD_EPSREL |I|) (length / range), I the job's
     current estimate, and bisects the rest.  A job's subintervals stay in
     order along its range and every sum over them runs in that order.
     """
     n = len(jobs)
     if not n:
         return np.zeros(0)
-    a, b, lam, upper = (
-        np.array([getattr(j, k) for j in jobs], dtype=float) for k in ("a", "b", "lam", "upper")
+    a, b, lam, lower, upper = (
+        np.array([getattr(j, k) for j in jobs], dtype=float)
+        for k in ("a", "b", "lam", "lower", "upper")
     )
     # R padded with leading zeros, which leave Horner's sums unchanged
     width = max(len(j.r) for j in jobs)
@@ -278,7 +281,7 @@ def _level_integrals(jobs) -> np.ndarray:
         err = np.where((resasc != 0) & (err != 0), scaled, err)
         return resk * half, np.maximum(err, 50.0 * np.finfo(float).eps * resabs)
 
-    jk, lo, hi = np.arange(n), np.zeros(n), upper.copy()
+    jk, lo, hi, span = np.arange(n), lower.copy(), upper.copy(), upper - lower
     total, count = np.zeros(n), np.ones(n, dtype=int)
     while jk.size:
         val, err = np.empty(jk.size), np.empty(jk.size)
@@ -286,7 +289,7 @@ def _level_integrals(jobs) -> np.ndarray:
             blk = slice(s, s + _BLOCK)
             val[blk], err[blk] = gk21(jk[blk], lo[blk], hi[blk])
         estimate = total + np.bincount(jk, val, n)
-        tol = np.maximum(QUAD_EPSABS, QUAD_EPSREL * np.abs(estimate[jk])) * ((hi - lo) / upper[jk])
+        tol = np.maximum(QUAD_EPSABS, QUAD_EPSREL * np.abs(estimate[jk])) * ((hi - lo) / span[jk])
         ok = err <= tol
         total += np.bincount(jk[ok], val[ok], n)
         count += np.bincount(jk[~ok], minlength=n)
@@ -365,7 +368,71 @@ def oval_jobs(model: FibrationModel, points, kernel, oval: str) -> list[LevelJob
 def node_jobs(f, H_values) -> list[LevelJob]:
     """Jobs for Pi(H) = int_H^1 f(H/y, y) dy/y on the node model H = x*y."""
     kernel = _weight(f)
-    return [LevelJob(kernel, 0.0, "node", H, 1.0, np.zeros(0), -math.log(H)) for H in H_values]
+    return [
+        LevelJob(kernel, 0.0, "node", H, 1.0, np.zeros(0), 0.0, -math.log(H)) for H in H_values
+    ]
+
+
+# -- section times ----------------------------------------------------------------
+
+_UNREACHED = "trajectory does not reach the section"
+_VANISHES = "degenerate Omega: density vanishes on the trajectory"
+
+
+def _level_zeros(f: Density, p: np.ndarray, lam: float) -> list[float]:
+    """Real roots y of f(x, y) f(-x, y) on the level x^2 = P(y): with f = E + x O,
+    E and O even in x, the product is E^2 - P O^2; where O = 0, the roots of E."""
+    parts = [np.zeros(1), np.zeros(1)]
+    for (i, j, k), c in f.terms.items():
+        term = np.concatenate(([float(c) * lam**k], np.zeros(j)))
+        for _ in range(i // 2):
+            term = np.polymul(term, p)
+        parts[i % 2] = np.polyadd(parts[i % 2], term)
+    even, odd = parts
+    if odd.any():
+        even = np.polysub(np.polymul(even, even), np.polymul(p, np.polymul(odd, odd)))
+    if not even.any():
+        raise ValueError(_VANISHES)
+    return _real_roots(np.trim_zeros(even, "f"))
+
+
+def section_time(model: FibrationModel, x: float, y: float, lam: float, x0: float) -> float:
+    """Time from N1 = {x = x0} to (x, y) along the passage arc of its level: up
+    the branch x > 0 from the crossing y_sec to the turning point above the
+    point, then down the branch x < 0, past N2 if need be.  On y = turn - s^2,
+    x = s sqrt(R) it is one job, the one-sided f dy/(2x) for s from sign(x)
+    sqrt(turn - y) to sqrt(turn - y_sec).  ValueError where f vanishes on that
+    stretch, and where the point is off the arc or before N1 (x > x0 among them), or f < 0.
+    """
+    f = model.density
+    if model.kind == ONE_DOF:  # the sign bridge (x, y, H) -> (x, -y, -H), f(x, -y) at lambda
+        f = Density([(c * lam**k * (-1) ** j, (i, j, 0)) for (i, j, k), c in f.terms.items()])
+        return section_time(cusp_local_model(f, x0), x, -y, 0.0, x0)
+    level = _level(model, x * x + np.polyval(model.potential_coeffs(lam), y), lam)
+    dp, near = np.polyder(level.p), y - 1e-12 * (1.0 + abs(y))
+    turns = [c for c, m in level.clusters if m == 1 and c > near and np.polyval(dp, c) < 0]
+    turn = turns[0] if turns else -math.inf
+    floor = max((c for c, _ in level.clusters if c < turn), default=-math.inf)
+    sec = _level_poly(level.wc, level.H - x0**2)
+    y_sec = max((_polish(sec, r) for r in _real_roots(sec) if floor < r < turn), default=None)
+    if y_sec is None:
+        raise ValueError(_UNREACHED)
+    upper, lower = math.sqrt(turn - y_sec), math.copysign(math.sqrt(max(turn - y, 0.0)), x)
+    if lower >= upper:  # on N1 up to rounding, or before it on the branch x > 0
+        if abs(x - x0) > 1e-12 * x0:
+            raise ValueError(_UNREACHED)
+        return 0.0
+    r = -_synthetic_division(level.p, turn)
+    for yz in _level_zeros(f, level.p, lam):
+        for sz in (s * math.sqrt(max(turn - yz, 0.0)) for s in (1.0, -1.0)):
+            # f vanishes on the branch through xz if it is the smaller there
+            xz = sz * math.sqrt(max(np.polyval(r, yz), 0.0))
+            if yz <= turn and lower <= sz <= upper and abs(f(xz, yz, lam)) <= abs(f(-xz, yz, lam)):
+                raise ValueError(_VANISHES)
+    if f(x, y, lam) < 0:
+        raise ValueError(_UNREACHED)
+    kernel = lambda xs, ys, ls: 0.5 * f(xs, ys, ls)  # noqa: E731
+    return float(integrals([LevelJob(kernel, lam, "arc", y_sec, turn, r, lower, upper)])[0])
 
 
 # -- the scalar API: batches of one ------------------------------------------------

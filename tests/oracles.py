@@ -10,8 +10,10 @@ periods, the local model's bifurcation diagram from its closed form, a
 one-dof pair (alpha, beta) from a Puiseux fit of passage times instead of
 exact reduction, level-set integrals from scipy's scalar adaptive ``quad``
 with a 48-node Gauss-Legendre inner rule for areas instead of the batched
-G10K21 engine, and the separatrix area h(lambda) of the local model at 30
-digits with mpmath.
+G10K21 engine, the separatrix area h(lambda) of the local model at 30
+digits with mpmath, the f = 1 loop period of the local model as a Carlson
+integral, and section times from an event-driven backward flow
+instead of a level integral.
 """
 
 from __future__ import annotations
@@ -20,8 +22,8 @@ import math
 
 import mpmath
 import numpy as np
-from scipy.integrate import quad
-from scipy.special import hyp2f1
+from scipy.integrate import quad, solve_ivp
+from scipy.special import elliprf, hyp2f1
 
 from cuspinv.asymptotics import extract_log_coeff, fit_puiseux
 from cuspinv.brieskorn import BrieskornPair
@@ -285,3 +287,31 @@ def mp_separatrix_action(density, lam: float, dps: int = 30) -> float:
             )
 
         return float(mpmath.quad(strip, [ys, -2 * ys]) / (2 * mpmath.pi))
+
+
+def ode_section_time(rs, xy, lam: float, x0: float | None = None, t_max: float = 200.0) -> float:
+    """Smallest t > 0 with the backward reduced flow of xy on {x = x0}, as the
+    first zero of x - x0 on a DOP853 flow from xy to -t_max at 1e-13."""
+    x0 = rs.sm.model.x0 if x0 is None else x0
+
+    def hit(_t, state):
+        return state[0] - x0
+
+    hit.terminal = True
+    sol = solve_ivp(
+        rs.rhs(lam), (0.0, -t_max), np.asarray(xy, dtype=float), method="DOP853",
+        rtol=1e-13, atol=1e-13, events=hit,
+    )
+    if not sol.success or not sol.t_events[0].size:
+        raise ValueError("trajectory does not reach the section")
+    return -float(sol.t_events[0][0])
+
+
+def carlson_loop_period(H: float, lam: float) -> float:
+    """Loop period of the local model with f = 1: 2 R_F(0, e2 - e1, e3 - e1)
+    for the roots e1 < e2 < e3 of H - y^3 - lambda y, found at 40 digits by
+    mpmath (Carlson, Numer. Algorithms 10 (1995), arXiv:math/9409227)."""
+    with mpmath.workdps(40):
+        coeffs = [-1, 0, -mpmath.mpf(lam), mpmath.mpf(H)]
+        e1, e2, e3 = sorted(r.real for r in mpmath.polyroots(coeffs, maxsteps=200, extraprec=200))
+        return 2.0 * float(elliprf(0.0, float(e2 - e1), float(e3 - e1)))

@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -391,6 +394,27 @@ class TestLattice:
         assert checks[0]["returned"] and checks[1]["returned"]
         assert not checks[2]["returned"]  # half of the second basis vector
 
+    def test_verify_makes_one_flow(self, files, capsys, monkeypatch):
+        # the T/2 and T images come from one H-flow; the 2 pi F-turn needs none
+        import scipy.integrate
+
+        from cuspinv import flows
+        from cuspinv.model import FibrationModel
+
+        calls = []
+        real = scipy.integrate.solve_ivp
+        monkeypatch.setattr(
+            scipy.integrate, "solve_ivp", lambda *a, **k: calls.append(1) or real(*a, **k)
+        )
+        argv = ["lattice", "--sys", str(files["compact"]), "--at", "0.0", "-0.05", "--verify"]
+        code, out, _ = _run(capsys, argv)
+        assert code == 0 and len(calls) == 1
+        data = json.loads(out)
+        sm = flows.SymplecticModel(FibrationModel.from_json(files["compact"].read_text()))
+        for check in data["verification"]:
+            alone = flows.verify_lattice(sm, data["start_point"], check["t1"], check["t2"])
+            assert abs(check["distance"] - alone) < 1e-9
+
     def test_basis_shape(self, files, capsys):
         _, out, _ = _run(
             capsys, ["lattice", "--sys", str(files["compact"]), "--at", "0.05", "0.02", "--stratum", "wide"]
@@ -406,6 +430,15 @@ class TestLattice:
             assert code == 0
             outs.append(out)
         assert outs[0] == outs[1]
+
+
+def test_import_leaves_scipy_out():
+    # scipy is loaded by the first flow or rescaling, not by the import
+    code = "import sys, cuspinv.cli; print('scipy' in sys.modules)"
+    src = str(Path(__file__).parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert out.returncode == 0 and out.stdout.strip() == "False"
 
 
 class TestTransport:

@@ -12,10 +12,10 @@ from cuspinv.flows import (
     transport_map,
     verify_lattice,
 )
-from cuspinv.model import Density, cusp_compact_model, cusp_local_model
+from cuspinv.model import Density, cusp_compact_model, cusp_local_model, one_dof_model
 from cuspinv.quadrature import loop_period, oval_bounds
 
-from oracles import fd_period_lattice
+from oracles import carlson_loop_period, fd_period_lattice, ode_section_time
 
 F_ONE = Density.constant(1)
 F_TILT = Density({(0, 0, 0): 1.0, (0, 1, 0): 0.1})
@@ -82,7 +82,7 @@ class TestHamiltonianField:
 
 class TestVanishingDensity:
     # f = y vanishes at (0.3, 0); numpy-float 0/0 there would give a NaN
-    # field, on which RK45 never terminates
+    # field, on which the solver never terminates
     SM = SymplecticModel(cusp_local_model(Density({(0, 1, 0): 1})))
 
     def test_reduced_field_rejected(self):
@@ -94,9 +94,15 @@ class TestVanishingDensity:
             BumpPushforward(self.SM)._z_rhs(0.0)(0.0, np.array([0.3, 0.0, 0.0]))
 
     def test_solver_failure_is_not_a_missed_section(self):
+        # the arc from N1 to the point crosses {y = 0}, where f vanishes: a
+        # named error, not "trajectory does not reach the section"
+        with pytest.raises(ValueError, match="density vanishes on the trajectory"):
+            ReducedSystem(self.SM).section_time((0.3, 0.2), 0.0)
+
+    def test_flow_into_vanishing_density_fails(self):
         # the backward flow runs into {y = 0}, where the field blows up
         with pytest.raises(RuntimeError, match="flow integration failed"):
-            ReducedSystem(self.SM).section_time((0.3, 0.2), 0.0)
+            ReducedSystem(self.SM).reduced_flow((0.3, 0.2), 0.0, -1.0)
 
 
 class TestFlow:
@@ -285,3 +291,134 @@ class TestTransport:
         q = _oval_point(sm.model, 0.0, -0.3)
         with pytest.raises(ValueError):
             transport_map(sm, sm, q)
+
+
+class TestSectionTime:
+    """Section times are level integrals on the engine, not event-driven flows."""
+
+    F_MIX = Density({(0, 0, 0): 1.0, (0, 1, 0): 0.1, (1, 0, 0): 0.05, (1, 1, 1): 0.2})
+
+    @staticmethod
+    def _arc_points(model, lam, h, fracs):
+        """Points of the passage arc through N1 on the level H = h: y = turn - s^2
+        and x = s sqrt(P(y) / (turn - y)) at s = frac sqrt(turn - y_sec), so N1
+        sits at frac = 1 and N2 at frac = -1."""
+        p = -np.array(model.potential_coeffs(lam))
+        p[-1] += h
+        roots = sorted(r.real for r in np.roots(p) if abs(r.imag) < 1e-9)
+        turn = roots[0] if model.kind == "cusp_local" else roots[1]
+        sec = p.copy()
+        sec[-1] -= model.x0**2
+        y_sec = max(r.real for r in np.roots(sec) if abs(r.imag) < 1e-9 and r.real < turn)
+        out = []
+        for frac in fracs:
+            y = turn - frac * frac * (turn - y_sec)
+            out.append((math.copysign(math.sqrt(max(np.polyval(p, y), 0.0)), frac), y))
+        return out
+
+    def _cases(self):
+        rng = np.random.default_rng(11)
+        local_levels = ((-0.35, 0.05), (-0.2, 0.3), (0.05, 0.1))
+        compact_levels = ((0.0, 0.035), (0.01, 0.045), (0.025, 0.04))
+        for model, levels, edges in (
+            # one point per stratum of frac; past N2 (frac < -1) on the local arc only
+            (cusp_local_model(self.F_MIX), local_levels, (-1.6, -1.0, -0.3, 0.2, 0.7, 1.0)),
+            (cusp_compact_model(self.F_MIX), compact_levels, (-1.0, -0.3, 0.2, 0.7, 1.0)),
+        ):
+            for lam, h in levels:
+                fracs = [rng.uniform(lo, hi) for lo, hi in zip(edges[:-1], edges[1:])]
+                for xy in self._arc_points(model, lam, h, fracs):
+                    yield model, lam, xy
+
+    def test_engine_matches_ode_oracle(self):
+        n_past_n2 = 0
+        for model, lam, xy in self._cases():
+            rs = ReducedSystem(SymplecticModel(model))
+            t_engine = rs.section_time(xy, lam)
+            t_ode = ode_section_time(rs, xy, lam)
+            assert abs(t_engine - t_ode) <= 1e-10 * t_ode
+            n_past_n2 += xy[0] < -model.x0
+        assert n_past_n2 == 3
+
+    def test_one_dof_through_the_sign_bridge(self):
+        rs = ReducedSystem(SymplecticModel(one_dof_model(self.F_MIX)))
+        for xy, lam in (((0.5, 0.9), 0.2), ((-0.7, 0.95), -0.1), ((-1.3, 1.3), 0.0)):
+            t_ode = ode_section_time(rs, xy, lam)
+            assert abs(rs.section_time(xy, lam) - t_ode) <= 1e-10 * t_ode
+
+    def test_additivity(self):
+        rs = ReducedSystem(SymplecticModel(cusp_local_model(self.F_MIX)))
+        xy, lam = (0.9, -0.7), -0.25
+        t0 = rs.section_time(xy, lam)
+        for tau in (0.3, 1.1, 2.5):
+            moved = rs.reduced_flow(xy, lam, tau)
+            assert abs(rs.section_time(moved, lam) - (t0 + tau)) < 1e-10 * (t0 + tau)
+
+    def test_point_on_n1_has_time_zero(self):
+        rs = ReducedSystem(SymplecticModel(cusp_local_model(self.F_MIX)))
+        (xy,) = self._arc_points(rs.sm.model, -0.3, 0.05, [1.0])
+        assert abs(xy[0] - 1.0) < 1e-12
+        assert rs.section_time(xy, -0.3) < 1e-12
+
+    def test_zero_checked_on_its_branch(self):
+        # f = 1 + 5x vanishes at x = -0.2 only: on the branch x < 0, which the
+        # arc from N1 to a point with x > 0 never reaches
+        f = Density({(0, 0, 0): 1.0, (1, 0, 0): 5.0})
+        rs = ReducedSystem(SymplecticModel(cusp_local_model(f)))
+        before, past = self._arc_points(rs.sm.model, -0.3, 0.05, [0.5, -0.8])
+        assert before[0] > 0 and past[0] < -0.2
+        t_ode = ode_section_time(rs, before, -0.3)
+        assert abs(rs.section_time(before, -0.3) - t_ode) <= 1e-10 * t_ode
+        with pytest.raises(ValueError, match="density vanishes on the trajectory"):
+            rs.section_time(past, -0.3)
+
+    def test_off_arc_points_rejected(self):
+        local = ReducedSystem(SymplecticModel(cusp_local_model(F_ONE)))
+        compact = ReducedSystem(SymplecticModel(cusp_compact_model(F_ONE)))
+        # before N1 (x > x0), on a closed narrow oval, on the wide oval's
+        # branch x > 0 below its lower crossing of {x = x0}
+        narrow = _oval_point(local.sm.model, 0.0, -0.3)[:2]
+        for rs, xy, lam in (
+            (local, (1.2, -1.2), -0.3),
+            (local, narrow, -0.3),
+            (compact, (0.1, -0.966), -0.219),
+        ):
+            with pytest.raises(ValueError, match="does not reach the section"):
+                rs.section_time(xy, lam)
+
+    def test_negative_density_and_t_max_rejected(self):
+        rs = ReducedSystem(SymplecticModel(cusp_local_model(Density.constant(-1))))
+        xy = _branch_point(SymplecticModel(cusp_local_model(F_ONE)), -0.3, 0.034)[:2]
+        with pytest.raises(ValueError, match="does not reach the section"):
+            rs.section_time(xy, -0.3)
+        rs = ReducedSystem(SymplecticModel(cusp_local_model(F_ONE)))
+        t = rs.section_time(xy, -0.3)
+        assert rs.section_time(xy, -0.3, t_max=1.01 * t) == t
+        with pytest.raises(ValueError, match="does not reach the section"):
+            rs.section_time(xy, -0.3, t_max=0.99 * t)
+
+    def test_no_ode_solve(self, monkeypatch):
+        import scipy.integrate
+
+        calls = []
+        real = scipy.integrate.solve_ivp
+        monkeypatch.setattr(
+            scipy.integrate, "solve_ivp", lambda *a, **k: calls.append(1) or real(*a, **k)
+        )
+        rs = ReducedSystem(SymplecticModel(cusp_local_model(self.F_MIX)))
+        for xy in self._arc_points(rs.sm.model, -0.3, 0.05, [-1.2, 0.5]):
+            rs.section_time(xy, -0.3)
+        assert calls == []
+
+
+class TestLoopPeriodClosedForm:
+    def test_loop_period_matches_carlson(self):
+        # f = 1: Pi_o = 2 R_F(0, e2 - e1, e3 - e1), across the swallow-tail and
+        # up to 1e-5 of Sigma_hyp relative to H_hyp; closer, the engine's
+        # double-precision roots of the level cost more (1e-11 at 1e-6)
+        model = cusp_local_model(F_ONE)
+        for lam in (-0.5, -0.3, -0.05, -1e-3, -1e-5):
+            h_hyp = 2.0 * (-lam) ** 1.5 / (3.0 * math.sqrt(3.0))
+            for frac in (-0.999, -0.3, 0.4, 0.9, 0.9999, 1.0 - 1e-5):
+                ref = carlson_loop_period(frac * h_hyp, lam)
+                assert abs(loop_period(model, frac * h_hyp, lam) - ref) <= 1e-12 * ref
