@@ -334,8 +334,12 @@ def _apply_config(parser: argparse.ArgumentParser, args) -> None:
         setattr(args, action.dest, _config_value(action, key, value))
 
 
+_PARSER = None  # built by the first call of main; a parse leaves no state in it
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    global _PARSER
+    parser = _PARSER = _PARSER or build_parser()
     args = parser.parse_args(argv)
     try:
         if args.config:

@@ -75,20 +75,6 @@ class SymplecticModel:
         """The reduced (x, y) dynamics, as taken by :func:`transport_map`."""
         return ReducedSystem(self)
 
-    def omega_matrix(self, point) -> np.ndarray:
-        """Matrix of Omega on (dx, dy, dlambda, dphi) at the point."""
-        x, y, lam = point[0], point[1], point[2]
-        fv = self._f.eval(x, y, lam)
-        xl = self._X_lam.eval(x, y, lam)
-        return np.array(
-            [
-                [0.0, fv, 0.0, 0.0],
-                [-fv, 0.0, -xl, 0.0],
-                [0.0, xl, 0.0, 1.0],
-                [0.0, 0.0, -1.0, 0.0],
-            ]
-        )
-
     def _plane_field(self, x, y, lam):
         """(v_x, v_y, f) = (-H_y / f, H_x / f, f): the (x, y) part of the H-field."""
         fv = self._f.eval(x, y, lam)

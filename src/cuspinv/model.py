@@ -348,7 +348,8 @@ def _horner(coeffs, x: float) -> float:
 
 
 def _polish(coeffs: np.ndarray, r: float) -> float:
-    c, d = np.asarray(coeffs).tolist(), np.polyder(coeffs).tolist()
+    c = np.asarray(coeffs).tolist()
+    d = [v * (len(c) - 1 - i) for i, v in enumerate(c[:-1])]  # np.polyder's products
     for _ in range(3):
         fv = _horner(c, r)
         dv = _horner(d, r)
@@ -436,26 +437,6 @@ class BifurcationDiagram:
     def hyperbolic_value(self, lam: float) -> float:
         return self._present(lam, (1,))[0]
 
-    def _position(self, H: float, lam: float, tol: float, branches=None) -> str:
-        """'sigma' within tol of Sigma, 'inside' the swallow tail, else 'off';
-        ``branches`` are this lambda's (H_ell, H_hyp) where already solved for."""
-        if lam > tol:
-            return "off"
-        if abs(lam) <= tol:
-            return "sigma" if abs(H) <= tol else "off"
-        h_ell, h_hyp = self._branches(lam) if branches is None else branches
-        if any(v is not None and abs(H - v) <= tol for v in (h_ell, h_hyp)):
-            return "sigma"
-        if h_ell is not None and h_hyp is not None and h_ell < H < h_hyp:
-            return "inside"
-        return "off"
-
-    def in_swallowtail(self, H: float, lam: float) -> bool:
-        return self._position(H, lam, 0.0) == "inside"
-
-    def on_sigma(self, H: float, lam: float, tol: float = 1e-10) -> bool:
-        return self._position(H, lam, tol) == "sigma"
-
     def stratum(self, H: float, lam: float) -> str:
         """'narrow' on the swallow-tail interior, 'wide' elsewhere in the
         domain (compact model only), 'outside' otherwise."""
@@ -467,14 +448,18 @@ class BifurcationDiagram:
         return [self._stratum(H, lam, branches) for H in H_values]
 
     def _stratum(self, H: float, lam: float, branches) -> str:
-        if math.hypot(H, lam) > self.domain_radius:
+        """``branches`` are this lambda's (H_ell, H_hyp) where already solved
+        for; a point within 1e-12 of Sigma lies outside every stratum."""
+        tol = 1e-12
+        if math.hypot(H, lam) > self.domain_radius or (abs(lam) <= tol and abs(H) <= tol):
             return "outside"
-        position = self._position(H, lam, 1e-12, branches)
-        if position == "inside":
-            return "narrow"
-        if position == "off" and self.model.kind == CUSP_COMPACT:
-            return "wide"
-        return "outside"
+        if lam < -tol:
+            h_ell, h_hyp = self._branches(lam) if branches is None else branches
+            if any(v is not None and abs(H - v) <= tol for v in (h_ell, h_hyp)):
+                return "outside"
+            if h_ell is not None and h_hyp is not None and h_ell < H < h_hyp:
+                return "narrow"
+        return "wide" if self.model.kind == CUSP_COMPACT else "outside"
 
 
 def bifurcation_diagram(

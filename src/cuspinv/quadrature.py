@@ -20,10 +20,13 @@ passage times run from N1 = {x = +x0} to N2 = {x = -x0} (swapping the
 sections flips the sign), and so do section times, from N1 to a point of
 the passage arc: the reduced flows' backward times to N1.
 
-The one-degree-of-freedom model H = y^3 - x^2 is routed through the sign
-bridge (x, y, H) -> (x, -y, -H) onto the same engine; densities transform
-by f(x, y) -> f(x, -y): its level polynomial is the cusp_local one at
-lambda = 0.
+One rule, ``_arc``, finds the passage arc of a level for passages, section
+times and the separatrix lobe: its turning point, the first root above a
+height where P falls, and its highest polished crossing of the sections
+below that; an arc through a saddle raises OnSigmaError.  The one-dof model
+H = y^3 - x^2 reaches the same engine through one sign bridge, ``_bridged``:
+(x, y, H) -> (x, -y, -H) carries it to the cusp_local model at lambda = 0,
+with the density f(x, -y, lambda) read at the lambda asked.
 """
 
 from __future__ import annotations
@@ -38,7 +41,6 @@ from .model import (
     CUSP_COMPACT,
     NODE,
     ONE_DOF,
-    BifurcationDiagram,
     Density,
     FibrationModel,
     _polish,
@@ -311,39 +313,56 @@ def integrals(jobs) -> np.ndarray:
 
 # -- job builders ------------------------------------------------------------------
 
+_UNREACHED = "trajectory does not reach the section"
 
-def _arc_ends(level: _Level, sec: np.ndarray) -> tuple[float, float]:
-    """Lowest crossing of the sections (roots of sec) and the turning point above it."""
-    sec_roots = [_polish(sec, r) for r in _real_roots(sec)]
-    if not sec_roots:
-        raise StratumError("trajectory does not reach the sections {x = +-x0}")
-    y_sec = min(sec_roots)
-    clusters = level.clusters
-    for idx, (c, m) in enumerate(clusters):
-        if c > y_sec + 1e-12:
-            # a multiple turning root, or one about to collide with the next
-            # one, is the level of a saddle: the passage diverges there
-            gap_ok = idx + 1 >= len(clusters) or clusters[idx + 1][0] - c > 1e-6 * (
-                1.0 + abs(c)
-            )
-            if m != 1 or not gap_ok:
-                raise OnSigmaError("passage trajectory degenerates (on Sigma_hyp)")
-            return y_sec, c
-    raise StratumError("no turning point above the section crossing")
+
+def _arc(level: _Level, y: float, x0: float | None = None, through: bool = True):
+    """(y_sec, turn): the passage arc of the level from height y up.
+
+    turn is the first root from y - 1e-12 (1 + |y|) up where P falls, P's sign
+    between roots read off the parity of their multiplicities from -inf up.
+    y_sec is the arc's highest crossing of {x = +-x0} between turn and the
+    root below it, Newton-polished (None without x0).  OnSigmaError for an
+    arc through a saddle: turn or the root below it multiple, or the next root
+    within 1e-6 (1 + |turn|) of turn.  StratumError without turn or crossing.
+    """
+    clusters, p = level.clusters, level.p
+    near = y - 1e-12 * (1.0 + abs(y))  # -inf for y = -inf
+    positive = (p[0] > 0) == (len(p) % 2 == 1)  # the sign of P below every root
+    for i, (turn, m) in enumerate(clusters):
+        if m % 2 and positive and turn > near:
+            break
+        positive ^= m % 2 == 1
+    else:
+        raise StratumError(_UNREACHED)
+    floor, floor_m = clusters[i - 1] if i else (-math.inf, 1)
+    gap = clusters[i + 1][0] - turn if i + 1 < len(clusters) else math.inf
+    if through and (m != 1 or floor_m != 1 or gap <= 1e-6 * (1.0 + abs(turn))):
+        raise OnSigmaError("passage trajectory degenerates (on Sigma_hyp)")
+    if x0 is None:
+        return None, turn
+    sec = _level_poly(level.wc, level.H - x0**2)
+    y_sec = max((r for r in _real_roots(sec) if floor < r < turn), default=None)
+    if y_sec is None:
+        raise StratumError(_UNREACHED)
+    return _polish(sec, y_sec), turn
 
 
 def _passage_job(model: FibrationModel, kernel, level: _Level) -> LevelJob:
     """The passage from N1 to N2 along a level of a cusp model."""
-    sec = _level_poly(level.wc, level.H - model.x0**2)
-    if model.kind == CUSP_COMPACT:
-        a, turn = _oval_ends(level, "wide")
-        inside = [r for r in _real_roots(sec) if a < r < turn]
-        if not inside:
-            raise StratumError("wide oval does not reach the sections {x = +-x0}")
-        y_sec = max(inside)
-    else:
-        y_sec, turn = _arc_ends(level, sec)
+    y_sec, turn = _arc(level, -math.inf, model.x0)
     return _arc_job(kernel, level.p, y_sec, turn, level.lam)
+
+
+def _bridged(model: FibrationModel, lam: float, x0: float) -> FibrationModel:
+    """The cusp_local model at lambda = 0 that the sign bridge (x, y, H) ->
+    (x, -y, -H) makes of the one-dof model at lambda: density f(x, -y, lambda)."""
+    f = model.density
+    if not isinstance(f, Density):
+        return cusp_local_model(lambda x, y, _: f(x, -y, lam), x0)
+    return cusp_local_model(
+        Density([(c * lam**k * (-1) ** j, (i, j, 0)) for (i, j, k), c in f.terms.items()]), x0
+    )
 
 
 def passage_jobs(model: FibrationModel, points) -> list[LevelJob]:
@@ -351,9 +370,10 @@ def passage_jobs(model: FibrationModel, points) -> list[LevelJob]:
     if model.kind == ONE_DOF:
         if any(H <= 0 for H, _ in points):
             raise ValueError("one-dof passage requires H > 0")
-        d = model.density
-        f = d.mirror_y() if isinstance(d, Density) else (lambda x, y, l: d(x, -y, l))
-        return passage_jobs(cusp_local_model(f, model.x0), [(-H, 0.0) for H, _ in points])
+        # one bridged model, hence one kernel, per distinct lambda: the engine groups by kernel
+        local = {lam: _bridged(model, lam, model.x0) for lam in dict.fromkeys(l for _, l in points)}
+        kernels = {lam: form_kernel(m.density) for lam, m in local.items()}
+        return [_passage_job(local[l], kernels[l], _level(local[l], -H, 0.0)) for H, l in points]
     if model.kind == NODE:
         raise ValueError("use asymptotics.node_passage for the node model")
     kernel = form_kernel(model.density)
@@ -375,7 +395,6 @@ def node_jobs(f, H_values) -> list[LevelJob]:
 
 # -- section times ----------------------------------------------------------------
 
-_UNREACHED = "trajectory does not reach the section"
 _VANISHES = "degenerate Omega: density vanishes on the trajectory"
 
 
@@ -402,21 +421,14 @@ def section_time(model: FibrationModel, x: float, y: float, lam: float, x0: floa
     point, then down the branch x < 0, past N2 if need be.  On y = turn - s^2,
     x = s sqrt(R) it is one job, the one-sided f dy/(2x) for s from sign(x)
     sqrt(turn - y) to sqrt(turn - y_sec).  ValueError where f vanishes on that
-    stretch, and where the point is off the arc or before N1 (x > x0 among them), or f < 0.
+    stretch, and where the point is off the arc or before N1 (x > x0 among them), or f < 0;
+    OnSigmaError for a point past a turning point at a saddle (``_arc``).
     """
+    if model.kind == ONE_DOF:
+        return section_time(_bridged(model, lam, x0), x, -y, 0.0, x0)
     f = model.density
-    if model.kind == ONE_DOF:  # the sign bridge (x, y, H) -> (x, -y, -H), f(x, -y) at lambda
-        f = Density([(c * lam**k * (-1) ** j, (i, j, 0)) for (i, j, k), c in f.terms.items()])
-        return section_time(cusp_local_model(f, x0), x, -y, 0.0, x0)
     level = _level(model, x * x + np.polyval(model.potential_coeffs(lam), y), lam)
-    dp, near = np.polyder(level.p), y - 1e-12 * (1.0 + abs(y))
-    turns = [c for c, m in level.clusters if m == 1 and c > near and np.polyval(dp, c) < 0]
-    turn = turns[0] if turns else -math.inf
-    floor = max((c for c, _ in level.clusters if c < turn), default=-math.inf)
-    sec = _level_poly(level.wc, level.H - x0**2)
-    y_sec = max((_polish(sec, r) for r in _real_roots(sec) if floor < r < turn), default=None)
-    if y_sec is None:
-        raise ValueError(_UNREACHED)
+    y_sec, turn = _arc(level, y, x0, through=x < 0)
     upper, lower = math.sqrt(turn - y_sec), math.copysign(math.sqrt(max(turn - y, 0.0)), x)
     if lower >= upper:  # on N1 up to rounding, or before it on the branch x > 0
         if abs(x - x0) > 1e-12 * x0:
@@ -499,14 +511,11 @@ def separatrix_action(model: FibrationModel, lam: float) -> float:
     _, a = cusp_pair(wc)
     if a is None:
         raise StratumError(f"no saddle near the cusp at lambda={lam}")
-    p = _level_poly(wc, float(np.polyval(wc, a)))
-    # the lobe is about 3|a| wide, so its far end is told from the split
-    # double root at the saddle relative to |a|
-    uppers = [r for r in _real_roots(p) if r > a + 1e-3 * abs(a)]
-    if not uppers:
-        raise OnSigmaError("no upper bound for the separatrix lobe")
-    b = _polish(p, min(uppers))
-    return float(integrals([_arc_job(kernel, p, a, b, lam)])[0]) / (2.0 * math.pi)
+    level = _level(model, float(np.polyval(wc, a)), lam)
+    # the lobe's far end turns above the saddle's double root: about 3|a| away,
+    # so it is told from the split double root relative to |a|
+    _, b = _arc(level, a + 1e-3 * abs(a), through=False)
+    return float(integrals([_arc_job(kernel, level.p, a, b, lam)])[0]) / (2.0 * math.pi)
 
 
 # -- action charts -----------------------------------------------------------------
@@ -568,7 +577,6 @@ def action_chart(
     H_values,
     lam_values,
     mu_shift: int = 0,
-    diagram: BifurcationDiagram | None = None,
     stratum_filter: str | None = None,
 ) -> ActionChart:
     """Assemble the per-point actions; unavailable entries stay empty.
@@ -579,8 +587,7 @@ def action_chart(
     integral of the chart goes to one engine call, and each cell equals the
     scalar function's value bit for bit.
     """
-    if diagram is None:
-        diagram = bifurcation_diagram(model)
+    diagram = bifurcation_diagram(model)
     form, area = form_kernel(model.density), area_kernel(model.density)
     rows: list[ActionChartRow] = []
     cells: list[tuple[ActionChartRow, str, LevelJob]] = []

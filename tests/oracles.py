@@ -12,8 +12,10 @@ exact reduction, level-set integrals from scipy's scalar adaptive ``quad``
 with a 48-node Gauss-Legendre inner rule for areas instead of the batched
 G10K21 engine, the separatrix area h(lambda) of the local model at 30
 digits with mpmath, the f = 1 loop period of the local model as a Carlson
-integral, and section times from an event-driven backward flow
-instead of a level integral.
+integral, section times from an event-driven backward flow
+instead of a level integral, passage times of the cusp models at 40 digits
+with mpmath between their own roots of the level and of the sections, and
+the matrix of the symplectic form Omega written out entry by entry.
 """
 
 from __future__ import annotations
@@ -315,3 +317,68 @@ def carlson_loop_period(H: float, lam: float) -> float:
         coeffs = [-1, 0, -mpmath.mpf(lam), mpmath.mpf(H)]
         e1, e2, e3 = sorted(r.real for r in mpmath.polyroots(coeffs, maxsteps=200, extraprec=200))
         return 2.0 * float(elliprf(0.0, float(e2 - e1), float(e3 - e1)))
+
+
+def mp_passage_ends(model: FibrationModel, H: float, lam: float, dps: int = 40):
+    """(P, y_sec, turn) of the passage arc of a cusp model off Sigma at ``dps``
+    digits: P = H - W(y) as mpmath coefficients, highest first; turn is the
+    lowest root of P on the local model and the second lowest on the compact
+    one, the upper end of the arc coming up from -inf resp. from the deep
+    well's root; y_sec is the highest root of P = x0^2 below turn, above the
+    root of P below turn.  Roots by mpmath's polyroots."""
+    with mpmath.workdps(dps):
+        p = [-mpmath.mpf(float(c)) for c in model.potential_coeffs(lam)]
+        p[-1] += mpmath.mpf(H)
+        sec = p[:-1] + [p[-1] - mpmath.mpf(model.x0) ** 2]
+
+        def real_roots(c):
+            roots = mpmath.polyroots(c, maxsteps=200, extraprec=200)
+            return sorted(r.real for r in roots if abs(r.imag) < mpmath.mpf(10) ** (-dps // 2))
+
+        roots = real_roots(p)
+        k = 1 if model.kind == CUSP_COMPACT else 0
+        turn, floor = roots[k], roots[k - 1] if k else -mpmath.inf
+        y_sec = max(r for r in real_roots(sec) if floor < r < turn)
+        return p, y_sec, turn
+
+
+def mp_passage_time(model: FibrationModel, H: float, lam: float, dps: int = 40) -> float:
+    """Passage time from N1 to N2 of a cusp model at ``dps`` digits: the
+    integral of (f(x, y) + f(-x, y)) / (2x) dy over [y_sec, turn] on
+    x^2 = P(y), with P = (turn - y) R deflated at mpmath precision and
+    y = turn - t^2, so that dy / x = -2 dt / sqrt(R); tanh-sinh in t."""
+    p, y_sec, turn = mp_passage_ends(model, H, lam, dps)
+    with mpmath.workdps(dps):
+        r, acc = [], mpmath.mpf(0)
+        for c in p[:-1]:  # R = P / (turn - y)
+            acc = acc * turn + c
+            r.append(-acc)
+        lam_m = mpmath.mpf(lam)
+
+        def f(x, y):
+            terms = model.density.terms.items()
+            return sum(mpmath.mpf(c) * x**i * y**j * lam_m**k for (i, j, k), c in terms)
+
+        def integrand(t):
+            y = turn - t * t
+            sr = mpmath.sqrt(mpmath.polyval(r, y))
+            return (f(t * sr, y) + f(-t * sr, y)) / sr
+
+        return float(mpmath.quad(integrand, [0, mpmath.sqrt(turn - y_sec)]))
+
+
+def omega_matrix(density, point) -> np.ndarray:
+    """Matrix of Omega = f dx^dy + X_lambda dlambda^dy + dlambda^dphi on
+    (dx, dy, dlambda, dphi) at the point, X the x-antiderivative of the
+    density vanishing at x = 0, written out entry by entry."""
+    x, y, lam = point[0], point[1], point[2]
+    fv = density.eval(x, y, lam)
+    xl = density.antiderivative_x().diff(2).eval(x, y, lam)
+    return np.array(
+        [
+            [0.0, fv, 0.0, 0.0],
+            [-fv, 0.0, -xl, 0.0],
+            [0.0, xl, 0.0, 1.0],
+            [0.0, 0.0, -1.0, 0.0],
+        ]
+    )

@@ -235,6 +235,27 @@ class TestConfig:
             assert code == 2
             assert out == ""
 
+    def test_rejected_calls_leave_the_parser_usable(self, files, capsys):
+        # the parser is built once per process; a call that exits 2 must not
+        # change what the next call reads
+        argv = ["actions", "--model", str(files["compact"])] + TestActions.ARGS
+        _, want, _ = _run(capsys, argv)
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--mu-shift", "one"])
+        assert exc.value.code == 2 and "invalid int value" in capsys.readouterr().err
+        assert _run(capsys, argv) == (0, want, "")
+        assert self._run_config(files, capsys, {"colour": "red"})[0] == 2
+        assert _run(capsys, argv) == (0, want, "")
+
+    def test_configs_do_not_leak_into_later_calls(self, files, capsys):
+        argv = ["actions", "--model", str(files["compact"])] + TestActions.ARGS
+        _, plain, _ = _run(capsys, argv)
+        code, out, _ = self._run_config(files, capsys, {"mu-shift": 1})
+        assert code == 0 and out.startswith("H,lambda") and out != plain
+        code, out, _ = self._run_config(files, capsys, {"format": "json"})
+        assert code == 0 and json.loads(out)["mu_shift"] == 0
+        assert _run(capsys, argv) == (0, plain, "")
+
 
 class TestCompare:
     def test_self_comparison(self, files, capsys):
@@ -432,13 +453,38 @@ class TestLattice:
         assert outs[0] == outs[1]
 
 
+#: the supported names of ``import cuspinv``, sorted
+PUBLIC_API = """
+ActionChart ActionChartRow BifurcationDiagram BrieskornPair BumpPushforward CUSP_COMPACT CUSP_LOCAL
+CanonicalBaseTransform DEFAULT_ORDER Density EquivalenceVerdict FibrationModel FitReport
+IDENTITY_BASE_MAP InvariantReport NODE ONE_DOF OnSigmaError OneDofVerdict ParabolicVerdict
+PeriodLattice PuiseuxTriple RescaleMap StratumError SymplecticModel TruncatedSeries action_chart
+base_change_parabolic_test bifurcation_diagram canonicalize_base cusp_compact_model
+cusp_local_model cusp_torus_equivalent extract_log_coeff fit_puiseux hyperbolic_log_coeff
+invariant_report is_parabolic loop_action loop_period model_pair node_complex_period node_model
+node_passage normalize_invariant one_dof_equivalent one_dof_model oval_bounds parabolic_equivalent
+passage_time period_lattice phi_r_apply phi_r_invert puiseux_constants pullback_residual reduce
+separatrix_action trajectory_csv transport_map verify_lattice verify_node_log_identity
+verify_relations verify_relations_numeric wide_action
+""".split()
+
+
 def test_import_leaves_scipy_out():
-    # scipy is loaded by the first flow or rescaling, not by the import
-    code = "import sys, cuspinv.cli; print('scipy' in sys.modules)"
+    # scipy is loaded by the first flow or rescaling, not by the import; the
+    # package exports the pinned API, each name defined
+    code = (
+        "import sys, cuspinv, cuspinv.cli; print('scipy' in sys.modules); "
+        "print(' '.join(sorted(cuspinv.__all__))); "
+        "print(all(hasattr(cuspinv, n) for n in cuspinv.__all__))"
+    )
     src = str(Path(__file__).parent.parent / "src")
     env = {**os.environ, "PYTHONPATH": src}
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
-    assert out.returncode == 0 and out.stdout.strip() == "False"
+    assert out.returncode == 0
+    scipy_loaded, names, defined = out.stdout.splitlines()
+    assert scipy_loaded == "False"
+    assert names.split() == PUBLIC_API
+    assert defined == "True"
 
 
 class TestTransport:

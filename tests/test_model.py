@@ -137,7 +137,11 @@ class TestBifurcationDiagram:
     def test_cusp_point(self):
         d = bifurcation_diagram(cusp_local_model())
         assert d.cusp_point == (0.0, 0.0)
-        assert d.on_sigma(0.0, 0.0)
+        # the cusp point lies on Sigma: cut out of the compact model's wide stratum
+        compact = bifurcation_diagram(cusp_compact_model())
+        assert compact.stratum(0.0, 0.0) == "outside"
+        assert compact.strata([-1e-3, 1e-3], 0.0) == ["wide", "wide"]
+        assert compact.stratum(0.0, 1e-3) == "wide"
 
     def test_compact_auxiliary_value_outside_domain(self):
         # critical points of y^4 + y^3: W' = y^2(4y + 3) -> y = -3/4 exactly,
@@ -219,9 +223,8 @@ class TestBifurcationDiagram:
         d = bifurcation_diagram(cusp_local_model())
         lam = -0.05
         h_hyp = d.hyperbolic_value(lam)
-        assert d.in_swallowtail(0.0, lam)
-        assert not d.in_swallowtail(1.1 * h_hyp, lam)
-        assert not d.in_swallowtail(0.0, 0.01)
+        assert d.strata([0.0, 0.9 * h_hyp, 1.1 * h_hyp], lam) == ["narrow", "narrow", "outside"]
+        assert d.stratum(0.0, 0.01) == "outside"
 
 
 class TestCanonicalizeBase:

@@ -15,7 +15,9 @@ from cuspinv.quadrature import (
     oval_area_integral,
     oval_bounds,
     oval_loop_integral,
+    passage_jobs,
     passage_time,
+    section_time,
     separatrix_action,
     wide_action,
 )
@@ -24,6 +26,8 @@ from cuspinv.specfun import puiseux_constants
 from oracles import (
     grid_area,
     local_sigma_values,
+    mp_passage_ends,
+    mp_passage_time,
     onedof_section_area,
     quad_area_kernel,
     quad_form_kernel,
@@ -139,6 +143,66 @@ class TestPassageTime:
         h_hyp = 2.0 / (3.0 * math.sqrt(3.0))
         with pytest.raises(OnSigmaError):
             passage_time(cusp_local_model(F_ONE), h_hyp, lam)
+
+
+class TestPassageArc:
+    """The one arc rule behind passages and section times, against the
+    40-digit oracle that finds its own turning points and crossings."""
+
+    # two wide compact chart cells (x0 = 0.25) whose printed Pi (12 digits)
+    # depends on the crossing of N1 being polished
+    CELLS = (
+        (
+            {(0, 0, 0): 1.0, (0, 0, 1): 0.10140524346992263, (0, 1, 0): 0.019837475069223787,
+             (0, 2, 0): 0.015257325287711287, (2, 0, 0): -0.18897635470277266},
+            -0.006, 0.016,
+        ),
+        (
+            {(0, 0, 0): 1.0, (0, 0, 1): 0.02506818672697836, (0, 1, 0): 0.04870310140824899,
+             (0, 2, 0): -0.1668307492465294, (2, 0, 0): -0.07169786182608773},
+            -0.007, -0.024,
+        ),
+    )
+
+    def _grid(self):
+        """Seeded (model, H, lambda): narrow levels of both models, the local
+        model's regular side and the compact model's wide stratum."""
+        rng = np.random.default_rng(41)
+        for model in (cusp_local_model(F_CHART), cusp_compact_model(F_CHART)):
+            diagram = bifurcation_diagram(model)
+            for _ in range(3):
+                lam = float(rng.uniform(-0.06, -0.01))
+                h_ell, h_hyp = diagram.branch_values(lam)
+                yield model, h_ell + float(rng.uniform(0.1, 0.9)) * (h_hyp - h_ell), lam
+                yield model, float(rng.uniform(-0.01, 0.01)), float(rng.uniform(0.005, 0.03))
+
+    def test_passages_match_mpmath(self):
+        cells = [(cusp_compact_model(Density(terms)), h, lam) for terms, h, lam in self.CELLS]
+        for model, h, lam in [*self._grid(), *cells]:
+            ref = mp_passage_time(model, h, lam)
+            assert abs(passage_time(model, h, lam) - ref) <= 1e-14 * abs(ref), (model.kind, h, lam)
+
+    def test_section_time_on_n2_is_the_passage(self):
+        points = [(m, h, lam, mp_passage_ends(m, h, lam)[1]) for m, h, lam in self._grid()]
+        one_dof = one_dof_model(F_MIXED)
+        points += [(one_dof, h, 0.0, (h + 1.0) ** (1.0 / 3.0)) for h in (0.05, 0.4)]
+        for model, h, lam, y_sec in points:
+            x0 = model.x0
+            t = section_time(model, -x0, float(y_sec), lam, x0)
+            assert abs(t - passage_time(model, h, lam)) <= 1e-12 * t, (model.kind, h, lam)
+
+    def test_one_dof_passage_reads_f_at_lambda(self):
+        f = Density({(0, 0, 0): 1.0, (0, 1, 1): 0.5, (0, 0, 1): -0.3})
+        at_lam = Density({(0, 0, 0): 1.0 - 0.3 * 0.4, (0, 1, 0): 0.5 * 0.4})
+        v = passage_time(one_dof_model(f), 0.3, 0.4)
+        assert abs(v - passage_time(one_dof_model(at_lam), 0.3)) <= 1e-13 * v
+        assert abs(v - passage_time(one_dof_model(f), 0.3, 0.0)) > 1e-3
+
+    def test_one_kernel_per_lambda_through_the_bridge(self):
+        points = [(0.1, 0.0), (0.2, 0.5), (0.3, 0.0), (0.4, 0.5)]
+        jobs = passage_jobs(one_dof_model(F_MIXED), points)
+        kernels = [id(j.kernel) for j in jobs]
+        assert kernels[0] == kernels[2] != kernels[1] == kernels[3]
 
 
 class TestLoopPeriod:
