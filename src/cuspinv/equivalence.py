@@ -36,7 +36,8 @@ from .model import (
     bifurcation_diagram,
     one_dof_model,
 )
-from .quadrature import integrals, loop_action, passage_jobs, separatrix_action, wide_action
+from .quadrature import _converged, _level_integrals, _levels, _oval_job, area_kernel
+from .quadrature import integrals, passage_jobs, separatrix_action
 from .series import TruncatedSeries, phi_r_apply, phi_r_invert
 from .specfun import puiseux_constants
 from . import asymptotics
@@ -361,6 +362,25 @@ def parabolic_equivalent(
     return EquivalenceVerdict(equivalent=ok, checks=checks)
 
 
+def _oval_actions(sys1: FibrationModel, sys2: FibrationModel, points, images, oval: str):
+    """Oval area / 2 pi of sys1 at the points and of sys2 at their images: each
+    system's levels from one root solve, all integrals from one engine call.
+    A sys1 point without the oval or whose integral does not converge raises;
+    such a sys2 image gives None."""
+    k1, k2 = area_kernel(sys1.density), area_kernel(sys2.density)
+    jobs1 = [_oval_job(k1, level, oval) for level in _levels(sys1, points)]
+    jobs2 = []
+    for level in _levels(sys2, images):
+        try:
+            jobs2.append(_oval_job(k2, level, oval))
+        except ValueError:
+            jobs2.append(None)
+    values = _level_integrals(jobs1 + [j for j in jobs2 if j is not None]) / (2.0 * math.pi)
+    rest = iter(values[len(jobs1) :].tolist())
+    second = [None if j is None or math.isnan(v := next(rest)) else v for j in jobs2]
+    return _converged(values[: len(jobs1)]).tolist(), second
+
+
 def _parabolic_checks(
     sys1: FibrationModel, sys2: FibrationModel, phi, checks: dict, action_rtol: float
 ) -> bool:
@@ -399,9 +419,11 @@ def _parabolic_checks(
             sigma_ok = sigma_ok and res <= SIGMA_RTOL
     checks["sigma"] = {"ok": sigma_ok, "residuals": sigma_resid}
 
-    # I and I_circ at three points across the swallow tail per lambda
+    # I and I_circ at three points across the swallow tail per lambda; an
+    # image without a narrow oval gives an infinite I_circ residual
     i_ok, io_ok = True, True
     i_resid, io_resid = [], []
+    pairs = []
     for lam in (-0.75 * r, -0.55 * r, -0.35 * r):
         h_e, h_h = values(d1, lam)
         mid, half = 0.5 * (h_e + h_h), 0.5 * (h_h - h_e)
@@ -411,16 +433,11 @@ def _parabolic_checks(
             r_i = abs(lam_t - lam) / max(abs(lam), 1e-9)
             i_resid.append(r_i)
             i_ok = i_ok and r_i <= action_rtol
-            io_1 = loop_action(sys1, h, lam)
-            try:
-                io_2 = loop_action(sys2, h_t, lam_t)
-            except ValueError:
-                io_ok = False
-                io_resid.append(float("inf"))
-                continue
-            r_o = abs(io_1 - io_2) / max(abs(io_1), 1e-12)
-            io_resid.append(r_o)
-            io_ok = io_ok and r_o <= action_rtol
+            pairs.append(((h, lam), (h_t, lam_t)))
+    for io_1, io_2 in zip(*_oval_actions(sys1, sys2, *zip(*pairs), "narrow")):
+        r_o = float("inf") if io_2 is None else abs(io_1 - io_2) / max(abs(io_1), 1e-12)
+        io_resid.append(r_o)
+        io_ok = io_ok and r_o <= action_rtol
     checks["I"] = {"ok": i_ok, "residuals": i_resid}
     checks["I_circ"] = {"ok": io_ok, "residuals": io_resid}
     return sigma_ok and i_ok and io_ok
@@ -453,19 +470,14 @@ def cusp_torus_equivalent(
         (-0.3 * r, 0.35 * r),
         (0.5 * r, -0.25 * r),
     ]
-    deltas = []
-    ok_pts = True
-    for h, lam in wide_grid:
-        h_t, lam_t = _phi_eval(phi, h, lam)
-        v1 = wide_action(sys1, h, lam, k=mu_shift1)
-        try:
-            v2 = wide_action(sys2, h_t, lam_t, k=mu_shift2)
-        except ValueError:
-            ok_pts = False
-            continue
-        deltas.append(((v1 - v2), lam))
+    images = [_phi_eval(phi, h, lam) for h, lam in wide_grid]
+    actions1, actions2 = _oval_actions(sys1, sys2, wide_grid, images, "wide")
     checks["I_mu"] = {"ok": False, "k": None, "residuals": []}
-    if ok_pts:
+    if None not in actions2:
+        deltas = [
+            ((v1 + mu_shift1 * lam) - (v2 + mu_shift2 * lam_t), lam)
+            for (_, lam), (_, lam_t), v1, v2 in zip(wide_grid, images, actions1, actions2)
+        ]
         k_round = int(round(float(np.median([d / lam for d, lam in deltas]))))
         resid = [abs(d - k_round * lam) for d, lam in deltas]
         scale = max(max(abs(d) for d, _ in deltas), 1e-9)

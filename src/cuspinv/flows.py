@@ -39,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import Density, FibrationModel
-from .quadrature import area_kernel, form_kernel, integrals, oval_jobs, section_time
+from .quadrature import _level, _oval_job, area_kernel, form_kernel, integrals, section_time
 
 FLOW_RTOL = 1e-12
 FLOW_ATOL = 1e-12
@@ -164,14 +164,13 @@ def period_lattice(
     The derivatives come from the boundary-integral identities
     2 pi dI_2/dH = contour(f dy/2x) and
     2 pi dI_2/dlambda = area(f_lambda) - contour(f W_lambda dy/2x),
-    which are exact up to quadrature tolerance (W_lambda = y here).
+    which are exact up to quadrature tolerance (W_lambda = y here).  The
+    three integrals share one level and one engine call.
     """
-    f, point = sm.model.density, [(H, lam)]
+    f, level = sm.model.density, _level(sm.model, H, lam)
     y_density = Density({(0, 1, 0): 1})
     kernels = (form_kernel(f), form_kernel(f * y_density), area_kernel(f.diff(2)))
-    di_dh, loop_y, area_l = integrals(
-        [job for k in kernels for job in oval_jobs(sm.model, point, k, stratum)]
-    )
+    di_dh, loop_y, area_l = integrals([_oval_job(k, level, stratum) for k in kernels])
     di_dl = area_l - loop_y
     basis = np.array(
         [[0.0, 2.0 * math.pi], [di_dh, di_dl + 2.0 * math.pi * (k if stratum == "wide" else 0)]]

@@ -347,22 +347,45 @@ def _horner(coeffs, x: float) -> float:
     return acc
 
 
-def _polish(coeffs: np.ndarray, r: float) -> float:
-    c = np.asarray(coeffs).tolist()
-    d = [v * (len(c) - 1 - i) for i, v in enumerate(c[:-1])]  # np.polyder's products
+def _stacked_roots(polys) -> list[tuple[list[float], list[float]]]:
+    """(roots, polished) of each polynomial of a batch, highest coefficient
+    first: its real roots, sorted, bit for bit those of ``numpy.roots`` (one
+    ``np.linalg.eigvals`` call on the companion matrices of each size; real
+    where |imag| <= 1e-8 (1 + the largest |real| or |imag| part)), and each
+    after three Newton steps, all roots of the batch together, by Horner's
+    rule on zero-padded coefficients, a root staying put where P' = 0."""
+    rows = [np.asarray(p, dtype=float).tolist() for p in polys]
+    raw: list[list[float]] = [[] for _ in rows]
+    by_size: dict[int, list] = {}
+    for i, c in enumerate(rows):
+        nonzero = [j for j, v in enumerate(c) if v]
+        if nonzero:
+            lead, last = nonzero[0], nonzero[-1]
+            by_size.setdefault(last - lead, []).append((i, c[lead : last + 1], len(c) - 1 - last))
+    for n, members in by_size.items():
+        q = np.array([c for _, c, _ in members])
+        comp = np.zeros((len(members), n, n)) + np.eye(n, k=-1)
+        comp[:, :1] = -q[:, None, 1:] / q[:, None, :1]
+        w = np.linalg.eigvals(comp)
+        im = np.abs(w.imag)
+        scale = 1.0 + np.maximum(np.abs(w.real), im).max(axis=1, initial=0.0, keepdims=True)
+        for (i, _, zeros), ys, keep in zip(members, w.real.tolist(), (im <= 1e-8 * scale).tolist()):
+            raw[i] = sorted([y for y, k in zip(ys, keep) if k] + [0.0] * zeros)
+    # (P, P') coefficients at each root, P' padded with a leading zero
+    width = max((len(c) for c in rows), default=1)
+    per_root = [[0.0] * (width - len(c)) + c for c, roots in zip(rows, raw) for _ in roots]
+    cd = np.zeros((width, 2, len(per_root)))
+    cd[:, 0] = np.array(per_root).reshape(-1, width).T
+    cd[1:, 1] = cd[:-1, 0] * np.arange(width - 1, 0, -1)[:, None]
+    r = np.array([y for roots in raw for y in roots])
     for _ in range(3):
-        fv = _horner(c, r)
-        dv = _horner(d, r)
-        if dv == 0:
-            break
-        r = r - fv / dv
-    return r
-
-
-def _real_roots(coeffs: np.ndarray) -> list[float]:
-    roots = np.roots(np.asarray(coeffs, dtype=float))
-    scale = 1.0 + max(abs(roots.real).max(initial=0.0), abs(roots.imag).max(initial=0.0))
-    return sorted(roots.real[abs(roots.imag) <= 1e-8 * scale].tolist())
+        acc = cd[0].copy()
+        for c in cd[1:]:
+            acc *= r
+            acc += c
+        r = r - np.divide(acc[0], acc[1], out=np.zeros(r.size), where=acc[1] != 0)
+    polished = iter(r.tolist())
+    return [(roots, [next(polished) for _ in roots]) for roots in raw]
 
 
 def _synthetic_division(coeffs: np.ndarray, root: float) -> np.ndarray:
@@ -389,7 +412,7 @@ def cusp_pair(wc: np.ndarray) -> tuple[float | None, float | None]:
     """
     dw = np.polyder(wc)
     d2w = np.polyder(dw).tolist()
-    pair = [_polish(dw, y) for y in sorted(_real_roots(dw), key=abs)[:2]]
+    pair = [y for _, y in sorted(zip(*_stacked_roots([dw])[0]), key=lambda t: abs(t[0]))[:2]]
     y_ell = next((y for y in pair if _horner(d2w, y) > 0), None)
     y_hyp = next((y for y in pair if _horner(d2w, y) < 0), None)
     return y_ell, y_hyp
@@ -505,7 +528,7 @@ def canonicalize_base(
     if all(c == 0 for c in coeffs):
         raise ValueError("b is identically zero; no simple zero exists")
     lo, hi = search_range
-    candidates = sorted((r for r in _real_roots(coeffs) if lo <= r <= hi), key=abs)
+    candidates = sorted((r for r in _stacked_roots([coeffs])[0][0] if lo <= r <= hi), key=abs)
     if not candidates:
         raise ValueError(f"b has no real zero in {search_range}")
     f0 = candidates[0]

@@ -2,8 +2,10 @@
 model fibrations.
 
 All level sets of the cusp models are treated through the potential form
-x^2 = P(y) = H - W(y), with W read off the model's Hamiltonian and the roots
-of P found by the root helpers of ``model``.  Every invariant is a
+x^2 = P(y) = H - W(y), with W read off the model's Hamiltonian.  The levels
+of a call and their sections H - x0^2 - W are isolated together, by one
+stacked root solve (``_levels`` on ``model._stacked_roots``), so a chart or a
+verdict makes one and a scalar call is a batch of one.  Every invariant is a
 ``LevelJob``, the integral of kernel(x, y, lambda) dy/x between two ends of
 a level set, with the vanishing factor of P deflated at turning points
 (y = a + (b-a) sin^2(t) on a closed oval, y = turn - t^2 on an arc), so
@@ -43,8 +45,7 @@ from .model import (
     ONE_DOF,
     Density,
     FibrationModel,
-    _polish,
-    _real_roots,
+    _stacked_roots,
     _synthetic_division,
     bifurcation_diagram,
     cusp_local_model,
@@ -84,10 +85,11 @@ class StratumError(ValueError):
 # -- levels and their roots --------------------------------------------------------
 
 
-def _clusters(roots: list[float], tol: float) -> list[tuple[float, int]]:
-    """Group near-coincident roots into (center, multiplicity) pairs."""
+def _clusters(roots: list[float]) -> list[tuple[float, int]]:
+    """(center, multiplicity) of the sorted roots, within 1e-8 max(1, max |root|) of a center."""
+    tol = 1e-8 * max([1.0, *map(abs, roots)])
     out: list[tuple[float, int]] = []
-    for r in roots:
+    for r in sorted(roots):
         if out and abs(r - out[-1][0]) <= tol:
             c, m = out[-1]
             out[-1] = ((c * m + r) / (m + 1), m + 1)
@@ -96,31 +98,35 @@ def _clusters(roots: list[float], tol: float) -> list[tuple[float, int]]:
     return out
 
 
-def _level_poly(wc: np.ndarray, H: float) -> np.ndarray:
-    """Coefficients of P(y) = H - W(y), highest first."""
-    p = -np.array(wc, dtype=float)
-    p[-1] += H
-    return p
-
-
 class _Level(NamedTuple):
-    """The level H of a cusp model at lambda: the potential's coefficients wc,
-    P = H - W and the clusters of its polished real roots."""
+    """The level H of a cusp model at lambda: P = H - W, the clusters of its
+    polished real roots and, given x0, the (roots, polished) of H - x0^2 - W."""
 
     kind: str
     H: float
     lam: float
-    wc: np.ndarray
     p: np.ndarray
     clusters: list[tuple[float, int]]
+    section: tuple[list[float], list[float]] | None
 
 
-def _level(model: FibrationModel, H: float, lam: float) -> _Level:
-    wc = model.potential_coeffs(lam)
-    p = _level_poly(wc, H)
-    roots = sorted(_polish(p, r) for r in _real_roots(p))
-    span = max((abs(r) for r in roots), default=1.0)
-    return _Level(model.kind, H, lam, wc, p, _clusters(roots, tol=1e-8 * max(1.0, span)))
+def _levels(model: FibrationModel, points, x0: float | None = None) -> list[_Level]:
+    """The levels at the (H, lambda) points, with the sections {x = +-x0} where
+    x0 is given, from one stacked root solve; P = H - W highest first."""
+    points = list(points)
+    minus_w = {lam: -model.potential_coeffs(lam) for lam in dict.fromkeys(l for _, l in points)}
+    heights = points + [(H - x0**2, lam) for H, lam in points if x0 is not None]
+    polys = [np.append(minus_w[lam][:-1], minus_w[lam][-1] + h) for h, lam in heights]
+    solved = _stacked_roots(polys)
+    sections = solved[len(points) :] if x0 is not None else [None] * len(points)
+    return [
+        _Level(model.kind, H, lam, p, _clusters(polished), section)
+        for (H, lam), p, (_, polished), section in zip(points, polys, solved, sections)
+    ]
+
+
+def _level(model: FibrationModel, H: float, lam: float, x0: float | None = None) -> _Level:
+    return _levels(model, [(H, lam)], x0)[0]
 
 
 def _oval_ends(level: _Level, oval: str) -> tuple[float, float]:
@@ -303,12 +309,16 @@ def _level_integrals(jobs) -> np.ndarray:
     return total
 
 
-def integrals(jobs) -> np.ndarray:
-    """The jobs' values from one engine call; OnSigmaError if one does not converge."""
-    values = _level_integrals(jobs)
+def _converged(values: np.ndarray) -> np.ndarray:
+    """The engine's values; OnSigmaError if one does not converge."""
     if np.isnan(values).any():
         raise OnSigmaError(f"level integral needs more than {QUAD_LIMIT} subintervals")
     return values
+
+
+def integrals(jobs) -> np.ndarray:
+    """The jobs' values from one engine call; OnSigmaError if one does not converge."""
+    return _converged(_level_integrals(jobs))
 
 
 # -- job builders ------------------------------------------------------------------
@@ -316,15 +326,16 @@ def integrals(jobs) -> np.ndarray:
 _UNREACHED = "trajectory does not reach the section"
 
 
-def _arc(level: _Level, y: float, x0: float | None = None, through: bool = True):
+def _arc(level: _Level, y: float, through: bool = True):
     """(y_sec, turn): the passage arc of the level from height y up.
 
     turn is the first root from y - 1e-12 (1 + |y|) up where P falls, P's sign
     between roots read off the parity of their multiplicities from -inf up.
     y_sec is the arc's highest crossing of {x = +-x0} between turn and the
-    root below it, Newton-polished (None without x0).  OnSigmaError for an
-    arc through a saddle: turn or the root below it multiple, or the next root
-    within 1e-6 (1 + |turn|) of turn.  StratumError without turn or crossing.
+    root below it, Newton-polished (None for a level without sections).
+    OnSigmaError for an arc through a saddle: turn or the root below it
+    multiple, or the next root within 1e-6 (1 + |turn|) of turn.
+    StratumError without turn or crossing.
     """
     clusters, p = level.clusters, level.p
     near = y - 1e-12 * (1.0 + abs(y))  # -inf for y = -inf
@@ -339,18 +350,17 @@ def _arc(level: _Level, y: float, x0: float | None = None, through: bool = True)
     gap = clusters[i + 1][0] - turn if i + 1 < len(clusters) else math.inf
     if through and (m != 1 or floor_m != 1 or gap <= 1e-6 * (1.0 + abs(turn))):
         raise OnSigmaError("passage trajectory degenerates (on Sigma_hyp)")
-    if x0 is None:
+    if level.section is None:
         return None, turn
-    sec = _level_poly(level.wc, level.H - x0**2)
-    y_sec = max((r for r in _real_roots(sec) if floor < r < turn), default=None)
-    if y_sec is None:
+    crossings = [(r, q) for r, q in zip(*level.section) if floor < r < turn]
+    if not crossings:
         raise StratumError(_UNREACHED)
-    return _polish(sec, y_sec), turn
+    return max(crossings)[1], turn
 
 
-def _passage_job(model: FibrationModel, kernel, level: _Level) -> LevelJob:
-    """The passage from N1 to N2 along a level of a cusp model."""
-    y_sec, turn = _arc(level, -math.inf, model.x0)
+def _passage_job(kernel, level: _Level) -> LevelJob:
+    """The passage from N1 to N2 along a level with its sections."""
+    y_sec, turn = _arc(level, -math.inf)
     return _arc_job(kernel, level.p, y_sec, turn, level.lam)
 
 
@@ -370,19 +380,21 @@ def passage_jobs(model: FibrationModel, points) -> list[LevelJob]:
     if model.kind == ONE_DOF:
         if any(H <= 0 for H, _ in points):
             raise ValueError("one-dof passage requires H > 0")
-        # one bridged model, hence one kernel, per distinct lambda: the engine groups by kernel
-        local = {lam: _bridged(model, lam, model.x0) for lam in dict.fromkeys(l for _, l in points)}
-        kernels = {lam: form_kernel(m.density) for lam, m in local.items()}
-        return [_passage_job(local[l], kernels[l], _level(local[l], -H, 0.0)) for H, l in points]
+        # one kernel per distinct lambda (the engine groups by kernel); the
+        # bridged levels do not depend on the density, so they are one batch
+        lams = {l for _, l in points}
+        kernels = {l: form_kernel(_bridged(model, l, model.x0).density) for l in lams}
+        levels = _levels(cusp_local_model(), [(-H, 0.0) for H, _ in points], model.x0)
+        return [_passage_job(kernels[l], level) for (_, l), level in zip(points, levels)]
     if model.kind == NODE:
         raise ValueError("use asymptotics.node_passage for the node model")
     kernel = form_kernel(model.density)
-    return [_passage_job(model, kernel, _level(model, H, lam)) for H, lam in points]
+    return [_passage_job(kernel, level) for level in _levels(model, points, model.x0)]
 
 
 def oval_jobs(model: FibrationModel, points, kernel, oval: str) -> list[LevelJob]:
     """Jobs integrating a form or area kernel around the oval at the (H, lambda) points."""
-    return [_oval_job(kernel, _level(model, H, lam), oval) for H, lam in points]
+    return [_oval_job(kernel, level, oval) for level in _levels(model, points)]
 
 
 def node_jobs(f, H_values) -> list[LevelJob]:
@@ -412,7 +424,7 @@ def _level_zeros(f: Density, p: np.ndarray, lam: float) -> list[float]:
         even = np.polysub(np.polymul(even, even), np.polymul(p, np.polymul(odd, odd)))
     if not even.any():
         raise ValueError(_VANISHES)
-    return _real_roots(np.trim_zeros(even, "f"))
+    return _stacked_roots([even])[0][0]
 
 
 def section_time(model: FibrationModel, x: float, y: float, lam: float, x0: float) -> float:
@@ -427,8 +439,8 @@ def section_time(model: FibrationModel, x: float, y: float, lam: float, x0: floa
     if model.kind == ONE_DOF:
         return section_time(_bridged(model, lam, x0), x, -y, 0.0, x0)
     f = model.density
-    level = _level(model, x * x + np.polyval(model.potential_coeffs(lam), y), lam)
-    y_sec, turn = _arc(level, y, x0, through=x < 0)
+    level = _level(model, x * x + np.polyval(model.potential_coeffs(lam), y), lam, x0)
+    y_sec, turn = _arc(level, y, through=x < 0)
     upper, lower = math.sqrt(turn - y_sec), math.copysign(math.sqrt(max(turn - y, 0.0)), x)
     if lower >= upper:  # on N1 up to rounding, or before it on the branch x > 0
         if abs(x - x0) > 1e-12 * x0:
@@ -583,35 +595,35 @@ def action_chart(
 
     I = lambda everywhere in the domain (F generates the S^1 action);
     Pi_circ and I_circ exist on the narrow stratum, I_mu on the compact
-    model away from Sigma_hyp.  Each cell's level is isolated once, every
-    integral of the chart goes to one engine call, and each cell equals the
-    scalar function's value bit for bit.
+    model away from Sigma_hyp.  The levels and sections of all cells are
+    isolated in one stacked root solve, every integral of the chart goes to
+    one engine call, and each cell equals the scalar function's value bit for
+    bit.
     """
     diagram = bifurcation_diagram(model)
     form, area = form_kernel(model.density), area_kernel(model.density)
-    rows: list[ActionChartRow] = []
+    rows = [
+        ActionChartRow(h, lam, stratum, None, None, None, None, None)
+        for lam in lam_values
+        for h, stratum in zip(H_values, diagram.strata(H_values, lam))
+        if not stratum_filter or stratum == stratum_filter
+    ]
+    inside = [row for row in rows if row.stratum != "outside"]
     cells: list[tuple[ActionChartRow, str, LevelJob]] = []
-    for lam in lam_values:
-        for h, stratum in zip(H_values, diagram.strata(H_values, lam)):
-            if stratum_filter and stratum != stratum_filter:
-                continue
-            row = ActionChartRow(h, lam, stratum, None, None, None, None, None)
-            rows.append(row)
-            if stratum == "outside":
-                continue
-            row.I, level = lam, _level(model, h, lam)
-            wanted = [("Pi", _passage_job, (model, form, level))]
-            if stratum == "narrow":
-                wanted.append(("Pi_circ", _oval_job, (form, level, "narrow")))
-                wanted.append(("I_circ", _oval_job, (area, level, "narrow")))
-            if model.kind == CUSP_COMPACT:
-                wanted.append(("I_mu", _oval_job, (area, level, "wide")))
-            for name, build, args in wanted:
-                try:
-                    cells.append((row, name, build(*args)))
-                except ValueError:
-                    if name in _NARROW:
-                        raise
+    for row, level in zip(inside, _levels(model, [(r.H, r.lam) for r in inside], model.x0)):
+        row.I = row.lam
+        wanted = [("Pi", _passage_job, (form, level))]
+        if row.stratum == "narrow":
+            wanted.append(("Pi_circ", _oval_job, (form, level, "narrow")))
+            wanted.append(("I_circ", _oval_job, (area, level, "narrow")))
+        if model.kind == CUSP_COMPACT:
+            wanted.append(("I_mu", _oval_job, (area, level, "wide")))
+        for name, build, args in wanted:
+            try:
+                cells.append((row, name, build(*args)))
+            except ValueError:
+                if name in _NARROW:
+                    raise
     values = _level_integrals([job for _, _, job in cells]).tolist()
     for (row, name, _), v in zip(cells, values):
         if math.isnan(v) and name in _NARROW:

@@ -14,8 +14,10 @@ G10K21 engine, the separatrix area h(lambda) of the local model at 30
 digits with mpmath, the f = 1 loop period of the local model as a Carlson
 integral, section times from an event-driven backward flow
 instead of a level integral, passage times of the cusp models at 40 digits
-with mpmath between their own roots of the level and of the sections, and
-the matrix of the symplectic form Omega written out entry by entry.
+with mpmath between their own roots of the level and of the sections, the
+matrix of the symplectic form Omega written out entry by entry, and the real
+roots of one polynomial at a time from ``np.roots`` with a scalar Newton
+polish, against which the stacked root solve must agree bit for bit.
 """
 
 from __future__ import annotations
@@ -382,3 +384,29 @@ def omega_matrix(density, point) -> np.ndarray:
             [0.0, 0.0, -1.0, 0.0],
         ]
     )
+
+
+def reference_real_roots(coeffs) -> list[float]:
+    """The sorted real roots of one polynomial (highest coefficient first) by
+    ``np.roots``: imaginary part within 1e-8 (1 + the largest |real| or
+    |imaginary| part among its roots)."""
+    roots = np.roots(np.asarray(coeffs, dtype=float))
+    scale = 1.0 + max(abs(roots.real).max(initial=0.0), abs(roots.imag).max(initial=0.0))
+    return sorted(roots.real[abs(roots.imag) <= 1e-8 * scale].tolist())
+
+
+def reference_polish(coeffs, r: float) -> float:
+    """Three Newton steps on one root with Python floats, P and P' by Horner's
+    rule; stops where P' = 0."""
+    c = np.asarray(coeffs, dtype=float).tolist()
+    d = [v * (len(c) - 1 - i) for i, v in enumerate(c[:-1])]
+    for _ in range(3):
+        fv = dv = 0.0
+        for v in c:
+            fv = fv * r + v
+        for v in d:
+            dv = dv * r + v
+        if dv == 0:
+            break
+        r = r - fv / dv
+    return r

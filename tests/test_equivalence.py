@@ -253,6 +253,61 @@ class TestParabolicEquivalent:
         with pytest.raises(ValueError):
             parabolic_equivalent(m, m, phi)
 
+    # (H + 0.01, F) carries every swallow-tail sample of the second check past
+    # Sigma_hyp, where the target level has no narrow oval
+    SHIFT = (Density({(1, 0, 0): 1, (0, 0, 0): 0.01}), Density({(0, 1, 0): 1}))
+
+    def test_image_without_narrow_oval_is_an_infinite_residual(self):
+        m = cusp_local_model(F_ONE_PLUS_Y)
+        v = parabolic_equivalent(m, m, self.SHIFT)
+        assert not v.equivalent
+        assert v.checks["I_circ"] == {"ok": False, "residuals": [math.inf] * 9}
+
+    def test_unconverged_image_is_an_infinite_residual(self, monkeypatch):
+        # the engine's NaN (more than QUAD_LIMIT subintervals) on a sys2 job
+        # reads as that job's failure; on a sys1 job it raises
+        real_engine = quadrature._level_integrals
+
+        def engine(jobs, spoiled):
+            values = real_engine(jobs)
+            values[spoiled] = np.nan
+            return values
+
+        m = cusp_local_model(F_ONE_PLUS_Y)
+        monkeypatch.setattr(equivalence_module, "_level_integrals", lambda jobs: engine(jobs, -1))
+        v = parabolic_equivalent(m, m)
+        assert not v.equivalent
+        assert v.checks["I_circ"]["residuals"][-1] == math.inf
+        assert max(v.checks["I_circ"]["residuals"][:-1]) == 0.0
+        monkeypatch.setattr(equivalence_module, "_level_integrals", lambda jobs: engine(jobs, 0))
+        with pytest.raises(quadrature.OnSigmaError):
+            parabolic_equivalent(m, m)
+
+    def test_verdict_checks_make_one_engine_call(self, monkeypatch):
+        calls = []
+        real_engine = quadrature._level_integrals
+
+        def engine(jobs):
+            calls.append(len(jobs))
+            return real_engine(jobs)
+
+        monkeypatch.setattr(equivalence_module, "_level_integrals", engine)
+        monkeypatch.setattr(quadrature, "_level_integrals", engine)
+        m = cusp_compact_model(F_ONE_PLUS_Y)
+        assert parabolic_equivalent(m, m).equivalent
+        assert calls == [18]
+        calls.clear()
+        assert cusp_torus_equivalent(m, m).equivalent
+        assert calls == [18, 8]
+
+    def test_image_without_wide_oval_fails_the_torus_check(self):
+        # (H - 1, F): the compact target level lies below W everywhere
+        m = cusp_compact_model(F_ONE_PLUS_Y)
+        phi = (Density({(1, 0, 0): 1, (0, 0, 0): -1}), Density({(0, 1, 0): 1}))
+        v = cusp_torus_equivalent(m, m, phi)
+        assert not v.equivalent and v.k is None
+        assert v.checks["I_mu"] == {"ok": False, "k": None, "residuals": []}
+
 
 def bare_density(f):
     """The one-dof verdict takes densities, not models."""

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from cuspinv import quadrature
 from cuspinv.flows import (
     BumpPushforward,
     ReducedSystem,
@@ -143,6 +144,29 @@ class TestPeriodLattice:
         sm = SymplecticModel(cusp_compact_model(F_ONE))
         lat = period_lattice(sm, 0.0, -0.05, "narrow")
         assert abs(lat.basis[1][0] - loop_period(sm.model, 0.0, -0.05)) < 1e-10
+
+    def test_one_level_and_one_engine_call(self, monkeypatch):
+        # the three integrals of a lattice share one root solve of the level
+        calls = []
+        real_roots, real_engine = quadrature._stacked_roots, quadrature._level_integrals
+
+        def roots(polys):
+            calls.append(("roots", len(polys)))
+            return real_roots(polys)
+
+        def engine(jobs):
+            calls.append(("engine", len(jobs)))
+            return real_engine(jobs)
+
+        monkeypatch.setattr(quadrature, "_stacked_roots", roots)
+        monkeypatch.setattr(quadrature, "_level_integrals", engine)
+        sm = SymplecticModel(cusp_compact_model(F_TILT))
+        for h, lam, stratum in ((0.05, 0.02, "wide"), (0.0, -0.05, "narrow")):
+            calls.clear()
+            lat = period_lattice(sm, h, lam, stratum)
+            assert calls == [("roots", 1), ("engine", 3)]
+            if stratum == "narrow":
+                assert lat.basis[1][0] == loop_period(sm.model, h, lam)
 
     def test_fd_route_consistent(self):
         sm = SymplecticModel(cusp_compact_model(F_ONE))

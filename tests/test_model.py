@@ -24,7 +24,7 @@ from cuspinv.model import (
 )
 from cuspinv.quadrature import separatrix_action
 from cuspinv.series import TruncatedSeries
-from oracles import local_sigma_values
+from oracles import local_sigma_values, reference_polish, reference_real_roots
 
 H_STD = Density({(2, 0, 0): 1, (0, 3, 0): 1, (0, 1, 1): 1})
 F_LAM = Density({(0, 0, 1): 1})
@@ -202,22 +202,24 @@ class TestBifurcationDiagram:
             d.branch_values(-0.3)
 
     def test_root_solves_counted(self, monkeypatch):
+        # one stacked solve of one polynomial (W') per stratum query, none at
+        # construction
         calls = []
-        real_roots = model_module._real_roots
+        real_roots = model_module._stacked_roots
 
-        def counted(coeffs):
-            calls.append(1)
-            return real_roots(coeffs)
+        def counted(polys):
+            calls.append(len(polys))
+            return real_roots(polys)
 
-        monkeypatch.setattr(model_module, "_real_roots", counted)
+        monkeypatch.setattr(model_module, "_stacked_roots", counted)
         d = bifurcation_diagram(cusp_compact_model())
-        assert len(calls) == 0
+        assert calls == []
         for m in (cusp_local_model(), cusp_compact_model()):
             d = bifurcation_diagram(m)
             for h in (-0.01, 0.0, 0.01):
                 calls.clear()
                 d.stratum(h, -0.05)
-                assert len(calls) == 1, (m.kind, h)
+                assert calls == [1], (m.kind, h)
 
     def test_swallowtail_membership(self):
         d = bifurcation_diagram(cusp_local_model())
@@ -225,6 +227,66 @@ class TestBifurcationDiagram:
         h_hyp = d.hyperbolic_value(lam)
         assert d.strata([0.0, 0.9 * h_hyp, 1.1 * h_hyp], lam) == ["narrow", "narrow", "outside"]
         assert d.stratum(0.0, 0.01) == "outside"
+
+
+def _reference_roots(coeffs):
+    """(roots, polished) of one polynomial by the np.roots route of the oracles."""
+    roots = reference_real_roots(coeffs)
+    return roots, [reference_polish(coeffs, r) for r in roots]
+
+
+class TestStackedRoots:
+    """model._stacked_roots against np.roots with a scalar Newton polish,
+    compared with == on lists of floats: bit for bit."""
+
+    @staticmethod
+    def _random_polys(seed, degrees, n):
+        rng = np.random.default_rng(seed)
+        polys = []
+        for _ in range(n):
+            p = rng.normal(size=int(rng.choice(degrees)) + 1)
+            p[rng.random(p.size) < 0.15] = 0.0  # zeros inside and at both ends
+            polys.append(p)
+        return polys
+
+    @pytest.mark.parametrize("degree", [3, 4])
+    def test_matches_reference_on_random_polynomials(self, degree):
+        polys = self._random_polys(degree, [degree], 400)
+        assert model_module._stacked_roots(polys) == [_reference_roots(p) for p in polys]
+
+    def test_mixed_degrees_in_one_batch(self):
+        polys = self._random_polys(11, [0, 1, 2, 3, 4, 5], 300)
+        polys += [np.zeros(4), np.array([0.0]), np.array([2.0, 0.0, 0.0])]
+        solved = model_module._stacked_roots(polys)
+        assert solved == [_reference_roots(p) for p in polys]
+        # a batch of one gives the same as the same polynomial within a batch
+        assert [model_module._stacked_roots([p])[0] for p in polys] == solved
+
+    def test_trailing_zero_at_level_zero(self):
+        # the local model's level H = 0 has the root y = 0 exactly; np.roots
+        # deflates it, and so must the stacked solve: at this lambda the
+        # undeflated 3 x 3 companion matrix gives the outer roots an ulp off
+        p = [-c for c in cusp_local_model().potential_coeffs(-0.075)]
+        assert p[-1] == 0.0
+        (roots, polished), = model_module._stacked_roots([p])
+        assert (roots, polished) == _reference_roots(p)
+        assert roots[1] == 0.0 and len(roots) == 3
+
+    def test_leading_zero(self):
+        # as canonicalize_base can pass: the top coefficients vanish
+        p = [0.0, 0.0, 1.0, -3.0, 2.0]
+        assert model_module._stacked_roots([p]) == [_reference_roots(p)] == [([1.0, 2.0], [1.0, 2.0])]
+
+    def test_root_with_zero_derivative(self):
+        # (y - 1)^2: P'(1) = 0 exactly, so the polish leaves the root alone
+        p = [1.0, -2.0, 1.0]
+        (roots, polished), = model_module._stacked_roots([p, [1.0, -3.0, 2.0]])[:1]
+        assert roots == polished == [1.0, 1.0]
+        assert np.polyval(np.polyder(p), roots[0]) == 0.0
+        assert (roots, polished) == _reference_roots(p)
+
+    def test_no_polynomials(self):
+        assert model_module._stacked_roots([]) == []
 
 
 class TestCanonicalizeBase:

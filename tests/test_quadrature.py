@@ -33,6 +33,8 @@ from oracles import (
     quad_form_kernel,
     quad_level_integral,
     reference_Jj,
+    reference_polish,
+    reference_real_roots,
 )
 
 F_ONE = Density.constant(1)
@@ -434,27 +436,45 @@ class TestOvalLoopIntegral:
         assert abs(d_fd - d_q) <= 1e-6 * abs(d_q)
 
 
+def _level_coeffs(model, H, lam):
+    """P = H - W at lambda, highest coefficient first, as a tuple."""
+    p = -np.asarray(model.potential_coeffs(lam), dtype=float)
+    p[-1] += H
+    return tuple(p)
+
+
+def _count_root_solves(monkeypatch):
+    """The polynomial batches handed to the stacked root solve, wherever it is called."""
+    calls = []
+    real_roots = model_module._stacked_roots
+
+    def counted(polys):
+        calls.append([tuple(p) for p in polys])
+        return real_roots(polys)
+
+    monkeypatch.setattr(model_module, "_stacked_roots", counted)
+    monkeypatch.setattr(quadrature, "_stacked_roots", counted)
+    return calls
+
+
 class TestEngine:
     def test_roots_isolated_once_per_call(self, monkeypatch):
-        calls = []
-        real_roots = quadrature._real_roots
-
-        def counted(coeffs):
-            calls.append(1)
-            return real_roots(coeffs)
-
-        monkeypatch.setattr(quadrature, "_real_roots", counted)
+        # a scalar call is a batch of one: one stacked solve, of the level
+        # alone or, for a passage, of the level and its section
+        calls = _count_root_solves(monkeypatch)
         m = cusp_compact_model(F_MIXED)
-        for fn, args in (
-            (loop_period, (m, 0.0, -0.05)),
-            (loop_action, (m, 0.0, -0.05)),
-            (wide_action, (m, 0.0, -0.05)),
-            (oval_loop_integral, (m, 0.0, -0.05, F_Y, "narrow")),
-            (oval_area_integral, (m, 0.05, 0.02, F_Y, "wide")),
+        for fn, args, polys in (
+            (loop_period, (m, 0.0, -0.05), 1),
+            (loop_action, (m, 0.0, -0.05), 1),
+            (wide_action, (m, 0.0, -0.05), 1),
+            (oval_loop_integral, (m, 0.0, -0.05, F_Y, "narrow"), 1),
+            (oval_area_integral, (m, 0.05, 0.02, F_Y, "wide"), 1),
+            (passage_time, (m, 0.0, -0.05), 2),
+            (oval_bounds, (m, 0.0, -0.05), 1),
         ):
             calls.clear()
             assert fn(*args) != 0.0
-            assert len(calls) == 1, fn.__name__
+            assert [len(c) for c in calls] == [polys], fn.__name__
 
     def test_area_integral_requires_density(self):
         m = cusp_local_model(F_ONE)
@@ -470,10 +490,10 @@ CHART_FIELDS = ("Pi", "Pi_circ", "I_circ", "I_mu")
 
 def _quad_cell(model, H, lam, name):
     """A chart cell from scipy's scalar quad on the ends the engine uses."""
-    level = quadrature._level(model, H, lam)
+    level = quadrature._level(model, H, lam, model.x0)
     f = model.density
     if name == "Pi":
-        job = quadrature._passage_job(model, None, level)
+        job = quadrature._passage_job(None, level)
         return quad_level_integral(level.p, quad_form_kernel(f.eval, lam), job.a, job.b, False)
     a, b = quadrature._oval_ends(level, "wide" if name == "I_mu" else "narrow")
     if name == "Pi_circ":
@@ -523,12 +543,10 @@ class TestBatchedEngine:
                 assert value == scalar[name](model, row.H, row.lam), (model.kind, row, name)
 
     def test_one_engine_call_and_one_root_solve_per_level(self, monkeypatch):
-        engine_calls, pair_calls, root_calls = [], [], []
-        real_engine, real_pair, real_roots = (
-            quadrature._level_integrals,
-            model_module.cusp_pair,
-            quadrature._real_roots,
-        )
+        # one stacked solve for the levels and sections of all cells, plus one
+        # cusp_pair solve (of W', one polynomial) per lambda < 0 row
+        engine_calls, pair_calls = [], []
+        real_engine, real_pair = quadrature._level_integrals, model_module.cusp_pair
 
         def engine(jobs):
             engine_calls.append(len(jobs))
@@ -538,26 +556,57 @@ class TestBatchedEngine:
             pair_calls.append(1)
             return real_pair(wc)
 
-        def roots(coeffs):
-            root_calls.append(tuple(coeffs))
-            return real_roots(coeffs)
-
         monkeypatch.setattr(quadrature, "_level_integrals", engine)
         monkeypatch.setattr(model_module, "cusp_pair", pair)
-        monkeypatch.setattr(quadrature, "_real_roots", roots)
+        root_calls = _count_root_solves(monkeypatch)
         hs, ls = self.GRID
         for model in (cusp_compact_model(F_CHART), cusp_local_model(F_CHART)):
             for calls in (engine_calls, pair_calls, root_calls):
                 calls.clear()
             chart = action_chart(model, hs, ls)
-            levels = [
-                tuple(quadrature._level_poly(model.potential_coeffs(r.lam), r.H))
-                for r in chart.rows
-                if r.stratum != "outside"
-            ]
-            assert len(engine_calls) == 1 and engine_calls[0] > len(levels)
+            inside = [r for r in chart.rows if r.stratum != "outside"]
+            polys = [_level_coeffs(model, r.H, r.lam) for r in inside]
+            polys += [_level_coeffs(model, r.H - model.x0**2, r.lam) for r in inside]
+            assert len(engine_calls) == 1 and engine_calls[0] > len(inside)
             assert len(pair_calls) == len({lam for lam in ls if lam < 0})
-            assert sorted(c for c in root_calls if c in set(levels)) == sorted(levels)
+            cell_solves = [c for c in root_calls if len(c) > 1]
+            assert len(cell_solves) == 1 and len(root_calls) == 1 + len(pair_calls)
+            assert sorted(cell_solves[0]) == sorted(polys)
+            # every level polynomial is solved exactly once
+            solved = [p for c in root_calls for p in c]
+            assert all(solved.count(p) == 1 for p in polys)
+
+    @pytest.mark.parametrize("model", [cusp_local_model(F_CHART), cusp_compact_model(F_CHART)])
+    @pytest.mark.parametrize("with_sections", [False, True])
+    def test_levels_are_batches_of_single_levels(self, model, with_sections):
+        # the chart grid holds H = 0, where the level has the root y = 0
+        x0 = model.x0 if with_sections else None
+        points = [(h, lam) for lam in self.GRID[1] for h in self.GRID[0]]
+        assert any(h == 0.0 for h, _ in points)
+        levels = quadrature._levels(model, points, x0)
+        for level, (h, lam) in zip(levels, points, strict=True):
+            single = quadrature._level(model, h, lam, x0)
+            for name, got, want in zip(level._fields, level, single):
+                assert np.array_equal(got, want) if name == "p" else got == want, name
+            # the route of np.roots and a scalar polish, one polynomial at a time
+            p = _level_coeffs(model, h, lam)
+            assert tuple(level.p) == p
+            roots = sorted(reference_polish(p, r) for r in reference_real_roots(p))
+            span = max([1.0] + [abs(r) for r in roots])
+            clusters = []
+            for r in roots:
+                if clusters and abs(r - clusters[-1][0]) <= 1e-8 * span:
+                    c, m = clusters[-1]
+                    clusters[-1] = ((c * m + r) / (m + 1), m + 1)
+                else:
+                    clusters.append((r, 1))
+            assert level.clusters == clusters
+            if with_sections:
+                sec = _level_coeffs(model, h - x0**2, lam)
+                raw = reference_real_roots(sec)
+                assert level.section == (raw, [reference_polish(sec, r) for r in raw])
+            else:
+                assert level.section is None
 
     def test_subinterval_limit_is_an_error(self, monkeypatch):
         # near Sigma_hyp the loop period needs many subintervals; a job that
