@@ -24,7 +24,7 @@ import numpy as np
 
 from . import brieskorn, equivalence, flows
 from .model import IDENTITY_BASE_MAP, Density, FibrationModel
-from .quadrature import action_chart, oval_bounds
+from .quadrature import action_chart
 from .specfun import puiseux_constants
 
 
@@ -187,7 +187,7 @@ def cmd_lattice(args) -> int:
     lattice = flows.period_lattice(sm, h, lam, stratum=args.stratum, k=args.mu_shift)
     payload = lattice.to_json()
     if args.verify:
-        start = _start_point(sm, h, lam, args.stratum)
+        start = _start_point(sm, h, lam, lattice.oval)
         # both basis vectors and the half vector, whose H-times share one flow
         t1, t2 = np.vstack((lattice.basis, lattice.basis[1] / 2.0)).T
         payload["verification"] = [
@@ -199,8 +199,8 @@ def cmd_lattice(args) -> int:
     return 0
 
 
-def _start_point(sm: flows.SymplecticModel, h: float, lam: float, stratum: str):
-    a, b = oval_bounds(sm.model, h, lam, stratum)
+def _start_point(sm: flows.SymplecticModel, h: float, lam: float, oval: tuple[float, float]):
+    a, b = oval
     y_mid = 0.5 * (a + b)
     wc = sm.model.potential_coeffs(lam)
     x = float(np.sqrt(max(h - np.polyval(wc, y_mid), 0.0)))

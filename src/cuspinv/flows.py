@@ -17,13 +17,15 @@ Fields are defined by i_v Omega = -dG.  In components, for G(x, y, lambda):
 
     v = (-G_y / f,  G_x / f,  0,  G_lambda - X_lambda G_x / f).
 
-The plane part (-H_y / f, H_x / f) of the H-field is computed only by
-SymplecticModel._plane_field (ValueError where f = 0); the 4-D field, the
-reduced dynamics and the bump field use it, the bump's log det through
-div v = -(v . grad f) / f (the flow preserves f dx^dy, so div(f v) = 0).
-Every flow is one DOP853 solve by _solve (Hairer, Norsett and Wanner,
-Solving ODEs I, II.5), at any number of times.  Section times are no flows
-but level integrals (``quadrature.section_time``), as y' = 2x/f.
+The plane part (-H_y / f, H_x / f) of the H-field is computed only by the
+field SymplecticModel._plane_field builds at one lambda (``Density.at``, bit
+for bit ``Density.eval``); lambda is constant along every flow, so the 4-D
+field, the reduced dynamics and the bump field each build theirs once per
+solve, the bump's log det through div v = -(v . grad f) / f (the flow
+preserves f dx^dy, so div(f v) = 0).  Every flow is one DOP853 solve by
+_solve (Hairer, Norsett and Wanner, Solving ODEs I, II.5), at any number of
+times.  Section times are no flows but level integrals
+(``quadrature.section_time``, as y' = 2x/f), batched over a transport's points.
 
 Period lattices follow Gamma(T_p) = Gamma_0 . J^-1(p) with Gamma_0 =
 2 pi Z^2 and J the Jacobian of the generators (H, F) with respect to the
@@ -39,7 +41,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import Density, FibrationModel
-from .quadrature import _level, _oval_job, area_kernel, form_kernel, integrals, section_time
+from .quadrature import _level, _oval_ends, _oval_job, area_kernel, form_kernel, integrals
+from .quadrature import section_time
 
 FLOW_RTOL = 1e-12
 FLOW_ATOL = 1e-12
@@ -75,24 +78,35 @@ class SymplecticModel:
         """The reduced (x, y) dynamics, as taken by :func:`transport_map`."""
         return ReducedSystem(self)
 
-    def _plane_field(self, x, y, lam):
-        """(v_x, v_y, f) = (-H_y / f, H_x / f, f): the (x, y) part of the H-field."""
-        fv = self._f.eval(x, y, lam)
-        if fv == 0.0:
-            raise ValueError("degenerate Omega: density vanishes at the point")
-        return -self._H_y.eval(x, y, lam) / fv, self._H_x.eval(x, y, lam) / fv, fv
+    def _plane_field(self, lam: float):
+        """field(x, y) = (-H_y / f, H_x / f, f) at this lambda; ValueError where f = 0."""
+        f, h_x, h_y = self._f.at(lam), self._H_x.at(lam), self._H_y.at(lam)
+
+        def field(x, y):
+            fv = f(x, y)
+            if fv == 0.0:
+                raise ValueError("degenerate Omega: density vanishes at the point")
+            return -h_y(x, y) / fv, h_x(x, y) / fv, fv
+
+        return field
+
+    def _h_field(self, lam: float):
+        """field(x, y): the H-field at this lambda as an array, its lambda component 0."""
+        plane, h_lam, x_lam = self._plane_field(lam), self._H_lam.at(lam), self._X_lam.at(lam)
+
+        def field(x, y):
+            vx, vy, _ = plane(x, y)
+            return np.array([vx, vy, 0.0, h_lam(x, y) - x_lam(x, y) * vy])
+
+        return field
 
     def hamiltonian_field(self, point, generator: str = "H") -> np.ndarray:
         """The unique v with i_v Omega = -dG, G in {H, F}."""
-        x, y, lam = point[0], point[1], point[2]
         if generator == "F":
             return np.array([0.0, 0.0, 0.0, 1.0])
         if generator != "H":
             raise ValueError("generator must be 'H' or 'F'")
-        vx, vy, _ = self._plane_field(x, y, lam)
-        gl = self._H_lam.eval(x, y, lam)
-        xl = self._X_lam.eval(x, y, lam)
-        return np.array([vx, vy, 0.0, gl - xl * vy])
+        return self._h_field(float(point[2]))(float(point[0]), float(point[1]))
 
     # -- flows ------------------------------------------------------------
 
@@ -106,7 +120,9 @@ class SymplecticModel:
         elif times.any():
             order = np.argsort(np.abs(times))
             moving = order[times[order] != 0.0]
-            rhs = lambda _t, state: self.hamiltonian_field(state, generator)  # noqa: E731
+            # lambda is constant along the flow: one field, read at the start
+            field = self._h_field(float(point[2]))
+            rhs = lambda _t, state: field(*state.tolist()[:2])  # noqa: E731
             out[moving] = _solve(rhs, times[moving[-1]], point, times[moving]).T
         return out if np.ndim(t) else out[0]
 
@@ -142,6 +158,7 @@ class PeriodLattice:
     """2x2 basis of the stationary lattice; rows are (t1, t2) time vectors."""
 
     basis: np.ndarray
+    oval: tuple[float, float] | None = None  # the torus's oval ends (y-, y+), not in the JSON
 
     def to_json(self) -> dict:
         return {"basis": self.basis.tolist()}
@@ -175,7 +192,7 @@ def period_lattice(
     basis = np.array(
         [[0.0, 2.0 * math.pi], [di_dh, di_dl + 2.0 * math.pi * (k if stratum == "wide" else 0)]]
     )
-    return PeriodLattice(basis=basis)
+    return PeriodLattice(basis=basis, oval=_oval_ends(level, stratum))
 
 
 def verify_lattice(sm: SymplecticModel, point, t1, t2):
@@ -209,10 +226,10 @@ class ReducedSystem:
         return self.sm.hamiltonian_value(point)
 
     def rhs(self, lam: float):
-        field = self.sm._plane_field
+        field = self.sm._plane_field(lam)
 
         def rhs(_t, state):
-            return field(state[0], state[1], lam)[:2]
+            return field(*state.tolist())[:2]
 
         return rhs
 
@@ -221,12 +238,13 @@ class ReducedSystem:
             return np.asarray(xy, dtype=float)
         return _solve(self.rhs(lam), t, xy)
 
-    def section_time(self, xy, lam: float, x0: float | None = None, t_max: float = 200.0):
+    def section_time(self, xy, lam, x0: float | None = None, t_max: float = 200.0):
         """Smallest t > 0, at most t_max, with the backward flow of xy on
-        {x = x0} (default: the model's): ``quadrature.section_time``."""
-        model = self.sm.model
-        t = section_time(model, float(xy[0]), float(xy[1]), lam, model.x0 if x0 is None else x0)
-        if t > t_max:
+        {x = x0} (default: the model's): ``quadrature.section_time``; for an
+        (n, 2) array, with one lambda or one per row, one time per row."""
+        model, xy = self.sm.model, np.asarray(xy, dtype=float)
+        t = section_time(model, xy[..., 0], xy[..., 1], lam, model.x0 if x0 is None else x0)
+        if np.any(t > t_max):
             raise ValueError("trajectory does not reach the section")
         return t
 
@@ -241,18 +259,17 @@ def transport_map(sys1, sys2, point, x0: float | None = None) -> np.ndarray:
     the two systems; N1 is fixed pointwise and fibers are preserved.  The
     lambda and phi components pass through unchanged (the phi-shift freedom
     is the removable gauge).  Both systems must expose the reduced-flow
-    protocol through ``reduced()``; ``x0`` overrides the section of both.
+    protocol through ``reduced()``; ``x0`` overrides the section of both.  An
+    (n, >= 3) array gives an image per row, each system's times from one engine call.
     """
     s1, s2 = sys1.reduced(), sys2.reduced()
     point = np.asarray(point, dtype=float)
-    xy = point[:2]
-    lam = float(point[2]) if point.size > 2 else 0.0
-    t1 = s1.section_time(xy, lam, x0)
-    t2 = s2.section_time(xy, lam, x0)
-    image_xy = s2.reduced_flow(xy, lam, t1 - t2)
-    out = point.copy()
-    out[:2] = image_xy
-    return out
+    out = np.atleast_2d(point).copy()
+    lam = out[:, 2] if out.shape[1] > 2 else np.zeros(len(out))
+    dt = s1.section_time(out[:, :2], lam, x0) - s2.section_time(out[:, :2], lam, x0)
+    for row, row_lam, t in zip(out, lam.tolist(), dt.tolist()):
+        row[:2] = s2.reduced_flow(row[:2], row_lam, t)
+    return out if point.ndim == 2 else out[0]
 
 
 class BumpPushforward:
@@ -273,7 +290,7 @@ class BumpPushforward:
         self.support = support * sm.model.x0
         self._f_x = sm.density.diff(0)
         self._f_y = sm.density.diff(1)
-        self._last_preimage = None
+        self._preimages: dict = {}
 
     def _bump(self, x: float) -> tuple[float, float]:
         """rho(x) and rho'(x)."""
@@ -286,15 +303,14 @@ class BumpPushforward:
 
     def _z_rhs(self, lam: float):
         """Z = rho v, with d/dt log det Dpsi0 = div Z as a third component."""
-        field = self.sm._plane_field
-        fx, fy = self._f_x, self._f_y
+        field, fx, fy = self.sm._plane_field(lam), self._f_x.at(lam), self._f_y.at(lam)
 
         def rhs(_t, state):
-            x, y = state[0], state[1]
-            vx, vy, fv = field(x, y, lam)
+            x, y, _ = state.tolist()
+            vx, vy, fv = field(x, y)
             rho, rho_prime = self._bump(x)
             # div(rho v) = rho' vx + rho div v, div v = -(v . grad f) / f
-            div_v = -(vx * fx.eval(x, y, lam) + vy * fy.eval(x, y, lam)) / fv
+            div_v = -(vx * fx(x, y) + vy * fy(x, y)) / fv
             return (rho * vx, rho * vy, rho_prime * vx + rho * div_v)
 
         return rhs
@@ -305,12 +321,10 @@ class BumpPushforward:
         return np.array([out[0], out[1]]), math.exp(out[2])
 
     def _preimage(self, xy, lam: float):
-        """bump_map(xy, lam, inverse=True), kept for the last point: a
-        transported point asks for it in section_time and again in reduced_flow."""
-        key = (float(xy[0]), float(xy[1]), float(lam))
-        if self._last_preimage is None or self._last_preimage[0] != key:
-            self._last_preimage = (key, self.bump_map(xy, lam, inverse=True))
-        return self._last_preimage[1]
+        """bump_map(xy, lam, inverse=True), kept for the last section_time batch:
+        a transported point asks for it there and again in reduced_flow."""
+        hit = self._preimages.get((float(xy[0]), float(xy[1]), float(lam)))
+        return self.bump_map(xy, lam, inverse=True) if hit is None else hit
 
     def density_eval(self, x, y, lam):
         pre, det_along = self._preimage((x, y), lam)
@@ -331,13 +345,17 @@ class BumpPushforward:
         # psi0 preserves every fiber, so the pushed system has the same H
         return self.sm.hamiltonian_value(point)
 
-    def section_time(self, xy, lam: float, x0: float | None = None, t_max: float = 200.0):
+    def section_time(self, xy, lam, x0: float | None = None, t_max: float = 200.0):
         if x0 is not None and abs(x0) < self.support:
             raise ValueError("section inside the bump's support")
         # psi0 is the identity near the section, so the conjugated backward
         # trajectory hits {x = x0} exactly when the base one from psi0^-1 does
-        pre, _ = self._preimage(xy, lam)
-        return self.base.section_time(pre, lam, x0, t_max)
+        xy = np.asarray(xy, dtype=float)
+        columns = np.broadcast_arrays(xy[..., 0], xy[..., 1], lam)
+        points = list(zip(*(c.ravel().tolist() for c in columns)))
+        self._preimages = {p: self._preimage(p[:2], p[2]) for p in points}
+        pre = np.array([self._preimages[p][0] for p in points])
+        return self.base.section_time(pre.reshape(xy.shape), lam, x0, t_max)
 
 
 def pullback_residual(sys1, sys2, point, x0: float | None = None, h: float = 1e-5) -> dict:
@@ -352,14 +370,12 @@ def pullback_residual(sys1, sys2, point, x0: float | None = None, h: float = 1e-
     s1, s2 = sys1.reduced(), sys2.reduced()
     point = np.asarray(point, dtype=float)
     lam = float(point[2]) if point.size > 2 else 0.0
-
-    def tmap(xy):
-        q = np.array([xy[0], xy[1], lam, 0.0])
-        return transport_map(s1, s2, q, x0)[:2]
-
-    base = tmap(point[:2])
-    jx = (tmap(point[:2] + (h, 0.0)) - tmap(point[:2] - (h, 0.0))) / (2.0 * h)
-    jy = (tmap(point[:2] + (0.0, h)) - tmap(point[:2] - (0.0, h))) / (2.0 * h)
+    # the point and its four stencil points, transported together
+    xy = point[:2]
+    stencil = np.vstack((xy, xy + (h, 0.0), xy - (h, 0.0), xy + (0.0, h), xy - (0.0, h)))
+    q = np.column_stack((stencil, np.full(5, lam), np.zeros(5)))
+    base, x_plus, x_minus, y_plus, y_minus = transport_map(s1, s2, q, x0)[:, :2]
+    jx, jy = (x_plus - x_minus) / (2.0 * h), (y_plus - y_minus) / (2.0 * h)
     det = jx[0] * jy[1] - jx[1] * jy[0]
     f1 = s1.density_eval(point[0], point[1], lam)
     f2 = s2.density_eval(base[0], base[1], lam)

@@ -161,6 +161,22 @@ class Density:
 
     __call__ = eval
 
+    def at(self, lam):
+        """(x, y) -> eval(x, y, lam), bit for bit for float x and y: each term
+        is ((c x^i) y^j) lambda^k in ``terms`` order, with lambda^k taken once
+        and every factor of exponent 0 (an exact 1) left out."""
+        terms = [(float(c), i, j, k, float(lam) ** k) for (i, j, k), c in self.terms.items()]
+
+        def at_lam(x, y):
+            acc = 0.0
+            for c, i, j, k, lam_k in terms:
+                c = c * x**i if i else c
+                c = c * y**j if j else c
+                acc = acc + (c * lam_k if k else c)
+            return acc
+
+        return at_lam
+
     def eval_exact(self, x, y, lam=0):
         """Exact evaluation for Fraction/int arguments."""
         acc = 0

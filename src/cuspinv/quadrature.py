@@ -5,22 +5,23 @@ All level sets of the cusp models are treated through the potential form
 x^2 = P(y) = H - W(y), with W read off the model's Hamiltonian.  The levels
 of a call and their sections H - x0^2 - W are isolated together, by one
 stacked root solve (``_levels`` on ``model._stacked_roots``), so a chart or a
-verdict makes one and a scalar call is a batch of one.  Every invariant is a
-``LevelJob``, the integral of kernel(x, y, lambda) dy/x between two ends of
-a level set, with the vanishing factor of P deflated at turning points
+verdict makes one, a transport's section times two (the second for the zeros
+of f), and a scalar call is a batch of one.  Every invariant is a
+``LevelJob``, the integral of kernel(x, y, lambda) dy/x between two ends of a
+level set, with the vanishing factor of P deflated at turning points
 (y = a + (b-a) sin^2(t) on a closed oval, y = turn - t^2 on an arc), so
-dy/x = 2 dt/sqrt(R(y)) and every integrand is smooth.  The form kernel gives
-the Gelfand-Leray form w dy/(2x) over both branches (passage times, loop
-periods), the area kernel x times the integral of f across the level
-(loop, wide and separatrix actions).  One engine, ``_level_integrals``,
-sums a batch of jobs with an adaptive Gauss-Kronrod G10K21 rule; a job's
-value depends on its own subintervals only, so the scalar functions are
-batches of one and callers with many samples make one engine call.
+dy/x = 2 dt/sqrt(R(y)) and every integrand is smooth.  The form kernel
+gives the Gelfand-Leray form w dy/(2x) over both branches (passage times,
+loop periods), the area kernel x times the integral of f across the level
+(loop, wide and separatrix actions).  One engine, ``_level_integrals``, sums
+a batch of jobs with an adaptive Gauss-Kronrod G10K21 rule; a job's value
+depends on its own subintervals only, so the scalar functions are batches of
+one and callers with many samples make one engine call.
 
 Orientation conventions: loop periods and loop actions are positive;
 passage times run from N1 = {x = +x0} to N2 = {x = -x0} (swapping the
 sections flips the sign), and so do section times, from N1 to a point of
-the passage arc: the reduced flows' backward times to N1.
+the passage arc: the reduced flows' backward times to N1 (``section_jobs``).
 
 One rule, ``_arc``, finds the passage arc of a level for passages, section
 times and the separatrix lobe: its turning point, the first root above a
@@ -364,15 +365,13 @@ def _passage_job(kernel, level: _Level) -> LevelJob:
     return _arc_job(kernel, level.p, y_sec, turn, level.lam)
 
 
-def _bridged(model: FibrationModel, lam: float, x0: float) -> FibrationModel:
-    """The cusp_local model at lambda = 0 that the sign bridge (x, y, H) ->
-    (x, -y, -H) makes of the one-dof model at lambda: density f(x, -y, lambda)."""
-    f = model.density
+def _bridged(f, lam: float):
+    """f(x, -y, lambda) at this lambda: the density on the cusp_local model at
+    lambda = 0 that the sign bridge (x, y, H) -> (x, -y, -H) makes of the
+    one-dof model with density f."""
     if not isinstance(f, Density):
-        return cusp_local_model(lambda x, y, _: f(x, -y, lam), x0)
-    return cusp_local_model(
-        Density([(c * lam**k * (-1) ** j, (i, j, 0)) for (i, j, k), c in f.terms.items()]), x0
-    )
+        return lambda x, y, _: f(x, -y, lam)
+    return Density([(c * lam**k * (-1) ** j, (i, j, 0)) for (i, j, k), c in f.terms.items()])
 
 
 def passage_jobs(model: FibrationModel, points) -> list[LevelJob]:
@@ -383,7 +382,7 @@ def passage_jobs(model: FibrationModel, points) -> list[LevelJob]:
         # one kernel per distinct lambda (the engine groups by kernel); the
         # bridged levels do not depend on the density, so they are one batch
         lams = {l for _, l in points}
-        kernels = {l: form_kernel(_bridged(model, l, model.x0).density) for l in lams}
+        kernels = {l: form_kernel(_bridged(model.density, l)) for l in lams}
         levels = _levels(cusp_local_model(), [(-H, 0.0) for H, _ in points], model.x0)
         return [_passage_job(kernels[l], level) for (_, l), level in zip(points, levels)]
     if model.kind == NODE:
@@ -410,9 +409,10 @@ def node_jobs(f, H_values) -> list[LevelJob]:
 _VANISHES = "degenerate Omega: density vanishes on the trajectory"
 
 
-def _level_zeros(f: Density, p: np.ndarray, lam: float) -> list[float]:
-    """Real roots y of f(x, y) f(-x, y) on the level x^2 = P(y): with f = E + x O,
-    E and O even in x, the product is E^2 - P O^2; where O = 0, the roots of E."""
+def _zero_poly(f: Density, p: np.ndarray, lam: float) -> np.ndarray:
+    """f(x, y) f(-x, y) on the level x^2 = P(y) as a polynomial in y: with
+    f = E + x O, E and O even in x, it is E^2 - P O^2; where O = 0, E.
+    ValueError where it vanishes identically."""
     parts = [np.zeros(1), np.zeros(1)]
     for (i, j, k), c in f.terms.items():
         term = np.concatenate(([float(c) * lam**k], np.zeros(j)))
@@ -424,42 +424,65 @@ def _level_zeros(f: Density, p: np.ndarray, lam: float) -> list[float]:
         even = np.polysub(np.polymul(even, even), np.polymul(p, np.polymul(odd, odd)))
     if not even.any():
         raise ValueError(_VANISHES)
-    return _stacked_roots([even])[0][0]
+    return even
 
 
-def section_time(model: FibrationModel, x: float, y: float, lam: float, x0: float) -> float:
-    """Time from N1 = {x = x0} to (x, y) along the passage arc of its level: up
-    the branch x > 0 from the crossing y_sec to the turning point above the
-    point, then down the branch x < 0, past N2 if need be.  On y = turn - s^2,
-    x = s sqrt(R) it is one job, the one-sided f dy/(2x) for s from sign(x)
-    sqrt(turn - y) to sqrt(turn - y_sec).  ValueError where f vanishes on that
-    stretch, and where the point is off the arc or before N1 (x > x0 among them), or f < 0;
-    OnSigmaError for a point past a turning point at a saddle (``_arc``).
+def section_jobs(model: FibrationModel, points, x0: float) -> list[LevelJob | None]:
+    """Jobs for the times from N1 = {x = x0} to the (x, y, lambda) points along
+    their passage arcs: up the branch x > 0 from the crossing y_sec to the
+    turning point above the point, then down the branch x < 0, past N2 if need
+    be; on y = turn - s^2, x = s sqrt(R), the one-sided f dy/(2x) for s from
+    sign(x) sqrt(turn - y) to sqrt(turn - y_sec).  None on N1 (time 0).  The
+    levels with their sections are one stacked root solve, the zeros of f on
+    them another.  ValueError where f vanishes on a stretch, and where a point
+    is off its arc or before N1 (x > x0 among them), or f < 0; OnSigmaError
+    past a turning point at a saddle (``_arc``).
     """
+    points = [(float(x), float(y), float(lam)) for x, y, lam in points]
+    densities = [model.density] * len(points)
     if model.kind == ONE_DOF:
-        return section_time(_bridged(model, lam, x0), x, -y, 0.0, x0)
-    f = model.density
-    level = _level(model, x * x + np.polyval(model.potential_coeffs(lam), y), lam, x0)
-    y_sec, turn = _arc(level, y, through=x < 0)
-    upper, lower = math.sqrt(turn - y_sec), math.copysign(math.sqrt(max(turn - y, 0.0)), x)
-    if lower >= upper:  # on N1 up to rounding, or before it on the branch x > 0
-        if abs(x - x0) > 1e-12 * x0:
+        bridged = {lam: _bridged(model.density, lam) for _, _, lam in points}
+        densities = [bridged[lam] for _, _, lam in points]
+        model, points = cusp_local_model(), [(x, -y, 0.0) for x, y, _ in points]
+    kernels = {id(f): lambda xs, ys, ls, f=f: 0.5 * f(xs, ys, ls) for f in densities}
+    heights = [(x * x + np.polyval(model.potential_coeffs(lam), y), lam) for x, y, lam in points]
+    levels = _levels(model, heights, x0)
+    polys = [_zero_poly(f, level.p, lam) for (*_, lam), f, level in zip(points, densities, levels)]
+    zeros = _stacked_roots(polys)
+    jobs: list[LevelJob | None] = []
+    for (x, y, lam), f, level, (roots, _) in zip(points, densities, levels, zeros):
+        y_sec, turn = _arc(level, y, through=x < 0)
+        upper, lower = math.sqrt(turn - y_sec), math.copysign(math.sqrt(max(turn - y, 0.0)), x)
+        if lower >= upper:  # on N1 up to rounding, or before it on the branch x > 0
+            if abs(x - x0) > 1e-12 * x0:
+                raise ValueError(_UNREACHED)
+            jobs.append(None)
+            continue
+        r = -_synthetic_division(level.p, turn)
+        for yz in (z for z in roots if z <= turn):
+            for sz in (s * math.sqrt(turn - yz) for s in (1.0, -1.0)):
+                # f vanishes on the branch through xz if it is the smaller there
+                xz = sz * math.sqrt(max(np.polyval(r, yz), 0.0))
+                if lower <= sz <= upper and abs(f(xz, yz, lam)) <= abs(f(-xz, yz, lam)):
+                    raise ValueError(_VANISHES)
+        if f(x, y, lam) < 0:
             raise ValueError(_UNREACHED)
-        return 0.0
-    r = -_synthetic_division(level.p, turn)
-    for yz in _level_zeros(f, level.p, lam):
-        for sz in (s * math.sqrt(max(turn - yz, 0.0)) for s in (1.0, -1.0)):
-            # f vanishes on the branch through xz if it is the smaller there
-            xz = sz * math.sqrt(max(np.polyval(r, yz), 0.0))
-            if yz <= turn and lower <= sz <= upper and abs(f(xz, yz, lam)) <= abs(f(-xz, yz, lam)):
-                raise ValueError(_VANISHES)
-    if f(x, y, lam) < 0:
-        raise ValueError(_UNREACHED)
-    kernel = lambda xs, ys, ls: 0.5 * f(xs, ys, ls)  # noqa: E731
-    return float(integrals([LevelJob(kernel, lam, "arc", y_sec, turn, r, lower, upper)])[0])
+        jobs.append(LevelJob(kernels[id(f)], lam, "arc", y_sec, turn, r, lower, upper))
+    return jobs
 
 
 # -- the scalar API: batches of one ------------------------------------------------
+
+
+def section_time(model: FibrationModel, x, y, lam, x0: float):
+    """Time from N1 = {x = x0} to (x, y) along the passage arc of its level
+    (``section_jobs``); for arrays x, y and lambda, broadcast together, one
+    time per point from one engine call."""
+    points = np.broadcast_arrays(x, y, lam)
+    jobs = section_jobs(model, zip(*(v.ravel() for v in points)), x0)
+    out = np.zeros(len(jobs))
+    out[[job is not None for job in jobs]] = integrals([job for job in jobs if job is not None])
+    return out.reshape(points[0].shape) if points[0].ndim else float(out[0])
 
 
 def passage_time(model: FibrationModel, H: float, lam: float = 0.0) -> float:
@@ -563,25 +586,10 @@ class ActionChart:
 
     def to_csv(self) -> str:
         def fmt(v) -> str:
-            return "" if v is None else f"{v:.12g}"
+            return v if isinstance(v, str) else "" if v is None else f"{v:.12g}"
 
-        lines = [self.CSV_HEADER]
-        for r in self.rows:
-            lines.append(
-                ",".join(
-                    [
-                        f"{r.H:.12g}",
-                        f"{r.lam:.12g}",
-                        r.stratum,
-                        fmt(r.Pi),
-                        fmt(r.Pi_circ),
-                        fmt(r.I),
-                        fmt(r.I_circ),
-                        fmt(r.I_mu),
-                    ]
-                )
-            )
-        return "\n".join(lines) + "\n"
+        rows = ((r.H, r.lam, r.stratum, r.Pi, r.Pi_circ, r.I, r.I_circ, r.I_mu) for r in self.rows)
+        return "\n".join([self.CSV_HEADER, *(",".join(map(fmt, row)) for row in rows)]) + "\n"
 
 
 def action_chart(

@@ -15,9 +15,11 @@ digits with mpmath, the f = 1 loop period of the local model as a Carlson
 integral, section times from an event-driven backward flow
 instead of a level integral, passage times of the cusp models at 40 digits
 with mpmath between their own roots of the level and of the sections, the
-matrix of the symplectic form Omega written out entry by entry, and the real
+matrix of the symplectic form Omega written out entry by entry, the real
 roots of one polynomial at a time from ``np.roots`` with a scalar Newton
-polish, against which the stacked root solve must agree bit for bit.
+polish, against which the stacked root solve must agree bit for bit, and the
+H-field through ``Density.eval`` at every call, against which the per-lambda
+fields of the flows must agree bit for bit.
 """
 
 from __future__ import annotations
@@ -410,3 +412,23 @@ def reference_polish(coeffs, r: float) -> float:
             break
         r = r - fv / dv
     return r
+
+
+def reference_plane_field(sm, x, y, lam):
+    """(-H_y / f, H_x / f, f) at one point, each polynomial through
+    ``Density.eval``; ValueError where f = 0."""
+    h = sm.model.hamiltonian()
+    fv = sm.density.eval(x, y, lam)
+    if fv == 0.0:
+        raise ValueError("degenerate Omega: density vanishes at the point")
+    return -h.diff(1).eval(x, y, lam) / fv, h.diff(0).eval(x, y, lam) / fv, fv
+
+
+def reference_hamiltonian_field(sm, point) -> np.ndarray:
+    """The H-field (v_x, v_y, 0, H_lambda - X_lambda v_y) at one point through
+    ``Density.eval``, X the x-antiderivative of the density."""
+    x, y, lam = point[0], point[1], point[2]
+    vx, vy, _ = reference_plane_field(sm, x, y, lam)
+    gl = sm.model.hamiltonian().diff(2).eval(x, y, lam)
+    xl = sm.density.antiderivative_x().diff(2).eval(x, y, lam)
+    return np.array([vx, vy, 0.0, gl - xl * vy])

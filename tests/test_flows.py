@@ -16,7 +16,14 @@ from cuspinv.flows import (
 from cuspinv.model import Density, cusp_compact_model, cusp_local_model, one_dof_model
 from cuspinv.quadrature import loop_period, oval_bounds
 
-from oracles import carlson_loop_period, fd_period_lattice, ode_section_time, omega_matrix
+from oracles import (
+    carlson_loop_period,
+    fd_period_lattice,
+    ode_section_time,
+    omega_matrix,
+    reference_hamiltonian_field,
+    reference_plane_field,
+)
 
 F_ONE = Density.constant(1)
 F_TILT = Density({(0, 0, 0): 1.0, (0, 1, 0): 0.1})
@@ -79,6 +86,22 @@ class TestHamiltonianField:
         sm = SymplecticModel(cusp_local_model(Density({(0, 1, 0): 1})))
         with pytest.raises(ValueError):
             sm.hamiltonian_field((0.0, 0.0, 0.0, 0.0), "H")
+
+    @pytest.mark.parametrize("make", [cusp_local_model, cusp_compact_model])
+    def test_per_lambda_fields_match_eval_oracle(self, make):
+        # one field per lambda, bit for bit the fields through Density.eval
+        rng = np.random.default_rng(31)
+        f = Density({(0, 0, 0): 1.0, (0, 1, 0): 0.3, (1, 0, 1): 0.2, (2, 1, 2): -0.4})
+        sm = SymplecticModel(make(f))
+        for lam in (0.0, -0.3, float(rng.uniform(-0.5, 0.5))):
+            plane, h_field, rhs = sm._plane_field(lam), sm._h_field(lam), sm.reduced().rhs(lam)
+            for x, y in rng.uniform(-0.6, 0.6, (20, 2)).tolist() + [[0.0, 0.4], [0.3, 0.0]]:
+                ref = reference_plane_field(sm, x, y, lam)
+                assert plane(x, y) == ref
+                assert rhs(0.0, np.array([x, y])) == ref[:2]
+                point = np.array([x, y, lam, 1.0])
+                assert np.array_equal(h_field(x, y), reference_hamiltonian_field(sm, point))
+                assert np.array_equal(sm.hamiltonian_field(point), h_field(x, y))
 
 
 class TestVanishingDensity:
@@ -316,6 +339,38 @@ class TestTransport:
         with pytest.raises(ValueError):
             transport_map(sm, sm, q)
 
+    def test_array_of_points_matches_row_by_row(self):
+        sm = SymplecticModel(cusp_local_model(F_ONE))
+        tilted = SymplecticModel(cusp_local_model(F_TILT))
+        rows = np.array([_branch_point(sm, l, 0.03, t) for l in (-0.3, -0.2) for t in (0.4, 1.5)])
+        rows[:, 3] = [0.0, 0.5, -1.0, 2.0]
+        for sys2 in (tilted, BumpPushforward(sm, amplitude=0.2)):
+            batch = transport_map(sm, sys2, rows)
+            assert batch.shape == rows.shape
+            for row, image in zip(rows, batch):
+                assert np.array_equal(image, transport_map(sm, sys2, row))
+
+    def test_pullback_residual_counts(self, monkeypatch):
+        # five transported points: per system one level solve, one solve of
+        # the f-zero polynomials and one engine call
+        calls = []
+        real_roots, real_engine = quadrature._stacked_roots, quadrature._level_integrals
+
+        def roots(polys):
+            calls.append(("roots", len(polys)))
+            return real_roots(polys)
+
+        def engine(jobs):
+            calls.append(("engine", len(jobs)))
+            return real_engine(jobs)
+
+        monkeypatch.setattr(quadrature, "_stacked_roots", roots)
+        monkeypatch.setattr(quadrature, "_level_integrals", engine)
+        sm = SymplecticModel(cusp_local_model(F_ONE))
+        q = _branch_point(sm, -0.3, 0.034)
+        pullback_residual(sm, SymplecticModel(cusp_local_model(F_TILT)), q)
+        assert calls == [("roots", 10), ("roots", 5), ("engine", 5)] * 2
+
 
 class TestSectionTime:
     """Section times are level integrals on the engine, not event-driven flows."""
@@ -420,6 +475,38 @@ class TestSectionTime:
         assert rs.section_time(xy, -0.3, t_max=1.01 * t) == t
         with pytest.raises(ValueError, match="does not reach the section"):
             rs.section_time(xy, -0.3, t_max=0.99 * t)
+
+    def test_batch_matches_scalar_calls(self):
+        # N1 (frac 1) and, on the local arc, past N2 (frac < -1) in every batch
+        for make, lam, h, fracs in (
+            (cusp_local_model, -0.3, 0.05, [1.0, 0.6, -0.4, -1.3]),
+            (cusp_compact_model, 0.035, 0.0, [1.0, 0.5, -0.2, -0.9]),
+        ):
+            rs = ReducedSystem(SymplecticModel(make(self.F_MIX)))
+            xy = np.array(self._arc_points(rs.sm.model, lam, h, fracs))
+            xy[0, 0] = rs.sm.model.x0
+            batch = rs.section_time(xy, lam)
+            assert batch[0] == 0.0 and np.all(batch[1:] > 0.0)
+            assert batch.tolist() == [rs.section_time(p, lam) for p in xy]
+            assert batch.tolist() == [
+                quadrature.section_time(rs.sm.model, x, y, lam, rs.sm.model.x0) for x, y in xy
+            ]
+
+    def test_one_dof_batch_through_the_sign_bridge(self):
+        # one lambda per row; (1, 1.2) lies on N1
+        rs = ReducedSystem(SymplecticModel(one_dof_model(self.F_MIX)))
+        xy = np.array([(0.5, 0.9), (-0.7, 0.95), (-1.3, 1.3), (1.0, 1.2)])
+        lams = np.array([0.2, -0.1, 0.0, 0.3])
+        batch = rs.section_time(xy, lams)
+        assert batch[3] == 0.0
+        assert batch.tolist() == [rs.section_time(p, l) for p, l in zip(xy, lams)]
+
+    def test_batch_with_off_arc_point_raises(self):
+        rs = ReducedSystem(SymplecticModel(cusp_local_model(F_ONE)))
+        good = _branch_point(rs.sm, -0.3, 0.034)[:2]
+        for bad in ((1.2, -1.2), _oval_point(rs.sm.model, 0.0, -0.3)[:2]):
+            with pytest.raises(ValueError, match="does not reach the section"):
+                rs.section_time(np.array([good, bad, good]), -0.3)
 
     def test_no_ode_solve(self, monkeypatch):
         import scipy.integrate

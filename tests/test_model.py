@@ -99,6 +99,41 @@ class TestDensity:
         assert back == f
 
 
+class TestDensityAt:
+    """The per-lambda evaluator gives Density.eval bit for bit on floats."""
+
+    @staticmethod
+    def _random_density(rng) -> Density:
+        # mixed lambda terms, some sharing (i, j) with a lambda-free term
+        terms = {}
+        for _ in range(rng.integers(1, 9)):
+            e = tuple(int(v) for v in rng.integers(0, [4, 5, 3]))
+            terms[e] = float(rng.uniform(-2.0, 2.0))
+        terms[(0, 1, 0)], terms[(0, 1, 1)] = 0.3, -0.7
+        return Density(terms)
+
+    def test_matches_eval_on_random_densities(self):
+        rng = np.random.default_rng(20261018)
+        checked = 0
+        for _ in range(60):
+            f = self._random_density(rng)
+            for lam in (0.0, 1.0, -1.0, float(rng.uniform(-1.5, 1.5))):
+                at = f.at(lam)
+                xs = [0.0, -0.0, *rng.uniform(-2.0, 2.0, 4)]
+                ys = [0.0, *rng.uniform(-2.0, 2.0, 4)]
+                for x in map(float, xs):
+                    for y in map(float, ys):
+                        assert at(x, y) == f.eval(x, y, lam)
+                        checked += 1
+        assert checked == 60 * 4 * 30
+
+    def test_exact_coefficients_and_empty_density(self):
+        f = Density({(0, 0, 0): 1, (1, 2, 1): Fraction(1, 3), (0, 0, 2): 2})
+        assert f.at(0.25)(0.5, -0.75) == f.eval(0.5, -0.75, 0.25)
+        assert f.at(0)(0.5, -0.75) == f.eval(0.5, -0.75, 0)
+        assert Density({}).at(0.3)(0.2, 0.1) == 0.0
+
+
 class TestFibrationModel:
     def test_json_roundtrip(self):
         m = cusp_compact_model(Density.constant(2.0), x0=0.3)
