@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -540,3 +541,62 @@ class TestTransport:
         )
         assert code == 2
         assert "input error" in err
+
+
+#: sha256 of stdout, byte for byte, of the default 7x7 charts, lattice
+#: verifications and transports; {name} stands for a model or points file
+PINNED_DIGESTS = [
+    ("actions --model {local}", "a3543c4e58688e794a047c92d74cdf5b335a4fdf6cbaee8f0b7092114efee4bf"),
+    ("actions --model {compact}", "c58591daed0c7d54ab36cdfe80168c351e00cccb8221aa003d772a3adf6467bb"),
+    (
+        "actions --model {local} --format json",
+        "ce972dd88b620b48cab0838a639722d99cb2c2acc9bb056c04e3e0df30fa257c",
+    ),
+    (
+        "actions --model {compact} --format json",
+        "438ecaa2a3a1e5fb7686284fba41d513aa89f8beca200a8afefa905f58fb24ed",
+    ),
+    (
+        "lattice --sys {local} --at 0.0 -0.05 --verify",
+        "6042dbdf3c3fab8d20de74c33603cb21bb40282d56a3a0f0d5c5b6c21d3173f1",
+    ),
+    (
+        "lattice --sys {compact} --at 0.0 -0.05 --verify",
+        "6c3378ad94c0ec7b60e490bb6bcdc954e12750a0e979b874e804639ac0afc5d7",
+    ),
+    (
+        "lattice --sys {compact} --at 0.05 0.02 --stratum wide --verify",
+        "dd7397969ccb3f7018799debdff9568d4fe729da8589da460abb811148c2b50c",
+    ),
+    (
+        "transport --sys1 {local} --sys2 {local_p} --points {pts_local}",
+        "2f6ea426de820cc980592e58b30824c1de578a329e42ee1d3713672fc5a7f021",
+    ),
+    (
+        "transport --sys1 {compact} --sys2 {compact_p} --points {pts_compact}",
+        "8980527d3c1e778b4675e9f0804ff21829ac97bc0aa0152ab12d0ec003cb037f",
+    ),
+]
+
+
+@pytest.mark.parametrize("command, digest", PINNED_DIGESTS)
+def test_output_digest_pinned(files, capsys, command, digest):
+    def model(kind, terms, x0):
+        density = {"terms": [{"c": c, "e": list(e)} for e, c in terms.items()]}
+        return {"kind": kind, "density": density, "x0": x0}
+
+    extra = {
+        "local_p": model(
+            "cusp_local", {(0, 0, 0): 1.2, (0, 1, 0): 0.13, (1, 1, 0): 0.05, (0, 0, 1): 0.15}, 1.0
+        ),
+        "compact_p": model("cusp_compact", {(0, 0, 0): 1.0, (0, 1, 0): 0.2, (2, 0, 0): 0.1}, 0.25),
+        "pts_local": [[0.028, -0.4805, -0.3], [-0.2, 0.1, -0.02, 0.5]],
+        "pts_compact": [[0.1, -0.2, -0.03], [-0.05, 0.1, 0.01]],
+    }
+    paths = {k: str(v) for k, v in files.items()}
+    for name, data in extra.items():
+        paths[name] = str(files["tmp"] / f"{name}.json")
+        Path(paths[name]).write_text(json.dumps(data))
+    code, out, _ = _run(capsys, command.format(**paths).split())
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
