@@ -41,15 +41,6 @@ class FitReport:
     n_samples: int
     grid: list[float] = field(default_factory=list)
 
-    def to_json(self) -> dict:
-        return {
-            "residual_rms": self.residual_rms,
-            "cond": self.cond,
-            "flagged": self.flagged,
-            "n_samples": self.n_samples,
-            "grid": list(self.grid),
-        }
-
 
 def _orders(order) -> tuple[int, int, int]:
     if isinstance(order, int):
@@ -110,16 +101,17 @@ def fit_puiseux(samples, order=2, relative_weights: bool = False) -> tuple[Puise
     return triple, report
 
 
-def extract_log_coeff(samples, min_points: int = 7) -> tuple[float, dict]:
-    """Coefficient alpha of value = alpha*ln|s| + beta(s) from halving samples.
+def extract_log_coeff(samples) -> tuple[float, dict]:
+    """Coefficient alpha of value = alpha*ln|s| + beta(s) from at least 7
+    halving samples.
 
     Consecutive differences give -alpha*ln 2 up to O(s); the Richardson table
     with ratio 2 removes the analytic drift order by order.  A diagnostic
     dict reports the table and whether the last corrections still shrink.
     """
     pts = sorted(((float(s), float(v)) for s, v in samples), reverse=True)
-    if len(pts) < min_points:
-        raise ValueError(f"need at least {min_points} halving samples")
+    if len(pts) < 7:
+        raise ValueError("need at least 7 halving samples")
     s = np.array([p[0] for p in pts])
     ratios = s[:-1] / s[1:]
     if np.any(np.abs(ratios - 2.0) > 1e-6):
@@ -173,19 +165,16 @@ def node_complex_period(f: Density, H: float) -> complex:
     return -2.0j * math.pi * acc
 
 
-def fit_node_log(f, h_grid=None, order: int | None = None):
-    """Fit node-passage samples to sum a_k H^k ln H + sum b_k H^k.
+def fit_node_log(f: Density):
+    """Fit node-passage samples at H = 0.4 * 2^-m, m < 14, to
+    sum a_k H^k ln H + sum b_k H^k, k up to max(2, degree of f).
 
     Exact model for polynomial densities, so the fit recovers the
     logarithmic polynomial a(H) to quadrature accuracy.  Returns (a, b)
     series.
     """
-    if order is None:
-        deg = f.max_degree if isinstance(f, Density) else 4
-        order = max(2, deg)
-    if h_grid is None:
-        h_grid = [0.4 * 2.0**-m for m in range(14)]
-    hs = np.array(sorted(float(h) for h in h_grid))
+    order = max(2, f.max_degree)
+    hs = np.array(sorted(0.4 * 2.0**-m for m in range(14)))
     vals = integrals(node_jobs(f, hs))
     cols = [hs**k * np.log(hs) for k in range(order + 1)]
     cols += [hs**k for k in range(order + 1)]
@@ -224,29 +213,24 @@ def verify_node_log_identity(f: Density, h_grid, tol: float = 1e-4) -> dict:
 # -- hyperbolic-branch log coefficients ------------------------------------------
 
 
-def hyperbolic_log_coeff(
-    model: FibrationModel,
-    lam: float,
-    s0_frac: float = 0.35,
-    levels: int = 10,
-) -> tuple[float, dict]:
+def hyperbolic_log_coeff(model: FibrationModel, lam: float) -> tuple[float, dict]:
     """Log coefficient alpha(lambda) of the period blow-up at Sigma_hyp.
 
     Approaches the hyperbolic branch from the swallow-tail interior on the
-    halving grid H = H_hyp - s0*2^-m and extracts the coefficient of
-    ln|3 sqrt(3) H - 2(-lambda)^(3/2)| (constants inside the log are
-    absorbed into the analytic part).
+    halving grid H = H_hyp - s0*2^-m, m < 10, s0 = 0.35 (H_hyp - H_ell), and
+    extracts the coefficient of ln|3 sqrt(3) H - 2(-lambda)^(3/2)| (constants
+    inside the log are absorbed into the analytic part).
     """
     if model.kind != CUSP_LOCAL:
         raise ValueError("hyperbolic log extraction implemented on the local model")
     if lam >= 0:
         raise ValueError("requires lambda < 0")
-    h_ell, h_hyp = bifurcation_diagram(model, domain_radius=math.inf).branch_values(lam)
-    s0 = s0_frac * (h_hyp - h_ell)
-    steps = [s0 * 2.0**-m for m in range(levels)]
+    h_ell, h_hyp = bifurcation_diagram(model).branch_values(lam)
+    s0 = 0.35 * (h_hyp - h_ell)
+    steps = [s0 * 2.0**-m for m in range(10)]
     jobs = oval_jobs(model, [(h_hyp - s, lam) for s in steps], form_kernel(model.density), "narrow")
     samples = list(zip(steps, integrals(jobs)))
-    alpha, diag = extract_log_coeff(samples, min_points=min(7, levels))
+    alpha, diag = extract_log_coeff(samples)
     diag["lambda"] = lam
     diag["H_hyp"] = h_hyp
     return alpha, diag

@@ -47,13 +47,6 @@ class BrieskornPair:
     def to_json(self) -> dict:
         return {"alpha": self.alpha.to_json(), "beta": self.beta.to_json()}
 
-    @classmethod
-    def from_json(cls, data) -> "BrieskornPair":
-        return cls(
-            TruncatedSeries.from_json(data["alpha"]),
-            TruncatedSeries.from_json(data["beta"]),
-        )
-
 
 def _as_fraction(c) -> Fraction:
     return c if isinstance(c, Fraction) else Fraction(c)

@@ -17,13 +17,15 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import re
 import sys
+from dataclasses import asdict
 
 import numpy as np
 
 from . import brieskorn, equivalence, flows
-from .model import IDENTITY_BASE_MAP, Density, FibrationModel
+from .model import CUSP_COMPACT, CUSP_LOCAL, IDENTITY_BASE_MAP, ONE_DOF, Density, FibrationModel
 from .quadrature import action_chart
 from .specfun import puiseux_constants
 
@@ -32,59 +34,86 @@ class InputError(Exception):
     pass
 
 
-def _load_json(path: str):
+def _load(path: str, what: str, parse):
+    """parse(the JSON of the file); InputError where either step fails."""
     try:
         with open(path) as fh:
-            return json.load(fh)
+            data = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
-
-
-def _load_density(path: str) -> Density:
-    data = _load_json(path)
     try:
-        return Density.from_json(data)
+        return parse(data)
     except (KeyError, TypeError, ValueError) as exc:
-        raise InputError(f"bad density file {path}: {exc}") from exc
+        raise InputError(f"bad {what} file {path}: {exc}") from exc
 
 
-def _load_model(path: str) -> FibrationModel:
-    data = _load_json(path)
-    try:
-        return FibrationModel.from_json(data)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InputError(f"bad model file {path}: {exc}") from exc
+#: the model kinds a subcommand handles where not the two cusp models
+_KINDS = {"transport": (CUSP_LOCAL, CUSP_COMPACT, ONE_DOF)}
 
 
-def _load_phi(path: str | None):
-    """The base map (H~, F~) of a file with entries "Ht" and "Ft", each
-    {"terms": [{"c": c, "e": [i, j]}]} in (H, F); the identity without a file."""
-    if path is None:
-        return IDENTITY_BASE_MAP
-    data = _load_json(path)
-    try:
-        return tuple(_base_map_component(data[key]) for key in ("Ht", "Ft"))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InputError(f"bad base-map file {path}: {exc}") from exc
+def _load_model(path: str, command: str) -> FibrationModel:
+    model = _load(path, "model", FibrationModel.from_json)
+    if model.kind not in _KINDS.get(command, (CUSP_LOCAL, CUSP_COMPACT)):
+        raise InputError(f"{command} cannot handle model kind {model.kind!r} of {path}")
+    return model
 
 
-def _base_map_component(data) -> Density:
-    terms = [(t["c"], tuple(t["e"])) for t in data["terms"]]
-    if any(len(e) != 2 for _, e in terms):
-        raise ValueError("base-map exponents are pairs [i, j]")
-    return Density([(c, (*e, 0)) for c, e in terms])
+def _base_map(data) -> tuple[Density, Density]:
+    """The base map (H~, F~) of entries "Ht" and "Ft", each
+    {"terms": [{"c": c, "e": [i, j]}]} in (H, F)."""
+    out = []
+    for key in ("Ht", "Ft"):
+        terms = [(t["c"], tuple(t["e"])) for t in data[key]["terms"]]
+        if any(len(e) != 2 for _, e in terms):
+            raise ValueError("base-map exponents are pairs [i, j]")
+        out.append(Density([(c, (*e, 0)) for c, e in terms]))
+    return tuple(out)
+
+
+def _finite(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
+
+
+def _points(data) -> list[np.ndarray]:
+    """[x, y, lambda, phi] of each [x, y, lambda(, phi)] entry, phi 0 where left out."""
+    if not isinstance(data, list) or not all(
+        isinstance(p, list) and len(p) in (3, 4) and all(map(_finite, p)) for p in data
+    ):
+        raise ValueError("points file must hold [x, y, lambda(, phi)] lists of finite numbers")
+    return [np.array([*p, 0.0][:4], dtype=float) for p in data]
 
 
 def _emit(text: str, out: str | None) -> None:
-    if out:
+    if not out:
+        sys.stdout.write(text)
+        return
+    try:
         with open(out, "w") as fh:
             fh.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as exc:
+        raise InputError(f"cannot write {out}: {exc}") from exc
 
 
 def _json_dumps(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+
+
+def _number(text: str) -> float:
+    """The type of every float option, reused for --config entries: a finite float."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"{text!r} is not a finite number")
+    return value
+
+
+def _tolerance(text: str) -> float:
+    value = _number(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"tolerance {text!r} is negative")
+    return value
 
 
 def _parse_grid(spec: str) -> tuple[int, int]:
@@ -105,7 +134,7 @@ def _trim_zeros(coeffs: list) -> list:
 
 
 def cmd_decompose(args) -> int:
-    density = _load_density(args.density)
+    density = _load(args.density, "density", Density.from_json)
     pair = brieskorn.reduce(density)
     payload = pair.to_json()
     payload["alpha"] = _trim_zeros(payload["alpha"])
@@ -127,7 +156,7 @@ def cmd_decompose(args) -> int:
 
 
 def cmd_actions(args) -> int:
-    model = _load_model(args.model)
+    model = _load_model(args.model, args.command)
     nh, nl = _parse_grid(args.grid)
     h_lo, h_hi = args.h_range
     l_lo, l_hi = args.l_range
@@ -141,29 +170,21 @@ def cmd_actions(args) -> int:
     if args.format == "csv":
         _emit(chart.to_csv(), args.out)
     else:
+        # the JSON names of the row fields: lam is "lambda"
         rows = [
-            {
-                "H": r.H,
-                "lambda": r.lam,
-                "stratum": r.stratum,
-                "Pi": r.Pi,
-                "Pi_circ": r.Pi_circ,
-                "I": r.I,
-                "I_circ": r.I_circ,
-                "I_mu": r.I_mu,
-            }
-            for r in chart.rows
+            {"lambda" if k == "lam" else k: v for k, v in asdict(r).items()} for r in chart.rows
         ]
         _emit(_json_dumps({"mu_shift": chart.mu_shift, "rows": rows}), args.out)
     return 0
 
 
 def cmd_compare(args) -> int:
-    sys1 = _load_model(args.sys1)
-    sys2 = _load_model(args.sys2)
-    phi = _load_phi(args.phi)
-    if sys1.kind == "cusp_compact" and sys2.kind == "cusp_compact":
-        lo, hi = args.k_range
+    sys1, sys2 = (_load_model(path, args.command) for path in (args.sys1, args.sys2))
+    phi = IDENTITY_BASE_MAP if args.phi is None else _load(args.phi, "base-map", _base_map)
+    lo, hi = args.k_range
+    if lo > hi:
+        raise InputError(f"empty --k-range {lo} {hi}")
+    if sys1.kind == CUSP_COMPACT and sys2.kind == CUSP_COMPACT:
         verdict = equivalence.cusp_torus_equivalent(
             sys1, sys2, phi, k_range=(lo, hi), action_rtol=args.tol
         )
@@ -174,15 +195,13 @@ def cmd_compare(args) -> int:
 
 
 def cmd_invariants(args) -> int:
-    sys1 = _load_model(args.sys)
-    report = equivalence.invariant_report(sys1)
+    report = equivalence.invariant_report(_load_model(args.sys, args.command))
     _emit(_json_dumps(report.to_json()), args.out)
     return 0
 
 
 def cmd_lattice(args) -> int:
-    sys1 = _load_model(args.sys)
-    sm = flows.SymplecticModel(sys1)
+    sm = flows.SymplecticModel(_load_model(args.sys, args.command))
     h, lam = args.at
     lattice = flows.period_lattice(sm, h, lam, stratum=args.stratum, k=args.mu_shift)
     payload = lattice.to_json()
@@ -208,14 +227,10 @@ def _start_point(sm: flows.SymplecticModel, h: float, lam: float, oval: tuple[fl
 
 
 def cmd_transport(args) -> int:
-    sys1 = flows.SymplecticModel(_load_model(args.sys1))
-    sys2 = flows.SymplecticModel(_load_model(args.sys2))
-    pts = _load_json(args.points)
+    sys1, sys2 = (_load_model(path, args.command) for path in (args.sys1, args.sys2))
+    sys1, sys2 = flows.SymplecticModel(sys1), flows.SymplecticModel(sys2)
     out = []
-    for p in pts:
-        if not isinstance(p, list) or len(p) < 3:
-            raise InputError("points file must hold [x, y, lambda(, phi)] lists")
-        q = np.array([p[0], p[1], p[2], p[3] if len(p) > 3 else 0.0], dtype=float)
+    for q in _load(args.points, "points", _points):
         res = flows.pullback_residual(sys1, sys2, q)
         out.append(
             {
@@ -256,8 +271,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("actions", help="action chart over a base grid")
     p.add_argument("--model", required=True)
     p.add_argument("--grid", default="7x7")
-    p.add_argument("--h-range", type=float, nargs=2, default=(-0.01, 0.01))
-    p.add_argument("--l-range", type=float, nargs=2, default=(-0.06, 0.02))
+    p.add_argument("--h-range", type=_number, nargs=2, default=(-0.01, 0.01))
+    p.add_argument("--l-range", type=_number, nargs=2, default=(-0.06, 0.02))
     p.add_argument("--stratum", choices=["narrow", "wide", "outside"])
     p.add_argument("--mu-shift", type=int, default=0)
     p.add_argument("--format", choices=["csv", "json"], default="csv")
@@ -269,7 +284,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sys2", required=True)
     p.add_argument("--phi")
     p.add_argument("--k-range", type=int, nargs=2, default=(-3, 3))
-    p.add_argument("--tol", type=float, default=1e-5)
+    p.add_argument("--tol", type=_tolerance, default=1e-5)
     p.add_argument("--out")
     p.set_defaults(func=cmd_compare)
 
@@ -280,11 +295,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("lattice", help="period lattice at a base point")
     p.add_argument("--sys", required=True)
-    p.add_argument("--at", type=float, nargs=2, required=True, metavar=("H", "LAMBDA"))
+    p.add_argument("--at", type=_number, nargs=2, required=True, metavar=("H", "LAMBDA"))
     p.add_argument("--stratum", choices=["narrow", "wide"], default="narrow")
     p.add_argument("--mu-shift", type=int, default=0)
     p.add_argument("--verify", action="store_true")
-    p.add_argument("--tol", type=float, default=1e-6)
+    p.add_argument("--tol", type=_tolerance, default=1e-6)
     p.add_argument("--out")
     p.set_defaults(func=cmd_lattice)
 
@@ -313,14 +328,14 @@ def _config_value(action: argparse.Action, key: str, value):
         out = [(action.type or str)(str(v)) for v in items]
         if action.choices and any(v not in action.choices for v in out):
             raise ValueError(f"must be one of {list(action.choices)}")
-    except ValueError as exc:
+    except (ValueError, argparse.ArgumentTypeError) as exc:
         raise InputError(f"config entry {key!r}: {exc}") from exc
     return out if action.nargs else out[0]
 
 
 def _apply_config(parser: argparse.ArgumentParser, args) -> None:
     """Override the parsed flags with the subcommand options in the --config file."""
-    overrides = _load_json(args.config)
+    overrides = _load(args.config, "config", lambda data: data)
     if not isinstance(overrides, dict):
         raise InputError(f"config {args.config} must hold a JSON object")
     (commands,) = [a for a in parser._actions if a.dest == "command"]

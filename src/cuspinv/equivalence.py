@@ -167,36 +167,28 @@ def verify_relations(
     return out
 
 
-def verify_relations_numeric(
-    f,
-    f_tilde,
-    g: TruncatedSeries,
-    x0: float = 1.0,
-    h_max: float = 0.05,
-    n_samples: int = 40,
-    analytic_order: int = 6,
-) -> dict:
+def verify_relations_numeric(f, f_tilde, g: TruncatedSeries) -> dict:
     """Relation residuals measured through the analytic-defect of passages.
 
     Relations (iii) hold iff Delta(H) = Pi(H) - h'(H) Pi~(h(H)) is analytic
     at 0, so the residuals are the fractional coefficients of a fit of
-    Delta in the basis {H^(k-1/6), H^(k+1/6)} (k <= 2) plus an analytic
-    polynomial.  Sampling the defect instead of the full fractional
-    coefficients keeps the design matrix conditioned at ~1e8 rather than
-    1e13, which is what makes the 1e-4 tolerance reachable from
-    double-precision quadrature data.
+    Delta, sampled at 40 H from 1e-8 to 0.05, in the basis {H^(k-1/6),
+    H^(k+1/6)} (k <= 2) plus an analytic polynomial of degree 6.  Sampling
+    the defect instead of the full fractional coefficients keeps the design
+    matrix conditioned at ~1e8 rather than 1e13, which is what makes the
+    1e-4 tolerance reachable from double-precision quadrature data.
     """
     g = _floats(g)
     dg = g.deriv()
-    mdl = one_dof_model(f, x0=x0)
-    mdl_t = one_dof_model(f_tilde, x0=x0)
-    grid = np.geomspace(1e-8, h_max, n_samples)
+    mdl = one_dof_model(f)
+    mdl_t = one_dof_model(f_tilde)
+    grid = np.geomspace(1e-8, 0.05, 40)
     gv = np.array([float(g.eval(h)) for h in grid])
     hp = gv + np.array([float(dg.eval(h)) for h in grid]) * grid
     jobs = passage_jobs(mdl, [(h, 0.0) for h in grid])
     pi = integrals(jobs + passage_jobs(mdl_t, [(h, 0.0) for h in grid * gv]))
-    deltas = pi[:n_samples] - hp * pi[n_samples:]
-    fit, report = asymptotics.fit_puiseux(zip(grid, deltas), order=(2, 2, analytic_order))
+    deltas = pi[: len(grid)] - hp * pi[len(grid) :]
+    fit, report = asymptotics.fit_puiseux(zip(grid, deltas), order=(2, 2, 6))
     return {
         "a_defect": fit.a.coeffs,
         "b_defect": fit.b.coeffs,
@@ -246,15 +238,6 @@ class OneDofVerdict:
     residuals: dict
     witness_g: TruncatedSeries | None = None
     orientation_corrected: bool = False
-
-    def to_json(self) -> dict:
-        return {
-            "equivalent": self.equivalent,
-            "mode": self.mode,
-            "residuals": self.residuals,
-            "witness_g": None if self.witness_g is None else self.witness_g.to_json(),
-            "orientation_corrected": self.orientation_corrected,
-        }
 
 
 def _flip_orientation(f: Density) -> Density:
@@ -404,8 +387,8 @@ def _parabolic_checks(
             table[key] = diagram.branch_values(lam)
         return table[key]
 
-    # cusp point must map to the cusp point, each branch onto the same branch
-    sigma_resid = [math.hypot(*_phi_eval(phi, *d1.cusp_point))]
+    # cusp point (0, 0) must map to the cusp point, each branch onto the same branch
+    sigma_resid = [math.hypot(*_phi_eval(phi, 0.0, 0.0))]
     sigma_ok = sigma_resid[0] <= 1e-9
     for lam in (-0.8 * r, -0.6 * r, -0.4 * r, -0.2 * r):
         for index, value in enumerate(values(d1, lam)):
@@ -515,22 +498,16 @@ class InvariantReport:
         }
 
 
-def fitted_pair(
-    density,
-    x0: float = 1.0,
-    h_min: float = 1e-9,
-    h_max: float = 0.1,
-    n_samples: int = 48,
-    order=(2, 2, 6),
-):
-    """(a, b) series fitted from one-dof passage samples of ``density``.
+def fitted_pair(density, h_max: float = 0.1, n_samples: int = 48, order=(2, 2, 6)):
+    """(a, b) series fitted from one-dof passage samples of ``density`` at
+    ``n_samples`` H from 1e-9 to ``h_max``.
 
     The default orders suit polynomial densities of degree <= 5, whose
     fractional families terminate at H^2 exactly; the long analytic tail is
     soaked up by the extra c-columns, which cost little conditioning.
     """
-    mdl = one_dof_model(density, x0=x0)
-    grid = np.geomspace(h_min, h_max, n_samples)
+    mdl = one_dof_model(density)
+    grid = np.geomspace(1e-9, h_max, n_samples)
     samples = list(zip(grid, integrals(passage_jobs(mdl, [(h, 0.0) for h in grid]))))
     triple, report = asymptotics.fit_puiseux(samples, order=order, relative_weights=True)
     return triple, report

@@ -41,11 +41,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import Density, FibrationModel
-from .quadrature import _level, _oval_ends, _oval_job, area_kernel, form_kernel, integrals
-from .quadrature import section_time
+from .quadrature import _levels, _oval_job, area_kernel, form_kernel, integrals, section_time
 
 FLOW_RTOL = 1e-12
 FLOW_ATOL = 1e-12
+#: the longest section time accepted: a later backward crossing of N1 is unreached
+SECTION_T_MAX = 200.0
 
 
 @dataclass
@@ -65,10 +66,6 @@ class SymplecticModel:
         self._H_x = h.diff(0)
         self._H_y = h.diff(1)
         self._H_lam = h.diff(2)
-
-    @property
-    def density(self) -> Density:
-        return self._f
 
     def hamiltonian_value(self, point) -> float:
         x, y, lam = point[0], point[1], point[2]
@@ -184,15 +181,16 @@ def period_lattice(
     which are exact up to quadrature tolerance (W_lambda = y here).  The
     three integrals share one level and one engine call.
     """
-    f, level = sm.model.density, _level(sm.model, H, lam)
+    f, level = sm.model.density, _levels(sm.model, [(H, lam)])[0]
     y_density = Density({(0, 1, 0): 1})
     kernels = (form_kernel(f), form_kernel(f * y_density), area_kernel(f.diff(2)))
-    di_dh, loop_y, area_l = integrals([_oval_job(k, level, stratum) for k in kernels])
+    jobs = [_oval_job(k, level, stratum) for k in kernels]
+    di_dh, loop_y, area_l = integrals(jobs)
     di_dl = area_l - loop_y
     basis = np.array(
         [[0.0, 2.0 * math.pi], [di_dh, di_dl + 2.0 * math.pi * (k if stratum == "wide" else 0)]]
     )
-    return PeriodLattice(basis=basis, oval=_oval_ends(level, stratum))
+    return PeriodLattice(basis=basis, oval=(jobs[0].a, jobs[0].b))
 
 
 def verify_lattice(sm: SymplecticModel, point, t1, t2):
@@ -238,13 +236,13 @@ class ReducedSystem:
             return np.asarray(xy, dtype=float)
         return _solve(self.rhs(lam), t, xy)
 
-    def section_time(self, xy, lam, x0: float | None = None, t_max: float = 200.0):
-        """Smallest t > 0, at most t_max, with the backward flow of xy on
-        {x = x0} (default: the model's): ``quadrature.section_time``; for an
-        (n, 2) array, with one lambda or one per row, one time per row."""
-        model, xy = self.sm.model, np.asarray(xy, dtype=float)
-        t = section_time(model, xy[..., 0], xy[..., 1], lam, model.x0 if x0 is None else x0)
-        if np.any(t > t_max):
+    def section_time(self, xy, lam):
+        """Smallest t > 0, at most SECTION_T_MAX, with the backward flow of xy
+        on N1 = {x = x0}: ``quadrature.section_time``; for an (n, 2) array,
+        with one lambda or one per row, one time per row."""
+        xy = np.asarray(xy, dtype=float)
+        t = section_time(self.sm.model, xy[..., 0], xy[..., 1], lam)
+        if np.any(t > SECTION_T_MAX):
             raise ValueError("trajectory does not reach the section")
         return t
 
@@ -252,21 +250,21 @@ class ReducedSystem:
         return self.sm._f.eval(x, y, lam)
 
 
-def transport_map(sys1, sys2, point, x0: float | None = None) -> np.ndarray:
+def transport_map(sys1, sys2, point) -> np.ndarray:
     """psi(Q) = sigma~^(t(Q) - t~(Q))(Q) on the reduced dynamics.
 
     t resp. t~ are the H-flow times from the section N1 = {x = x0} to Q for
-    the two systems; N1 is fixed pointwise and fibers are preserved.  The
-    lambda and phi components pass through unchanged (the phi-shift freedom
-    is the removable gauge).  Both systems must expose the reduced-flow
-    protocol through ``reduced()``; ``x0`` overrides the section of both.  An
-    (n, >= 3) array gives an image per row, each system's times from one engine call.
+    the two systems, x0 each model's own; N1 is fixed pointwise and fibers
+    are preserved.  The lambda and phi components pass through unchanged (the
+    phi-shift freedom is the removable gauge).  Both systems must expose the
+    reduced-flow protocol through ``reduced()``.  An (n, >= 3) array gives an
+    image per row, each system's times from one engine call.
     """
     s1, s2 = sys1.reduced(), sys2.reduced()
     point = np.asarray(point, dtype=float)
     out = np.atleast_2d(point).copy()
     lam = out[:, 2] if out.shape[1] > 2 else np.zeros(len(out))
-    dt = s1.section_time(out[:, :2], lam, x0) - s2.section_time(out[:, :2], lam, x0)
+    dt = s1.section_time(out[:, :2], lam) - s2.section_time(out[:, :2], lam)
     for row, row_lam, t in zip(out, lam.tolist(), dt.tolist()):
         row[:2] = s2.reduced_flow(row[:2], row_lam, t)
     return out if point.ndim == 2 else out[0]
@@ -277,19 +275,19 @@ class BumpPushforward:
 
     The diffeomorphism is the time-1 map psi0 of Z = rho(x) X_H (reduced),
     which preserves every fiber and fixes a neighborhood of the sections
-    {x = +-x0} where the bump vanishes.  Its flow is the conjugated one,
+    {x = +-x0}: the bump vanishes for |x| >= x0/2.  Its flow is the conjugated one,
     sigma~^t = psi0 o sigma^t o psi0^-1, and its density is the pushforward
     f~ = (f / det Dpsi0) o psi0^-1 with the determinant integrated along the
     bump flow (d/dt log det = div Z).
     """
 
-    def __init__(self, sm: SymplecticModel, amplitude: float = 0.15, support: float = 0.5):
+    def __init__(self, sm: SymplecticModel, amplitude: float = 0.15):
         self.sm = sm
         self.base = ReducedSystem(sm)
         self.amplitude = amplitude
-        self.support = support * sm.model.x0
-        self._f_x = sm.density.diff(0)
-        self._f_y = sm.density.diff(1)
+        self.support = 0.5 * sm.model.x0
+        self._f_x = sm.model.density.diff(0)
+        self._f_y = sm.model.density.diff(1)
         self._preimages: dict = {}
 
     def _bump(self, x: float) -> tuple[float, float]:
@@ -345,9 +343,7 @@ class BumpPushforward:
         # psi0 preserves every fiber, so the pushed system has the same H
         return self.sm.hamiltonian_value(point)
 
-    def section_time(self, xy, lam, x0: float | None = None, t_max: float = 200.0):
-        if x0 is not None and abs(x0) < self.support:
-            raise ValueError("section inside the bump's support")
+    def section_time(self, xy, lam):
         # psi0 is the identity near the section, so the conjugated backward
         # trajectory hits {x = x0} exactly when the base one from psi0^-1 does
         xy = np.asarray(xy, dtype=float)
@@ -355,10 +351,10 @@ class BumpPushforward:
         points = list(zip(*(c.ravel().tolist() for c in columns)))
         self._preimages = {p: self._preimage(p[:2], p[2]) for p in points}
         pre = np.array([self._preimages[p][0] for p in points])
-        return self.base.section_time(pre.reshape(xy.shape), lam, x0, t_max)
+        return self.base.section_time(pre.reshape(xy.shape), lam)
 
 
-def pullback_residual(sys1, sys2, point, x0: float | None = None, h: float = 1e-5) -> dict:
+def pullback_residual(sys1, sys2, point) -> dict:
     """(Phi^* omega~ - omega) on the (x, y) bivector at the point, plus the
     fiber drift, for Phi the transport map between the systems.
 
@@ -370,11 +366,11 @@ def pullback_residual(sys1, sys2, point, x0: float | None = None, h: float = 1e-
     s1, s2 = sys1.reduced(), sys2.reduced()
     point = np.asarray(point, dtype=float)
     lam = float(point[2]) if point.size > 2 else 0.0
-    # the point and its four stencil points, transported together
-    xy = point[:2]
+    # the point and its four stencil points at distance h, transported together
+    xy, h = point[:2], 1e-5
     stencil = np.vstack((xy, xy + (h, 0.0), xy - (h, 0.0), xy + (0.0, h), xy - (0.0, h)))
     q = np.column_stack((stencil, np.full(5, lam), np.zeros(5)))
-    base, x_plus, x_minus, y_plus, y_minus = transport_map(s1, s2, q, x0)[:, :2]
+    base, x_plus, x_minus, y_plus, y_minus = transport_map(s1, s2, q)[:, :2]
     jx, jy = (x_plus - x_minus) / (2.0 * h), (y_plus - y_minus) / (2.0 * h)
     det = jx[0] * jy[1] - jx[1] * jy[0]
     f1 = s1.density_eval(point[0], point[1], lam)

@@ -448,7 +448,6 @@ class BifurcationDiagram:
 
     model: FibrationModel
     domain_radius: float
-    cusp_point: tuple[float, float] = (0.0, 0.0)
 
     def _branches(self, lam: float) -> tuple[float | None, float | None]:
         """(H_ell, H_hyp) at this lambda; None for a branch absent there."""
@@ -479,7 +478,7 @@ class BifurcationDiagram:
     def stratum(self, H: float, lam: float) -> str:
         """'narrow' on the swallow-tail interior, 'wide' elsewhere in the
         domain (compact model only), 'outside' otherwise."""
-        return self._stratum(H, lam, None)
+        return self.strata([H], lam)[0]
 
     def strata(self, H_values, lam: float) -> list[str]:
         """stratum(H, lam) for each H of one lambda, from one root solve."""
@@ -487,13 +486,13 @@ class BifurcationDiagram:
         return [self._stratum(H, lam, branches) for H in H_values]
 
     def _stratum(self, H: float, lam: float, branches) -> str:
-        """``branches`` are this lambda's (H_ell, H_hyp) where already solved
-        for; a point within 1e-12 of Sigma lies outside every stratum."""
+        """``branches`` are this lambda's (H_ell, H_hyp), None for lambda >= 0;
+        a point within 1e-12 of Sigma lies outside every stratum."""
         tol = 1e-12
         if math.hypot(H, lam) > self.domain_radius or (abs(lam) <= tol and abs(H) <= tol):
             return "outside"
         if lam < -tol:
-            h_ell, h_hyp = self._branches(lam) if branches is None else branches
+            h_ell, h_hyp = branches
             if any(v is not None and abs(H - v) <= tol for v in (h_ell, h_hyp)):
                 return "outside"
             if h_ell is not None and h_hyp is not None and h_ell < H < h_hyp:
@@ -530,23 +529,18 @@ class CanonicalBaseTransform:
         return h_t, f_t
 
 
-def canonicalize_base(
-    a: TruncatedSeries,
-    b: TruncatedSeries,
-    search_range: tuple[float, float] = (-1.0, 1.0),
-) -> CanonicalBaseTransform:
+def canonicalize_base(a: TruncatedSeries, b: TruncatedSeries) -> CanonicalBaseTransform:
     """Reduce the diagram (H - a(F))^2 = -(4/27) b(F)^3 to the standard form.
 
-    Requires a simple zero f0 of b inside ``search_range``; rejects degenerate
-    zeros (b'(f0) = 0), which are not parabolic.
+    Requires a simple zero f0 of b in [-1, 1]; rejects degenerate zeros
+    (b'(f0) = 0), which are not parabolic.
     """
     coeffs = [float(c) for c in b.coeffs][::-1]
     if all(c == 0 for c in coeffs):
         raise ValueError("b is identically zero; no simple zero exists")
-    lo, hi = search_range
-    candidates = sorted((r for r in _stacked_roots([coeffs])[0][0] if lo <= r <= hi), key=abs)
+    candidates = sorted((r for r in _stacked_roots([coeffs])[0][0] if -1.0 <= r <= 1.0), key=abs)
     if not candidates:
-        raise ValueError(f"b has no real zero in {search_range}")
+        raise ValueError("b has no real zero in [-1, 1]")
     f0 = candidates[0]
     db = b.deriv()
     if abs(float(db.eval(f0))) < 1e-10:
@@ -570,6 +564,9 @@ FAILS_III = "fails_iii"
 RANK0 = "rank0"
 REGULAR = "regular"
 
+#: relative singular-value and residual threshold of the float rank decisions
+RANK_THRESHOLD = 1e-9
+
 
 @dataclass
 class ParabolicVerdict:
@@ -582,15 +579,6 @@ class ParabolicVerdict:
     @property
     def is_parabolic(self) -> bool:
         return self.verdict == PARABOLIC
-
-    def to_json(self) -> dict:
-        return {
-            "verdict": self.verdict,
-            "k": float(self.k),
-            "rank_d2H0": self.rank_d2H0,
-            "v3H0": float(self.v3H0),
-            "rank_full": self.rank_full,
-        }
 
 
 def _to_exact_point(point):
@@ -605,12 +593,12 @@ def _to_exact_point(point):
     return tuple(out)
 
 
-def _float_rank(matrix, rel_threshold: float) -> int:
+def _float_rank(matrix) -> int:
     m = np.array(matrix, dtype=float)
     if not m.any():
         return 0
     s = np.linalg.svd(m, compute_uv=False)
-    return int(np.sum(s > rel_threshold * s[0]))
+    return int(np.sum(s > RANK_THRESHOLD * s[0]))
 
 
 def _exact_rank2(m) -> int:
@@ -628,12 +616,7 @@ def _exact_det3(m):
     )
 
 
-def is_parabolic(
-    H: Density,
-    F: Density,
-    point,
-    rank_threshold: float = 1e-9,
-) -> ParabolicVerdict:
+def is_parabolic(H: Density, F: Density, point) -> ParabolicVerdict:
     """Classify the rank-1 singular point of the momentum map (H, F).
 
     Checks, on the 3-space (x, y, lambda) transverse to the flow direction:
@@ -642,7 +625,7 @@ def is_parabolic(
       (iii) d^2 (H - k F) has full rank,
     for the unique k with dH(P) = k dF(P).  Polynomial derivatives are exact;
     with rational data the rank decisions are exact as well, otherwise a
-    relative singular-value threshold is used.
+    relative singular-value threshold, RANK_THRESHOLD, is used.
     """
     exact_pt = _to_exact_point(point)
     exact = exact_pt is not None and H.is_exact() and F.is_exact()
@@ -662,7 +645,7 @@ def is_parabolic(
     else:
         resid = max(abs(float(dH[i] - k * dF[i])) for i in range(3))
         scale = max(max(abs(float(v)) for v in dH), nF)
-        consistent = resid <= rank_threshold * max(1.0, scale)
+        consistent = resid <= RANK_THRESHOLD * max(1.0, scale)
     if not consistent:
         return ParabolicVerdict(REGULAR, k, -1, 0, -1)
 
@@ -685,12 +668,10 @@ def is_parabolic(
 
     if exact:
         rank_restricted = _exact_rank2(m2)
-        rank_full = 3 if _exact_det3(hess) != 0 else _float_rank(
-            [[float(v) for v in row] for row in hess], rank_threshold
-        )
+        rank_full = 3 if _exact_det3(hess) != 0 else _float_rank(hess)
     else:
-        rank_restricted = _float_rank(m2, rank_threshold)
-        rank_full = _float_rank(hess, rank_threshold)
+        rank_restricted = _float_rank(m2)
+        rank_full = _float_rank(hess)
 
     if rank_restricted != 1:
         return ParabolicVerdict(FAILS_I, k, rank_restricted, 0, rank_full)
@@ -721,7 +702,7 @@ def is_parabolic(
         fails_ii = v3 == 0
     else:
         vnorm = max(abs(float(t)) for t in v)
-        fails_ii = abs(float(v3)) <= rank_threshold * max(1.0, vnorm**3)
+        fails_ii = abs(float(v3)) <= RANK_THRESHOLD * max(1.0, vnorm**3)
     if fails_ii:
         return ParabolicVerdict(FAILS_II, k, rank_restricted, v3, rank_full)
 

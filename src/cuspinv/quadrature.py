@@ -126,10 +126,6 @@ def _levels(model: FibrationModel, points, x0: float | None = None) -> list[_Lev
     ]
 
 
-def _level(model: FibrationModel, H: float, lam: float, x0: float | None = None) -> _Level:
-    return _levels(model, [(H, lam)], x0)[0]
-
-
 def _oval_ends(level: _Level, oval: str) -> tuple[float, float]:
     """(a, b): the ends of the requested oval of the level."""
     p, clusters, H, lam = level.p, level.clusters, level.H, level.lam
@@ -167,7 +163,7 @@ def oval_bounds(
     odd-order contact at the far end (the cusp itself) is allowed, matching
     the separatrix-like level through the cusp.
     """
-    return _oval_ends(_level(model, H, lam), oval)
+    return _oval_ends(_levels(model, [(H, lam)])[0], oval)
 
 
 # -- kernels and jobs --------------------------------------------------------------
@@ -427,9 +423,9 @@ def _zero_poly(f: Density, p: np.ndarray, lam: float) -> np.ndarray:
     return even
 
 
-def section_jobs(model: FibrationModel, points, x0: float) -> list[LevelJob | None]:
-    """Jobs for the times from N1 = {x = x0} to the (x, y, lambda) points along
-    their passage arcs: up the branch x > 0 from the crossing y_sec to the
+def section_jobs(model: FibrationModel, points) -> list[LevelJob | None]:
+    """Jobs for the times from N1 = {x = x0}, x0 the model's, to the (x, y,
+    lambda) points along their passage arcs: up the branch x > 0 from the crossing y_sec to the
     turning point above the point, then down the branch x < 0, past N2 if need
     be; on y = turn - s^2, x = s sqrt(R), the one-sided f dy/(2x) for s from
     sign(x) sqrt(turn - y) to sqrt(turn - y_sec).  None on N1 (time 0).  The
@@ -439,7 +435,7 @@ def section_jobs(model: FibrationModel, points, x0: float) -> list[LevelJob | No
     past a turning point at a saddle (``_arc``).
     """
     points = [(float(x), float(y), float(lam)) for x, y, lam in points]
-    densities = [model.density] * len(points)
+    x0, densities = model.x0, [model.density] * len(points)
     if model.kind == ONE_DOF:
         bridged = {lam: _bridged(model.density, lam) for _, _, lam in points}
         densities = [bridged[lam] for _, _, lam in points]
@@ -474,12 +470,12 @@ def section_jobs(model: FibrationModel, points, x0: float) -> list[LevelJob | No
 # -- the scalar API: batches of one ------------------------------------------------
 
 
-def section_time(model: FibrationModel, x, y, lam, x0: float):
-    """Time from N1 = {x = x0} to (x, y) along the passage arc of its level
-    (``section_jobs``); for arrays x, y and lambda, broadcast together, one
-    time per point from one engine call."""
+def section_time(model: FibrationModel, x, y, lam):
+    """Time from N1 = {x = x0}, x0 the model's, to (x, y) along the passage
+    arc of its level (``section_jobs``); for arrays x, y and lambda, broadcast
+    together, one time per point from one engine call."""
     points = np.broadcast_arrays(x, y, lam)
-    jobs = section_jobs(model, zip(*(v.ravel() for v in points)), x0)
+    jobs = section_jobs(model, zip(*(v.ravel() for v in points)))
     out = np.zeros(len(jobs))
     out[[job is not None for job in jobs]] = integrals([job for job in jobs if job is not None])
     return out.reshape(points[0].shape) if points[0].ndim else float(out[0])
@@ -494,28 +490,19 @@ def passage_time(model: FibrationModel, H: float, lam: float = 0.0) -> float:
     return float(integrals(passage_jobs(model, [(H, lam)]))[0])
 
 
-def oval_loop_integral(model: FibrationModel, H: float, lam: float, weight, oval: str) -> float:
-    """Contour integral of w dy/(2x) over both branches of the given oval."""
-    return float(integrals(oval_jobs(model, [(H, lam)], form_kernel(weight), oval))[0])
-
-
-def oval_area_integral(model: FibrationModel, H: float, lam: float, weight, oval: str) -> float:
-    """Integral of a Density weight over the closed region bounded by the oval."""
-    return float(integrals(oval_jobs(model, [(H, lam)], area_kernel(weight), oval))[0])
-
-
 def loop_period(model: FibrationModel, H: float, lam: float) -> float:
     """Period Pi_o(H, lambda) of the closed trajectory around the narrow oval.
 
     Satisfies Pi_o = 2 pi dI_o/dH and diverges logarithmically on the
     hyperbolic branch.
     """
-    return oval_loop_integral(model, H, lam, model.density, "narrow")
+    return float(integrals(oval_jobs(model, [(H, lam)], form_kernel(model.density), "narrow"))[0])
 
 
 def loop_action(model: FibrationModel, H: float, lam: float) -> float:
     """I_o(H, lambda) = area of the narrow oval w.r.t. f dx^dy, over 2 pi."""
-    return oval_area_integral(model, H, lam, model.density, "narrow") / (2.0 * math.pi)
+    jobs = oval_jobs(model, [(H, lam)], area_kernel(model.density), "narrow")
+    return float(integrals(jobs)[0]) / (2.0 * math.pi)
 
 
 def wide_action(model: FibrationModel, H: float, lam: float, k: int = 0) -> float:
@@ -526,7 +513,8 @@ def wide_action(model: FibrationModel, H: float, lam: float, k: int = 0) -> floa
     """
     if model.kind != CUSP_COMPACT:
         raise StratumError("I_mu lives on the compact model's wide tori")
-    return oval_area_integral(model, H, lam, model.density, "wide") / (2.0 * math.pi) + k * lam
+    jobs = oval_jobs(model, [(H, lam)], area_kernel(model.density), "wide")
+    return float(integrals(jobs)[0]) / (2.0 * math.pi) + k * lam
 
 
 def separatrix_action(model: FibrationModel, lam: float) -> float:
@@ -546,7 +534,7 @@ def separatrix_action(model: FibrationModel, lam: float) -> float:
     _, a = cusp_pair(wc)
     if a is None:
         raise StratumError(f"no saddle near the cusp at lambda={lam}")
-    level = _level(model, float(np.polyval(wc, a)), lam)
+    level = _levels(model, [(float(np.polyval(wc, a)), lam)])[0]
     # the lobe's far end turns above the saddle's double root: about 3|a| away,
     # so it is told from the split double root relative to |a|
     _, b = _arc(level, a + 1e-3 * abs(a), through=False)

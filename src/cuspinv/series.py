@@ -53,15 +53,6 @@ class TruncatedSeries:
     def order(self) -> int:
         return len(self.coeffs) - 1
 
-    def __len__(self) -> int:
-        return len(self.coeffs)
-
-    def __getitem__(self, k: int):
-        return self.coeffs[k]
-
-    def __iter__(self):
-        return iter(self.coeffs)
-
     def __repr__(self) -> str:
         return f"TruncatedSeries({self.coeffs})"
 
@@ -202,10 +193,6 @@ class TruncatedSeries:
         return [float(c) for c in self.coeffs]
 
     @classmethod
-    def from_json(cls, data) -> "TruncatedSeries":
-        return cls([float(c) for c in data])
-
-    @classmethod
     def identity(cls, order: int = DEFAULT_ORDER) -> "TruncatedSeries":
         return cls([0, 1], order=order)
 
@@ -264,14 +251,3 @@ class PuiseuxTriple:
 
     def __repr__(self) -> str:
         return f"PuiseuxTriple(a={self.a.coeffs}, b={self.b.coeffs}, c={self.c.coeffs})"
-
-    def to_json(self) -> dict:
-        return {"a": self.a.to_json(), "b": self.b.to_json(), "c": self.c.to_json()}
-
-    @classmethod
-    def from_json(cls, data) -> "PuiseuxTriple":
-        return cls(
-            TruncatedSeries.from_json(data["a"]),
-            TruncatedSeries.from_json(data["b"]),
-            TruncatedSeries.from_json(data["c"]),
-        )

@@ -200,7 +200,7 @@ def passage_log_coeff(
     for m in range(levels):
         s = s0 * 2.0**-m
         samples.append((s, passage_time(model, h_hyp + sign * s, lam)))
-    alpha, _ = extract_log_coeff(samples, min_points=min(7, levels))
+    alpha, _ = extract_log_coeff(samples)
     return alpha
 
 
@@ -418,7 +418,7 @@ def reference_plane_field(sm, x, y, lam):
     """(-H_y / f, H_x / f, f) at one point, each polynomial through
     ``Density.eval``; ValueError where f = 0."""
     h = sm.model.hamiltonian()
-    fv = sm.density.eval(x, y, lam)
+    fv = sm.model.density.eval(x, y, lam)
     if fv == 0.0:
         raise ValueError("degenerate Omega: density vanishes at the point")
     return -h.diff(1).eval(x, y, lam) / fv, h.diff(0).eval(x, y, lam) / fv, fv
@@ -430,5 +430,5 @@ def reference_hamiltonian_field(sm, point) -> np.ndarray:
     x, y, lam = point[0], point[1], point[2]
     vx, vy, _ = reference_plane_field(sm, x, y, lam)
     gl = sm.model.hamiltonian().diff(2).eval(x, y, lam)
-    xl = sm.density.antiderivative_x().diff(2).eval(x, y, lam)
+    xl = sm.model.density.antiderivative_x().diff(2).eval(x, y, lam)
     return np.array([vx, vy, 0.0, gl - xl * vy])

@@ -72,11 +72,6 @@ class TestBatchAndAlgebra:
                 a * x + b * y for x, y in zip(pf.beta.coeffs, pg.beta.coeffs)
             ]
 
-    def test_json_roundtrip(self):
-        pair = brieskorn.reduce(Density({(0, 3, 0): 1}))
-        back = brieskorn.BrieskornPair.from_json(pair.to_json())
-        assert back.alpha.coeffs == [0.0, 0.4, 0.0, 0.0, 0.0]
-
 
 class TestQuadratureOracle:
     def test_y_squared_fitted_coefficients_vanish(self):

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from cuspinv.cli import main
+from cuspinv.cli import build_parser, main
 from cuspinv.model import Density
 
 from oracles import mp_separatrix_action
@@ -546,8 +546,14 @@ class TestTransport:
 #: sha256 of stdout, byte for byte, of the default 7x7 charts, lattice
 #: verifications and transports; {name} stands for a model or points file
 PINNED_DIGESTS = [
-    ("actions --model {local}", "a3543c4e58688e794a047c92d74cdf5b335a4fdf6cbaee8f0b7092114efee4bf"),
-    ("actions --model {compact}", "c58591daed0c7d54ab36cdfe80168c351e00cccb8221aa003d772a3adf6467bb"),
+    (
+        "actions --model {local}",
+        "a3543c4e58688e794a047c92d74cdf5b335a4fdf6cbaee8f0b7092114efee4bf",
+    ),
+    (
+        "actions --model {compact}",
+        "c58591daed0c7d54ab36cdfe80168c351e00cccb8221aa003d772a3adf6467bb",
+    ),
     (
         "actions --model {local} --format json",
         "ce972dd88b620b48cab0838a639722d99cb2c2acc9bb056c04e3e0df30fa257c",
@@ -600,3 +606,152 @@ def test_output_digest_pinned(files, capsys, command, digest):
     code, out, _ = _run(capsys, command.format(**paths).split())
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def _exit(capsys, argv):
+    """(exit code, stdout, stderr), an argparse rejection included."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+#: the model kinds without a bifurcation diagram
+NON_CUSP = ("one_dof", "node")
+
+
+class TestBadInput:
+    def test_nan_tolerance_exit_2(self, files, capsys):
+        # compared against itself, every residual is 0.0, yet 0.0 <= nan is false
+        argv = ["compare", "--sys1", str(files["local"]), "--sys2", str(files["local"])]
+        code, out, err = _exit(capsys, argv + ["--tol", "nan"])
+        assert code == 2 and out == "" and "not a finite number" in err
+
+    def test_negative_tolerance_exit_2(self, files, capsys):
+        argv = ["lattice", "--sys", str(files["compact"]), "--at", "0.0", "-0.05", "--verify"]
+        code, out, err = _exit(capsys, argv + ["--tol", "-1e-6"])
+        assert code == 2 and out == "" and "negative" in err
+
+    def test_empty_k_range_exit_2(self, files, capsys):
+        argv = ["compare", "--sys1", str(files["compact"]), "--sys2", str(files["compact"])]
+        code, out, err = _exit(capsys, argv + ["--k-range", "3", "-3"])
+        assert code == 2 and out == "" and "k-range" in err
+
+    def test_nan_h_range_exit_2(self, files, capsys):
+        argv = ["actions", "--model", str(files["compact"]), "--h-range", "nan", "0.01"]
+        code, out, err = _exit(capsys, argv)
+        assert code == 2 and out == "" and "not a finite number" in err
+
+    def test_nan_base_point_exit_2(self, files, capsys):
+        argv = ["lattice", "--sys", str(files["compact"]), "--at", "nan", "-0.05"]
+        code, out, err = _exit(capsys, argv)
+        assert code == 2 and out == "" and "not a finite number" in err
+
+    @pytest.mark.parametrize(
+        "point",
+        [
+            ["0.028", -0.4805, -0.3],
+            [math.nan, -0.4805, -0.3],
+            [0.028, -0.4805, -0.3, math.inf],
+            [True, -0.4805, -0.3],
+            [0.028, -0.4805, -0.3, 0.0, 7.0],  # an entry after phi
+        ],
+    )
+    def test_bad_transport_point_exit_2(self, files, capsys, point):
+        pts = files["tmp"] / "pts.json"
+        pts.write_text(json.dumps([[0.028, -0.4805, -0.3], point]))
+        argv = ["transport", "--sys1", str(files["local"]), "--sys2", str(files["local"])]
+        code, out, err = _exit(capsys, argv + ["--points", str(pts)])
+        assert code == 2 and out == "" and "bad points file" in err
+
+    def test_unwritable_out_exit_2(self, files, capsys):
+        dest = files["tmp"] / "missing" / "chart.csv"
+        argv = ["actions", "--model", str(files["compact"]), "--out", str(dest)]
+        code, out, err = _exit(capsys, argv + TestActions.ARGS)
+        assert code == 2 and out == "" and "cannot write" in err
+
+    @pytest.mark.parametrize(
+        "command, kind",
+        [
+            *((c, k) for c in ("actions", "compare", "invariants", "lattice") for k in NON_CUSP),
+            ("transport", "node"),
+        ],
+    )
+    def test_unsupported_model_kind_exit_2(self, files, capsys, command, kind):
+        model = files["tmp"] / f"{kind}.json"
+        density = {"terms": [{"c": 1.0, "e": [0, 0, 0]}]}
+        model.write_text(json.dumps({"kind": kind, "density": density, "x0": 1.0}))
+        pts = files["tmp"] / "pts.json"
+        pts.write_text(json.dumps([[0.3, 0.9, 0.0]]))
+        argv = {
+            "actions": ["--model", str(model)],
+            "compare": ["--sys1", str(files["local"]), "--sys2", str(model)],
+            "invariants": ["--sys", str(model)],
+            "lattice": ["--sys", str(model), "--at", "0.0", "-0.05"],
+            "transport": ["--sys1", str(model), "--sys2", str(model), "--points", str(pts)],
+        }[command]
+        code, out, err = _exit(capsys, [command, *argv])
+        assert code == 2 and out == "" and repr(kind) in err
+
+    def test_transport_on_one_dof(self, files, capsys):
+        model = files["tmp"] / "one_dof.json"
+        density = {"terms": [{"c": 1.0, "e": [0, 0, 0]}, {"c": 0.2, "e": [0, 1, 0]}]}
+        model.write_text(json.dumps({"kind": "one_dof", "density": density, "x0": 1.0}))
+        pts = files["tmp"] / "pts.json"
+        pts.write_text(json.dumps([[0.3, 0.9, 0.0]]))
+        argv = ["transport", "--sys1", str(model), "--sys2", str(model), "--points", str(pts)]
+        code, out, _ = _exit(capsys, argv)
+        assert code == 0
+        assert abs(json.loads(out)["points"][0]["xy_residual"]) < 1e-6
+
+
+def _numeric_options():
+    """(command, option) of every subcommand option whose type reads a number."""
+    (commands,) = [a for a in build_parser()._actions if a.dest == "command"]
+    return [
+        (name, a.option_strings[0])
+        for name, sub in commands.choices.items()
+        for a in sub._actions
+        if a.option_strings and a.type is not None and isinstance(a.type("1"), (int, float))
+    ]
+
+
+def test_numeric_options_found():
+    expected = {
+        ("actions", "--h-range"), ("actions", "--l-range"), ("actions", "--mu-shift"),
+        ("compare", "--k-range"), ("compare", "--tol"),
+        ("lattice", "--at"), ("lattice", "--mu-shift"), ("lattice", "--tol"),
+    }
+    assert expected <= set(_numeric_options())
+
+
+@pytest.mark.parametrize("command, option", _numeric_options())
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_numeric_option_rejects_non_finite(tmp_path, capsys, command, option, value):
+    # every numeric option, as a flag and as a --config entry, with valid input files
+    density = {"terms": [{"c": 1.0, "e": [0, 0, 0]}]}
+    paths = {}
+    for name, data in (
+        ("density", density),
+        ("points", [[0.028, -0.4805, -0.3]]),
+        ("model", {"kind": "cusp_local", "density": density}),
+    ):
+        paths[name] = tmp_path / f"{name}.json"
+        paths[name].write_text(json.dumps(data))
+    (commands,) = [a for a in build_parser()._actions if a.dest == "command"]
+    actions = {a.option_strings[0]: a for a in commands.choices[command]._actions}
+    required = []
+    for name, a in actions.items():
+        if a.required and a.type:
+            required += [name, *["0.0"] * (a.nargs or 1)]
+        elif a.required:  # --density, --points or a model file
+            required += [name, str(paths.get(name.strip("-"), paths["model"]))]
+    n = actions[option].nargs
+    code, out, err = _exit(capsys, [command, *required, option, *[value] * (n or 1)])
+    assert (code, out) == (2, "") and option in err
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({actions[option].dest: [float(value)] * n if n else float(value)}))
+    code, out, err = _exit(capsys, ["--config", str(cfg), command, *required])
+    assert (code, out) == (2, "") and actions[option].dest in err

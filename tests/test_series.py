@@ -171,9 +171,3 @@ class TestPuiseuxTriple:
             )
             dv = max(abs(t1.eval(h) - t2.eval(h)) for h in grid)
             assert dv > 1e-6 * dc
-
-    def test_json_roundtrip(self):
-        rng = np.random.default_rng(3)
-        t = self._random_triple(rng)
-        back = PuiseuxTriple.from_json(t.to_json())
-        assert back.a.coeffs == [float(c) for c in t.a.coeffs]
