@@ -424,18 +424,20 @@ def _zero_poly(f: Density, p: np.ndarray, lam: float) -> np.ndarray:
 
 
 def section_jobs(model: FibrationModel, points) -> list[LevelJob | None]:
-    """Jobs for the times from N1 = {x = x0}, x0 the model's, to the (x, y,
-    lambda) points along their passage arcs: up the branch x > 0 from the crossing y_sec to the
-    turning point above the point, then down the branch x < 0, past N2 if need
-    be; on y = turn - s^2, x = s sqrt(R), the one-sided f dy/(2x) for s from
-    sign(x) sqrt(turn - y) to sqrt(turn - y_sec).  None on N1 (time 0).  The
-    levels with their sections are one stacked root solve, the zeros of f on
-    them another.  ValueError where f vanishes on a stretch, and where a point
-    is off its arc or before N1 (x > x0 among them), or f < 0; OnSigmaError
-    past a turning point at a saddle (``_arc``).
+    """Jobs for the times from N1 = {x = x0}, x0 the model's, to the
+    (x, y, lambda) points along their passage arcs: up the branch x > 0 from
+    the crossing y_sec to the turning point above the point, then down the
+    branch x < 0, past N2 if need be; on y = turn - s^2, x = s sqrt(R), the
+    one-sided f dy/(2x) for s from sign(x) sqrt(turn - y) to
+    sqrt(turn - y_sec).  None on N1 (time 0).  The levels with their sections
+    are one stacked root solve, the zeros of f on them another.  ValueError
+    where f vanishes on a stretch, and where a point is off its arc or before
+    N1 (x > x0 among them), or f < 0; OnSigmaError past a turning point at a
+    saddle (``_arc``).
     """
     points = [(float(x), float(y), float(lam)) for x, y, lam in points]
-    x0, densities = model.x0, [model.density] * len(points)
+    x0 = model.x0  # the one-dof points move to a model with its own x0
+    densities = [model.density] * len(points)
     if model.kind == ONE_DOF:
         bridged = {lam: _bridged(model.density, lam) for _, _, lam in points}
         densities = [bridged[lam] for _, _, lam in points]
