@@ -26,6 +26,7 @@ import numpy as np
 
 from . import brieskorn, equivalence, flows
 from .model import CUSP_COMPACT, CUSP_LOCAL, IDENTITY_BASE_MAP, ONE_DOF, Density, FibrationModel
+from .model import bifurcation_diagram
 from .quadrature import action_chart
 from .specfun import puiseux_constants
 
@@ -203,6 +204,8 @@ def cmd_invariants(args) -> int:
 def cmd_lattice(args) -> int:
     sm = flows.SymplecticModel(_load_model(args.sys, args.command))
     h, lam = args.at
+    if bifurcation_diagram(sm.model, domain_radius=math.inf).stratum(h, lam) != args.stratum:
+        raise InputError(f"(H, lambda) = ({h}, {lam}) is off the {args.stratum} stratum")
     lattice = flows.period_lattice(sm, h, lam, stratum=args.stratum, k=args.mu_shift)
     payload = lattice.to_json()
     if args.verify:
@@ -229,8 +232,11 @@ def _start_point(sm: flows.SymplecticModel, h: float, lam: float, oval: tuple[fl
 def cmd_transport(args) -> int:
     sys1, sys2 = (_load_model(path, args.command) for path in (args.sys1, args.sys2))
     sys1, sys2 = flows.SymplecticModel(sys1), flows.SymplecticModel(sys2)
+    points = _load(args.points, "points", _points)
+    if any(q[0] > min(sys1.model.x0, sys2.model.x0) for q in points):
+        raise InputError(f"a point of {args.points} lies before the section N1 = {{x = x0}}")
     out = []
-    for q in _load(args.points, "points", _points):
+    for q in points:
         res = flows.pullback_residual(sys1, sys2, q)
         out.append(
             {

@@ -369,37 +369,34 @@ def _parabolic_checks(
 ) -> bool:
     """The sigma, I and I_circ checks of two oriented systems, added to ``checks``.
 
-    Each diagram is asked once per lambda for both branch values: d1 at the
-    sample lambdas, d2 at each distinct image lambda.  Sigma depends only on
-    the model kind, so the table is keyed by (kind, lambda) and two systems
-    of one kind share their values.
+    d1 is asked for both branch values at all its sample lambdas at once, d2
+    at the images of d1's Sigma samples: one root solve per diagram.
     """
     if abs(base_map_jacobian(phi, 0.0, 0.0)) < 1e-12:
         raise ValueError("base map phi is degenerate at the cusp point")
-    d1 = bifurcation_diagram(sys1)
-    d2 = bifurcation_diagram(sys2)
+    d1, d2 = bifurcation_diagram(sys1), bifurcation_diagram(sys2)
     r = d1.domain_radius
-    table: dict = {}
-
-    def values(diagram, lam):
-        key = (diagram.model.kind, lam)
-        if key not in table:
-            table[key] = diagram.branch_values(lam)
-        return table[key]
+    sigma_lams = (-0.8 * r, -0.6 * r, -0.4 * r, -0.2 * r)
+    grid_lams = (-0.75 * r, -0.55 * r, -0.35 * r)
+    h_ell, h_hyp = (v.tolist() for v in d1.branch_values(sigma_lams + grid_lams))
 
     # cusp point (0, 0) must map to the cusp point, each branch onto the same branch
     sigma_resid = [math.hypot(*_phi_eval(phi, 0.0, 0.0))]
     sigma_ok = sigma_resid[0] <= 1e-9
-    for lam in (-0.8 * r, -0.6 * r, -0.4 * r, -0.2 * r):
-        for index, value in enumerate(values(d1, lam)):
-            h_t, lam_t = _phi_eval(phi, value, lam)
-            if lam_t >= 0:
-                sigma_ok = False
-                sigma_resid.append(float("inf"))
-                continue
-            res = abs(h_t - values(d2, lam_t)[index]) / max(abs(value), 1e-6)
-            sigma_resid.append(res)
-            sigma_ok = sigma_ok and res <= SIGMA_RTOL
+    images = [
+        (index, value, *_phi_eval(phi, value, lam))
+        for lam, pair in zip(sigma_lams, zip(h_ell, h_hyp))
+        for index, value in enumerate(pair)
+    ]
+    targets = zip(*(v.tolist() for v in d2.branch_values([l for *_, l in images if l < 0])))
+    for index, value, h_t, lam_t in images:
+        if not lam_t < 0:
+            sigma_ok = False
+            sigma_resid.append(float("inf"))
+            continue
+        res = abs(h_t - next(targets)[index]) / max(abs(value), 1e-6)
+        sigma_resid.append(res)
+        sigma_ok = sigma_ok and res <= SIGMA_RTOL
     checks["sigma"] = {"ok": sigma_ok, "residuals": sigma_resid}
 
     # I and I_circ at three points across the swallow tail per lambda; an
@@ -407,8 +404,7 @@ def _parabolic_checks(
     i_ok, io_ok = True, True
     i_resid, io_resid = [], []
     pairs = []
-    for lam in (-0.75 * r, -0.55 * r, -0.35 * r):
-        h_e, h_h = values(d1, lam)
+    for lam, h_e, h_h in zip(grid_lams, h_ell[4:], h_hyp[4:]):
         mid, half = 0.5 * (h_e + h_h), 0.5 * (h_h - h_e)
         for t in (-0.5, 0.0, 0.5):
             h = mid + 0.8 * t * half
@@ -531,7 +527,7 @@ def invariant_report(
     pair = model_pair(sys)
     alpha, beta = _floats(pair.alpha), _floats(pair.beta)
     norm = normalize_invariant(pair)
-    h_samples = [(lam, separatrix_action(sys, lam)) for lam in lam_values]
+    h_samples = list(zip(lam_values, separatrix_action(sys, lam_values).tolist()))
     log_coeffs = []
     if sys.kind == CUSP_LOCAL:
         for lam in log_lam_values:

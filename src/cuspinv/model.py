@@ -14,7 +14,7 @@ Model kinds
 Each Hamiltonian is written once, in ``_hamiltonian_for``; the potential W of
 the cusp models (H = x^2 + W(y; lambda)) is read off it, and the bifurcation
 diagram Sigma is the pair of critical values of W at the two critical points
-nearest y = 0 (``cusp_pair``), solved for at each lambda asked about.
+nearest y = 0 (``cusp_pairs``), solved for all the lambdas of a query at once.
 
 The map (x, y, H) -> (x, -y, -H) carries the cusp_local model at lambda = 0
 to the one_dof model; densities transform by f(x, y) -> f(x, -y).
@@ -363,13 +363,13 @@ def _horner(coeffs, x: float) -> float:
     return acc
 
 
-def _stacked_roots(polys) -> list[tuple[list[float], list[float]]]:
-    """(roots, polished) of each polynomial of a batch, highest coefficient
-    first: its real roots, sorted, bit for bit those of ``numpy.roots`` (one
+def _stacked_roots(polys) -> list[list[float]]:
+    """The real roots of each polynomial of a batch, highest coefficient
+    first: those of ``numpy.roots``, ascending, bit for bit (one
     ``np.linalg.eigvals`` call on the companion matrices of each size; real
-    where |imag| <= 1e-8 (1 + the largest |real| or |imag| part)), and each
-    after three Newton steps, all roots of the batch together, by Horner's
-    rule on zero-padded coefficients, a root staying put where P' = 0."""
+    where |imag| <= 1e-8 (1 + the largest |real| or |imag| part)), each then
+    polished by three Newton steps, all roots of the batch together, by
+    Horner's rule on zero-padded coefficients, a root staying put where P' = 0."""
     rows = [np.asarray(p, dtype=float).tolist() for p in polys]
     raw: list[list[float]] = [[] for _ in rows]
     by_size: dict[int, list] = {}
@@ -401,7 +401,7 @@ def _stacked_roots(polys) -> list[tuple[list[float], list[float]]]:
             acc += c
         r = r - np.divide(acc[0], acc[1], out=np.zeros(r.size), where=acc[1] != 0)
     polished = iter(r.tolist())
-    return [(roots, [next(polished) for _ in roots]) for roots in raw]
+    return [[next(polished) for _ in roots] for roots in raw]
 
 
 def _synthetic_division(coeffs: np.ndarray, root: float) -> np.ndarray:
@@ -417,21 +417,25 @@ def _synthetic_division(coeffs: np.ndarray, root: float) -> np.ndarray:
 # -- bifurcation diagram -------------------------------------------------------
 
 
-def cusp_pair(wc: np.ndarray) -> tuple[float | None, float | None]:
-    """(y_ell, y_hyp): the two critical points of W nearest y = 0.
+def cusp_pairs(wcs) -> list[tuple[float | None, float | None]]:
+    """(y_ell, y_hyp) of each W: the two critical points nearest y = 0, from
+    one stacked root solve of all the W'.
 
-    ``wc`` holds W's coefficients (highest first) at a lambda < 0, where the
+    ``wcs`` hold W's coefficients (highest first) at lambdas < 0, where the
     pair has unfolded from the cusp at y = 0.  The sign of W'' labels them:
     the minimum (W'' > 0) carries the elliptic branch, the saddle (W'' < 0)
-    the hyperbolic one; a branch absent at this lambda is None.  The compact
+    the hyperbolic one; a branch absent at its lambda is None.  The compact
     model's deep well near y = -3/4 lies farther from 0 than both.
     """
-    dw = np.polyder(wc)
-    d2w = np.polyder(dw).tolist()
-    pair = [y for _, y in sorted(zip(*_stacked_roots([dw])[0]), key=lambda t: abs(t[0]))[:2]]
-    y_ell = next((y for y in pair if _horner(d2w, y) > 0), None)
-    y_hyp = next((y for y in pair if _horner(d2w, y) < 0), None)
-    return y_ell, y_hyp
+    dws = [np.polyder(wc) for wc in wcs]
+    pairs = []
+    for dw, roots in zip(dws, _stacked_roots(dws)):
+        d2w = np.polyder(dw).tolist()
+        pair = sorted(roots, key=abs)[:2]
+        y_ell = next((y for y in pair if _horner(d2w, y) > 0), None)
+        y_hyp = next((y for y in pair if _horner(d2w, y) < 0), None)
+        pairs.append((y_ell, y_hyp))
+    return pairs
 
 
 @dataclass
@@ -439,9 +443,9 @@ class BifurcationDiagram:
     """Bifurcation diagram Sigma near the cusp point.
 
     At each lambda < 0 asked about, the elliptic and hyperbolic values are
-    W at the cusp pair of critical points (one root solve per query;
-    ``branch_values`` answers for both branches at once).  For
-    the canonical local model Sigma = {H^2 = -(4/27) lambda^3} with the
+    W at the cusp pair of critical points; every query takes all its lambdas
+    or (H, lambda) points at once and makes one root solve (``cusp_pairs``).
+    For the canonical local model Sigma = {H^2 = -(4/27) lambda^3} with the
     elliptic branch at H < 0 and the hyperbolic branch at H > 0; the
     swallow-tail interior is {H^2 < -(4/27) lambda^3}.
     """
@@ -449,41 +453,43 @@ class BifurcationDiagram:
     model: FibrationModel
     domain_radius: float
 
-    def _branches(self, lam: float) -> tuple[float | None, float | None]:
-        """(H_ell, H_hyp) at this lambda; None for a branch absent there."""
-        if lam >= 0:
+    def _branches(self, lams: list[float], required: tuple[int, ...]) -> list[tuple]:
+        """(H_ell, H_hyp) at each lambda from one root solve, None for a branch
+        absent there; ValueError naming the first ``required`` branch absent."""
+        if any(lam >= 0 for lam in lams):
             raise ValueError("branches exist for lambda < 0 only")
-        wc = self.model.potential_coeffs(lam)
-        w = wc.tolist()
-        return tuple(None if y is None else _horner(w, y) for y in cusp_pair(wc))
+        coeffs = [self.model.potential_coeffs(lam) for lam in lams]
+        rows = []
+        for lam, wc, pair in zip(lams, coeffs, cusp_pairs(coeffs) if lams else []):
+            rows.append(tuple(None if y is None else _horner(wc.tolist(), y) for y in pair))
+            for i in required:
+                if rows[-1][i] is None:
+                    raise ValueError(f"no {('elliptic', 'hyperbolic')[i]} branch at lambda={lam}")
+        return rows
 
-    def _present(self, lam: float, indices: tuple[int, ...]) -> list[float]:
-        values = self._branches(lam)
-        for i in indices:
-            if values[i] is None:
-                raise ValueError(f"no {('elliptic', 'hyperbolic')[i]} branch at lambda={lam}")
-        return [values[i] for i in indices]
-
-    def branch_values(self, lam: float) -> tuple[float, float]:
-        """(H_ell, H_hyp) at this lambda from one root solve; ValueError
-        naming the branch when either is absent there."""
-        return tuple(self._present(lam, (0, 1)))
+    def branch_values(self, lam):
+        """(H_ell, H_hyp) at lambda, two arrays for an array of lambdas, from
+        one root solve; ValueError naming the first absent branch."""
+        lams = np.asarray(lam, dtype=float)
+        values = np.reshape(self._branches(lams.ravel().tolist(), (0, 1)), (-1, 2)).T
+        return tuple(v.reshape(lams.shape) if lams.ndim else float(v[0]) for v in values)
 
     def elliptic_value(self, lam: float) -> float:
-        return self._present(lam, (0,))[0]
+        return self._branches([lam], (0,))[0][0]
 
     def hyperbolic_value(self, lam: float) -> float:
-        return self._present(lam, (1,))[0]
+        return self._branches([lam], (1,))[0][1]
 
     def stratum(self, H: float, lam: float) -> str:
         """'narrow' on the swallow-tail interior, 'wide' elsewhere in the
         domain (compact model only), 'outside' otherwise."""
-        return self.strata([H], lam)[0]
+        return self.strata([(H, lam)])[0]
 
-    def strata(self, H_values, lam: float) -> list[str]:
-        """stratum(H, lam) for each H of one lambda, from one root solve."""
-        branches = self._branches(lam) if lam < 0 else None
-        return [self._stratum(H, lam, branches) for H in H_values]
+    def strata(self, points) -> list[str]:
+        """stratum(H, lambda) of each of a list of (H, lambda) points, from one root solve."""
+        lams = list(dict.fromkeys(lam for _, lam in points if lam < 0))
+        branches = dict(zip(lams, self._branches(lams, ())))
+        return [self._stratum(H, lam, branches.get(lam)) for H, lam in points]
 
     def _stratum(self, H: float, lam: float, branches) -> str:
         """``branches`` are this lambda's (H_ell, H_hyp), None for lambda >= 0;
@@ -538,7 +544,7 @@ def canonicalize_base(a: TruncatedSeries, b: TruncatedSeries) -> CanonicalBaseTr
     coeffs = [float(c) for c in b.coeffs][::-1]
     if all(c == 0 for c in coeffs):
         raise ValueError("b is identically zero; no simple zero exists")
-    candidates = sorted((r for r in _stacked_roots([coeffs])[0][0] if -1.0 <= r <= 1.0), key=abs)
+    candidates = sorted((r for r in _stacked_roots([coeffs])[0] if -1.0 <= r <= 1.0), key=abs)
     if not candidates:
         raise ValueError("b has no real zero in [-1, 1]")
     f0 = candidates[0]

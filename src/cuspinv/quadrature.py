@@ -6,17 +6,18 @@ x^2 = P(y) = H - W(y), with W read off the model's Hamiltonian.  The levels
 of a call and their sections H - x0^2 - W are isolated together, by one
 stacked root solve (``_levels`` on ``model._stacked_roots``), so a chart or a
 verdict makes one, a transport's section times two (the second for the zeros
-of f), and a scalar call is a batch of one.  Every invariant is a
-``LevelJob``, the integral of kernel(x, y, lambda) dy/x between two ends of a
-level set, with the vanishing factor of P deflated at turning points
-(y = a + (b-a) sin^2(t) on a closed oval, y = turn - t^2 on an arc), so
-dy/x = 2 dt/sqrt(R(y)) and every integrand is smooth.  The form kernel
-gives the Gelfand-Leray form w dy/(2x) over both branches (passage times,
-loop periods), the area kernel x times the integral of f across the level
-(loop, wide and separatrix actions).  One engine, ``_level_integrals``, sums
-a batch of jobs with an adaptive Gauss-Kronrod G10K21 rule; a job's value
-depends on its own subintervals only, so the scalar functions are batches of
-one and callers with many samples make one engine call.
+of f), ``separatrix_action`` of many lambdas two (saddles, levels), and a
+scalar call is a batch of one.  Every invariant is a ``LevelJob``, the
+integral of kernel(x, y, lambda) dy/x between two ends of a level set, with
+the vanishing factor of P deflated at turning points (y = a + (b-a) sin^2(t)
+on a closed oval, y = turn - t^2 on an arc), so dy/x = 2 dt/sqrt(R(y)) and
+every integrand is smooth.  The form kernel gives the Gelfand-Leray form
+w dy/(2x) over both branches (passage times, loop periods), the area kernel
+x times the integral of f across the level (loop, wide and separatrix
+actions).  One engine, ``_level_integrals``, sums a batch of jobs with an
+adaptive Gauss-Kronrod G10K21 rule; a job's value depends on its own
+subintervals only, so the scalar functions are batches of one and callers
+with many samples make one engine call.
 
 Orientation conventions: loop periods and loop actions are positive;
 passage times run from N1 = {x = +x0} to N2 = {x = -x0} (swapping the
@@ -50,7 +51,7 @@ from .model import (
     _synthetic_division,
     bifurcation_diagram,
     cusp_local_model,
-    cusp_pair,
+    cusp_pairs,
 )
 
 QUAD_EPSABS = 1e-13
@@ -101,14 +102,14 @@ def _clusters(roots: list[float]) -> list[tuple[float, int]]:
 
 class _Level(NamedTuple):
     """The level H of a cusp model at lambda: P = H - W, the clusters of its
-    polished real roots and, given x0, the (roots, polished) of H - x0^2 - W."""
+    real roots and, given x0, the real roots of H - x0^2 - W."""
 
     kind: str
     H: float
     lam: float
     p: np.ndarray
     clusters: list[tuple[float, int]]
-    section: tuple[list[float], list[float]] | None
+    section: list[float] | None
 
 
 def _levels(model: FibrationModel, points, x0: float | None = None) -> list[_Level]:
@@ -121,8 +122,8 @@ def _levels(model: FibrationModel, points, x0: float | None = None) -> list[_Lev
     solved = _stacked_roots(polys)
     sections = solved[len(points) :] if x0 is not None else [None] * len(points)
     return [
-        _Level(model.kind, H, lam, p, _clusters(polished), section)
-        for (H, lam), p, (_, polished), section in zip(points, polys, solved, sections)
+        _Level(model.kind, H, lam, p, _clusters(roots), section)
+        for (H, lam), p, roots, section in zip(points, polys, solved, sections)
     ]
 
 
@@ -329,7 +330,7 @@ def _arc(level: _Level, y: float, through: bool = True):
     turn is the first root from y - 1e-12 (1 + |y|) up where P falls, P's sign
     between roots read off the parity of their multiplicities from -inf up.
     y_sec is the arc's highest crossing of {x = +-x0} between turn and the
-    root below it, Newton-polished (None for a level without sections).
+    root below it (None for a level without sections).
     OnSigmaError for an arc through a saddle: turn or the root below it
     multiple, or the next root within 1e-6 (1 + |turn|) of turn.
     StratumError without turn or crossing.
@@ -349,10 +350,10 @@ def _arc(level: _Level, y: float, through: bool = True):
         raise OnSigmaError("passage trajectory degenerates (on Sigma_hyp)")
     if level.section is None:
         return None, turn
-    crossings = [(r, q) for r, q in zip(*level.section) if floor < r < turn]
+    crossings = [r for r in level.section if floor < r < turn]
     if not crossings:
         raise StratumError(_UNREACHED)
-    return max(crossings)[1], turn
+    return max(crossings), turn
 
 
 def _passage_job(kernel, level: _Level) -> LevelJob:
@@ -448,7 +449,7 @@ def section_jobs(model: FibrationModel, points) -> list[LevelJob | None]:
     polys = [_zero_poly(f, level.p, lam) for (*_, lam), f, level in zip(points, densities, levels)]
     zeros = _stacked_roots(polys)
     jobs: list[LevelJob | None] = []
-    for (x, y, lam), f, level, (roots, _) in zip(points, densities, levels, zeros):
+    for (x, y, lam), f, level, roots in zip(points, densities, levels, zeros):
         y_sec, turn = _arc(level, y, through=x < 0)
         upper, lower = math.sqrt(turn - y_sec), math.copysign(math.sqrt(max(turn - y, 0.0)), x)
         if lower >= upper:  # on N1 up to rounding, or before it on the branch x > 0
@@ -519,28 +520,34 @@ def wide_action(model: FibrationModel, H: float, lam: float, k: int = 0) -> floa
     return float(integrals(jobs)[0]) / (2.0 * math.pi) + k * lam
 
 
-def separatrix_action(model: FibrationModel, lam: float) -> float:
-    """h(lambda) = max_H I_o(H, lambda), attained on the hyperbolic branch.
+def separatrix_action(model: FibrationModel, lam):
+    """h(lambda) = max_H I_o(H, lambda), attained on the hyperbolic branch;
+    for an array of lambdas, one value per lambda from one saddle solve, one
+    level solve and one engine call.
 
     The separatrix loop area is an improper but convergent integral: the
     double root at the saddle makes sqrt(H - W) vanish linearly there.  The
-    saddle is the one the bifurcation diagram uses (``model.cusp_pair``);
+    saddle is the one the bifurcation diagram uses (``model.cusp_pairs``);
     StratumError where the hyperbolic branch does not exist.
     """
-    if lam >= 0:
+    lams = np.asarray(lam, dtype=float)
+    if (lams >= 0).any():
         raise ValueError("h(lambda) requires lambda < 0")
     kernel = area_kernel(model.density)
     # the saddle is a simple (well-conditioned) root of W', unlike the double
     # root it produces in H_hyp - W
-    wc = model.potential_coeffs(lam)
-    _, a = cusp_pair(wc)
-    if a is None:
-        raise StratumError(f"no saddle near the cusp at lambda={lam}")
-    level = _levels(model, [(float(np.polyval(wc, a)), lam)])[0]
-    # the lobe's far end turns above the saddle's double root: about 3|a| away,
-    # so it is told from the split double root relative to |a|
-    _, b = _arc(level, a + 1e-3 * abs(a), through=False)
-    return float(integrals([_arc_job(kernel, level.p, a, b, lam)])[0]) / (2.0 * math.pi)
+    flat = lams.ravel().tolist()
+    wcs = [model.potential_coeffs(l) for l in flat]
+    saddles = [a for _, a in cusp_pairs(wcs)]
+    if None in saddles:
+        raise StratumError(f"no saddle near the cusp at lambda={flat[saddles.index(None)]}")
+    levels = _levels(model, [(float(np.polyval(wc, a)), l) for wc, a, l in zip(wcs, saddles, flat)])
+    # the lobe's far end turns above the saddle's double root: about 3|a|
+    # away, so it is told from the split double root relative to |a|
+    ends = [_arc(lv, a + 1e-3 * abs(a), through=False)[1] for a, lv in zip(saddles, levels)]
+    jobs = [_arc_job(kernel, lv.p, a, b, lv.lam) for a, b, lv in zip(saddles, ends, levels)]
+    out = integrals(jobs) / (2.0 * math.pi)
+    return out.reshape(lams.shape) if lams.ndim else float(out[0])
 
 
 # -- action charts -----------------------------------------------------------------
@@ -593,17 +600,15 @@ def action_chart(
 
     I = lambda everywhere in the domain (F generates the S^1 action);
     Pi_circ and I_circ exist on the narrow stratum, I_mu on the compact
-    model away from Sigma_hyp.  The levels and sections of all cells are
-    isolated in one stacked root solve, every integral of the chart goes to
-    one engine call, and each cell equals the scalar function's value bit for
-    bit.
+    model away from Sigma_hyp.  The strata of all cells come from one diagram
+    solve, their levels and sections from one stacked root solve and their
+    integrals from one engine call; each cell is the scalar value bit for bit.
     """
-    diagram = bifurcation_diagram(model)
     form, area = form_kernel(model.density), area_kernel(model.density)
+    points = [(h, lam) for lam in lam_values for h in H_values]
     rows = [
         ActionChartRow(h, lam, stratum, None, None, None, None, None)
-        for lam in lam_values
-        for h, stratum in zip(H_values, diagram.strata(H_values, lam))
+        for (h, lam), stratum in zip(points, bifurcation_diagram(model).strata(points))
         if not stratum_filter or stratum == stratum_filter
     ]
     inside = [row for row in rows if row.stratum != "outside"]

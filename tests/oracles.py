@@ -17,7 +17,9 @@ instead of a level integral, passage times of the cusp models at 40 digits
 with mpmath between their own roots of the level and of the sections, the
 matrix of the symplectic form Omega written out entry by entry, the real
 roots of one polynomial at a time from ``np.roots`` with a scalar Newton
-polish, against which the stacked root solve must agree bit for bit, and the
+polish, against which the stacked root solve must agree bit for bit, the cusp
+pair of critical points of one W at a time on that route, against which the
+batched ``model.cusp_pairs`` must agree bit for bit, and the
 H-field through ``Density.eval`` at every call, against which the per-lambda
 fields of the flows must agree bit for bit.
 """
@@ -412,6 +414,20 @@ def reference_polish(coeffs, r: float) -> float:
             break
         r = r - fv / dv
     return r
+
+
+def cusp_pair(wc) -> tuple[float | None, float | None]:
+    """(y_ell, y_hyp) of one W (coefficients highest first, at a lambda < 0):
+    the two real roots of W' nearest y = 0, ordered by |y| before the polish
+    and polished, labelled by the sign of W'' there (the minimum elliptic,
+    the saddle hyperbolic), None for a branch absent: the per-lambda
+    reference of ``model.cusp_pairs``."""
+    dw = np.polyder(np.asarray(wc, dtype=float))
+    d2w = np.polyder(dw)
+    pair = [reference_polish(dw, r) for r in sorted(reference_real_roots(dw), key=abs)[:2]]
+    y_ell = next((y for y in pair if np.polyval(d2w, y) > 0), None)
+    y_hyp = next((y for y in pair if np.polyval(d2w, y) < 0), None)
+    return y_ell, y_hyp
 
 
 def reference_plane_field(sm, x, y, lam):

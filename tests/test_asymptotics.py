@@ -210,16 +210,17 @@ class TestHyperbolicLogCoeff:
         assert all(v < 0 for v in vals)
 
     def test_one_diagram_solve_per_call(self, monkeypatch):
+        # one diagram solve, of the one W' of this lambda
         calls = []
-        real_pair = model_module.cusp_pair
+        real_pairs = model_module.cusp_pairs
 
-        def counted(wc):
-            calls.append(1)
-            return real_pair(wc)
+        def counted(wcs):
+            calls.append(len(wcs))
+            return real_pairs(wcs)
 
-        monkeypatch.setattr(model_module, "cusp_pair", counted)
+        monkeypatch.setattr(model_module, "cusp_pairs", counted)
         asy.hyperbolic_log_coeff(cusp_local_model(Density.constant(1)), -1.0)
-        assert len(calls) == 1
+        assert calls == [1]
 
     def test_domain_checks(self):
         with pytest.raises(ValueError):

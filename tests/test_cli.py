@@ -453,6 +453,24 @@ class TestLattice:
             outs.append(out)
         assert outs[0] == outs[1]
 
+    @pytest.mark.parametrize(
+        "model, stratum",
+        [("local", "wide"), ("compact", "narrow")],  # no wide stratum; off the swallow tail
+    )
+    def test_point_off_its_stratum_exit_2(self, files, capsys, model, stratum):
+        argv = ["lattice", "--sys", str(files[model]), "--at", "0.05", "0.02"]
+        code, out, err = _run(capsys, argv + ["--stratum", stratum])
+        assert code == 2 and out == ""
+        assert f"is off the {stratum} stratum" in err
+
+    def test_stratum_checked_beyond_the_domain_radius(self, files, capsys):
+        # |(H, lambda)| = 0.2 lies past the diagram's default radius 0.08, on
+        # the narrow stratum of the unbounded local model
+        argv = ["lattice", "--sys", str(files["local"]), "--at", "0.0", "-0.2"]
+        code, out, _ = _run(capsys, argv + ["--stratum", "narrow"])
+        assert code == 0
+        assert json.loads(out)["basis"][0][1] == 2 * math.pi
+
 
 #: the supported names of ``import cuspinv``, sorted
 PUBLIC_API = """
@@ -523,6 +541,15 @@ class TestTransport:
         )
         assert code == 1
         assert "density vanishes" in err
+
+    def test_point_before_the_section_exit_2(self, files, capsys):
+        # x > x0: the point lies before N1 = {x = x0} on its passage
+        pts = files["tmp"] / "pts.json"
+        pts.write_text(json.dumps([[0.028, -0.4805, -0.3], [1.5, -0.5, -0.3]]))
+        argv = ["transport", "--sys1", str(files["local"]), "--sys2", str(files["local"])]
+        code, out, err = _run(capsys, argv + ["--points", str(pts)])
+        assert code == 2 and out == ""
+        assert "before the section N1" in err
 
     def test_bad_points_exit_2(self, files, capsys):
         pts = files["tmp"] / "pts.json"
@@ -755,3 +782,45 @@ def test_numeric_option_rejects_non_finite(tmp_path, capsys, command, option, va
     cfg.write_text(json.dumps({actions[option].dest: [float(value)] * n if n else float(value)}))
     code, out, err = _exit(capsys, ["--config", str(cfg), command, *required])
     assert (code, out) == (2, "") and actions[option].dest in err
+
+
+#: (stacked root solves, level-integral engine calls) of one request: a
+#: diagram query is one solve for all its lambdas, the levels of a batch one,
+#: a transport's section times two per system and point (levels, zeros of f)
+SOLVES_PER_REQUEST = [
+    ("decompose --density {f1}", 1, 1),
+    ("actions --model {compact}", 2, 1),
+    ("invariants --sys {local}", 6, 3),
+    ("invariants --sys {compact}", 2, 1),
+    ("compare --sys1 {local} --sys2 {local2}", 4, 1),
+    ("compare --sys1 {compact} --sys2 {compact}", 6, 2),
+    # the stratum check is a diagram solve at lambda < 0 only
+    ("lattice --sys {compact} --at 0.0 -0.05 --verify", 2, 1),
+    ("lattice --sys {compact} --at 0.05 0.02 --stratum wide --verify", 1, 1),
+    ("transport --sys1 {local} --sys2 {local2} --points {pts}", 8, 4),
+]
+
+
+@pytest.mark.parametrize("command, solves, engine_calls", SOLVES_PER_REQUEST)
+def test_solves_per_request_pinned(files, capsys, monkeypatch, command, solves, engine_calls):
+    from cuspinv import model as model_module
+    from cuspinv import quadrature
+
+    counts = {"_stacked_roots": 0, "_level_integrals": 0}
+    for name, home in (("_stacked_roots", model_module), ("_level_integrals", quadrature)):
+        real = getattr(home, name)
+
+        def counted(arg, real=real, name=name):
+            counts[name] += 1
+            return real(arg)
+
+        # every module of the package that holds the function by name
+        for module in [m for key, m in sys.modules.items() if key.startswith("cuspinv")]:
+            if getattr(module, name, None) is real:
+                monkeypatch.setattr(module, name, counted)
+    pts = files["tmp"] / "pts.json"
+    pts.write_text(json.dumps([[0.028, -0.4805, -0.3], [-0.2, 0.1, -0.02, 0.5]]))
+    paths = {k: str(v) for k, v in files.items()} | {"pts": str(pts)}
+    code, _, _ = _run(capsys, command.format(**paths).split())
+    assert code == 0
+    assert (counts["_stacked_roots"], counts["_level_integrals"]) == (solves, engine_calls)

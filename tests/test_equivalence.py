@@ -341,9 +341,8 @@ class TestVanishingDensity:
 
 
 class TestDiagramQueries:
-    # one cusp_pair solve per lambda: 4 sigma lambdas and 3 grid lambdas on
-    # the first diagram; a second diagram of the same kind has the same Sigma
-    # and shares the first one's values
+    # one diagram solve per diagram: the first at its 4 sigma lambdas and 3
+    # grid lambdas, the second at the images of the 4 x 2 branch values
     @pytest.mark.parametrize(
         "verdict, sys1, sys2, equivalent",
         [
@@ -372,15 +371,15 @@ class TestDiagramQueries:
     )
     def test_self_comparison_solves(self, monkeypatch, verdict, sys1, sys2, equivalent):
         calls = []
-        real_pair = model_module.cusp_pair
+        real_pairs = model_module.cusp_pairs
 
-        def counted(wc):
-            calls.append(1)
-            return real_pair(wc)
+        def counted(wcs):
+            calls.append(len(wcs))
+            return real_pairs(wcs)
 
-        monkeypatch.setattr(model_module, "cusp_pair", counted)
+        monkeypatch.setattr(model_module, "cusp_pairs", counted)
         assert verdict(sys1, sys2).equivalent == equivalent
-        assert len(calls) == 7
+        assert calls == [7, 8]
 
 
 class TestCuspTorusEquivalent:

@@ -24,7 +24,7 @@ from cuspinv.model import (
 )
 from cuspinv.quadrature import separatrix_action
 from cuspinv.series import TruncatedSeries
-from oracles import local_sigma_values, reference_polish, reference_real_roots
+from oracles import cusp_pair, local_sigma_values, reference_polish, reference_real_roots
 
 H_STD = Density({(2, 0, 0): 1, (0, 3, 0): 1, (0, 1, 1): 1})
 F_LAM = Density({(0, 0, 1): 1})
@@ -173,7 +173,7 @@ class TestBifurcationDiagram:
         # the cusp point (0, 0) lies on Sigma: cut out of the compact model's wide stratum
         compact = bifurcation_diagram(cusp_compact_model())
         assert compact.stratum(0.0, 0.0) == "outside"
-        assert compact.strata([-1e-3, 1e-3], 0.0) == ["wide", "wide"]
+        assert compact.strata([(-1e-3, 0.0), (1e-3, 0.0)]) == ["wide", "wide"]
         assert compact.stratum(0.0, 1e-3) == "wide"
 
     def test_compact_auxiliary_value_outside_domain(self):
@@ -258,14 +258,63 @@ class TestBifurcationDiagram:
         d = bifurcation_diagram(cusp_local_model())
         lam = -0.05
         h_hyp = d.hyperbolic_value(lam)
-        assert d.strata([0.0, 0.9 * h_hyp, 1.1 * h_hyp], lam) == ["narrow", "narrow", "outside"]
+        points = [(0.0, lam), (0.9 * h_hyp, lam), (1.1 * h_hyp, lam)]
+        assert d.strata(points) == ["narrow", "narrow", "outside"]
         assert d.stratum(0.0, 0.01) == "outside"
+
+    #: lambdas across the unfolding, up to past lambda = -1/4, where the compact
+    #: W keeps only its minimum near y = 0
+    LAMS = [*-np.geomspace(1e-10, 1.0, 31), -0.245, -0.249, -0.25, -0.2501, -0.3]
+
+    @pytest.mark.parametrize("model", [cusp_local_model, cusp_compact_model])
+    def test_cusp_pairs_match_scalar_oracle(self, model):
+        # one stacked solve for all the W', bit for bit the per-lambda route
+        wcs = [model().potential_coeffs(lam) for lam in self.LAMS]
+        pairs = model_module.cusp_pairs(wcs)
+        assert pairs == [cusp_pair(wc) for wc in wcs]
+        assert all(y_ell is not None for y_ell, _ in pairs)
+        assert (None in [y_hyp for _, y_hyp in pairs]) == (model is cusp_compact_model)
+
+    @pytest.mark.parametrize("model", [cusp_local_model, cusp_compact_model])
+    def test_strata_match_single_points(self, model, monkeypatch):
+        d = bifurcation_diagram(model())
+        lams = [-0.07, -0.05, -0.02, -1e-13, 0.0, 0.01, 0.05]
+        points = [(h, lam) for lam in lams for h in np.linspace(-0.03, 0.03, 13)]
+        points += [(v, lam) for lam in (-0.05, -0.02) for v in d.branch_values(lam)]
+        calls = []
+        real_roots = model_module._stacked_roots
+        monkeypatch.setattr(
+            model_module, "_stacked_roots", lambda polys: calls.append(len(polys)) or real_roots(polys)
+        )
+        strata = d.strata(points)
+        # one solve, of the W' of the distinct lambdas < 0
+        assert calls == [4]
+        assert strata == [d.stratum(h, lam) for h, lam in points]
+        assert {"narrow", "outside"} <= set(strata)
+
+    @pytest.mark.parametrize("model", [cusp_local_model, cusp_compact_model])
+    def test_branch_values_on_arrays(self, model):
+        d = bifurcation_diagram(model())
+        lams = -np.geomspace(1e-6, 0.2, 12).reshape(3, 4)
+        h_ell, h_hyp = d.branch_values(lams)
+        assert h_ell.shape == h_hyp.shape == (3, 4)
+        for lam, e, h in zip(lams.ravel(), h_ell.ravel(), h_hyp.ravel()):
+            assert d.branch_values(lam) == (e, h)
+            assert (d.elliptic_value(lam), d.hyperbolic_value(lam)) == (e, h)
+        assert all(type(v) is float for v in d.branch_values(-0.05))
+        assert [v.shape for v in d.branch_values([])] == [(0,), (0,)]
+
+    def test_branch_values_on_arrays_name_the_first_absent_branch(self):
+        d = bifurcation_diagram(cusp_compact_model())
+        with pytest.raises(ValueError, match="no hyperbolic branch at lambda=-0.3$"):
+            d.branch_values([-0.05, -0.3, -0.4])
+        with pytest.raises(ValueError, match="lambda < 0 only"):
+            d.branch_values([-0.05, 0.01])
 
 
 def _reference_roots(coeffs):
-    """(roots, polished) of one polynomial by the np.roots route of the oracles."""
-    roots = reference_real_roots(coeffs)
-    return roots, [reference_polish(coeffs, r) for r in roots]
+    """The polished real roots of one polynomial by the np.roots route of the oracles."""
+    return [reference_polish(coeffs, r) for r in reference_real_roots(coeffs)]
 
 
 class TestStackedRoots:
@@ -301,22 +350,22 @@ class TestStackedRoots:
         # undeflated 3 x 3 companion matrix gives the outer roots an ulp off
         p = [-c for c in cusp_local_model().potential_coeffs(-0.075)]
         assert p[-1] == 0.0
-        (roots, polished), = model_module._stacked_roots([p])
-        assert (roots, polished) == _reference_roots(p)
+        (roots,) = model_module._stacked_roots([p])
+        assert roots == _reference_roots(p)
         assert roots[1] == 0.0 and len(roots) == 3
 
     def test_leading_zero(self):
         # as canonicalize_base can pass: the top coefficients vanish
         p = [0.0, 0.0, 1.0, -3.0, 2.0]
-        assert model_module._stacked_roots([p]) == [_reference_roots(p)] == [([1.0, 2.0], [1.0, 2.0])]
+        assert model_module._stacked_roots([p]) == [_reference_roots(p)] == [[1.0, 2.0]]
 
     def test_root_with_zero_derivative(self):
         # (y - 1)^2: P'(1) = 0 exactly, so the polish leaves the root alone
         p = [1.0, -2.0, 1.0]
-        (roots, polished), = model_module._stacked_roots([p, [1.0, -3.0, 2.0]])[:1]
-        assert roots == polished == [1.0, 1.0]
+        (roots,) = model_module._stacked_roots([p, [1.0, -3.0, 2.0]])[:1]
+        assert roots == [1.0, 1.0] == reference_real_roots(p)
         assert np.polyval(np.polyder(p), roots[0]) == 0.0
-        assert (roots, polished) == _reference_roots(p)
+        assert roots == _reference_roots(p)
 
     def test_no_polynomials(self):
         assert model_module._stacked_roots([]) == []

@@ -356,6 +356,30 @@ class TestSeparatrixAction:
             assert h_local > 0
             assert abs(h_compact / h_local - 1.0) < 1e-3
 
+    @pytest.mark.parametrize("model", [cusp_local_model, cusp_compact_model])
+    def test_arrays_are_the_scalar_values(self, model, monkeypatch):
+        m = model(F_MIXED)
+        lams = -np.geomspace(1e-8, 0.2, 6).reshape(2, 3)
+        want = [separatrix_action(m, lam) for lam in lams.ravel()]
+        calls = _count_root_solves(monkeypatch)
+        engine_calls = []
+        real_engine = quadrature._level_integrals
+        monkeypatch.setattr(
+            quadrature, "_level_integrals", lambda jobs: engine_calls.append(len(jobs)) or real_engine(jobs)
+        )
+        got = separatrix_action(m, lams)
+        # one saddle solve, one level solve, one engine call
+        assert [len(c) for c in calls] == [6, 6] and engine_calls == [6]
+        assert got.shape == (2, 3) and got.ravel().tolist() == want
+        assert type(want[0]) is float
+
+    def test_array_with_a_missing_saddle(self):
+        m = cusp_compact_model(F_ONE)
+        with pytest.raises(StratumError, match="lambda=-0.3$"):
+            separatrix_action(m, [-0.05, -0.3])
+        with pytest.raises(ValueError, match="lambda < 0"):
+            separatrix_action(m, [-0.05, 0.0])
+
 
 class TestQuasiHomogeneity:
     # H = x^2 + y^3 + lambda y has weights (x, y, H, lambda) = (3, 2, 6, 4)
@@ -550,20 +574,20 @@ class TestBatchedEngine:
 
     def test_one_engine_call_and_one_root_solve_per_level(self, monkeypatch):
         # one stacked solve for the levels and sections of all cells, plus one
-        # cusp_pair solve (of W', one polynomial) per lambda < 0 row
+        # diagram solve of the W' of every lambda < 0 row
         engine_calls, pair_calls = [], []
-        real_engine, real_pair = quadrature._level_integrals, model_module.cusp_pair
+        real_engine, real_pairs = quadrature._level_integrals, model_module.cusp_pairs
 
         def engine(jobs):
             engine_calls.append(len(jobs))
             return real_engine(jobs)
 
-        def pair(wc):
-            pair_calls.append(1)
-            return real_pair(wc)
+        def pairs(wcs):
+            pair_calls.append(len(wcs))
+            return real_pairs(wcs)
 
         monkeypatch.setattr(quadrature, "_level_integrals", engine)
-        monkeypatch.setattr(model_module, "cusp_pair", pair)
+        monkeypatch.setattr(model_module, "cusp_pairs", pairs)
         root_calls = _count_root_solves(monkeypatch)
         hs, ls = self.GRID
         for model in (cusp_compact_model(F_CHART), cusp_local_model(F_CHART)):
@@ -574,10 +598,9 @@ class TestBatchedEngine:
             polys = [_level_coeffs(model, r.H, r.lam) for r in inside]
             polys += [_level_coeffs(model, r.H - model.x0**2, r.lam) for r in inside]
             assert len(engine_calls) == 1 and engine_calls[0] > len(inside)
-            assert len(pair_calls) == len({lam for lam in ls if lam < 0})
-            cell_solves = [c for c in root_calls if len(c) > 1]
-            assert len(cell_solves) == 1 and len(root_calls) == 1 + len(pair_calls)
-            assert sorted(cell_solves[0]) == sorted(polys)
+            assert pair_calls == [len({lam for lam in ls if lam < 0})]
+            assert len(root_calls) == 2 and len(root_calls[0]) == pair_calls[0]
+            assert sorted(root_calls[1]) == sorted(polys)
             # every level polynomial is solved exactly once
             solved = [p for c in root_calls for p in c]
             assert all(solved.count(p) == 1 for p in polys)
@@ -609,8 +632,7 @@ class TestBatchedEngine:
             assert level.clusters == clusters
             if with_sections:
                 sec = _level_coeffs(model, h - x0**2, lam)
-                raw = reference_real_roots(sec)
-                assert level.section == (raw, [reference_polish(sec, r) for r in raw])
+                assert level.section == [reference_polish(sec, r) for r in reference_real_roots(sec)]
             else:
                 assert level.section is None
 
