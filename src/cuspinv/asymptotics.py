@@ -70,13 +70,9 @@ def fit_puiseux(samples, order=2, relative_weights: bool = False) -> tuple[Puise
     if hs[-1] / hs[0] < 1e4:
         raise ValueError("samples must span at least four decades in H")
 
-    cols = []
-    for k in range(ka + 1):
-        cols.append(hs ** (k - 1.0 / 6.0))
-    for k in range(kb + 1):
-        cols.append(hs ** (k + 1.0 / 6.0))
-    for k in range(kc + 1):
-        cols.append(hs ** float(k))
+    cols = [hs ** (k - 1.0 / 6.0) for k in range(ka + 1)]
+    cols += [hs ** (k + 1.0 / 6.0) for k in range(kb + 1)]
+    cols += [hs ** float(k) for k in range(kc + 1)]
     design = np.column_stack(cols)
     w = 1.0 / np.maximum(1.0, np.abs(vals)) if relative_weights else np.ones_like(vals)
     design_w = design * w[:, None]
@@ -119,13 +115,9 @@ def extract_log_coeff(samples) -> tuple[float, dict]:
     v = np.array([p[1] for p in pts])
     d = (v[1:] - v[:-1]) / (-math.log(2.0))
     table = [d]
-    col = d
-    level = 1
-    while len(col) > 1:
+    for level in range(1, len(d)):
         fac = 2.0**level
-        col = (fac * col[1:] - col[:-1]) / (fac - 1.0)
-        table.append(col)
-        level += 1
+        table.append((fac * table[-1][1:] - table[-1][:-1]) / (fac - 1.0))
     alpha = float(table[-1][-1])
     # convergence check on the final corrections
     tail = [float(t[-1]) for t in table[-3:]]

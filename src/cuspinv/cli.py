@@ -159,15 +159,8 @@ def cmd_decompose(args) -> int:
 def cmd_actions(args) -> int:
     model = _load_model(args.model, args.command)
     nh, nl = _parse_grid(args.grid)
-    h_lo, h_hi = args.h_range
-    l_lo, l_hi = args.l_range
-    chart = action_chart(
-        model,
-        np.linspace(h_lo, h_hi, nh),
-        np.linspace(l_lo, l_hi, nl),
-        mu_shift=args.mu_shift,
-        stratum_filter=args.stratum,
-    )
+    grid = np.linspace(*args.h_range, nh), np.linspace(*args.l_range, nl)
+    chart = action_chart(model, *grid, mu_shift=args.mu_shift, stratum_filter=args.stratum)
     if args.format == "csv":
         _emit(chart.to_csv(), args.out)
     else:
@@ -235,17 +228,9 @@ def cmd_transport(args) -> int:
     points = _load(args.points, "points", _points)
     if any(q[0] > min(sys1.model.x0, sys2.model.x0) for q in points):
         raise InputError(f"a point of {args.points} lies before the section N1 = {{x = x0}}")
-    out = []
-    for q in points:
-        res = flows.pullback_residual(sys1, sys2, q)
-        out.append(
-            {
-                "point": list(map(float, q)),
-                "image": res["image"],
-                "xy_residual": res["xy_residual"],
-                "fiber_drift": res["fiber_drift"],
-            }
-        )
+    residuals = flows.pullback_residual(sys1, sys2, np.reshape(points, (-1, 4)))
+    keys = ("image", "xy_residual", "fiber_drift")
+    out = [{"point": q.tolist(), **{k: r[k] for k in keys}} for q, r in zip(points, residuals)]
     _emit(_json_dumps({"points": out}), args.out)
     return 0
 

@@ -36,8 +36,8 @@ from .model import (
     bifurcation_diagram,
     one_dof_model,
 )
-from .quadrature import _converged, _level_integrals, _levels, _oval_job, area_kernel
-from .quadrature import integrals, passage_jobs, separatrix_action
+from .quadrature import LevelJob, _converged, _level_integrals, _levels, _oval_jobs, area_kernel
+from .quadrature import integrals, oval_jobs, passage_jobs, separatrix_action
 from .series import TruncatedSeries, phi_r_apply, phi_r_invert
 from .specfun import puiseux_constants
 from . import asymptotics
@@ -350,14 +350,9 @@ def _oval_actions(sys1: FibrationModel, sys2: FibrationModel, points, images, ov
     system's levels from one root solve, all integrals from one engine call.
     A sys1 point without the oval or whose integral does not converge raises;
     such a sys2 image gives None."""
-    k1, k2 = area_kernel(sys1.density), area_kernel(sys2.density)
-    jobs1 = [_oval_job(k1, level, oval) for level in _levels(sys1, points)]
-    jobs2 = []
-    for level in _levels(sys2, images):
-        try:
-            jobs2.append(_oval_job(k2, level, oval))
-        except ValueError:
-            jobs2.append(None)
+    jobs1 = oval_jobs(sys1, points, area_kernel(sys1.density), oval)
+    built = _oval_jobs([area_kernel(sys2.density)] * len(images), _levels(sys2, images), oval)
+    jobs2 = [job if isinstance(job, LevelJob) else None for job in built]
     values = _level_integrals(jobs1 + [j for j in jobs2 if j is not None]) / (2.0 * math.pi)
     rest = iter(values[len(jobs1) :].tolist())
     second = [None if j is None or math.isnan(v := next(rest)) else v for j in jobs2]
@@ -505,8 +500,7 @@ def fitted_pair(density, h_max: float = 0.1, n_samples: int = 48, order=(2, 2, 6
     mdl = one_dof_model(density)
     grid = np.geomspace(1e-9, h_max, n_samples)
     samples = list(zip(grid, integrals(passage_jobs(mdl, [(h, 0.0) for h in grid]))))
-    triple, report = asymptotics.fit_puiseux(samples, order=order, relative_weights=True)
-    return triple, report
+    return asymptotics.fit_puiseux(samples, order=order, relative_weights=True)
 
 
 def invariant_report(

@@ -36,12 +36,13 @@ H-time is the loop period.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .model import Density, FibrationModel
-from .quadrature import _levels, _oval_job, area_kernel, form_kernel, integrals, section_time
+from .quadrature import _built, _levels, _oval_jobs, area_kernel, form_kernel, integrals
+from .quadrature import section_time
 
 FLOW_RTOL = 1e-12
 FLOW_ATOL = 1e-12
@@ -58,18 +59,13 @@ class SymplecticModel:
     def __post_init__(self):
         if not isinstance(self.model.density, Density):
             raise TypeError("SymplecticModel requires a polynomial Density")
-        f = self.model.density
-        self._f = f
+        self._f = f = self.model.density
         self._X_lam = f.antiderivative_x().diff(2)
-        h = self.model.hamiltonian()
-        self._H = h
-        self._H_x = h.diff(0)
-        self._H_y = h.diff(1)
-        self._H_lam = h.diff(2)
+        self._H = h = self.model.hamiltonian()
+        self._H_x, self._H_y, self._H_lam = (h.diff(axis) for axis in range(3))
 
     def hamiltonian_value(self, point) -> float:
-        x, y, lam = point[0], point[1], point[2]
-        return self._H.eval(x, y, lam)
+        return self._H.eval(point[0], point[1], point[2])
 
     def reduced(self) -> "ReducedSystem":
         """The reduced (x, y) dynamics, as taken by :func:`transport_map`."""
@@ -181,10 +177,11 @@ def period_lattice(
     which are exact up to quadrature tolerance (W_lambda = y here).  The
     three integrals share one level and one engine call.
     """
-    f, level = sm.model.density, _levels(sm.model, [(H, lam)])[0]
+    f, level = sm.model.density, _levels(sm.model, [(H, lam)])
     y_density = Density({(0, 1, 0): 1})
     kernels = (form_kernel(f), form_kernel(f * y_density), area_kernel(f.diff(2)))
-    jobs = [_oval_job(k, level, stratum) for k in kernels]
+    (job,) = _built(_oval_jobs(kernels[:1], level, stratum))
+    jobs = [replace(job, kernel=k) for k in kernels]
     di_dh, loop_y, area_l = integrals(jobs)
     di_dl = area_l - loop_y
     basis = np.array(
@@ -225,11 +222,7 @@ class ReducedSystem:
 
     def rhs(self, lam: float):
         field = self.sm._plane_field(lam)
-
-        def rhs(_t, state):
-            return field(*state.tolist())[:2]
-
-        return rhs
+        return lambda _t, state: field(*state.tolist())[:2]
 
     def reduced_flow(self, xy, lam: float, t: float) -> np.ndarray:
         if t == 0.0:
@@ -327,8 +320,7 @@ class BumpPushforward:
     def density_eval(self, x, y, lam):
         pre, det_along = self._preimage((x, y), lam)
         # det Dpsi0 at the preimage equals 1/det of the inverse map here
-        det_fwd = 1.0 / det_along
-        return self.sm._f.eval(pre[0], pre[1], lam) / det_fwd
+        return self.sm._f.eval(pre[0], pre[1], lam) / (1.0 / det_along)
 
     def reduced_flow(self, xy, lam: float, t: float) -> np.ndarray:
         pre, _ = self._preimage(xy, lam)
@@ -354,9 +346,11 @@ class BumpPushforward:
         return self.base.section_time(pre.reshape(xy.shape), lam)
 
 
-def pullback_residual(sys1, sys2, point) -> dict:
+def pullback_residual(sys1, sys2, point):
     """(Phi^* omega~ - omega) on the (x, y) bivector at the point, plus the
-    fiber drift, for Phi the transport map between the systems.
+    fiber drift, for Phi the transport map between the systems; for an
+    (n, >= 3) array of points one such dict per point, the 5n stencil points
+    of all of them transported by one ``transport_map``.
 
     The remaining coordinate bivectors either vanish identically in the
     gauge-primitive representation ((x, phi), (y, phi)) or match exactly
@@ -365,22 +359,18 @@ def pullback_residual(sys1, sys2, point) -> dict:
     """
     s1, s2 = sys1.reduced(), sys2.reduced()
     point = np.asarray(point, dtype=float)
-    lam = float(point[2]) if point.size > 2 else 0.0
-    # the point and its four stencil points at distance h, transported together
-    xy, h = point[:2], 1e-5
-    stencil = np.vstack((xy, xy + (h, 0.0), xy - (h, 0.0), xy + (0.0, h), xy - (0.0, h)))
-    q = np.column_stack((stencil, np.full(5, lam), np.zeros(5)))
-    base, x_plus, x_minus, y_plus, y_minus = transport_map(s1, s2, q)[:, :2]
-    jx, jy = (x_plus - x_minus) / (2.0 * h), (y_plus - y_minus) / (2.0 * h)
-    det = jx[0] * jy[1] - jx[1] * jy[0]
-    f1 = s1.density_eval(point[0], point[1], lam)
-    f2 = s2.density_eval(base[0], base[1], lam)
-    residual = f2 * det - f1
-    h1 = s1.hamiltonian_value((point[0], point[1], lam))
-    h2 = s2.hamiltonian_value((base[0], base[1], lam))
-    return {
-        "xy_residual": float(residual),
-        "det": float(det),
-        "fiber_drift": float(abs(h2 - h1)),
-        "image": base.tolist(),
-    }
+    rows = np.atleast_2d(point)
+    lams = rows[:, 2] if rows.shape[1] > 2 else np.zeros(len(rows))
+    # each point and its four stencil points at distance h
+    xy, h = rows[:, :2], 1e-5
+    stencil = np.stack((xy, xy + (h, 0.0), xy - (h, 0.0), xy + (0.0, h), xy - (0.0, h)), axis=1)
+    q = np.column_stack((stencil.reshape(-1, 2), np.repeat(lams, 5), np.zeros(5 * len(rows))))
+    moved = transport_map(s1, s2, q)[:, :2].reshape(-1, 5, 2)
+    out = []
+    for (x, y), lam, (base, x_plus, x_minus, y_plus, y_minus) in zip(xy, lams.tolist(), moved):
+        jx, jy = (x_plus - x_minus) / (2.0 * h), (y_plus - y_minus) / (2.0 * h)
+        det = float(jx[0] * jy[1] - jx[1] * jy[0])
+        res = float(s2.density_eval(base[0], base[1], lam) * det - s1.density_eval(x, y, lam))
+        drift = float(abs(s2.hamiltonian_value((*base, lam)) - s1.hamiltonian_value((x, y, lam))))
+        out.append({"xy_residual": res, "det": det, "fiber_drift": drift, "image": base.tolist()})
+    return out if point.ndim == 2 else out[0]

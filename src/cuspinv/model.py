@@ -62,10 +62,7 @@ class Density:
 
     def __init__(self, terms):
         data: dict[tuple[int, int, int], object] = {}
-        if isinstance(terms, dict):
-            items = terms.items()
-        else:
-            items = ((tuple(e), c) for c, e in terms)
+        items = terms.items() if isinstance(terms, dict) else ((tuple(e), c) for c, e in terms)
         for expo, c in items:
             i, j, k = (operator.index(v) for v in expo)
             if i < 0 or j < 0 or k < 0:
@@ -150,21 +147,31 @@ class Density:
         return max((sum(e) for e in self.terms), default=0)
 
     def eval(self, x, y, lam=0.0):
-        """Float evaluation; numpy-array friendly."""
-        if not self.terms:
-            shape = np.broadcast(x, y, lam).shape
-            return np.zeros(shape) if shape else 0.0
-        acc = 0.0
+        """Float evaluation; numpy-array friendly, the value shaped as x, y and
+        lambda broadcast together.  Each term is ((c x^i) y^j) lambda^k in
+        ``terms`` order, every distinct power taken once per call and every
+        factor of exponent 0 (an exact 1) left out, as in ``at``."""
+        px, py, pl, acc = {}, {}, {}, 0.0
         for (i, j, k), c in self.terms.items():
-            acc = acc + float(c) * x**i * y**j * lam**k
+            c = float(c)
+            if i:
+                c = c * (px[i] if i in px else px.setdefault(i, x**i))
+            if j:
+                c = c * (py[j] if j in py else py.setdefault(j, y**j))
+            if k:
+                c = c * (pl[k] if k in pl else pl.setdefault(k, lam**k))
+            acc = acc + c
+        if not (px and py and pl):  # a variable without a power adds its shape
+            shape = np.broadcast(x, y, lam).shape
+            if np.shape(acc) != shape:
+                return np.broadcast_to(acc, shape).copy()
         return acc
 
     __call__ = eval
 
     def at(self, lam):
-        """(x, y) -> eval(x, y, lam), bit for bit for float x and y: each term
-        is ((c x^i) y^j) lambda^k in ``terms`` order, with lambda^k taken once
-        and every factor of exponent 0 (an exact 1) left out."""
+        """(x, y) -> eval(x, y, lam), bit for bit for float x and y, with
+        each lambda^k taken once here for every call of the function."""
         terms = [(float(c), i, j, k, float(lam) ** k) for (i, j, k), c in self.terms.items()]
 
         def at_lam(x, y):
@@ -187,13 +194,8 @@ class Density:
     def diff(self, axis: int) -> "Density":
         out = {}
         for e, c in self.terms.items():
-            n = e[axis]
-            if n == 0:
-                continue
-            ne = list(e)
-            ne[axis] = n - 1
-            key = tuple(ne)
-            out[key] = out.get(key, 0) + n * c
+            if e[axis]:  # distinct terms stay distinct
+                out[e[:axis] + (e[axis] - 1,) + e[axis + 1 :]] = e[axis] * c
         return Density(out)
 
     def antiderivative_x(self) -> "Density":
@@ -222,9 +224,7 @@ class Density:
         for a in range(3):
             da = self.diff(a)
             for b in range(a, 3):
-                v = _eval_at(da.diff(b), point)
-                out[a][b] = v
-                out[b][a] = v
+                out[a][b] = out[b][a] = _eval_at(da.diff(b), point)
         return out
 
     def third_directional(self, point, v):
@@ -328,11 +328,7 @@ class FibrationModel:
     def from_json(cls, data) -> "FibrationModel":
         if isinstance(data, str):
             data = json.loads(data)
-        return cls(
-            kind=data["kind"],
-            density=Density.from_json(data["density"]),
-            x0=float(data.get("x0", 1.0)),
-        )
+        return cls(data["kind"], Density.from_json(data["density"]), float(data.get("x0", 1.0)))
 
 
 def cusp_local_model(density=None, x0: float = 1.0) -> FibrationModel:
@@ -354,63 +350,72 @@ def node_model(density=None) -> FibrationModel:
 # -- polynomial roots ----------------------------------------------------------
 
 
-def _horner(coeffs, x: float) -> float:
+def _horner(coeffs, x):
     """np.polyval(coeffs, x) for a list of floats and a scalar x, without
-    numpy's per-call cost (the same operations in the same order)."""
+    numpy's per-call cost (the same operations in the same order); for the
+    columns of a 2-D array (its .T) and an array x, each row at its own x."""
     acc = 0.0
     for c in coeffs:
         acc = acc * x + c
     return acc
 
 
-def _stacked_roots(polys) -> list[list[float]]:
-    """The real roots of each polynomial of a batch, highest coefficient
-    first: those of ``numpy.roots``, ascending, bit for bit (one
-    ``np.linalg.eigvals`` call on the companion matrices of each size; real
-    where |imag| <= 1e-8 (1 + the largest |real| or |imag| part)), each then
-    polished by three Newton steps, all roots of the batch together, by
-    Horner's rule on zero-padded coefficients, a root staying put where P' = 0."""
-    rows = [np.asarray(p, dtype=float).tolist() for p in polys]
-    raw: list[list[float]] = [[] for _ in rows]
-    by_size: dict[int, list] = {}
-    for i, c in enumerate(rows):
-        nonzero = [j for j, v in enumerate(c) if v]
-        if nonzero:
-            lead, last = nonzero[0], nonzero[-1]
-            by_size.setdefault(last - lead, []).append((i, c[lead : last + 1], len(c) - 1 - last))
-    for n, members in by_size.items():
-        q = np.array([c for _, c, _ in members])
-        comp = np.zeros((len(members), n, n)) + np.eye(n, k=-1)
+def _stacked_roots(polys) -> np.ndarray:
+    """The real roots of each polynomial of a batch (a 2-D array, or a list of
+    coefficient sequences of any lengths), highest coefficient first: row i
+    holds those of ``numpy.roots`` of polynomial i, ascending, bit for bit,
+    padded with NaN (one ``np.linalg.eigvals`` call on the companion matrices
+    of each size; real where |imag| <= 1e-8 (1 + the largest |real| or |imag|
+    part)), each then polished by three Newton steps, all roots of the batch
+    together, by Horner's rule on the zero-padded coefficients, a root
+    staying put where P' = 0."""
+    if not (isinstance(polys, np.ndarray) and polys.ndim == 2):
+        rows = [np.asarray(p, dtype=float) for p in polys]
+        polys = np.zeros((len(rows), max(map(len, rows), default=1)))
+        for row, c in zip(polys, rows):
+            row[len(row) - len(c) :] = c
+    n, width = polys.shape
+    nonzero = polys != 0
+    lead, last = nonzero.argmax(axis=1), width - 1 - nonzero[:, ::-1].argmax(axis=1)
+    sizes = np.where(nonzero.any(axis=1), last - lead, -1)  # -1: no roots
+    raw = np.full((n, width - 1), np.nan)
+    for size in set(sizes.tolist()) - {-1}:
+        members = np.flatnonzero(sizes == size)
+        q = polys[members[:, None], lead[members, None] + np.arange(size + 1)]
+        comp = np.zeros((len(members), size, size)) + np.eye(size, k=-1)
         comp[:, :1] = -q[:, None, 1:] / q[:, None, :1]
         w = np.linalg.eigvals(comp)
         im = np.abs(w.imag)
         scale = 1.0 + np.maximum(np.abs(w.real), im).max(axis=1, initial=0.0, keepdims=True)
-        for (i, _, zeros), ys, keep in zip(members, w.real.tolist(), (im <= 1e-8 * scale).tolist()):
-            raw[i] = sorted([y for y, k in zip(ys, keep) if k] + [0.0] * zeros)
+        # with the roots y = 0 that numpy.roots deflates from the trailing zeros
+        zeros = np.arange(width - 1 - size) < (width - 1 - last[members, None])
+        found = (np.where(im <= 1e-8 * scale, w.real, np.nan), np.where(zeros, 0.0, np.nan))
+        raw[members] = np.sort(np.concatenate(found, axis=1), axis=1, kind="stable")
     # (P, P') coefficients at each root, P' padded with a leading zero
-    width = max((len(c) for c in rows), default=1)
-    per_root = [[0.0] * (width - len(c)) + c for c, roots in zip(rows, raw) for _ in roots]
-    cd = np.zeros((width, 2, len(per_root)))
-    cd[:, 0] = np.array(per_root).reshape(-1, width).T
+    at = ~np.isnan(raw)
+    cd = np.zeros((width, 2, at.sum()))
+    cd[:, 0] = polys[np.nonzero(at)[0]].T
     cd[1:, 1] = cd[:-1, 0] * np.arange(width - 1, 0, -1)[:, None]
-    r = np.array([y for roots in raw for y in roots])
+    r = raw[at]
     for _ in range(3):
         acc = cd[0].copy()
         for c in cd[1:]:
             acc *= r
             acc += c
         r = r - np.divide(acc[0], acc[1], out=np.zeros(r.size), where=acc[1] != 0)
-    polished = iter(r.tolist())
-    return [[next(polished) for _ in roots] for roots in raw]
+    raw[at] = r
+    return raw
 
 
-def _synthetic_division(coeffs: np.ndarray, root: float) -> np.ndarray:
-    """coeffs / (y - root), highest first; remainder discarded."""
-    out = np.empty(len(coeffs) - 1)
-    acc = 0.0
-    for i, c in enumerate(coeffs[:-1]):
-        acc = acc * root + c
-        out[i] = acc
+def _synthetic_division(coeffs, root):
+    """coeffs / (y - root) along the last axis, highest first, remainder
+    discarded; the rows of a 2-D array each by their own root."""
+    coeffs = np.asarray(coeffs, dtype=float)
+    out = np.empty(coeffs.shape[:-1] + (coeffs.shape[-1] - 1,))
+    acc = np.zeros(coeffs.shape[:-1])
+    for i in range(out.shape[-1]):
+        acc = acc * root + coeffs[..., i]
+        out[..., i] = acc
     return out
 
 
@@ -429,9 +434,9 @@ def cusp_pairs(wcs) -> list[tuple[float | None, float | None]]:
     """
     dws = [np.polyder(wc) for wc in wcs]
     pairs = []
-    for dw, roots in zip(dws, _stacked_roots(dws)):
+    for dw, roots in zip(dws, _stacked_roots(dws).tolist()):
         d2w = np.polyder(dw).tolist()
-        pair = sorted(roots, key=abs)[:2]
+        pair = sorted((y for y in roots if y == y), key=abs)[:2]
         y_ell = next((y for y in pair if _horner(d2w, y) > 0), None)
         y_hyp = next((y for y in pair if _horner(d2w, y) < 0), None)
         pairs.append((y_ell, y_hyp))
@@ -530,9 +535,7 @@ class CanonicalBaseTransform:
         cval = float(self.c.eval(lam))
         if cval == 0:
             raise ValueError(f"c(lambda) vanishes at lambda={lam}")
-        h_t = (H - float(self.a.eval(lam))) / abs(cval) ** 1.5
-        f_t = self.eta * (lam - self.f0)
-        return h_t, f_t
+        return (H - float(self.a.eval(lam))) / abs(cval) ** 1.5, self.eta * (lam - self.f0)
 
 
 def canonicalize_base(a: TruncatedSeries, b: TruncatedSeries) -> CanonicalBaseTransform:
@@ -544,7 +547,7 @@ def canonicalize_base(a: TruncatedSeries, b: TruncatedSeries) -> CanonicalBaseTr
     coeffs = [float(c) for c in b.coeffs][::-1]
     if all(c == 0 for c in coeffs):
         raise ValueError("b is identically zero; no simple zero exists")
-    candidates = sorted((r for r in _stacked_roots([coeffs])[0] if -1.0 <= r <= 1.0), key=abs)
+    candidates = sorted((r for r in _stacked_roots([coeffs])[0].tolist() if abs(r) <= 1.0), key=abs)
     if not candidates:
         raise ValueError("b has no real zero in [-1, 1]")
     f0 = candidates[0]

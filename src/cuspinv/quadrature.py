@@ -3,40 +3,45 @@ model fibrations.
 
 All level sets of the cusp models are treated through the potential form
 x^2 = P(y) = H - W(y), with W read off the model's Hamiltonian.  The levels
-of a call and their sections H - x0^2 - W are isolated together, by one
-stacked root solve (``_levels`` on ``model._stacked_roots``), so a chart or a
-verdict makes one, a transport's section times two (the second for the zeros
-of f), ``separatrix_action`` of many lambdas two (saddles, levels), and a
-scalar call is a batch of one.  Every invariant is a ``LevelJob``, the
-integral of kernel(x, y, lambda) dy/x between two ends of a level set, with
-the vanishing factor of P deflated at turning points (y = a + (b-a) sin^2(t)
-on a closed oval, y = turn - t^2 on an arc), so dy/x = 2 dt/sqrt(R(y)) and
-every integrand is smooth.  The form kernel gives the Gelfand-Leray form
-w dy/(2x) over both branches (passage times, loop periods), the area kernel
-x times the integral of f across the level (loop, wide and separatrix
-actions).  One engine, ``_level_integrals``, sums a batch of jobs with an
+of a call and their sections H - x0^2 - W are stacked as rows of one array
+and isolated together, by one stacked root solve (``_levels`` on
+``model._stacked_roots``), so a chart or a verdict makes one, a transport's
+section times two (the second for the zeros of f), ``separatrix_action`` of
+many lambdas two (saddles, levels), and a scalar call is a batch of one.
+Every invariant is a ``LevelJob``, the integral of kernel(x, y, lambda) dy/x
+between two ends of a level set, with the vanishing factor of P deflated at
+turning points (y = a + (b-a) sin^2(t) on a closed oval, y = turn - t^2 on
+an arc), so dy/x = 2 dt/sqrt(R(y)) and every integrand is smooth.  The form
+kernel gives the Gelfand-Leray form w dy/(2x) over both branches (passage
+times, loop periods), the area kernel x times the integral of f across the
+level (loop, wide and separatrix actions); both read w at x and -x in one
+call.  One engine, ``_level_integrals``, sums a batch of jobs with an
 adaptive Gauss-Kronrod G10K21 rule; a job's value depends on its own
 subintervals only, so the scalar functions are batches of one and callers
-with many samples make one engine call.
+with many samples make one engine call.  The builders, ``_oval_jobs`` and
+``_arc_jobs``, take a batch of levels: array comparisons find the ends, one
+synthetic division deflates every row of P, and each level gets its job or
+the error of its first failed check, which a caller raises or leaves blank.
 
 Orientation conventions: loop periods and loop actions are positive;
 passage times run from N1 = {x = +x0} to N2 = {x = -x0} (swapping the
 sections flips the sign), and so do section times, from N1 to a point of
 the passage arc: the reduced flows' backward times to N1 (``section_jobs``).
 
-One rule, ``_arc``, finds the passage arc of a level for passages, section
-times and the separatrix lobe: its turning point, the first root above a
-height where P falls, and its highest polished crossing of the sections
-below that; an arc through a saddle raises OnSigmaError.  The one-dof model
-H = y^3 - x^2 reaches the same engine through one sign bridge, ``_bridged``:
-(x, y, H) -> (x, -y, -H) carries it to the cusp_local model at lambda = 0,
-with the density f(x, -y, lambda) read at the lambda asked.
+One rule, ``_arc_jobs``, builds the passage arcs of levels for passages
+(from y = -inf), section times and the separatrix lobe: the turning point,
+the first root above a height where P falls, and the highest polished
+crossing of the sections below that; an arc through a saddle fails with
+OnSigmaError.  The one-dof model H = y^3 - x^2 reaches the same engine
+through one sign bridge, ``_bridged``: (x, y, H) -> (x, -y, -H) carries it
+to the cusp_local model at lambda = 0, with the density f(x, -y, lambda)
+read at the lambda asked.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -47,6 +52,7 @@ from .model import (
     ONE_DOF,
     Density,
     FibrationModel,
+    _horner,
     _stacked_roots,
     _synthetic_division,
     bifurcation_diagram,
@@ -87,69 +93,66 @@ class StratumError(ValueError):
 # -- levels and their roots --------------------------------------------------------
 
 
-def _clusters(roots: list[float]) -> list[tuple[float, int]]:
-    """(center, multiplicity) of the sorted roots, within 1e-8 max(1, max |root|) of a center."""
-    tol = 1e-8 * max([1.0, *map(abs, roots)])
-    out: list[tuple[float, int]] = []
-    for r in sorted(roots):
-        if out and abs(r - out[-1][0]) <= tol:
-            c, m = out[-1]
-            out[-1] = ((c * m + r) / (m + 1), m + 1)
-        else:
-            out.append((r, 1))
-    return out
-
-
-class _Level(NamedTuple):
-    """The level H of a cusp model at lambda: P = H - W, the clusters of its
-    real roots and, given x0, the real roots of H - x0^2 - W."""
+class _Levels(NamedTuple):
+    """Levels of a cusp model, stacked: at the (H, lambda) ``points``, P = H - W
+    row by row (highest first), the clusters of P's real roots as ascending
+    ``centers`` with multiplicities ``mult`` and, given x0, the real roots of
+    H - x0^2 - W (``sections``); rows padded with NaN (``mult`` with 0)."""
 
     kind: str
-    H: float
-    lam: float
+    points: list
     p: np.ndarray
-    clusters: list[tuple[float, int]]
-    section: list[float] | None
+    centers: np.ndarray
+    mult: np.ndarray
+    sections: np.ndarray | None
 
 
-def _levels(model: FibrationModel, points, x0: float | None = None) -> list[_Level]:
+def _levels(model: FibrationModel, points, x0: float | None = None) -> _Levels:
     """The levels at the (H, lambda) points, with the sections {x = +-x0} where
-    x0 is given, from one stacked root solve; P = H - W highest first."""
+    x0 is given, from one stacked root solve.  A cluster gathers the sorted
+    roots within 1e-8 max(1, max |root|) of its center, the running mean."""
     points = list(points)
-    minus_w = {lam: -model.potential_coeffs(lam) for lam in dict.fromkeys(l for _, l in points)}
+    lams = {lam: i for i, lam in enumerate(dict.fromkeys(l for _, l in points))}
+    # -W at each distinct lambda (at 0 for no points, for the width alone)
+    minus_w = -np.array([model.potential_coeffs(l) for l in lams] or [model.potential_coeffs(0.0)])
     heights = points + [(H - x0**2, lam) for H, lam in points if x0 is not None]
-    polys = [np.append(minus_w[lam][:-1], minus_w[lam][-1] + h) for h, lam in heights]
-    solved = _stacked_roots(polys)
-    sections = solved[len(points) :] if x0 is not None else [None] * len(points)
-    return [
-        _Level(model.kind, H, lam, p, _clusters(roots), section)
-        for (H, lam), p, roots, section in zip(points, polys, solved, sections)
-    ]
+    polys = minus_w[[lams[lam] for _, lam in heights]]
+    polys[:, -1] += [H for H, _ in heights]
+    solved, n = _stacked_roots(polys), len(points)
+    roots = np.sort(solved[:n], axis=1, kind="stable")
+    tol = 1e-8 * np.fmax.reduce(np.abs(roots), axis=1, initial=1.0)
+    centers, mult = np.full_like(roots, np.nan), np.zeros(roots.shape, dtype=int)
+    rows, last = np.arange(n), np.full(n, -1)  # the column of each row's last cluster
+    for r in roots.T:
+        c, m = centers[rows, last], mult[rows, last]
+        join = (last >= 0) & (np.abs(r - c) <= tol)
+        last = np.where(join | np.isnan(r), last, last + 1)
+        at = ~np.isnan(r)
+        centers[rows[at], last[at]] = np.where(join, (c * m + r) / (m + 1), r)[at]
+        mult[rows[at], last[at]] = (m * join + 1)[at]
+    return _Levels(model.kind, points, polys[:n], centers, mult, None if x0 is None else solved[n:])
 
 
-def _oval_ends(level: _Level, oval: str) -> tuple[float, float]:
-    """(a, b): the ends of the requested oval of the level."""
-    p, clusters, H, lam = level.p, level.clusters, level.H, level.lam
+def _oval_ends(levels: _Levels, oval: str):
+    """(a, b, checks): the ends of the requested oval of each level, and the
+    checks (``_jobs``) that the levels have that oval."""
+    centers, mult = levels.centers, levels.mult
+    count = (mult > 0).sum(axis=1)
     if oval == "narrow":
-        if len(clusters) != len(p) - 1 or any(m != 1 for _, m in clusters):
-            raise OnSigmaError(
-                f"no narrow oval at (H, lambda) = ({H}, {lam}): degenerate level"
-            )
-        return clusters[-2][0], clusters[-1][0]
+        # all roots real and simple: as many clusters as P's degree
+        a, b = centers[:, -2], centers[:, -1]
+        degenerate = "no narrow oval at (H, lambda) = ({H}, {lam}): degenerate level"
+        return a, b, [(count != levels.p.shape[1] - 1, OnSigmaError, degenerate)]
     if oval == "wide":
-        if level.kind != CUSP_COMPACT:
+        if levels.kind != CUSP_COMPACT:
             raise ValueError("wide ovals exist for the compact model only")
-        if len(clusters) < 2:
-            raise StratumError(f"no wide oval at (H, lambda) = ({H}, {lam})")
-        (a, ma), (b, mb) = clusters[0], clusters[1]
-        if ma != 1 or mb % 2 == 0:
-            raise OnSigmaError(
-                f"wide oval degenerates at (H, lambda) = ({H}, {lam})"
-            )
-        mid = 0.5 * (a + b)
-        if np.polyval(p, mid) <= 0:
-            raise StratumError(f"empty wide oval at (H, lambda) = ({H}, {lam})")
-        return a, b
+        (a, b), (ma, mb) = centers[:, :2].T, mult[:, :2].T
+        at = "at (H, lambda) = ({H}, {lam})"
+        return a, b, [
+            (count < 2, StratumError, "no wide oval " + at),
+            ((ma != 1) | (mb % 2 == 0), OnSigmaError, "wide oval degenerates " + at),
+            (_horner(levels.p.T, 0.5 * (a + b)) <= 0, StratumError, "empty wide oval " + at),
+        ]
     raise ValueError(f"unknown oval {oval!r}")
 
 
@@ -164,7 +167,8 @@ def oval_bounds(
     odd-order contact at the far end (the cusp itself) is allowed, matching
     the separatrix-like level through the cusp.
     """
-    return _oval_ends(_levels(model, [(H, lam)])[0], oval)
+    (job,) = _built(_oval_jobs([None], _levels(model, [(H, lam)]), oval))
+    return job.a, job.b
 
 
 # -- kernels and jobs --------------------------------------------------------------
@@ -175,10 +179,17 @@ def _weight(w):
     return w.eval if isinstance(w, Density) else np.vectorize(w, otypes=[float])
 
 
+def _signs(w, x, y, lam) -> np.ndarray:
+    """w(x, y, lambda) and w(-x, y, lambda), stacked, from one call of a
+    ``_weight`` w: a Density's eval shares the powers of y and lambda."""
+    x = np.broadcast_to(x, np.broadcast(x, y, lam).shape)
+    return w(np.stack((x, -x)), y, lam)
+
+
 def form_kernel(w):
     """(w(x, y, lambda) + w(-x, y, lambda))/2 for a Density or a callable w."""
     w = _weight(w)
-    return lambda x, y, lam: 0.5 * (w(x, y, lam) + w(-x, y, lam))
+    return lambda x, y, lam: 0.5 * np.add(*_signs(w, x, y, lam))
 
 
 def area_kernel(f: Density):
@@ -187,7 +198,7 @@ def area_kernel(f: Density):
     if not isinstance(f, Density):
         raise TypeError("area integrals take a polynomial Density")
     X = f.antiderivative_x().eval
-    return lambda x, y, lam: x * (X(x, y, lam) - X(-x, y, lam))
+    return lambda x, y, lam: x * np.subtract(*_signs(X, x, y, lam))
 
 
 @dataclass(eq=False, slots=True)
@@ -209,17 +220,38 @@ class LevelJob:
     upper: float
 
 
-def _arc_job(kernel, p: np.ndarray, a: float, turn: float, lam: float) -> LevelJob:
-    r = -_synthetic_division(p, turn)
-    return LevelJob(kernel, lam, "arc", a, turn, r, 0.0, math.sqrt(turn - a))
+def _built(jobs: list) -> list:
+    """A builder's jobs back; the first error among them raised."""
+    for job in jobs:
+        if isinstance(job, Exception):
+            raise job
+    return jobs
 
 
-def _oval_job(kernel, level: _Level, oval: str) -> LevelJob:
-    a, b = _oval_ends(level, oval)
-    r = -_synthetic_division(_synthetic_division(level.p, a), b)
-    if np.polyval(r, 0.5 * (a + b)) <= 0:
-        raise OnSigmaError("deflated factor not positive on the oval")
-    return LevelJob(kernel, level.lam, "oval", a, b, r, 0.0, math.pi / 2.0)
+def _jobs(kernels, levels: _Levels, sub: str, a, b, r, upper, checks) -> list:
+    """Per level its job over t in [0, upper], or the error of its first failed
+    check; ``checks`` are (failed mask, exception type, message with fields
+    {H} and {lam})."""
+    jobs = [None] * len(levels.points)
+    for failed, kind, message in checks:
+        for i in np.flatnonzero(failed).tolist():
+            if jobs[i] is None:
+                H, lam = levels.points[i]
+                jobs[i] = kind(message.format(H=H, lam=lam))
+    ends = zip(kernels, levels.points, a.tolist(), b.tolist(), r, upper.tolist())
+    for i, (k, (_, lam), ai, bi, ri, u) in enumerate(ends):
+        jobs[i] = jobs[i] or LevelJob(k, lam, sub, ai, bi, ri, 0.0, u)
+    return jobs
+
+
+def _oval_jobs(kernels, levels: _Levels, oval: str) -> list:
+    """The jobs around the levels' ovals, one kernel each: one synthetic
+    division of all the levels."""
+    a, b, checks = _oval_ends(levels, oval)
+    r = -_synthetic_division(_synthetic_division(levels.p, a), b)
+    mid = _horner(r.T, 0.5 * (a + b))
+    checks.append((mid <= 0, OnSigmaError, "deflated factor not positive on the oval"))
+    return _jobs(kernels, levels, "oval", a, b, r, np.full(len(a), math.pi / 2.0), checks)
 
 
 # -- the engine --------------------------------------------------------------------
@@ -237,13 +269,14 @@ def _level_integrals(jobs) -> np.ndarray:
     n = len(jobs)
     if not n:
         return np.zeros(0)
-    a, b, lam, lower, upper = (
-        np.array([getattr(j, k) for j in jobs], dtype=float)
-        for k in ("a", "b", "lam", "lower", "upper")
-    )
+    a, b, lam, lower, upper = np.array(
+        [(j.a, j.b, j.lam, j.lower, j.upper) for j in jobs], dtype=float
+    ).T
     # R padded with leading zeros, which leave Horner's sums unchanged
     width = max(len(j.r) for j in jobs)
-    r = np.array([np.concatenate((np.zeros(width - len(j.r)), j.r)) for j in jobs])
+    r = np.zeros((n, width))
+    for row, job in zip(r, jobs):
+        row[width - len(job.r) :] = job.r
     # jobs sharing a kernel and a substitution are evaluated together
     keys = [(id(j.kernel), j.sub) for j in jobs]
     groups = [
@@ -324,42 +357,42 @@ def integrals(jobs) -> np.ndarray:
 _UNREACHED = "trajectory does not reach the section"
 
 
-def _arc(level: _Level, y: float, through: bool = True):
-    """(y_sec, turn): the passage arc of the level from height y up.
+def _arc_jobs(kernels, levels: _Levels, y, through=True, start=None) -> list:
+    """Per level, one kernel each, the job along its passage arc from height y
+    up to turn, or the error of its first failed check.
 
     turn is the first root from y - 1e-12 (1 + |y|) up where P falls, P's sign
     between roots read off the parity of their multiplicities from -inf up.
-    y_sec is the arc's highest crossing of {x = +-x0} between turn and the
-    root below it (None for a level without sections).
-    OnSigmaError for an arc through a saddle: turn or the root below it
-    multiple, or the next root within 1e-6 (1 + |turn|) of turn.
-    StratumError without turn or crossing.
+    The arc starts at y_sec, its highest crossing of {x = +-x0} between turn
+    and the root below it, or at ``start`` on levels without sections.
+    StratumError without turn or crossing; OnSigmaError for an arc through a
+    saddle where ``through`` holds: turn or the root below it multiple, or
+    the next root within 1e-6 (1 + |turn|) of turn.
     """
-    clusters, p = level.clusters, level.p
-    near = y - 1e-12 * (1.0 + abs(y))  # -inf for y = -inf
-    positive = (p[0] > 0) == (len(p) % 2 == 1)  # the sign of P below every root
-    for i, (turn, m) in enumerate(clusters):
-        if m % 2 and positive and turn > near:
-            break
-        positive ^= m % 2 == 1
-    else:
-        raise StratumError(_UNREACHED)
-    floor, floor_m = clusters[i - 1] if i else (-math.inf, 1)
-    gap = clusters[i + 1][0] - turn if i + 1 < len(clusters) else math.inf
-    if through and (m != 1 or floor_m != 1 or gap <= 1e-6 * (1.0 + abs(turn))):
-        raise OnSigmaError("passage trajectory degenerates (on Sigma_hyp)")
-    if level.section is None:
-        return None, turn
-    crossings = [r for r in level.section if floor < r < turn]
-    if not crossings:
-        raise StratumError(_UNREACHED)
-    return max(crossings), turn
-
-
-def _passage_job(kernel, level: _Level) -> LevelJob:
-    """The passage from N1 to N2 along a level with its sections."""
-    y_sec, turn = _arc(level, -math.inf)
-    return _arc_job(kernel, level.p, y_sec, turn, level.lam)
+    mult, p, rows = levels.mult, levels.p, np.arange(len(levels.p))
+    y = np.asarray(y, dtype=float)
+    odd = mult % 2 == 1
+    # the sign of P below every root, flipped past each root of odd multiplicity
+    below = ((p[:, 0] > 0) == (p.shape[1] % 2 == 1))[:, None]
+    falls = odd & (below ^ ((np.cumsum(odd, axis=1) - odd) % 2 == 1))
+    falls &= levels.centers > (y - 1e-12 * (1.0 + np.abs(y)))[..., None]  # -inf for y = -inf
+    i = falls.argmax(axis=1)
+    # the clusters with -inf (simple) below the first and NaN above the last
+    c = np.pad(levels.centers, ((0, 0), (1, 1)), constant_values=(-np.inf, np.nan))
+    m = np.pad(mult, ((0, 0), (1, 1)), constant_values=1)
+    floor, turn, gap = c[rows, i], c[rows, i + 1], c[rows, i + 2] - c[rows, i + 1]
+    saddle = (m[rows, i + 1] != 1) | (m[rows, i] != 1) | (gap <= 1e-6 * (1.0 + np.abs(turn)))
+    checks = [
+        (~falls.any(axis=1), StratumError, _UNREACHED),
+        (saddle & through, OnSigmaError, "passage trajectory degenerates (on Sigma_hyp)"),
+    ]
+    if levels.sections is not None:
+        crossing = (levels.sections > floor[:, None]) & (levels.sections < turn[:, None])
+        checks.append((~crossing.any(axis=1), StratumError, _UNREACHED))
+        start = np.where(crossing, levels.sections, -np.inf).max(axis=1)
+    with np.errstate(invalid="ignore"):
+        upper = np.sqrt(turn - start)
+    return _jobs(kernels, levels, "arc", start, turn, -_synthetic_division(p, turn), upper, checks)
 
 
 def _bridged(f, lam: float):
@@ -373,32 +406,31 @@ def _bridged(f, lam: float):
 
 def passage_jobs(model: FibrationModel, points) -> list[LevelJob]:
     """Jobs for the passage times at the (H, lambda) points."""
+    points = list(points)
     if model.kind == ONE_DOF:
         if any(H <= 0 for H, _ in points):
             raise ValueError("one-dof passage requires H > 0")
         # one kernel per distinct lambda (the engine groups by kernel); the
         # bridged levels do not depend on the density, so they are one batch
-        lams = {l for _, l in points}
-        kernels = {l: form_kernel(_bridged(model.density, l)) for l in lams}
+        kernels = {l: form_kernel(_bridged(model.density, l)) for l in {l for _, l in points}}
         levels = _levels(cusp_local_model(), [(-H, 0.0) for H, _ in points], model.x0)
-        return [_passage_job(kernels[l], level) for (_, l), level in zip(points, levels)]
+        return _built(_arc_jobs([kernels[l] for _, l in points], levels, -math.inf))
     if model.kind == NODE:
         raise ValueError("use asymptotics.node_passage for the node model")
-    kernel = form_kernel(model.density)
-    return [_passage_job(kernel, level) for level in _levels(model, points, model.x0)]
+    kernels = [form_kernel(model.density)] * len(points)
+    return _built(_arc_jobs(kernels, _levels(model, points, model.x0), -math.inf))
 
 
 def oval_jobs(model: FibrationModel, points, kernel, oval: str) -> list[LevelJob]:
     """Jobs integrating a form or area kernel around the oval at the (H, lambda) points."""
-    return [_oval_job(kernel, level, oval) for level in _levels(model, points)]
+    levels = _levels(model, points)
+    return _built(_oval_jobs([kernel] * len(levels.points), levels, oval))
 
 
 def node_jobs(f, H_values) -> list[LevelJob]:
     """Jobs for Pi(H) = int_H^1 f(H/y, y) dy/y on the node model H = x*y."""
     kernel = _weight(f)
-    return [
-        LevelJob(kernel, 0.0, "node", H, 1.0, np.zeros(0), 0.0, -math.log(H)) for H in H_values
-    ]
+    return [LevelJob(kernel, 0.0, "node", H, 1.0, np.zeros(0), 0.0, -math.log(H)) for H in H_values]
 
 
 # -- section times ----------------------------------------------------------------
@@ -434,7 +466,7 @@ def section_jobs(model: FibrationModel, points) -> list[LevelJob | None]:
     are one stacked root solve, the zeros of f on them another.  ValueError
     where f vanishes on a stretch, and where a point is off its arc or before
     N1 (x > x0 among them), or f < 0; OnSigmaError past a turning point at a
-    saddle (``_arc``).
+    saddle (``_arc_jobs``).
     """
     points = [(float(x), float(y), float(lam)) for x, y, lam in points]
     x0 = model.x0  # the one-dof points move to a model with its own x0
@@ -446,27 +478,29 @@ def section_jobs(model: FibrationModel, points) -> list[LevelJob | None]:
     kernels = {id(f): lambda xs, ys, ls, f=f: 0.5 * f(xs, ys, ls) for f in densities}
     heights = [(x * x + np.polyval(model.potential_coeffs(lam), y), lam) for x, y, lam in points]
     levels = _levels(model, heights, x0)
-    polys = [_zero_poly(f, level.p, lam) for (*_, lam), f, level in zip(points, densities, levels)]
-    zeros = _stacked_roots(polys)
+    xs, ys, _ = np.reshape(points, (-1, 3)).T
+    arcs = _arc_jobs([kernels[id(f)] for f in densities], levels, ys, xs < 0)  # past the turn
+    polys = [_zero_poly(f, p, lam) for (*_, lam), f, p in zip(points, densities, levels.p)]
+    zeros = _stacked_roots(polys).tolist()
     jobs: list[LevelJob | None] = []
-    for (x, y, lam), f, level, roots in zip(points, densities, levels, zeros):
-        y_sec, turn = _arc(level, y, through=x < 0)
-        upper, lower = math.sqrt(turn - y_sec), math.copysign(math.sqrt(max(turn - y, 0.0)), x)
-        if lower >= upper:  # on N1 up to rounding, or before it on the branch x > 0
+    for (x, y, lam), f, job, roots in zip(points, densities, arcs, zeros):
+        if isinstance(job, Exception):
+            raise job
+        job.lower = lower = math.copysign(math.sqrt(max(job.b - y, 0.0)), x)
+        if lower >= job.upper:  # on N1 up to rounding, or before it on the branch x > 0
             if abs(x - x0) > 1e-12 * x0:
                 raise ValueError(_UNREACHED)
             jobs.append(None)
             continue
-        r = -_synthetic_division(level.p, turn)
-        for yz in (z for z in roots if z <= turn):
-            for sz in (s * math.sqrt(turn - yz) for s in (1.0, -1.0)):
+        for yz in (z for z in roots if z <= job.b):
+            for sz in (s * math.sqrt(job.b - yz) for s in (1.0, -1.0)):
                 # f vanishes on the branch through xz if it is the smaller there
-                xz = sz * math.sqrt(max(np.polyval(r, yz), 0.0))
-                if lower <= sz <= upper and abs(f(xz, yz, lam)) <= abs(f(-xz, yz, lam)):
+                xz = sz * math.sqrt(max(np.polyval(job.r, yz), 0.0))
+                if lower <= sz <= job.upper and abs(f(xz, yz, lam)) <= abs(f(-xz, yz, lam)):
                     raise ValueError(_VANISHES)
         if f(x, y, lam) < 0:
             raise ValueError(_UNREACHED)
-        jobs.append(LevelJob(kernels[id(f)], lam, "arc", y_sec, turn, r, lower, upper))
+        jobs.append(job)
     return jobs
 
 
@@ -544,8 +578,8 @@ def separatrix_action(model: FibrationModel, lam):
     levels = _levels(model, [(float(np.polyval(wc, a)), l) for wc, a, l in zip(wcs, saddles, flat)])
     # the lobe's far end turns above the saddle's double root: about 3|a|
     # away, so it is told from the split double root relative to |a|
-    ends = [_arc(lv, a + 1e-3 * abs(a), through=False)[1] for a, lv in zip(saddles, levels)]
-    jobs = [_arc_job(kernel, lv.p, a, b, lv.lam) for a, b, lv in zip(saddles, ends, levels)]
+    a = np.array(saddles)
+    jobs = _built(_arc_jobs([kernel] * len(flat), levels, a + 1e-3 * np.abs(a), False, a))
     out = integrals(jobs) / (2.0 * math.pi)
     return out.reshape(lams.shape) if lams.ndim else float(out[0])
 
@@ -612,21 +646,23 @@ def action_chart(
         if not stratum_filter or stratum == stratum_filter
     ]
     inside = [row for row in rows if row.stratum != "outside"]
+    levels, n = _levels(model, [(r.H, r.lam) for r in inside], model.x0), len(inside)
+    narrow = _oval_jobs([form] * n, levels, "narrow")  # I_circ: the same ends and R
+    columns = {"Pi": _arc_jobs([form] * n, levels, -math.inf), "Pi_circ": narrow}
+    columns["I_circ"] = [replace(j, kernel=area) if isinstance(j, LevelJob) else j for j in narrow]
+    if model.kind == CUSP_COMPACT:
+        columns["I_mu"] = _oval_jobs([area] * n, levels, "wide")
+    # the narrow columns on narrow cells only; the first such cell without its job raises
     cells: list[tuple[ActionChartRow, str, LevelJob]] = []
-    for row, level in zip(inside, _levels(model, [(r.H, r.lam) for r in inside], model.x0)):
+    for i, row in enumerate(inside):
         row.I = row.lam
-        wanted = [("Pi", _passage_job, (form, level))]
-        if row.stratum == "narrow":
-            wanted.append(("Pi_circ", _oval_job, (form, level, "narrow")))
-            wanted.append(("I_circ", _oval_job, (area, level, "narrow")))
-        if model.kind == CUSP_COMPACT:
-            wanted.append(("I_mu", _oval_job, (area, level, "wide")))
-        for name, build, args in wanted:
-            try:
-                cells.append((row, name, build(*args)))
-            except ValueError:
-                if name in _NARROW:
-                    raise
+        for name, jobs in columns.items():
+            if name in _NARROW and row.stratum != "narrow":
+                continue
+            if isinstance(jobs[i], LevelJob):
+                cells.append((row, name, jobs[i]))
+            elif name in _NARROW:
+                raise jobs[i]
     values = _level_integrals([job for _, _, job in cells]).tolist()
     for (row, name, _), v in zip(cells, values):
         if math.isnan(v) and name in _NARROW:

@@ -27,6 +27,7 @@ fields of the flows must agree bit for bit.
 from __future__ import annotations
 
 import math
+from typing import NamedTuple
 
 import mpmath
 import numpy as np
@@ -36,7 +37,8 @@ from scipy.special import elliprf, hyp2f1
 from cuspinv.asymptotics import extract_log_coeff, fit_puiseux
 from cuspinv.brieskorn import BrieskornPair
 from cuspinv.flows import PeriodLattice
-from cuspinv.model import CUSP_COMPACT, FibrationModel, _synthetic_division, bifurcation_diagram
+from cuspinv.model import CUSP_COMPACT, FibrationModel, bifurcation_diagram
+from cuspinv.quadrature import LevelJob, OnSigmaError, StratumError
 from cuspinv.quadrature import loop_action, oval_bounds, passage_time, wide_action
 from cuspinv.specfun import puiseux_constants
 
@@ -234,12 +236,12 @@ def quad_level_integral(p: np.ndarray, kernel, a: float, b: float, oval: bool) -
     P = (b - y) R and y = b - t^2.  Either way dy/x = 2 dt/sqrt(R(y)).
     """
     if oval:
-        r_coeffs = -_synthetic_division(_synthetic_division(p, a), b)
+        r_coeffs = -scalar_division(scalar_division(p, a), b)
         if np.polyval(r_coeffs, 0.5 * (a + b)) <= 0:
             raise ValueError("deflated factor not positive on the oval")
         upper = math.pi / 2.0
     else:
-        r_coeffs = -_synthetic_division(p, b)
+        r_coeffs = -scalar_division(p, b)
         upper = math.sqrt(b - a)
     width = b - a
 
@@ -448,3 +450,119 @@ def reference_hamiltonian_field(sm, point) -> np.ndarray:
     gl = sm.model.hamiltonian().diff(2).eval(x, y, lam)
     xl = sm.model.density.antiderivative_x().diff(2).eval(x, y, lam)
     return np.array([vx, vy, 0.0, gl - xl * vy])
+
+
+# -- level jobs one level at a time ---------------------------------------------
+
+
+class ScalarLevel(NamedTuple):
+    """One level H of a cusp model at lambda: P = H - W, the clusters of its
+    real roots and, given x0, the real roots of H - x0^2 - W."""
+
+    kind: str
+    H: float
+    lam: float
+    p: np.ndarray
+    clusters: list[tuple[float, int]]
+    section: list[float] | None
+
+
+def _polished_roots(p) -> list[float]:
+    return [reference_polish(p, r) for r in reference_real_roots(p)]
+
+
+def scalar_clusters(roots: list[float]) -> list[tuple[float, int]]:
+    """(center, multiplicity) of the sorted roots, within 1e-8 max(1, max |root|) of a center."""
+    tol = 1e-8 * max([1.0, *map(abs, roots)])
+    out: list[tuple[float, int]] = []
+    for r in sorted(roots):
+        if out and abs(r - out[-1][0]) <= tol:
+            c, m = out[-1]
+            out[-1] = ((c * m + r) / (m + 1), m + 1)
+        else:
+            out.append((r, 1))
+    return out
+
+
+def scalar_level(model: FibrationModel, H: float, lam: float, x0: float | None = None) -> ScalarLevel:
+    """The level at (H, lambda), its roots on the ``np.roots`` route with a
+    scalar polish, and its sections {x = +-x0} where x0 is given."""
+    minus_w = -model.potential_coeffs(lam)
+    p = np.append(minus_w[:-1], minus_w[-1] + H)
+    section = None
+    if x0 is not None:
+        section = _polished_roots(np.append(minus_w[:-1], minus_w[-1] + (H - x0**2)))
+    return ScalarLevel(model.kind, H, lam, p, scalar_clusters(_polished_roots(p)), section)
+
+
+def scalar_division(coeffs, root: float) -> np.ndarray:
+    """coeffs / (y - root), highest first, remainder discarded, by a Python loop."""
+    out = np.empty(len(coeffs) - 1)
+    acc = 0.0
+    for i, c in enumerate(coeffs[:-1]):
+        acc = acc * root + c
+        out[i] = acc
+    return out
+
+
+def scalar_oval_ends(level: ScalarLevel, oval: str) -> tuple[float, float]:
+    """(a, b): the ends of the requested oval of the level."""
+    p, clusters, H, lam = level.p, level.clusters, level.H, level.lam
+    if oval == "narrow":
+        if len(clusters) != len(p) - 1 or any(m != 1 for _, m in clusters):
+            raise OnSigmaError(f"no narrow oval at (H, lambda) = ({H}, {lam}): degenerate level")
+        return clusters[-2][0], clusters[-1][0]
+    if oval == "wide":
+        if level.kind != CUSP_COMPACT:
+            raise ValueError("wide ovals exist for the compact model only")
+        if len(clusters) < 2:
+            raise StratumError(f"no wide oval at (H, lambda) = ({H}, {lam})")
+        (a, ma), (b, mb) = clusters[0], clusters[1]
+        if ma != 1 or mb % 2 == 0:
+            raise OnSigmaError(f"wide oval degenerates at (H, lambda) = ({H}, {lam})")
+        if np.polyval(p, 0.5 * (a + b)) <= 0:
+            raise StratumError(f"empty wide oval at (H, lambda) = ({H}, {lam})")
+        return a, b
+    raise ValueError(f"unknown oval {oval!r}")
+
+
+def scalar_oval_job(kernel, level: ScalarLevel, oval: str) -> LevelJob:
+    a, b = scalar_oval_ends(level, oval)
+    r = -scalar_division(scalar_division(level.p, a), b)
+    if np.polyval(r, 0.5 * (a + b)) <= 0:
+        raise OnSigmaError("deflated factor not positive on the oval")
+    return LevelJob(kernel, level.lam, "oval", a, b, r, 0.0, math.pi / 2.0)
+
+
+_UNREACHED = "trajectory does not reach the section"
+
+
+def scalar_arc(level: ScalarLevel, y: float, through: bool = True):
+    """(y_sec, turn): the passage arc of the level from height y up, P's sign
+    between roots read off the parity of their multiplicities from -inf up."""
+    clusters, p = level.clusters, level.p
+    near = y - 1e-12 * (1.0 + abs(y))
+    positive = (p[0] > 0) == (len(p) % 2 == 1)
+    for i, (turn, m) in enumerate(clusters):
+        if m % 2 and positive and turn > near:
+            break
+        positive ^= m % 2 == 1
+    else:
+        raise StratumError(_UNREACHED)
+    floor, floor_m = clusters[i - 1] if i else (-math.inf, 1)
+    gap = clusters[i + 1][0] - turn if i + 1 < len(clusters) else math.inf
+    if through and (m != 1 or floor_m != 1 or gap <= 1e-6 * (1.0 + abs(turn))):
+        raise OnSigmaError("passage trajectory degenerates (on Sigma_hyp)")
+    if level.section is None:
+        return None, turn
+    crossings = [r for r in level.section if floor < r < turn]
+    if not crossings:
+        raise StratumError(_UNREACHED)
+    return max(crossings), turn
+
+
+def scalar_passage_job(kernel, level: ScalarLevel) -> LevelJob:
+    """The passage from N1 to N2 along a level with its sections."""
+    y_sec, turn = scalar_arc(level, -math.inf)
+    r = -scalar_division(level.p, turn)
+    return LevelJob(kernel, level.lam, "arc", y_sec, turn, r, 0.0, math.sqrt(turn - y_sec))

@@ -528,6 +528,13 @@ class TestTransport:
         assert abs(entry["xy_residual"]) < 1e-6
         assert entry["fiber_drift"] < 1e-9
 
+    def test_empty_points_file(self, files, capsys):
+        pts = files["tmp"] / "pts.json"
+        pts.write_text("[]")
+        argv = ["transport", "--sys1", str(files["local"]), "--sys2", str(files["local"])]
+        code, out, _ = _run(capsys, argv + ["--points", str(pts)])
+        assert (code, json.loads(out)) == (0, {"points": []})
+
     def test_vanishing_density_exit_1(self, files, capsys):
         # f = y vanishes at the point; the flows stop there instead of looping on NaN
         model = files["tmp"] / "fy.json"
@@ -570,8 +577,9 @@ class TestTransport:
         assert "input error" in err
 
 
-#: sha256 of stdout, byte for byte, of the default 7x7 charts, lattice
-#: verifications and transports; {name} stands for a model or points file
+#: sha256 of stdout, byte for byte, of the default 7x7 charts, the 21x21
+#: charts of the benchmark's window, lattice verifications and transports;
+#: {name} stands for a model or points file
 PINNED_DIGESTS = [
     (
         "actions --model {local}",
@@ -588,6 +596,22 @@ PINNED_DIGESTS = [
     (
         "actions --model {compact} --format json",
         "438ecaa2a3a1e5fb7686284fba41d513aa89f8beca200a8afefa905f58fb24ed",
+    ),
+    (
+        "actions --model {local} --grid 21x21 --h-range -0.01 0.01 --l-range -0.06 0.02",
+        "3aa151aec9e765e84f0ae96a94b0996d89c06f1df4ce2c76872b17cbffaac77b",
+    ),
+    (
+        "actions --model {compact} --grid 21x21 --h-range -0.01 0.01 --l-range -0.06 0.02",
+        "581677b35acf5fcf8d7b0a912c47cb184bc51eda48beaa4e44c667356cf67441",
+    ),
+    (
+        "actions --model {local} --grid 21x21 --h-range -0.01 0.01 --l-range -0.06 0.02 --format json",
+        "7eb624d8ceaadd431dcc42851719d263ba825c22b621b1e4c283fb1b75d07581",
+    ),
+    (
+        "actions --model {compact} --grid 21x21 --h-range -0.01 0.01 --l-range -0.06 0.02 --format json",
+        "770d37e2d6ccf5b2bb03e2037de638f59c691280a5d98374e33e4a17ab3df8d4",
     ),
     (
         "lattice --sys {local} --at 0.0 -0.05 --verify",
@@ -786,10 +810,12 @@ def test_numeric_option_rejects_non_finite(tmp_path, capsys, command, option, va
 
 #: (stacked root solves, level-integral engine calls) of one request: a
 #: diagram query is one solve for all its lambdas, the levels of a batch one,
-#: a transport's section times two per system and point (levels, zeros of f)
+#: a transport's section times two per system (levels, zeros of f) for all
+#: its points
 SOLVES_PER_REQUEST = [
     ("decompose --density {f1}", 1, 1),
     ("actions --model {compact}", 2, 1),
+    ("actions --model {compact} --grid 21x21 --h-range -0.01 0.01 --l-range -0.06 0.02", 2, 1),
     ("invariants --sys {local}", 6, 3),
     ("invariants --sys {compact}", 2, 1),
     ("compare --sys1 {local} --sys2 {local2}", 4, 1),
@@ -797,7 +823,7 @@ SOLVES_PER_REQUEST = [
     # the stratum check is a diagram solve at lambda < 0 only
     ("lattice --sys {compact} --at 0.0 -0.05 --verify", 2, 1),
     ("lattice --sys {compact} --at 0.05 0.02 --stratum wide --verify", 1, 1),
-    ("transport --sys1 {local} --sys2 {local2} --points {pts}", 8, 4),
+    ("transport --sys1 {local} --sys2 {local2} --points {pts}", 4, 2),
 ]
 
 

@@ -353,6 +353,20 @@ class TestTransport:
         q = _branch_point(sm, -0.3, 0.034)
         pullback_residual(sm, SymplecticModel(cusp_local_model(F_TILT)), q)
         assert calls == [("roots", 10), ("roots", 5), ("engine", 5)] * 2
+        # three points: all 15 stencil points in the same three calls per system
+        calls.clear()
+        rows = np.array([_branch_point(sm, l, 0.034) for l in (-0.3, -0.25, -0.2)])
+        pullback_residual(sm, SymplecticModel(cusp_local_model(F_TILT)), rows)
+        assert calls == [("roots", 30), ("roots", 15), ("engine", 15)] * 2
+
+    def test_pullback_residual_of_an_array_is_per_point(self):
+        sm = SymplecticModel(cusp_local_model(F_ONE))
+        rows = np.array([_branch_point(sm, l, 0.03, t) for l in (-0.3, -0.2) for t in (0.4, 1.5)])
+        for sys2 in (SymplecticModel(cusp_local_model(F_TILT)), BumpPushforward(sm, amplitude=0.2)):
+            batch = pullback_residual(sm, sys2, rows)
+            assert batch == [pullback_residual(sm, sys2, row) for row in rows]
+            assert batch == pullback_residual(sm, sys2, rows[:, :3])
+        assert pullback_residual(sm, sm, rows[:0]) == []
 
 
 class TestSectionTime:

@@ -317,6 +317,18 @@ def _reference_roots(coeffs):
     return [reference_polish(coeffs, r) for r in reference_real_roots(coeffs)]
 
 
+def _solved(polys):
+    """model._stacked_roots of the batch, each row's roots up to its NaN padding."""
+    out = model_module._stacked_roots(polys)
+    assert out.shape == (len(polys), max(map(len, polys), default=1) - 1)
+    rows = []
+    for row in out:
+        found = ~np.isnan(row)
+        assert found.tolist() == sorted(found.tolist(), reverse=True)  # NaN only at the end
+        rows.append(row[found].tolist())
+    return rows
+
+
 class TestStackedRoots:
     """model._stacked_roots against np.roots with a scalar Newton polish,
     compared with == on lists of floats: bit for bit."""
@@ -334,15 +346,18 @@ class TestStackedRoots:
     @pytest.mark.parametrize("degree", [3, 4])
     def test_matches_reference_on_random_polynomials(self, degree):
         polys = self._random_polys(degree, [degree], 400)
-        assert model_module._stacked_roots(polys) == [_reference_roots(p) for p in polys]
+        assert _solved(polys) == [_reference_roots(p) for p in polys]
+        # a 2-D array is the same batch as its list of rows
+        stacked = model_module._stacked_roots(np.array(polys))
+        assert np.array_equal(stacked, model_module._stacked_roots(polys), equal_nan=True)
 
     def test_mixed_degrees_in_one_batch(self):
         polys = self._random_polys(11, [0, 1, 2, 3, 4, 5], 300)
         polys += [np.zeros(4), np.array([0.0]), np.array([2.0, 0.0, 0.0])]
-        solved = model_module._stacked_roots(polys)
+        solved = _solved(polys)
         assert solved == [_reference_roots(p) for p in polys]
         # a batch of one gives the same as the same polynomial within a batch
-        assert [model_module._stacked_roots([p])[0] for p in polys] == solved
+        assert [_solved([p])[0] for p in polys] == solved
 
     def test_trailing_zero_at_level_zero(self):
         # the local model's level H = 0 has the root y = 0 exactly; np.roots
@@ -350,25 +365,25 @@ class TestStackedRoots:
         # undeflated 3 x 3 companion matrix gives the outer roots an ulp off
         p = [-c for c in cusp_local_model().potential_coeffs(-0.075)]
         assert p[-1] == 0.0
-        (roots,) = model_module._stacked_roots([p])
+        (roots,) = _solved([p])
         assert roots == _reference_roots(p)
         assert roots[1] == 0.0 and len(roots) == 3
 
     def test_leading_zero(self):
         # as canonicalize_base can pass: the top coefficients vanish
         p = [0.0, 0.0, 1.0, -3.0, 2.0]
-        assert model_module._stacked_roots([p]) == [_reference_roots(p)] == [[1.0, 2.0]]
+        assert _solved([p]) == [_reference_roots(p)] == [[1.0, 2.0]]
 
     def test_root_with_zero_derivative(self):
         # (y - 1)^2: P'(1) = 0 exactly, so the polish leaves the root alone
         p = [1.0, -2.0, 1.0]
-        (roots,) = model_module._stacked_roots([p, [1.0, -3.0, 2.0]])[:1]
+        (roots,) = _solved([p, [1.0, -3.0, 2.0]])[:1]
         assert roots == [1.0, 1.0] == reference_real_roots(p)
         assert np.polyval(np.polyder(p), roots[0]) == 0.0
         assert roots == _reference_roots(p)
 
     def test_no_polynomials(self):
-        assert model_module._stacked_roots([]) == []
+        assert _solved([]) == []
 
 
 class TestCanonicalizeBase:

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -6,7 +7,9 @@ import pytest
 from cuspinv import model as model_module
 from cuspinv import quadrature
 from cuspinv.model import Density, bifurcation_diagram, cusp_compact_model, cusp_local_model, node_model, one_dof_model
+from cuspinv.flows import SymplecticModel, period_lattice
 from cuspinv.quadrature import (
+    LevelJob,
     OnSigmaError,
     StratumError,
     action_chart,
@@ -35,8 +38,10 @@ from oracles import (
     quad_form_kernel,
     quad_level_integral,
     reference_Jj,
-    reference_polish,
-    reference_real_roots,
+    scalar_level,
+    scalar_oval_job,
+    scalar_oval_ends,
+    scalar_passage_job,
 )
 
 F_ONE = Density.constant(1)
@@ -519,13 +524,13 @@ CHART_FIELDS = ("Pi", "Pi_circ", "I_circ", "I_mu")
 
 
 def _quad_cell(model, H, lam, name):
-    """A chart cell from scipy's scalar quad on the ends the engine uses."""
-    level = quadrature._levels(model, [(H, lam)], model.x0)[0]
+    """A chart cell from scipy's scalar quad on the ends of the scalar job route."""
+    level = scalar_level(model, H, lam, model.x0)
     f = model.density
     if name == "Pi":
-        job = quadrature._passage_job(None, level)
+        job = scalar_passage_job(None, level)
         return quad_level_integral(level.p, quad_form_kernel(f.eval, lam), job.a, job.b, False)
-    a, b = quadrature._oval_ends(level, "wide" if name == "I_mu" else "narrow")
+    a, b = scalar_oval_ends(level, "wide" if name == "I_mu" else "narrow")
     if name == "Pi_circ":
         return quad_level_integral(level.p, quad_form_kernel(f.eval, lam), a, b, True)
     return quad_level_integral(level.p, quad_area_kernel(f, lam), a, b, True) / (2.0 * math.pi)
@@ -613,28 +618,24 @@ class TestBatchedEngine:
         points = [(h, lam) for lam in self.GRID[1] for h in self.GRID[0]]
         assert any(h == 0.0 for h, _ in points)
         levels = quadrature._levels(model, points, x0)
-        for level, (h, lam) in zip(levels, points, strict=True):
-            single = quadrature._levels(model, [(h, lam)], x0)[0]
-            for name, got, want in zip(level._fields, level, single):
-                assert np.array_equal(got, want) if name == "p" else got == want, name
+        assert levels.points == points
+        for i, (h, lam) in enumerate(points):
+            single = quadrature._levels(model, [(h, lam)], x0)
+            for name in ("p", "centers", "mult", "sections"):
+                got, want = getattr(levels, name), getattr(single, name)
+                assert (got is None and want is None) or np.array_equal(got[i], want[0], equal_nan=True), name
             # the route of np.roots and a scalar polish, one polynomial at a time
-            p = _level_coeffs(model, h, lam)
-            assert tuple(level.p) == p
-            roots = sorted(reference_polish(p, r) for r in reference_real_roots(p))
-            span = max([1.0] + [abs(r) for r in roots])
-            clusters = []
-            for r in roots:
-                if clusters and abs(r - clusters[-1][0]) <= 1e-8 * span:
-                    c, m = clusters[-1]
-                    clusters[-1] = ((c * m + r) / (m + 1), m + 1)
-                else:
-                    clusters.append((r, 1))
-            assert level.clusters == clusters
+            level = scalar_level(model, h, lam, x0)
+            assert levels.p[i].tobytes() == level.p.tobytes()
+            count = int((levels.mult[i] > 0).sum())
+            centers = levels.centers[i, :count].tolist()
+            assert list(zip(centers, levels.mult[i, :count].tolist())) == level.clusters
+            assert np.isnan(levels.centers[i, count:]).all() and not levels.mult[i, count:].any()
             if with_sections:
-                sec = _level_coeffs(model, h - x0**2, lam)
-                assert level.section == [reference_polish(sec, r) for r in reference_real_roots(sec)]
+                row = levels.sections[i]
+                assert row[~np.isnan(row)].tolist() == level.section
             else:
-                assert level.section is None
+                assert levels.sections is None
 
     def test_subinterval_limit_is_an_error(self, monkeypatch):
         # near Sigma_hyp the loop period needs many subintervals; a job that
@@ -650,3 +651,157 @@ class TestBatchedEngine:
             loop_period(m, h, lam)
         with pytest.raises(OnSigmaError):
             action_chart(m, [h], [lam])
+
+
+def _same_job(got, build):
+    """``got``, a batched builder's entry, is the job ``build()`` of the scalar
+    route, bit for bit, or an error of the type and message it raises."""
+    try:
+        want = build()
+    except ValueError as exc:
+        assert type(got) is type(exc) and str(got) == str(exc)
+        return type(exc)
+    assert isinstance(got, LevelJob)
+    fields = ("a", "b", "lam", "lower", "upper")
+    assert [float(getattr(got, k)).hex() for k in fields] == [float(getattr(want, k)).hex() for k in fields]
+    assert got.sub == want.sub and got.r.tobytes() == want.r.tobytes()
+    return LevelJob
+
+
+class TestBatchedBuilders:
+    """The batched job builders against the scalar route of ``oracles``, one
+    level at a time: ends, lambda, range and R bit for bit, errors by type
+    and message."""
+
+    @staticmethod
+    def _points(model, seed):
+        # a random 21 x 21 grid over the chart window and beyond it, plus
+        # points on Sigma_hyp and Sigma_ell, within 1e-13 and 1e-9 of them,
+        # and below every well
+        rng = np.random.default_rng(seed)
+        hs = np.sort(rng.uniform(-0.012, 0.012, 21))
+        ls = np.sort(rng.uniform(-0.07, 0.03, 21))
+        points = [(h, lam) for lam in ls for h in hs]
+        d = bifurcation_diagram(model)
+        for lam in ls[ls < -0.005]:
+            h_ell, h_hyp = d.branch_values(lam)
+            for s in (0.0, 1e-13, 1e-9, -1e-9):
+                points += [(h_hyp - s * (h_hyp - h_ell), lam), (h_ell + s * (h_hyp - h_ell), lam)]
+        return points + [(-0.2, lam) for lam in ls[::5]]
+
+    @pytest.mark.parametrize("make", [cusp_local_model, cusp_compact_model])
+    def test_clusters_on_sigma_match_scalar_route(self, make):
+        # on Sigma two roots of P lie within the cluster tolerance: the
+        # batched running mean of each cluster is the scalar loop's
+        model = make(F_ONE)
+        d = bifurcation_diagram(model)
+        points = [(h, lam) for lam in np.linspace(-0.07, -1e-3, 30) for h in d.branch_values(lam)]
+        levels = quadrature._levels(model, points)
+        assert (levels.mult > 1).sum() >= len(points) - 2
+        for i, (h, lam) in enumerate(points):
+            count = int((levels.mult[i] > 0).sum())
+            got = list(zip(levels.centers[i, :count].tolist(), levels.mult[i, :count].tolist()))
+            assert got == scalar_level(model, h, lam).clusters
+
+    @pytest.mark.parametrize("seed", [3, 17])
+    @pytest.mark.parametrize("make", [cusp_local_model, cusp_compact_model])
+    def test_chart_builders_match_scalar_route(self, make, seed):
+        model = make(F_CHART)
+        points = self._points(model, seed)
+        levels = quadrature._levels(model, points, model.x0)
+        form, area = form_kernel(model.density), area_kernel(model.density)
+        n = len(points)
+        scalar = [scalar_level(model, h, lam, model.x0) for h, lam in points]
+        seen = {}
+        builders = [
+            ("Pi", quadrature._arc_jobs([form] * n, levels, -math.inf),
+             lambda lv: scalar_passage_job(form, lv)),
+            ("narrow", quadrature._oval_jobs([form] * n, levels, "narrow"),
+             lambda lv: scalar_oval_job(form, lv, "narrow")),
+        ]
+        if model.kind == "cusp_compact":
+            builders.append(
+                ("wide", quadrature._oval_jobs([area] * n, levels, "wide"),
+                 lambda lv: scalar_oval_job(area, lv, "wide"))
+            )
+        else:
+            with pytest.raises(ValueError, match="compact model only"):
+                quadrature._oval_jobs([area] * n, levels, "wide")
+        for name, built, build in builders:
+            assert len(built) == n
+            for got, level in zip(built, scalar):
+                kind = _same_job(got, lambda: build(level))
+                seen.setdefault(name, set()).add(kind)
+                if kind is LevelJob:
+                    assert got.kernel is (area if name == "wide" else form)
+        # every route is taken: jobs, and the errors of Sigma and of the strata
+        assert seen["narrow"] == {LevelJob, OnSigmaError}
+        if model.kind == "cusp_compact":
+            # the blank-Pi region: wide levels whose arc misses the sections
+            assert seen["Pi"] == {LevelJob, StratumError, OnSigmaError}
+            assert {LevelJob, StratumError, OnSigmaError} <= seen["wide"]
+        else:
+            assert LevelJob in seen["Pi"] and OnSigmaError in seen["Pi"]
+
+    def test_one_dof_bridged_passages(self):
+        rng = np.random.default_rng(5)
+        model = one_dof_model(F_MIXED)
+        points = [(h, lam) for h, lam in zip(rng.uniform(1e-4, 2.0, 40), rng.choice([-0.2, 0.0, 0.3], 40))]
+        bridge = cusp_local_model()
+        jobs = passage_jobs(model, points)
+        for job, (h, lam) in zip(jobs, points, strict=True):
+            assert _same_job(job, lambda: scalar_passage_job(None, scalar_level(bridge, -h, 0.0, model.x0))) is LevelJob
+            assert job.kernel is jobs[[l for _, l in points].index(lam)].kernel
+
+    @pytest.mark.parametrize(
+        "make, h, lam, stratum",
+        [
+            (cusp_local_model, 0.0, -0.05, "narrow"),
+            (cusp_compact_model, 0.0, -0.05, "narrow"),
+            (cusp_compact_model, 0.05, 0.02, "wide"),
+            (cusp_compact_model, -0.2, 0.0, "wide"),  # below W: no wide oval
+            (cusp_local_model, 0.05, 0.02, "narrow"),  # off the swallow tail
+        ],
+    )
+    def test_lattice_level_with_three_kernels(self, monkeypatch, make, h, lam, stratum):
+        from cuspinv import flows
+
+        sm = SymplecticModel(make(F_MIXED))
+        level = scalar_level(sm.model, h, lam)
+        engine = []
+        monkeypatch.setattr(flows, "integrals", lambda jobs: engine.append(jobs) or np.ones(len(jobs)))
+        try:
+            want = [scalar_oval_job(None, level, stratum)] * 3
+        except ValueError as exc:
+            with pytest.raises(type(exc), match=re.escape(str(exc))):
+                period_lattice(sm, h, lam, stratum)
+            return
+        period_lattice(sm, h, lam, stratum)
+        (jobs,) = engine
+        assert len({id(job.kernel) for job in jobs}) == 3
+        for got, job in zip(jobs, want, strict=True):
+            assert _same_job(got, lambda: job) is LevelJob
+
+    def test_first_failing_narrow_cell_raises(self, monkeypatch):
+        # cells on Sigma called narrow: the chart raises the scalar route's
+        # error of the first of them in row order (lambda-major, H-minor)
+        model = cusp_local_model(F_ONE)
+        lams = [-0.05, -0.02]
+        h_ell, h_hyp = local_sigma_values(lams[0])
+        hs = [0.5 * (h_ell + h_hyp), h_hyp, h_ell]
+
+        class AllNarrow:
+            def strata(self, points):
+                return ["narrow"] * len(points)
+
+        monkeypatch.setattr(quadrature, "bifurcation_diagram", lambda _: AllNarrow())
+        errors = []
+        for lam in lams:
+            for h in hs:
+                try:
+                    scalar_oval_job(None, scalar_level(model, h, lam), "narrow")
+                except OnSigmaError as exc:
+                    errors.append(str(exc))
+        assert len(errors) >= 2
+        with pytest.raises(OnSigmaError, match=re.escape(errors[0])):
+            action_chart(model, hs, lams)
