@@ -42,13 +42,6 @@ class FitReport:
     grid: list[float] = field(default_factory=list)
 
 
-def _orders(order) -> tuple[int, int, int]:
-    if isinstance(order, int):
-        return order, order, order
-    ka, kb, kc = order
-    return int(ka), int(kb), int(kc)
-
-
 def fit_puiseux(samples, order=2, relative_weights: bool = False) -> tuple[PuiseuxTriple, FitReport]:
     """Least-squares fit of Pi samples to a(H)H^(-1/6) + b(H)H^(1/6) + c(H).
 
@@ -58,11 +51,9 @@ def fit_puiseux(samples, order=2, relative_weights: bool = False) -> tuple[Puise
     row by max(1, |value|), appropriate when the quadrature error is
     relative (deep samples grow like H^(-1/6)).
     """
-    ka, kb, kc = _orders(order)
+    ka, kb, kc = (order,) * 3 if isinstance(order, int) else (int(k) for k in order)
     n_par = (ka + 1) + (kb + 1) + (kc + 1)
-    pts = sorted((float(h), float(v)) for h, v in samples)
-    hs = np.array([p[0] for p in pts])
-    vals = np.array([p[1] for p in pts])
+    hs, vals = np.array(sorted((float(h), float(v)) for h, v in samples)).reshape(-1, 2).T
     if np.any(hs <= 0):
         raise ValueError("Puiseux fit requires H > 0 samples")
     if len(hs) < n_par:
@@ -108,11 +99,10 @@ def extract_log_coeff(samples) -> tuple[float, dict]:
     pts = sorted(((float(s), float(v)) for s, v in samples), reverse=True)
     if len(pts) < 7:
         raise ValueError("need at least 7 halving samples")
-    s = np.array([p[0] for p in pts])
+    s, v = np.array(pts).T
     ratios = s[:-1] / s[1:]
     if np.any(np.abs(ratios - 2.0) > 1e-6):
         raise ValueError("samples must sit on a halving grid s_m = s_0 * 2^-m")
-    v = np.array([p[1] for p in pts])
     d = (v[1:] - v[:-1]) / (-math.log(2.0))
     table = [d]
     for level in range(1, len(d)):

@@ -27,7 +27,7 @@ import numpy as np
 from . import brieskorn, equivalence, flows
 from .model import CUSP_COMPACT, CUSP_LOCAL, IDENTITY_BASE_MAP, ONE_DOF, Density, FibrationModel
 from .model import bifurcation_diagram
-from .quadrature import action_chart
+from .quadrature import StratumError, action_chart
 from .specfun import puiseux_constants
 
 
@@ -199,7 +199,10 @@ def cmd_lattice(args) -> int:
     h, lam = args.at
     if bifurcation_diagram(sm.model, domain_radius=math.inf).stratum(h, lam) != args.stratum:
         raise InputError(f"(H, lambda) = ({h}, {lam}) is off the {args.stratum} stratum")
-    lattice = flows.period_lattice(sm, h, lam, stratum=args.stratum, k=args.mu_shift)
+    try:
+        lattice = flows.period_lattice(sm, h, lam, stratum=args.stratum, k=args.mu_shift)
+    except StratumError as exc:  # the level lacks the oval the diagram's stratum promised
+        raise InputError(str(exc)) from exc
     payload = lattice.to_json()
     if args.verify:
         start = _start_point(sm, h, lam, lattice.oval)

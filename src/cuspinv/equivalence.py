@@ -282,11 +282,9 @@ def one_dof_equivalent(f1: Density, f2: Density, mode: str = "H_preserving") -> 
             orientation_corrected=corrected,
         )
     if mode == "fibration_preserving":
-        n1 = normalize_invariant(p1)
-        n2 = normalize_invariant(p2)
+        n1, n2 = normalize_invariant(p1), normalize_invariant(p2)
         ok, res = _series_close(n1["canonical_f"], n2["canonical_f"])
-        h1 = _series_h(n1["g_unit_alpha"])
-        h2 = _series_h(n2["g_unit_alpha"])
+        h1, h2 = (_series_h(n["g_unit_alpha"]) for n in (n1, n2))
         h_w = h2.reversion().compose(h1)
         witness = TruncatedSeries(h_w.coeffs[1:]) if ok else None
         return OneDofVerdict(

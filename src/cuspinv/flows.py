@@ -18,13 +18,13 @@ Fields are defined by i_v Omega = -dG.  In components, for G(x, y, lambda):
     v = (-G_y / f,  G_x / f,  0,  G_lambda - X_lambda G_x / f).
 
 The plane part (-H_y / f, H_x / f) of the H-field is computed only by the
-field SymplecticModel._plane_field builds at one lambda (``Density.at``, bit
-for bit ``Density.eval``); lambda is constant along every flow, so the 4-D
-field, the reduced dynamics and the bump field each build theirs once per
-solve, the bump's log det through div v = -(v . grad f) / f (the flow
-preserves f dx^dy, so div(f v) = 0).  Every flow is one DOP853 solve by
-_solve (Hairer, Norsett and Wanner, Solving ODEs I, II.5), at any number of
-times.  Section times are no flows but level integrals
+field SymplecticModel._plane_field builds at one lambda: f, H_x, H_y and the
+polynomials a caller adds (H_lambda and X_lambda for the 4-D field, f_x and
+f_y for the bump's log det, through div v = -(v . grad f) / f) are read
+from one table of product powers per call (``model.densities_at``, each
+value bit for bit ``Density.eval``), built once per solve.  Every flow is one
+DOP853 solve by _solve (Hairer, Norsett and Wanner, Solving ODEs I, II.5),
+at any number of times.  Section times are no flows but level integrals
 (``quadrature.section_time``, as y' = 2x/f), batched over a transport's points.
 
 Period lattices follow Gamma(T_p) = Gamma_0 . J^-1(p) with Gamma_0 =
@@ -40,7 +40,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .model import Density, FibrationModel
+from .model import Density, FibrationModel, densities_at
 from .quadrature import _built, _levels, _oval_jobs, area_kernel, form_kernel, integrals
 from .quadrature import section_time
 
@@ -71,25 +71,28 @@ class SymplecticModel:
         """The reduced (x, y) dynamics, as taken by :func:`transport_map`."""
         return ReducedSystem(self)
 
-    def _plane_field(self, lam: float):
-        """field(x, y) = (-H_y / f, H_x / f, f) at this lambda; ValueError where f = 0."""
-        f, h_x, h_y = self._f.at(lam), self._H_x.at(lam), self._H_y.at(lam)
+    def _plane_field(self, lam: float, extra=()):
+        """field(x, y) = [-H_y / f, H_x / f, f, *(g(x, y) for g in extra)] at
+        this lambda, all from one power table per call; ValueError where f = 0."""
+        values = densities_at((self._f, self._H_x, self._H_y, *extra), lam)
 
         def field(x, y):
-            fv = f(x, y)
+            v = values(x, y)  # [f, H_x, H_y, *extra], rewritten in place
+            fv = v[0]
             if fv == 0.0:
                 raise ValueError("degenerate Omega: density vanishes at the point")
-            return -h_y(x, y) / fv, h_x(x, y) / fv, fv
+            v[:3] = -v[2] / fv, v[1] / fv, fv
+            return v
 
         return field
 
     def _h_field(self, lam: float):
         """field(x, y): the H-field at this lambda as an array, its lambda component 0."""
-        plane, h_lam, x_lam = self._plane_field(lam), self._H_lam.at(lam), self._X_lam.at(lam)
+        plane = self._plane_field(lam, (self._H_lam, self._X_lam))
 
         def field(x, y):
-            vx, vy, _ = plane(x, y)
-            return np.array([vx, vy, 0.0, h_lam(x, y) - x_lam(x, y) * vy])
+            vx, vy, _, h_lam, x_lam = plane(x, y)
+            return np.array([vx, vy, 0.0, h_lam - x_lam * vy])
 
         return field
 
@@ -294,14 +297,14 @@ class BumpPushforward:
 
     def _z_rhs(self, lam: float):
         """Z = rho v, with d/dt log det Dpsi0 = div Z as a third component."""
-        field, fx, fy = self.sm._plane_field(lam), self._f_x.at(lam), self._f_y.at(lam)
+        field = self.sm._plane_field(lam, (self._f_x, self._f_y))
 
         def rhs(_t, state):
             x, y, _ = state.tolist()
-            vx, vy, fv = field(x, y)
+            vx, vy, fv, fx, fy = field(x, y)
             rho, rho_prime = self._bump(x)
             # div(rho v) = rho' vx + rho div v, div v = -(v . grad f) / f
-            div_v = -(vx * fx(x, y) + vy * fy(x, y)) / fv
+            div_v = -(vx * fx + vy * fy) / fv
             return (rho * vx, rho * vy, rho_prime * vx + rho * div_v)
 
         return rhs

@@ -27,7 +27,7 @@ import math
 import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -57,8 +57,6 @@ class Density:
     where the mathematics requires it, not at construction (formal densities
     such as f = y are legitimate inputs to the period integrals).
     """
-
-    __slots__ = ("terms",)
 
     def __init__(self, terms):
         data: dict[tuple[int, int, int], object] = {}
@@ -123,15 +121,12 @@ class Density:
     __rmul__ = __mul__
 
     def __pow__(self, n: int):
+        """The product ((self self) self)..., n factors."""
         if n < 0:
             raise ValueError("negative power")
         out = Density.constant(1)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
+        for _ in range(n):
+            out = out * self
         return out
 
     def __eq__(self, other):
@@ -149,40 +144,46 @@ class Density:
     def eval(self, x, y, lam=0.0):
         """Float evaluation; numpy-array friendly, the value shaped as x, y and
         lambda broadcast together.  Each term is ((c x^i) y^j) lambda^k in
-        ``terms`` order, every distinct power taken once per call and every
-        factor of exponent 0 (an exact 1) left out, as in ``at``."""
-        px, py, pl, acc = {}, {}, {}, 0.0
-        for (i, j, k), c in self.terms.items():
-            c = float(c)
-            if i:
-                c = c * (px[i] if i in px else px.setdefault(i, x**i))
-            if j:
-                c = c * (py[j] if j in py else py.setdefault(j, y**j))
-            if k:
-                c = c * (pl[k] if k in pl else pl.setdefault(k, lam**k))
+        ``terms`` order, every factor of exponent 0 left out and every power a
+        product v^n = ((v v) v)... taken once per call, so scalars and arrays
+        agree bit for bit and (-x)^i is exactly -(x^i) for odd i."""
+        terms, ni, nj, nk = self._plan
+        px, py, pl = _powers(x, ni), _powers(y, nj), _powers(lam, nk)
+        acc = 0.0
+        for c, i, j, k in terms:
+            c = c * px[i] if i else c
+            c = c * py[j] if j else c
+            c = c * pl[k] if k else c
             acc = acc + c
-        if not (px and py and pl):  # a variable without a power adds its shape
-            shape = np.broadcast(x, y, lam).shape
-            if np.shape(acc) != shape:
-                return np.broadcast_to(acc, shape).copy()
-        return acc
+        return acc if ni and nj and nk else _broadcast(acc, x, y, lam)
 
     __call__ = eval
 
+    def eval_pm(self, x, y, lam=0.0):
+        """(eval(x, y, lam), eval(-x, y, lam)) bit for bit, each term taken
+        once and negated in the second sum where i is odd."""
+        terms, ni, nj, nk = self._plan
+        px, py, pl = _powers(x, ni), _powers(y, nj), _powers(lam, nk)
+        plus = minus = 0.0
+        for c, i, j, k in terms:
+            c = c * px[i] if i else c
+            c = c * py[j] if j else c
+            c = c * pl[k] if k else c
+            plus, minus = plus + c, (minus - c if i % 2 else minus + c)
+        if ni and nj and nk:
+            return plus, minus
+        return _broadcast(plus, x, y, lam), _broadcast(minus, x, y, lam)
+
     def at(self, lam):
-        """(x, y) -> eval(x, y, lam), bit for bit for float x and y, with
-        each lambda^k taken once here for every call of the function."""
-        terms = [(float(c), i, j, k, float(lam) ** k) for (i, j, k), c in self.terms.items()]
+        """(x, y) -> eval(x, y, lam): the one-polynomial ``densities_at``."""
+        values = densities_at([self], lam)
+        return lambda x, y: values(x, y)[0]
 
-        def at_lam(x, y):
-            acc = 0.0
-            for c, i, j, k, lam_k in terms:
-                c = c * x**i if i else c
-                c = c * y**j if j else c
-                acc = acc + (c * lam_k if k else c)
-            return acc
-
-        return at_lam
+    @cached_property
+    def _plan(self):
+        """The float terms (c, i, j, k) and the highest power of x, y and lambda."""
+        terms = tuple((float(c), *e) for e, c in self.terms.items())
+        return (terms, *(max((t[v] for t in terms), default=0) for v in (1, 2, 3)))
 
     def eval_exact(self, x, y, lam=0):
         """Exact evaluation for Fraction/int arguments."""
@@ -248,6 +249,45 @@ class Density:
         for (i, j, _), c in self.terms.items():
             acc = acc + (h**i) * (f**j) * c
         return acc
+
+
+def _powers(v, n: int) -> list:
+    """[1.0, v, v^2, ..., v^n], each power the product of the one before and v."""
+    p = [1.0, v]
+    while n > 1:
+        p.append(p[-1] * v)
+        n -= 1
+    return p
+
+
+def _broadcast(value, x, y, lam):
+    """value in the shape of x, y and lambda broadcast together."""
+    if isinstance(x, float) and isinstance(y, float) and isinstance(lam, float):
+        return value
+    shape = np.broadcast(x, y, lam).shape
+    return value if np.shape(value) == shape else np.broadcast_to(value, shape).copy()
+
+
+def densities_at(densities, lam):
+    """(x, y) -> [f.eval(x, y, lam) for f in densities], bit for bit for float
+    x and y, from one table of the powers of x and y per call, shared by the
+    densities, with each lambda^k taken once here."""
+    plans = [f._plan for f in densities]
+    ni, nj, nk = (max((p[v] for p in plans), default=0) for v in (1, 2, 3))
+    pl = _powers(float(lam), nk)
+    # a factor of exponent 0 is an exact 1.0, which leaves a float product as it is
+    polys = [[(c, i, j, pl[k]) for c, i, j, k in p[0]] for p in plans]
+
+    def values(x, y):
+        px, py, out = _powers(x, ni), _powers(y, nj), []
+        for terms in polys:
+            acc = 0.0
+            for c, i, j, lam_k in terms:
+                acc = acc + c * px[i] * py[j] * lam_k
+            out.append(acc)
+        return out
+
+    return values
 
 
 def _eval_at(poly: Density, point):

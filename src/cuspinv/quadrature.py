@@ -1,41 +1,31 @@
 """Gelfand-Leray period integrals, passage times and action variables on the
 model fibrations.
 
-All level sets of the cusp models are treated through the potential form
-x^2 = P(y) = H - W(y), with W read off the model's Hamiltonian.  The levels
-of a call and their sections H - x0^2 - W are stacked as rows of one array
-and isolated together, by one stacked root solve (``_levels`` on
-``model._stacked_roots``), so a chart or a verdict makes one, a transport's
-section times two (the second for the zeros of f), ``separatrix_action`` of
-many lambdas two (saddles, levels), and a scalar call is a batch of one.
-Every invariant is a ``LevelJob``, the integral of kernel(x, y, lambda) dy/x
-between two ends of a level set, with the vanishing factor of P deflated at
-turning points (y = a + (b-a) sin^2(t) on a closed oval, y = turn - t^2 on
-an arc), so dy/x = 2 dt/sqrt(R(y)) and every integrand is smooth.  The form
-kernel gives the Gelfand-Leray form w dy/(2x) over both branches (passage
-times, loop periods), the area kernel x times the integral of f across the
-level (loop, wide and separatrix actions); both read w at x and -x in one
-call.  One engine, ``_level_integrals``, sums a batch of jobs with an
-adaptive Gauss-Kronrod G10K21 rule; a job's value depends on its own
-subintervals only, so the scalar functions are batches of one and callers
-with many samples make one engine call.  The builders, ``_oval_jobs`` and
-``_arc_jobs``, take a batch of levels: array comparisons find the ends, one
-synthetic division deflates every row of P, and each level gets its job or
-the error of its first failed check, which a caller raises or leaves blank.
+Every level set of a cusp model is x^2 = P(y) = H - W(y), W read off the
+Hamiltonian.  The levels of a call and their sections H - x0^2 - W are rows
+of one array, isolated by one stacked root solve (``_levels`` on
+``model._stacked_roots``); a scalar call is a batch of one.  Every invariant
+is a ``LevelJob``, the integral of kernel(x, y, lambda) dy/x between two ends
+of a level set, with the vanishing factor of P deflated at turning points
+(y = a + (b-a) sin^2(t) on a closed oval, y = turn - t^2 on an arc), so
+dy/x = 2 dt/sqrt(R(y)) and every integrand is smooth.  The form kernel gives
+w dy/(2x) over both branches (passage times, loop periods), the area kernel
+x times the integral of f across the level (loop, wide and separatrix
+actions); a Density's kernel reads it at +x and -x from one
+``Density.eval_pm``, each term once.  One engine, ``_level_integrals``, sums
+a batch of jobs with an adaptive Gauss-Kronrod G10K21 rule, the jobs sorted
+by (kernel, substitution) so that a group's subintervals are one slice; a
+job's value depends on its own subintervals only.  The builders,
+``_oval_jobs`` and ``_arc_jobs`` (passages from y = -inf, section times, the
+separatrix lobe), take a batch of levels and give each its job or the error
+of its first failed check, which a caller raises or leaves blank.
 
-Orientation conventions: loop periods and loop actions are positive;
-passage times run from N1 = {x = +x0} to N2 = {x = -x0} (swapping the
-sections flips the sign), and so do section times, from N1 to a point of
-the passage arc: the reduced flows' backward times to N1 (``section_jobs``).
-
-One rule, ``_arc_jobs``, builds the passage arcs of levels for passages
-(from y = -inf), section times and the separatrix lobe: the turning point,
-the first root above a height where P falls, and the highest polished
-crossing of the sections below that; an arc through a saddle fails with
-OnSigmaError.  The one-dof model H = y^3 - x^2 reaches the same engine
-through one sign bridge, ``_bridged``: (x, y, H) -> (x, -y, -H) carries it
-to the cusp_local model at lambda = 0, with the density f(x, -y, lambda)
-read at the lambda asked.
+Orientation: loop periods and loop actions are positive; passage times run
+from N1 = {x = +x0} to N2 = {x = -x0} (swapping the sections flips the
+sign), and so do section times, from N1 to a point of the passage arc.  The
+one-dof model H = y^3 - x^2 reaches the engine through one sign bridge,
+``_bridged``: (x, y, H) -> (x, -y, -H) carries it to the cusp_local model at
+lambda = 0, with the density f(x, -y, lambda) read at the lambda asked.
 """
 
 from __future__ import annotations
@@ -179,26 +169,22 @@ def _weight(w):
     return w.eval if isinstance(w, Density) else np.vectorize(w, otypes=[float])
 
 
-def _signs(w, x, y, lam) -> np.ndarray:
-    """w(x, y, lambda) and w(-x, y, lambda), stacked, from one call of a
-    ``_weight`` w: a Density's eval shares the powers of y and lambda."""
-    x = np.broadcast_to(x, np.broadcast(x, y, lam).shape)
-    return w(np.stack((x, -x)), y, lam)
-
-
 def form_kernel(w):
-    """(w(x, y, lambda) + w(-x, y, lambda))/2 for a Density or a callable w."""
+    """(w(x, y, lambda) + w(-x, y, lambda))/2 for a Density (both signs from
+    one ``eval_pm``) or a callable w (a pushed-forward density), vectorised."""
+    if isinstance(w, Density):
+        return lambda x, y, lam: 0.5 * np.add(*w.eval_pm(x, y, lam))
     w = _weight(w)
-    return lambda x, y, lam: 0.5 * np.add(*_signs(w, x, y, lam))
+    return lambda x, y, lam: 0.5 * (w(x, y, lam) + w(-x, y, lam))
 
 
 def area_kernel(f: Density):
     """x (X(x, y, lambda) - X(-x, y, lambda)) with X = f.antiderivative_x(): x
-    times the integral of f over [-x, x]."""
+    times the integral of f over [-x, x], both signs from one ``eval_pm``."""
     if not isinstance(f, Density):
         raise TypeError("area integrals take a polynomial Density")
-    X = f.antiderivative_x().eval
-    return lambda x, y, lam: x * np.subtract(*_signs(X, x, y, lam))
+    X = f.antiderivative_x()
+    return lambda x, y, lam: x * np.subtract(*X.eval_pm(x, y, lam))
 
 
 @dataclass(eq=False, slots=True)
@@ -269,6 +255,15 @@ def _level_integrals(jobs) -> np.ndarray:
     n = len(jobs)
     if not n:
         return np.zeros(0)
+    # jobs sorted by (kernel, substitution), so that a group is a range of
+    # rows from firsts[g] and np.repeat keeps its subintervals in one slice
+    keys = [(id(j.kernel), j.sub) for j in jobs]
+    codes = {key: g for g, key in enumerate(dict.fromkeys(keys))}
+    code = np.array([codes[key] for key in keys])
+    order = np.argsort(code, kind="stable")
+    jobs = [jobs[i] for i in order]
+    firsts = np.searchsorted(code[order], np.arange(len(codes) + 1))
+    heads = [jobs[i] for i in firsts[:-1].tolist()]
     a, b, lam, lower, upper = np.array(
         [(j.a, j.b, j.lam, j.lower, j.upper) for j in jobs], dtype=float
     ).T
@@ -277,18 +272,14 @@ def _level_integrals(jobs) -> np.ndarray:
     r = np.zeros((n, width))
     for row, job in zip(r, jobs):
         row[width - len(job.r) :] = job.r
-    # jobs sharing a kernel and a substitution are evaluated together
-    keys = [(id(j.kernel), j.sub) for j in jobs]
-    groups = [
-        (jobs[keys.index(key)], np.array([k == key for k in keys])) for key in dict.fromkeys(keys)
-    ]
 
     def integrand(jk: np.ndarray, t: np.ndarray) -> np.ndarray:
-        out = np.zeros_like(t)
-        for job, member in groups:
-            rows = member[jk]
-            if not rows.any():
+        out = np.empty_like(t)
+        cuts = np.searchsorted(jk, firsts).tolist()
+        for job, start, stop in zip(heads, cuts, cuts[1:]):
+            if start == stop:
                 continue
+            rows = slice(start, stop)
             js, ts = jk[rows], t[rows]
             aj, bj, lj = a[js, None], b[js, None], lam[js, None]
             if job.sub == "node":
@@ -337,7 +328,9 @@ def _level_integrals(jobs) -> np.ndarray:
         mid = 0.5 * (lo + hi)
         lo, hi = np.column_stack((lo, mid)).ravel(), np.column_stack((mid, hi)).ravel()
     total[count > QUAD_LIMIT] = np.nan
-    return total
+    out = np.empty(n)
+    out[order] = total
+    return out
 
 
 def _converged(values: np.ndarray) -> np.ndarray:

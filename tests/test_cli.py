@@ -463,6 +463,27 @@ class TestLattice:
         assert code == 2 and out == ""
         assert f"is off the {stratum} stratum" in err
 
+    @pytest.mark.parametrize("at", [("-0.2", "0.0"), ("-0.11", "-0.3"), ("-0.08", "-0.05")])
+    def test_compact_point_without_a_wide_oval_exit_2(self, files, capsys, at):
+        # below the deep well, or a level the diagram calls wide without a
+        # wide oval: the stratum check passes, the oval builder refuses
+        argv = ["lattice", "--sys", str(files["compact"]), "--at", *at, "--stratum", "wide"]
+        code, out, err = _run(capsys, argv)
+        assert code == 2 and out == ""
+        assert f"no wide oval at (H, lambda) = ({float(at[0])}, {float(at[1])})" in err
+
+    def test_compact_wide_point_still_answers(self, files, capsys):
+        from cuspinv import flows
+        from cuspinv.cli import _json_dumps
+        from cuspinv.model import FibrationModel
+
+        argv = ["lattice", "--sys", str(files["compact"]), "--at", "0.05", "0.02", "--stratum", "wide"]
+        code, out, _ = _run(capsys, argv)
+        sm = flows.SymplecticModel(FibrationModel.from_json(files["compact"].read_text()))
+        assert code == 0
+        assert out == _json_dumps(flows.period_lattice(sm, 0.05, 0.02, "wide").to_json())
+        assert json.loads(out)["basis"] == [[0.0, 2 * math.pi], [5.689387203340221, 1.481674307985012]]
+
     def test_stratum_checked_beyond_the_domain_radius(self, files, capsys):
         # |(H, lambda)| = 0.2 lies past the diagram's default radius 0.08, on
         # the narrow stratum of the unbounded local model
@@ -619,11 +640,11 @@ PINNED_DIGESTS = [
     ),
     (
         "lattice --sys {compact} --at 0.0 -0.05 --verify",
-        "6c3378ad94c0ec7b60e490bb6bcdc954e12750a0e979b874e804639ac0afc5d7",
+        "a3c18e96006bc6746a3758928414d8d510fb166f4c097a232303de0759fc18a5",
     ),
     (
         "lattice --sys {compact} --at 0.05 0.02 --stratum wide --verify",
-        "dd7397969ccb3f7018799debdff9568d4fe729da8589da460abb811148c2b50c",
+        "212141eb15a77d2ebe70f15590b1ea54c0c792ce993496746634680b88cb8a2b",
     ),
     (
         "transport --sys1 {local} --sys2 {local_p} --points {pts_local}",

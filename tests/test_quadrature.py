@@ -637,6 +637,29 @@ class TestBatchedEngine:
             else:
                 assert levels.sections is None
 
+    def test_interleaved_groups_answer_in_the_callers_order(self):
+        # wide ovals under the form and the area kernel, passage arcs under the
+        # same form kernel and node jobs, shuffled together: the engine sorts
+        # them into groups and returns each job's value, bit for bit as its
+        # group's batch alone gives it, at the job's place in the call
+        m = cusp_compact_model(F_CHART)
+        form, area = form_kernel(m.density), area_kernel(m.density)
+        points = [(h, lam) for h in (-0.008, 0.0, 0.006) for lam in (-0.05, -0.01, 0.02)]
+        levels = quadrature._levels(m, points, m.x0)
+        groups = [
+            quadrature._oval_jobs([form] * len(points), levels, "wide"),
+            quadrature._oval_jobs([area] * len(points), levels, "wide"),
+            quadrature._arc_jobs([form] * len(points), levels, -math.inf)[1:],
+            quadrature.node_jobs(F_MIXED, [0.05, 0.2, 0.6]),
+        ]
+        alone = {id(j): v for g in groups for j, v in zip(g, quadrature._level_integrals(g))}
+        batch = [j for g in groups for j in g]
+        assert all(isinstance(j, LevelJob) for j in batch)
+        assert len({(id(j.kernel), j.sub) for j in batch}) == 4
+        np.random.default_rng(17).shuffle(batch)
+        got = quadrature._level_integrals(batch)
+        assert [v.hex() for v in got.tolist()] == [alone[id(j)].hex() for j in batch]
+
     def test_subinterval_limit_is_an_error(self, monkeypatch):
         # near Sigma_hyp the loop period needs many subintervals; a job that
         # runs out of them raises, in a chart as in the scalar call
