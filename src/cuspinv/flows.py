@@ -17,15 +17,14 @@ Fields are defined by i_v Omega = -dG.  In components, for G(x, y, lambda):
 
     v = (-G_y / f,  G_x / f,  0,  G_lambda - X_lambda G_x / f).
 
-The plane part (-H_y / f, H_x / f) of the H-field is computed only by the
-field SymplecticModel._plane_field builds at one lambda: f, H_x, H_y and the
-polynomials a caller adds (H_lambda and X_lambda for the 4-D field, f_x and
-f_y for the bump's log det, through div v = -(v . grad f) / f) are read
-from one table of product powers per call (``model.densities_at``, each
-value bit for bit ``Density.eval``), built once per solve.  Every flow is one
-DOP853 solve by _solve (Hairer, Norsett and Wanner, Solving ODEs I, II.5),
-at any number of times.  Section times are no flows but level integrals
-(``quadrature.section_time``, as y' = 2x/f), batched over a transport's points.
+The plane part (-H_y / f, H_x / f) of every field comes from the one field
+SymplecticModel._plane_field builds per lambda and solve, which reads f, H_x,
+H_y and a caller's extra polynomials from one power table per call
+(``model.densities_at``, bit for bit ``Density.eval``).  The right-hand sides
+take and return lists of floats, and every flow is one run of _solve, a
+DOP853 stepper on Python floats (Hairer, Norsett and Wanner, Solving ODEs I,
+II.5) with scipy's tableau and step control, each requested time a step end.
+Section times are no flows but level integrals (``quadrature.section_time``).
 
 Period lattices follow Gamma(T_p) = Gamma_0 . J^-1(p) with Gamma_0 =
 2 pi Z^2 and J the Jacobian of the generators (H, F) with respect to the
@@ -37,6 +36,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import lru_cache
 
 import numpy as np
 
@@ -46,6 +46,8 @@ from .quadrature import section_time
 
 FLOW_RTOL = 1e-12
 FLOW_ATOL = 1e-12
+#: scipy's DOP853 step control: safety factor, step factor bounds, error order 7
+SAFETY, MIN_FACTOR, MAX_FACTOR, ERROR_EXPONENT = 0.9, 0.2, 10.0, -1.0 / 8.0
 #: the longest section time accepted: a later backward crossing of N1 is unreached
 SECTION_T_MAX = 200.0
 
@@ -87,12 +89,12 @@ class SymplecticModel:
         return field
 
     def _h_field(self, lam: float):
-        """field(x, y): the H-field at this lambda as an array, its lambda component 0."""
+        """field(x, y): the H-field at this lambda as a list, its lambda component 0."""
         plane = self._plane_field(lam, (self._H_lam, self._X_lam))
 
         def field(x, y):
             vx, vy, _, h_lam, x_lam = plane(x, y)
-            return np.array([vx, vy, 0.0, h_lam - x_lam * vy])
+            return [vx, vy, 0.0, h_lam - x_lam * vy]
 
         return field
 
@@ -102,36 +104,106 @@ class SymplecticModel:
             return np.array([0.0, 0.0, 0.0, 1.0])
         if generator != "H":
             raise ValueError("generator must be 'H' or 'F'")
-        return self._h_field(float(point[2]))(float(point[0]), float(point[1]))
+        return np.array(self._h_field(float(point[2]))(float(point[0]), float(point[1])))
 
     # -- flows ------------------------------------------------------------
 
     def flow(self, point, generator: str, t) -> np.ndarray:
         """Flow the point by time t along the H- or F-field; for an array of
-        times, all of one sign, one row per time from one solve."""
+        times, all of one sign, one row per time from one solve, each time a
+        step end of the stepper."""
         point, times = np.asarray(point, dtype=float), np.atleast_1d(np.asarray(t, dtype=float))
         out = np.tile(point, (times.size, 1))
         if generator == "F":
             out[:, 3] += times
         elif times.any():
-            order = np.argsort(np.abs(times))
-            moving = order[times[order] != 0.0]
             # lambda is constant along the flow: one field, read at the start
             field = self._h_field(float(point[2]))
-            rhs = lambda _t, state: field(*state.tolist()[:2])  # noqa: E731
-            out[moving] = _solve(rhs, times[moving[-1]], point, times[moving]).T
+            out[:] = _solve(lambda _t, s: field(s[0], s[1]), point.tolist(), times.tolist())
         return out if np.ndim(t) else out[0]
 
 
-def _solve(rhs, t_end: float, y0, t_eval=None) -> np.ndarray:
-    """The state of y' = rhs(t, y), y(0) = y0 at t_end, or at each t_eval (columns)."""
-    from scipy.integrate import solve_ivp  # here, so that importing cuspinv does not load scipy
+@lru_cache(maxsize=None)
+def _tableau():
+    """DOP853's C and the rows of A, then B, E5 and E3, as nonzero (stage,
+    weight) pairs, read once from scipy.integrate.DOP853.  E5 and E3 vanish on
+    the FSAL stage 13, so no error estimate needs f(t + h, y_new)."""
+    from scipy.integrate import DOP853  # here, so that importing cuspinv does not load scipy
 
-    opts = {"method": "DOP853", "t_eval": t_eval, "rtol": FLOW_RTOL, "atol": FLOW_ATOL}
-    sol = solve_ivp(rhs, (0.0, t_end), np.asarray(y0, dtype=float), **opts)
-    if not sol.success:
-        raise RuntimeError(f"flow integration failed: {sol.message}")
-    return sol.y[:, -1] if t_eval is None else sol.y
+    weights = [row[:s] for s, row in enumerate(DOP853.A)] + [DOP853.B, DOP853.E5, DOP853.E3]
+    pairs = tuple(tuple((j, w) for j, w in enumerate(v.tolist()) if w) for v in weights)
+    return tuple(DOP853.C.tolist()), pairs
+
+
+def _dot(pairs, k) -> float:
+    """The sum of w k[j] over the (j, w) pairs, left to right."""
+    acc = 0.0
+    for j, w in pairs:
+        acc = acc + w * k[j]
+    return acc
+
+
+def _rms(v, scale) -> float:
+    """The root mean square of v / scale, its squares summed left to right."""
+    r = [a / s for a, s in zip(v, scale)]
+    return math.sqrt(_dot(enumerate(r), r) / len(r))
+
+
+def _solve(rhs, y0, times) -> list:
+    """The states of y' = rhs(t, y), y(0) = y0, at the times (finite, of one
+    sign), one list per time, from one DOP853 run in order of |t| on floats.
+
+    rhs takes and returns lists.  The step control is scipy's DOP853 at
+    FLOW_RTOL and FLOW_ATOL with no step cap.  A step that would cross a
+    requested time is cut to end on it, and the next starts from the size
+    proposed before the cut.  RuntimeError where a step falls below 10 ulp(t).
+    """
+    times = [float(v) for v in times]
+    if not all(map(math.isfinite, times)) or min(times) < 0.0 < max(times):
+        raise ValueError(f"flow times must be finite and of one sign, got {times}")
+    c, (*a, b, e5, e3) = _tableau()
+    t_end, t, y, h_abs, out = max(times, key=abs), 0.0, [float(v) for v in y0], None, {}
+    for t_stop in sorted(set(times), key=abs):
+        while t != t_stop:
+            f = rhs(t, y)  # once per accepted step (FSAL), none on a rejected one
+            if h_abs is None:  # select_initial_step, for an error estimator of order 7
+                scale = [FLOW_ATOL + abs(v) * FLOW_RTOL for v in y]
+                d0, d1 = _rms(y, scale), _rms(f, scale)
+                if not math.isfinite(d1):
+                    raise RuntimeError("flow integration failed: the field is not finite at t = 0")
+                h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, abs(t_end))
+                h = math.copysign(h0, t_end)
+                f1 = rhs(h, [v + h * u for v, u in zip(y, f)])
+                d = max(d1, _rms([u - v for u, v in zip(f1, f)], scale) / h0)
+                h1 = max(1e-6, h0 * 1e-3) if d <= 1e-15 else (0.01 / d) ** -ERROR_EXPONENT
+                h_abs = min(100.0 * h0, h1, abs(t_end))
+            min_step, rejected = 10.0 * math.ulp(t), False
+            h_abs = max(h_abs, min_step)
+            while True:
+                if not h_abs >= min_step:
+                    raise RuntimeError(f"flow integration failed: step under 10 ulp(t), t = {t!r}")
+                t_new = t + math.copysign(h_abs, t_end)
+                cut = abs(t_new) > abs(t_stop)
+                t_new = t_stop if cut else t_new
+                h, k = t_new - t, [[v] for v in f]  # the stages, per component
+                for c_s, row in zip(c[1:], a[1:]):
+                    stage = rhs(t + c_s * h, [yc + _dot(row, kc) * h for yc, kc in zip(y, k)])
+                    for kc, v in zip(k, stage):
+                        kc.append(v)
+                y_new = [yc + h * _dot(b, kc) for yc, kc in zip(y, k)]
+                scale = [FLOW_ATOL + max(abs(u), abs(v)) * FLOW_RTOL for u, v in zip(y, y_new)]
+                r5, r3 = (_rms([_dot(e, kc) for kc in k], scale) for e in (e5, e3))
+                # scipy's DOP853._estimate_error_norm, written with root mean squares
+                err = abs(h) * r5 * r5 / math.sqrt(r5 * r5 + 0.01 * r3 * r3) if r5 or r3 else 0.0
+                if err < 1.0:
+                    break
+                h_abs, rejected = abs(h) * max(MIN_FACTOR, SAFETY * err**ERROR_EXPONENT), True
+            factor = MAX_FACTOR if err == 0.0 else min(MAX_FACTOR, SAFETY * err**ERROR_EXPONENT)
+            if not cut:  # a cut step leaves the proposed size to the next
+                h_abs = abs(h) * (min(1.0, factor) if rejected else factor)
+            t, y = t_new, y_new
+        out[t_stop] = y
+    return [out[v] for v in times]
 
 
 def trajectory_csv(
@@ -225,12 +297,11 @@ class ReducedSystem:
 
     def rhs(self, lam: float):
         field = self.sm._plane_field(lam)
-        return lambda _t, state: field(*state.tolist())[:2]
+        return lambda _t, state: field(state[0], state[1])[:2]
 
     def reduced_flow(self, xy, lam: float, t: float) -> np.ndarray:
-        if t == 0.0:
-            return np.asarray(xy, dtype=float)
-        return _solve(self.rhs(lam), t, xy)
+        (out,) = _solve(self.rhs(lam), xy, [t])
+        return np.array(out)
 
     def section_time(self, xy, lam):
         """Smallest t > 0, at most SECTION_T_MAX, with the backward flow of xy
@@ -300,18 +371,18 @@ class BumpPushforward:
         field = self.sm._plane_field(lam, (self._f_x, self._f_y))
 
         def rhs(_t, state):
-            x, y, _ = state.tolist()
+            x, y, _ = state
             vx, vy, fv, fx, fy = field(x, y)
             rho, rho_prime = self._bump(x)
             # div(rho v) = rho' vx + rho div v, div v = -(v . grad f) / f
             div_v = -(vx * fx + vy * fy) / fv
-            return (rho * vx, rho * vy, rho_prime * vx + rho * div_v)
+            return [rho * vx, rho * vy, rho_prime * vx + rho * div_v]
 
         return rhs
 
     def bump_map(self, xy, lam: float, inverse: bool = False):
         """psi0 (or its inverse) with log det Dpsi0 integrated alongside."""
-        out = _solve(self._z_rhs(lam), -1.0 if inverse else 1.0, (xy[0], xy[1], 0.0))
+        (out,) = _solve(self._z_rhs(lam), (xy[0], xy[1], 0.0), [-1.0 if inverse else 1.0])
         return np.array([out[0], out[1]]), math.exp(out[2])
 
     def _preimage(self, xy, lam: float):

@@ -12,21 +12,24 @@ exact reduction, level-set integrals from scipy's scalar adaptive ``quad``
 with a 48-node Gauss-Legendre inner rule for areas instead of the batched
 G10K21 engine, the separatrix area h(lambda) of the local model at 30
 digits with mpmath, the f = 1 loop period of the local model as a Carlson
-integral, section times from an event-driven backward flow
-instead of a level integral, passage times of the cusp models at 40 digits
-with mpmath between their own roots of the level and of the sections, the
-matrix of the symplectic form Omega written out entry by entry, the real
-roots of one polynomial at a time from ``np.roots`` with a scalar Newton
-polish, against which the stacked root solve must agree bit for bit, the cusp
-pair of critical points of one W at a time on that route, against which the
-batched ``model.cusp_pairs`` must agree bit for bit, and the
-H-field through ``Density.eval`` at every call, against which the per-lambda
-fields of the flows must agree bit for bit.
+integral, section times from an event-driven backward flow instead of a
+level integral, flows by scipy's ``solve_ivp`` DOP853 instead of the
+package's own stepper and at 30 digits by mpmath's Taylor method, passage
+times of the cusp models at 40 digits with mpmath between their own roots of
+the level and of the sections, the matrix of the symplectic form Omega
+written out entry by entry, the real roots of one polynomial at a time
+from ``np.roots`` with a scalar Newton polish, against which the stacked
+root solve must agree bit for bit, the cusp pair of critical points of one
+W at a time on that route, against which the batched ``model.cusp_pairs``
+must agree bit for bit, and the H-field through ``Density.eval`` at every
+call, against which the per-lambda fields of the flows must agree bit for
+bit.
 """
 
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 from typing import NamedTuple
 
 import mpmath
@@ -303,18 +306,65 @@ def ode_section_time(rs, xy, lam: float, x0: float | None = None, t_max: float =
     """Smallest t > 0 with the backward reduced flow of xy on {x = x0}, as the
     first zero of x - x0 on a DOP853 flow from xy to -t_max at 1e-13."""
     x0 = rs.sm.model.x0 if x0 is None else x0
+    rhs = rs.rhs(lam)
 
     def hit(_t, state):
         return state[0] - x0
 
     hit.terminal = True
     sol = solve_ivp(
-        rs.rhs(lam), (0.0, -t_max), np.asarray(xy, dtype=float), method="DOP853",
-        rtol=1e-13, atol=1e-13, events=hit,
+        lambda t, state: rhs(t, state.tolist()), (0.0, -t_max), np.asarray(xy, dtype=float),
+        method="DOP853", rtol=1e-13, atol=1e-13, events=hit,
     )
     if not sol.success or not sol.t_events[0].size:
         raise ValueError("trajectory does not reach the section")
     return -float(sol.t_events[0][0])
+
+
+def scipy_flow(rhs, y0, t: float) -> np.ndarray:
+    """The state at time t of y' = rhs(t, y), y(0) = y0, for a right-hand side
+    on lists, by scipy's ``solve_ivp`` DOP853 at 1e-13."""
+    sol = solve_ivp(
+        lambda s, state: rhs(s, state.tolist()), (0.0, t), np.asarray(y0, dtype=float),
+        method="DOP853", rtol=1e-13, atol=1e-13,
+    )
+    assert sol.success, sol.message
+    return sol.y[:, -1]
+
+
+def _mp_density(density, x, y, lam):
+    """The density at mpmath arguments, term by term from its exact coefficients."""
+    total = mpmath.mpf(0)
+    for (i, j, k), c in density.terms.items():
+        c = mpmath.mpf(c.numerator) / c.denominator if isinstance(c, Fraction) else mpmath.mpf(c)
+        total += c * x**i * y**j * lam**k
+    return total
+
+
+def mp_flow(sm, point, t: float, reduced: bool = False, dps: int = 30) -> list[float]:
+    """The H-flow of the point (x, y, lambda, phi) by time t, or with ``reduced``
+    the reduced flow of its (x, y) at its lambda, at ``dps`` digits: mpmath's
+    Taylor ``odefun`` on the field written term by term in mpmath, backward in
+    time as the forward flow of the negated field.  Returns floats."""
+    model = sm.model
+    h, f = model.hamiltonian(), model.density
+    h_x, h_y, h_l, x_l = h.diff(0), h.diff(1), h.diff(2), f.antiderivative_x().diff(2)
+    sign = 1 if t >= 0 else -1
+    with mpmath.workdps(dps):
+        lam = mpmath.mpf(point[2])
+
+        def field(_s, state):
+            x, y = state[0], state[1]
+            fv = _mp_density(f, x, y, lam)
+            vx, vy = -_mp_density(h_y, x, y, lam) / fv, _mp_density(h_x, x, y, lam) / fv
+            if reduced:
+                return [sign * vx, sign * vy]
+            v_phi = _mp_density(h_l, x, y, lam) - _mp_density(x_l, x, y, lam) * vy
+            return [sign * vx, sign * vy, sign * v_phi]
+
+        start = [mpmath.mpf(v) for v in (point[:2] if reduced else (*point[:2], point[3]))]
+        end = [float(v) for v in mpmath.odefun(field, 0, start)(abs(mpmath.mpf(t)))]
+    return end if reduced else [end[0], end[1], float(point[2]), end[2]]
 
 
 def carlson_loop_period(H: float, lam: float) -> float:

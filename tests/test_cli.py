@@ -418,16 +418,12 @@ class TestLattice:
 
     def test_verify_makes_one_flow(self, files, capsys, monkeypatch):
         # the T/2 and T images come from one H-flow; the 2 pi F-turn needs none
-        import scipy.integrate
-
         from cuspinv import flows
         from cuspinv.model import FibrationModel
 
         calls = []
-        real = scipy.integrate.solve_ivp
-        monkeypatch.setattr(
-            scipy.integrate, "solve_ivp", lambda *a, **k: calls.append(1) or real(*a, **k)
-        )
+        real = flows._solve
+        monkeypatch.setattr(flows, "_solve", lambda *a, **k: calls.append(1) or real(*a, **k))
         argv = ["lattice", "--sys", str(files["compact"]), "--at", "0.0", "-0.05", "--verify"]
         code, out, _ = _run(capsys, argv)
         assert code == 0 and len(calls) == 1
@@ -636,23 +632,23 @@ PINNED_DIGESTS = [
     ),
     (
         "lattice --sys {local} --at 0.0 -0.05 --verify",
-        "6042dbdf3c3fab8d20de74c33603cb21bb40282d56a3a0f0d5c5b6c21d3173f1",
+        "4057b63d4cd32af389f0e32d0db08e363d4f8b9a57447d06bd176ef5911b3816",
     ),
     (
         "lattice --sys {compact} --at 0.0 -0.05 --verify",
-        "a3c18e96006bc6746a3758928414d8d510fb166f4c097a232303de0759fc18a5",
+        "53cd2ef1ec13eb9a79b17e3afaee6a71267cf733cd2e07fabcde71149ff40132",
     ),
     (
         "lattice --sys {compact} --at 0.05 0.02 --stratum wide --verify",
-        "212141eb15a77d2ebe70f15590b1ea54c0c792ce993496746634680b88cb8a2b",
+        "44ac26be05985562d37d3e043255fda1c8eb6bec70afaeced5b64b5474296abf",
     ),
     (
         "transport --sys1 {local} --sys2 {local_p} --points {pts_local}",
-        "2f6ea426de820cc980592e58b30824c1de578a329e42ee1d3713672fc5a7f021",
+        "6bfec9504c4c065e89aca4d0f969ec6451465bd3eaf5b032c93a6bac9cebb131",
     ),
     (
         "transport --sys1 {compact} --sys2 {compact_p} --points {pts_compact}",
-        "8980527d3c1e778b4675e9f0804ff21829ac97bc0aa0152ab12d0ec003cb037f",
+        "429361d2da2a043ccb534a6ae11efec32cfd6393e0d88c85505c4a596ff27a92",
     ),
 ]
 

@@ -19,10 +19,12 @@ from cuspinv.quadrature import loop_period, oval_bounds
 from oracles import (
     carlson_loop_period,
     fd_period_lattice,
+    mp_flow,
     ode_section_time,
     omega_matrix,
     reference_hamiltonian_field,
     reference_plane_field,
+    scipy_flow,
 )
 
 F_ONE = Density.constant(1)
@@ -98,7 +100,7 @@ class TestHamiltonianField:
             for x, y in rng.uniform(-0.6, 0.6, (20, 2)).tolist() + [[0.0, 0.4], [0.3, 0.0]]:
                 ref = reference_plane_field(sm, x, y, lam)
                 assert tuple(plane(x, y)) == ref
-                assert tuple(rhs(0.0, np.array([x, y]))) == ref[:2]
+                assert tuple(rhs(0.0, [x, y])) == ref[:2]
                 point = np.array([x, y, lam, 1.0])
                 assert np.array_equal(h_field(x, y), reference_hamiltonian_field(sm, point))
                 assert np.array_equal(sm.hamiltonian_field(point), h_field(x, y))
@@ -111,11 +113,11 @@ class TestVanishingDensity:
 
     def test_reduced_field_rejected(self):
         with pytest.raises(ValueError, match="density vanishes"):
-            ReducedSystem(self.SM).rhs(0.0)(0.0, np.array([0.3, 0.0]))
+            ReducedSystem(self.SM).rhs(0.0)(0.0, [0.3, 0.0])
 
     def test_bump_field_rejected(self):
         with pytest.raises(ValueError, match="density vanishes"):
-            BumpPushforward(self.SM)._z_rhs(0.0)(0.0, np.array([0.3, 0.0, 0.0]))
+            BumpPushforward(self.SM)._z_rhs(0.0)(0.0, [0.3, 0.0, 0.0])
 
     def test_solver_failure_is_not_a_missed_section(self):
         # the arc from N1 to the point crosses {y = 0}, where f vanishes: a
@@ -155,6 +157,81 @@ class TestFlow:
         a = sm.flow(sm.flow(p, "H", 1.3), "F", 0.7)
         b = sm.flow(sm.flow(p, "F", 0.7), "H", 1.3)
         assert np.abs(a - b).max() < 1e-8
+
+
+class TestFlowEngine:
+    # f = 1 + y/5 + x^2/10 + 3 x lambda/10: positive on the boxes below
+    F_MIX = Density({(0, 0, 0): 1.0, (0, 1, 0): 0.2, (2, 0, 0): 0.1, (1, 0, 1): 0.3})
+
+    @pytest.mark.parametrize("make", [cusp_local_model, cusp_compact_model])
+    @pytest.mark.parametrize("t", [1.5, -0.5])
+    def test_reduced_flow_matches_mpmath(self, make, t):
+        # 30-digit Taylor references: the first flow oracle that is not DOP853
+        rs = ReducedSystem(SymplecticModel(make(Density({(0, 0, 0): 1.0, (0, 1, 0): 0.2}))))
+        ref = mp_flow(rs.sm, (0.1, -0.4, -0.3, 0.0), t, reduced=True)
+        assert np.abs(rs.reduced_flow((0.1, -0.4), -0.3, t) - ref).max() < 1e-12
+
+    @pytest.mark.parametrize("make", [cusp_local_model, cusp_compact_model])
+    @pytest.mark.parametrize("t", [0.8, -0.6])
+    def test_h_flow_matches_mpmath(self, make, t):
+        sm = SymplecticModel(make(self.F_MIX))
+        p = (0.1, -0.2, -0.05, 0.3)
+        assert np.abs(sm.flow(p, "H", t) - mp_flow(sm, p, t)).max() < 1e-12
+
+    @pytest.mark.parametrize("make", [cusp_local_model, cusp_compact_model])
+    def test_flows_match_scipy(self, make):
+        sm = SymplecticModel(make(self.F_MIX))
+        rs, rng = sm.reduced(), np.random.default_rng(41)
+        for x, y, lam, phi, t in rng.uniform(-0.4, 0.4, (6, 5)).tolist():
+            p, t, field = [x, y, lam, phi], 2.5 * t, sm._h_field(lam)
+            ref = scipy_flow(lambda _t, s: field(s[0], s[1]), p, t)
+            assert np.abs(sm.flow(p, "H", t) - ref).max() <= 1e-10 * np.abs(ref).max()
+            ref = scipy_flow(rs.rhs(lam), p[:2], t)
+            assert np.abs(rs.reduced_flow(p[:2], lam, t) - ref).max() <= 1e-10 * np.abs(ref).max()
+
+    def test_requested_times_are_step_ends(self):
+        sm = SymplecticModel(cusp_compact_model(self.F_MIX))
+        p = _oval_point(sm.model, 0.0, -0.05)
+        T = loop_period(sm.model, 0.0, -0.05)
+        for times in ([T / 2, T], [-T / 2, -T], [T, 0.0, T / 2]):
+            rows = sm.flow(p, "H", times)
+            for row, t in zip(rows, times):
+                assert np.abs(row - sm.flow(p, "H", t)).max() < 1e-11
+
+    @pytest.mark.parametrize("t", [1.0, -1.0])
+    def test_nan_field_fails_after_bounded_calls(self, t):
+        calls = []
+
+        def rhs(_t, y):
+            calls.append(1)
+            return [1.0, math.nan if abs(y[0]) > 0.5 else 0.0]
+
+        with pytest.raises(RuntimeError, match="flow integration failed"):
+            flows._solve(rhs, [0.0, 0.0], [t])
+        assert 0 < len(calls) < 2000
+        calls.clear()
+        with pytest.raises(RuntimeError, match="flow integration failed"):
+            flows._solve(lambda _t, y: calls.append(1) or [math.nan, 0.0], [0.0, 0.0], [t])
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("times", [[-1.0, 1.0], [math.nan], [1.0, math.inf], [-math.inf]])
+    def test_mixed_sign_or_non_finite_times_rejected(self, times):
+        sm = SymplecticModel(cusp_local_model(F_ONE))
+        with pytest.raises(ValueError, match="flow times must be finite and of one sign"):
+            sm.flow((0.2, 0.4, -0.3, 1.0), "H", times)
+
+    def test_tableau_read_from_scipy(self):
+        # C[s] is the row sum of A, B sums to 1, and the error weights vanish
+        # on the FSAL stage, so a rejected step needs no f(t + h, y_new)
+        from scipy.integrate import DOP853
+
+        c, (*rows, b, e5, e3) = flows._tableau()
+        assert len(c) == len(rows) == 12
+        for c_s, row in zip(c, rows):
+            assert abs(c_s - math.fsum(w for _, w in row)) <= 2e-15
+        assert abs(math.fsum(w for _, w in b) - 1.0) <= 1e-15
+        assert DOP853.E5[12] == DOP853.E3[12] == 0.0
+        assert max(j for j, _ in b + e5 + e3) < 12
 
 
 class TestPeriodLattice:
@@ -508,13 +585,9 @@ class TestSectionTime:
                 rs.section_time(np.array([good, bad, good]), -0.3)
 
     def test_no_ode_solve(self, monkeypatch):
-        import scipy.integrate
-
         calls = []
-        real = scipy.integrate.solve_ivp
-        monkeypatch.setattr(
-            scipy.integrate, "solve_ivp", lambda *a, **k: calls.append(1) or real(*a, **k)
-        )
+        real = flows._solve
+        monkeypatch.setattr(flows, "_solve", lambda *a, **k: calls.append(1) or real(*a, **k))
         rs = ReducedSystem(SymplecticModel(cusp_local_model(self.F_MIX)))
         for xy in self._arc_points(rs.sm.model, -0.3, 0.05, [-1.2, 0.5]):
             rs.section_time(xy, -0.3)
