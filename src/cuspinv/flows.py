@@ -20,11 +20,12 @@ Fields are defined by i_v Omega = -dG.  In components, for G(x, y, lambda):
 The plane part (-H_y / f, H_x / f) of every field comes from the one field
 SymplecticModel._plane_field builds per lambda and solve, which reads f, H_x,
 H_y and a caller's extra polynomials from one power table per call
-(``model.densities_at``, bit for bit ``Density.eval``).  The right-hand sides
-take and return lists of floats, and every flow is one run of _solve, a
-DOP853 stepper on Python floats (Hairer, Norsett and Wanner, Solving ODEs I,
-II.5) with scipy's tableau and step control, each requested time a step end.
-Section times are no flows but level integrals (``quadrature.section_time``).
+(``model.densities_at``, generated once per shape, bit for bit ``Density.eval``).
+The right-hand sides take and return lists of floats, and every flow is one
+run of _solve, a DOP853 stepper on Python floats (Hairer, Norsett and Wanner,
+Solving ODEs I, II.5) with scipy's tableau and step control and a step
+generated once per state size, each requested time a step end.  Section
+times are no flows but level integrals (``quadrature.section_time``).
 
 Period lattices follow Gamma(T_p) = Gamma_0 . J^-1(p) with Gamma_0 =
 2 pi Z^2 and J the Jacobian of the generators (H, F) with respect to the
@@ -135,18 +136,42 @@ def _tableau():
     return tuple(DOP853.C.tolist()), pairs
 
 
-def _dot(pairs, k) -> float:
-    """The sum of w k[j] over the (j, w) pairs, left to right."""
-    acc = 0.0
-    for j, w in pairs:
-        acc = acc + w * k[j]
-    return acc
+@lru_cache(maxsize=None)
+def _step(n: int):
+    """step(rhs, t, y, f, h) -> (y_new, err): one DOP853 step of size h from
+    (t, y), f = rhs(t, y), for n components, as straight-line code: each stage
+    sum is (0.0 + w0 k0 + w1 k1 ...) left to right over the tableau's nonzero
+    weights, err scipy's DOP853._estimate_error_norm from root mean squares."""
+    c, (*a, b, e5, e3) = _tableau()
+    comps = range(n)
+
+    def dot(pairs, i):
+        return "(0.0" + "".join(f" + {w!r} * k{j}_{i}" for j, w in pairs) + ")"
+
+    lines = ["def step(rhs, t, y, f, h):", "".join(f"y{i}, " for i in comps) + "= y"]
+    lines.append("".join(f"k0_{i}, " for i in comps) + "= f")
+    for s in range(1, len(c)):
+        args = ", ".join(f"y{i} + {dot(a[s], i)} * h" for i in comps)
+        lines.append("".join(f"k{s}_{i}, " for i in comps) + f"= rhs(t + {c[s]!r} * h, [{args}])")
+    for i in comps:
+        lines.append(f"n{i} = y{i} + h * {dot(b, i)}")
+        lines.append(f"s{i} = ATOL + max(abs(y{i}), abs(n{i})) * RTOL")
+    for r, e in (("r5", e5), ("r3", e3)):
+        lines += [f"q{i} = {dot(e, i)} / s{i}" for i in comps]
+        lines.append(f"{r} = sqrt((0.0{''.join(f' + q{i} * q{i}' for i in comps)}) / {n})")
+    lines.append("err = abs(h) * r5 * r5 / sqrt(r5 * r5 + 0.01 * r3 * r3) if r5 or r3 else 0.0")
+    lines.append(f"return [{', '.join(f'n{i}' for i in comps)}], err")
+    namespace = {"ATOL": FLOW_ATOL, "RTOL": FLOW_RTOL, "sqrt": math.sqrt}
+    exec(compile("\n    ".join(lines), f"<DOP853 step of {n}>", "exec"), namespace)
+    return namespace["step"]
 
 
 def _rms(v, scale) -> float:
     """The root mean square of v / scale, its squares summed left to right."""
-    r = [a / s for a, s in zip(v, scale)]
-    return math.sqrt(_dot(enumerate(r), r) / len(r))
+    acc = 0.0
+    for a, s in zip(v, scale):
+        acc = acc + (a / s) * (a / s)
+    return math.sqrt(acc / len(v))
 
 
 def _solve(rhs, y0, times) -> list:
@@ -157,11 +182,13 @@ def _solve(rhs, y0, times) -> list:
     FLOW_RTOL and FLOW_ATOL with no step cap.  A step that would cross a
     requested time is cut to end on it, and the next starts from the size
     proposed before the cut.  RuntimeError where a step falls below 10 ulp(t).
+    Each step is ``_step(len(y0))``, generated on the first flow of that size:
+    the float operations of a loop over the tableau, in its order, bit for bit.
     """
     times = [float(v) for v in times]
     if not all(map(math.isfinite, times)) or min(times) < 0.0 < max(times):
         raise ValueError(f"flow times must be finite and of one sign, got {times}")
-    c, (*a, b, e5, e3) = _tableau()
+    step = _step(len(y0))
     t_end, t, y, h_abs, out = max(times, key=abs), 0.0, [float(v) for v in y0], None, {}
     for t_stop in sorted(set(times), key=abs):
         while t != t_stop:
@@ -185,16 +212,8 @@ def _solve(rhs, y0, times) -> list:
                 t_new = t + math.copysign(h_abs, t_end)
                 cut = abs(t_new) > abs(t_stop)
                 t_new = t_stop if cut else t_new
-                h, k = t_new - t, [[v] for v in f]  # the stages, per component
-                for c_s, row in zip(c[1:], a[1:]):
-                    stage = rhs(t + c_s * h, [yc + _dot(row, kc) * h for yc, kc in zip(y, k)])
-                    for kc, v in zip(k, stage):
-                        kc.append(v)
-                y_new = [yc + h * _dot(b, kc) for yc, kc in zip(y, k)]
-                scale = [FLOW_ATOL + max(abs(u), abs(v)) * FLOW_RTOL for u, v in zip(y, y_new)]
-                r5, r3 = (_rms([_dot(e, kc) for kc in k], scale) for e in (e5, e3))
-                # scipy's DOP853._estimate_error_norm, written with root mean squares
-                err = abs(h) * r5 * r5 / math.sqrt(r5 * r5 + 0.01 * r3 * r3) if r5 or r3 else 0.0
+                h = t_new - t
+                y_new, err = step(rhs, t, y, f, h)
                 if err < 1.0:
                     break
                 h_abs, rejected = abs(h) * max(MIN_FACTOR, SAFETY * err**ERROR_EXPONENT), True

@@ -174,11 +174,6 @@ class Density:
             return plus, minus
         return _broadcast(plus, x, y, lam), _broadcast(minus, x, y, lam)
 
-    def at(self, lam):
-        """(x, y) -> eval(x, y, lam): the one-polynomial ``densities_at``."""
-        values = densities_at([self], lam)
-        return lambda x, y: values(x, y)[0]
-
     @cached_property
     def _plan(self):
         """The float terms (c, i, j, k) and the highest power of x, y and lambda."""
@@ -270,24 +265,37 @@ def _broadcast(value, x, y, lam):
 
 def densities_at(densities, lam):
     """(x, y) -> [f.eval(x, y, lam) for f in densities], bit for bit for float
-    x and y, from one table of the powers of x and y per call, shared by the
-    densities, with each lambda^k taken once here."""
+    x and y: straight-line code generated once per shape (the (i, j) of each
+    density's terms), bound here to the float coefficients c and the lambda^k.
+    Each value is 0.0 + c x^i y^j lambda^k + ... in ``terms`` order, x^0 and y^0
+    left out and lambda^0 an exact 1.0.  Arrays give the same values, each
+    unbroadcast: a value that reads no array is a float."""
     plans = [f._plan for f in densities]
-    ni, nj, nk = (max((p[v] for p in plans), default=0) for v in (1, 2, 3))
-    pl = _powers(float(lam), nk)
-    # a factor of exponent 0 is an exact 1.0, which leaves a float product as it is
-    polys = [[(c, i, j, pl[k]) for c, i, j, k in p[0]] for p in plans]
+    pl = _powers(float(lam), max((p[3] for p in plans), default=0))
+    shape = tuple(tuple((i, j) for _, i, j, _ in p[0]) for p in plans)
+    return _evaluator(shape)(*(v for p in plans for c, _, _, k in p[0] for v in (c, pl[k])))
 
-    def values(x, y):
-        px, py, out = _powers(x, ni), _powers(y, nj), []
-        for terms in polys:
-            acc = 0.0
-            for c, i, j, lam_k in terms:
-                acc = acc + c * px[i] * py[j] * lam_k
-            out.append(acc)
-        return out
 
-    return values
+@lru_cache(maxsize=64)
+def _evaluator(shape):
+    """bind(c0, l0, c1, l1, ...) -> values(x1, y1) for the shape's terms in
+    order, the powers x2 = x1 x1, x3 = x2 x1, ... taken as ``_powers`` takes
+    them.  Only identifiers and integer exponents reach the generated source."""
+    terms = [(p, i, j) for p, poly in enumerate(shape) for i, j in poly]
+    ni, nj = (max((e[v] for e in terms), default=0) for v in (1, 2))
+    body = [f"x{n} = x{n - 1} * x1" for n in range(2, ni + 1)]
+    body += [f"y{n} = y{n - 1} * y1" for n in range(2, nj + 1)]
+    body += [f"v{p} = 0.0" for p in range(len(shape))]
+    for m, (p, i, j) in enumerate(terms):  # a statement per term: no parser nesting limit
+        x, y = f" * x{i}" if i else "", f" * y{j}" if j else ""
+        body.append(f"v{p} = v{p} + c{m}{x}{y} * l{m}")
+    body.append(f"return [{', '.join(f'v{p}' for p in range(len(shape)))}]")
+    params = ", ".join(f"c{m}, l{m}" for m in range(len(terms)))
+    source = f"def bind({params}):\n    def values(x1, y1):\n"
+    source += "".join(f"        {line}\n" for line in body) + "    return values\n"
+    namespace = {}
+    exec(compile(source, "<densities_at>", "exec"), namespace)
+    return namespace["bind"]
 
 
 def _eval_at(poly: Density, point):

@@ -14,9 +14,11 @@ G10K21 engine, the separatrix area h(lambda) of the local model at 30
 digits with mpmath, the f = 1 loop period of the local model as a Carlson
 integral, section times from an event-driven backward flow instead of a
 level integral, flows by scipy's ``solve_ivp`` DOP853 instead of the
-package's own stepper and at 30 digits by mpmath's Taylor method, passage
-times of the cusp models at 40 digits with mpmath between their own roots of
-the level and of the sections, the matrix of the symplectic form Omega
+package's own stepper and at 30 digits by mpmath's Taylor method, the
+package's DOP853 run with every stage sum a loop over the tableau instead of
+its generated straight-line step, against which it must agree bit for bit,
+passage times of the cusp models at 40 digits with mpmath between their own
+roots of the level and of the sections, the matrix of the symplectic form Omega
 written out entry by entry, the real roots of one polynomial at a time
 from ``np.roots`` with a scalar Newton polish, against which the stacked
 root solve must agree bit for bit, the cusp pair of critical points of one
@@ -330,6 +332,75 @@ def scipy_flow(rhs, y0, t: float) -> np.ndarray:
     )
     assert sol.success, sol.message
     return sol.y[:, -1]
+
+
+def _loop_dot(pairs, k) -> float:
+    """The sum of w k[j] over the (j, w) pairs, left to right from 0.0."""
+    acc = 0.0
+    for j, w in pairs:
+        acc = acc + w * k[j]
+    return acc
+
+
+def _loop_rms(v, scale) -> float:
+    """The root mean square of v / scale, its squares summed left to right."""
+    r = [a / s for a, s in zip(v, scale)]
+    return math.sqrt(_loop_dot(enumerate(r), r) / len(r))
+
+
+def loop_dop853(rhs, y0, times) -> tuple[list, int]:
+    """(states, rejected): ``flows._solve``'s DOP853 run with every stage sum a
+    Python loop over the tableau's (stage, weight) pairs, one list of stages
+    per component, and the number of rejected steps.  The same arithmetic in
+    the same order, so the generated straight-line step must agree bit for
+    bit, with as many right-hand-side calls."""
+    from cuspinv.flows import ERROR_EXPONENT, FLOW_ATOL, FLOW_RTOL, MAX_FACTOR, MIN_FACTOR
+    from cuspinv.flows import SAFETY, _tableau
+
+    times = [float(v) for v in times]
+    c, (*a, b, e5, e3) = _tableau()
+    t_end, t, y, h_abs, out, rejections = max(times, key=abs), 0.0, [float(v) for v in y0], None, {}, 0
+    for t_stop in sorted(set(times), key=abs):
+        while t != t_stop:
+            f = rhs(t, y)
+            if h_abs is None:
+                scale = [FLOW_ATOL + abs(v) * FLOW_RTOL for v in y]
+                d0, d1 = _loop_rms(y, scale), _loop_rms(f, scale)
+                if not math.isfinite(d1):
+                    raise RuntimeError("flow integration failed: the field is not finite at t = 0")
+                h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, abs(t_end))
+                h = math.copysign(h0, t_end)
+                f1 = rhs(h, [v + h * u for v, u in zip(y, f)])
+                d = max(d1, _loop_rms([u - v for u, v in zip(f1, f)], scale) / h0)
+                h1 = max(1e-6, h0 * 1e-3) if d <= 1e-15 else (0.01 / d) ** -ERROR_EXPONENT
+                h_abs = min(100.0 * h0, h1, abs(t_end))
+            min_step, rejected = 10.0 * math.ulp(t), False
+            h_abs = max(h_abs, min_step)
+            while True:
+                if not h_abs >= min_step:
+                    raise RuntimeError(f"flow integration failed: step under 10 ulp(t), t = {t!r}")
+                t_new = t + math.copysign(h_abs, t_end)
+                cut = abs(t_new) > abs(t_stop)
+                t_new = t_stop if cut else t_new
+                h, k = t_new - t, [[v] for v in f]
+                for c_s, row in zip(c[1:], a[1:]):
+                    stage = rhs(t + c_s * h, [yc + _loop_dot(row, kc) * h for yc, kc in zip(y, k)])
+                    for kc, v in zip(k, stage):
+                        kc.append(v)
+                y_new = [yc + h * _loop_dot(b, kc) for yc, kc in zip(y, k)]
+                scale = [FLOW_ATOL + max(abs(u), abs(v)) * FLOW_RTOL for u, v in zip(y, y_new)]
+                r5, r3 = (_loop_rms([_loop_dot(e, kc) for kc in k], scale) for e in (e5, e3))
+                err = abs(h) * r5 * r5 / math.sqrt(r5 * r5 + 0.01 * r3 * r3) if r5 or r3 else 0.0
+                if err < 1.0:
+                    break
+                h_abs, rejected = abs(h) * max(MIN_FACTOR, SAFETY * err**ERROR_EXPONENT), True
+                rejections += 1
+            factor = MAX_FACTOR if err == 0.0 else min(MAX_FACTOR, SAFETY * err**ERROR_EXPONENT)
+            if not cut:
+                h_abs = abs(h) * (min(1.0, factor) if rejected else factor)
+            t, y = t_new, y_new
+        out[t_stop] = y
+    return [out[v] for v in times], rejections
 
 
 def _mp_density(density, x, y, lam):

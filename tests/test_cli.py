@@ -506,19 +506,23 @@ verify_relations verify_relations_numeric wide_action
 
 
 def test_import_leaves_scipy_out():
-    # scipy is loaded by the first flow or rescaling, not by the import; the
-    # package exports the pinned API, each name defined
+    # scipy is loaded by the first flow or rescaling, not by the import, and
+    # no flow step or density evaluator is generated; the package exports the
+    # pinned API, each name defined
     code = (
         "import sys, cuspinv, cuspinv.cli; print('scipy' in sys.modules); "
         "print(' '.join(sorted(cuspinv.__all__))); "
-        "print(all(hasattr(cuspinv, n) for n in cuspinv.__all__))"
+        "print(all(hasattr(cuspinv, n) for n in cuspinv.__all__)); "
+        "from cuspinv import flows, model; "
+        "print(flows._step.cache_info().currsize, model._evaluator.cache_info().currsize)"
     )
     src = str(Path(__file__).parent.parent / "src")
     env = {**os.environ, "PYTHONPATH": src}
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
     assert out.returncode == 0
-    scipy_loaded, names, defined = out.stdout.splitlines()
+    scipy_loaded, names, defined, generated = out.stdout.splitlines()
     assert scipy_loaded == "False"
+    assert generated == "0 0"
     assert names.split() == PUBLIC_API
     assert defined == "True"
 

@@ -19,6 +19,7 @@ from cuspinv.quadrature import loop_period, oval_bounds
 from oracles import (
     carlson_loop_period,
     fd_period_lattice,
+    loop_dop853,
     mp_flow,
     ode_section_time,
     omega_matrix,
@@ -232,6 +233,36 @@ class TestFlowEngine:
         assert abs(math.fsum(w for _, w in b) - 1.0) <= 1e-15
         assert DOP853.E5[12] == DOP853.E3[12] == 0.0
         assert max(j for j, _ in b + e5 + e3) < 12
+
+    @pytest.mark.parametrize(
+        "size, start, times, rejects",
+        [
+            (2, (0.1, -0.4), [1.5, 0.5, 3.0], False),  # ReducedSystem.rhs
+            (2, (0.9, 0.9), [-2.0, -0.5], True),  # a fast start: rejected steps
+            (3, (0.1, -0.4), [0.25, 0.5, 1.0], False),  # BumpPushforward._z_rhs
+            (3, (0.05, 0.3), [-1.0], False),
+            (4, (0.1, -0.2), [0.4, 0.8, 2.0], False),  # the H-field
+            (4, (0.1, -0.2), [-0.3, -1.1], False),
+        ],
+    )
+    def test_straight_line_step_matches_loop_oracle(self, size, start, times, rejects):
+        # the generated step runs the loop stepper's float operations in its
+        # order: the same states bit for bit, from as many right-hand sides
+        sm, lam = SymplecticModel(cusp_compact_model(self.F_MIX)), -0.3
+        field = sm._h_field(lam)
+        rhs = {
+            2: sm.reduced().rhs(lam),
+            3: BumpPushforward(sm)._z_rhs(lam),
+            4: lambda _t, s: field(s[0], s[1]),
+        }[size]
+        y0 = [*start, *[(), (0.0,), (lam, 0.3)][size - 2]]
+        calls, ref_calls = [], []
+        states = flows._solve(lambda t, y: calls.append(1) or rhs(t, y), y0, times)
+        ref, rejected = loop_dop853(lambda t, y: ref_calls.append(1) or rhs(t, y), y0, times)
+        assert [[v.hex() for v in row] for row in states] == [[v.hex() for v in row] for row in ref]
+        assert len(calls) == len(ref_calls) > 12 * len(times)
+        if rejects:
+            assert rejected > 0
 
 
 class TestPeriodLattice:

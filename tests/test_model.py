@@ -20,6 +20,7 @@ from cuspinv.model import (
     canonicalize_base,
     cusp_compact_model,
     cusp_local_model,
+    densities_at,
     is_parabolic,
 )
 from cuspinv.quadrature import separatrix_action
@@ -100,7 +101,8 @@ class TestDensity:
 
 
 class TestDensityAt:
-    """The per-lambda evaluator gives Density.eval bit for bit on floats."""
+    """The per-lambda evaluator ``densities_at`` of one polynomial gives
+    Density.eval bit for bit on floats."""
 
     @staticmethod
     def _random_density(rng) -> Density:
@@ -118,20 +120,20 @@ class TestDensityAt:
         for _ in range(60):
             f = self._random_density(rng)
             for lam in (0.0, 1.0, -1.0, float(rng.uniform(-1.5, 1.5))):
-                at = f.at(lam)
+                values = densities_at([f], lam)
                 xs = [0.0, -0.0, *rng.uniform(-2.0, 2.0, 4)]
                 ys = [0.0, *rng.uniform(-2.0, 2.0, 4)]
                 for x in map(float, xs):
                     for y in map(float, ys):
-                        assert at(x, y) == f.eval(x, y, lam)
+                        assert values(x, y) == [f.eval(x, y, lam)]
                         checked += 1
         assert checked == 60 * 4 * 30
 
     def test_exact_coefficients_and_empty_density(self):
         f = Density({(0, 0, 0): 1, (1, 2, 1): Fraction(1, 3), (0, 0, 2): 2})
-        assert f.at(0.25)(0.5, -0.75) == f.eval(0.5, -0.75, 0.25)
-        assert f.at(0)(0.5, -0.75) == f.eval(0.5, -0.75, 0)
-        assert Density({}).at(0.3)(0.2, 0.1) == 0.0
+        assert densities_at([f], 0.25)(0.5, -0.75) == [f.eval(0.5, -0.75, 0.25)]
+        assert densities_at([f], 0)(0.5, -0.75) == [f.eval(0.5, -0.75, 0)]
+        assert densities_at([Density({})], 0.3)(0.2, 0.1) == [0.0]
 
 
 class TestFibrationModel:
