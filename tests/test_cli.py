@@ -647,6 +647,10 @@ PINNED_DIGESTS = [
         "44ac26be05985562d37d3e043255fda1c8eb6bec70afaeced5b64b5474296abf",
     ),
     (
+        "invariants --sys {compact}",
+        "16d16cd32ff0fe2bb8c7a70d31182a0c155ead97e07291d0c697484ccb528e66",
+    ),
+    (
         "transport --sys1 {local} --sys2 {local_p} --points {pts_local}",
         "6bfec9504c4c065e89aca4d0f969ec6451465bd3eaf5b032c93a6bac9cebb131",
     ),
