@@ -14,8 +14,8 @@ The node model H = x*y carries the exact relations
     a(H)      = (1/(2 pi i)) Pi_hat(H)        (for these orientations),
 
 so the logarithmic coefficient of the real passage equals the complex
-period of the invisible cycle up to the full turn factor.
-"""
+period of the invisible cycle up to the full turn factor; its Morse form at
+the saddle of a cusp model gives the hyperbolic log coefficient directly."""
 
 from __future__ import annotations
 
@@ -24,8 +24,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import CUSP_LOCAL, Density, FibrationModel, bifurcation_diagram
-from .quadrature import form_kernel, integrals, node_jobs, oval_jobs
+from .model import Density, FibrationModel, _horner, saddles
+from .quadrature import integrals, node_jobs
 from .series import PuiseuxTriple, TruncatedSeries
 
 COND_FLAG = 1e12
@@ -195,24 +195,14 @@ def verify_node_log_identity(f: Density, h_grid, tol: float = 1e-4) -> dict:
 # -- hyperbolic-branch log coefficients ------------------------------------------
 
 
-def hyperbolic_log_coeff(model: FibrationModel, lam: float) -> tuple[float, dict]:
-    """Log coefficient alpha(lambda) of the period blow-up at Sigma_hyp.
-
-    Approaches the hyperbolic branch from the swallow-tail interior on the
-    halving grid H = H_hyp - s0*2^-m, m < 10, s0 = 0.35 (H_hyp - H_ell), and
-    extracts the coefficient of ln|3 sqrt(3) H - 2(-lambda)^(3/2)| (constants
-    inside the log are absorbed into the analytic part).
-    """
-    if model.kind != CUSP_LOCAL:
-        raise ValueError("hyperbolic log extraction implemented on the local model")
-    if lam >= 0:
-        raise ValueError("requires lambda < 0")
-    h_ell, h_hyp = bifurcation_diagram(model).branch_values(lam)
-    s0 = 0.35 * (h_hyp - h_ell)
-    steps = [s0 * 2.0**-m for m in range(10)]
-    jobs = oval_jobs(model, [(h_hyp - s, lam) for s in steps], form_kernel(model.density), "narrow")
-    samples = list(zip(steps, integrals(jobs)))
-    alpha, diag = extract_log_coeff(samples)
-    diag["lambda"] = lam
-    diag["H_hyp"] = h_hyp
-    return alpha, diag
+def hyperbolic_log_coeff(model: FibrationModel, lam) -> tuple:
+    """(alpha, {"lambda", "saddle"}): alpha(lambda), the coefficient of
+    ln|H - H_hyp| in the loop period, is -f(0, a, lambda) / sqrt(2 |W''(a)|)
+    at the saddle a of the cusp pair, the Morse form of the node model's
+    residue rule; for an array of lambdas, one per lambda from one solve."""
+    lams = np.asarray(lam, dtype=float)
+    flat, wcs, a = saddles(model, lams)
+    d2w = np.array([_horner(np.polyder(wc, 2).tolist(), y) for wc, y in zip(wcs, a.tolist())])
+    alpha = -model.density.eval(0.0, a, np.array(flat)) / np.sqrt(2.0 * np.abs(d2w))
+    alpha, a = (v.reshape(lams.shape) if lams.ndim else float(v[0]) for v in (alpha, a))
+    return alpha, {"lambda": lam, "saddle": a}

@@ -44,7 +44,7 @@ from . import asymptotics
 
 SERIES_RTOL = 1e-3
 ACTION_RTOL = 1e-5
-SIGMA_RTOL = 1e-6
+BRANCH_RTOL = 1e-6
 
 
 def _floats(series: TruncatedSeries) -> TruncatedSeries:
@@ -389,7 +389,7 @@ def _parabolic_checks(
             continue
         res = abs(h_t - next(targets)[index]) / max(abs(value), 1e-6)
         sigma_resid.append(res)
-        sigma_ok = sigma_ok and res <= SIGMA_RTOL
+        sigma_ok = sigma_ok and res <= BRANCH_RTOL
     checks["sigma"] = {"ok": sigma_ok, "residuals": sigma_resid}
 
     # I and I_circ at three points across the swallow tail per lambda; an
@@ -510,8 +510,9 @@ def invariant_report(
 
     The one-dof block carries the exact (alpha, beta) of the lambda = 0
     slice through H^K (:func:`brieskorn.model_pair`, the same route for both
-    kinds) and the canonical_f normal form.  h(lambda) and the
-    hyperbolic log coefficients are sampled over the given lambda grids.
+    kinds) and the canonical_f normal form.  h(lambda) and, on the local
+    model, the hyperbolic log coefficients are given on the lambda grids,
+    each grid from one saddle solve.
     The density must be positive at the orbit: a vanishing one raises
     through :func:`_oriented`, a negative one in the normalization.
     """
@@ -522,9 +523,8 @@ def invariant_report(
     h_samples = list(zip(lam_values, separatrix_action(sys, lam_values).tolist()))
     log_coeffs = []
     if sys.kind == CUSP_LOCAL:
-        for lam in log_lam_values:
-            a, _ = asymptotics.hyperbolic_log_coeff(sys, lam)
-            log_coeffs.append((lam, a))
+        alphas, _ = asymptotics.hyperbolic_log_coeff(sys, log_lam_values)
+        log_coeffs = list(zip(log_lam_values, alphas.tolist()))
     orientation = {
         "density_positive_at_orbit": not flipped,
         "alpha0_positive": float(alpha.coeffs[0]) > 0,

@@ -6,15 +6,17 @@ Model kinds
 ``cusp_local``    H = x^2 + y^3 + lambda*y        (germ near a parabolic orbit)
 ``cusp_compact``  H = x^2 + y^4 + y^3 + lambda*y  (compact fibers; same germ at 0,
                   the quartic term closes the fibers so a genuine cuspidal torus
-                  exists; the auxiliary elliptic value -27/256 from the deep well
-                  at y = -3/4 sits outside the default base domain)
+                  exists; the deep well's value -27/256 at y = -3/4 and lambda = 0
+                  lies outside the default base domain)
 ``one_dof``       H = y^3 - x^2                   (one-degree-of-freedom cusp)
 ``node``          H = x*y                         (non-degenerate saddle model)
 
 Each Hamiltonian is written once, in ``_hamiltonian_for``; the potential W of
-the cusp models (H = x^2 + W(y; lambda)) is read off it, and the bifurcation
-diagram Sigma is the pair of critical values of W at the two critical points
-nearest y = 0 (``cusp_pairs``), solved for all the lambdas of a query at once.
+the cusp models (H = x^2 + W(y; lambda)) is read off it.  Sigma is the set of
+critical values of W, its two branches W at the critical points nearest y = 0
+(``cusp_pairs``); every query solves the W' of all its lambdas at once.  One
+rule, ``sigma_flags``, puts a level on Sigma: within SIGMA_RTOL of a critical
+value, relative to the gaps to the critical values next to it.
 
 The map (x, y, H) -> (x, -y, -H) carries the cusp_local model at lambda = 0
 to the one_dof model; densities transform by f(x, y) -> f(x, -y).
@@ -42,9 +44,20 @@ NODE = "node"
 
 MODEL_KINDS = (CUSP_LOCAL, CUSP_COMPACT, ONE_DOF, NODE)
 
+#: the one tolerance of Sigma, relative to the gaps between critical values (``sigma_flags``)
+SIGMA_RTOL = 1e-12
+
 #: default base-domain radius; keeps the auxiliary elliptic value -27/256 of
 #: the compact model outside the working neighborhood of the cusp
 DEFAULT_DOMAIN_RADIUS = 0.08
+
+
+class OnSigmaError(ValueError):
+    """Requested integral degenerates on the bifurcation diagram."""
+
+
+class StratumError(ValueError):
+    """Base point is outside the stratum required by the operation."""
 
 
 class Density:
@@ -470,16 +483,24 @@ def _synthetic_division(coeffs, root):
 # -- bifurcation diagram -------------------------------------------------------
 
 
-def cusp_pairs(wcs) -> list[tuple[float | None, float | None]]:
-    """(y_ell, y_hyp) of each W: the two critical points nearest y = 0, from
-    one stacked root solve of all the W'.
+def sigma_flags(h, values) -> np.ndarray:
+    """Whether each level H lies on Sigma at each critical value W(c) of its
+    row (ascending in c, padded with NaN): |H - W(c)| < SIGMA_RTOL times the
+    least of 1 and the gaps from W(c) to the critical values next to it.  A
+    gap of 0, the inflection of W at lambda = 0, puts no level on Sigma."""
+    one = np.ones((len(values), 1))  # past either end
+    gaps = np.hstack((one, np.fmin(np.abs(np.diff(values)), 1.0), one))
+    near = np.fmin(gaps[:, :-1], gaps[:, 1:])
+    return np.abs(np.asarray(h, dtype=float)[:, None] - values) < SIGMA_RTOL * near
 
-    ``wcs`` hold W's coefficients (highest first) at lambdas < 0, where the
-    pair has unfolded from the cusp at y = 0.  The sign of W'' labels them:
-    the minimum (W'' > 0) carries the elliptic branch, the saddle (W'' < 0)
-    the hyperbolic one; a branch absent at its lambda is None.  The compact
-    model's deep well near y = -3/4 lies farther from 0 than both.
-    """
+
+def cusp_pairs(wcs) -> list[tuple[float | None, float | None]]:
+    """(y_ell, y_hyp) of each W (coefficients highest first): the two critical
+    points nearest y = 0, from one stacked root solve of all the W', labelled
+    by the sign of W'': the minimum (W'' > 0) carries the elliptic branch, the
+    saddle (W'' < 0) the hyperbolic one, and a branch absent at its lambda is
+    None.  At lambda < 0 the pair has unfolded from the cusp at y = 0; the
+    compact model's deep well near y = -3/4 lies farther from 0 than both."""
     dws = [np.polyder(wc) for wc in wcs]
     pairs = []
     for dw, roots in zip(dws, _stacked_roots(dws).tolist()):
@@ -491,13 +512,26 @@ def cusp_pairs(wcs) -> list[tuple[float | None, float | None]]:
     return pairs
 
 
+def saddles(model: FibrationModel, lams: np.ndarray):
+    """(lambdas, W coefficients, saddles) at the lambdas < 0 of an array, from
+    one root solve (``cusp_pairs``); StratumError where W has no saddle."""
+    if (lams >= 0).any():
+        raise ValueError("the saddle requires lambda < 0")
+    flat = lams.ravel().tolist()
+    wcs = [model.potential_coeffs(lam) for lam in flat]
+    ys = [a for _, a in cusp_pairs(wcs)]
+    if None in ys:
+        raise StratumError(f"no saddle near the cusp at lambda={flat[ys.index(None)]}")
+    return flat, wcs, np.array(ys)
+
+
 @dataclass
 class BifurcationDiagram:
     """Bifurcation diagram Sigma near the cusp point.
 
     At each lambda < 0 asked about, the elliptic and hyperbolic values are
     W at the cusp pair of critical points; every query takes all its lambdas
-    or (H, lambda) points at once and makes one root solve (``cusp_pairs``).
+    or (H, lambda) points at once and makes one root solve of their W'.
     For the canonical local model Sigma = {H^2 = -(4/27) lambda^3} with the
     elliptic branch at H < 0 and the hyperbolic branch at H > 0; the
     swallow-tail interior is {H^2 < -(4/27) lambda^3}.
@@ -534,29 +568,31 @@ class BifurcationDiagram:
         return self._branches([lam], (1,))[0][1]
 
     def stratum(self, H: float, lam: float) -> str:
-        """'narrow' on the swallow-tail interior, 'wide' elsewhere in the
-        domain (compact model only), 'outside' otherwise."""
+        """'narrow' on the swallow-tail interior, 'wide' on other non-empty
+        compact levels in the domain, 'outside' otherwise (on Sigma too)."""
         return self.strata([(H, lam)])[0]
 
     def strata(self, points) -> list[str]:
-        """stratum(H, lambda) of each of a list of (H, lambda) points, from one root solve."""
-        lams = list(dict.fromkeys(lam for _, lam in points if lam < 0))
-        branches = dict(zip(lams, self._branches(lams, ())))
-        return [self._stratum(H, lam, branches.get(lam)) for H, lam in points]
-
-    def _stratum(self, H: float, lam: float, branches) -> str:
-        """``branches`` are this lambda's (H_ell, H_hyp), None for lambda >= 0;
-        a point within 1e-12 of Sigma lies outside every stratum."""
-        tol = 1e-12
-        if math.hypot(H, lam) > self.domain_radius or (abs(lam) <= tol and abs(H) <= tol):
-            return "outside"
-        if lam < -tol:
-            h_ell, h_hyp = branches
-            if any(v is not None and abs(H - v) <= tol for v in (h_ell, h_hyp)):
-                return "outside"
-            if h_ell is not None and h_hyp is not None and h_ell < H < h_hyp:
-                return "narrow"
-        return "wide" if self.model.kind == CUSP_COMPACT else "outside"
+        """stratum(H, lambda) of each of a list of (H, lambda) points, from one
+        root solve of the W' at their lambdas: outside past the radius, within
+        SIGMA_RTOL of the cusp point and where ``sigma_flags`` puts H on Sigma;
+        narrow between the top two critical values, the cusp pair's (W rises
+        past the last); wide on the compact model above the least one."""
+        points = list(points)
+        if not points:
+            return []
+        lams = {lam: i for i, lam in enumerate(dict.fromkeys(l for _, l in points))}
+        wcs = np.array([self.model.potential_coeffs(lam) for lam in lams])
+        crit = _stacked_roots([np.polyder(wc) for wc in wcs])
+        values = _horner(wcs.T[..., None], crit)[[lams[lam] for _, lam in points]]
+        (H, lam), k = np.array(points).T, np.count_nonzero(~np.isnan(values), axis=1)
+        h_hyp, h_ell = np.take_along_axis(values, np.maximum(k - 2, 0)[:, None] + [0, 1], axis=1).T
+        off = np.array([math.hypot(*p) > self.domain_radius for p in points])
+        off |= (abs(lam) <= SIGMA_RTOL) & (abs(H) <= SIGMA_RTOL)
+        off |= sigma_flags(H, values).any(axis=1)
+        filled = H > np.fmin.reduce(values, axis=1, initial=np.inf)
+        names = ["outside", "narrow", "wide" if self.model.kind == CUSP_COMPACT else "outside"]
+        return np.select([off, (h_ell < H) & (H < h_hyp), filled], names, "outside").tolist()
 
 
 def bifurcation_diagram(

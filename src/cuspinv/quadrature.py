@@ -2,9 +2,12 @@
 model fibrations.
 
 Every level set of a cusp model is x^2 = P(y) = H - W(y), W read off the
-Hamiltonian.  The levels of a call and their sections H - x0^2 - W are rows
-of one array, isolated by one stacked root solve (``_levels`` on
-``model._stacked_roots``); a scalar call is a batch of one.  Every invariant
+Hamiltonian.  The levels of a call, their sections H - x0^2 - W and the W'
+of their lambdas are rows of one array, isolated by one stacked root solve
+(``_levels`` on ``model._stacked_roots``); a scalar call is a batch of one.
+W is monotone between consecutive critical points, so each such interval
+holds at most one root of P, and ``model.sigma_flags`` says where H is on
+Sigma: ovals, turning points and degenerate levels follow.  Every invariant
 is a ``LevelJob``, the integral of kernel(x, y, lambda) dy/x between two ends
 of a level set, with the vanishing factor of P deflated at turning points
 (y = a + (b-a) sin^2(t) on a closed oval, y = turn - t^2 on an arc), so
@@ -42,12 +45,15 @@ from .model import (
     ONE_DOF,
     Density,
     FibrationModel,
+    OnSigmaError,
+    StratumError,
     _horner,
     _stacked_roots,
     _synthetic_division,
     bifurcation_diagram,
     cusp_local_model,
-    cusp_pairs,
+    saddles,
+    sigma_flags,
 )
 
 QUAD_EPSABS = 1e-13
@@ -72,91 +78,66 @@ _GK_X = np.concatenate((-np.array(_XK[:0:-1]), _XK))
 _GK_W, _G_W = (np.array(w[:0:-1] + w) for w in (_WK, _WG))
 
 
-class OnSigmaError(ValueError):
-    """Requested integral degenerates on the bifurcation diagram."""
-
-
-class StratumError(ValueError):
-    """Base point is outside the stratum required by the operation."""
-
-
 # -- levels and their roots --------------------------------------------------------
 
 
 class _Levels(NamedTuple):
     """Levels of a cusp model, stacked: at the (H, lambda) ``points``, P = H - W
-    row by row (highest first), the clusters of P's real roots as ascending
-    ``centers`` with multiplicities ``mult`` and, given x0, the real roots of
-    H - x0^2 - W (``sections``); rows padded with NaN (``mult`` with 0)."""
+    row by row (highest first); P's real roots and W's real critical points,
+    ascending (``roots``, ``crit``); whether H is on Sigma at each critical
+    point (``sigma``); per root its interval between them (``interval``, 0
+    below the first) and whether W rises there (``rises``); given x0, the
+    real roots of H - x0^2 - W (``sections``).  Rows are padded with NaN."""
 
     kind: str
     points: list
     p: np.ndarray
-    centers: np.ndarray
-    mult: np.ndarray
+    roots: np.ndarray
+    crit: np.ndarray
+    sigma: np.ndarray
+    interval: np.ndarray
+    rises: np.ndarray
     sections: np.ndarray | None
 
 
 def _levels(model: FibrationModel, points, x0: float | None = None) -> _Levels:
     """The levels at the (H, lambda) points, with the sections {x = +-x0} where
-    x0 is given, from one stacked root solve.  A cluster gathers the sorted
-    roots within 1e-8 max(1, max |root|) of its center, the running mean."""
+    x0 is given, and the W' of each distinct lambda, from one stacked root
+    solve; W rises on an interval where W' > 0, its sign flipping at each root."""
     points = list(points)
     lams = {lam: i for i, lam in enumerate(dict.fromkeys(l for _, l in points))}
-    # -W at each distinct lambda (at 0 for no points, for the width alone)
-    minus_w = -np.array([model.potential_coeffs(l) for l in lams] or [model.potential_coeffs(0.0)])
+    # W at each distinct lambda (at 0 for no points, for the width alone)
+    w = np.array([model.potential_coeffs(l) for l in lams] or [model.potential_coeffs(0.0)])
     heights = points + [(H - x0**2, lam) for H, lam in points if x0 is not None]
-    polys = minus_w[[lams[lam] for _, lam in heights]]
+    polys = -w[[lams[lam] for _, lam in heights]]
     polys[:, -1] += [H for H, _ in heights]
-    solved, n = _stacked_roots(polys), len(points)
-    roots = np.sort(solved[:n], axis=1, kind="stable")
-    tol = 1e-8 * np.fmax.reduce(np.abs(roots), axis=1, initial=1.0)
-    centers, mult = np.full_like(roots, np.nan), np.zeros(roots.shape, dtype=int)
-    rows, last = np.arange(n), np.full(n, -1)  # the column of each row's last cluster
-    for r in roots.T:
-        c, m = centers[rows, last], mult[rows, last]
-        join = (last >= 0) & (np.abs(r - c) <= tol)
-        last = np.where(join | np.isnan(r), last, last + 1)
-        at = ~np.isnan(r)
-        centers[rows[at], last[at]] = np.where(join, (c * m + r) / (m + 1), r)[at]
-        mult[rows[at], last[at]] = (m * join + 1)[at]
-    return _Levels(model.kind, points, polys[:n], centers, mult, None if x0 is None else solved[n:])
+    dw = w[: len(lams), :-1] * np.arange(w.shape[1] - 1, 0, -1)  # W' as np.polyder takes it
+    solved = _stacked_roots(np.vstack((polys, np.hstack((np.zeros((len(dw), 1)), dw)))))
+    n, m, at = len(points), len(heights), [lams[lam] for _, lam in points]
+    crit, roots = solved[m:, :-1][at], np.sort(solved[:n], axis=1, kind="stable")
+    sigma = sigma_flags([H for H, _ in points], _horner(w[at].T[..., None], crit))
+    interval = (crit[:, None, :] < roots[..., None]).sum(axis=2)
+    rises = (np.sum(~np.isnan(crit), axis=1)[:, None] - interval) % 2 == (w[at, :1] < 0)
+    rises &= ~np.isnan(roots)
+    sections = None if x0 is None else solved[n:m]
+    return _Levels(model.kind, points, polys[:n], roots, crit, sigma, interval, rises, sections)
 
 
-def _oval_ends(levels: _Levels, oval: str):
-    """(a, b, checks): the ends of the requested oval of each level, and the
-    checks (``_jobs``) that the levels have that oval."""
-    centers, mult = levels.centers, levels.mult
-    count = (mult > 0).sum(axis=1)
-    if oval == "narrow":
-        # all roots real and simple: as many clusters as P's degree
-        a, b = centers[:, -2], centers[:, -1]
-        degenerate = "no narrow oval at (H, lambda) = ({H}, {lam}): degenerate level"
-        return a, b, [(count != levels.p.shape[1] - 1, OnSigmaError, degenerate)]
-    if oval == "wide":
-        if levels.kind != CUSP_COMPACT:
-            raise ValueError("wide ovals exist for the compact model only")
-        (a, b), (ma, mb) = centers[:, :2].T, mult[:, :2].T
-        at = "at (H, lambda) = ({H}, {lam})"
-        return a, b, [
-            (count < 2, StratumError, "no wide oval " + at),
-            ((ma != 1) | (mb % 2 == 0), OnSigmaError, "wide oval degenerates " + at),
-            (_horner(levels.p.T, 0.5 * (a + b)) <= 0, StratumError, "empty wide oval " + at),
-        ]
-    raise ValueError(f"unknown oval {oval!r}")
+def _on_sigma(levels: _Levels, lo, hi) -> np.ndarray:
+    """Per level, whether H is on Sigma at an end of the intervals lo to hi."""
+    c = np.arange(levels.sigma.shape[1])
+    ends = (c >= np.asarray(lo)[:, None] - 1) & (c <= np.asarray(hi)[:, None])
+    return (levels.sigma & ends).any(axis=1)
 
 
 def oval_bounds(
     model: FibrationModel, H: float, lam: float, oval: str = "narrow"
 ) -> tuple[float, float]:
-    """Endpoints (y-, y+) of the requested oval of {H - W(y) >= 0}.
-
-    'narrow' is the vanishing-cycle oval (collapses on the elliptic branch),
-    'wide' the deep-well/full oval of the compact model.  Brackets whose own
-    endpoints carry a double root (the point sits on Sigma) are rejected; an
-    odd-order contact at the far end (the cusp itself) is allowed, matching
-    the separatrix-like level through the cusp.
-    """
+    """Endpoints (y-, y+) of the requested oval of {H - W(y) >= 0}: 'narrow',
+    the vanishing-cycle oval (collapses on the elliptic branch), or 'wide',
+    the deep-well/full oval of the compact model.  OnSigmaError where H is
+    on Sigma at a critical point of W that ends the oval's intervals; at the
+    cusp point, where W' has the double root y = 0, the wide oval ends at it."""
     (job,) = _built(_oval_jobs([None], _levels(model, [(H, lam)]), oval))
     return job.a, job.b
 
@@ -231,9 +212,26 @@ def _jobs(kernels, levels: _Levels, sub: str, a, b, r, upper, checks) -> list:
 
 
 def _oval_jobs(kernels, levels: _Levels, oval: str) -> list:
-    """The jobs around the levels' ovals, one kernel each: one synthetic
-    division of all the levels."""
-    a, b, checks = _oval_ends(levels, oval)
+    """The jobs around the levels' ovals, one kernel each, or the error of
+    their first failed check, from one synthetic division of all the levels.
+    A narrow oval needs P's roots all real and H off Sigma, and ends at the top
+    two; a wide one (compact model) at the lowest two, H off Sigma there."""
+    if oval not in ("narrow", "wide"):
+        raise ValueError(f"unknown oval {oval!r}")
+    if oval == "wide" and levels.kind != CUSP_COMPACT:
+        raise ValueError("wide ovals exist for the compact model only")
+    roots, at = levels.roots, "at (H, lambda) = ({H}, {lam})"
+    count = (~np.isnan(roots)).sum(axis=1)
+    if oval == "narrow":
+        (a, b), degenerate = roots[:, -2:].T, (count != roots.shape[1]) | levels.sigma.any(axis=1)
+        checks = [(degenerate, OnSigmaError, "no narrow oval " + at + ": degenerate level")]
+    else:
+        (a, b), on_sigma = roots[:, :2].T, _on_sigma(levels, *levels.interval[:, :2].T)
+        checks = [
+            (count < 2, StratumError, "no wide oval " + at),
+            (on_sigma, OnSigmaError, "wide oval degenerates " + at),
+            (_horner(levels.p.T, 0.5 * (a + b)) <= 0, StratumError, "empty wide oval " + at),
+        ]
     r = -_synthetic_division(_synthetic_division(levels.p, a), b)
     mid = _horner(r.T, 0.5 * (a + b))
     checks.append((mid <= 0, OnSigmaError, "deflated factor not positive on the oval"))
@@ -352,29 +350,22 @@ _UNREACHED = "trajectory does not reach the section"
 
 def _arc_jobs(kernels, levels: _Levels, y, through=True, start=None) -> list:
     """Per level, one kernel each, the job along its passage arc from height y
-    up to turn, or the error of its first failed check.
-
-    turn is the first root from y - 1e-12 (1 + |y|) up where P falls, P's sign
-    between roots read off the parity of their multiplicities from -inf up.
-    The arc starts at y_sec, its highest crossing of {x = +-x0} between turn
-    and the root below it, or at ``start`` on levels without sections.
-    StratumError without turn or crossing; OnSigmaError for an arc through a
-    saddle where ``through`` holds: turn or the root below it multiple, or
-    the next root within 1e-6 (1 + |turn|) of turn.
-    """
-    mult, p, rows = levels.mult, levels.p, np.arange(len(levels.p))
-    y = np.asarray(y, dtype=float)
-    odd = mult % 2 == 1
-    # the sign of P below every root, flipped past each root of odd multiplicity
-    below = ((p[:, 0] > 0) == (p.shape[1] % 2 == 1))[:, None]
-    falls = odd & (below ^ ((np.cumsum(odd, axis=1) - odd) % 2 == 1))
-    falls &= levels.centers > (y - 1e-12 * (1.0 + np.abs(y)))[..., None]  # -inf for y = -inf
+    up to turn, or the error of its first failed check.  turn is the root of
+    the first interval at or above y's where W rises, so P falls there (a y
+    on a critical point counts as above it).  The arc starts at y_sec, its
+    highest crossing of {x = +-x0} between turn and the root below it, or at
+    ``start`` on levels without sections.  StratumError without turn or
+    crossing; OnSigmaError for an arc through a saddle where ``through``
+    holds: H on Sigma at an end of the intervals from the root below turn to
+    turn."""
+    p, rows = levels.p, np.arange(len(levels.p))
+    above = (levels.crit <= np.asarray(y, dtype=float)[..., None]).sum(axis=1)  # y's interval
+    falls = levels.rises & (levels.interval >= above[:, None])
     i = falls.argmax(axis=1)
-    # the clusters with -inf (simple) below the first and NaN above the last
-    c = np.pad(levels.centers, ((0, 0), (1, 1)), constant_values=(-np.inf, np.nan))
-    m = np.pad(mult, ((0, 0), (1, 1)), constant_values=1)
-    floor, turn, gap = c[rows, i], c[rows, i + 1], c[rows, i + 2] - c[rows, i + 1]
-    saddle = (m[rows, i + 1] != 1) | (m[rows, i] != 1) | (gap <= 1e-6 * (1.0 + np.abs(turn)))
+    turn, first = levels.roots[rows, i], i == 0  # -inf, in interval 0, below the first root
+    floor = np.where(first, -np.inf, levels.roots[rows, i - 1])
+    lower = np.where(first, 0, levels.interval[rows, i - 1])
+    saddle = _on_sigma(levels, lower, levels.interval[rows, i])
     checks = [
         (~falls.any(axis=1), StratumError, _UNREACHED),
         (saddle & through, OnSigmaError, "passage trajectory degenerates (on Sigma_hyp)"),
@@ -550,29 +541,15 @@ def wide_action(model: FibrationModel, H: float, lam: float, k: int = 0) -> floa
 def separatrix_action(model: FibrationModel, lam):
     """h(lambda) = max_H I_o(H, lambda), attained on the hyperbolic branch;
     for an array of lambdas, one value per lambda from one saddle solve, one
-    level solve and one engine call.
-
-    The separatrix loop area is an improper but convergent integral: the
-    double root at the saddle makes sqrt(H - W) vanish linearly there.  The
-    saddle is the one the bifurcation diagram uses (``model.cusp_pairs``);
-    StratumError where the hyperbolic branch does not exist.
-    """
+    level solve and one engine call.  The lobe runs from the saddle a of the
+    cusp pair (``model.saddles``) up to the turn above it, an improper but
+    convergent integral: sqrt(H - W) vanishes linearly at the double root a.
+    StratumError where the hyperbolic branch does not exist."""
     lams = np.asarray(lam, dtype=float)
-    if (lams >= 0).any():
-        raise ValueError("h(lambda) requires lambda < 0")
-    kernel = area_kernel(model.density)
-    # the saddle is a simple (well-conditioned) root of W', unlike the double
-    # root it produces in H_hyp - W
-    flat = lams.ravel().tolist()
-    wcs = [model.potential_coeffs(l) for l in flat]
-    saddles = [a for _, a in cusp_pairs(wcs)]
-    if None in saddles:
-        raise StratumError(f"no saddle near the cusp at lambda={flat[saddles.index(None)]}")
-    levels = _levels(model, [(float(np.polyval(wc, a)), l) for wc, a, l in zip(wcs, saddles, flat)])
-    # the lobe's far end turns above the saddle's double root: about 3|a|
-    # away, so it is told from the split double root relative to |a|
-    a = np.array(saddles)
-    jobs = _built(_arc_jobs([kernel] * len(flat), levels, a + 1e-3 * np.abs(a), False, a))
+    flat, wcs, a = saddles(model, lams)
+    heights = [_horner(wc.tolist(), y) for wc, y in zip(wcs, a.tolist())]
+    levels = _levels(model, zip(heights, flat))
+    jobs = _built(_arc_jobs([area_kernel(model.density)] * len(flat), levels, a, False, a))
     out = integrals(jobs) / (2.0 * math.pi)
     return out.reshape(lams.shape) if lams.ndim else float(out[0])
 

@@ -5,14 +5,17 @@ midpoint indicator grid, the basic period integrals from their
 hypergeometric closed form (scipy's 2F1) and from direct quadrature of
 their defining formulas, period lattices from finite differences of the
 action chart, the node model's complex period from the trapezoid rule on its
-cycle, the hyperbolic log coefficient from passage times instead of loop
-periods, the local model's bifurcation diagram from its closed form, a
-one-dof pair (alpha, beta) from a Puiseux fit of passage times instead of
-exact reduction, level-set integrals from scipy's scalar adaptive ``quad``
-with a 48-node Gauss-Legendre inner rule for areas instead of the batched
-G10K21 engine, the separatrix area h(lambda) of the local model at 30
-digits with mpmath, the f = 1 loop period of the local model as a Carlson
-integral, section times from an event-driven backward flow instead of a
+cycle, the hyperbolic log coefficient from passage times and from a
+Richardson table of loop periods instead of its closed form at the saddle,
+the local model's bifurcation diagram from its closed form, a one-dof pair
+(alpha, beta) from a Puiseux fit of passage times instead of exact
+reduction, level-set integrals from scipy's scalar adaptive ``quad`` with a
+48-node Gauss-Legendre inner rule for areas instead of the batched G10K21
+engine, the separatrix area h(lambda) of both cusp models at 30 digits with
+mpmath and the saddle's log coefficient at 40, the f = 1 loop period of the
+local model as a Carlson integral, the oval and passage jobs one level at a
+time from clustered roots, which the batched builders must equal bit for
+bit off Sigma, section times from an event-driven backward flow instead of a
 level integral, flows by scipy's ``solve_ivp`` DOP853 instead of the
 package's own stepper and at 30 digits by mpmath's Taylor method, the
 package's DOP853 run with every stage sum a loop over the tableau instead of
@@ -44,7 +47,7 @@ from cuspinv.brieskorn import BrieskornPair
 from cuspinv.flows import PeriodLattice
 from cuspinv.model import CUSP_COMPACT, FibrationModel, bifurcation_diagram
 from cuspinv.quadrature import LevelJob, OnSigmaError, StratumError
-from cuspinv.quadrature import loop_action, oval_bounds, passage_time, wide_action
+from cuspinv.quadrature import loop_action, loop_period, oval_bounds, passage_time, wide_action
 from cuspinv.specfun import puiseux_constants
 
 
@@ -199,7 +202,7 @@ def passage_log_coeff(
     model: FibrationModel, lam: float, outside: bool = False, s0_frac: float = 0.35, levels: int = 10
 ) -> float:
     """Log coefficient of the passage time at Sigma_hyp on the halving grid of
-    ``hyperbolic_log_coeff``, approached from inside (H = H_hyp - s) or, with
+    ``loop_log_coeff``, approached from inside (H = H_hyp - s) or, with
     ``outside``, from outside (H = H_hyp + s) the swallow tail."""
     diagram = bifurcation_diagram(model, domain_radius=math.inf)
     h_hyp = diagram.hyperbolic_value(lam)
@@ -210,6 +213,17 @@ def passage_log_coeff(
         s = s0 * 2.0**-m
         samples.append((s, passage_time(model, h_hyp + sign * s, lam)))
     alpha, _ = extract_log_coeff(samples)
+    return alpha
+
+
+def loop_log_coeff(model: FibrationModel, lam: float) -> float:
+    """Log coefficient of the loop period at Sigma_hyp by a Richardson table:
+    ten loop periods on the halving grid H = H_hyp - s0 2^-m, s0 = 0.35
+    (H_hyp - H_ell), through ``extract_log_coeff``; about 1e-4 off the limit,
+    from the s^k ln s terms a ratio-2 power table does not remove."""
+    h_ell, h_hyp = bifurcation_diagram(model, domain_radius=math.inf).branch_values(lam)
+    steps = [0.35 * (h_hyp - h_ell) * 2.0**-m for m in range(10)]
+    alpha, _ = extract_log_coeff([(s, loop_period(model, h_hyp - s, lam)) for s in steps])
     return alpha
 
 
@@ -281,27 +295,57 @@ def quad_area_kernel(f, lam: float):
     return lambda y, x: x * x * float(np.dot(_GL_WEIGHTS, f.eval(x * _GL_NODES, y, lam)))
 
 
-def mp_separatrix_action(density, lam: float, dps: int = 30) -> float:
-    """h(lambda) of the local model H = x^2 + y^3 + lambda y at ``dps`` digits.
+def _mp_saddle(kind: str, lam: float):
+    """(W's coefficients, highest first, and its saddle a near y = 0) at
+    lambda in mpmath: a polished by ``findroot`` from the float root of W'
+    with W'' < 0 nearest 0."""
+    w = [mpmath.mpf(c) for c in FibrationModel(kind).potential_coeffs(lam)]  # exact in binary
+    dw = np.polyder(np.array(w, dtype=float))
+    maxima = [r.real for r in np.roots(dw) if abs(r.imag) < 1e-12 and np.polyval(np.polyder(dw), r.real) < 0]
+    guess = min(maxima, key=abs)
+    dw_m = [c * (len(w) - 1 - i) for i, c in enumerate(w[:-1])]
+    return w, mpmath.findroot(lambda y: mpmath.polyval(dw_m, y), mpmath.mpf(guess))
 
-    The saddle y_s = -sqrt(-lambda/3), its level H_s = 2 lambda y_s / 3 and
-    the far end -2 y_s of the lobe {x^2 <= H_s - y^3 - lambda y} are closed
-    forms; the area of f over the lobe is the y-integral of the exact
-    x-integral of the polynomial f, by mpmath's tanh-sinh rule.
+
+def mp_separatrix_action(density, lam: float, dps: int = 30, kind: str = "cusp_local") -> float:
+    """h(lambda) of a cusp model (H = x^2 + y^3 + lambda y by default) at
+    ``dps`` digits.
+
+    The saddle a comes from ``_mp_saddle``, the level H_s = W(a), and the far
+    end b of the lobe {x^2 <= H_s - W} is the least real root above a of
+    (H_s - W)/(y - a)^2 (-2a on the local model); the area of f over the lobe
+    is the y-integral of the exact x-integral of the polynomial f, by
+    mpmath's tanh-sinh rule.
     """
     with mpmath.workdps(dps):
         lam_m = mpmath.mpf(lam)
-        ys = -mpmath.sqrt(-lam_m / 3)
-        hs = 2 * lam_m * ys / 3
+        w, ys = _mp_saddle(kind, lam)
+        hs = mpmath.polyval(w, ys)
+        q = [-c for c in w]
+        q[-1] += hs
+        for _ in range(2):  # deflate the double root at the saddle
+            q = [sum(q[j] * ys ** (i - j) for j in range(i + 1)) for i in range(len(q) - 1)]
+        real = [r.real for r in mpmath.polyroots(q) if abs(mpmath.im(r)) < mpmath.mpf(10) ** (5 - dps)]
+        b = min(r for r in real if r > ys)
 
         def strip(y):
-            x = mpmath.sqrt(max(hs - y**3 - lam_m * y, 0))
+            x = mpmath.sqrt(max(hs - mpmath.polyval(w, y), 0))
             return sum(
                 mpmath.mpf(c) * y**j * lam_m**k * (x ** (i + 1) - (-x) ** (i + 1)) / (i + 1)
                 for (i, j, k), c in density.terms.items()
             )
 
-        return float(mpmath.quad(strip, [ys, -2 * ys]) / (2 * mpmath.pi))
+        return float(mpmath.quad(strip, [ys, b]) / (2 * mpmath.pi))
+
+
+def mp_log_coeff(density, lam: float, dps: int = 40, kind: str = "cusp_local") -> float:
+    """alpha(lambda) = -f(0, a, lambda) / sqrt(2 |W''(a)|) at the saddle a, at ``dps`` digits."""
+    with mpmath.workdps(dps):
+        w, a = _mp_saddle(kind, lam)
+        d2w = mpmath.diff(lambda y: mpmath.polyval(w, y), a, 2)
+        terms = [(j, k, c) for (i, j, k), c in density.terms.items() if i == 0]
+        f0 = sum(mpmath.mpf(c) * a**j * mpmath.mpf(lam) ** k for j, k, c in terms)
+        return float(-f0 / mpmath.sqrt(2 * abs(d2w)))
 
 
 def ode_section_time(rs, xy, lam: float, x0: float | None = None, t_max: float = 200.0) -> float:
@@ -577,13 +621,15 @@ def reference_hamiltonian_field(sm, point) -> np.ndarray:
 
 
 class ScalarLevel(NamedTuple):
-    """One level H of a cusp model at lambda: P = H - W, the clusters of its
-    real roots and, given x0, the real roots of H - x0^2 - W."""
+    """One level H of a cusp model at lambda: P = H - W, its real roots
+    (ascending), their clusters and, given x0, the real roots of
+    H - x0^2 - W."""
 
     kind: str
     H: float
     lam: float
     p: np.ndarray
+    roots: list[float]
     clusters: list[tuple[float, int]]
     section: list[float] | None
 
@@ -613,7 +659,8 @@ def scalar_level(model: FibrationModel, H: float, lam: float, x0: float | None =
     section = None
     if x0 is not None:
         section = _polished_roots(np.append(minus_w[:-1], minus_w[-1] + (H - x0**2)))
-    return ScalarLevel(model.kind, H, lam, p, scalar_clusters(_polished_roots(p)), section)
+    roots = sorted(_polished_roots(p))
+    return ScalarLevel(model.kind, H, lam, p, roots, scalar_clusters(roots), section)
 
 
 def scalar_division(coeffs, root: float) -> np.ndarray:

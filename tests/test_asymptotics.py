@@ -6,12 +6,12 @@ import pytest
 
 from cuspinv import asymptotics as asy
 from cuspinv import model as model_module
-from cuspinv.model import Density, cusp_local_model, one_dof_model
+from cuspinv.model import Density, cusp_compact_model, cusp_local_model, one_dof_model
 from cuspinv.quadrature import passage_time
 from cuspinv.series import PuiseuxTriple, TruncatedSeries
 from cuspinv.specfun import puiseux_constants
 
-from oracles import contour_node_complex_period, passage_log_coeff
+from oracles import contour_node_complex_period, loop_log_coeff, mp_log_coeff, passage_log_coeff
 
 
 class TestFitPuiseux:
@@ -208,6 +208,26 @@ class TestHyperbolicLogCoeff:
         assert all(d < 0.5 * abs(vals[0]) for d in diffs)
         # smooth trend, no sign flips
         assert all(v < 0 for v in vals)
+
+    @pytest.mark.parametrize("lam", [-1.0, -0.06, -0.04])
+    def test_closed_form_is_the_richardson_limit(self, lam):
+        # the Richardson table of the loop periods stops about 1e-4 short of
+        # the closed form, which matches the saddle at 40 digits
+        f = Density({(0, 0, 0): 1.0, (0, 1, 0): 0.2, (0, 2, 0): -0.1, (1, 1, 0): 0.3, (0, 1, 1): 0.4})
+        for kind, m in (("cusp_local", cusp_local_model(f)), ("cusp_compact", cusp_compact_model(f))):
+            if lam < -0.25 and kind == "cusp_compact":
+                continue  # no saddle past lambda = -1/4
+            alpha, diag = asy.hyperbolic_log_coeff(m, lam)
+            assert type(alpha) is float and diag["lambda"] == lam
+            assert abs(alpha - mp_log_coeff(f, lam, kind=kind)) <= 1e-12 * abs(alpha)
+            assert abs(alpha - loop_log_coeff(m, lam)) <= 3e-4 * abs(alpha)
+
+    def test_array_is_the_scalar_values(self):
+        m = cusp_local_model(Density({(0, 0, 0): 1.0, (0, 1, 1): 0.5}))
+        lams = -np.geomspace(1e-6, 1.0, 6).reshape(2, 3)
+        alphas, diag = asy.hyperbolic_log_coeff(m, lams)
+        assert alphas.shape == diag["saddle"].shape == (2, 3)
+        assert alphas.ravel().tolist() == [asy.hyperbolic_log_coeff(m, lam)[0] for lam in lams.ravel()]
 
     def test_one_diagram_solve_per_call(self, monkeypatch):
         # one diagram solve, of the one W' of this lambda

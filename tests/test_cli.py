@@ -11,7 +11,7 @@ import pytest
 from cuspinv.cli import build_parser, main
 from cuspinv.model import Density
 
-from oracles import mp_separatrix_action
+from oracles import mp_log_coeff, mp_separatrix_action
 
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -381,6 +381,13 @@ class TestInvariants:
             ref = mp_separatrix_action(Density(terms), lam)
             assert abs(h - ref) <= 2e-15 * ref
 
+    @pytest.mark.parametrize("name, terms", PINNED_LOCAL_DENSITIES)
+    def test_pinned_log_coeffs_match_mpmath(self, name, terms):
+        want = json.loads((FIXTURES / f"invariants_local_{name}.json").read_text())
+        for lam, alpha in want["log_coeffs"]:
+            ref = mp_log_coeff(Density(terms), lam)
+            assert abs(alpha - ref) <= 1e-12 * abs(ref)
+
     @pytest.mark.parametrize("kind", ["cusp_local", "cusp_compact"])
     def test_vanishing_density_exit_1(self, files, capsys, kind):
         # f = y vanishes at the orbit: no invariants, where the compact fit
@@ -461,12 +468,11 @@ class TestLattice:
 
     @pytest.mark.parametrize("at", [("-0.2", "0.0"), ("-0.11", "-0.3"), ("-0.08", "-0.05")])
     def test_compact_point_without_a_wide_oval_exit_2(self, files, capsys, at):
-        # below the deep well, or a level the diagram calls wide without a
-        # wide oval: the stratum check passes, the oval builder refuses
+        # below the deep well, on empty levels: the diagram calls them outside
         argv = ["lattice", "--sys", str(files["compact"]), "--at", *at, "--stratum", "wide"]
         code, out, err = _run(capsys, argv)
         assert code == 2 and out == ""
-        assert f"no wide oval at (H, lambda) = ({float(at[0])}, {float(at[1])})" in err
+        assert f"(H, lambda) = ({float(at[0])}, {float(at[1])}) is off the wide stratum" in err
 
     def test_compact_wide_point_still_answers(self, files, capsys):
         from cuspinv import flows
@@ -841,13 +847,13 @@ SOLVES_PER_REQUEST = [
     ("decompose --density {f1}", 1, 1),
     ("actions --model {compact}", 2, 1),
     ("actions --model {compact} --grid 21x21 --h-range -0.01 0.01 --l-range -0.06 0.02", 2, 1),
-    ("invariants --sys {local}", 6, 3),
+    ("invariants --sys {local}", 3, 1),
     ("invariants --sys {compact}", 2, 1),
     ("compare --sys1 {local} --sys2 {local2}", 4, 1),
     ("compare --sys1 {compact} --sys2 {compact}", 6, 2),
-    # the stratum check is a diagram solve at lambda < 0 only
+    # the stratum check is a diagram solve, the lattice a level solve
     ("lattice --sys {compact} --at 0.0 -0.05 --verify", 2, 1),
-    ("lattice --sys {compact} --at 0.05 0.02 --stratum wide --verify", 1, 1),
+    ("lattice --sys {compact} --at 0.05 0.02 --stratum wide --verify", 2, 1),
     ("transport --sys1 {local} --sys2 {local2} --points {pts}", 4, 2),
 ]
 

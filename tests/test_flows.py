@@ -278,6 +278,7 @@ class TestPeriodLattice:
 
     def test_one_level_and_one_engine_call(self, monkeypatch):
         # the three integrals of a lattice share one root solve of the level
+        # and the W' of its lambda
         calls = []
         real_roots, real_engine = quadrature._stacked_roots, quadrature._level_integrals
 
@@ -295,7 +296,7 @@ class TestPeriodLattice:
         for h, lam, stratum in ((0.05, 0.02, "wide"), (0.0, -0.05, "narrow")):
             calls.clear()
             lat = period_lattice(sm, h, lam, stratum)
-            assert calls == [("roots", 1), ("engine", 3)]
+            assert calls == [("roots", 2), ("engine", 3)]
             if stratum == "narrow":
                 assert lat.basis[1][0] == loop_period(sm.model, h, lam)
 
@@ -442,8 +443,9 @@ class TestTransport:
                 assert np.array_equal(image, transport_map(sm, sys2, row))
 
     def test_pullback_residual_counts(self, monkeypatch):
-        # five transported points: per system one level solve, one solve of
-        # the f-zero polynomials and one engine call
+        # five transported points: per system one solve of the levels, their
+        # sections and the W' of each lambda, one solve of the f-zero
+        # polynomials and one engine call
         calls = []
         real_roots, real_engine = quadrature._stacked_roots, quadrature._level_integrals
 
@@ -460,12 +462,12 @@ class TestTransport:
         sm = SymplecticModel(cusp_local_model(F_ONE))
         q = _branch_point(sm, -0.3, 0.034)
         pullback_residual(sm, SymplecticModel(cusp_local_model(F_TILT)), q)
-        assert calls == [("roots", 10), ("roots", 5), ("engine", 5)] * 2
+        assert calls == [("roots", 11), ("roots", 5), ("engine", 5)] * 2
         # three points: all 15 stencil points in the same three calls per system
         calls.clear()
         rows = np.array([_branch_point(sm, l, 0.034) for l in (-0.3, -0.25, -0.2)])
         pullback_residual(sm, SymplecticModel(cusp_local_model(F_TILT)), rows)
-        assert calls == [("roots", 30), ("roots", 15), ("engine", 15)] * 2
+        assert calls == [("roots", 33), ("roots", 15), ("engine", 15)] * 2
 
     def test_pullback_residual_of_an_array_is_per_point(self):
         sm = SymplecticModel(cusp_local_model(F_ONE))

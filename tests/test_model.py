@@ -289,10 +289,37 @@ class TestBifurcationDiagram:
             model_module, "_stacked_roots", lambda polys: calls.append(len(polys)) or real_roots(polys)
         )
         strata = d.strata(points)
-        # one solve, of the W' of the distinct lambdas < 0
-        assert calls == [4]
+        # one solve, of the W' of the distinct lambdas
+        assert calls == [len(lams)]
         assert strata == [d.stratum(h, lam) for h, lam in points]
         assert {"narrow", "outside"} <= set(strata)
+
+    def test_compact_levels_without_roots_are_outside(self):
+        # past the default radius the deep well's minimum bounds the wide
+        # stratum: these levels are empty
+        d = bifurcation_diagram(cusp_compact_model(), domain_radius=math.inf)
+        for h, lam in ((-0.2, 0.0), (-0.11, -0.3), (-0.08, -0.05)):
+            p = -cusp_compact_model().potential_coeffs(lam)
+            p[-1] += h
+            assert not any(abs(r.imag) < 1e-9 for r in np.roots(p))
+            assert d.stratum(h, lam) == "outside"
+
+    def test_compact_wide_exactly_where_the_level_has_an_oval(self):
+        # off the narrow stratum, a compact level is wide exactly where P has
+        # two real roots or more (random points at radius 0.3 reach below
+        # the deep well and past lambda = -1/4)
+        m = cusp_compact_model()
+        d = bifurcation_diagram(m, domain_radius=0.3)
+        rng = np.random.default_rng(11)
+        radius, angle = 0.3 * np.sqrt(rng.uniform(size=4000)), rng.uniform(0.0, 2.0 * math.pi, 4000)
+        points = list(zip((radius * np.cos(angle)).tolist(), (radius * np.sin(angle)).tolist()))
+        strata = d.strata(points)
+        assert {"narrow", "wide", "outside"} == set(strata)
+        for (h, lam), stratum in zip(points, strata):
+            p = -m.potential_coeffs(lam)
+            p[-1] += h
+            real = sum(abs(r.imag) < 1e-9 for r in np.roots(p))
+            assert stratum == "narrow" or (stratum == "wide") == (real >= 2), (h, lam)
 
     @pytest.mark.parametrize("model", [cusp_local_model, cusp_compact_model])
     def test_branch_values_on_arrays(self, model):

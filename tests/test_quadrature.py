@@ -38,6 +38,8 @@ from oracles import (
     quad_form_kernel,
     quad_level_integral,
     reference_Jj,
+    reference_polish,
+    reference_real_roots,
     scalar_level,
     scalar_oval_job,
     scalar_oval_ends,
@@ -373,8 +375,8 @@ class TestSeparatrixAction:
             quadrature, "_level_integrals", lambda jobs: engine_calls.append(len(jobs)) or real_engine(jobs)
         )
         got = separatrix_action(m, lams)
-        # one saddle solve, one level solve, one engine call
-        assert [len(c) for c in calls] == [6, 6] and engine_calls == [6]
+        # one saddle solve, one solve of the levels and their W', one engine call
+        assert [len(c) for c in calls] == [6, 12] and engine_calls == [6]
         assert got.shape == (2, 3) and got.ravel().tolist() == want
         assert type(want[0]) is float
 
@@ -496,17 +498,17 @@ def _count_root_solves(monkeypatch):
 class TestEngine:
     def test_roots_isolated_once_per_call(self, monkeypatch):
         # a scalar call is a batch of one: one stacked solve, of the level
-        # alone or, for a passage, of the level and its section
+        # and the W' of its lambda or, for a passage, of these and its section
         calls = _count_root_solves(monkeypatch)
         m = cusp_compact_model(F_MIXED)
         for fn, args, polys in (
-            (loop_period, (m, 0.0, -0.05), 1),
-            (loop_action, (m, 0.0, -0.05), 1),
-            (wide_action, (m, 0.0, -0.05), 1),
-            (_oval_integral, (m, 0.0, -0.05, form_kernel(F_Y), "narrow"), 1),
-            (_oval_integral, (m, 0.05, 0.02, area_kernel(F_Y), "wide"), 1),
-            (passage_time, (m, 0.0, -0.05), 2),
-            (oval_bounds, (m, 0.0, -0.05), 1),
+            (loop_period, (m, 0.0, -0.05), 2),
+            (loop_action, (m, 0.0, -0.05), 2),
+            (wide_action, (m, 0.0, -0.05), 2),
+            (_oval_integral, (m, 0.0, -0.05, form_kernel(F_Y), "narrow"), 2),
+            (_oval_integral, (m, 0.05, 0.02, area_kernel(F_Y), "wide"), 2),
+            (passage_time, (m, 0.0, -0.05), 3),
+            (oval_bounds, (m, 0.0, -0.05), 2),
         ):
             calls.clear()
             assert fn(*args) != 0.0
@@ -578,34 +580,32 @@ class TestBatchedEngine:
                 assert value == scalar[name](model, row.H, row.lam), (model.kind, row, name)
 
     def test_one_engine_call_and_one_root_solve_per_level(self, monkeypatch):
-        # one stacked solve for the levels and sections of all cells, plus one
-        # diagram solve of the W' of every lambda < 0 row
-        engine_calls, pair_calls = [], []
-        real_engine, real_pairs = quadrature._level_integrals, model_module.cusp_pairs
+        # one diagram solve of the W' of every lambda row, and one stacked
+        # solve of the levels and sections of all inside cells with the W' of
+        # their lambdas
+        engine_calls = []
+        real_engine = quadrature._level_integrals
 
         def engine(jobs):
             engine_calls.append(len(jobs))
             return real_engine(jobs)
 
-        def pairs(wcs):
-            pair_calls.append(len(wcs))
-            return real_pairs(wcs)
-
         monkeypatch.setattr(quadrature, "_level_integrals", engine)
-        monkeypatch.setattr(model_module, "cusp_pairs", pairs)
         root_calls = _count_root_solves(monkeypatch)
         hs, ls = self.GRID
         for model in (cusp_compact_model(F_CHART), cusp_local_model(F_CHART)):
-            for calls in (engine_calls, pair_calls, root_calls):
-                calls.clear()
+            engine_calls.clear()
+            root_calls.clear()
             chart = action_chart(model, hs, ls)
             inside = [r for r in chart.rows if r.stratum != "outside"]
             polys = [_level_coeffs(model, r.H, r.lam) for r in inside]
             polys += [_level_coeffs(model, r.H - model.x0**2, r.lam) for r in inside]
+            dws = [tuple(np.polyder(model.potential_coeffs(lam))) for lam in ls]
+            inside_lams = dict.fromkeys(r.lam for r in inside)
+            inside_dws = [(0.0, *np.polyder(model.potential_coeffs(lam))) for lam in inside_lams]
             assert len(engine_calls) == 1 and engine_calls[0] > len(inside)
-            assert pair_calls == [len({lam for lam in ls if lam < 0})]
-            assert len(root_calls) == 2 and len(root_calls[0]) == pair_calls[0]
-            assert sorted(root_calls[1]) == sorted(polys)
+            assert len(root_calls) == 2 and root_calls[0] == dws
+            assert sorted(root_calls[1]) == sorted(polys + inside_dws)
             # every level polynomial is solved exactly once
             solved = [p for c in root_calls for p in c]
             assert all(solved.count(p) == 1 for p in polys)
@@ -621,16 +621,24 @@ class TestBatchedEngine:
         assert levels.points == points
         for i, (h, lam) in enumerate(points):
             single = quadrature._levels(model, [(h, lam)], x0)
-            for name in ("p", "centers", "mult", "sections"):
+            for name in ("p", "roots", "crit", "interval", "rises", "sigma", "sections"):
                 got, want = getattr(levels, name), getattr(single, name)
                 assert (got is None and want is None) or np.array_equal(got[i], want[0], equal_nan=True), name
             # the route of np.roots and a scalar polish, one polynomial at a time
             level = scalar_level(model, h, lam, x0)
             assert levels.p[i].tobytes() == level.p.tobytes()
-            count = int((levels.mult[i] > 0).sum())
-            centers = levels.centers[i, :count].tolist()
-            assert list(zip(centers, levels.mult[i, :count].tolist())) == level.clusters
-            assert np.isnan(levels.centers[i, count:]).all() and not levels.mult[i, count:].any()
+            count = len(level.roots)
+            assert levels.roots[i, :count].tolist() == level.roots
+            assert np.isnan(levels.roots[i, count:]).all()
+            dw = np.polyder(model.potential_coeffs(lam))
+            crit = sorted(reference_polish(dw, r) for r in reference_real_roots(dw))
+            assert levels.crit[i, : len(crit)].tolist() == crit
+            assert np.isnan(levels.crit[i, len(crit) :]).all()
+            # off Sigma, W rises on a root's interval where W' > 0 at the root
+            # (at the cusp point the triple root y = 0 is W's inflection)
+            for r, rises in zip(level.roots, levels.rises[i].tolist()):
+                assert levels.sigma[i].any() or np.polyval(dw, r) == 0 or rises == (np.polyval(dw, r) > 0)
+            assert not levels.rises[i, count:].any()
             if with_sections:
                 row = levels.sections[i]
                 assert row[~np.isnan(row)].tolist() == level.section
@@ -694,13 +702,13 @@ def _same_job(got, build):
 class TestBatchedBuilders:
     """The batched job builders against the scalar route of ``oracles``, one
     level at a time: ends, lambda, range and R bit for bit, errors by type
-    and message."""
+    and message, on every level off Sigma."""
 
     @staticmethod
     def _points(model, seed):
         # a random 21 x 21 grid over the chart window and beyond it, plus
         # points on Sigma_hyp and Sigma_ell, within 1e-13 and 1e-9 of them,
-        # and below every well
+        # and 5 below every well
         rng = np.random.default_rng(seed)
         hs = np.sort(rng.uniform(-0.012, 0.012, 21))
         ls = np.sort(rng.uniform(-0.07, 0.03, 21))
@@ -711,20 +719,6 @@ class TestBatchedBuilders:
             for s in (0.0, 1e-13, 1e-9, -1e-9):
                 points += [(h_hyp - s * (h_hyp - h_ell), lam), (h_ell + s * (h_hyp - h_ell), lam)]
         return points + [(-0.2, lam) for lam in ls[::5]]
-
-    @pytest.mark.parametrize("make", [cusp_local_model, cusp_compact_model])
-    def test_clusters_on_sigma_match_scalar_route(self, make):
-        # on Sigma two roots of P lie within the cluster tolerance: the
-        # batched running mean of each cluster is the scalar loop's
-        model = make(F_ONE)
-        d = bifurcation_diagram(model)
-        points = [(h, lam) for lam in np.linspace(-0.07, -1e-3, 30) for h in d.branch_values(lam)]
-        levels = quadrature._levels(model, points)
-        assert (levels.mult > 1).sum() >= len(points) - 2
-        for i, (h, lam) in enumerate(points):
-            count = int((levels.mult[i] > 0).sum())
-            got = list(zip(levels.centers[i, :count].tolist(), levels.mult[i, :count].tolist()))
-            assert got == scalar_level(model, h, lam).clusters
 
     @pytest.mark.parametrize("seed", [3, 17])
     @pytest.mark.parametrize("make", [cusp_local_model, cusp_compact_model])
@@ -750,10 +744,19 @@ class TestBatchedBuilders:
         else:
             with pytest.raises(ValueError, match="compact model only"):
                 quadrature._oval_jobs([area] * n, levels, "wide")
+        # the levels the rule puts on Sigma: the injected ones at 0 and 1e-13
+        # of the spread from either branch, half of those past the grid
+        on_sigma = levels.sigma.any(axis=1).tolist()
+        assert sum(on_sigma) == (n - 21 * 21 - 5) // 2
         for name, built, build in builders:
             assert len(built) == n
-            for got, level in zip(built, scalar):
-                kind = _same_job(got, lambda: build(level))
+            for got, level, on in zip(built, scalar, on_sigma):
+                if on and (name == "narrow" or isinstance(got, OnSigmaError)):
+                    # no narrow oval on Sigma, nor an oval or arc the rule refuses
+                    assert isinstance(got, OnSigmaError)
+                    kind = OnSigmaError
+                else:
+                    kind = _same_job(got, lambda: build(level))
                 seen.setdefault(name, set()).add(kind)
                 if kind is LevelJob:
                     assert got.kernel is (area if name == "wide" else form)
