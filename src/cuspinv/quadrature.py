@@ -126,7 +126,7 @@ def _levels(model: FibrationModel, points, x0: float | None = None) -> _Levels:
 def _on_sigma(levels: _Levels, lo, hi) -> np.ndarray:
     """Per level, whether H is on Sigma at an end of the intervals lo to hi."""
     c = np.arange(levels.sigma.shape[1])
-    ends = (c >= np.asarray(lo)[:, None] - 1) & (c <= np.asarray(hi)[:, None])
+    ends = (c >= lo[:, None] - 1) & (c <= hi[:, None])
     return (levels.sigma & ends).any(axis=1)
 
 
