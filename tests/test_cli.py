@@ -605,8 +605,9 @@ class TestTransport:
 
 
 #: sha256 of stdout, byte for byte, of the default 7x7 charts, the 21x21
-#: charts of the benchmark's window, lattice verifications and transports;
-#: {name} stands for a model or points file
+#: charts of the benchmark's window, lattice verifications, invariant reports,
+#: verdicts on two different systems and transports; {name} stands for a model
+#: or points file
 PINNED_DIGESTS = [
     (
         "actions --model {local}",
@@ -655,6 +656,18 @@ PINNED_DIGESTS = [
     (
         "invariants --sys {compact}",
         "16d16cd32ff0fe2bb8c7a70d31182a0c155ead97e07291d0c697484ccb528e66",
+    ),
+    (
+        "invariants --sys {local_p}",
+        "3c9c5464793eee68cd8d5644cc59f0be1d38fee64768f42c0e7f420a0809d793",
+    ),
+    (
+        "compare --sys1 {local} --sys2 {local_p}",
+        "cef48b7ff81332d416be7030cb32fa9b9e5adb4df7ae25650e29bcc7566a12a9",
+    ),
+    (
+        "compare --sys1 {compact} --sys2 {compact_p}",
+        "7ad079e8b8f6e43ce13e2082af620bf300354bab478ce222663e76cc61fe6c5d",
     ),
     (
         "transport --sys1 {local} --sys2 {local_p} --points {pts_local}",
