@@ -197,12 +197,17 @@ def verify_node_log_identity(f: Density, h_grid, tol: float = 1e-4) -> dict:
 
 def hyperbolic_log_coeff(model: FibrationModel, lam) -> tuple:
     """(alpha, {"lambda", "saddle"}): alpha(lambda), the coefficient of
-    ln|H - H_hyp| in the loop period, is -f(0, a, lambda) / sqrt(2 |W''(a)|)
-    at the saddle a of the cusp pair, the Morse form of the node model's
-    residue rule; for an array of lambdas, one per lambda from one solve."""
+    ln|H - H_hyp| in the loop period, at the saddle a of the cusp pair
+    (``_saddle_log_coeff``); for an array of lambdas, one per lambda from one
+    solve."""
     lams = np.asarray(lam, dtype=float)
-    flat, wcs, a = saddles(model, lams)
-    d2w = np.array([_horner(np.polyder(wc, 2).tolist(), y) for wc, y in zip(wcs, a.tolist())])
-    alpha = -model.density.eval(0.0, a, np.array(flat)) / np.sqrt(2.0 * np.abs(d2w))
+    flat, a, _, d2w = saddles(model, lams)
+    alpha = _saddle_log_coeff(model, flat, a, d2w)
     alpha, a = (v.reshape(lams.shape) if lams.ndim else float(v[0]) for v in (alpha, a))
     return alpha, {"lambda": lam, "saddle": a}
+
+
+def _saddle_log_coeff(model: FibrationModel, lams: list, a, d2w) -> np.ndarray:
+    """-f(0, a, lambda) / sqrt(2 |W''(a)|) at the saddles a of the lambdas
+    (``model.saddles``), the Morse form of the node model's residue rule."""
+    return -model.density.eval(0.0, a, np.array(lams)) / np.sqrt(2.0 * np.abs(d2w))

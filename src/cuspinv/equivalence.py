@@ -32,12 +32,14 @@ from .model import (
     IDENTITY_BASE_MAP,
     Density,
     FibrationModel,
+    _solved,
     base_map_jacobian,
     bifurcation_diagram,
     one_dof_model,
+    saddles,
 )
-from .quadrature import LevelJob, _converged, _level_integrals, _levels, _oval_jobs, area_kernel
-from .quadrature import integrals, oval_jobs, passage_jobs, separatrix_action
+from .quadrature import LevelJob, _built, _converged, _level_ask, _level_integrals, _lobe_areas
+from .quadrature import _oval_jobs, area_kernel, integrals, passage_jobs
 from .series import TruncatedSeries, phi_r_apply, phi_r_invert
 from .specfun import puiseux_constants
 from . import asymptotics
@@ -339,31 +341,29 @@ def parabolic_equivalent(
     that do not depend on phi live in :func:`invariant_report`.
     """
     sys1, sys2, checks = _oriented_pair(sys1, sys2)
-    ok = _parabolic_checks(sys1, sys2, phi, checks, action_rtol)
+    ok, _ = _parabolic_checks(sys1, sys2, phi, checks, action_rtol)
     return EquivalenceVerdict(equivalent=ok, checks=checks)
 
 
-def _oval_actions(sys1: FibrationModel, sys2: FibrationModel, points, images, oval: str):
-    """Oval area / 2 pi of sys1 at the points and of sys2 at their images: each
-    system's levels from one root solve, all integrals from one engine call.
-    A sys1 point without the oval or whose integral does not converge raises;
-    such a sys2 image gives None."""
-    jobs1 = oval_jobs(sys1, points, area_kernel(sys1.density), oval)
-    built = _oval_jobs([area_kernel(sys2.density)] * len(images), _levels(sys2, images), oval)
-    jobs2 = [job if isinstance(job, LevelJob) else None for job in built]
-    values = _level_integrals(jobs1 + [j for j in jobs2 if j is not None]) / (2.0 * math.pi)
-    rest = iter(values[len(jobs1) :].tolist())
-    second = [None if j is None or math.isnan(v := next(rest)) else v for j in jobs2]
-    return _converged(values[: len(jobs1)]).tolist(), second
+def _oval_actions(values, jobs1: list, jobs2: list):
+    """Oval area / 2 pi of sys1 and sys2 from their area jobs (``_oval_jobs``),
+    the values of the jobs among them read off an iterator in order.  A sys1
+    level without its job or whose integral does not converge raises; such a
+    sys2 level gives None."""
+    first = _converged(np.array([next(values) for _ in _built(jobs1)])).tolist()
+    unread = [not isinstance(j, LevelJob) for j in jobs2]
+    return first, [None if skip or math.isnan(v := next(values)) else v for skip in unread]
 
 
 def _parabolic_checks(
-    sys1: FibrationModel, sys2: FibrationModel, phi, checks: dict, action_rtol: float
-) -> bool:
-    """The sigma, I and I_circ checks of two oriented systems, added to ``checks``.
-
-    d1 is asked for both branch values at all its sample lambdas at once, d2
-    at the images of d1's Sigma samples: one root solve per diagram.
+    sys1: FibrationModel, sys2: FibrationModel, phi, checks: dict, action_rtol: float, wide=()
+):
+    """The sigma, I and I_circ checks of two oriented systems, added to
+    ``checks``, and given a wide grid with its images, the wide-oval actions
+    (``_oval_actions``) there.  Two root solves: d1's branch values, then all
+    that depends on them or on phi alone: d2's branch values at the images of
+    d1's Sigma samples and both systems' narrow and wide levels.  All
+    integrals are one engine call.
     """
     if abs(base_map_jacobian(phi, 0.0, 0.0)) < 1e-12:
         raise ValueError("base map phi is degenerate at the cusp point")
@@ -374,14 +374,32 @@ def _parabolic_checks(
     h_ell, h_hyp = (v.tolist() for v in d1.branch_values(sigma_lams + grid_lams))
 
     # cusp point (0, 0) must map to the cusp point, each branch onto the same branch
-    sigma_resid = [math.hypot(*_phi_eval(phi, 0.0, 0.0))]
-    sigma_ok = sigma_resid[0] <= 1e-9
     images = [
         (index, value, *_phi_eval(phi, value, lam))
         for lam, pair in zip(sigma_lams, zip(h_ell, h_hyp))
         for index, value in enumerate(pair)
     ]
-    targets = zip(*(v.tolist() for v in d2.branch_values([l for *_, l in images if l < 0])))
+    # I at three points across the swallow tail per lambda
+    i_ok, i_resid, pairs = True, [], []
+    for lam, h_e, h_h in zip(grid_lams, h_ell[4:], h_hyp[4:]):
+        mid, half = 0.5 * (h_e + h_h), 0.5 * (h_h - h_e)
+        for t in (-0.5, 0.0, 0.5):
+            h = mid + 0.8 * t * half
+            h_t, lam_t = _phi_eval(phi, h, lam)
+            r_i = abs(lam_t - lam) / max(abs(lam), 1e-9)
+            i_resid.append(r_i)
+            i_ok = i_ok and r_i <= action_rtol
+            pairs.append(((h, lam), (h_t, lam_t)))
+    # sys1's narrow points, sys2's images, then the same on the wide grid
+    points, ovals = [*zip(*pairs), *wide], ["narrow", "narrow", "wide", "wide"]
+    targets, *levels = _solved(
+        d2._branch_ask([l for *_, l in images if l < 0], (0, 1)),
+        *(_level_ask(s, p) for s, p in zip((sys1, sys2) * 2, points)),
+    )
+
+    sigma_resid = [math.hypot(*_phi_eval(phi, 0.0, 0.0))]
+    sigma_ok = sigma_resid[0] <= 1e-9
+    targets = iter(targets.tolist())
     for index, value, h_t, lam_t in images:
         if not lam_t < 0:
             sigma_ok = False
@@ -392,27 +410,22 @@ def _parabolic_checks(
         sigma_ok = sigma_ok and res <= BRANCH_RTOL
     checks["sigma"] = {"ok": sigma_ok, "residuals": sigma_resid}
 
-    # I and I_circ at three points across the swallow tail per lambda; an
-    # image without a narrow oval gives an infinite I_circ residual
-    i_ok, io_ok = True, True
-    i_resid, io_resid = [], []
-    pairs = []
-    for lam, h_e, h_h in zip(grid_lams, h_ell[4:], h_hyp[4:]):
-        mid, half = 0.5 * (h_e + h_h), 0.5 * (h_h - h_e)
-        for t in (-0.5, 0.0, 0.5):
-            h = mid + 0.8 * t * half
-            h_t, lam_t = _phi_eval(phi, h, lam)
-            r_i = abs(lam_t - lam) / max(abs(lam), 1e-9)
-            i_resid.append(r_i)
-            i_ok = i_ok and r_i <= action_rtol
-            pairs.append(((h, lam), (h_t, lam_t)))
-    for io_1, io_2 in zip(*_oval_actions(sys1, sys2, *zip(*pairs), "narrow")):
+    # I_circ, and I_mu on a wide grid, from one engine call; an image without
+    # a narrow oval gives an infinite I_circ residual
+    jobs = [
+        _oval_jobs([area_kernel(s.density)] * len(lv.points), lv, oval)
+        for s, lv, oval in zip((sys1, sys2) * 2, levels, ovals)
+    ]
+    values = _level_integrals([j for part in jobs for j in part if isinstance(j, LevelJob)])
+    values = iter((values / (2.0 * math.pi)).tolist())
+    io_ok, io_resid = True, []
+    for io_1, io_2 in zip(*_oval_actions(values, *jobs[:2])):
         r_o = float("inf") if io_2 is None else abs(io_1 - io_2) / max(abs(io_1), 1e-12)
         io_resid.append(r_o)
         io_ok = io_ok and r_o <= action_rtol
     checks["I"] = {"ok": i_ok, "residuals": i_resid}
     checks["I_circ"] = {"ok": io_ok, "residuals": io_resid}
-    return sigma_ok and i_ok and io_ok
+    return sigma_ok and i_ok and io_ok, _oval_actions(values, *jobs[2:]) if wide else None
 
 
 def cusp_torus_equivalent(
@@ -434,16 +447,13 @@ def cusp_torus_equivalent(
     if sys1.kind != CUSP_COMPACT or sys2.kind != CUSP_COMPACT:
         raise ValueError("cusp-torus comparison needs compact models")
     sys1, sys2, checks = _oriented_pair(sys1, sys2)
-    base_ok = _parabolic_checks(sys1, sys2, phi, checks, action_rtol)
     r = bifurcation_diagram(sys1).domain_radius
-    wide_grid = [
-        (0.45 * r, 0.3 * r),
-        (0.3 * r, 0.45 * r),
-        (-0.3 * r, 0.35 * r),
-        (0.5 * r, -0.25 * r),
-    ]
+    wide_grid = [(0.45 * r, 0.3 * r), (0.3 * r, 0.45 * r), (-0.3 * r, 0.35 * r)]
+    wide_grid.append((0.5 * r, -0.25 * r))
     images = [_phi_eval(phi, h, lam) for h, lam in wide_grid]
-    actions1, actions2 = _oval_actions(sys1, sys2, wide_grid, images, "wide")
+    base_ok, (actions1, actions2) = _parabolic_checks(
+        sys1, sys2, phi, checks, action_rtol, (wide_grid, images)
+    )
     checks["I_mu"] = {"ok": False, "k": None, "residuals": []}
     if None not in actions2:
         deltas = [
@@ -512,7 +522,7 @@ def invariant_report(
     slice through H^K (:func:`brieskorn.model_pair`, the same route for both
     kinds) and the canonical_f normal form.  h(lambda) and, on the local
     model, the hyperbolic log coefficients are given on the lambda grids,
-    each grid from one saddle solve.
+    both grids from one saddle solve.
     The density must be positive at the orbit: a vanishing one raises
     through :func:`_oriented`, a negative one in the normalization.
     """
@@ -520,11 +530,11 @@ def invariant_report(
     pair = model_pair(sys)
     alpha, beta = _floats(pair.alpha), _floats(pair.beta)
     norm = normalize_invariant(pair)
-    h_samples = list(zip(lam_values, separatrix_action(sys, lam_values).tolist()))
-    log_coeffs = []
-    if sys.kind == CUSP_LOCAL:
-        alphas, _ = asymptotics.hyperbolic_log_coeff(sys, log_lam_values)
-        log_coeffs = list(zip(log_lam_values, alphas.tolist()))
+    n, log_lams = len(lam_values), tuple(log_lam_values) * (sys.kind == CUSP_LOCAL)
+    lams, a, h, d2w = saddles(sys, np.array(tuple(lam_values) + log_lams, dtype=float))
+    h_samples = list(zip(lam_values, _lobe_areas(sys, lams[:n], a[:n], h[:n]).tolist()))
+    alphas = asymptotics._saddle_log_coeff(sys, lams[n:], a[n:], d2w[n:])
+    log_coeffs = list(zip(log_lams, alphas.tolist()))
     orientation = {
         "density_positive_at_orbit": not flipped,
         "alpha0_positive": float(alpha.coeffs[0]) > 0,

@@ -13,10 +13,14 @@ Model kinds
 
 Each Hamiltonian is written once, in ``_hamiltonian_for``; the potential W of
 the cusp models (H = x^2 + W(y; lambda)) is read off it.  Sigma is the set of
-critical values of W, its two branches W at the critical points nearest y = 0
-(``cusp_pairs``); every query solves the W' of all its lambdas at once.  One
-rule, ``sigma_flags``, puts a level on Sigma: within SIGMA_RTOL of a critical
-value, relative to the gaps to the critical values next to it.
+critical values of W, its two branches W at the critical points nearest y = 0.
+All of these come from one array-form critical table (``_Critical``): W' of
+every lambda of a query solved at once, the cusp pair, W and W'' read off
+the roots.  A request asks for its polynomials in one stacked root solve per
+dependency step (``_solved``), the table's W' rows beside the levels of
+``quadrature``.  One rule, ``sigma_flags``, puts a level on Sigma: within
+SIGMA_RTOL of a critical value, relative to the gaps to the critical values
+next to it.
 
 The map (x, y, H) -> (x, -y, -H) carries the cusp_local model at lambda = 0
 to the one_dof model; densities transform by f(x, y) -> f(x, -y).
@@ -30,6 +34,7 @@ import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -430,28 +435,28 @@ def _stacked_roots(polys) -> np.ndarray:
     part)), each then polished by three Newton steps, all roots of the batch
     together, by Horner's rule on the zero-padded coefficients, a root
     staying put where P' = 0."""
-    if not (isinstance(polys, np.ndarray) and polys.ndim == 2):
-        rows = [np.asarray(p, dtype=float) for p in polys]
-        polys = np.zeros((len(rows), max(map(len, rows), default=1)))
-        for row, c in zip(polys, rows):
-            row[len(row) - len(c) :] = c
+    polys = _rows(polys)
     n, width = polys.shape
     nonzero = polys != 0
-    lead, last = nonzero.argmax(axis=1), width - 1 - nonzero[:, ::-1].argmax(axis=1)
-    sizes = np.where(nonzero.any(axis=1), last - lead, -1)  # -1: no roots
+    lead, trailing = nonzero.argmax(axis=1), nonzero[:, ::-1].argmax(axis=1)
+    sizes = np.where(nonzero.any(axis=1), width - 1 - trailing - lead, -1)  # -1: no roots
     raw = np.full((n, width - 1), np.nan)
     for size in set(sizes.tolist()) - {-1}:
         members = np.flatnonzero(sizes == size)
         q = polys[members[:, None], lead[members, None] + np.arange(size + 1)]
-        comp = np.zeros((len(members), size, size)) + np.eye(size, k=-1)
+        comp = np.zeros((len(members), size, size))
+        comp.reshape(len(members), size * size)[:, size :: size + 1] = 1.0  # below the diagonal
         comp[:, :1] = -q[:, None, 1:] / q[:, None, :1]
         w = np.linalg.eigvals(comp)
-        im = np.abs(w.imag)
-        scale = 1.0 + np.maximum(np.abs(w.real), im).max(axis=1, initial=0.0, keepdims=True)
+        # 1 + the largest |real| or |imag| part, both read from one view of w
+        scale = 1.0 + np.abs(w.view(float)).max(axis=1, initial=0.0, keepdims=True)
+        found = np.where(np.abs(w.imag) <= 1e-8 * scale, w.real, np.nan)
         # with the roots y = 0 that numpy.roots deflates from the trailing zeros
-        zeros = np.arange(width - 1 - size) < (width - 1 - last[members, None])
-        found = (np.where(im <= 1e-8 * scale, w.real, np.nan), np.where(zeros, 0.0, np.nan))
-        raw[members] = np.sort(np.concatenate(found, axis=1), axis=1, kind="stable")
+        zeros = trailing[members, None]
+        if zeros.any():
+            zeros = np.where(np.arange(zeros.max()) < zeros, 0.0, np.nan)
+            found = np.concatenate((found, zeros), axis=1)
+        raw[members, : found.shape[1]] = np.sort(found, axis=1, kind="stable")
     # (P, P') coefficients at each root, P' padded with a leading zero
     at = ~np.isnan(raw)
     cd = np.zeros((width, 2, at.sum()))
@@ -466,6 +471,29 @@ def _stacked_roots(polys) -> np.ndarray:
         r = r - np.divide(acc[0], acc[1], out=np.zeros(r.size), where=acc[1] != 0)
     raw[at] = r
     return raw
+
+
+def _rows(polys) -> np.ndarray:
+    """A batch of polynomials as a 2-D array, shorter rows padded with leading zeros."""
+    if isinstance(polys, np.ndarray) and polys.ndim == 2:
+        return polys
+    rows = [np.asarray(p, dtype=float) for p in polys]
+    out = np.zeros((len(rows), max(map(len, rows), default=1)))
+    for row, c in zip(out, rows):
+        row[len(row) - len(c) :] = c
+    return out
+
+
+def _solved(*asks) -> list:
+    """Each ask's result from one stacked root solve, a request's one solve per
+    dependency step.  An ask is (rows, finish): finish(roots) is its result from
+    ``_stacked_roots`` of its rows (``_rows``) with their width; the leading
+    zeros that pad the narrower batches leave every root unchanged."""
+    blocks = [_rows(rows) for rows, _ in asks]
+    width = max(b.shape[1] for b in blocks)
+    pad = [np.hstack((np.zeros((len(b), width - b.shape[1])), b)) for b in blocks]
+    solved, ends = _stacked_roots(np.vstack(pad)), np.cumsum([len(b) for b in blocks]).tolist()
+    return [f(solved[e - len(b) : e, : b.shape[1] - 1]) for (_, f), b, e in zip(asks, blocks, ends)]
 
 
 def _synthetic_division(coeffs, root):
@@ -494,35 +522,60 @@ def sigma_flags(h, values) -> np.ndarray:
     return np.abs(np.asarray(h, dtype=float)[:, None] - values) < SIGMA_RTOL * near
 
 
-def cusp_pairs(wcs) -> list[tuple[float | None, float | None]]:
-    """(y_ell, y_hyp) of each W (coefficients highest first): the two critical
-    points nearest y = 0, from one stacked root solve of all the W', labelled
-    by the sign of W'': the minimum (W'' > 0) carries the elliptic branch, the
-    saddle (W'' < 0) the hyperbolic one, and a branch absent at its lambda is
-    None.  At lambda < 0 the pair has unfolded from the cusp at y = 0; the
-    compact model's deep well near y = -3/4 lies farther from 0 than both."""
-    dws = [np.polyder(wc) for wc in wcs]
-    pairs = []
-    for dw, roots in zip(dws, _stacked_roots(dws).tolist()):
-        d2w = np.polyder(dw).tolist()
-        pair = sorted((y for y in roots if y == y), key=abs)[:2]
-        y_ell = next((y for y in pair if _horner(d2w, y) > 0), None)
-        y_hyp = next((y for y in pair if _horner(d2w, y) < 0), None)
-        pairs.append((y_ell, y_hyp))
-    return pairs
+def _potentials(model: FibrationModel, lams) -> np.ndarray:
+    """W's coefficients (highest first) at each of the lambdas, one row each."""
+    w = [model.potential_coeffs(lam) for lam in lams]
+    return np.array(w or [model.potential_coeffs(0.0)])[: len(w)]
+
+
+class _Critical(NamedTuple):
+    """The critical table of W at each lambda of a batch: its coefficients w,
+    its real critical points crit, ascending and padded with NaN, and W there."""
+
+    w: np.ndarray
+    crit: np.ndarray
+    values: np.ndarray
+
+    def cusp_pair(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(y, W(y), W''(y)) at the cusp pair, (n, 2) arrays of the elliptic and
+        the hyperbolic column, NaN for a branch absent: of the two critical
+        points nearest y = 0, the minimum (W'' > 0) carries the elliptic branch,
+        the saddle (W'' < 0) the hyperbolic one.  At lambda < 0 the pair has
+        unfolded from the cusp at y = 0; the compact model's deep well near
+        y = -3/4 lies farther from 0 than both."""
+        near = np.argsort(np.abs(self.crit), axis=1, kind="stable")[:, :2]
+        d2w = _derivative(_derivative(self.w))
+        curvature = _horner(d2w.T[..., None], np.take_along_axis(self.crit, near, axis=1))
+        signs = np.stack((curvature > 0, curvature < 0), axis=1)  # (lambda, branch, candidate)
+        first, absent = signs.argmax(axis=2), ~signs.any(axis=2)
+        cols = np.take_along_axis(near, first, axis=1)
+        picked = [np.take_along_axis(v, cols, axis=1) for v in (self.crit, self.values)]
+        picked.append(np.take_along_axis(curvature, first, axis=1))
+        return tuple(np.where(absent, np.nan, v) for v in picked)
+
+
+def _derivative(rows: np.ndarray) -> np.ndarray:
+    """The derivative of each row of coefficients (highest first), as np.polyder takes it."""
+    return rows[:, :-1] * np.arange(rows.shape[1] - 1, 0, -1)
+
+
+def _critical_ask(w: np.ndarray):
+    """The ask (``_solved``) for the critical table of the W rows w: W' of each."""
+    return _derivative(w), lambda crit: _Critical(w, crit, _horner(w.T[..., None], crit))
 
 
 def saddles(model: FibrationModel, lams: np.ndarray):
-    """(lambdas, W coefficients, saddles) at the lambdas < 0 of an array, from
-    one root solve (``cusp_pairs``); StratumError where W has no saddle."""
+    """(lambdas, saddles a, W(a), W''(a)) at the lambdas < 0 of an array, the
+    hyperbolic column of the cusp pair (``_Critical.cusp_pair``) from one root
+    solve; StratumError where W has no saddle."""
     if (lams >= 0).any():
         raise ValueError("the saddle requires lambda < 0")
     flat = lams.ravel().tolist()
-    wcs = [model.potential_coeffs(lam) for lam in flat]
-    ys = [a for _, a in cusp_pairs(wcs)]
-    if None in ys:
-        raise StratumError(f"no saddle near the cusp at lambda={flat[ys.index(None)]}")
-    return flat, wcs, np.array(ys)
+    (table,) = _solved(_critical_ask(_potentials(model, flat)))
+    a, h, d2w = (v[:, 1] for v in table.cusp_pair())
+    if np.isnan(a).any():
+        raise StratumError(f"no saddle near the cusp at lambda={flat[np.isnan(a).argmax()]}")
+    return flat, a, h, d2w
 
 
 @dataclass
@@ -540,32 +593,35 @@ class BifurcationDiagram:
     model: FibrationModel
     domain_radius: float
 
-    def _branches(self, lams: list[float], required: tuple[int, ...]) -> list[tuple]:
-        """(H_ell, H_hyp) at each lambda from one root solve, None for a branch
-        absent there; ValueError naming the first ``required`` branch absent."""
+    def _branch_ask(self, lams: list[float], required: tuple[int, ...]):
+        """The ask (``_solved``) for (H_ell, H_hyp) at each lambda, an (n, 2)
+        array; ValueError naming the first ``required`` branch absent."""
         if any(lam >= 0 for lam in lams):
             raise ValueError("branches exist for lambda < 0 only")
-        coeffs = [self.model.potential_coeffs(lam) for lam in lams]
-        rows = []
-        for lam, wc, pair in zip(lams, coeffs, cusp_pairs(coeffs) if lams else []):
-            rows.append(tuple(None if y is None else _horner(wc.tolist(), y) for y in pair))
-            for i in required:
-                if rows[-1][i] is None:
-                    raise ValueError(f"no {('elliptic', 'hyperbolic')[i]} branch at lambda={lam}")
-        return rows
+        rows, table = _critical_ask(_potentials(self.model, lams))
+
+        def finish(crit):
+            values = table(crit).cusp_pair()[1]
+            for row, lam in zip(np.isnan(values[:, list(required)]).tolist(), lams):
+                if any(row):
+                    branch = ("elliptic", "hyperbolic")[required[row.index(True)]]
+                    raise ValueError(f"no {branch} branch at lambda={lam}")
+            return values
+
+        return rows, finish
 
     def branch_values(self, lam):
         """(H_ell, H_hyp) at lambda, two arrays for an array of lambdas, from
         one root solve; ValueError naming the first absent branch."""
         lams = np.asarray(lam, dtype=float)
-        values = np.reshape(self._branches(lams.ravel().tolist(), (0, 1)), (-1, 2)).T
-        return tuple(v.reshape(lams.shape) if lams.ndim else float(v[0]) for v in values)
+        (values,) = _solved(self._branch_ask(lams.ravel().tolist(), (0, 1)))
+        return tuple(v.reshape(lams.shape) if lams.ndim else float(v[0]) for v in values.T)
 
     def elliptic_value(self, lam: float) -> float:
-        return self._branches([lam], (0,))[0][0]
+        return float(_solved(self._branch_ask([lam], (0,)))[0][0, 0])
 
     def hyperbolic_value(self, lam: float) -> float:
-        return self._branches([lam], (1,))[0][1]
+        return float(_solved(self._branch_ask([lam], (1,)))[0][0, 1])
 
     def stratum(self, H: float, lam: float) -> str:
         """'narrow' on the swallow-tail interior, 'wide' on other non-empty
@@ -582,9 +638,8 @@ class BifurcationDiagram:
         if not points:
             return []
         lams = {lam: i for i, lam in enumerate(dict.fromkeys(l for _, l in points))}
-        wcs = np.array([self.model.potential_coeffs(lam) for lam in lams])
-        crit = _stacked_roots([np.polyder(wc) for wc in wcs])
-        values = _horner(wcs.T[..., None], crit)[[lams[lam] for _, lam in points]]
+        (table,) = _solved(_critical_ask(_potentials(self.model, lams)))
+        values = table.values[[lams[lam] for _, lam in points]]
         (H, lam), k = np.array(points).T, np.count_nonzero(~np.isnan(values), axis=1)
         h_hyp, h_ell = np.take_along_axis(values, np.maximum(k - 2, 0)[:, None] + [0, 1], axis=1).T
         off = np.array([math.hypot(*p) > self.domain_radius for p in points])

@@ -47,8 +47,10 @@ from .model import (
     FibrationModel,
     OnSigmaError,
     StratumError,
+    _critical_ask,
     _horner,
-    _stacked_roots,
+    _potentials,
+    _solved,
     _synthetic_division,
     bifurcation_diagram,
     cusp_local_model,
@@ -100,27 +102,37 @@ class _Levels(NamedTuple):
     sections: np.ndarray | None
 
 
-def _levels(model: FibrationModel, points, x0: float | None = None) -> _Levels:
-    """The levels at the (H, lambda) points, with the sections {x = +-x0} where
-    x0 is given, and the W' of each distinct lambda, from one stacked root
-    solve; W rises on an interval where W' > 0, its sign flipping at each root."""
+def _level_ask(model: FibrationModel, points, x0: float | None = None):
+    """The ask (``model._solved``) for the levels at the (H, lambda) points: its
+    rows P = H - W at the points first, then H - x0^2 - W where x0 is given
+    (the sections {x = +-x0}), then W' at each distinct lambda for its critical
+    table; W rises on an interval where W' > 0, its sign flipping at each root."""
     points = list(points)
     lams = {lam: i for i, lam in enumerate(dict.fromkeys(l for _, l in points))}
-    # W at each distinct lambda (at 0 for no points, for the width alone)
-    w = np.array([model.potential_coeffs(l) for l in lams] or [model.potential_coeffs(0.0)])
+    w = _potentials(model, lams)
     heights = points + [(H - x0**2, lam) for H, lam in points if x0 is not None]
     polys = -w[[lams[lam] for _, lam in heights]]
     polys[:, -1] += [H for H, _ in heights]
-    dw = w[: len(lams), :-1] * np.arange(w.shape[1] - 1, 0, -1)  # W' as np.polyder takes it
-    solved = _stacked_roots(np.vstack((polys, np.hstack((np.zeros((len(dw), 1)), dw)))))
+    dw, critical = _critical_ask(w)
+    rows = np.vstack((polys, np.hstack((np.zeros((len(dw), 1)), dw))))
     n, m, at = len(points), len(heights), [lams[lam] for _, lam in points]
-    crit, roots = solved[m:, :-1][at], np.sort(solved[:n], axis=1, kind="stable")
-    sigma = sigma_flags([H for H, _ in points], _horner(w[at].T[..., None], crit))
-    interval = (crit[:, None, :] < roots[..., None]).sum(axis=2)
-    rises = (np.sum(~np.isnan(crit), axis=1)[:, None] - interval) % 2 == (w[at, :1] < 0)
-    rises &= ~np.isnan(roots)
-    sections = None if x0 is None else solved[n:m]
-    return _Levels(model.kind, points, polys[:n], roots, crit, sigma, interval, rises, sections)
+
+    def finish(solved) -> _Levels:
+        table = critical(solved[m:, :-1])
+        crit, roots = table.crit[at], np.sort(solved[:n], axis=1, kind="stable")
+        sigma = sigma_flags([H for H, _ in points], table.values[at])
+        interval = (crit[:, None, :] < roots[..., None]).sum(axis=2)
+        rises = (np.sum(~np.isnan(crit), axis=1)[:, None] - interval) % 2 == (w[at, :1] < 0)
+        rises &= ~np.isnan(roots)
+        sections = None if x0 is None else solved[n:m]
+        return _Levels(model.kind, points, polys[:n], roots, crit, sigma, interval, rises, sections)
+
+    return rows, finish
+
+
+def _levels(model: FibrationModel, points, x0: float | None = None) -> _Levels:
+    """The levels of ``_level_ask`` from a root solve of their own."""
+    return _solved(_level_ask(model, points, x0))[0]
 
 
 def _on_sigma(levels: _Levels, lo, hi) -> np.ndarray:
@@ -447,7 +459,7 @@ def section_jobs(model: FibrationModel, points) -> list[LevelJob | None]:
     branch x < 0, past N2 if need be; on y = turn - s^2, x = s sqrt(R), the
     one-sided f dy/(2x) for s from sign(x) sqrt(turn - y) to
     sqrt(turn - y_sec).  None on N1 (time 0).  The levels with their sections
-    are one stacked root solve, the zeros of f on them another.  ValueError
+    and the zeros of f on them are one stacked root solve.  ValueError
     where f vanishes on a stretch, and where a point is off its arc or before
     N1 (x > x0 among them), or f < 0; OnSigmaError past a turning point at a
     saddle (``_arc_jobs``).
@@ -461,11 +473,11 @@ def section_jobs(model: FibrationModel, points) -> list[LevelJob | None]:
         model, points = cusp_local_model(), [(x, -y, 0.0) for x, y, _ in points]
     kernels = {id(f): lambda xs, ys, ls, f=f: 0.5 * f(xs, ys, ls) for f in densities}
     heights = [(x * x + np.polyval(model.potential_coeffs(lam), y), lam) for x, y, lam in points]
-    levels = _levels(model, heights, x0)
+    ask = _level_ask(model, heights, x0)  # its first rows are the levels' P
+    polys = [_zero_poly(f, p, lam) for (*_, lam), f, p in zip(points, densities, ask[0])]
+    levels, zeros = _solved(ask, (polys, np.ndarray.tolist))
     xs, ys, _ = np.reshape(points, (-1, 3)).T
     arcs = _arc_jobs([kernels[id(f)] for f in densities], levels, ys, xs < 0)  # past the turn
-    polys = [_zero_poly(f, p, lam) for (*_, lam), f, p in zip(points, densities, levels.p)]
-    zeros = _stacked_roots(polys).tolist()
     jobs: list[LevelJob | None] = []
     for (x, y, lam), f, job, roots in zip(points, densities, arcs, zeros):
         if isinstance(job, Exception):
@@ -540,18 +552,21 @@ def wide_action(model: FibrationModel, H: float, lam: float, k: int = 0) -> floa
 
 def separatrix_action(model: FibrationModel, lam):
     """h(lambda) = max_H I_o(H, lambda), attained on the hyperbolic branch;
-    for an array of lambdas, one value per lambda from one saddle solve, one
-    level solve and one engine call.  The lobe runs from the saddle a of the
-    cusp pair (``model.saddles``) up to the turn above it, an improper but
-    convergent integral: sqrt(H - W) vanishes linearly at the double root a.
-    StratumError where the hyperbolic branch does not exist."""
+    for an array of lambdas, one value per lambda from one saddle solve
+    (``model.saddles``) and ``_lobe_areas``.  StratumError where the
+    hyperbolic branch does not exist."""
     lams = np.asarray(lam, dtype=float)
-    flat, wcs, a = saddles(model, lams)
-    heights = [_horner(wc.tolist(), y) for wc, y in zip(wcs, a.tolist())]
-    levels = _levels(model, zip(heights, flat))
-    jobs = _built(_arc_jobs([area_kernel(model.density)] * len(flat), levels, a, False, a))
-    out = integrals(jobs) / (2.0 * math.pi)
+    out = _lobe_areas(model, *saddles(model, lams)[:3])
     return out.reshape(lams.shape) if lams.ndim else float(out[0])
+
+
+def _lobe_areas(model: FibrationModel, lams: list, a: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """h(lambda) from the saddles a and W(a) of the lambdas, from one level solve
+    and one engine call: the lobe runs from a up to the turn above it, an
+    improper but convergent integral, sqrt(H - W) vanishing linearly at a."""
+    levels = _levels(model, zip(h.tolist(), lams))
+    jobs = _built(_arc_jobs([area_kernel(model.density)] * len(lams), levels, a, False, a))
+    return integrals(jobs) / (2.0 * math.pi)
 
 
 # -- action charts -----------------------------------------------------------------

@@ -230,15 +230,15 @@ class TestHyperbolicLogCoeff:
         assert alphas.ravel().tolist() == [asy.hyperbolic_log_coeff(m, lam)[0] for lam in lams.ravel()]
 
     def test_one_diagram_solve_per_call(self, monkeypatch):
-        # one diagram solve, of the one W' of this lambda
+        # one root solve, of the one W' of this lambda, for the saddle and W''
         calls = []
-        real_pairs = model_module.cusp_pairs
+        real_roots = model_module._stacked_roots
 
-        def counted(wcs):
-            calls.append(len(wcs))
-            return real_pairs(wcs)
+        def counted(polys):
+            calls.append(len(polys))
+            return real_roots(polys)
 
-        monkeypatch.setattr(model_module, "cusp_pairs", counted)
+        monkeypatch.setattr(model_module, "_stacked_roots", counted)
         asy.hyperbolic_log_coeff(cusp_local_model(Density.constant(1)), -1.0)
         assert calls == [1]
 

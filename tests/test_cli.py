@@ -852,22 +852,24 @@ def test_numeric_option_rejects_non_finite(tmp_path, capsys, command, option, va
     assert (code, out) == (2, "") and actions[option].dest in err
 
 
-#: (stacked root solves, level-integral engine calls) of one request: a
-#: diagram query is one solve for all its lambdas, the levels of a batch one,
-#: a transport's section times two per system (levels, zeros of f) for all
-#: its points
+#: (stacked root solves, level-integral engine calls) of one request: one
+#: solve per dependency step, a diagram query's lambdas and a batch's levels
+#: each within one; a verdict solves d1's branch values, then all the rest
+#: (d2's branch values, the narrow and wide levels of both systems), an
+#: invariant report the saddles of both lambda grids, then the lobes, a
+#: transport per system its levels with the zeros of f on them
 SOLVES_PER_REQUEST = [
     ("decompose --density {f1}", 1, 1),
     ("actions --model {compact}", 2, 1),
     ("actions --model {compact} --grid 21x21 --h-range -0.01 0.01 --l-range -0.06 0.02", 2, 1),
-    ("invariants --sys {local}", 3, 1),
+    ("invariants --sys {local}", 2, 1),
     ("invariants --sys {compact}", 2, 1),
-    ("compare --sys1 {local} --sys2 {local2}", 4, 1),
-    ("compare --sys1 {compact} --sys2 {compact}", 6, 2),
+    ("compare --sys1 {local} --sys2 {local2}", 2, 1),
+    ("compare --sys1 {compact} --sys2 {compact}", 2, 1),
     # the stratum check is a diagram solve, the lattice a level solve
     ("lattice --sys {compact} --at 0.0 -0.05 --verify", 2, 1),
     ("lattice --sys {compact} --at 0.05 0.02 --stratum wide --verify", 2, 1),
-    ("transport --sys1 {local} --sys2 {local2} --points {pts}", 4, 2),
+    ("transport --sys1 {local} --sys2 {local2} --points {pts}", 2, 2),
 ]
 
 

@@ -257,56 +257,73 @@ class TestParabolicEquivalent:
     # Sigma_hyp, where the target level has no narrow oval
     SHIFT = (Density({(1, 0, 0): 1, (0, 0, 0): 0.01}), Density({(0, 1, 0): 1}))
 
-    def test_image_without_narrow_oval_is_an_infinite_residual(self):
+    def test_image_without_narrow_oval_is_an_infinite_residual(self, monkeypatch):
+        calls = _count_calls(monkeypatch)
         m = cusp_local_model(F_ONE_PLUS_Y)
         v = parabolic_equivalent(m, m, self.SHIFT)
         assert not v.equivalent
         assert v.checks["I_circ"] == {"ok": False, "residuals": [math.inf] * 9}
+        assert (len(calls["roots"]), calls["engine"]) == (2, [9])
 
     def test_unconverged_image_is_an_infinite_residual(self, monkeypatch):
         # the engine's NaN (more than QUAD_LIMIT subintervals) on a sys2 job
         # reads as that job's failure; on a sys1 job it raises
-        real_engine = quadrature._level_integrals
-
-        def engine(jobs, spoiled):
-            values = real_engine(jobs)
-            values[spoiled] = np.nan
-            return values
-
         m = cusp_local_model(F_ONE_PLUS_Y)
-        monkeypatch.setattr(equivalence_module, "_level_integrals", lambda jobs: engine(jobs, -1))
+        calls = _count_calls(monkeypatch, spoiled=-1)
         v = parabolic_equivalent(m, m)
         assert not v.equivalent
         assert v.checks["I_circ"]["residuals"][-1] == math.inf
         assert max(v.checks["I_circ"]["residuals"][:-1]) == 0.0
-        monkeypatch.setattr(equivalence_module, "_level_integrals", lambda jobs: engine(jobs, 0))
+        assert (len(calls["roots"]), calls["engine"]) == (2, [18])
+        calls = _count_calls(monkeypatch, spoiled=0)
         with pytest.raises(quadrature.OnSigmaError):
             parabolic_equivalent(m, m)
+        assert (len(calls["roots"]), calls["engine"]) == (2, [18])
 
     def test_verdict_checks_make_one_engine_call(self, monkeypatch):
-        calls = []
-        real_engine = quadrature._level_integrals
-
-        def engine(jobs):
-            calls.append(len(jobs))
-            return real_engine(jobs)
-
-        monkeypatch.setattr(equivalence_module, "_level_integrals", engine)
-        monkeypatch.setattr(quadrature, "_level_integrals", engine)
+        # the narrow and the wide integrals of both systems together
+        calls = _count_calls(monkeypatch)
         m = cusp_compact_model(F_ONE_PLUS_Y)
         assert parabolic_equivalent(m, m).equivalent
-        assert calls == [18]
-        calls.clear()
+        assert calls["engine"] == [18]
+        calls["engine"].clear()
         assert cusp_torus_equivalent(m, m).equivalent
-        assert calls == [18, 8]
+        assert calls["engine"] == [26]
 
-    def test_image_without_wide_oval_fails_the_torus_check(self):
+    def test_image_without_wide_oval_fails_the_torus_check(self, monkeypatch):
         # (H - 1, F): the compact target level lies below W everywhere
+        calls = _count_calls(monkeypatch)
         m = cusp_compact_model(F_ONE_PLUS_Y)
         phi = (Density({(1, 0, 0): 1, (0, 0, 0): -1}), Density({(0, 1, 0): 1}))
         v = cusp_torus_equivalent(m, m, phi)
         assert not v.equivalent and v.k is None
         assert v.checks["I_mu"] == {"ok": False, "k": None, "residuals": []}
+        # sys1's 9 narrow and 4 wide integrals; no image has an oval
+        assert (len(calls["roots"]), calls["engine"]) == (2, [13])
+
+
+def _count_calls(monkeypatch, spoiled=None) -> dict:
+    """The batch sizes of the stacked root solves ("roots") and the engine
+    calls ("engine") from here on; ``spoiled`` names an engine value set to
+    NaN, as an integral that does not converge gives."""
+    calls = {"roots": [], "engine": []}
+    real_roots, real_engine = model_module._stacked_roots, quadrature._level_integrals
+
+    def roots(polys):
+        calls["roots"].append(len(polys))
+        return real_roots(polys)
+
+    def engine(jobs):
+        calls["engine"].append(len(jobs))
+        values = real_engine(jobs)
+        if spoiled is not None:
+            values[spoiled] = np.nan
+        return values
+
+    monkeypatch.setattr(model_module, "_stacked_roots", roots)
+    monkeypatch.setattr(equivalence_module, "_level_integrals", engine)
+    monkeypatch.setattr(quadrature, "_level_integrals", engine)
+    return calls
 
 
 def bare_density(f):
@@ -341,8 +358,10 @@ class TestVanishingDensity:
 
 
 class TestDiagramQueries:
-    # one diagram solve per diagram: the first at its 4 sigma lambdas and 3
-    # grid lambdas, the second at the images of the 4 x 2 branch values
+    # two root solves: d1's at its 4 sigma lambdas and 3 grid lambdas, then
+    # one of d2's W' at the images of the 4 x 2 branch values, the 9 narrow
+    # levels of each system with the W' of their 3 lambdas and, on the torus,
+    # the 4 wide levels of each with the W' of their 4 lambdas
     @pytest.mark.parametrize(
         "verdict, sys1, sys2, equivalent",
         [
@@ -370,16 +389,11 @@ class TestDiagramQueries:
         ],
     )
     def test_self_comparison_solves(self, monkeypatch, verdict, sys1, sys2, equivalent):
-        calls = []
-        real_pairs = model_module.cusp_pairs
-
-        def counted(wcs):
-            calls.append(len(wcs))
-            return real_pairs(wcs)
-
-        monkeypatch.setattr(model_module, "cusp_pairs", counted)
+        calls = _count_calls(monkeypatch)
         assert verdict(sys1, sys2).equivalent == equivalent
-        assert calls == [7, 8]
+        wide = 2 * (4 + 4) if verdict is cusp_torus_equivalent else 0
+        assert calls["roots"] == [7, 8 + 2 * (9 + 3) + wide]
+        assert len(calls["engine"]) == 1
 
 
 class TestCuspTorusEquivalent:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from cuspinv import flows, quadrature
+from cuspinv import model as model_module
 from cuspinv.flows import (
     BumpPushforward,
     ReducedSystem,
@@ -280,7 +281,7 @@ class TestPeriodLattice:
         # the three integrals of a lattice share one root solve of the level
         # and the W' of its lambda
         calls = []
-        real_roots, real_engine = quadrature._stacked_roots, quadrature._level_integrals
+        real_roots, real_engine = model_module._stacked_roots, quadrature._level_integrals
 
         def roots(polys):
             calls.append(("roots", len(polys)))
@@ -290,7 +291,7 @@ class TestPeriodLattice:
             calls.append(("engine", len(jobs)))
             return real_engine(jobs)
 
-        monkeypatch.setattr(quadrature, "_stacked_roots", roots)
+        monkeypatch.setattr(model_module, "_stacked_roots", roots)
         monkeypatch.setattr(quadrature, "_level_integrals", engine)
         sm = SymplecticModel(cusp_compact_model(F_TILT))
         for h, lam, stratum in ((0.05, 0.02, "wide"), (0.0, -0.05, "narrow")):
@@ -444,10 +445,10 @@ class TestTransport:
 
     def test_pullback_residual_counts(self, monkeypatch):
         # five transported points: per system one solve of the levels, their
-        # sections and the W' of each lambda, one solve of the f-zero
-        # polynomials and one engine call
+        # sections, the W' of each lambda and the f-zero polynomials, and one
+        # engine call
         calls = []
-        real_roots, real_engine = quadrature._stacked_roots, quadrature._level_integrals
+        real_roots, real_engine = model_module._stacked_roots, quadrature._level_integrals
 
         def roots(polys):
             calls.append(("roots", len(polys)))
@@ -457,17 +458,17 @@ class TestTransport:
             calls.append(("engine", len(jobs)))
             return real_engine(jobs)
 
-        monkeypatch.setattr(quadrature, "_stacked_roots", roots)
+        monkeypatch.setattr(model_module, "_stacked_roots", roots)
         monkeypatch.setattr(quadrature, "_level_integrals", engine)
         sm = SymplecticModel(cusp_local_model(F_ONE))
         q = _branch_point(sm, -0.3, 0.034)
         pullback_residual(sm, SymplecticModel(cusp_local_model(F_TILT)), q)
-        assert calls == [("roots", 11), ("roots", 5), ("engine", 5)] * 2
+        assert calls == [("roots", 16), ("engine", 5)] * 2
         # three points: all 15 stencil points in the same three calls per system
         calls.clear()
         rows = np.array([_branch_point(sm, l, 0.034) for l in (-0.3, -0.25, -0.2)])
         pullback_residual(sm, SymplecticModel(cusp_local_model(F_TILT)), rows)
-        assert calls == [("roots", 33), ("roots", 15), ("engine", 15)] * 2
+        assert calls == [("roots", 48), ("engine", 15)] * 2
 
     def test_pullback_residual_of_an_array_is_per_point(self):
         sm = SymplecticModel(cusp_local_model(F_ONE))

@@ -1,6 +1,8 @@
 import json
 import math
+import re
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -270,12 +272,43 @@ class TestBifurcationDiagram:
 
     @pytest.mark.parametrize("model", [cusp_local_model, cusp_compact_model])
     def test_cusp_pairs_match_scalar_oracle(self, model):
-        # one stacked solve for all the W', bit for bit the per-lambda route
-        wcs = [model().potential_coeffs(lam) for lam in self.LAMS]
-        pairs = model_module.cusp_pairs(wcs)
-        assert pairs == [cusp_pair(wc) for wc in wcs]
+        # the critical table of all the W' from one stacked solve, bit for bit
+        # (float.hex) the per-lambda route: the cusp pair (y_ell, y_hyp), W
+        # there (the branch values) and W'' there, NaN for a branch absent
+        rng = np.random.default_rng(21)
+        lams = self.LAMS + rng.uniform(-0.3, -1e-9, 200).tolist()
+        w = np.array([model().potential_coeffs(lam) for lam in lams])
+        (table,) = model_module._solved(model_module._critical_ask(w))
+        got = [[v.hex() for v in row] for row in np.hstack(table.cusp_pair()).tolist()]
+        want = []
+        for wc in w:
+            d2w = np.polyder(np.polyder(wc))
+            cols = [
+                (math.nan,) * 3 if y is None else (y, np.polyval(wc, y), np.polyval(d2w, y))
+                for y in cusp_pair(wc)
+            ]
+            want.append([float(v).hex() for k in range(3) for v in (cols[0][k], cols[1][k])])
+        assert got == want
+        pairs = [cusp_pair(wc) for wc in w]
         assert all(y_ell is not None for y_ell, _ in pairs)
-        assert (None in [y_hyp for _, y_hyp in pairs]) == (model is cusp_compact_model)
+        absent = [(lam, wc, y_ell) for lam, wc, (y_ell, y_hyp) in zip(lams, w, pairs) if y_hyp is None]
+        assert len(absent) > 20 if model is cusp_compact_model else not absent
+        # past lambda = -1/4 the queries name the branch absent and give the other
+        d = bifurcation_diagram(model())
+        for lam, wc, y_ell in absent:
+            assert lam < -0.25
+            for query in (lambda: d.branch_values([-0.05, lam]), lambda: d.hyperbolic_value(lam)):
+                with pytest.raises(ValueError, match=f"^no hyperbolic branch at lambda={lam}$"):
+                    query()
+            assert d.elliptic_value(lam) == np.polyval(wc, y_ell)
+
+    def test_root_calls_are_one_route(self):
+        # every W' and W'' comes from the one array form of the critical table
+        # and every root from the stacked solve: no per-row derivative or
+        # np.roots call is left in the package
+        src = Path(model_module.__file__).parent
+        calls = [(f.name, m) for f in sorted(src.glob("*.py")) for m in re.findall(r"np\.(?:polyder|roots)\(", f.read_text())]
+        assert calls == []
 
     @pytest.mark.parametrize("model", [cusp_local_model, cusp_compact_model])
     def test_strata_match_single_points(self, model, monkeypatch):

@@ -491,7 +491,6 @@ def _count_root_solves(monkeypatch):
         return real_roots(polys)
 
     monkeypatch.setattr(model_module, "_stacked_roots", counted)
-    monkeypatch.setattr(quadrature, "_stacked_roots", counted)
     return calls
 
 

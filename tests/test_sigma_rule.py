@@ -53,7 +53,7 @@ def test_diagram_and_builders_agree_on_sigma_hyp(make, lam, t, hyperbolic):
     (narrow,) = quadrature._oval_jobs([None], levels, "narrow")
     (passage,) = quadrature._arc_jobs([None], levels, -math.inf)
     (stratum,) = diagram.strata([(H, lam)])
-    (a,) = saddles(model, np.array([lam]))[2]
+    (a,) = saddles(model, np.array([lam]))[1]
     (flags,) = sigma_flags([H], [np.polyval(model.potential_coeffs(lam), levels.crit[0])])
     assert flags.tolist() == levels.sigma[0].tolist()
     if flags[levels.crit[0] == a].any():  # on Sigma_hyp
@@ -72,8 +72,8 @@ class TestCompactSaddleLevel:
 
     def _saddle_level(self):
         m = cusp_compact_model()
-        _, (wc,), (a,) = saddles(m, np.array([self.LAM]))
-        return m, float(np.polyval(wc, a))
+        _, (a,), _, _ = saddles(m, np.array([self.LAM]))
+        return m, float(np.polyval(m.potential_coeffs(self.LAM), a))
 
     def test_no_oval_on_the_saddle_level(self):
         m, h_s = self._saddle_level()
