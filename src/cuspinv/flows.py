@@ -344,7 +344,7 @@ def transport_map(sys1, sys2, point) -> np.ndarray:
     are preserved.  The lambda and phi components pass through unchanged (the
     phi-shift freedom is the removable gauge).  Both systems must expose the
     reduced-flow protocol through ``reduced()``.  An (n, >= 3) array gives an
-    image per row, each system's times from one engine call.
+    image per row, each system's times from one root solve and one engine call.
     """
     s1, s2 = sys1.reduced(), sys2.reduced()
     point = np.asarray(point, dtype=float)

@@ -584,7 +584,9 @@ class BifurcationDiagram:
 
     At each lambda < 0 asked about, the elliptic and hyperbolic values are
     W at the cusp pair of critical points; every query takes all its lambdas
-    or (H, lambda) points at once and makes one root solve of their W'.
+    or (H, lambda) points at once and reads the critical table of their W'
+    (``_Critical``), one root solve or a share of a request's solve
+    (``_branch_ask``).
     For the canonical local model Sigma = {H^2 = -(4/27) lambda^3} with the
     elliptic branch at H < 0 and the hyperbolic branch at H > 0; the
     swallow-tail interior is {H^2 < -(4/27) lambda^3}.

@@ -4,7 +4,8 @@ model fibrations.
 Every level set of a cusp model is x^2 = P(y) = H - W(y), W read off the
 Hamiltonian.  The levels of a call, their sections H - x0^2 - W and the W'
 of their lambdas are rows of one array, isolated by one stacked root solve
-(``_levels`` on ``model._stacked_roots``); a scalar call is a batch of one.
+(``_level_ask``, which a request may join to its other polynomials in
+``model._solved``); a scalar call is a batch of one.
 W is monotone between consecutive critical points, so each such interval
 holds at most one root of P, and ``model.sigma_flags`` says where H is on
 Sigma: ovals, turning points and degenerate levels follow.  Every invariant

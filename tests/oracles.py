@@ -25,8 +25,9 @@ roots of the level and of the sections, the matrix of the symplectic form Omega
 written out entry by entry, the real roots of one polynomial at a time
 from ``np.roots`` with a scalar Newton polish, against which the stacked
 root solve must agree bit for bit, the cusp pair of critical points of one
-W at a time on that route, against which the batched ``model.cusp_pairs``
-must agree bit for bit, and the H-field through ``Density.eval`` at every
+W at a time on that route, with np.polyder and np.polyval per W, against
+which the cusp pair, the branch values and W'' of the array-form critical
+table (``model._Critical``) must agree bit for bit, and the H-field through ``Density.eval`` at every
 call, against which the per-lambda fields of the flows must agree bit for
 bit.
 """
@@ -588,7 +589,7 @@ def cusp_pair(wc) -> tuple[float | None, float | None]:
     the two real roots of W' nearest y = 0, ordered by |y| before the polish
     and polished, labelled by the sign of W'' there (the minimum elliptic,
     the saddle hyperbolic), None for a branch absent: the per-lambda
-    reference of ``model.cusp_pairs``."""
+    reference of ``model._Critical.cusp_pair``."""
     dw = np.polyder(np.asarray(wc, dtype=float))
     d2w = np.polyder(dw)
     pair = [reference_polish(dw, r) for r in sorted(reference_real_roots(dw), key=abs)[:2]]
