@@ -34,6 +34,7 @@ import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from itertools import accumulate
 from typing import NamedTuple
 
 import numpy as np
@@ -490,9 +491,11 @@ def _solved(*asks) -> list:
     ``_stacked_roots`` of its rows (``_rows``) with their width; the leading
     zeros that pad the narrower batches leave every root unchanged."""
     blocks = [_rows(rows) for rows, _ in asks]
-    width = max(b.shape[1] for b in blocks)
-    pad = [np.hstack((np.zeros((len(b), width - b.shape[1])), b)) for b in blocks]
-    solved, ends = _stacked_roots(np.vstack(pad)), np.cumsum([len(b) for b in blocks]).tolist()
+    ends = list(accumulate(len(b) for b in blocks))
+    stacked = np.zeros((ends[-1], max(b.shape[1] for b in blocks)))
+    for b, e in zip(blocks, ends):
+        stacked[e - len(b) : e, stacked.shape[1] - b.shape[1] :] = b
+    solved = _stacked_roots(stacked)
     return [f(solved[e - len(b) : e, : b.shape[1] - 1]) for (_, f), b, e in zip(asks, blocks, ends)]
 
 

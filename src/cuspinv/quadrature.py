@@ -112,11 +112,12 @@ def _level_ask(model: FibrationModel, points, x0: float | None = None):
     lams = {lam: i for i, lam in enumerate(dict.fromkeys(l for _, l in points))}
     w = _potentials(model, lams)
     heights = points + [(H - x0**2, lam) for H, lam in points if x0 is not None]
-    polys = -w[[lams[lam] for _, lam in heights]]
-    polys[:, -1] += [H for H, _ in heights]
-    dw, critical = _critical_ask(w)
-    rows = np.vstack((polys, np.hstack((np.zeros((len(dw), 1)), dw))))
     n, m, at = len(points), len(heights), [lams[lam] for _, lam in points]
+    dw, critical = _critical_ask(w)
+    rows = np.zeros((m + len(dw), w.shape[1]))
+    rows[:m], rows[m:, 1:] = -w[[lams[lam] for _, lam in heights]], dw
+    rows[:m, -1] += [H for H, _ in heights]
+    polys = rows[:n]
 
     def finish(solved) -> _Levels:
         table = critical(solved[m:, :-1])
@@ -126,7 +127,7 @@ def _level_ask(model: FibrationModel, points, x0: float | None = None):
         rises = (np.sum(~np.isnan(crit), axis=1)[:, None] - interval) % 2 == (w[at, :1] < 0)
         rises &= ~np.isnan(roots)
         sections = None if x0 is None else solved[n:m]
-        return _Levels(model.kind, points, polys[:n], roots, crit, sigma, interval, rises, sections)
+        return _Levels(model.kind, points, polys, roots, crit, sigma, interval, rises, sections)
 
     return rows, finish
 
