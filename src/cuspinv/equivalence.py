@@ -448,8 +448,12 @@ def cusp_torus_equivalent(
         raise ValueError("cusp-torus comparison needs compact models")
     sys1, sys2, checks = _oriented_pair(sys1, sys2)
     r = bifurcation_diagram(sys1).domain_radius
-    wide_grid = [(0.45 * r, 0.3 * r), (0.3 * r, 0.45 * r), (-0.3 * r, 0.35 * r)]
-    wide_grid.append((0.5 * r, -0.25 * r))
+    wide_grid = [
+        (0.45 * r, 0.3 * r),
+        (0.3 * r, 0.45 * r),
+        (-0.3 * r, 0.35 * r),
+        (0.5 * r, -0.25 * r),
+    ]
     images = [_phi_eval(phi, h, lam) for h, lam in wide_grid]
     base_ok, (actions1, actions2) = _parabolic_checks(
         sys1, sys2, phi, checks, action_rtol, (wide_grid, images)
