@@ -291,23 +291,26 @@ class TestBifurcationDiagram:
         assert got == want
         pairs = [cusp_pair(wc) for wc in w]
         assert all(y_ell is not None for y_ell, _ in pairs)
-        absent = [(lam, wc, y_ell) for lam, wc, (y_ell, y_hyp) in zip(lams, w, pairs) if y_hyp is None]
+        absent = [(lam, wc, y) for lam, wc, (y, y_hyp) in zip(lams, w, pairs) if y_hyp is None]
         assert len(absent) > 20 if model is cusp_compact_model else not absent
         # past lambda = -1/4 the queries name the branch absent and give the other
         d = bifurcation_diagram(model())
-        for lam, wc, y_ell in absent:
+        for lam, wc, y in absent:
             assert lam < -0.25
             for query in (lambda: d.branch_values([-0.05, lam]), lambda: d.hyperbolic_value(lam)):
                 with pytest.raises(ValueError, match=f"^no hyperbolic branch at lambda={lam}$"):
                     query()
-            assert d.elliptic_value(lam) == np.polyval(wc, y_ell)
+            assert d.elliptic_value(lam) == np.polyval(wc, y)
 
     def test_root_calls_are_one_route(self):
         # every W' and W'' comes from the one array form of the critical table
         # and every root from the stacked solve: no per-row derivative or
         # np.roots call is left in the package
-        src = Path(model_module.__file__).parent
-        calls = [(f.name, m) for f in sorted(src.glob("*.py")) for m in re.findall(r"np\.(?:polyder|roots)\(", f.read_text())]
+        calls = [
+            (f.name, call)
+            for f in sorted(Path(model_module.__file__).parent.glob("*.py"))
+            for call in re.findall(r"np\.(?:polyder|roots)\(", f.read_text())
+        ]
         assert calls == []
 
     @pytest.mark.parametrize("model", [cusp_local_model, cusp_compact_model])

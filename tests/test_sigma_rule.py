@@ -56,7 +56,9 @@ def test_diagram_and_builders_agree_on_sigma_hyp(make, lam, t, hyperbolic):
     (a,) = saddles(model, np.array([lam]))[1]
     (flags,) = sigma_flags([H], [np.polyval(model.potential_coeffs(lam), levels.crit[0])])
     assert flags.tolist() == levels.sigma[0].tolist()
-    if flags[levels.crit[0] == a].any():  # on Sigma_hyp
+    on_hyp = flags[levels.crit[0] == a].any()
+    assert on_hyp == (hyperbolic and abs(t) <= 1e-13)  # the saddle's flag, and no other's
+    if on_hyp:
         assert stratum == "outside"
         assert isinstance(narrow, OnSigmaError) and isinstance(passage, OnSigmaError)
     if stratum == "narrow":
