@@ -526,7 +526,8 @@ def sigma_flags(h, values) -> np.ndarray:
 
 
 def _potentials(model: FibrationModel, lams) -> np.ndarray:
-    """W's coefficients (highest first) at each of the lambdas, one row each."""
+    """W's coefficients (highest first) at each of the lambdas, one row each;
+    for no lambdas no rows, of W's width."""
     w = [model.potential_coeffs(lam) for lam in lams]
     return np.array(w or [model.potential_coeffs(0.0)])[: len(w)]
 
