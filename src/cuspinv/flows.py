@@ -17,15 +17,14 @@ Fields are defined by i_v Omega = -dG.  In components, for G(x, y, lambda):
 
     v = (-G_y / f,  G_x / f,  0,  G_lambda - X_lambda G_x / f).
 
-The plane part (-H_y / f, H_x / f) of every field comes from the one field
-SymplecticModel._plane_field builds per lambda and solve, which reads f, H_x,
-H_y and a caller's extra polynomials from one power table per call
-(``model.densities_at``, generated once per shape, bit for bit ``Density.eval``).
-The right-hand sides take and return lists of floats, and every flow is one
-run of _solve, a DOP853 stepper on Python floats (Hairer, Norsett and Wanner,
-Solving ODEs I, II.5) with scipy's tableau and step control and a step
-generated once per state size, each requested time a step end.  Section
-times are no flows but level integrals (``quadrature.section_time``).
+The plane part (-H_y / f, H_x / f) of every field reads f, H_x, H_y and any
+extra polynomials from one power table per point, in code generated once per
+shape (``model._terms_source``), bit for bit ``Density.eval``.  Every flow is
+one run of _solve, a DOP853 stepper on Python floats (Hairer, Norsett and
+Wanner, Solving ODEs I, II.5) with scipy's tableau and step control, each
+requested time a step end, its step straight-line code generated once per
+shape (``_step``), the H-field and the reduced field written into its stages.
+Section times are no flows but level integrals (``quadrature.section_time``).
 
 Period lattices follow Gamma(T_p) = Gamma_0 . J^-1(p) with Gamma_0 =
 2 pi Z^2 and J the Jacobian of the generators (H, F) with respect to the
@@ -41,7 +40,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .model import Density, FibrationModel, densities_at
+from .model import Density, FibrationModel, _bound_at, _terms_source, densities_at
 from .quadrature import _built, _levels, _oval_jobs, area_kernel, form_kernel, integrals
 from .quadrature import section_time
 
@@ -51,6 +50,7 @@ FLOW_ATOL = 1e-12
 SAFETY, MIN_FACTOR, MAX_FACTOR, ERROR_EXPONENT = 0.9, 0.2, 10.0, -1.0 / 8.0
 #: the longest section time accepted: a later backward crossing of N1 is unreached
 SECTION_T_MAX = 200.0
+_VANISHES = "degenerate Omega: density vanishes at the point"
 
 
 @dataclass
@@ -74,30 +74,10 @@ class SymplecticModel:
         """The reduced (x, y) dynamics, as taken by :func:`transport_map`."""
         return ReducedSystem(self)
 
-    def _plane_field(self, lam: float, extra=()):
-        """field(x, y) = [-H_y / f, H_x / f, f, *(g(x, y) for g in extra)] at
-        this lambda, all from one power table per call; ValueError where f = 0."""
-        values = densities_at((self._f, self._H_x, self._H_y, *extra), lam)
-
-        def field(x, y):
-            v = values(x, y)  # [f, H_x, H_y, *extra], rewritten in place
-            fv = v[0]
-            if fv == 0.0:
-                raise ValueError("degenerate Omega: density vanishes at the point")
-            v[:3] = -v[2] / fv, v[1] / fv, fv
-            return v
-
-        return field
-
-    def _h_field(self, lam: float):
-        """field(x, y): the H-field at this lambda as a list, its lambda component 0."""
-        plane = self._plane_field(lam, (self._H_lam, self._X_lam))
-
-        def field(x, y):
-            vx, vy, _, h_lam, x_lam = plane(x, y)
-            return [vx, vy, 0.0, h_lam - x_lam * vy]
-
-        return field
+    def _system(self, lam: float, n: int = 4):
+        """(field, step) of the H-flow (n = 4) or reduced flow (n = 2): ``_step``, bound."""
+        shape, args = _bound_at((self._f, self._H_x, self._H_y, self._H_lam, self._X_lam)[: n + 1], lam)
+        return _step(n, shape)(*args)
 
     def hamiltonian_field(self, point, generator: str = "H") -> np.ndarray:
         """The unique v with i_v Omega = -dG, G in {H, F}."""
@@ -105,7 +85,7 @@ class SymplecticModel:
             return np.array([0.0, 0.0, 0.0, 1.0])
         if generator != "H":
             raise ValueError("generator must be 'H' or 'F'")
-        return np.array(self._h_field(float(point[2]))(float(point[0]), float(point[1])))
+        return np.array(self._system(float(point[2]))[0](0.0, [float(point[0]), float(point[1])]))
 
     # -- flows ------------------------------------------------------------
 
@@ -119,8 +99,7 @@ class SymplecticModel:
             out[:, 3] += times
         elif times.any():
             # lambda is constant along the flow: one field, read at the start
-            field = self._h_field(float(point[2]))
-            out[:] = _solve(lambda _t, s: field(s[0], s[1]), point.tolist(), times.tolist())
+            out[:] = _solve(self._system(float(point[2])), point.tolist(), times.tolist())
         return out if np.ndim(t) else out[0]
 
 
@@ -136,34 +115,57 @@ def _tableau():
     return tuple(DOP853.C.tolist()), pairs
 
 
-@lru_cache(maxsize=None)
-def _step(n: int):
-    """step(rhs, t, y, f, h) -> (y_new, err): one DOP853 step of size h from
-    (t, y), f = rhs(t, y), for n components, as straight-line code: each stage
-    sum is (0.0 + w0 k0 + w1 k1 ...) left to right over the tableau's nonzero
-    weights, err scipy's DOP853._estimate_error_norm from root mean squares."""
+@lru_cache(maxsize=64)
+def _step(n: int, shape=None):
+    """bind(...) -> (field, step) for n components: field(t, y) -> list, and
+    step(t, y, f, h) -> (y_new, err) one DOP853 step from (t, y), f = field(t, y),
+    as straight-line code, each stage sum (0.0 + w0 k0 + w1 k1 ...) left to right
+    over the tableau's nonzero weights, err scipy's DOP853._estimate_error_norm.
+    With no shape, bind(rhs) takes any rhs(t, y) on lists, called per stage.
+    Otherwise bind(c0, l0, ...) takes the coefficients of polynomials of that
+    shape (``model._bound_at``), written into each stage: for n = 2 (f, H_x, H_y)
+    and the plane field (-H_y / f, H_x / f), for n = 4 also H_lambda and X_lambda
+    and the H-field.  These read x and y only, so only theirs are stage
+    arguments; lambda's sums, of exact zeros, are left out, its state moved by
+    h * 0.0 and its error terms, 0.0, kept in the mean."""
     c, (*a, b, e5, e3) = _tableau()
-    comps = range(n)
+    params, terms = ("rhs", None) if shape is None else _terms_source(shape)
+    comps = [0, 1, 3] if shape is not None and n == 4 else list(range(n))  # not lambda's zeros
 
     def dot(pairs, i):
         return "(0.0" + "".join(f" + {w!r} * k{j}_{i}" for j, w in pairs) + ")"
 
-    lines = ["def step(rhs, t, y, f, h):", "".join(f"y{i}, " for i in comps) + "= y"]
-    lines.append("".join(f"k0_{i}, " for i in comps) + "= f")
+    def field(x, y, out):  # the names of _terms_source are none of u, k, n, s, q
+        lines = [f"x1 = {x}", f"y1 = {y}", *terms, "if v0 == 0.0: raise ValueError(VANISHES)"]
+        lines += [f"{out[0]} = -v2 / v0", f"{out[1]} = v1 / v0"]
+        return lines + ([f"{out[2]} = v3 - v4 * {out[1]}"] if n == 4 else [])
+
+    body = ["".join(f"u{i}, " for i in range(n)) + "= y"]
+    body.append("".join(f"k0_{i}, " if i in comps else "_, " for i in range(n)) + "= f")
     for s in range(1, len(c)):
-        args = ", ".join(f"y{i} + {dot(a[s], i)} * h" for i in comps)
-        lines.append("".join(f"k{s}_{i}, " for i in comps) + f"= rhs(t + {c[s]!r} * h, [{args}])")
-    for i in comps:
-        lines.append(f"n{i} = y{i} + h * {dot(b, i)}")
-        lines.append(f"s{i} = ATOL + max(abs(y{i}), abs(n{i})) * RTOL")
+        args = [f"u{i} + {dot(a[s], i)} * h" for i in range(n)]
+        out = [f"k{s}_{i}" for i in comps]
+        if shape is None:
+            body.append(f"{', '.join(out)}, = rhs(t + {c[s]!r} * h, [{', '.join(args)}])")
+        else:
+            body += field(*args[:2], out)
+    body += [f"n{i} = u{i} + h * {dot(b, i) if i in comps else '0.0'}" for i in range(n)]
+    body += [f"s{i} = ATOL + max(abs(u{i}), abs(n{i})) * RTOL" for i in comps]
     for r, e in (("r5", e5), ("r3", e3)):
-        lines += [f"q{i} = {dot(e, i)} / s{i}" for i in comps]
-        lines.append(f"{r} = sqrt((0.0{''.join(f' + q{i} * q{i}' for i in comps)}) / {n})")
-    lines.append("err = abs(h) * r5 * r5 / sqrt(r5 * r5 + 0.01 * r3 * r3) if r5 or r3 else 0.0")
-    lines.append(f"return [{', '.join(f'n{i}' for i in comps)}], err")
-    namespace = {"ATOL": FLOW_ATOL, "RTOL": FLOW_RTOL, "sqrt": math.sqrt}
-    exec(compile("\n    ".join(lines), f"<DOP853 step of {n}>", "exec"), namespace)
-    return namespace["step"]
+        body += [f"q{i} = {dot(e, i)} / s{i}" for i in comps]
+        body.append(f"{r} = sqrt((0.0{''.join(f' + q{i} * q{i}' for i in comps)}) / {n})")
+    body.append("err = abs(h) * r5 * r5 / sqrt(r5 * r5 + 0.01 * r3 * r3) if r5 or r3 else 0.0")
+    body.append(f"return [{', '.join(f'n{i}' for i in range(n))}], err")
+    lines = [f"def bind({params}):"]
+    if shape is None:
+        lines.append("    field = rhs")
+    else:
+        lines += ["    def field(t, y):", *(f"        {v}" for v in field("y[0]", "y[1]", ["vx", "vy", "vphi"]))]
+        lines.append(f"        return [{', '.join(['vx', 'vy', '0.0', 'vphi'][:n])}]")
+    lines += ["    def step(t, y, f, h):", *(f"        {v}" for v in body), "    return field, step"]
+    namespace = {"ATOL": FLOW_ATOL, "RTOL": FLOW_RTOL, "sqrt": math.sqrt, "VANISHES": _VANISHES}
+    exec(compile("\n".join(lines), f"<DOP853 step of {n}>", "exec"), namespace)
+    return namespace["bind"]
 
 
 def _rms(v, scale) -> float:
@@ -174,25 +176,24 @@ def _rms(v, scale) -> float:
     return math.sqrt(acc / len(v))
 
 
-def _solve(rhs, y0, times) -> list:
-    """The states of y' = rhs(t, y), y(0) = y0, at the times (finite, of one
+def _solve(system, y0, times) -> list:
+    """The states of y' = field(t, y), y(0) = y0, at the times (finite, of one
     sign), one list per time, from one DOP853 run in order of |t| on floats.
 
-    rhs takes and returns lists.  The step control is scipy's DOP853 at
-    FLOW_RTOL and FLOW_ATOL with no step cap.  A step that would cross a
-    requested time is cut to end on it, and the next starts from the size
+    system is a bound (field, step) of ``_step``; the field runs here once per
+    accepted step (FSAL) and once for the first step's size.  scipy's DOP853
+    step control at FLOW_RTOL and FLOW_ATOL, no step cap.  A step that would
+    cross a requested time is cut to end on it, the next starting from the size
     proposed before the cut.  RuntimeError where a step falls below 10 ulp(t).
-    Each step is ``_step(len(y0))``, generated on the first flow of that size:
-    the float operations of a loop over the tableau, in its order, bit for bit.
     """
     times = [float(v) for v in times]
     if not all(map(math.isfinite, times)) or min(times) < 0.0 < max(times):
         raise ValueError(f"flow times must be finite and of one sign, got {times}")
-    step = _step(len(y0))
+    field, step = system
     t_end, t, y, h_abs, out = max(times, key=abs), 0.0, [float(v) for v in y0], None, {}
     for t_stop in sorted(set(times), key=abs):
         while t != t_stop:
-            f = rhs(t, y)  # once per accepted step (FSAL), none on a rejected one
+            f = field(t, y)  # once per accepted step (FSAL), none on a rejected one
             if h_abs is None:  # select_initial_step, for an error estimator of order 7
                 scale = [FLOW_ATOL + abs(v) * FLOW_RTOL for v in y]
                 d0, d1 = _rms(y, scale), _rms(f, scale)
@@ -200,7 +201,7 @@ def _solve(rhs, y0, times) -> list:
                     raise RuntimeError("flow integration failed: the field is not finite at t = 0")
                 h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, abs(t_end))
                 h = math.copysign(h0, t_end)
-                f1 = rhs(h, [v + h * u for v, u in zip(y, f)])
+                f1 = field(h, [v + h * u for v, u in zip(y, f)])
                 d = max(d1, _rms([u - v for u, v in zip(f1, f)], scale) / h0)
                 h1 = max(1e-6, h0 * 1e-3) if d <= 1e-15 else (0.01 / d) ** -ERROR_EXPONENT
                 h_abs = min(100.0 * h0, h1, abs(t_end))
@@ -213,7 +214,7 @@ def _solve(rhs, y0, times) -> list:
                 cut = abs(t_new) > abs(t_stop)
                 t_new = t_stop if cut else t_new
                 h = t_new - t
-                y_new, err = step(rhs, t, y, f, h)
+                y_new, err = step(t, y, f, h)
                 if err < 1.0:
                     break
                 h_abs, rejected = abs(h) * max(MIN_FACTOR, SAFETY * err**ERROR_EXPONENT), True
@@ -314,12 +315,8 @@ class ReducedSystem:
     def hamiltonian_value(self, point) -> float:
         return self.sm.hamiltonian_value(point)
 
-    def rhs(self, lam: float):
-        field = self.sm._plane_field(lam)
-        return lambda _t, state: field(state[0], state[1])[:2]
-
     def reduced_flow(self, xy, lam: float, t: float) -> np.ndarray:
-        (out,) = _solve(self.rhs(lam), xy, [t])
+        (out,) = _solve(self.sm._system(lam, 2), xy, [t])
         return np.array(out)
 
     def section_time(self, xy, lam):
@@ -387,11 +384,14 @@ class BumpPushforward:
 
     def _z_rhs(self, lam: float):
         """Z = rho v, with d/dt log det Dpsi0 = div Z as a third component."""
-        field = self.sm._plane_field(lam, (self._f_x, self._f_y))
+        values = densities_at((self.sm._f, self.sm._H_x, self.sm._H_y, self._f_x, self._f_y), lam)
 
         def rhs(_t, state):
             x, y, _ = state
-            vx, vy, fv, fx, fy = field(x, y)
+            fv, hx, hy, fx, fy = values(x, y)
+            if fv == 0.0:
+                raise ValueError(_VANISHES)
+            vx, vy = -hy / fv, hx / fv
             rho, rho_prime = self._bump(x)
             # div(rho v) = rho' vx + rho div v, div v = -(v . grad f) / f
             div_v = -(vx * fx + vy * fy) / fv
@@ -401,7 +401,7 @@ class BumpPushforward:
 
     def bump_map(self, xy, lam: float, inverse: bool = False):
         """psi0 (or its inverse) with log det Dpsi0 integrated alongside."""
-        (out,) = _solve(self._z_rhs(lam), (xy[0], xy[1], 0.0), [-1.0 if inverse else 1.0])
+        (out,) = _solve(_step(3)(self._z_rhs(lam)), (xy[0], xy[1], 0.0), [-1.0 if inverse else 1.0])
         return np.array([out[0], out[1]]), math.exp(out[2])
 
     def _preimage(self, xy, lam: float):

@@ -284,22 +284,25 @@ def _broadcast(value, x, y, lam):
 
 def densities_at(densities, lam):
     """(x, y) -> [f.eval(x, y, lam) for f in densities], bit for bit for float
-    x and y: straight-line code generated once per shape (the (i, j) of each
-    density's terms), bound here to the float coefficients c and the lambda^k.
-    Each value is 0.0 + c x^i y^j lambda^k + ... in ``terms`` order, x^0 and y^0
-    left out and lambda^0 an exact 1.0.  Arrays give the same values, each
-    unbroadcast: a value that reads no array is a float."""
+    x and y, by ``_terms_source``; arrays give the same values, unbroadcast."""
+    shape, args = _bound_at(densities, lam)
+    return _evaluator(shape)(*args)
+
+
+def _bound_at(densities, lam):
+    """(shape, args): the (i, j) of each density's terms, the key of the code
+    generated for them, and the float c and lambda^k of each term to bind."""
     plans = [f._plan for f in densities]
     pl = _powers(float(lam), max((p[3] for p in plans), default=0))
     shape = tuple(tuple((i, j) for _, i, j, _ in p[0]) for p in plans)
-    return _evaluator(shape)(*(v for p in plans for c, _, _, k in p[0] for v in (c, pl[k])))
+    return shape, [v for p in plans for c, _, _, k in p[0] for v in (c, pl[k])]
 
 
-@lru_cache(maxsize=64)
-def _evaluator(shape):
-    """bind(c0, l0, c1, l1, ...) -> values(x1, y1) for the shape's terms in
-    order, the powers x2 = x1 x1, x3 = x2 x1, ... taken as ``_powers`` takes
-    them.  Only identifiers and integer exponents reach the generated source."""
+def _terms_source(shape) -> tuple[str, list[str]]:
+    """(params, lines): the lines set v0, v1, ... to the shape's polynomials at
+    (x1, y1), each 0.0 + c x^i y^j lambda^k + ... in ``terms`` order, term m
+    reading the params c{m} and l{m}, the powers x2 = x1 x1, ... as ``_powers``
+    takes them.  Only identifiers and integer exponents reach the source."""
     terms = [(p, i, j) for p, poly in enumerate(shape) for i, j in poly]
     ni, nj = (max((e[v] for e in terms), default=0) for v in (1, 2))
     body = [f"x{n} = x{n - 1} * x1" for n in range(2, ni + 1)]
@@ -308,8 +311,14 @@ def _evaluator(shape):
     for m, (p, i, j) in enumerate(terms):  # a statement per term: no parser nesting limit
         x, y = f" * x{i}" if i else "", f" * y{j}" if j else ""
         body.append(f"v{p} = v{p} + c{m}{x}{y} * l{m}")
-    body.append(f"return [{', '.join(f'v{p}' for p in range(len(shape)))}]")
-    params = ", ".join(f"c{m}, l{m}" for m in range(len(terms)))
+    return ", ".join(f"c{m}, l{m}" for m in range(len(terms))), body
+
+
+@lru_cache(maxsize=64)
+def _evaluator(shape):
+    """bind(c0, l0, c1, l1, ...) -> values(x1, y1), the shape's polynomials."""
+    params, body = _terms_source(shape)
+    body = body + [f"return [{', '.join(f'v{p}' for p in range(len(shape)))}]"]
     source = f"def bind({params}):\n    def values(x1, y1):\n"
     source += "".join(f"        {line}\n" for line in body) + "    return values\n"
     namespace = {}

@@ -438,20 +438,36 @@ _VANISHES = "degenerate Omega: density vanishes on the trajectory"
 
 def _zero_poly(f: Density, p: np.ndarray, lam: float) -> np.ndarray:
     """f(x, y) f(-x, y) on the level x^2 = P(y) as a polynomial in y: with
-    f = E + x O, E and O even in x, it is E^2 - P O^2; where O = 0, E.
-    ValueError where it vanishes identically."""
-    parts = [np.zeros(1), np.zeros(1)]
-    for (i, j, k), c in f.terms.items():
-        term = np.concatenate(([float(c) * lam**k], np.zeros(j)))
-        for _ in range(i // 2):
-            term = np.polymul(term, p)
-        parts[i % 2] = np.polyadd(parts[i % 2], term)
+    f = E + x O, E and O even in x, it is E^2 - P O^2; where O = 0, E.  The
+    sums and products are ``np.polymul``'s, by ``np.convolve`` on E and O
+    trimmed as it trims them.  ValueError where it vanishes identically."""
+    terms = [(i, j, float(c) * lam**k) for (i, j, k), c in f.terms.items()]
+    width = 1 + max((j + i // 2 * (len(p) - 1) for i, j, _ in terms), default=0)
+    parts = np.zeros((2, width))
+    for i, j, a in terms:
+        if i < 2:
+            parts[i, width - 1 - j] += a
+            continue
+        term = np.concatenate((a * p, np.zeros(j)))  # (a y^j) P, one product an entry
+        for _ in range(i // 2 - 1):
+            term = np.convolve(_lead(term), p)
+        parts[i % 2, width - len(term) :] += term
     even, odd = parts
     if odd.any():
-        even = np.polysub(np.polymul(even, even), np.polymul(p, np.polymul(odd, odd)))
+        even, odd = _lead(even), _lead(odd)
+        square, product = np.convolve(even, even), np.convolve(p, np.convolve(odd, odd))
+        even = np.zeros(max(len(square), len(product)))
+        even[len(even) - len(square) :] = square
+        even[len(even) - len(product) :] -= product
     if not even.any():
         raise ValueError(_VANISHES)
     return even
+
+
+def _lead(v: np.ndarray) -> np.ndarray:
+    """v from its first nonzero entry on, [0.0] where it has none (``np.poly1d``)."""
+    nonzero = np.flatnonzero(v)
+    return v[nonzero[0] :] if nonzero.size else np.zeros(1)
 
 
 def section_jobs(model: FibrationModel, points) -> list[LevelJob | None]:

@@ -27,9 +27,10 @@ from ``np.roots`` with a scalar Newton polish, against which the stacked
 root solve must agree bit for bit, the cusp pair of critical points of one
 W at a time on that route, with np.polyder and np.polyval per W, against
 which the cusp pair, the branch values and W'' of the array-form critical
-table (``model._Critical``) must agree bit for bit, and the H-field through ``Density.eval`` at every
+table (``model._Critical``) must agree bit for bit, the H-field through ``Density.eval`` at every
 call, against which the per-lambda fields of the flows must agree bit for
-bit.
+bit, and the polynomial f(x, y) f(-x, y) on a level through ``np.polymul``,
+against whose roots those of the section times' must agree bit for bit.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ from scipy.special import elliprf, hyp2f1
 from cuspinv.asymptotics import extract_log_coeff, fit_puiseux
 from cuspinv.brieskorn import BrieskornPair
 from cuspinv.flows import PeriodLattice
-from cuspinv.model import CUSP_COMPACT, FibrationModel, bifurcation_diagram
+from cuspinv.model import CUSP_COMPACT, FibrationModel, bifurcation_diagram, densities_at
 from cuspinv.quadrature import LevelJob, OnSigmaError, StratumError
 from cuspinv.quadrature import loop_action, loop_period, oval_bounds, passage_time, wide_action
 from cuspinv.specfun import puiseux_constants
@@ -353,7 +354,7 @@ def ode_section_time(rs, xy, lam: float, x0: float | None = None, t_max: float =
     """Smallest t > 0 with the backward reduced flow of xy on {x = x0}, as the
     first zero of x - x0 on a DOP853 flow from xy to -t_max at 1e-13."""
     x0 = rs.sm.model.x0 if x0 is None else x0
-    rhs = rs.rhs(lam)
+    rhs = unfused_field(rs.sm, lam, 2)
 
     def hit(_t, state):
         return state[0] - x0
@@ -598,6 +599,22 @@ def cusp_pair(wc) -> tuple[float | None, float | None]:
     return y_ell, y_hyp
 
 
+def unfused_field(sm, lam: float, n: int):
+    """rhs(t, state) -> list: the reduced field (n = 2) or the H-field (n = 4)
+    of a SymplecticModel at lambda, its polynomials read from one
+    ``model.densities_at`` table per call, the field not written into a step."""
+    values = densities_at((sm._f, sm._H_x, sm._H_y, sm._H_lam, sm._X_lam)[: n + 1], lam)
+
+    def rhs(_t, state):
+        fv, hx, hy, *lam_parts = values(state[0], state[1])
+        if fv == 0.0:
+            raise ValueError("degenerate Omega: density vanishes at the point")
+        vx, vy = -hy / fv, hx / fv
+        return [vx, vy, 0.0, lam_parts[0] - lam_parts[1] * vy] if n == 4 else [vx, vy]
+
+    return rhs
+
+
 def reference_plane_field(sm, x, y, lam):
     """(-H_y / f, H_x / f, f) at one point, each polynomial through
     ``Density.eval``; ValueError where f = 0."""
@@ -735,3 +752,19 @@ def scalar_passage_job(kernel, level: ScalarLevel) -> LevelJob:
     y_sec, turn = scalar_arc(level, -math.inf)
     r = -scalar_division(level.p, turn)
     return LevelJob(kernel, level.lam, "arc", y_sec, turn, r, 0.0, math.sqrt(turn - y_sec))
+
+
+def polymul_zero_poly(f, p: np.ndarray, lam: float) -> np.ndarray:
+    """f(x, y) f(-x, y) on the level x^2 = P(y) as E^2 - P O^2 (E where O = 0),
+    f = E + x O, built with ``np.polymul``, ``polyadd`` and ``polysub``, which
+    trim leading zeros through ``poly1d``."""
+    parts = [np.zeros(1), np.zeros(1)]
+    for (i, j, k), c in f.terms.items():
+        term = np.concatenate(([float(c) * lam**k], np.zeros(j)))
+        for _ in range(i // 2):
+            term = np.polymul(term, p)
+        parts[i % 2] = np.polyadd(parts[i % 2], term)
+    even, odd = parts
+    if odd.any():
+        even = np.polysub(np.polymul(even, even), np.polymul(p, np.polymul(odd, odd)))
+    return even

@@ -27,6 +27,7 @@ from oracles import (
     reference_hamiltonian_field,
     reference_plane_field,
     scipy_flow,
+    unfused_field,
 )
 
 F_ONE = Density.constant(1)
@@ -98,14 +99,14 @@ class TestHamiltonianField:
         f = Density({(0, 0, 0): 1.0, (0, 1, 0): 0.3, (1, 0, 1): 0.2, (2, 1, 2): -0.4})
         sm = SymplecticModel(make(f))
         for lam in (0.0, -0.3, float(rng.uniform(-0.5, 0.5))):
-            plane, h_field, rhs = sm._plane_field(lam), sm._h_field(lam), sm.reduced().rhs(lam)
+            reduced, h_field = sm._system(lam, 2)[0], sm._system(lam)[0]
             for x, y in rng.uniform(-0.6, 0.6, (20, 2)).tolist() + [[0.0, 0.4], [0.3, 0.0]]:
                 ref = reference_plane_field(sm, x, y, lam)
-                assert tuple(plane(x, y)) == ref
-                assert tuple(rhs(0.0, [x, y])) == ref[:2]
+                assert tuple(reduced(0.0, [x, y])) == tuple(unfused_field(sm, lam, 2)(0.0, [x, y])) == ref[:2]
                 point = np.array([x, y, lam, 1.0])
-                assert np.array_equal(h_field(x, y), reference_hamiltonian_field(sm, point))
-                assert np.array_equal(sm.hamiltonian_field(point), h_field(x, y))
+                assert np.array_equal(h_field(0.0, [x, y]), reference_hamiltonian_field(sm, point))
+                assert np.array_equal(unfused_field(sm, lam, 4)(0.0, [x, y]), h_field(0.0, [x, y]))
+                assert np.array_equal(sm.hamiltonian_field(point), h_field(0.0, [x, y]))
 
 
 class TestVanishingDensity:
@@ -114,8 +115,19 @@ class TestVanishingDensity:
     SM = SymplecticModel(cusp_local_model(Density({(0, 1, 0): 1})))
 
     def test_reduced_field_rejected(self):
-        with pytest.raises(ValueError, match="density vanishes"):
-            ReducedSystem(self.SM).rhs(0.0)(0.0, [0.3, 0.0])
+        # the field function and the field written into the step's stages
+        field, step = self.SM._system(0.0, 2)
+        with pytest.raises(ValueError, match="density vanishes at the point"):
+            field(0.0, [0.3, 0.0])
+        with pytest.raises(ValueError, match="density vanishes at the point"):
+            step(0.0, [0.3, 0.0], [1.0, 1.0], 0.0)
+
+    def test_h_field_rejected(self):
+        field, step = self.SM._system(0.0)
+        with pytest.raises(ValueError, match="density vanishes at the point"):
+            field(0.0, [0.3, 0.0, 0.0, 0.0])
+        with pytest.raises(ValueError, match="density vanishes at the point"):
+            step(0.0, [0.3, 0.0, 0.0, 0.0], [1.0, 1.0, 0.0, 1.0], 0.0)
 
     def test_bump_field_rejected(self):
         with pytest.raises(ValueError, match="density vanishes"):
@@ -185,10 +197,10 @@ class TestFlowEngine:
         sm = SymplecticModel(make(self.F_MIX))
         rs, rng = sm.reduced(), np.random.default_rng(41)
         for x, y, lam, phi, t in rng.uniform(-0.4, 0.4, (6, 5)).tolist():
-            p, t, field = [x, y, lam, phi], 2.5 * t, sm._h_field(lam)
-            ref = scipy_flow(lambda _t, s: field(s[0], s[1]), p, t)
+            p, t = [x, y, lam, phi], 2.5 * t
+            ref = scipy_flow(unfused_field(sm, lam, 4), p, t)
             assert np.abs(sm.flow(p, "H", t) - ref).max() <= 1e-10 * np.abs(ref).max()
-            ref = scipy_flow(rs.rhs(lam), p[:2], t)
+            ref = scipy_flow(unfused_field(sm, lam, 2), p[:2], t)
             assert np.abs(rs.reduced_flow(p[:2], lam, t) - ref).max() <= 1e-10 * np.abs(ref).max()
 
     def test_requested_times_are_step_ends(self):
@@ -209,11 +221,11 @@ class TestFlowEngine:
             return [1.0, math.nan if abs(y[0]) > 0.5 else 0.0]
 
         with pytest.raises(RuntimeError, match="flow integration failed"):
-            flows._solve(rhs, [0.0, 0.0], [t])
+            flows._solve(flows._step(2)(rhs), [0.0, 0.0], [t])
         assert 0 < len(calls) < 2000
         calls.clear()
         with pytest.raises(RuntimeError, match="flow integration failed"):
-            flows._solve(lambda _t, y: calls.append(1) or [math.nan, 0.0], [0.0, 0.0], [t])
+            flows._solve(flows._step(2)(lambda _t, y: calls.append(1) or [math.nan, 0.0]), [0.0, 0.0], [t])
         assert len(calls) == 1
 
     @pytest.mark.parametrize("times", [[-1.0, 1.0], [math.nan], [1.0, math.inf], [-math.inf]])
@@ -248,22 +260,104 @@ class TestFlowEngine:
     )
     def test_straight_line_step_matches_loop_oracle(self, size, start, times, rejects):
         # the generated step runs the loop stepper's float operations in its
-        # order: the same states bit for bit, from as many right-hand sides
+        # order: the same states bit for bit, from as many right-hand sides,
+        # 11 of each step attempt written into the step where it is polynomial
         sm, lam = SymplecticModel(cusp_compact_model(self.F_MIX)), -0.3
-        field = sm._h_field(lam)
-        rhs = {
-            2: sm.reduced().rhs(lam),
-            3: BumpPushforward(sm)._z_rhs(lam),
-            4: lambda _t, s: field(s[0], s[1]),
-        }[size]
         y0 = [*start, *[(), (0.0,), (lam, 0.3)][size - 2]]
-        calls, ref_calls = [], []
-        states = flows._solve(lambda t, y: calls.append(1) or rhs(t, y), y0, times)
+        ref_calls = []
+        rhs = BumpPushforward(sm)._z_rhs(lam) if size == 3 else unfused_field(sm, lam, size)
         ref, rejected = loop_dop853(lambda t, y: ref_calls.append(1) or rhs(t, y), y0, times)
-        assert [[v.hex() for v in row] for row in states] == [[v.hex() for v in row] for row in ref]
-        assert len(calls) == len(ref_calls) > 12 * len(times)
+        states, calls, attempts = _counted_solve(sm, lam, size, y0, times, rhs if size == 3 else None)
+        assert _hex(states) == _hex(ref)
+        assert len(calls) + (0 if size == 3 else 11 * len(attempts)) == len(ref_calls) > 12 * len(times)
         if rejects:
             assert rejected > 0
+
+    # x^3, y^3 and lambda^2 terms: the field's power names x3, y2, y3 beside
+    # the step's own names
+    F_POW = Density({(0, 0, 0): 1.0, (3, 0, 0): 0.2, (0, 3, 0): -0.3, (1, 1, 2): 0.5, (0, 2, 1): 0.1})
+
+    @pytest.mark.parametrize("make", [cusp_local_model, cusp_compact_model])
+    @pytest.mark.parametrize("size", [2, 4])
+    @pytest.mark.parametrize(
+        "lam, start, times, rejects",
+        [
+            (-0.0, (0.1, -0.2), [0.3, 0.9, 0.6], False),  # cut times out of order
+            (-0.0, (0.1, -0.2), [-0.7, -0.2], False),  # lambda stays -0.0 backward
+            (-0.3, (0.6, 0.5), [1.5], True),  # a fast start: rejected steps
+            (0.02, (0.05, 0.3), [-1.2, -2.0], False),
+        ],
+    )
+    def test_generated_field_steps_match_loop_oracle(self, make, size, lam, start, times, rejects):
+        sm = SymplecticModel(make(self.F_POW))
+        y0 = [*start, lam, 0.3][:size]
+        rhs, ref_calls = unfused_field(sm, lam, size), []
+        ref, rejected = loop_dop853(lambda t, y: ref_calls.append(1) or rhs(t, y), y0, times)
+        states, calls, attempts = _counted_solve(sm, lam, size, y0, times)
+        assert _hex(states) == _hex(ref)
+        assert len(calls) + 11 * len(attempts) == len(ref_calls)
+        if rejects:
+            assert rejected > 0
+        if size == 4:  # lambda moves by h * 0.0: -0.0 turns to 0.0 forward only
+            assert [row[2].hex() for row in states] == [(lam + t * 0.0).hex() for t in times]
+
+    def test_h_flow_calls_the_field_between_steps(self, monkeypatch):
+        # the field runs in Python twice at the start and once after each
+        # accepted step but the last, never inside a step
+        events, real = [], flows._solve
+
+        def solve(system, y0, times):
+            field, step = system
+            counted = (
+                lambda t, y: events.append("field") or field(t, y),
+                lambda *a: events.append("step") or events.append(step(*a)) or events[-1],
+            )
+            return real(counted, y0, times)
+
+        monkeypatch.setattr(flows, "_solve", solve)
+        sm = SymplecticModel(cusp_compact_model(self.F_POW))
+        sm.flow((0.6, 0.5, -0.3, 0.0), "H", [0.75, 1.5])
+        steps = [events[k + 1] for k, e in enumerate(events) if e == "step"]
+        assert all(isinstance(done, tuple) for done in steps)  # no field call inside a step
+        accepted = sum(err < 1.0 for _, err in steps)
+        assert events[:2] == ["field", "field"] and accepted < len(steps)
+        assert events.count("field") == accepted + 1
+        assert len(events) == events.count("field") + 2 * len(steps)
+
+    @pytest.mark.parametrize("make", [cusp_local_model, cusp_compact_model])
+    def test_one_step_per_shape(self, make):
+        # the generated step is cached by the (i, j) of the terms alone, so its
+        # coefficients and lambda powers must be bound per system
+        rng, support = np.random.default_rng(47), list(self.F_POW.terms)
+        densities = [Density(dict(zip(support, [1.0, *rng.uniform(-0.3, 0.3, 4)]))) for _ in range(3)]
+        for n in (2, 4):
+            SymplecticModel(make(self.F_POW))._system(0.1, n)
+        misses = flows._step.cache_info().misses
+        for f in densities:
+            sm = SymplecticModel(make(f))
+            for lam, n in ((-0.2, 2), (0.0, 4), (0.05, 4), (0.05, 2)):
+                y0 = [0.1, -0.2, lam, 0.3][:n]
+                ref, _ = loop_dop853(unfused_field(sm, lam, n), y0, [0.4])
+                assert _hex(flows._solve(sm._system(lam, n), y0, [0.4])) == _hex(ref)
+        assert flows._step.cache_info().misses == misses
+
+
+def _hex(states):
+    return [[v.hex() for v in row] for row in states]
+
+
+def _counted_solve(sm, lam, n, y0, times, rhs=None):
+    """(states, calls, attempts): ``_solve`` on the generated system of n
+    components at lambda, or on rhs in the plain call form, with a 1 in calls
+    per call of a Python field and in attempts per step attempt."""
+    calls, attempts = [], []
+    if rhs is None:  # the field written into the step: only _solve's calls
+        bound, step = sm._system(lam, n)
+        field = lambda t, y: calls.append(1) or bound(t, y)  # noqa: E731
+    else:  # every call, the stages' among them
+        field, step = flows._step(n)(lambda t, y: calls.append(1) or rhs(t, y))
+    counted = (field, lambda *a: attempts.append(1) or step(*a))
+    return flows._solve(counted, y0, times), calls, attempts
 
 
 class TestPeriodLattice:

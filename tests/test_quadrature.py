@@ -34,6 +34,7 @@ from oracles import (
     mp_passage_ends,
     mp_passage_time,
     onedof_section_area,
+    polymul_zero_poly,
     quad_area_kernel,
     quad_form_kernel,
     quad_level_integral,
@@ -830,3 +831,21 @@ class TestBatchedBuilders:
         assert len(errors) >= 2
         with pytest.raises(OnSigmaError, match=re.escape(errors[0])):
             action_chart(model, hs, lams)
+
+
+class TestZeroPoly:
+    @pytest.mark.parametrize("make", [cusp_local_model, cusp_compact_model])
+    def test_matches_polymul_roots_bit_for_bit(self, make):
+        # x-odd terms take the E^2 - P O^2 branch; lambda = 0 under lambda^k
+        # terms leaves leading zeros, which np.polymul trims
+        rng = np.random.default_rng(53)
+        for _ in range(40):
+            exps = {tuple(int(v) for v in rng.integers(0, (6, 4, 4))) for _ in range(rng.integers(1, 6))}
+            f = Density({(0, 0, 0): 1.0, **{e: float(rng.uniform(-0.5, 0.5)) for e in exps}})
+            for lam in (0.0, float(rng.uniform(-0.06, 0.02))):
+                p = np.trim_zeros(-make().potential_coeffs(lam), "f")
+                p[-1] += float(rng.uniform(-0.01, 0.01))
+                got, ref = quadrature._zero_poly(f, p, lam), polymul_zero_poly(f, p, lam)
+                assert np.trim_zeros(got, "f").tobytes() == np.trim_zeros(ref, "f").tobytes()
+                roots = model_module._stacked_roots([got, ref])
+                assert roots[0].tobytes() == roots[1].tobytes()
