@@ -26,8 +26,7 @@ import numpy as np
 
 from . import brieskorn, equivalence, flows
 from .model import CUSP_COMPACT, CUSP_LOCAL, IDENTITY_BASE_MAP, ONE_DOF, Density, FibrationModel
-from .model import bifurcation_diagram
-from .quadrature import action_chart
+from .quadrature import _levels, _strata, action_chart
 from .specfun import puiseux_constants
 
 
@@ -197,9 +196,10 @@ def cmd_invariants(args) -> int:
 def cmd_lattice(args) -> int:
     sm = flows.SymplecticModel(_load_model(args.sys, args.command))
     h, lam = args.at
-    if bifurcation_diagram(sm.model, domain_radius=math.inf).stratum(h, lam) != args.stratum:
+    level = _levels(sm.model, [(h, lam)])  # the stratum and the lattice read one level
+    if _strata(level, math.inf) != [args.stratum]:
         raise InputError(f"(H, lambda) = ({h}, {lam}) is off the {args.stratum} stratum")
-    lattice = flows.period_lattice(sm, h, lam, stratum=args.stratum, k=args.mu_shift)
+    lattice = flows._period_lattice(sm, level, args.stratum, args.mu_shift)
     payload = lattice.to_json()
     if args.verify:
         start = _start_point(sm, h, lam, lattice.oval)

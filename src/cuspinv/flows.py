@@ -272,7 +272,12 @@ def period_lattice(
     which are exact up to quadrature tolerance (W_lambda = y here).  The
     three integrals share one level and one engine call.
     """
-    f, level = sm.model.density, _levels(sm.model, [(H, lam)])
+    return _period_lattice(sm, _levels(sm.model, [(H, lam)]), stratum, k)
+
+
+def _period_lattice(sm: SymplecticModel, level, stratum: str, k: int) -> PeriodLattice:
+    """``period_lattice`` on the one level of a level batch."""
+    f = sm.model.density
     y_density = Density({(0, 1, 0): 1})
     kernels = (form_kernel(f), form_kernel(f * y_density), area_kernel(f.diff(2)))
     (job,) = _built(_oval_jobs(kernels[:1], level, stratum))

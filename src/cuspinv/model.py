@@ -13,14 +13,15 @@ Model kinds
 
 Each Hamiltonian is written once, in ``_hamiltonian_for``; the potential W of
 the cusp models (H = x^2 + W(y; lambda)) is read off it.  Sigma is the set of
-critical values of W, its two branches W at the critical points nearest y = 0.
-All of these come from one array-form critical table (``_Critical``): W' of
-every lambda of a query solved at once, the cusp pair, W and W'' read off
-the roots.  A request asks for its polynomials in one stacked root solve per
-dependency step (``_solved``), the table's W' rows beside the levels of
-``quadrature``.  One rule, ``sigma_flags``, puts a level on Sigma: within
-SIGMA_RTOL of a critical value, relative to the gaps to the critical values
-next to it.
+critical values of W, its two branches W at the cusp pair, the top two
+critical points.  All of these come from one array-form critical table
+(``_Critical``): W' of every lambda of a query solved at once, the cusp
+pair, W and W'' read off the roots.  The strata of the diagram are read off
+the levels of its points by the oval builders' rule (``quadrature._strata``).
+A request asks for its polynomials in one stacked root solve per dependency
+step (``_solved``), the table's W' rows beside the levels of ``quadrature``.
+One rule, ``sigma_flags``, puts a level on Sigma: within SIGMA_RTOL of a
+critical value, relative to the gaps to the critical values next to it.
 
 The map (x, y, H) -> (x, -y, -H) carries the cusp_local model at lambda = 0
 to the one_dof model; densities transform by f(x, y) -> f(x, -y).
@@ -551,20 +552,17 @@ class _Critical(NamedTuple):
 
     def cusp_pair(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(y, W(y), W''(y)) at the cusp pair, (n, 2) arrays of the elliptic and
-        the hyperbolic column, NaN for a branch absent: of the two critical
-        points nearest y = 0, the minimum (W'' > 0) carries the elliptic branch,
-        the saddle (W'' < 0) the hyperbolic one.  At lambda < 0 the pair has
-        unfolded from the cusp at y = 0; the compact model's deep well near
-        y = -3/4 lies farther from 0 than both."""
-        near = np.argsort(np.abs(self.crit), axis=1, kind="stable")[:, :2]
-        d2w = _derivative(_derivative(self.w))
-        curvature = _horner(d2w.T[..., None], np.take_along_axis(self.crit, near, axis=1))
-        signs = np.stack((curvature > 0, curvature < 0), axis=1)  # (lambda, branch, candidate)
-        first, absent = signs.argmax(axis=2), ~signs.any(axis=2)
-        cols = np.take_along_axis(near, first, axis=1)
-        picked = [np.take_along_axis(v, cols, axis=1) for v in (self.crit, self.values)]
-        picked.append(np.take_along_axis(curvature, first, axis=1))
-        return tuple(np.where(absent, np.nan, v) for v in picked)
+        the hyperbolic column, NaN for a branch absent: the top critical
+        point carries the elliptic branch where it is a minimum (W'' > 0), the
+        one below it the hyperbolic branch where it is a saddle (W'' < 0).  At
+        lambda < 0 the pair has unfolded from the cusp at y = 0; the compact
+        model's deep well near y = -3/4 lies below both, and past lambda =
+        -1/4, where it has met the saddle, only the minimum is left."""
+        top = np.maximum(np.count_nonzero(~np.isnan(self.crit), axis=1)[:, None] - [1, 2], 0)
+        y, values = (np.take_along_axis(v, top, axis=1) for v in (self.crit, self.values))
+        curvature = _horner(_derivative(_derivative(self.w)).T[..., None], y)
+        absent = ~(curvature * [1.0, -1.0] > 0)
+        return tuple(np.where(absent, np.nan, v) for v in (y, values, curvature))
 
 
 def _derivative(rows: np.ndarray) -> np.ndarray:
@@ -596,10 +594,10 @@ class BifurcationDiagram:
     """Bifurcation diagram Sigma near the cusp point.
 
     At each lambda < 0 asked about, the elliptic and hyperbolic values are
-    W at the cusp pair of critical points; every query takes all its lambdas
-    or (H, lambda) points at once and reads the critical table of their W'
-    (``_Critical``), one root solve or a share of a request's solve
-    (``_branch_ask``).
+    W at the cusp pair of critical points; every branch query takes all its
+    lambdas at once and reads the critical table of their W' (``_Critical``),
+    one root solve or a share of a request's solve (``_branch_ask``); the
+    strata of (H, lambda) points are read off one level solve of them.
     For the canonical local model Sigma = {H^2 = -(4/27) lambda^3} with the
     elliptic branch at H < 0 and the hyperbolic branch at H > 0; the
     swallow-tail interior is {H^2 < -(4/27) lambda^3}.
@@ -639,30 +637,18 @@ class BifurcationDiagram:
         return float(_solved(self._branch_ask([lam], (1,)))[0][0, 1])
 
     def stratum(self, H: float, lam: float) -> str:
-        """'narrow' on the swallow-tail interior, 'wide' on other non-empty
-        compact levels in the domain, 'outside' otherwise (on Sigma too)."""
+        """'narrow' where the level has its narrow oval, the vanishing cycle
+        inside the swallow-tail; 'wide' where a compact level has its wide
+        oval; 'outside' otherwise, on Sigma at the oval's ends too."""
         return self.strata([(H, lam)])[0]
 
     def strata(self, points) -> list[str]:
-        """stratum(H, lambda) of each of a list of (H, lambda) points, from one
-        root solve of the W' at their lambdas: outside past the radius, within
-        SIGMA_RTOL of the cusp point and where ``sigma_flags`` puts H on Sigma;
-        narrow between the top two critical values, the cusp pair's (W rises
-        past the last); wide on the compact model above the least one."""
-        points = list(points)
-        if not points:
-            return []
-        lams = {lam: i for i, lam in enumerate(dict.fromkeys(l for _, l in points))}
-        (table,) = _solved(_critical_ask(_potentials(self.model, lams)))
-        values = table.values[[lams[lam] for _, lam in points]]
-        (H, lam), k = np.array(points).T, np.count_nonzero(~np.isnan(values), axis=1)
-        h_hyp, h_ell = np.take_along_axis(values, np.maximum(k - 2, 0)[:, None] + [0, 1], axis=1).T
-        off = np.array([math.hypot(*p) > self.domain_radius for p in points])
-        off |= (abs(lam) <= SIGMA_RTOL) & (abs(H) <= SIGMA_RTOL)
-        off |= sigma_flags(H, values).any(axis=1)
-        filled = H > np.fmin.reduce(values, axis=1, initial=np.inf)
-        names = ["outside", "narrow", "wide" if self.model.kind == CUSP_COMPACT else "outside"]
-        return np.select([off, (h_ell < H) & (H < h_hyp), filled], names, "outside").tolist()
+        """stratum(H, lambda) of each of a list of (H, lambda) points, read
+        off one level solve of them by the rule of the oval builders
+        (``quadrature._strata``); outside past the radius."""
+        from .quadrature import _levels, _strata  # quadrature builds on this module
+
+        return _strata(_levels(self.model, points), self.domain_radius)
 
 
 def bifurcation_diagram(

@@ -22,7 +22,9 @@ by (kernel, substitution) so that a group's subintervals are one slice; a
 job's value depends on its own subintervals only.  The builders,
 ``_oval_jobs`` and ``_arc_jobs`` (passages from y = -inf, section times, the
 separatrix lobe), take a batch of levels and give each its job or the error
-of its first failed check, which a caller raises or leaves blank.
+of its first failed check, which a caller raises or leaves blank.  The
+strata are the oval builders' rule, read off their failed checks
+(``_strata``): a chart and a lattice classify on the levels they integrate.
 
 Orientation: loop periods and loop actions are positive; passage times run
 from N1 = {x = +x0} to N2 = {x = -x0} (swapping the sections flips the
@@ -42,8 +44,10 @@ import numpy as np
 
 from .model import (
     CUSP_COMPACT,
+    DEFAULT_DOMAIN_RADIUS,
     NODE,
     ONE_DOF,
+    SIGMA_RTOL,
     Density,
     FibrationModel,
     OnSigmaError,
@@ -53,7 +57,6 @@ from .model import (
     _potentials,
     _solved,
     _synthetic_division,
-    bifurcation_diagram,
     cusp_local_model,
     saddles,
     sigma_flags,
@@ -101,6 +104,11 @@ class _Levels(NamedTuple):
     interval: np.ndarray
     rises: np.ndarray
     sections: np.ndarray | None
+
+    def take(self, rows: list[int]) -> _Levels:
+        """The levels of the given rows."""
+        fields = (v if v is None else v[rows] for v in self[2:])
+        return _Levels(self.kind, [self.points[i] for i in rows], *fields)
 
 
 def _level_ask(model: FibrationModel, points, x0: float | None = None):
@@ -227,8 +235,14 @@ def _jobs(kernels, levels: _Levels, sub: str, a, b, r, upper, checks) -> list:
 
 def _oval_jobs(kernels, levels: _Levels, oval: str) -> list:
     """The jobs around the levels' ovals, one kernel each, or the error of
-    their first failed check, from one synthetic division of all the levels.
-    A narrow oval needs P's roots all real and H off Sigma, and ends at the top
+    their first failed check (``_ovals``)."""
+    return _jobs(kernels, levels, *_ovals(levels, oval))
+
+
+def _ovals(levels: _Levels, oval: str) -> tuple:
+    """``_jobs``' arguments past the levels for their ovals: the ends a and b,
+    R from one synthetic division of all the levels, and the checks.  A
+    narrow oval needs P's roots all real and H off Sigma, and ends at the top
     two; a wide one (compact model) at the lowest two, H off Sigma there."""
     if oval not in ("narrow", "wide"):
         raise ValueError(f"unknown oval {oval!r}")
@@ -249,7 +263,19 @@ def _oval_jobs(kernels, levels: _Levels, oval: str) -> list:
     r = -_synthetic_division(_synthetic_division(levels.p, a), b)
     mid = _horner(r.T, 0.5 * (a + b))
     checks.append((mid <= 0, OnSigmaError, "deflated factor not positive on the oval"))
-    return _jobs(kernels, levels, "oval", a, b, r, np.full(len(a), math.pi / 2.0), checks)
+    return "oval", a, b, r, np.full(len(a), math.pi / 2.0), checks
+
+
+def _strata(levels: _Levels, radius: float) -> list[str]:
+    """The stratum of each level: 'narrow' where ``_oval_jobs`` builds a narrow
+    job, else on the compact model 'wide' where it builds a wide one, else
+    'outside'; 'outside' too past the radius and within SIGMA_RTOL of the
+    cusp point.  Read off the builders' failed-check masks, no message made."""
+    off = [math.hypot(*p) > radius or max(map(abs, p)) <= SIGMA_RTOL for p in levels.points]
+    ovals = ("narrow", "wide") if levels.kind == CUSP_COMPACT else ("narrow",)
+    built = [~np.logical_or.reduce([failed for failed, *_ in _ovals(levels, o)[-1]]) for o in ovals]
+    names = ("outside", *ovals, "outside")  # the first that holds
+    return [names[k] for k in np.vstack((off, *built, [True] * len(off))).argmax(axis=0).tolist()]
 
 
 # -- the engine --------------------------------------------------------------------
@@ -589,9 +615,6 @@ def _lobe_areas(model: FibrationModel, lams: list, a: np.ndarray, h: np.ndarray)
 
 # -- action charts -----------------------------------------------------------------
 
-#: chart entries that exist wherever their stratum does; Pi and I_mu may be blank
-_NARROW = ("Pi_circ", "I_circ")
-
 
 @dataclass
 class ActionChartRow:
@@ -619,11 +642,14 @@ class ActionChart:
     CSV_HEADER = "H,lambda,stratum,Pi,Pi_circ,I,I_circ,I_mu"
 
     def to_csv(self) -> str:
-        def fmt(v) -> str:
-            return v if isinstance(v, str) else "" if v is None else f"{v:.12g}"
-
+        """The rows as CSV, column by column: each value of a column formatted
+        once, a zero each time (0.0 == -0.0), None as an empty entry."""
         rows = ((r.H, r.lam, r.stratum, r.Pi, r.Pi_circ, r.I, r.I_circ, r.I_mu) for r in self.rows)
-        return "\n".join([self.CSV_HEADER, *(",".join(map(fmt, row)) for row in rows)]) + "\n"
+        columns = []
+        for values in zip(*rows):
+            text = {v: v if isinstance(v, str) else f"{v:.12g}" for v in set(values) if v}
+            columns.append([text[v] if v else "" if v is None else f"{v:.12g}" for v in values])
+        return "\n".join([self.CSV_HEADER, *map(",".join, zip(*columns))]) + "\n"
 
 
 def action_chart(
@@ -637,38 +663,36 @@ def action_chart(
 
     I = lambda everywhere in the domain (F generates the S^1 action);
     Pi_circ and I_circ exist on the narrow stratum, I_mu on the compact
-    model away from Sigma_hyp.  The strata of all cells come from one diagram
-    solve, their levels and sections from one stacked root solve and their
-    integrals from one engine call; each cell is the scalar value bit for bit.
+    model away from Sigma_hyp.  The levels of the cells in the domain and
+    their sections are one stacked root solve, which gives the cells their
+    strata (``_strata``); each column's jobs are built on the cells of its
+    strata, and all integrals are one engine call; each cell is the scalar
+    value bit for bit.
     """
     form, area = form_kernel(model.density), area_kernel(model.density)
-    points = [(h, lam) for lam in lam_values for h in H_values]
-    rows = [
-        ActionChartRow(h, lam, stratum, None, None, None, None, None)
-        for (h, lam), stratum in zip(points, bifurcation_diagram(model).strata(points))
-        if not stratum_filter or stratum == stratum_filter
+    rows = [ActionChartRow(h, lam, "outside", *[None] * 5) for lam in lam_values for h in H_values]
+    near = [row for row in rows if math.hypot(row.H, row.lam) <= DEFAULT_DOMAIN_RADIUS]
+    levels = _levels(model, [(row.H, row.lam) for row in near], model.x0)
+    for row, stratum in zip(near, _strata(levels, DEFAULT_DOMAIN_RADIUS)):
+        row.stratum = stratum
+    kept = {stratum_filter} if stratum_filter else {"narrow", "wide", "outside"}
+    inside = [i for i, row in enumerate(near) if row.stratum != "outside" and row.stratum in kept]
+    narrow = [i for i in inside if near[i].stratum == "narrow"]
+    loops = _built(_oval_jobs([form] * len(narrow), levels.take(narrow), "narrow"))
+    on_inside = levels.take(inside)
+    columns = [  # each on the cells of its strata; I_circ has Pi_circ's ends and R
+        ("Pi", inside, _arc_jobs([form] * len(inside), on_inside, -math.inf)),
+        ("Pi_circ", narrow, loops),
+        ("I_circ", narrow, [replace(job, kernel=area) for job in loops]),
     ]
-    inside = [row for row in rows if row.stratum != "outside"]
-    levels, n = _levels(model, [(r.H, r.lam) for r in inside], model.x0), len(inside)
-    narrow = _oval_jobs([form] * n, levels, "narrow")  # I_circ: the same ends and R
-    columns = {"Pi": _arc_jobs([form] * n, levels, -math.inf), "Pi_circ": narrow}
-    columns["I_circ"] = [replace(j, kernel=area) if isinstance(j, LevelJob) else j for j in narrow]
     if model.kind == CUSP_COMPACT:
-        columns["I_mu"] = _oval_jobs([area] * n, levels, "wide")
-    # the narrow columns on narrow cells only; the first such cell without its job raises
-    cells: list[tuple[ActionChartRow, str, LevelJob]] = []
-    for i, row in enumerate(inside):
-        row.I = row.lam
-        for name, jobs in columns.items():
-            if name in _NARROW and row.stratum != "narrow":
-                continue
-            if isinstance(jobs[i], LevelJob):
-                cells.append((row, name, jobs[i]))
-            elif name in _NARROW:
-                raise jobs[i]
-    values = _level_integrals([job for _, _, job in cells]).tolist()
+        columns.append(("I_mu", inside, _oval_jobs([area] * len(inside), on_inside, "wide")))
+    cells = [(near[i], name, job) for name, at, jobs in columns for i, job in zip(at, jobs)]
+    cells = [cell for cell in cells if isinstance(cell[2], LevelJob)]
+    values = _level_integrals([job for *_, job in cells]).tolist()
     for (row, name, _), v in zip(cells, values):
-        if math.isnan(v) and name in _NARROW:
+        row.I = row.lam  # every inside cell has a job: its stratum's oval
+        if math.isnan(v) and name in ("Pi_circ", "I_circ"):  # Pi and I_mu may be blank
             raise OnSigmaError(f"{name} does not converge at (H, lambda) = ({row.H}, {row.lam})")
         if math.isnan(v):
             continue
@@ -677,4 +701,4 @@ def action_chart(
         elif name == "I_mu":
             v = v / (2.0 * math.pi) + mu_shift * row.lam
         setattr(row, name, v)
-    return ActionChart(rows=rows, mu_shift=mu_shift)
+    return ActionChart(rows=[row for row in rows if row.stratum in kept], mu_shift=mu_shift)

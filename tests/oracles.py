@@ -24,7 +24,9 @@ passage times of the cusp models at 40 digits with mpmath between their own
 roots of the level and of the sections, the matrix of the symplectic form Omega
 written out entry by entry, the real roots of one polynomial at a time
 from ``np.roots`` with a scalar Newton polish, against which the stacked
-root solve must agree bit for bit, the cusp pair of critical points of one
+root solve must agree bit for bit, the count and place of the real roots of a
+level at a rational (H, lambda) by sympy's exact real-root isolation, the
+cusp pair of critical points of one
 W at a time on that route, with np.polyder and np.polyval per W, against
 which the cusp pair, the branch values and W'' of the array-form critical
 table (``model._Critical``) must agree bit for bit, the H-field through ``Density.eval`` at every
@@ -583,6 +585,31 @@ def reference_polish(coeffs, r: float) -> float:
             break
         r = r - fv / dv
     return r
+
+
+def exact_level(kind: str, H: float, lam: float) -> tuple[list[int], int] | None:
+    """(per real root of P = H - W, ascending, its interval: the number of
+    real critical points of W below it; the number of real critical points)
+    at (H, lambda) read as exact rationals, from sympy's real-root isolation
+    in rational arithmetic: ``Poly.count_roots`` of P and W', and
+    ``intervals`` of both at once, whose isolating intervals separate the
+    roots of the two.  None where P and W' share a root: H on Sigma exactly."""
+    import sympy
+
+    y = sympy.Symbol("y")
+    H, lam = (sympy.Rational(*Fraction(v).as_integer_ratio()) for v in (H, lam))
+    w = {"cusp_local": y**3 + lam * y, "cusp_compact": y**4 + y**3 + lam * y}[kind]
+    p, dw = sympy.Poly(H - w, y), sympy.Poly(sympy.diff(w, y), y)
+    isolated = [owners for _, owners in sympy.intervals([p, dw])]
+    if any(len(owners) == 2 for owners in isolated):
+        return None
+    # each root as often as its multiplicity (the double root of W' at lambda = 0)
+    below, intervals = 0, []
+    for owners in isolated:
+        intervals += [below] * owners.get(0, 0)
+        below += owners.get(1, 0)
+    assert [sum(i in o for o in isolated) for i in (0, 1)] == [p.count_roots(), dw.count_roots()]
+    return intervals, below
 
 
 def cusp_pair(wc) -> tuple[float | None, float | None]:

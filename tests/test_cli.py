@@ -486,6 +486,23 @@ class TestLattice:
         assert out == _json_dumps(flows.period_lattice(sm, 0.05, 0.02, "wide").to_json())
         assert json.loads(out)["basis"] == [[0.0, 2 * math.pi], [5.689387203340221, 1.481674307985012]]
 
+    def test_stratum_read_off_the_level_of_the_lattice(self, files, capsys):
+        # at lambda in (-1/4, -0.13) the deep well's value W(d) lies above the
+        # elliptic minimum W(e); for H between them the level has only the
+        # oval around e, which is wide: the stratum is what the builders build
+        from cuspinv import flows
+        from cuspinv.cli import _json_dumps
+        from cuspinv.model import FibrationModel
+
+        argv = ["lattice", "--sys", str(files["compact"]), "--at", "0.01065", "-0.1994"]
+        code, out, err = _run(capsys, argv + ["--stratum", "narrow"])
+        assert code == 2 and out == ""
+        assert "(H, lambda) = (0.01065, -0.1994) is off the narrow stratum" in err
+        code, out, _ = _run(capsys, argv + ["--stratum", "wide"])
+        sm = flows.SymplecticModel(FibrationModel.from_json(files["compact"].read_text()))
+        assert code == 0
+        assert out == _json_dumps(flows.period_lattice(sm, 0.01065, -0.1994, "wide").to_json())
+
     def test_stratum_checked_beyond_the_domain_radius(self, files, capsys):
         # |(H, lambda)| = 0.2 lies past the diagram's default radius 0.08, on
         # the narrow stratum of the unbounded local model
@@ -860,15 +877,15 @@ def test_numeric_option_rejects_non_finite(tmp_path, capsys, command, option, va
 #: transport per system its levels with the zeros of f on them
 SOLVES_PER_REQUEST = [
     ("decompose --density {f1}", 1, 1),
-    ("actions --model {compact}", 2, 1),
-    ("actions --model {compact} --grid 21x21 --h-range -0.01 0.01 --l-range -0.06 0.02", 2, 1),
+    # the chart's strata and the lattice's stratum check read the one level solve
+    ("actions --model {compact}", 1, 1),
+    ("actions --model {compact} --grid 21x21 --h-range -0.01 0.01 --l-range -0.06 0.02", 1, 1),
     ("invariants --sys {local}", 2, 1),
     ("invariants --sys {compact}", 2, 1),
     ("compare --sys1 {local} --sys2 {local2}", 2, 1),
     ("compare --sys1 {compact} --sys2 {compact}", 2, 1),
-    # the stratum check is a diagram solve, the lattice a level solve
-    ("lattice --sys {compact} --at 0.0 -0.05 --verify", 2, 1),
-    ("lattice --sys {compact} --at 0.05 0.02 --stratum wide --verify", 2, 1),
+    ("lattice --sys {compact} --at 0.0 -0.05 --verify", 1, 1),
+    ("lattice --sys {compact} --at 0.05 0.02 --stratum wide --verify", 1, 1),
     ("transport --sys1 {local} --sys2 {local2} --points {pts}", 2, 2),
 ]
 

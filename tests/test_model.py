@@ -9,6 +9,7 @@ import pytest
 from scipy.optimize import brentq
 
 from cuspinv import model as model_module
+from cuspinv import quadrature
 from cuspinv.model import (
     CUSP_COMPACT,
     CUSP_LOCAL,
@@ -239,8 +240,8 @@ class TestBifurcationDiagram:
             d.branch_values(-0.3)
 
     def test_root_solves_counted(self, monkeypatch):
-        # one stacked solve of one polynomial (W') per stratum query, none at
-        # construction
+        # one stacked solve of two polynomials (the level and W') per stratum
+        # query, none at construction
         calls = []
         real_roots = model_module._stacked_roots
 
@@ -256,7 +257,7 @@ class TestBifurcationDiagram:
             for h in (-0.01, 0.0, 0.01):
                 calls.clear()
                 d.stratum(h, -0.05)
-                assert calls == [1], (m.kind, h)
+                assert calls == [2], (m.kind, h)
 
     def test_swallowtail_membership(self):
         d = bifurcation_diagram(cusp_local_model())
@@ -320,13 +321,16 @@ class TestBifurcationDiagram:
         points = [(h, lam) for lam in lams for h in np.linspace(-0.03, 0.03, 13)]
         points += [(v, lam) for lam in (-0.05, -0.02) for v in d.branch_values(lam)]
         calls = []
-        real_roots = model_module._stacked_roots
-        monkeypatch.setattr(
-            model_module, "_stacked_roots", lambda polys: calls.append(len(polys)) or real_roots(polys)
-        )
+        real_levels = quadrature._levels
+
+        def levels(m, pts, *x0):
+            calls.append(pts)
+            return real_levels(m, pts, *x0)
+
+        monkeypatch.setattr(quadrature, "_levels", levels)
         strata = d.strata(points)
-        # one solve, of the W' of the distinct lambdas
-        assert calls == [len(lams)]
+        # one level solve, of all the points
+        assert calls == [points]
         assert strata == [d.stratum(h, lam) for h, lam in points]
         assert {"narrow", "outside"} <= set(strata)
 

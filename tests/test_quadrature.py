@@ -6,9 +6,19 @@ import pytest
 
 from cuspinv import model as model_module
 from cuspinv import quadrature
-from cuspinv.model import Density, bifurcation_diagram, cusp_compact_model, cusp_local_model, node_model, one_dof_model
+from cuspinv.model import (
+    DEFAULT_DOMAIN_RADIUS,
+    Density,
+    bifurcation_diagram,
+    cusp_compact_model,
+    cusp_local_model,
+    node_model,
+    one_dof_model,
+)
 from cuspinv.flows import SymplecticModel, period_lattice
 from cuspinv.quadrature import (
+    ActionChart,
+    ActionChartRow,
     LevelJob,
     OnSigmaError,
     StratumError,
@@ -29,6 +39,7 @@ from cuspinv.quadrature import (
 from cuspinv.specfun import puiseux_constants
 
 from oracles import (
+    exact_level,
     grid_area,
     local_sigma_values,
     mp_passage_ends,
@@ -447,6 +458,31 @@ class TestActionChart:
         assert chart1.to_csv().splitlines()[0] == "H,lambda,stratum,Pi,Pi_circ,I,I_circ,I_mu"
         assert chart1.to_csv() == chart2.to_csv()
 
+    def test_csv_by_column_equals_row_by_row(self):
+        # each value of a column formatted once: signed zeros, which are
+        # equal, keep their own signs; None is an empty entry
+        rows = [
+            ActionChartRow(h, lam, stratum, v, None, lam, -v, 1.0)
+            for h, lam, stratum, v in [
+                (-0.0, 0.0, "narrow", 0.0),
+                (0.0, -0.0, "wide", -0.0),
+                (-0.0, -0.0, "outside", 1 / 3),
+                (1e-17, 0.0, "narrow", 2.5e300),
+                (0.0, 1e-17, "wide", -1 / 3),
+                (-0.0, 0.0, "narrow", 0.0),
+            ]
+        ]
+
+        def fmt(v):
+            return v if isinstance(v, str) else "" if v is None else f"{v:.12g}"
+
+        fields = ("H", "lam", "stratum", "Pi", "Pi_circ", "I", "I_circ", "I_mu")
+        want = [",".join(fmt(getattr(r, k)) for k in fields) for r in rows]
+        csv = ActionChart(rows, 0).to_csv()
+        assert csv == "\n".join([ActionChart.CSV_HEADER, *want]) + "\n"
+        assert "-0,0,narrow,0,,0,-0,1" in csv.splitlines()
+        assert ActionChart([], 0).to_csv() == ActionChart.CSV_HEADER + "\n"
+
     def test_stratum_filter(self):
         m = cusp_compact_model(F_ONE)
         chart = action_chart(m, [-0.003, 0.0, 0.003], [-0.05, 0.01], stratum_filter="narrow")
@@ -580,9 +616,8 @@ class TestBatchedEngine:
                 assert value == scalar[name](model, row.H, row.lam), (model.kind, row, name)
 
     def test_one_engine_call_and_one_root_solve_per_level(self, monkeypatch):
-        # one diagram solve of the W' of every lambda row, and one stacked
-        # solve of the levels and sections of all inside cells with the W' of
-        # their lambdas
+        # one stacked solve of the levels and sections of all cells in the
+        # domain with the W' of their lambdas, which gives the strata too
         engine_calls = []
         real_engine = quadrature._level_integrals
 
@@ -592,20 +627,21 @@ class TestBatchedEngine:
 
         monkeypatch.setattr(quadrature, "_level_integrals", engine)
         root_calls = _count_root_solves(monkeypatch)
-        hs, ls = self.GRID
+        hs, ls = self.GRID[0], [*self.GRID[1], 0.09]  # a row past the radius
         for model in (cusp_compact_model(F_CHART), cusp_local_model(F_CHART)):
             engine_calls.clear()
             root_calls.clear()
             chart = action_chart(model, hs, ls)
+            near = [r for r in chart.rows if math.hypot(r.H, r.lam) <= DEFAULT_DOMAIN_RADIUS]
+            polys = [_level_coeffs(model, r.H, r.lam) for r in near]
+            polys += [_level_coeffs(model, r.H - model.x0**2, r.lam) for r in near]
+            near_lams = dict.fromkeys(r.lam for r in near)
+            dws = [(0.0, *np.polyder(model.potential_coeffs(lam))) for lam in near_lams]
             inside = [r for r in chart.rows if r.stratum != "outside"]
-            polys = [_level_coeffs(model, r.H, r.lam) for r in inside]
-            polys += [_level_coeffs(model, r.H - model.x0**2, r.lam) for r in inside]
-            dws = [tuple(np.polyder(model.potential_coeffs(lam))) for lam in ls]
-            inside_lams = dict.fromkeys(r.lam for r in inside)
-            inside_dws = [(0.0, *np.polyder(model.potential_coeffs(lam))) for lam in inside_lams]
-            assert len(engine_calls) == 1 and engine_calls[0] > len(inside)
-            assert len(root_calls) == 2 and root_calls[0] == dws
-            assert sorted(root_calls[1]) == sorted(polys + inside_dws)
+            assert len(engine_calls) == 1 and engine_calls[0] > len(inside) > 0
+            assert len(near) < len(chart.rows)
+            assert len(root_calls) == 1
+            assert sorted(root_calls[0]) == sorted(polys + dws)
             # every level polynomial is solved exactly once
             solved = [p for c in root_calls for p in c]
             assert all(solved.count(p) == 1 for p in polys)
@@ -644,6 +680,34 @@ class TestBatchedEngine:
                 assert row[~np.isnan(row)].tolist() == level.section
             else:
                 assert levels.sections is None
+
+    @pytest.mark.parametrize("make", [cusp_local_model, cusp_compact_model])
+    def test_levels_match_exact_root_isolation(self, make):
+        # each level's real roots and their intervals between the critical
+        # points, against sympy's isolation at the same (H, lambda) read as
+        # rationals: across the plane, in the compact model's chamber where
+        # W(d) > W(e), past lambda = -1/4, and 1e-9 and 1e-6 of the Sigma
+        # rule's scale off each critical value
+        model = make()
+        lams = [-0.3, -0.2499, -0.1994, -0.12, -0.05, -1e-3, -1e-6, 0.0, 0.01, 0.07]
+        points = [(h, lam) for lam in lams for h in (-0.11, -0.05, -0.01, 0.005, 0.01065, 0.05, 0.2)]
+        for lam, crit in zip(lams, quadrature._levels(model, [(0.0, lam) for lam in lams]).crit):
+            values = np.polyval(model.potential_coeffs(lam), crit[~np.isnan(crit)])
+            gaps = np.abs(np.diff(values))
+            for i, v in enumerate(values):
+                scale = min([1.0, *gaps[max(i - 1, 0) : i + 1]])
+                points += [(float(v + t * scale), lam) for t in (1e-9, -1e-9, 1e-6, -1e-6, 0.3, -0.3)]
+        levels = quadrature._levels(model, points)
+        for (h, lam), roots, interval, crit, sigma in zip(
+            points, levels.roots, levels.interval, levels.crit, levels.sigma
+        ):
+            exact = exact_level(model.kind, h, lam)
+            if (h, lam) == (0.0, 0.0):  # the gap 0 of W's inflection puts every t on it
+                assert exact is None
+                continue
+            count = int((~np.isnan(roots)).sum())
+            assert not sigma.any()
+            assert (interval[:count].tolist(), int((~np.isnan(crit)).sum())) == exact, (h, lam)
 
     def test_interleaved_groups_answer_in_the_callers_order(self):
         # wide ovals under the form and the area kernel, passage arcs under the
@@ -807,30 +871,6 @@ class TestBatchedBuilders:
         assert len({id(job.kernel) for job in jobs}) == 3
         for got, job in zip(jobs, want, strict=True):
             assert _same_job(got, lambda: job) is LevelJob
-
-    def test_first_failing_narrow_cell_raises(self, monkeypatch):
-        # cells on Sigma called narrow: the chart raises the scalar route's
-        # error of the first of them in row order (lambda-major, H-minor)
-        model = cusp_local_model(F_ONE)
-        lams = [-0.05, -0.02]
-        h_ell, h_hyp = local_sigma_values(lams[0])
-        hs = [0.5 * (h_ell + h_hyp), h_hyp, h_ell]
-
-        class AllNarrow:
-            def strata(self, points):
-                return ["narrow"] * len(points)
-
-        monkeypatch.setattr(quadrature, "bifurcation_diagram", lambda _: AllNarrow())
-        errors = []
-        for lam in lams:
-            for h in hs:
-                try:
-                    scalar_oval_job(None, scalar_level(model, h, lam), "narrow")
-                except OnSigmaError as exc:
-                    errors.append(str(exc))
-        assert len(errors) >= 2
-        with pytest.raises(OnSigmaError, match=re.escape(errors[0])):
-            action_chart(model, hs, lams)
 
 
 class TestZeroPoly:

@@ -2,6 +2,9 @@
 |H - W(c)| < SIGMA_RTOL min(1, the gaps to the critical values next to W(c)).
 The diagram, the oval builders and the passage builder read it alike."""
 
+import contextlib
+import io
+import json
 import math
 
 import numpy as np
@@ -11,8 +14,9 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from cuspinv import quadrature  # noqa: E402
+from cuspinv import cli, quadrature  # noqa: E402
 from cuspinv.model import (  # noqa: E402
+    SIGMA_RTOL,
     Density,
     bifurcation_diagram,
     cusp_compact_model,
@@ -21,6 +25,7 @@ from cuspinv.model import (  # noqa: E402
     sigma_flags,
 )
 from cuspinv.quadrature import (  # noqa: E402
+    QUAD_LIMIT,
     LevelJob,
     OnSigmaError,
     StratumError,
@@ -67,6 +72,56 @@ def test_diagram_and_builders_agree_on_sigma_hyp(make, lam, t, hyperbolic):
         assert isinstance(passage, LevelJob) or blank_pi
     # the points within 1e-13 of the spread lie on Sigma, those 1e-9 away off it
     assert flags.any() == (abs(t) <= 1e-13)
+
+
+@pytest.fixture(scope="module")
+def model_files(tmp_path_factory):
+    root = tmp_path_factory.mktemp("models")
+    paths = {}
+    for make in (cusp_local_model, cusp_compact_model):
+        paths[make] = root / f"{make().kind}.json"
+        paths[make].write_text(json.dumps(make().to_json()))
+    return paths
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(
+    st.sampled_from([cusp_local_model, cusp_compact_model]),
+    st.floats(-0.4, 0.1),
+    st.integers(0, 2),
+    st.sampled_from([0.0, 1e-13, -1e-13, 1e-9, -1e-9, 0.3, -0.3]),
+)
+def test_strata_are_what_the_builders_build(model_files, make, lam, which, t):
+    # H = a critical value W(c) + t (its spread: the least of 1 and the gaps
+    # from W(c) to the critical values next to it, the Sigma rule's scale),
+    # at infinite radius: the stratum is narrow where the narrow builder
+    # builds, else wide where the wide one does, else outside (and at the
+    # cusp point); a lattice on either stratum answers or names the point
+    # off it.  Its one exit 1 is the engine's, on the stratum asked: the wide
+    # oval just above a saddle's level, and the level through the compact
+    # model's second cusp point at lambda = -1/4, do not converge
+    model = make()
+    (crit,) = quadrature._levels(model, [(0.0, lam)]).crit
+    values = np.polyval(model.potential_coeffs(lam), crit[~np.isnan(crit)])
+    H = 0.1 * t
+    if len(values):
+        i = which % len(values)
+        H = float(values[i] + t * min([1.0, *np.abs(np.diff(values))[max(i - 1, 0) : i + 1]]))
+    (stratum,) = bifurcation_diagram(model, domain_radius=math.inf).strata([(H, lam)])
+    levels = quadrature._levels(model, [(H, lam)])
+    ovals = ("narrow", "wide") if make is cusp_compact_model else ("narrow",)
+    built = [o for o in ovals if isinstance(quadrature._oval_jobs([None], levels, o)[0], LevelJob)]
+    at_cusp = abs(H) <= SIGMA_RTOL and abs(lam) <= SIGMA_RTOL
+    assert stratum == ("outside" if at_cusp or not built else built[0])
+    for asked in ("narrow", "wide"):
+        argv = ["lattice", "--sys", str(model_files[make]), "--at", repr(H), repr(lam)]
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = cli.main(argv + ["--stratum", asked])
+        if code == 1:
+            assert stratum == asked and f"needs more than {QUAD_LIMIT} subintervals" in err.getvalue()
+        else:
+            assert code == (0 if stratum == asked else 2), err.getvalue()
 
 
 class TestCompactSaddleLevel:
