@@ -22,10 +22,16 @@ rewriting terminates on the basis {1, y} with coefficients in Q[H].  All
 arithmetic is exact over Fractions; floats convert via their exact binary
 value.  Each rule is validated against the quadrature oracle in the tests
 (a = C0*alpha and b = C1*beta coefficientwise).
+
+The reduction is linear over Q: a density's pair is the sum of c times the
+table of x^a y^b over its terms c x^a y^b, a table reduced once per monomial
+(``_monomial``) and, pulled back to a cusp model, once per kind (``_pulled``).
+Exact sums give each Fraction and series length the whole-density rewrite gives.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -48,54 +54,43 @@ class BrieskornPair:
         return {"alpha": self.alpha.to_json(), "beta": self.beta.to_json()}
 
 
-def _as_fraction(c) -> Fraction:
-    return c if isinstance(c, Fraction) else Fraction(c)
+def _sum(terms) -> dict:
+    """The sum of c table over the (c, table) terms, every key of every table kept."""
+    out: dict = {}
+    for c, table in terms:
+        for key, v in table.items():
+            out[key] = out[key] + c * v if key in out else c * v
+    return out
+
+
+@lru_cache(maxsize=None)
+def _monomial(a: int, b: int, h: int = 0) -> dict[tuple[int, int], Fraction]:
+    """The reduction of x^a y^b H^h: {(0, k): alpha_k, (1, k): beta_k} over
+    every power k of H that the rules reach, also where its terms cancel."""
+    if a >= 2:  # R1: x^2 = y^3 - H
+        return _sum([(1, _monomial(a - 2, b + 3, h)), (-1, _monomial(a - 2, b, h + 1))])
+    if a == 1 or b == 2:  # R2: x y^b == 0, R3: y^2 == 0
+        return {}
+    if b >= 3:  # R4 as one product, no recursion deep as y^b: y^b == 2(b-2)/(2b-1) H y^(b-3)
+        c = math.prod(Fraction(2 * (m - 2), 2 * m - 1) for m in range(b, 2, -3))
+        return _sum([(c, _monomial(0, b % 3, h + b // 3))])
+    return {(b, h): Fraction(1)}
+
+
+def _series(table: dict, i: int, top: int) -> TruncatedSeries:
+    return TruncatedSeries([table.get((i, h), Fraction(0)) for h in range(top + 1)])
 
 
 def reduce(f: Density) -> BrieskornPair:
-    """Reduce a polynomial density (restricted to lambda = 0) exactly.
+    """Reduce a polynomial density (restricted to lambda = 0) exactly: the sum
+    of c times the table of x^a y^b over its terms c x^a y^b.
 
     Returns Fraction-coefficient series padded to at least DEFAULT_ORDER so
     downstream series arithmetic keeps enough headroom.
     """
-    poly = f.restrict_lambda0()
-    terms = {(e[0], e[1]): _as_fraction(c) for e, c in poly.terms.items()}
-
-    # alpha/beta coefficients over H, indexed by power of H
-    alpha: dict[int, Fraction] = {}
-    beta: dict[int, Fraction] = {}
-
-    # monomials tracked as x^a y^b H^h with an exact coefficient
-    work = [(a, b, 0, c) for (a, b), c in terms.items() if c != 0]
-    while work:
-        a, b, h, c = work.pop()
-        if c == 0:
-            continue
-        if a >= 2:
-            # R1: x^2 = y^3 - H
-            work.append((a - 2, b + 3, h, c))
-            work.append((a - 2, b, h + 1, -c))
-            continue
-        if a == 1:
-            # R2: x y^b == 0
-            continue
-        if b == 2:
-            # R3: y^2 == 0
-            continue
-        if b >= 3:
-            # R4: y^b == 2(b-2)/(2b-1) H y^(b-3)
-            work.append((0, b - 3, h + 1, c * Fraction(2 * (b - 2), 2 * b - 1)))
-            continue
-        target = alpha if b == 0 else beta
-        target[h] = target.get(h, Fraction(0)) + c
-
-    def to_series(table: dict[int, Fraction]) -> TruncatedSeries:
-        top = max(table.keys(), default=0)
-        k = max(DEFAULT_ORDER, top)
-        coeffs = [table.get(i, Fraction(0)) for i in range(k + 1)]
-        return TruncatedSeries(coeffs)
-
-    return BrieskornPair(alpha=to_series(alpha), beta=to_series(beta))
+    table = _sum((Fraction(c), _monomial(a, b)) for (a, b, k), c in f.terms.items() if not k)
+    tops = (max([DEFAULT_ORDER, *(h for j, h in table if j == i)]) for i in (0, 1))
+    return BrieskornPair(*(_series(table, i, top) for i, top in enumerate(tops)))
 
 
 @lru_cache(maxsize=None)
@@ -117,24 +112,26 @@ def _level_chart(kind: str) -> tuple[TruncatedSeries, TruncatedSeries]:
     return y, y.deriv()
 
 
+@lru_cache(maxsize=None)
+def _pulled(kind: str, a: int, j: int) -> dict[tuple[int, int], Fraction]:
+    """The reduction of x^a y^j dx^dy pulled back to (x, u) (``_level_chart``),
+    where it is x^a y(u)^j y'(u) dx^du; only its terms x^a u^b of weight
+    3a + 2b <= 6K + 2 are kept, the others cannot reach H^K."""
+    y, power = _level_chart(kind)  # y^j y'(u) through u^(3K+1)
+    for _ in range(j):
+        power = power * y
+    top = 6 * DEFAULT_ORDER + 2 - 3 * a  # the weight of beta_K less that of x^a
+    return _sum((c, _monomial(a, b)) for b, c in enumerate(power.coeffs) if c and 2 * b <= top)
+
+
 def model_pair(model: FibrationModel) -> BrieskornPair:
     """(alpha, beta) through H^K of a cusp model's density at lambda = 0.
 
     The mirrored density f(x, -y) is pulled back to (x, u), where the level
     is u^3 - x^2, and reduced there; exact over Fractions for both kinds.
-    Reduction keeps the weight 3a + 2b of x^a u^b, so the pull-back drops
-    the terms of weight above 6K + 2, which cannot reach H^K.
+    By linearity that is the sum of c (-1)^j times the pulled table of
+    x^a y^j (``_pulled``) over the density's terms c x^a y^j.
     """
-    y, dy = _level_chart(model.kind)
-    f = model.density.restrict_lambda0().mirror_y()
-    powers = [dy]  # y^j y'(u) through u^(3K+1)
-    while len(powers) <= max((j for _, j, _ in f.terms), default=0):
-        powers.append(powers[-1] * y)
-    pulled = Density(
-        (_as_fraction(c) * cb, (a, b, 0))
-        for (a, j, _), c in f.terms.items()
-        for b, cb in enumerate(powers[j].coeffs)
-        if 3 * a + 2 * b <= 6 * DEFAULT_ORDER + 2
-    )
-    pair = reduce(pulled)
-    return BrieskornPair(pair.alpha.truncated(DEFAULT_ORDER), pair.beta.truncated(DEFAULT_ORDER))
+    kind, terms = model.kind, model.density.terms.items()
+    table = _sum(((-1) ** j * Fraction(c), _pulled(kind, a, j)) for (a, j, k), c in terms if not k)
+    return BrieskornPair(_series(table, 0, DEFAULT_ORDER), _series(table, 1, DEFAULT_ORDER))

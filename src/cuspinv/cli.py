@@ -26,7 +26,7 @@ import numpy as np
 
 from . import brieskorn, equivalence, flows
 from .model import CUSP_COMPACT, CUSP_LOCAL, IDENTITY_BASE_MAP, ONE_DOF, Density, FibrationModel
-from .quadrature import _levels, _strata, action_chart
+from .quadrature import StratumError, _levels, _strata, action_chart
 from .specfun import puiseux_constants
 
 
@@ -228,7 +228,10 @@ def cmd_transport(args) -> int:
     points = _load(args.points, "points", _points)
     if any(q[0] > min(sys1.model.x0, sys2.model.x0) for q in points):
         raise InputError(f"a point of {args.points} lies before the section N1 = {{x = x0}}")
-    residuals = flows.pullback_residual(sys1, sys2, np.reshape(points, (-1, 4)))
+    try:
+        residuals = flows.pullback_residual(sys1, sys2, np.reshape(points, (-1, 4)))
+    except StratumError as exc:  # from the section times, before any flow
+        raise InputError(f"a point of {args.points} is off the map's domain: {exc}") from exc
     keys = ("image", "xy_residual", "fiber_drift")
     out = [{"point": q.tolist(), **{k: r[k] for k in keys}} for q, r in zip(points, residuals)]
     _emit(_json_dumps({"points": out}), args.out)

@@ -412,9 +412,9 @@ def _parabolic_checks(
 
     # I_circ, and I_mu on a wide grid, from one engine call; an image without
     # a narrow oval gives an infinite I_circ residual
+    kernels = (area_kernel(sys1.density), area_kernel(sys2.density)) * 2  # one group each
     jobs = [
-        _oval_jobs([area_kernel(s.density)] * len(lv.points), lv, oval)
-        for s, lv, oval in zip((sys1, sys2) * 2, levels, ovals)
+        _oval_jobs([k] * len(lv.points), lv, oval) for k, lv, oval in zip(kernels, levels, ovals)
     ]
     values = _level_integrals([j for part in jobs for j in part if isinstance(j, LevelJob)])
     values = iter((values / (2.0 * math.pi)).tolist())

@@ -40,7 +40,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .model import Density, FibrationModel, _bound_at, _terms_source, densities_at
+from .model import Density, FibrationModel, StratumError, _bound_at, _terms_source, densities_at
 from .quadrature import _built, _levels, _oval_jobs, area_kernel, form_kernel, integrals
 from .quadrature import section_time
 
@@ -331,7 +331,7 @@ class ReducedSystem:
         xy = np.asarray(xy, dtype=float)
         t = section_time(self.sm.model, xy[..., 0], xy[..., 1], lam)
         if np.any(t > SECTION_T_MAX):
-            raise ValueError("trajectory does not reach the section")
+            raise StratumError("trajectory does not reach the section")
         return t
 
     def density_eval(self, x, y, lam):

@@ -504,9 +504,9 @@ def section_jobs(model: FibrationModel, points) -> list[LevelJob | None]:
     one-sided f dy/(2x) for s from sign(x) sqrt(turn - y) to
     sqrt(turn - y_sec).  None on N1 (time 0).  The levels with their sections
     and the zeros of f on them are one stacked root solve.  ValueError
-    where f vanishes on a stretch, and where a point is off its arc or before
-    N1 (x > x0 among them), or f < 0; OnSigmaError past a turning point at a
-    saddle (``_arc_jobs``).
+    where f vanishes on a stretch; StratumError where a point is off its arc
+    or before N1 (x > x0 among them), or f < 0; OnSigmaError past a turning
+    point at a saddle (``_arc_jobs``).
     """
     points = [(float(x), float(y), float(lam)) for x, y, lam in points]
     x0 = model.x0  # the one-dof points move to a model with its own x0
@@ -529,7 +529,7 @@ def section_jobs(model: FibrationModel, points) -> list[LevelJob | None]:
         job.lower = lower = math.copysign(math.sqrt(max(job.b - y, 0.0)), x)
         if lower >= job.upper:  # on N1 up to rounding, or before it on the branch x > 0
             if abs(x - x0) > 1e-12 * x0:
-                raise ValueError(_UNREACHED)
+                raise StratumError(_UNREACHED)
             jobs.append(None)
             continue
         for yz in (z for z in roots if z <= job.b):
@@ -539,7 +539,7 @@ def section_jobs(model: FibrationModel, points) -> list[LevelJob | None]:
                 if lower <= sz <= job.upper and abs(f(xz, yz, lam)) <= abs(f(-xz, yz, lam)):
                     raise ValueError(_VANISHES)
         if f(x, y, lam) < 0:
-            raise ValueError(_UNREACHED)
+            raise StratumError(_UNREACHED)
         jobs.append(job)
     return jobs
 

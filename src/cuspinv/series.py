@@ -23,9 +23,9 @@ _EXACT_TYPES = (int, Fraction)
 
 
 def _is_finite(c) -> bool:
-    if isinstance(c, _EXACT_TYPES):
-        return True
-    return math.isfinite(c)
+    if isinstance(c, float):  # first: isinstance(c, Fraction) is an ABC check
+        return math.isfinite(c)
+    return isinstance(c, _EXACT_TYPES) or math.isfinite(c)
 
 
 class TruncatedSeries:

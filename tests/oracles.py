@@ -32,7 +32,11 @@ which the cusp pair, the branch values and W'' of the array-form critical
 table (``model._Critical``) must agree bit for bit, the H-field through ``Density.eval`` at every
 call, against which the per-lambda fields of the flows must agree bit for
 bit, and the polynomial f(x, y) f(-x, y) on a level through ``np.polymul``,
-against whose roots those of the section times' must agree bit for bit.
+against whose roots those of the section times' must agree bit for bit, and
+the exact (alpha, beta) of a whole density rewritten term by term by the
+rules R1-R4 instead of summed from per-monomial tables, also on the cusp
+models through their pulled-back density, against which the tables must
+agree Fraction for Fraction.
 """
 
 from __future__ import annotations
@@ -47,11 +51,12 @@ from scipy.integrate import quad, solve_ivp
 from scipy.special import elliprf, hyp2f1
 
 from cuspinv.asymptotics import extract_log_coeff, fit_puiseux
-from cuspinv.brieskorn import BrieskornPair
+from cuspinv.brieskorn import BrieskornPair, _level_chart
 from cuspinv.flows import PeriodLattice
-from cuspinv.model import CUSP_COMPACT, FibrationModel, bifurcation_diagram, densities_at
+from cuspinv.model import CUSP_COMPACT, Density, FibrationModel, bifurcation_diagram, densities_at
 from cuspinv.quadrature import LevelJob, OnSigmaError, StratumError
 from cuspinv.quadrature import loop_action, loop_period, oval_bounds, passage_time, wide_action
+from cuspinv.series import DEFAULT_ORDER, TruncatedSeries
 from cuspinv.specfun import puiseux_constants
 
 
@@ -244,6 +249,47 @@ def compact_fitted_pair(model: FibrationModel) -> BrieskornPair:
     samples = [(hp, passage_time(model, -hp, 0.0)) for hp in grid]
     triple, _ = fit_puiseux(samples, order=(4, 4, 5), relative_weights=True)
     return triple_pair(triple)
+
+
+def rewrite_reduce(f: Density) -> BrieskornPair:
+    """(alpha, beta) of f at lambda = 0 by rewriting the whole density with
+    R1-R4 on a work list of x^a y^b H^h terms, each series through the top
+    power of H reached and at least DEFAULT_ORDER."""
+    work = [(a, b, 0, Fraction(c)) for (a, b, k), c in f.terms.items() if k == 0]
+    pair: tuple[dict, dict] = ({}, {})
+    while work:
+        a, b, h, c = work.pop()
+        if a >= 2:  # R1: x^2 = y^3 - H
+            work += [(a - 2, b + 3, h, c), (a - 2, b, h + 1, -c)]
+        elif b >= 3 and a == 0:  # R4: y^b == 2(b-2)/(2b-1) H y^(b-3)
+            work.append((0, b - 3, h + 1, c * Fraction(2 * (b - 2), 2 * b - 1)))
+        elif a == 0 and b < 2:  # onto the basis 1, y; R2 and R3 drop x y^b and y^2
+            pair[b][h] = pair[b].get(h, Fraction(0)) + c
+
+    def series(table: dict) -> TruncatedSeries:
+        top = max([DEFAULT_ORDER, *table])
+        return TruncatedSeries([table.get(i, Fraction(0)) for i in range(top + 1)])
+
+    return BrieskornPair(*map(series, pair))
+
+
+def pulled_pair(model: FibrationModel) -> BrieskornPair:
+    """(alpha, beta) through H^K of a cusp model at lambda = 0 from the whole
+    pulled-back density x^a y(u)^j y'(u) of f(x, -y), its terms of weight
+    3a + 2b <= 6K + 2 kept, rewritten by ``rewrite_reduce``."""
+    y, dy = _level_chart(model.kind)
+    f = model.density.restrict_lambda0().mirror_y()
+    powers = [dy]
+    while len(powers) <= max((j for _, j, _ in f.terms), default=0):
+        powers.append(powers[-1] * y)
+    pulled = Density(
+        (Fraction(c) * cb, (a, b, 0))
+        for (a, j, _), c in f.terms.items()
+        for b, cb in enumerate(powers[j].coeffs)
+        if 3 * a + 2 * b <= 6 * DEFAULT_ORDER + 2
+    )
+    pair = rewrite_reduce(pulled)
+    return BrieskornPair(pair.alpha.truncated(DEFAULT_ORDER), pair.beta.truncated(DEFAULT_ORDER))
 
 
 QUAD_EPSABS, QUAD_EPSREL, QUAD_LIMIT = 1e-13, 1e-12, 400

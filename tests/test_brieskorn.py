@@ -153,14 +153,15 @@ class TestModelPair:
         exact = Density({e: F(c) for e, c in mirrored.terms.items()})
         pulled = exact.compose(Density({(1, 0, 0): 1}), as_density(y)) * as_density(dy)
         full = brieskorn.reduce(pulled)
-        sizes = []
-        real_reduce = brieskorn.reduce
-
-        def counted(density):
-            sizes.append(len(density.terms))
-            return real_reduce(density)
-
-        monkeypatch.setattr(brieskorn, "reduce", counted)
         got = brieskorn.model_pair(model)
         assert got == brieskorn.BrieskornPair(full.alpha.truncated(4), full.beta.truncated(4))
-        assert sizes == [29]
+        # with each monomial's table a marker of the monomial, the pulled
+        # tables of f's terms hold those 29 monomials and no other
+        monkeypatch.setattr(brieskorn, "_monomial", lambda a, b: {(a, b): 1})
+        brieskorn._pulled.cache_clear()
+        try:
+            held = {m for a, j, _ in mirrored.terms for m in brieskorn._pulled(model.kind, a, j)}
+        finally:
+            brieskorn._pulled.cache_clear()
+        assert held == {(a, b) for a, b, _ in pulled.terms if 3 * a + 2 * b <= 26}
+        assert len(held) == 29

@@ -679,6 +679,14 @@ PINNED_DIGESTS = [
         "3c9c5464793eee68cd8d5644cc59f0be1d38fee64768f42c0e7f420a0809d793",
     ),
     (
+        "invariants --sys {compact_p}",
+        "5d7443b483f62c7dc9259c802db459c6c75ff5f1f82a8a76c419100e11fa8c2e",
+    ),
+    (
+        "decompose --density {f1}",
+        "c226b7ade038b35cec9b599701a641e74567f9df1cdcae468c67487de9568420",
+    ),
+    (
         "compare --sys1 {local} --sys2 {local_p}",
         "cef48b7ff81332d416be7030cb32fa9b9e5adb4df7ae25650e29bcc7566a12a9",
     ),
@@ -777,6 +785,24 @@ class TestBadInput:
         argv = ["transport", "--sys1", str(files["local"]), "--sys2", str(files["local"])]
         code, out, err = _exit(capsys, argv + ["--points", str(pts)])
         assert code == 2 and out == "" and "bad points file" in err
+
+    def test_transport_point_off_the_map_exit_2(self, files, capsys):
+        # on a narrow oval, whose trajectory never meets N1: the level solve of
+        # the section times says so before any flow (this exited 1)
+        pts = files["tmp"] / "pts.json"
+        pts.write_text(json.dumps([[0.03546709477020782, 0.12357542579213215, -0.05584939778186999]]))
+        argv = ["transport", "--sys1", str(files["local"]), "--sys2", str(files["local"])]
+        code, out, err = _exit(capsys, argv + ["--points", str(pts)])
+        assert code == 2 and out == "" and "off the map's domain" in err
+        assert "does not reach the section" in err
+        # f = y vanishes on the trajectory: a computation failure, still 1
+        model = files["tmp"] / "fy.json"
+        density = {"terms": [{"c": 1.0, "e": [0, 1, 0]}]}
+        model.write_text(json.dumps({"kind": "cusp_local", "density": density, "x0": 1.0}))
+        pts.write_text(json.dumps([[0.3, 0.2, 0.0]]))
+        argv = ["transport", "--sys1", str(model), "--sys2", str(model), "--points", str(pts)]
+        code, out, err = _exit(capsys, argv)
+        assert code == 1 and out == "" and "density vanishes on the trajectory" in err
 
     def test_unwritable_out_exit_2(self, files, capsys):
         dest = files["tmp"] / "missing" / "chart.csv"
