@@ -51,7 +51,6 @@ from .quadrature import (
 )
 from .asymptotics import (
     FitReport,
-    extract_log_coeff,
     fit_puiseux,
     hyperbolic_log_coeff,
     node_complex_period,
@@ -93,7 +92,7 @@ __all__ = [
     "cusp_local_model", "is_parabolic", "node_model", "one_dof_model", "BrieskornPair",
     "model_pair", "reduce", "ActionChart", "ActionChartRow", "OnSigmaError", "StratumError",
     "action_chart", "loop_action", "loop_period", "oval_bounds", "passage_time",
-    "separatrix_action", "wide_action", "FitReport", "extract_log_coeff", "fit_puiseux",
+    "separatrix_action", "wide_action", "FitReport", "fit_puiseux",
     "hyperbolic_log_coeff", "node_complex_period", "node_passage", "verify_node_log_identity",
     "EquivalenceVerdict", "InvariantReport", "OneDofVerdict", "RescaleMap", "cusp_torus_equivalent",
     "invariant_report", "normalize_invariant", "one_dof_equivalent", "parabolic_equivalent",

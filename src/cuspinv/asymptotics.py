@@ -88,42 +88,6 @@ def fit_puiseux(samples, order=2, relative_weights: bool = False) -> tuple[Puise
     return triple, report
 
 
-def extract_log_coeff(samples) -> tuple[float, dict]:
-    """Coefficient alpha of value = alpha*ln|s| + beta(s) from at least 7
-    halving samples.
-
-    Consecutive differences give -alpha*ln 2 up to O(s); the Richardson table
-    with ratio 2 removes the analytic drift order by order.  A diagnostic
-    dict reports the table and whether the last corrections still shrink.
-    """
-    pts = sorted(((float(s), float(v)) for s, v in samples), reverse=True)
-    if len(pts) < 7:
-        raise ValueError("need at least 7 halving samples")
-    s, v = np.array(pts).T
-    ratios = s[:-1] / s[1:]
-    if np.any(np.abs(ratios - 2.0) > 1e-6):
-        raise ValueError("samples must sit on a halving grid s_m = s_0 * 2^-m")
-    d = (v[1:] - v[:-1]) / (-math.log(2.0))
-    table = [d]
-    for level in range(1, len(d)):
-        fac = 2.0**level
-        table.append((fac * table[-1][1:] - table[-1][:-1]) / (fac - 1.0))
-    alpha = float(table[-1][-1])
-    # convergence check on the final corrections
-    tail = [float(t[-1]) for t in table[-3:]]
-    deltas = [abs(tail[i + 1] - tail[i]) for i in range(len(tail) - 1)]
-    converging = len(deltas) < 2 or deltas[-1] <= deltas[-2] * 1.5 + 1e-14
-    diag = {
-        "alpha": alpha,
-        "levels": len(table),
-        "last_corrections": deltas,
-        "converging": bool(converging),
-    }
-    if not converging:
-        diag["warning"] = "Richardson corrections not shrinking; non-log behavior?"
-    return alpha, diag
-
-
 # -- node model -----------------------------------------------------------------
 
 

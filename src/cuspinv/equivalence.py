@@ -22,6 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
@@ -29,6 +30,7 @@ from .brieskorn import BrieskornPair, model_pair, reduce as brieskorn_reduce
 from .model import (
     CUSP_COMPACT,
     CUSP_LOCAL,
+    DEFAULT_DOMAIN_RADIUS,
     IDENTITY_BASE_MAP,
     Density,
     FibrationModel,
@@ -39,7 +41,7 @@ from .model import (
     saddles,
 )
 from .quadrature import LevelJob, _built, _converged, _level_ask, _level_integrals, _lobe_areas
-from .quadrature import _oval_jobs, area_kernel, integrals, passage_jobs
+from .quadrature import _levels, _oval_jobs, _passage_levels, area_kernel, integrals, passage_jobs
 from .series import TruncatedSeries, phi_r_apply, phi_r_invert
 from .specfun import puiseux_constants
 from . import asymptotics
@@ -47,6 +49,12 @@ from . import asymptotics
 SERIES_RTOL = 1e-3
 ACTION_RTOL = 1e-5
 BRANCH_RTOL = 1e-6
+
+# the verdicts' samples at the default domain radius: Sigma, I and I_circ, I_mu
+_R = DEFAULT_DOMAIN_RADIUS
+_SIGMA_LAMS = (-0.8 * _R, -0.6 * _R, -0.4 * _R, -0.2 * _R)
+_GRID_LAMS = (-0.75 * _R, -0.55 * _R, -0.35 * _R)
+_WIDE_GRID = tuple((h * _R, l * _R) for h, l in ((0.45, 0.3), (0.3, 0.45), (-0.3, 0.35), (0.5, -0.25)))
 
 
 def _floats(series: TruncatedSeries) -> TruncatedSeries:
@@ -355,74 +363,74 @@ def _oval_actions(values, jobs1: list, jobs2: list):
     return first, [None if skip or math.isnan(v := next(values)) else v for skip in unread]
 
 
+@lru_cache(maxsize=8)
+def _verdict_table(kind: str, wide_grid: tuple):
+    """sys1's half of a verdict, which depends on its kind alone: (H_ell, H_hyp)
+    at the sigma and grid lambdas, the 9 narrow points read off them and the
+    levels there and on the wide grid; two root solves, once per process, read-only."""
+    model = FibrationModel(kind)
+    values = bifurcation_diagram(model).branch_values(_SIGMA_LAMS + _GRID_LAMS)
+    h_ell, h_hyp = (tuple(v.tolist()) for v in values)
+    narrow = []  # three points across the swallow tail per lambda
+    for lam, h_e, h_h in zip(_GRID_LAMS, h_ell[4:], h_hyp[4:]):
+        mid, half = 0.5 * (h_e + h_h), 0.5 * (h_h - h_e)
+        narrow += [(mid + 0.8 * t * half, lam) for t in (-0.5, 0.0, 0.5)]
+    levels = _solved(*(_level_ask(model, p) for p in (narrow, wide_grid) if p))
+    return h_ell, h_hyp, tuple(narrow), tuple(lv.frozen() for lv in levels)
+
+
 def _parabolic_checks(
     sys1: FibrationModel, sys2: FibrationModel, phi, checks: dict, action_rtol: float, wide=()
 ):
     """The sigma, I and I_circ checks of two oriented systems, added to
-    ``checks``, and given a wide grid with its images, the wide-oval actions
-    (``_oval_actions``) there.  Two root solves: d1's branch values, then all
-    that depends on them or on phi alone: d2's branch values at the images of
-    d1's Sigma samples and both systems' narrow and wide levels.  All
-    integrals are one engine call.
+    ``checks``, and given the images of the wide grid, the wide-oval actions
+    (``_oval_actions``) there.  sys1's branch values and levels come from
+    its ``_verdict_table``; the request's one root solve is all that depends
+    on phi: d2's branch values at the images of d1's Sigma samples and sys2's
+    narrow and wide levels at the images.  All integrals are one engine call.
     """
     if abs(base_map_jacobian(phi, 0.0, 0.0)) < 1e-12:
         raise ValueError("base map phi is degenerate at the cusp point")
-    d1, d2 = bifurcation_diagram(sys1), bifurcation_diagram(sys2)
-    r = d1.domain_radius
-    sigma_lams = (-0.8 * r, -0.6 * r, -0.4 * r, -0.2 * r)
-    grid_lams = (-0.75 * r, -0.55 * r, -0.35 * r)
-    h_ell, h_hyp = (v.tolist() for v in d1.branch_values(sigma_lams + grid_lams))
+    h_ell, h_hyp, narrow, levels1 = _verdict_table(sys1.kind, _WIDE_GRID if wide else ())
 
     # cusp point (0, 0) must map to the cusp point, each branch onto the same branch
     images = [
         (index, value, *_phi_eval(phi, value, lam))
-        for lam, pair in zip(sigma_lams, zip(h_ell, h_hyp))
+        for lam, pair in zip(_SIGMA_LAMS, zip(h_ell, h_hyp))
         for index, value in enumerate(pair)
     ]
-    # I at three points across the swallow tail per lambda
-    i_ok, i_resid, pairs = True, [], []
-    for lam, h_e, h_h in zip(grid_lams, h_ell[4:], h_hyp[4:]):
-        mid, half = 0.5 * (h_e + h_h), 0.5 * (h_h - h_e)
-        for t in (-0.5, 0.0, 0.5):
-            h = mid + 0.8 * t * half
-            h_t, lam_t = _phi_eval(phi, h, lam)
-            r_i = abs(lam_t - lam) / max(abs(lam), 1e-9)
-            i_resid.append(r_i)
-            i_ok = i_ok and r_i <= action_rtol
-            pairs.append(((h, lam), (h_t, lam_t)))
-    # sys1's narrow points, sys2's images, then the same on the wide grid
-    points, ovals = [*zip(*pairs), *wide], ["narrow", "narrow", "wide", "wide"]
-    targets, *levels = _solved(
-        d2._branch_ask([l for *_, l in images if l < 0], (0, 1)),
-        *(_level_ask(s, p) for s, p in zip((sys1, sys2) * 2, points)),
+    # I at the narrow points; sys2's levels at their images, then at the wide grid's
+    narrow_images = [_phi_eval(phi, h, lam) for h, lam in narrow]
+    i_resid = [abs(l_t - l) / max(abs(l), 1e-9) for (_, l), (_, l_t) in zip(narrow, narrow_images)]
+    i_ok = all(r_i <= action_rtol for r_i in i_resid)
+    targets, *levels2 = _solved(
+        bifurcation_diagram(sys2)._branch_ask([l for *_, l in images if l < 0], (0, 1)),
+        *(_level_ask(sys2, p) for p in (narrow_images, wide) if p),
     )
 
-    sigma_resid = [math.hypot(*_phi_eval(phi, 0.0, 0.0))]
-    sigma_ok = sigma_resid[0] <= 1e-9
-    targets = iter(targets.tolist())
-    for index, value, h_t, lam_t in images:
-        if not lam_t < 0:
-            sigma_ok = False
-            sigma_resid.append(float("inf"))
-            continue
-        res = abs(h_t - next(targets)[index]) / max(abs(value), 1e-6)
-        sigma_resid.append(res)
-        sigma_ok = sigma_ok and res <= BRANCH_RTOL
+    targets = iter(targets.tolist())  # an image off lambda < 0 has no target
+    sigma_resid = [math.hypot(*_phi_eval(phi, 0.0, 0.0))] + [
+        abs(h_t - next(targets)[index]) / max(abs(value), 1e-6) if lam_t < 0 else math.inf
+        for index, value, h_t, lam_t in images
+    ]
+    sigma_ok = sigma_resid[0] <= 1e-9 and all(res <= BRANCH_RTOL for res in sigma_resid[1:])
     checks["sigma"] = {"ok": sigma_ok, "residuals": sigma_resid}
 
     # I_circ, and I_mu on a wide grid, from one engine call; an image without
     # a narrow oval gives an infinite I_circ residual
-    kernels = (area_kernel(sys1.density), area_kernel(sys2.density)) * 2  # one group each
+    kernels = (area_kernel(sys1.density), area_kernel(sys2.density))  # one group each
     jobs = [
-        _oval_jobs([k] * len(lv.points), lv, oval) for k, lv, oval in zip(kernels, levels, ovals)
+        _oval_jobs([k] * len(lv.points), lv, oval)
+        for oval, pair in zip(("narrow", "wide"), zip(levels1, levels2))
+        for k, lv in zip(kernels, pair)
     ]
     values = _level_integrals([j for part in jobs for j in part if isinstance(j, LevelJob)])
     values = iter((values / (2.0 * math.pi)).tolist())
-    io_ok, io_resid = True, []
-    for io_1, io_2 in zip(*_oval_actions(values, *jobs[:2])):
-        r_o = float("inf") if io_2 is None else abs(io_1 - io_2) / max(abs(io_1), 1e-12)
-        io_resid.append(r_o)
-        io_ok = io_ok and r_o <= action_rtol
+    io_resid = [
+        math.inf if io_2 is None else abs(io_1 - io_2) / max(abs(io_1), 1e-12)
+        for io_1, io_2 in zip(*_oval_actions(values, *jobs[:2]))
+    ]
+    io_ok = all(r_o <= action_rtol for r_o in io_resid)
     checks["I"] = {"ok": i_ok, "residuals": i_resid}
     checks["I_circ"] = {"ok": io_ok, "residuals": io_resid}
     return sigma_ok and i_ok and io_ok, _oval_actions(values, *jobs[2:]) if wide else None
@@ -447,22 +455,13 @@ def cusp_torus_equivalent(
     if sys1.kind != CUSP_COMPACT or sys2.kind != CUSP_COMPACT:
         raise ValueError("cusp-torus comparison needs compact models")
     sys1, sys2, checks = _oriented_pair(sys1, sys2)
-    r = bifurcation_diagram(sys1).domain_radius
-    wide_grid = [
-        (0.45 * r, 0.3 * r),
-        (0.3 * r, 0.45 * r),
-        (-0.3 * r, 0.35 * r),
-        (0.5 * r, -0.25 * r),
-    ]
-    images = [_phi_eval(phi, h, lam) for h, lam in wide_grid]
-    base_ok, (actions1, actions2) = _parabolic_checks(
-        sys1, sys2, phi, checks, action_rtol, (wide_grid, images)
-    )
+    images = [_phi_eval(phi, h, lam) for h, lam in _WIDE_GRID]
+    base_ok, (actions1, actions2) = _parabolic_checks(sys1, sys2, phi, checks, action_rtol, images)
     checks["I_mu"] = {"ok": False, "k": None, "residuals": []}
     if None not in actions2:
         deltas = [
             ((v1 + mu_shift1 * lam) - (v2 + mu_shift2 * lam_t), lam)
-            for (_, lam), (_, lam_t), v1, v2 in zip(wide_grid, images, actions1, actions2)
+            for (_, lam), (_, lam_t), v1, v2 in zip(_WIDE_GRID, images, actions1, actions2)
         ]
         k_round = int(round(float(np.median([d / lam for d, lam in deltas]))))
         resid = [abs(d - k_round * lam) for d, lam in deltas]
@@ -501,9 +500,15 @@ class InvariantReport:
         }
 
 
+@lru_cache(maxsize=8)
+def _passage_table(x0: float, grid: tuple):
+    """The density-free one-dof ``_passage_levels`` of a grid: once per process, read-only."""
+    return _passage_levels(one_dof_model(x0=x0), [(h, 0.0) for h in grid]).frozen()
+
+
 def fitted_pair(density, h_max: float = 0.1, n_samples: int = 48, order=(2, 2, 6)):
     """(a, b) series fitted from one-dof passage samples of ``density`` at
-    ``n_samples`` H from 1e-9 to ``h_max``.
+    ``n_samples`` H from 1e-9 to ``h_max``, on their ``_passage_table``.
 
     The default orders suit polynomial densities of degree <= 5, whose
     fractional families terminate at H^2 exactly; the long analytic tail is
@@ -511,8 +516,21 @@ def fitted_pair(density, h_max: float = 0.1, n_samples: int = 48, order=(2, 2, 6
     """
     mdl = one_dof_model(density)
     grid = np.geomspace(1e-9, h_max, n_samples)
-    samples = list(zip(grid, integrals(passage_jobs(mdl, [(h, 0.0) for h in grid]))))
+    levels = _passage_table(mdl.x0, tuple(grid.tolist()))
+    samples = list(zip(grid, integrals(passage_jobs(mdl, [(h, 0.0) for h in grid], levels))))
     return asymptotics.fit_puiseux(samples, order=order, relative_weights=True)
+
+
+@lru_cache(maxsize=8)
+def _report_table(kind: str, lam_values: tuple, log_lam_values: tuple):
+    """The lambdas, saddles a and W''(a) of an invariant report's two grids
+    and the lobe levels H = W(a) on the first, which depend on the model
+    kind alone; two root solves, once per process, arrays read-only."""
+    model, n = FibrationModel(kind), len(lam_values)
+    lams, a, h, d2w = saddles(model, np.array(lam_values + log_lam_values, dtype=float))
+    for v in (a, d2w):
+        v.setflags(write=False)
+    return tuple(lams), a, d2w, _levels(model, zip(h[:n].tolist(), lams[:n])).frozen()
 
 
 def invariant_report(
@@ -526,7 +544,7 @@ def invariant_report(
     slice through H^K (:func:`brieskorn.model_pair`, the same route for both
     kinds) and the canonical_f normal form.  h(lambda) and, on the local
     model, the hyperbolic log coefficients are given on the lambda grids,
-    both grids from one saddle solve.
+    read off the grids' ``_report_table``; one engine call.
     The density must be positive at the orbit: a vanishing one raises
     through :func:`_oriented`, a negative one in the normalization.
     """
@@ -535,8 +553,8 @@ def invariant_report(
     alpha, beta = _floats(pair.alpha), _floats(pair.beta)
     norm = normalize_invariant(pair)
     n, log_lams = len(lam_values), tuple(log_lam_values) * (sys.kind == CUSP_LOCAL)
-    lams, a, h, d2w = saddles(sys, np.array(tuple(lam_values) + log_lams, dtype=float))
-    h_samples = list(zip(lam_values, _lobe_areas(sys, lams[:n], a[:n], h[:n]).tolist()))
+    lams, a, d2w, lobes = _report_table(sys.kind, tuple(lam_values), log_lams)
+    h_samples = list(zip(lam_values, _lobe_areas(sys, lobes, a[:n]).tolist()))
     alphas = asymptotics._saddle_log_coeff(sys, lams[n:], a[n:], d2w[n:])
     log_coeffs = list(zip(log_lams, alphas.tolist()))
     orientation = {

@@ -66,6 +66,9 @@ QUAD_EPSABS = 1e-13
 QUAD_EPSREL = 1e-12
 QUAD_LIMIT = 400
 
+#: the G10K21 error floor per unit of the rule's integral of |integrand|, QUADPACK's 50 eps
+_ROUNDOFF = 50.0 * np.finfo(float).eps
+
 #: subintervals evaluated together; bounds the engine's scratch arrays
 _BLOCK = 128
 
@@ -109,6 +112,13 @@ class _Levels(NamedTuple):
         """The levels of the given rows."""
         fields = (v if v is None else v[rows] for v in self[2:])
         return _Levels(self.kind, [self.points[i] for i in rows], *fields)
+
+    def frozen(self) -> _Levels:
+        """These levels, points a tuple and arrays read-only: a table's, for all requests."""
+        for v in self[2:]:
+            if v is not None:
+                v.setflags(write=False)
+        return self._replace(points=tuple(self.points))
 
 
 def _level_ask(model: FibrationModel, points, x0: float | None = None):
@@ -287,8 +297,9 @@ def _level_integrals(jobs) -> np.ndarray:
     Each round evaluates all active subintervals in blocks of _BLOCK with the
     G10K21 rule and QUADPACK's error estimate, accepts those whose error is
     within max(QUAD_EPSABS, QUAD_EPSREL |I|) (length / range), I the job's
-    current estimate, and bisects the rest.  A job's subintervals stay in
-    order along its range and every sum over them runs in that order.
+    current estimate, or at the floor _ROUNDOFF times its integral of |f|
+    (QUADPACK's round-off stop), and bisects the rest.  A job's subintervals
+    stay in order along its range and every sum over them runs in that order.
     """
     n = len(jobs)
     if not n:
@@ -347,18 +358,19 @@ def _level_integrals(jobs) -> np.ndarray:
         err = np.abs((resk - (fv * _G_W).sum(axis=1)) * half)
         scaled = resasc * np.minimum(1.0, (200.0 * err / np.where(resasc > 0, resasc, 1.0)) ** 1.5)
         err = np.where((resasc != 0) & (err != 0), scaled, err)
-        return resk * half, np.maximum(err, 50.0 * np.finfo(float).eps * resabs)
+        floor = _ROUNDOFF * resabs
+        return resk * half, np.maximum(err, floor), floor
 
     jk, lo, hi, span = np.arange(n), lower.copy(), upper.copy(), upper - lower
     total, count = np.zeros(n), np.ones(n, dtype=int)
     while jk.size:
-        val, err = np.empty(jk.size), np.empty(jk.size)
+        val, err, floor = np.empty((3, jk.size))
         for s in range(0, jk.size, _BLOCK):
             blk = slice(s, s + _BLOCK)
-            val[blk], err[blk] = gk21(jk[blk], lo[blk], hi[blk])
+            val[blk], err[blk], floor[blk] = gk21(jk[blk], lo[blk], hi[blk])
         estimate = total + np.bincount(jk, val, n)
         tol = np.maximum(QUAD_EPSABS, QUAD_EPSREL * np.abs(estimate[jk])) * ((hi - lo) / span[jk])
-        ok = err <= tol
+        ok = (err <= tol) | (err <= floor)
         total += np.bincount(jk[ok], val[ok], n)
         count += np.bincount(jk[~ok], minlength=n)
         split = ~ok & (count[jk] <= QUAD_LIMIT)
@@ -428,21 +440,28 @@ def _bridged(f, lam: float):
     return Density([(c * lam**k * (-1) ** j, (i, j, 0)) for (i, j, k), c in f.terms.items()])
 
 
-def passage_jobs(model: FibrationModel, points) -> list[LevelJob]:
-    """Jobs for the passage times at the (H, lambda) points."""
+def _passage_levels(model: FibrationModel, points) -> _Levels:
+    """The passages' levels, with sections; one-dof ones by the sign bridge, on x0 and H alone."""
+    if model.kind == ONE_DOF:
+        return _levels(cusp_local_model(), [(-H, 0.0) for H, _ in points], model.x0)
+    return _levels(model, points, model.x0)
+
+
+def passage_jobs(model: FibrationModel, points, levels: _Levels | None = None) -> list[LevelJob]:
+    """Passage-time jobs at the (H, lambda) points, on ``levels`` if given (``_passage_levels``)."""
     points = list(points)
+    if model.kind == NODE:
+        raise ValueError("use asymptotics.node_passage for the node model")
     if model.kind == ONE_DOF:
         if any(H <= 0 for H, _ in points):
             raise ValueError("one-dof passage requires H > 0")
-        # one kernel per distinct lambda (the engine groups by kernel); the
-        # bridged levels do not depend on the density, so they are one batch
-        kernels = {l: form_kernel(_bridged(model.density, l)) for l in {l for _, l in points}}
-        levels = _levels(cusp_local_model(), [(-H, 0.0) for H, _ in points], model.x0)
-        return _built(_arc_jobs([kernels[l] for _, l in points], levels, -math.inf))
-    if model.kind == NODE:
-        raise ValueError("use asymptotics.node_passage for the node model")
-    kernels = [form_kernel(model.density)] * len(points)
-    return _built(_arc_jobs(kernels, _levels(model, points, model.x0), -math.inf))
+        # one kernel per distinct lambda (the engine groups by kernel)
+        bridged = {l: form_kernel(_bridged(model.density, l)) for l in {l for _, l in points}}
+        kernels = [bridged[l] for _, l in points]
+    else:
+        kernels = [form_kernel(model.density)] * len(points)
+    levels = _passage_levels(model, points) if levels is None else levels
+    return _built(_arc_jobs(kernels, levels, -math.inf))
 
 
 def oval_jobs(model: FibrationModel, points, kernel, oval: str) -> list[LevelJob]:
@@ -597,20 +616,20 @@ def wide_action(model: FibrationModel, H: float, lam: float, k: int = 0) -> floa
 def separatrix_action(model: FibrationModel, lam):
     """h(lambda) = max_H I_o(H, lambda), attained on the hyperbolic branch;
     for an array of lambdas, one value per lambda from one saddle solve
-    (``model.saddles``) and ``_lobe_areas``.  StratumError where the
-    hyperbolic branch does not exist."""
+    (``model.saddles``), one solve of the lobe levels and ``_lobe_areas``.
+    StratumError where the hyperbolic branch does not exist."""
     lams = np.asarray(lam, dtype=float)
-    out = _lobe_areas(model, *saddles(model, lams)[:3])
+    flat, a, h, _ = saddles(model, lams)
+    out = _lobe_areas(model, _levels(model, zip(h.tolist(), flat)), a)
     return out.reshape(lams.shape) if lams.ndim else float(out[0])
 
 
-def _lobe_areas(model: FibrationModel, lams: list, a: np.ndarray, h: np.ndarray) -> np.ndarray:
-    """h(lambda) from the saddles a and W(a) of the lambdas, from one level solve
-    and one engine call: the lobe runs from a up to the turn above it, an
-    improper but convergent integral, sqrt(H - W) vanishing linearly at a."""
-    levels = _levels(model, zip(h.tolist(), lams))
-    jobs = _built(_arc_jobs([area_kernel(model.density)] * len(lams), levels, a, False, a))
-    return integrals(jobs) / (2.0 * math.pi)
+def _lobe_areas(model: FibrationModel, levels: _Levels, a: np.ndarray) -> np.ndarray:
+    """h(lambda) on the lobe levels H = W(a) at the saddles a, from one engine
+    call: the lobe runs from a up to the turn above it, an improper but
+    convergent integral, sqrt(H - W) vanishing linearly at a."""
+    jobs = _arc_jobs([area_kernel(model.density)] * len(levels.points), levels, a, False, a)
+    return integrals(_built(jobs)) / (2.0 * math.pi)
 
 
 # -- action charts -----------------------------------------------------------------

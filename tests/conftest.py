@@ -1,0 +1,14 @@
+import pytest
+
+from cuspinv import equivalence
+
+#: the per-process level tables of the fixed sample grids, each an lru_cache
+TABLES = (equivalence._passage_table, equivalence._report_table, equivalence._verdict_table)
+
+
+@pytest.fixture(autouse=True)
+def cleared_tables():
+    """Every test starts with empty tables, so that what it counts does not
+    depend on which tests ran before it."""
+    for table in TABLES:
+        table.cache_clear()

@@ -6,7 +6,8 @@ hypergeometric closed form (scipy's 2F1) and from direct quadrature of
 their defining formulas, period lattices from finite differences of the
 action chart, the node model's complex period from the trapezoid rule on its
 cycle, the hyperbolic log coefficient from passage times and from a
-Richardson table of loop periods instead of its closed form at the saddle,
+Richardson table of loop periods (``extract_log_coeff``, the package's
+route before the closed form) instead of its closed form at the saddle,
 the local model's bifurcation diagram from its closed form, a one-dof pair
 (alpha, beta) from a Puiseux fit of passage times instead of exact
 reduction, level-set integrals from scipy's scalar adaptive ``quad`` with a
@@ -21,7 +22,8 @@ package's own stepper and at 30 digits by mpmath's Taylor method, the
 package's DOP853 run with every stage sum a loop over the tableau instead of
 its generated straight-line step, against which it must agree bit for bit,
 passage times of the cusp models at 40 digits with mpmath between their own
-roots of the level and of the sections, the matrix of the symplectic form Omega
+roots of the level and of the sections, and so the form integral around the
+compact model's wide oval next to the saddle's level, the matrix of the symplectic form Omega
 written out entry by entry, the real roots of one polynomial at a time
 from ``np.roots`` with a scalar Newton polish, against which the stacked
 root solve must agree bit for bit, the count and place of the real roots of a
@@ -50,7 +52,7 @@ import numpy as np
 from scipy.integrate import quad, solve_ivp
 from scipy.special import elliprf, hyp2f1
 
-from cuspinv.asymptotics import extract_log_coeff, fit_puiseux
+from cuspinv.asymptotics import fit_puiseux
 from cuspinv.brieskorn import BrieskornPair, _level_chart
 from cuspinv.flows import PeriodLattice
 from cuspinv.model import CUSP_COMPACT, Density, FibrationModel, bifurcation_diagram, densities_at
@@ -205,6 +207,42 @@ def contour_node_complex_period(f, H: float, n_nodes: int = 512) -> complex:
     y = np.exp(-1j * t)
     fv = sum(float(c) * x**m * y**n for (m, n, k), c in f.terms.items() if k == 0)
     return complex(np.sum(fv * -1j) * (2.0 * math.pi / n_nodes))
+
+
+def extract_log_coeff(samples) -> tuple[float, dict]:
+    """Coefficient alpha of value = alpha*ln|s| + beta(s) from at least 7
+    halving samples.
+
+    Consecutive differences give -alpha*ln 2 up to O(s); the Richardson table
+    with ratio 2 removes the analytic drift order by order.  A diagnostic
+    dict reports the table and whether the last corrections still shrink.
+    """
+    pts = sorted(((float(s), float(v)) for s, v in samples), reverse=True)
+    if len(pts) < 7:
+        raise ValueError("need at least 7 halving samples")
+    s, v = np.array(pts).T
+    ratios = s[:-1] / s[1:]
+    if np.any(np.abs(ratios - 2.0) > 1e-6):
+        raise ValueError("samples must sit on a halving grid s_m = s_0 * 2^-m")
+    d = (v[1:] - v[:-1]) / (-math.log(2.0))
+    table = [d]
+    for level in range(1, len(d)):
+        fac = 2.0**level
+        table.append((fac * table[-1][1:] - table[-1][:-1]) / (fac - 1.0))
+    alpha = float(table[-1][-1])
+    # convergence check on the final corrections
+    tail = [float(t[-1]) for t in table[-3:]]
+    deltas = [abs(tail[i + 1] - tail[i]) for i in range(len(tail) - 1)]
+    converging = len(deltas) < 2 or deltas[-1] <= deltas[-2] * 1.5 + 1e-14
+    diag = {
+        "alpha": alpha,
+        "levels": len(table),
+        "last_corrections": deltas,
+        "converging": bool(converging),
+    }
+    if not converging:
+        diag["warning"] = "Richardson corrections not shrinking; non-log behavior?"
+    return alpha, diag
 
 
 def passage_log_coeff(
@@ -588,6 +626,48 @@ def mp_passage_time(model: FibrationModel, H: float, lam: float, dps: int = 40) 
             return (f(t * sr, y) + f(-t * sr, y)) / sr
 
         return float(mpmath.quad(integrand, [0, mpmath.sqrt(turn - y_sec)]))
+
+
+def mp_wide_form(model: FibrationModel, H: float, lam: float, dps: int = 40) -> float:
+    """The form kernel's integral around the compact model's wide oval at
+    ``dps`` digits: (f(x, y) + f(-x, y)) / (2x) dy over its ends a < b, the
+    lowest two roots of P = H - W by mpmath's polyroots, with P = (y - a)(b - y) R
+    deflated at mpmath precision and y = a + (b - a) sin^2 t, so that
+    dy / x = 2 dt / sqrt(R); tanh-sinh in t, split where y passes a critical
+    point of W, at whose saddle the integrand peaks."""
+    with mpmath.workdps(dps):
+        p = [-mpmath.mpf(float(c)) for c in model.potential_coeffs(lam)]
+        p[-1] += mpmath.mpf(H)
+
+        def real_roots(c):
+            roots = mpmath.polyroots(c, maxsteps=200, extraprec=200)
+            return sorted(r.real for r in roots if abs(r.imag) < mpmath.mpf(10) ** (-dps // 2))
+
+        a, b = real_roots(p)[:2]
+        r = p
+        for root in (a, b):  # P / ((y - a)(y - b)) = -R
+            acc, quotient = mpmath.mpf(0), []
+            for c in r[:-1]:
+                acc = acc * root + c
+                quotient.append(acc)
+            r = quotient
+        r = [-c for c in r]
+        dp = [c * (len(p) - 1 - i) for i, c in enumerate(p[:-1])]
+        cuts = [mpmath.asin(mpmath.sqrt((c - a) / (b - a))) for c in real_roots(dp) if a < c < b]
+        lam_m = mpmath.mpf(lam)
+
+        def f(x, y):
+            terms = model.density.terms.items()
+            return sum(mpmath.mpf(c) * x**i * y**j * lam_m**k for (i, j, k), c in terms)
+
+        def integrand(t):
+            st, ct = mpmath.sin(t), mpmath.cos(t)
+            y = a + (b - a) * st * st
+            sr = mpmath.sqrt(mpmath.polyval(r, y))
+            x = (b - a) * st * ct * sr
+            return (f(x, y) + f(-x, y)) / sr
+
+        return float(mpmath.quad(integrand, [0, *cuts, mpmath.pi / 2]))
 
 
 def omega_matrix(density, point) -> np.ndarray:

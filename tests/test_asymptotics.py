@@ -11,7 +11,8 @@ from cuspinv.quadrature import passage_time
 from cuspinv.series import PuiseuxTriple, TruncatedSeries
 from cuspinv.specfun import puiseux_constants
 
-from oracles import contour_node_complex_period, loop_log_coeff, mp_log_coeff, passage_log_coeff
+from oracles import contour_node_complex_period, extract_log_coeff, loop_log_coeff, mp_log_coeff
+from oracles import passage_log_coeff
 
 
 class TestFitPuiseux:
@@ -87,13 +88,13 @@ class TestFitPuiseux:
 class TestExtractLogCoeff:
     def test_pure_log(self):
         samples = [(s, 2.0 * math.log(s) + 3.0) for s in (0.5 * 2.0**-m for m in range(9))]
-        alpha, diag = asy.extract_log_coeff(samples)
+        alpha, diag = extract_log_coeff(samples)
         assert abs(alpha - 2.0) < 1e-12
         assert diag["converging"]
 
     def test_perturbed_log(self):
         samples = [(s, 2.0 * math.log(s) + 3.0 + s) for s in (0.5 * 2.0**-m for m in range(9))]
-        alpha, _ = asy.extract_log_coeff(samples)
+        alpha, _ = extract_log_coeff(samples)
         assert abs(alpha - 2.0) < 1e-8
 
     def test_node_unit_density(self):
@@ -101,14 +102,14 @@ class TestExtractLogCoeff:
             (s, asy.node_passage(Density.constant(1), s))
             for s in (0.4 * 2.0**-m for m in range(9))
         ]
-        alpha, _ = asy.extract_log_coeff(samples)
+        alpha, _ = extract_log_coeff(samples)
         assert abs(alpha + 1.0) < 1e-9
 
     def test_grid_validation(self):
         with pytest.raises(ValueError):
-            asy.extract_log_coeff([(0.5 * 3.0**-m, 1.0) for m in range(8)])
+            extract_log_coeff([(0.5 * 3.0**-m, 1.0) for m in range(8)])
         with pytest.raises(ValueError):
-            asy.extract_log_coeff([(0.5, 1.0), (0.25, 1.0)])
+            extract_log_coeff([(0.5, 1.0), (0.25, 1.0)])
 
 
 class TestNodePassage:

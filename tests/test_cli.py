@@ -519,7 +519,7 @@ CanonicalBaseTransform DEFAULT_ORDER Density EquivalenceVerdict FibrationModel F
 IDENTITY_BASE_MAP InvariantReport NODE ONE_DOF OnSigmaError OneDofVerdict ParabolicVerdict
 PeriodLattice PuiseuxTriple RescaleMap StratumError SymplecticModel TruncatedSeries action_chart
 base_change_parabolic_test bifurcation_diagram canonicalize_base cusp_compact_model
-cusp_local_model cusp_torus_equivalent extract_log_coeff fit_puiseux hyperbolic_log_coeff
+cusp_local_model cusp_torus_equivalent fit_puiseux hyperbolic_log_coeff
 invariant_report is_parabolic loop_action loop_period model_pair node_complex_period node_model
 node_passage normalize_invariant one_dof_equivalent one_dof_model oval_bounds parabolic_equivalent
 passage_time period_lattice phi_r_apply phi_r_invert puiseux_constants pullback_residual reduce
@@ -623,8 +623,9 @@ class TestTransport:
 
 #: sha256 of stdout, byte for byte, of the default 7x7 charts, the 21x21
 #: charts of the benchmark's window, lattice verifications, invariant reports,
-#: verdicts on two different systems and transports; {name} stands for a model
-#: or points file
+#: verdicts on two different systems, also under the base maps (H + 0.01, F)
+#: and (1.05 H, F), and transports; {name} stands for a model, base-map or
+#: points file
 PINNED_DIGESTS = [
     (
         "actions --model {local}",
@@ -695,6 +696,14 @@ PINNED_DIGESTS = [
         "7ad079e8b8f6e43ce13e2082af620bf300354bab478ce222663e76cc61fe6c5d",
     ),
     (
+        "compare --sys1 {local} --sys2 {local_p} --phi {shift}",
+        "ae2179c49abf9963d084c276a37b94ec9c60bb12c278ddc73146207cb865df64",
+    ),
+    (
+        "compare --sys1 {compact} --sys2 {compact_p} --phi {scale}",
+        "1de2f3ecda246c6559af107f2393b3a1cec03baf417b2a623f2d95d05c0ff4ec",
+    ),
+    (
         "transport --sys1 {local} --sys2 {local_p} --points {pts_local}",
         "6bfec9504c4c065e89aca4d0f969ec6451465bd3eaf5b032c93a6bac9cebb131",
     ),
@@ -718,14 +727,25 @@ def test_output_digest_pinned(files, capsys, command, digest):
         "compact_p": model("cusp_compact", {(0, 0, 0): 1.0, (0, 1, 0): 0.2, (2, 0, 0): 0.1}, 0.25),
         "pts_local": [[0.028, -0.4805, -0.3], [-0.2, 0.1, -0.02, 0.5]],
         "pts_compact": [[0.1, -0.2, -0.03], [-0.05, 0.1, 0.01]],
+        "shift": _phi({(1, 0): 1, (0, 0): 0.01}, {(0, 1): 1}),
+        "scale": _phi({(1, 0): 1.05}, {(0, 1): 1}),
     }
     paths = {k: str(v) for k, v in files.items()}
     for name, data in extra.items():
         paths[name] = str(files["tmp"] / f"{name}.json")
         Path(paths[name]).write_text(json.dumps(data))
-    code, out, _ = _run(capsys, command.format(**paths).split())
-    assert code == 0
-    assert hashlib.sha256(out.encode()).hexdigest() == digest
+    # the commands that read the level tables run cold, then warm
+    runs = 2 if command.split()[0] in ("invariants", "compare", "decompose") else 1
+    for _ in range(runs):
+        code, out, _ = _run(capsys, command.format(**paths).split())
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def _phi(h_terms: dict, f_terms: dict) -> dict:
+    """A base-map file's data, (H~, F~) from their {(i, j): c} terms in (H, F)."""
+    pairs = (("Ht", h_terms), ("Ft", f_terms))
+    return {key: {"terms": [{"c": c, "e": list(e)} for e, c in t.items()]} for key, t in pairs}
 
 
 def _exit(capsys, argv):
@@ -895,29 +915,40 @@ def test_numeric_option_rejects_non_finite(tmp_path, capsys, command, option, va
     assert (code, out) == (2, "") and actions[option].dest in err
 
 
-#: (stacked root solves, level-integral engine calls) of one request: one
-#: solve per dependency step, a diagram query's lambdas and a batch's levels
-#: each within one; a verdict solves d1's branch values, then all the rest
-#: (d2's branch values, the narrow and wide levels of both systems), an
-#: invariant report the saddles of both lambda grids, then the lobes, a
-#: transport per system its levels with the zeros of f on them
+#: (stacked root solves, level-integral engine calls) of one request, cold
+#: and then warm: the same command run twice in one process.  One solve per
+#: dependency step, a diagram query's lambdas and a batch's levels each within
+#: one.  The levels of the fixed sample grids depend on the model kind alone
+#: and are solved once per process (the ``equivalence`` tables): cold, a
+#: decompose solves its passage levels, an invariant report the saddles of
+#: both lambda grids, then the lobes, and a verdict d1's branch values, then
+#: sys1's narrow and wide levels; warm, only what depends on the request is
+#: solved, for a verdict the one solve of d2's branch values and sys2's levels
+#: at the images of phi.  A transport solves per system its levels with the
+#: zeros of f on them
 SOLVES_PER_REQUEST = [
-    ("decompose --density {f1}", 1, 1),
+    ("decompose --density {f1}", (1, 1), (0, 1)),
     # the chart's strata and the lattice's stratum check read the one level solve
-    ("actions --model {compact}", 1, 1),
-    ("actions --model {compact} --grid 21x21 --h-range -0.01 0.01 --l-range -0.06 0.02", 1, 1),
-    ("invariants --sys {local}", 2, 1),
-    ("invariants --sys {compact}", 2, 1),
-    ("compare --sys1 {local} --sys2 {local2}", 2, 1),
-    ("compare --sys1 {compact} --sys2 {compact}", 2, 1),
-    ("lattice --sys {compact} --at 0.0 -0.05 --verify", 1, 1),
-    ("lattice --sys {compact} --at 0.05 0.02 --stratum wide --verify", 1, 1),
-    ("transport --sys1 {local} --sys2 {local2} --points {pts}", 2, 2),
+    ("actions --model {compact}", (1, 1), (1, 1)),
+    (
+        "actions --model {compact} --grid 21x21 --h-range -0.01 0.01 --l-range -0.06 0.02",
+        (1, 1),
+        (1, 1),
+    ),
+    ("invariants --sys {local}", (2, 1), (0, 1)),
+    ("invariants --sys {compact}", (2, 1), (0, 1)),
+    ("compare --sys1 {local} --sys2 {local2}", (3, 1), (1, 1)),
+    ("compare --sys1 {compact} --sys2 {compact}", (3, 1), (1, 1)),
+    ("lattice --sys {compact} --at 0.0 -0.05 --verify", (1, 1), (1, 1)),
+    ("lattice --sys {compact} --at 0.05 0.02 --stratum wide --verify", (1, 1), (1, 1)),
+    ("transport --sys1 {local} --sys2 {local2} --points {pts}", (2, 2), (2, 2)),
 ]
 
 
-@pytest.mark.parametrize("command, solves, engine_calls", SOLVES_PER_REQUEST)
-def test_solves_per_request_pinned(files, capsys, monkeypatch, command, solves, engine_calls):
+@pytest.mark.parametrize(
+    "command, cold, warm", SOLVES_PER_REQUEST, ids=[c for c, *_ in SOLVES_PER_REQUEST]
+)
+def test_solves_per_request_pinned(files, capsys, monkeypatch, command, cold, warm):
     from cuspinv import model as model_module
     from cuspinv import quadrature
 
@@ -936,6 +967,8 @@ def test_solves_per_request_pinned(files, capsys, monkeypatch, command, solves, 
     pts = files["tmp"] / "pts.json"
     pts.write_text(json.dumps([[0.028, -0.4805, -0.3], [-0.2, 0.1, -0.02, 0.5]]))
     paths = {k: str(v) for k, v in files.items()} | {"pts": str(pts)}
-    code, _, _ = _run(capsys, command.format(**paths).split())
-    assert code == 0
-    assert (counts["_stacked_roots"], counts["_level_integrals"]) == (solves, engine_calls)
+    for pinned in (cold, warm):
+        counts.update(dict.fromkeys(counts, 0))
+        code, _, _ = _run(capsys, command.format(**paths).split())
+        assert code == 0
+        assert (counts["_stacked_roots"], counts["_level_integrals"]) == pinned

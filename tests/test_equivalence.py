@@ -263,7 +263,8 @@ class TestParabolicEquivalent:
         v = parabolic_equivalent(m, m, self.SHIFT)
         assert not v.equivalent
         assert v.checks["I_circ"] == {"ok": False, "residuals": [math.inf] * 9}
-        assert (len(calls["roots"]), calls["engine"]) == (2, [9])
+        # cold: sys1's two table solves and the request's
+        assert (len(calls["roots"]), calls["engine"]) == (3, [9])
 
     def test_unconverged_image_is_an_infinite_residual(self, monkeypatch):
         # the engine's NaN (more than QUAD_LIMIT subintervals) on a sys2 job
@@ -274,11 +275,12 @@ class TestParabolicEquivalent:
         assert not v.equivalent
         assert v.checks["I_circ"]["residuals"][-1] == math.inf
         assert max(v.checks["I_circ"]["residuals"][:-1]) == 0.0
-        assert (len(calls["roots"]), calls["engine"]) == (2, [18])
+        assert (len(calls["roots"]), calls["engine"]) == (3, [18])
         calls = _count_calls(monkeypatch, spoiled=0)
         with pytest.raises(quadrature.OnSigmaError):
             parabolic_equivalent(m, m)
-        assert (len(calls["roots"]), calls["engine"]) == (2, [18])
+        # warm: sys1's table was built by the first verdict
+        assert (len(calls["roots"]), calls["engine"]) == (1, [18])
 
     def test_verdict_checks_make_one_engine_call(self, monkeypatch):
         # the narrow and the wide integrals of both systems together
@@ -299,7 +301,7 @@ class TestParabolicEquivalent:
         assert not v.equivalent and v.k is None
         assert v.checks["I_mu"] == {"ok": False, "k": None, "residuals": []}
         # sys1's 9 narrow and 4 wide integrals; no image has an oval
-        assert (len(calls["roots"]), calls["engine"]) == (2, [13])
+        assert (len(calls["roots"]), calls["engine"]) == (3, [13])
 
 
 def _count_calls(monkeypatch, spoiled=None) -> dict:
@@ -358,10 +360,12 @@ class TestVanishingDensity:
 
 
 class TestDiagramQueries:
-    # two root solves: d1's at its 4 sigma lambdas and 3 grid lambdas, then
-    # one of d2's W' at the images of the 4 x 2 branch values, the 9 narrow
-    # levels of each system with the W' of their 3 lambdas and, on the torus,
-    # the 4 wide levels of each with the W' of their 4 lambdas
+    # cold, three root solves: sys1's table, d1's at its 4 sigma lambdas and 3
+    # grid lambdas, then sys1's 9 narrow levels with the W' of their 3 lambdas
+    # and, on the torus, its 4 wide levels with the W' of their 4 lambdas;
+    # then the request's one solve of d2's W' at the images of the 4 x 2
+    # branch values and sys2's levels at the images of sys1's.  Warm, that
+    # one solve only
     @pytest.mark.parametrize(
         "verdict, sys1, sys2, equivalent",
         [
@@ -391,9 +395,13 @@ class TestDiagramQueries:
     def test_self_comparison_solves(self, monkeypatch, verdict, sys1, sys2, equivalent):
         calls = _count_calls(monkeypatch)
         assert verdict(sys1, sys2).equivalent == equivalent
-        wide = 2 * (4 + 4) if verdict is cusp_torus_equivalent else 0
-        assert calls["roots"] == [7, 8 + 2 * (9 + 3) + wide]
+        wide = 4 + 4 if verdict is cusp_torus_equivalent else 0
+        assert calls["roots"] == [7, 9 + 3 + wide, 8 + 9 + 3 + wide]
         assert len(calls["engine"]) == 1
+        calls["roots"].clear()
+        assert verdict(sys1, sys2).equivalent == equivalent
+        assert calls["roots"] == [8 + 9 + 3 + wide]
+        assert len(calls["engine"]) == 2
 
 
 class TestCuspTorusEquivalent:

@@ -14,6 +14,7 @@ from cuspinv.model import (
     cusp_local_model,
     node_model,
     one_dof_model,
+    saddles,
 )
 from cuspinv.flows import SymplecticModel, period_lattice
 from cuspinv.quadrature import (
@@ -44,6 +45,7 @@ from oracles import (
     local_sigma_values,
     mp_passage_ends,
     mp_passage_time,
+    mp_wide_form,
     onedof_section_area,
     polymul_zero_poly,
     quad_area_kernel,
@@ -509,6 +511,34 @@ class TestOvalLoopIntegral:
         d_fd = (wide_action(m, h + step, lam) - wide_action(m, h - step, lam)) / (2 * step)
         d_q = _oval_integral(m, h, lam, form_kernel(m.density), "wide") / (2.0 * math.pi)
         assert abs(d_fd - d_q) <= 1e-6 * abs(d_q)
+
+
+class TestRoundoffFloor:
+    # just above the saddle's level W(a) the wide oval pinches at a; there the
+    # integrand peaks at many times its mean, and the subintervals next to the
+    # pinch reach the rule's round-off floor, 50 eps times their integral of
+    # |integrand|, above the error the job's tolerance allows
+    LAM = -0.05
+
+    def _gap_level(self, gap):
+        m = cusp_compact_model(F_ONE)
+        (w_a,) = saddles(m, np.array([self.LAM]))[2]
+        return m, float(w_a) + gap
+
+    def test_subinterval_at_the_floor_is_accepted(self):
+        # bisecting such a subinterval gains nothing, so it is accepted there
+        m, h = self._gap_level(1e-7)
+        value = _oval_integral(m, h, self.LAM, form_kernel(m.density), "wide")
+        assert value == pytest.approx(mp_wide_form(m, h, self.LAM), rel=2e-12)
+
+    def test_level_past_the_floor_still_raises(self):
+        # nearer the saddle's level even the floor is out of reach: a named
+        # error, no silently finite value
+        m, h = self._gap_level(1e-8)
+        jobs = oval_jobs(m, [(h, self.LAM)], form_kernel(m.density), "wide")
+        assert np.isnan(quadrature._level_integrals(jobs)).all()
+        with pytest.raises(OnSigmaError):
+            integrals(jobs)
 
 
 def _level_coeffs(model, H, lam):
