@@ -71,7 +71,6 @@ from .equivalence import (
     verify_relations_numeric,
 )
 from .flows import (
-    BumpPushforward,
     PeriodLattice,
     SymplecticModel,
     period_lattice,
@@ -96,7 +95,6 @@ __all__ = [
     "hyperbolic_log_coeff", "node_complex_period", "node_passage", "verify_node_log_identity",
     "EquivalenceVerdict", "InvariantReport", "OneDofVerdict", "RescaleMap", "cusp_torus_equivalent",
     "invariant_report", "normalize_invariant", "one_dof_equivalent", "parabolic_equivalent",
-    "verify_relations", "verify_relations_numeric", "BumpPushforward", "PeriodLattice",
-    "SymplecticModel", "period_lattice", "pullback_residual", "trajectory_csv", "transport_map",
-    "verify_lattice",
+    "verify_relations", "verify_relations_numeric", "PeriodLattice", "SymplecticModel",
+    "period_lattice", "pullback_residual", "trajectory_csv", "transport_map", "verify_lattice",
 ]

@@ -40,7 +40,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .model import Density, FibrationModel, StratumError, _bound_at, _terms_source, densities_at
+from .model import Density, FibrationModel, StratumError, _bound_at, _terms_source
 from .quadrature import _built, _levels, _oval_jobs, area_kernel, form_kernel, integrals
 from .quadrature import section_time
 
@@ -116,21 +116,20 @@ def _tableau():
 
 
 @lru_cache(maxsize=64)
-def _step(n: int, shape=None):
+def _step(n: int, shape):
     """bind(...) -> (field, step) for n components: field(t, y) -> list, and
     step(t, y, f, h) -> (y_new, err) one DOP853 step from (t, y), f = field(t, y),
     as straight-line code, each stage sum (0.0 + w0 k0 + w1 k1 ...) left to right
     over the tableau's nonzero weights, err scipy's DOP853._estimate_error_norm.
-    With no shape, bind(rhs) takes any rhs(t, y) on lists, called per stage.
-    Otherwise bind(c0, l0, ...) takes the coefficients of polynomials of that
-    shape (``model._bound_at``), written into each stage: for n = 2 (f, H_x, H_y)
+    bind(c0, l0, ...) takes the coefficients of polynomials of the shape
+    (``model._bound_at``), written into each stage: for n = 2 (f, H_x, H_y)
     and the plane field (-H_y / f, H_x / f), for n = 4 also H_lambda and X_lambda
     and the H-field.  These read x and y only, so only theirs are stage
     arguments; lambda's sums, of exact zeros, are left out, its state moved by
     h * 0.0 and its error terms, 0.0, kept in the mean."""
     c, (*a, b, e5, e3) = _tableau()
-    params, terms = ("rhs", None) if shape is None else _terms_source(shape)
-    comps = [0, 1, 3] if shape is not None and n == 4 else list(range(n))  # not lambda's zeros
+    params, terms = _terms_source(shape)
+    comps = [0, 1, 3] if n == 4 else list(range(n))  # not lambda's zeros
 
     def dot(pairs, i):
         return "(0.0" + "".join(f" + {w!r} * k{j}_{i}" for j, w in pairs) + ")"
@@ -144,11 +143,7 @@ def _step(n: int, shape=None):
     body.append("".join(f"k0_{i}, " if i in comps else "_, " for i in range(n)) + "= f")
     for s in range(1, len(c)):
         args = [f"u{i} + {dot(a[s], i)} * h" for i in range(n)]
-        out = [f"k{s}_{i}" for i in comps]
-        if shape is None:
-            body.append(f"{', '.join(out)}, = rhs(t + {c[s]!r} * h, [{', '.join(args)}])")
-        else:
-            body += field(*args[:2], out)
+        body += field(*args[:2], [f"k{s}_{i}" for i in comps])
     body += [f"n{i} = u{i} + h * {dot(b, i) if i in comps else '0.0'}" for i in range(n)]
     body += [f"s{i} = ATOL + max(abs(u{i}), abs(n{i})) * RTOL" for i in comps]
     for r, e in (("r5", e5), ("r3", e3)):
@@ -156,12 +151,9 @@ def _step(n: int, shape=None):
         body.append(f"{r} = sqrt((0.0{''.join(f' + q{i} * q{i}' for i in comps)}) / {n})")
     body.append("err = abs(h) * r5 * r5 / sqrt(r5 * r5 + 0.01 * r3 * r3) if r5 or r3 else 0.0")
     body.append(f"return [{', '.join(f'n{i}' for i in range(n))}], err")
-    lines = [f"def bind({params}):"]
-    if shape is None:
-        lines.append("    field = rhs")
-    else:
-        lines += ["    def field(t, y):", *(f"        {v}" for v in field("y[0]", "y[1]", ["vx", "vy", "vphi"]))]
-        lines.append(f"        return [{', '.join(['vx', 'vy', '0.0', 'vphi'][:n])}]")
+    lines = [f"def bind({params}):", "    def field(t, y):"]
+    lines += [f"        {v}" for v in field("y[0]", "y[1]", ["vx", "vy", "vphi"])]
+    lines.append(f"        return [{', '.join(['vx', 'vy', '0.0', 'vphi'][:n])}]")
     lines += ["    def step(t, y, f, h):", *(f"        {v}" for v in body), "    return field, step"]
     namespace = {"ATOL": FLOW_ATOL, "RTOL": FLOW_RTOL, "sqrt": math.sqrt, "VANISHES": _VANISHES}
     exec(compile("\n".join(lines), f"<DOP853 step of {n}>", "exec"), namespace)
@@ -356,92 +348,6 @@ def transport_map(sys1, sys2, point) -> np.ndarray:
     for row, row_lam, t in zip(out, lam.tolist(), dt.tolist()):
         row[:2] = s2.reduced_flow(row[:2], row_lam, t)
     return out if point.ndim == 2 else out[0]
-
-
-class BumpPushforward:
-    """System obtained by pushing a SymplecticModel forward along a bump field.
-
-    The diffeomorphism is the time-1 map psi0 of Z = rho(x) X_H (reduced),
-    which preserves every fiber and fixes a neighborhood of the sections
-    {x = +-x0}: the bump vanishes for |x| >= x0/2.  Its flow is the conjugated one,
-    sigma~^t = psi0 o sigma^t o psi0^-1, and its density is the pushforward
-    f~ = (f / det Dpsi0) o psi0^-1 with the determinant integrated along the
-    bump flow (d/dt log det = div Z).
-    """
-
-    def __init__(self, sm: SymplecticModel, amplitude: float = 0.15):
-        self.sm = sm
-        self.base = ReducedSystem(sm)
-        self.amplitude = amplitude
-        self.support = 0.5 * sm.model.x0
-        self._f_x = sm.model.density.diff(0)
-        self._f_y = sm.model.density.diff(1)
-        self._preimages: dict = {}
-
-    def _bump(self, x: float) -> tuple[float, float]:
-        """rho(x) and rho'(x)."""
-        u = x / self.support
-        if abs(u) >= 1.0:
-            return 0.0, 0.0
-        w = 1.0 - u * u
-        rho = self.amplitude * math.exp(-1.0 / w)
-        return rho, rho * (-2.0 * u / (w * w)) / self.support
-
-    def _z_rhs(self, lam: float):
-        """Z = rho v, with d/dt log det Dpsi0 = div Z as a third component."""
-        values = densities_at((self.sm._f, self.sm._H_x, self.sm._H_y, self._f_x, self._f_y), lam)
-
-        def rhs(_t, state):
-            x, y, _ = state
-            fv, hx, hy, fx, fy = values(x, y)
-            if fv == 0.0:
-                raise ValueError(_VANISHES)
-            vx, vy = -hy / fv, hx / fv
-            rho, rho_prime = self._bump(x)
-            # div(rho v) = rho' vx + rho div v, div v = -(v . grad f) / f
-            div_v = -(vx * fx + vy * fy) / fv
-            return [rho * vx, rho * vy, rho_prime * vx + rho * div_v]
-
-        return rhs
-
-    def bump_map(self, xy, lam: float, inverse: bool = False):
-        """psi0 (or its inverse) with log det Dpsi0 integrated alongside."""
-        (out,) = _solve(_step(3)(self._z_rhs(lam)), (xy[0], xy[1], 0.0), [-1.0 if inverse else 1.0])
-        return np.array([out[0], out[1]]), math.exp(out[2])
-
-    def _preimage(self, xy, lam: float):
-        """bump_map(xy, lam, inverse=True), kept for the last section_time batch:
-        a transported point asks for it there and again in reduced_flow."""
-        hit = self._preimages.get((float(xy[0]), float(xy[1]), float(lam)))
-        return self.bump_map(xy, lam, inverse=True) if hit is None else hit
-
-    def density_eval(self, x, y, lam):
-        pre, det_along = self._preimage((x, y), lam)
-        # det Dpsi0 at the preimage equals 1/det of the inverse map here
-        return self.sm._f.eval(pre[0], pre[1], lam) / (1.0 / det_along)
-
-    def reduced_flow(self, xy, lam: float, t: float) -> np.ndarray:
-        pre, _ = self._preimage(xy, lam)
-        moved = self.base.reduced_flow(pre, lam, t)
-        img, _ = self.bump_map(moved, lam, inverse=False)
-        return img
-
-    def reduced(self) -> "BumpPushforward":
-        return self
-
-    def hamiltonian_value(self, point) -> float:
-        # psi0 preserves every fiber, so the pushed system has the same H
-        return self.sm.hamiltonian_value(point)
-
-    def section_time(self, xy, lam):
-        # psi0 is the identity near the section, so the conjugated backward
-        # trajectory hits {x = x0} exactly when the base one from psi0^-1 does
-        xy = np.asarray(xy, dtype=float)
-        columns = np.broadcast_arrays(xy[..., 0], xy[..., 1], lam)
-        points = list(zip(*(c.ravel().tolist() for c in columns)))
-        self._preimages = {p: self._preimage(p[:2], p[2]) for p in points}
-        pre = np.array([self._preimages[p][0] for p in points])
-        return self.base.section_time(pre.reshape(xy.shape), lam)
 
 
 def pullback_residual(sys1, sys2, point):

@@ -24,7 +24,9 @@ job's value depends on its own subintervals only.  The builders,
 separatrix lobe), take a batch of levels and give each its job or the error
 of its first failed check, which a caller raises or leaves blank.  The
 strata are the oval builders' rule, read off their failed checks
-(``_strata``): a chart and a lattice classify on the levels they integrate.
+(``_strata``): a chart and a lattice classify on the levels they integrate,
+a chart on its window's levels, which depend on no density and are solved
+once per window in a process (``_chart_table``).
 
 Orientation: loop periods and loop actions are positive; passage times run
 from N1 = {x = +x0} to N2 = {x = -x0} (swapping the sections flips the
@@ -38,6 +40,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -671,6 +674,19 @@ class ActionChart:
         return "\n".join([self.CSV_HEADER, *map(",".join, zip(*columns))]) + "\n"
 
 
+@lru_cache(maxsize=8)
+def _chart_table(kind: str, x0: float, H_values: tuple, lam_values: tuple):
+    """The levels of a chart window, which read no density, once per model
+    kind, x0 and H and lambda values in a process (a -0.0 meets the 0.0
+    entry, whose roots are the same bits): the indices of the window's cells
+    in the domain (lambda-major, H-minor), their strata (``_strata``) and
+    their ``_levels`` with the sections at x0, read-only."""
+    cells = [(h, lam) for lam in lam_values for h in H_values]
+    near = [i for i, cell in enumerate(cells) if math.hypot(*cell) <= DEFAULT_DOMAIN_RADIUS]
+    levels = _levels(FibrationModel(kind, x0=x0), [cells[i] for i in near], x0)
+    return tuple(near), tuple(_strata(levels, DEFAULT_DOMAIN_RADIUS)), levels.frozen()
+
+
 def action_chart(
     model: FibrationModel,
     H_values,
@@ -682,17 +698,19 @@ def action_chart(
 
     I = lambda everywhere in the domain (F generates the S^1 action);
     Pi_circ and I_circ exist on the narrow stratum, I_mu on the compact
-    model away from Sigma_hyp.  The levels of the cells in the domain and
-    their sections are one stacked root solve, which gives the cells their
-    strata (``_strata``); each column's jobs are built on the cells of its
-    strata, and all integrals are one engine call; each cell is the scalar
-    value bit for bit.
+    model away from Sigma_hyp.  The levels of the cells in the domain, their
+    sections and strata depend on the window alone and are read off its
+    ``_chart_table`` (one stacked root solve per window in a process); each
+    column's jobs are built on the cells of its strata with the density's
+    kernels, and all integrals are one engine call; each cell is the scalar
+    value bit for bit.  The rows keep the H and lambda asked.
     """
+    H_values, lam_values = tuple(H_values), tuple(lam_values)
     form, area = form_kernel(model.density), area_kernel(model.density)
     rows = [ActionChartRow(h, lam, "outside", *[None] * 5) for lam in lam_values for h in H_values]
-    near = [row for row in rows if math.hypot(row.H, row.lam) <= DEFAULT_DOMAIN_RADIUS]
-    levels = _levels(model, [(row.H, row.lam) for row in near], model.x0)
-    for row, stratum in zip(near, _strata(levels, DEFAULT_DOMAIN_RADIUS)):
+    at, strata, levels = _chart_table(model.kind, model.x0, H_values, lam_values)
+    near = [rows[i] for i in at]
+    for row, stratum in zip(near, strata):
         row.stratum = stratum
     kept = {stratum_filter} if stratum_filter else {"narrow", "wide", "outside"}
     inside = [i for i, row in enumerate(near) if row.stratum != "outside" and row.stratum in kept]

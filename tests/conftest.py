@@ -1,9 +1,15 @@
 import pytest
 
-from cuspinv import equivalence
+from cuspinv import equivalence, quadrature
 
-#: the per-process level tables of the fixed sample grids, each an lru_cache
-TABLES = (equivalence._passage_table, equivalence._report_table, equivalence._verdict_table)
+#: the per-process level tables of the fixed sample grids and of the chart
+#: windows, each an lru_cache
+TABLES = (
+    equivalence._passage_table,
+    equivalence._report_table,
+    equivalence._verdict_table,
+    quadrature._chart_table,
+)
 
 
 @pytest.fixture(autouse=True)

@@ -38,7 +38,9 @@ against whose roots those of the section times' must agree bit for bit, and
 the exact (alpha, beta) of a whole density rewritten term by term by the
 rules R1-R4 instead of summed from per-monomial tables, also on the cusp
 models through their pulled-back density, against which the tables must
-agree Fraction for Fraction.
+agree Fraction for Fraction.  It also holds a test system for the transport
+map: a model pushed forward along a bump field (``BumpPushforward``), whose
+bump flow steps with ``loop_dop853``.
 """
 
 from __future__ import annotations
@@ -54,7 +56,7 @@ from scipy.special import elliprf, hyp2f1
 
 from cuspinv.asymptotics import fit_puiseux
 from cuspinv.brieskorn import BrieskornPair, _level_chart
-from cuspinv.flows import PeriodLattice
+from cuspinv.flows import _VANISHES, PeriodLattice, ReducedSystem, SymplecticModel
 from cuspinv.model import CUSP_COMPACT, Density, FibrationModel, bifurcation_diagram, densities_at
 from cuspinv.quadrature import LevelJob, OnSigmaError, StratumError
 from cuspinv.quadrature import loop_action, loop_period, oval_bounds, passage_time, wide_action
@@ -533,6 +535,95 @@ def loop_dop853(rhs, y0, times) -> tuple[list, int]:
             t, y = t_new, y_new
         out[t_stop] = y
     return [out[v] for v in times], rejections
+
+
+class BumpPushforward:
+    """System obtained by pushing a SymplecticModel forward along a bump field.
+
+    The diffeomorphism is the time-1 map psi0 of Z = rho(x) X_H (reduced),
+    which preserves every fiber and fixes a neighborhood of the sections
+    {x = +-x0}: the bump vanishes for |x| >= x0/2.  Its flow is the conjugated one,
+    sigma~^t = psi0 o sigma^t o psi0^-1, and its density is the pushforward
+    f~ = (f / det Dpsi0) o psi0^-1 with the determinant integrated along the
+    bump flow (d/dt log det = div Z), stepped by ``loop_dop853``.  A test
+    system for ``transport_map`` and ``pullback_residual``: it follows their
+    reduced-system protocol.
+    """
+
+    def __init__(self, sm: SymplecticModel, amplitude: float = 0.15):
+        self.sm = sm
+        self.base = ReducedSystem(sm)
+        self.amplitude = amplitude
+        self.support = 0.5 * sm.model.x0
+        self._f_x = sm.model.density.diff(0)
+        self._f_y = sm.model.density.diff(1)
+        self._preimages: dict = {}
+
+    def _bump(self, x: float) -> tuple[float, float]:
+        """rho(x) and rho'(x)."""
+        u = x / self.support
+        if abs(u) >= 1.0:
+            return 0.0, 0.0
+        w = 1.0 - u * u
+        rho = self.amplitude * math.exp(-1.0 / w)
+        return rho, rho * (-2.0 * u / (w * w)) / self.support
+
+    def _z_rhs(self, lam: float):
+        """Z = rho v, with d/dt log det Dpsi0 = div Z as a third component."""
+        values = densities_at((self.sm._f, self.sm._H_x, self.sm._H_y, self._f_x, self._f_y), lam)
+
+        def rhs(_t, state):
+            x, y, _ = state
+            fv, hx, hy, fx, fy = values(x, y)
+            if fv == 0.0:
+                raise ValueError(_VANISHES)
+            vx, vy = -hy / fv, hx / fv
+            rho, rho_prime = self._bump(x)
+            # div(rho v) = rho' vx + rho div v, div v = -(v . grad f) / f
+            div_v = -(vx * fx + vy * fy) / fv
+            return [rho * vx, rho * vy, rho_prime * vx + rho * div_v]
+
+        return rhs
+
+    def bump_map(self, xy, lam: float, inverse: bool = False):
+        """psi0 (or its inverse) with log det Dpsi0 integrated alongside."""
+        t = -1.0 if inverse else 1.0
+        ((x, y, log_det),), _ = loop_dop853(self._z_rhs(lam), (xy[0], xy[1], 0.0), [t])
+        return np.array([x, y]), math.exp(log_det)
+
+    def _preimage(self, xy, lam: float):
+        """bump_map(xy, lam, inverse=True), kept for the last section_time batch:
+        a transported point asks for it there and again in reduced_flow."""
+        hit = self._preimages.get((float(xy[0]), float(xy[1]), float(lam)))
+        return self.bump_map(xy, lam, inverse=True) if hit is None else hit
+
+    def density_eval(self, x, y, lam):
+        pre, det_along = self._preimage((x, y), lam)
+        # det Dpsi0 at the preimage equals 1/det of the inverse map here
+        return self.sm._f.eval(pre[0], pre[1], lam) / (1.0 / det_along)
+
+    def reduced_flow(self, xy, lam: float, t: float) -> np.ndarray:
+        pre, _ = self._preimage(xy, lam)
+        moved = self.base.reduced_flow(pre, lam, t)
+        img, _ = self.bump_map(moved, lam, inverse=False)
+        return img
+
+    def reduced(self) -> "BumpPushforward":
+        return self
+
+    def hamiltonian_value(self, point) -> float:
+        # psi0 preserves every fiber, so the pushed system has the same H
+        return self.sm.hamiltonian_value(point)
+
+    def section_time(self, xy, lam):
+        # psi0 is the identity near the section, so the conjugated backward
+        # trajectory hits {x = x0} exactly when the base one from psi0^-1 does
+        xy = np.asarray(xy, dtype=float)
+        columns = np.broadcast_arrays(xy[..., 0], xy[..., 1], lam)
+        points = list(zip(*(c.ravel().tolist() for c in columns)))
+        self._preimages = {p: self._preimage(p[:2], p[2]) for p in points}
+        pre = np.array([self._preimages[p][0] for p in points])
+        return self.base.section_time(pre.reshape(xy.shape), lam)
 
 
 def _mp_density(density, x, y, lam):

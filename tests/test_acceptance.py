@@ -21,7 +21,6 @@ from cuspinv.equivalence import (
     verify_relations_numeric,
 )
 from cuspinv.flows import (
-    BumpPushforward,
     ReducedSystem,
     SymplecticModel,
     period_lattice,
@@ -41,7 +40,7 @@ from cuspinv.quadrature import loop_action, loop_period, oval_bounds, passage_ti
 from cuspinv.series import PuiseuxTriple, TruncatedSeries, phi_r_apply, phi_r_invert
 from cuspinv.specfun import puiseux_constants
 
-from oracles import reference_Jj
+from oracles import BumpPushforward, reference_Jj
 
 F_ONE = Density.constant(1)
 

@@ -514,7 +514,7 @@ class TestLattice:
 
 #: the supported names of ``import cuspinv``, sorted
 PUBLIC_API = """
-ActionChart ActionChartRow BifurcationDiagram BrieskornPair BumpPushforward CUSP_COMPACT CUSP_LOCAL
+ActionChart ActionChartRow BifurcationDiagram BrieskornPair CUSP_COMPACT CUSP_LOCAL
 CanonicalBaseTransform DEFAULT_ORDER Density EquivalenceVerdict FibrationModel FitReport
 IDENTITY_BASE_MAP InvariantReport NODE ONE_DOF OnSigmaError OneDofVerdict ParabolicVerdict
 PeriodLattice PuiseuxTriple RescaleMap StratumError SymplecticModel TruncatedSeries action_chart
@@ -622,7 +622,8 @@ class TestTransport:
 
 
 #: sha256 of stdout, byte for byte, of the default 7x7 charts, the 21x21
-#: charts of the benchmark's window, lattice verifications, invariant reports,
+#: charts of the benchmark's window, charts filtered to one stratum (one with
+#: a mu shift), lattice verifications, invariant reports,
 #: verdicts on two different systems, also under the base maps (H + 0.01, F)
 #: and (1.05 H, F), and transports; {name} stands for a model, base-map or
 #: points file
@@ -658,6 +659,14 @@ PINNED_DIGESTS = [
     (
         "actions --model {compact} --grid 21x21 --h-range -0.01 0.01 --l-range -0.06 0.02 --format json",
         "770d37e2d6ccf5b2bb03e2037de638f59c691280a5d98374e33e4a17ab3df8d4",
+    ),
+    (
+        "actions --model {compact} --stratum wide --mu-shift 1 --format json",
+        "beef636e500adabf5fe5e990480610931f3bae2471a08b1f818b8ccbbd448d7d",
+    ),
+    (
+        "actions --model {local} --stratum narrow",
+        "c4fd37ce9db50cdb1ee6b03bbbaba710a175e6beec1e8c174b5a1a3cbc916b43",
     ),
     (
         "lattice --sys {local} --at 0.0 -0.05 --verify",
@@ -735,7 +744,7 @@ def test_output_digest_pinned(files, capsys, command, digest):
         paths[name] = str(files["tmp"] / f"{name}.json")
         Path(paths[name]).write_text(json.dumps(data))
     # the commands that read the level tables run cold, then warm
-    runs = 2 if command.split()[0] in ("invariants", "compare", "decompose") else 1
+    runs = 2 if command.split()[0] in ("actions", "invariants", "compare", "decompose") else 1
     for _ in range(runs):
         code, out, _ = _run(capsys, command.format(**paths).split())
         assert code == 0
@@ -924,16 +933,17 @@ def test_numeric_option_rejects_non_finite(tmp_path, capsys, command, option, va
 #: both lambda grids, then the lobes, and a verdict d1's branch values, then
 #: sys1's narrow and wide levels; warm, only what depends on the request is
 #: solved, for a verdict the one solve of d2's branch values and sys2's levels
-#: at the images of phi.  A transport solves per system its levels with the
-#: zeros of f on them
+#: at the images of phi.  A chart's levels and strata depend on its window
+#: alone (``quadrature._chart_table``): solved cold, read warm.  A transport
+#: solves per system its levels with the zeros of f on them
 SOLVES_PER_REQUEST = [
     ("decompose --density {f1}", (1, 1), (0, 1)),
     # the chart's strata and the lattice's stratum check read the one level solve
-    ("actions --model {compact}", (1, 1), (1, 1)),
+    ("actions --model {compact}", (1, 1), (0, 1)),
     (
         "actions --model {compact} --grid 21x21 --h-range -0.01 0.01 --l-range -0.06 0.02",
         (1, 1),
-        (1, 1),
+        (0, 1),
     ),
     ("invariants --sys {local}", (2, 1), (0, 1)),
     ("invariants --sys {compact}", (2, 1), (0, 1)),

@@ -6,7 +6,6 @@ import pytest
 from cuspinv import flows, quadrature
 from cuspinv import model as model_module
 from cuspinv.flows import (
-    BumpPushforward,
     ReducedSystem,
     SymplecticModel,
     period_lattice,
@@ -18,6 +17,7 @@ from cuspinv.model import Density, cusp_compact_model, cusp_local_model, one_dof
 from cuspinv.quadrature import loop_period, oval_bounds
 
 from oracles import (
+    BumpPushforward,
     carlson_loop_period,
     fd_period_lattice,
     loop_dop853,
@@ -214,18 +214,24 @@ class TestFlowEngine:
 
     @pytest.mark.parametrize("t", [1.0, -1.0])
     def test_nan_field_fails_after_bounded_calls(self, t):
+        # a system whose field turns NaN past |x| = 0.5, and with it the error
+        # of every step that ends there: no step size passes
         calls = []
 
-        def rhs(_t, y):
+        def field(_t, y):
             calls.append(1)
             return [1.0, math.nan if abs(y[0]) > 0.5 else 0.0]
 
+        def step(t, y, f, h):  # Euler, its error NaN where the field is
+            y_new = [v + h * u for v, u in zip(y, f)]
+            return y_new, 0.0 * sum(field(t + h, y_new))
+
         with pytest.raises(RuntimeError, match="flow integration failed"):
-            flows._solve(flows._step(2)(rhs), [0.0, 0.0], [t])
+            flows._solve((field, step), [0.0, 0.0], [t])
         assert 0 < len(calls) < 2000
         calls.clear()
         with pytest.raises(RuntimeError, match="flow integration failed"):
-            flows._solve(flows._step(2)(lambda _t, y: calls.append(1) or [math.nan, 0.0]), [0.0, 0.0], [t])
+            flows._solve((lambda _t, y: calls.append(1) or [math.nan, 0.0], step), [0.0, 0.0], [t])
         assert len(calls) == 1
 
     @pytest.mark.parametrize("times", [[-1.0, 1.0], [math.nan], [1.0, math.inf], [-math.inf]])
@@ -252,8 +258,6 @@ class TestFlowEngine:
         [
             (2, (0.1, -0.4), [1.5, 0.5, 3.0], False),  # ReducedSystem.rhs
             (2, (0.9, 0.9), [-2.0, -0.5], True),  # a fast start: rejected steps
-            (3, (0.1, -0.4), [0.25, 0.5, 1.0], False),  # BumpPushforward._z_rhs
-            (3, (0.05, 0.3), [-1.0], False),
             (4, (0.1, -0.2), [0.4, 0.8, 2.0], False),  # the H-field
             (4, (0.1, -0.2), [-0.3, -1.1], False),
         ],
@@ -261,15 +265,14 @@ class TestFlowEngine:
     def test_straight_line_step_matches_loop_oracle(self, size, start, times, rejects):
         # the generated step runs the loop stepper's float operations in its
         # order: the same states bit for bit, from as many right-hand sides,
-        # 11 of each step attempt written into the step where it is polynomial
+        # 11 of each step attempt written into the step
         sm, lam = SymplecticModel(cusp_compact_model(self.F_MIX)), -0.3
-        y0 = [*start, *[(), (0.0,), (lam, 0.3)][size - 2]]
-        ref_calls = []
-        rhs = BumpPushforward(sm)._z_rhs(lam) if size == 3 else unfused_field(sm, lam, size)
+        y0 = [*start, lam, 0.3][:size]
+        rhs, ref_calls = unfused_field(sm, lam, size), []
         ref, rejected = loop_dop853(lambda t, y: ref_calls.append(1) or rhs(t, y), y0, times)
-        states, calls, attempts = _counted_solve(sm, lam, size, y0, times, rhs if size == 3 else None)
+        states, calls, attempts = _counted_solve(sm, lam, size, y0, times)
         assert _hex(states) == _hex(ref)
-        assert len(calls) + (0 if size == 3 else 11 * len(attempts)) == len(ref_calls) > 12 * len(times)
+        assert len(calls) + 11 * len(attempts) == len(ref_calls) > 12 * len(times)
         if rejects:
             assert rejected > 0
 
@@ -346,16 +349,14 @@ def _hex(states):
     return [[v.hex() for v in row] for row in states]
 
 
-def _counted_solve(sm, lam, n, y0, times, rhs=None):
+def _counted_solve(sm, lam, n, y0, times):
     """(states, calls, attempts): ``_solve`` on the generated system of n
-    components at lambda, or on rhs in the plain call form, with a 1 in calls
-    per call of a Python field and in attempts per step attempt."""
+    components at lambda, with a 1 in calls per call of its Python field (the
+    field written into the step is not called) and in attempts per step
+    attempt."""
     calls, attempts = [], []
-    if rhs is None:  # the field written into the step: only _solve's calls
-        bound, step = sm._system(lam, n)
-        field = lambda t, y: calls.append(1) or bound(t, y)  # noqa: E731
-    else:  # every call, the stages' among them
-        field, step = flows._step(n)(lambda t, y: calls.append(1) or rhs(t, y))
+    bound, step = sm._system(lam, n)
+    field = lambda t, y: calls.append(1) or bound(t, y)  # noqa: E731
     counted = (field, lambda *a: attempts.append(1) or step(*a))
     return flows._solve(counted, y0, times), calls, attempts
 
