@@ -40,8 +40,8 @@ from .model import (
     one_dof_model,
     saddles,
 )
-from .quadrature import LevelJob, _built, _converged, _level_ask, _level_integrals, _lobe_areas
-from .quadrature import _levels, _oval_jobs, _passage_levels, area_kernel, integrals, passage_jobs
+from .quadrature import _converged, _level_ask, _level_integrals, _lobe_areas, _levels, _oval_jobs
+from .quadrature import _passage_levels, area_kernel, integrals, passage_jobs
 from .series import TruncatedSeries, phi_r_apply, phi_r_invert
 from .specfun import puiseux_constants
 from . import asymptotics
@@ -195,8 +195,8 @@ def verify_relations_numeric(f, f_tilde, g: TruncatedSeries) -> dict:
     grid = np.geomspace(1e-8, 0.05, 40)
     gv = np.array([float(g.eval(h)) for h in grid])
     hp = gv + np.array([float(dg.eval(h)) for h in grid]) * grid
-    jobs = passage_jobs(mdl, [(h, 0.0) for h in grid])
-    pi = integrals(jobs + passage_jobs(mdl_t, [(h, 0.0) for h in grid * gv]))
+    jobs = (passage_jobs(m, [(h, 0.0) for h in hs]) for m, hs in ((mdl, grid), (mdl_t, grid * gv)))
+    pi = integrals(*jobs)
     deltas = pi[: len(grid)] - hp * pi[len(grid) :]
     fit, report = asymptotics.fit_puiseux(zip(grid, deltas), order=(2, 2, 6))
     return {
@@ -353,14 +353,12 @@ def parabolic_equivalent(
     return EquivalenceVerdict(equivalent=ok, checks=checks)
 
 
-def _oval_actions(values, jobs1: list, jobs2: list):
-    """Oval area / 2 pi of sys1 and sys2 from their area jobs (``_oval_jobs``),
-    the values of the jobs among them read off an iterator in order.  A sys1
-    level without its job or whose integral does not converge raises; such a
-    sys2 level gives None."""
-    first = _converged(np.array([next(values) for _ in _built(jobs1)])).tolist()
-    unread = [not isinstance(j, LevelJob) for j in jobs2]
-    return first, [None if skip or math.isnan(v := next(values)) else v for skip in unread]
+def _oval_actions(jobs1, jobs2, values1, values2):
+    """Oval area / 2 pi of sys1 and sys2 from their area jobs (``_oval_jobs``)
+    and the engine's values of them.  A sys1 level without its job or whose
+    integral does not converge raises; such a sys2 level gives None."""
+    jobs1.built()
+    return _converged(values1).tolist(), [None if math.isnan(v) else v for v in values2.tolist()]
 
 
 @lru_cache(maxsize=8)
@@ -420,20 +418,20 @@ def _parabolic_checks(
     # a narrow oval gives an infinite I_circ residual
     kernels = (area_kernel(sys1.density), area_kernel(sys2.density))  # one group each
     jobs = [
-        _oval_jobs([k] * len(lv.points), lv, oval)
+        _oval_jobs(k, lv, oval)
         for oval, pair in zip(("narrow", "wide"), zip(levels1, levels2))
         for k, lv in zip(kernels, pair)
     ]
-    values = _level_integrals([j for part in jobs for j in part if isinstance(j, LevelJob)])
-    values = iter((values / (2.0 * math.pi)).tolist())
+    values = _level_integrals(*jobs) / (2.0 * math.pi)
+    values = np.split(values, np.cumsum([len(j.errors) for j in jobs]))
     io_resid = [
         math.inf if io_2 is None else abs(io_1 - io_2) / max(abs(io_1), 1e-12)
-        for io_1, io_2 in zip(*_oval_actions(values, *jobs[:2]))
+        for io_1, io_2 in zip(*_oval_actions(*jobs[:2], *values[:2]))
     ]
     io_ok = all(r_o <= action_rtol for r_o in io_resid)
     checks["I"] = {"ok": i_ok, "residuals": i_resid}
     checks["I_circ"] = {"ok": io_ok, "residuals": io_resid}
-    return sigma_ok and i_ok and io_ok, _oval_actions(values, *jobs[2:]) if wide else None
+    return sigma_ok and i_ok and io_ok, _oval_actions(*jobs[2:], *values[2:4]) if wide else None
 
 
 def cusp_torus_equivalent(

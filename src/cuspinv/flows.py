@@ -35,13 +35,13 @@ H-time is the loop period.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from .model import Density, FibrationModel, StratumError, _bound_at, _terms_source
-from .quadrature import _built, _levels, _oval_jobs, area_kernel, form_kernel, integrals
+from .quadrature import _levels, _oval_jobs, area_kernel, form_kernel, integrals
 from .quadrature import section_time
 
 FLOW_RTOL = 1e-12
@@ -272,14 +272,13 @@ def _period_lattice(sm: SymplecticModel, level, stratum: str, k: int) -> PeriodL
     f = sm.model.density
     y_density = Density({(0, 1, 0): 1})
     kernels = (form_kernel(f), form_kernel(f * y_density), area_kernel(f.diff(2)))
-    (job,) = _built(_oval_jobs(kernels[:1], level, stratum))
-    jobs = [replace(job, kernel=k) for k in kernels]
-    di_dh, loop_y, area_l = integrals(jobs)
+    jobs = _oval_jobs(kernels[0], level, stratum).built()
+    di_dh, loop_y, area_l = integrals(*(jobs._replace(kernel=k) for k in kernels))
     di_dl = area_l - loop_y
     basis = np.array(
         [[0.0, 2.0 * math.pi], [di_dh, di_dl + 2.0 * math.pi * (k if stratum == "wide" else 0)]]
     )
-    return PeriodLattice(basis=basis, oval=(jobs[0].a, jobs[0].b))
+    return PeriodLattice(basis=basis, oval=(float(jobs.a[0]), float(jobs.b[0])))
 
 
 def verify_lattice(sm: SymplecticModel, point, t1, t2):

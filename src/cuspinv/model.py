@@ -283,13 +283,6 @@ def _broadcast(value, x, y, lam):
     return value if np.shape(value) == shape else np.broadcast_to(value, shape).copy()
 
 
-def densities_at(densities, lam):
-    """(x, y) -> [f.eval(x, y, lam) for f in densities], bit for bit for float
-    x and y, by ``_terms_source``; arrays give the same values, unbroadcast."""
-    shape, args = _bound_at(densities, lam)
-    return _evaluator(shape)(*args)
-
-
 def _bound_at(densities, lam):
     """(shape, args): the (i, j) of each density's terms, the key of the code
     generated for them, and the float c and lambda^k of each term to bind."""
@@ -313,18 +306,6 @@ def _terms_source(shape) -> tuple[str, list[str]]:
         x, y = f" * x{i}" if i else "", f" * y{j}" if j else ""
         body.append(f"v{p} = v{p} + c{m}{x}{y} * l{m}")
     return ", ".join(f"c{m}, l{m}" for m in range(len(terms))), body
-
-
-@lru_cache(maxsize=64)
-def _evaluator(shape):
-    """bind(c0, l0, c1, l1, ...) -> values(x1, y1), the shape's polynomials."""
-    params, body = _terms_source(shape)
-    body = body + [f"return [{', '.join(f'v{p}' for p in range(len(shape)))}]"]
-    source = f"def bind({params}):\n    def values(x1, y1):\n"
-    source += "".join(f"        {line}\n" for line in body) + "    return values\n"
-    namespace = {}
-    exec(compile(source, "<densities_at>", "exec"), namespace)
-    return namespace["bind"]
 
 
 def _eval_at(poly: Density, point):

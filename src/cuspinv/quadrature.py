@@ -9,20 +9,22 @@ of their lambdas are rows of one array, isolated by one stacked root solve
 W is monotone between consecutive critical points, so each such interval
 holds at most one root of P, and ``model.sigma_flags`` says where H is on
 Sigma: ovals, turning points and degenerate levels follow.  Every invariant
-is a ``LevelJob``, the integral of kernel(x, y, lambda) dy/x between two ends
-of a level set, with the vanishing factor of P deflated at turning points
+is a row of a ``LevelJobs`` batch of one kernel and one substitution, the
+integral of kernel(x, y, lambda) dy/x between two ends of a level set, with
+the vanishing factor of P deflated at turning points
 (y = a + (b-a) sin^2(t) on a closed oval, y = turn - t^2 on an arc), so
 dy/x = 2 dt/sqrt(R(y)) and every integrand is smooth.  The form kernel gives
 w dy/(2x) over both branches (passage times, loop periods), the area kernel
 x times the integral of f across the level (loop, wide and separatrix
 actions); a Density's kernel reads it at +x and -x from one
 ``Density.eval_pm``, each term once.  One engine, ``_level_integrals``, sums
-a batch of jobs with an adaptive Gauss-Kronrod G10K21 rule, the jobs sorted
-by (kernel, substitution) so that a group's subintervals are one slice; a
-job's value depends on its own subintervals only.  The builders,
+the jobs of its batches with an adaptive Gauss-Kronrod G10K21 rule, the
+batches of one kernel and substitution a group whose subintervals are one
+slice; a job's value depends on its own subintervals only.  The builders,
 ``_oval_jobs`` and ``_arc_jobs`` (passages from y = -inf, section times, the
-separatrix lobe), take a batch of levels and give each its job or the error
-of its first failed check, which a caller raises or leaves blank.  The
+separatrix lobe), take a batch of levels and give one kernel's batch of
+jobs, a row per level with the error of its first failed check, which a
+caller raises (``LevelJobs.built``) or leaves blank, the engine's NaN.  The
 strata are the oval builders' rule, read off their failed checks
 (``_strata``): a chart and a lattice classify on the levels they integrate,
 a chart on its window's levels, which depend on no density and are solved
@@ -32,15 +34,17 @@ Orientation: loop periods and loop actions are positive; passage times run
 from N1 = {x = +x0} to N2 = {x = -x0} (swapping the sections flips the
 sign), and so do section times, from N1 to a point of the passage arc.  The
 one-dof model H = y^3 - x^2 reaches the engine through one sign bridge,
-``_bridged``: (x, y, H) -> (x, -y, -H) carries it to the cusp_local model at
-lambda = 0, with the density f(x, -y, lambda) read at the lambda asked.
+``_bridged``: (x, y, H) -> (x, -y, -H) carries it to the levels of the
+cusp_local model at lambda = 0, with the density f(x, -y, lambda), one
+kernel for every lambda, read at the jobs' lambda, the lambda asked.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
+from itertools import accumulate
 from typing import NamedTuple
 
 import numpy as np
@@ -173,8 +177,8 @@ def oval_bounds(
     the deep-well/full oval of the compact model.  OnSigmaError where H is
     on Sigma at a critical point of W that ends the oval's intervals; at the
     cusp point, where W' has the double root y = 0, the wide oval ends at it."""
-    (job,) = _built(_oval_jobs([None], _levels(model, [(H, lam)]), oval))
-    return job.a, job.b
+    jobs = _oval_jobs(None, _levels(model, [(H, lam)]), oval).built()
+    return float(jobs.a[0]), float(jobs.b[0])
 
 
 # -- kernels and jobs --------------------------------------------------------------
@@ -203,53 +207,55 @@ def area_kernel(f: Density):
     return lambda x, y, lam: x * np.subtract(*X.eval_pm(x, y, lam))
 
 
-@dataclass(eq=False, slots=True)
-class LevelJob:
-    """kernel(x, y, lambda) dy/x over t in [lower, upper] along a level.
+class LevelJobs(NamedTuple):
+    """kernel(x, y, lambda) dy/x over t in [lower, upper] along levels, a row each.
 
     ``sub`` is 'oval' (P = (y - a)(b - y) R) or 'arc' (P = (b - y) R), with
-    ``r`` holding R; or 'node', the node level x y = a from y = a to y = b = 1,
-    where y = a e^t and x = e^-t turn the form dy/y into dt.
+    the rows of ``r`` holding R; or 'node', the node level x y = a from y = a
+    to y = b = 1, where y = a e^t and x = e^-t turn the form dy/y into dt.
+    ``errors`` holds per row None, or the error of its first failed check.
     """
 
     kernel: object
-    lam: float
     sub: str
-    a: float
-    b: float
+    lam: np.ndarray
+    a: np.ndarray
+    b: np.ndarray
+    lower: np.ndarray
+    upper: np.ndarray
     r: np.ndarray
-    lower: float
-    upper: float
+    errors: list
+
+    def take(self, rows) -> LevelJobs:
+        """The jobs of the given rows."""
+        return LevelJobs(*self[:2], *(v[rows] for v in self[2:-1]), [self.errors[i] for i in rows])
+
+    def built(self) -> LevelJobs:
+        """These jobs; the first error among them raised."""
+        for error in self.errors:
+            if error is not None:
+                raise error
+        return self
 
 
-def _built(jobs: list) -> list:
-    """A builder's jobs back; the first error among them raised."""
-    for job in jobs:
-        if isinstance(job, Exception):
-            raise job
-    return jobs
-
-
-def _jobs(kernels, levels: _Levels, sub: str, a, b, r, upper, checks) -> list:
-    """Per level its job over t in [0, upper], or the error of its first failed
-    check; ``checks`` are (failed mask, exception type, message with fields
-    {H} and {lam})."""
-    jobs = [None] * len(levels.points)
+def _jobs(kernel, levels: _Levels, sub: str, a, b, r, upper, checks) -> LevelJobs:
+    """The levels' jobs over t in [0, upper], each row's error that of its
+    first failed check; ``checks`` are (failed mask, exception type, message
+    with fields {H} and {lam})."""
+    errors = [None] * len(levels.points)
     for failed, kind, message in checks:
         for i in np.flatnonzero(failed).tolist():
-            if jobs[i] is None:
+            if errors[i] is None:
                 H, lam = levels.points[i]
-                jobs[i] = kind(message.format(H=H, lam=lam))
-    ends = zip(kernels, levels.points, a.tolist(), b.tolist(), r, upper.tolist())
-    for i, (k, (_, lam), ai, bi, ri, u) in enumerate(ends):
-        jobs[i] = jobs[i] or LevelJob(k, lam, sub, ai, bi, ri, 0.0, u)
-    return jobs
+                errors[i] = kind(message.format(H=H, lam=lam))
+    lam = np.array([lam for _, lam in levels.points], dtype=float)
+    return LevelJobs(kernel, sub, lam, a, b, np.zeros(len(a)), upper, r, errors)
 
 
-def _oval_jobs(kernels, levels: _Levels, oval: str) -> list:
-    """The jobs around the levels' ovals, one kernel each, or the error of
-    their first failed check (``_ovals``)."""
-    return _jobs(kernels, levels, *_ovals(levels, oval))
+def _oval_jobs(kernel, levels: _Levels, oval: str) -> LevelJobs:
+    """The kernel's jobs around the levels' ovals, each row's error that of
+    its first failed check (``_ovals``)."""
+    return _jobs(kernel, levels, *_ovals(levels, oval))
 
 
 def _ovals(levels: _Levels, oval: str) -> tuple:
@@ -294,8 +300,9 @@ def _strata(levels: _Levels, radius: float) -> list[str]:
 # -- the engine --------------------------------------------------------------------
 
 
-def _level_integrals(jobs) -> np.ndarray:
-    """The jobs' values; NaN for a job that needs more than QUAD_LIMIT subintervals.
+def _level_integrals(*batches: LevelJobs) -> np.ndarray:
+    """The values of the batches' jobs, one array in batch order; NaN for a
+    row with an error and for a job that needs more than QUAD_LIMIT subintervals.
 
     Each round evaluates all active subintervals in blocks of _BLOCK with the
     G10K21 rule and QUADPACK's error estimate, accepts those whose error is
@@ -304,40 +311,44 @@ def _level_integrals(jobs) -> np.ndarray:
     (QUADPACK's round-off stop), and bisects the rest.  A job's subintervals
     stay in order along its range and every sum over them runs in that order.
     """
-    n = len(jobs)
+    starts = [0, *accumulate(len(jobs.errors) for jobs in batches)]
+    values = np.full(starts[-1], np.nan)
+    # batches that share a kernel and a substitution are one group, a range
+    # of rows from firsts[g], so that np.repeat keeps its subintervals in one slice
+    groups: dict = {}
+    for k, jobs in enumerate(batches):
+        groups.setdefault((id(jobs.kernel), jobs.sub), []).append(k)
+    width = max((jobs.r.shape[1] for jobs in batches), default=0)
+    heads, firsts, parts, at = [], [0], [], []
+    for members in groups.values():
+        heads.append(batches[members[0]][:2])
+        for k in members:
+            jobs = batches[k]
+            rows = np.flatnonzero([error is None for error in jobs.errors])
+            # lambda, a, b, lower, upper and R padded with leading zeros, which Horner's sums ignore
+            pad = np.zeros((len(jobs.errors), width - jobs.r.shape[1]))
+            parts.append(np.column_stack((*jobs[2:7], pad, jobs.r))[rows])
+            at.append(starts[k] + rows)
+        firsts.append(sum(map(len, at)))
+    n = firsts[-1]
     if not n:
-        return np.zeros(0)
-    # jobs sorted by (kernel, substitution), so that a group is a range of
-    # rows from firsts[g] and np.repeat keeps its subintervals in one slice
-    keys = [(id(j.kernel), j.sub) for j in jobs]
-    codes = {key: g for g, key in enumerate(dict.fromkeys(keys))}
-    code = np.array([codes[key] for key in keys])
-    order = np.argsort(code, kind="stable")
-    jobs = [jobs[i] for i in order]
-    firsts = np.searchsorted(code[order], np.arange(len(codes) + 1))
-    heads = [jobs[i] for i in firsts[:-1].tolist()]
-    a, b, lam, lower, upper = np.array(
-        [(j.a, j.b, j.lam, j.lower, j.upper) for j in jobs], dtype=float
-    ).T
-    # R padded with leading zeros, which leave Horner's sums unchanged
-    width = max(len(j.r) for j in jobs)
-    r = np.zeros((n, width))
-    for row, job in zip(r, jobs):
-        row[width - len(job.r) :] = job.r
+        return values
+    table = np.concatenate(parts)
+    (lam, a, b, lower, upper), r = table[:, :5].T, table[:, 5:]
 
     def integrand(jk: np.ndarray, t: np.ndarray) -> np.ndarray:
         out = np.empty_like(t)
         cuts = np.searchsorted(jk, firsts).tolist()
-        for job, start, stop in zip(heads, cuts, cuts[1:]):
+        for (kernel, sub), start, stop in zip(heads, cuts, cuts[1:]):
             if start == stop:
                 continue
             rows = slice(start, stop)
             js, ts = jk[rows], t[rows]
             aj, bj, lj = a[js, None], b[js, None], lam[js, None]
-            if job.sub == "node":
-                out[rows] = job.kernel(np.exp(-ts), aj * np.exp(ts), lj)
+            if sub == "node":
+                out[rows] = kernel(np.exp(-ts), aj * np.exp(ts), lj)
                 continue
-            if job.sub == "oval":
+            if sub == "oval":
                 st, ct = np.sin(ts), np.cos(ts)
                 y, u = aj + (bj - aj) * st * st, (bj - aj) * st * ct
             else:
@@ -347,7 +358,7 @@ def _level_integrals(jobs) -> np.ndarray:
                 rv = rv * y + c[:, None]
             pos = rv > 0
             sr = np.sqrt(np.where(pos, rv, 1.0))
-            out[rows] = np.where(pos, 2.0 * job.kernel(u * sr, y, lj) / sr, 0.0)
+            out[rows] = np.where(pos, 2.0 * kernel(u * sr, y, lj) / sr, 0.0)
         return out
 
     def gk21(jk, lo, hi):
@@ -381,9 +392,8 @@ def _level_integrals(jobs) -> np.ndarray:
         mid = 0.5 * (lo + hi)
         lo, hi = np.column_stack((lo, mid)).ravel(), np.column_stack((mid, hi)).ravel()
     total[count > QUAD_LIMIT] = np.nan
-    out = np.empty(n)
-    out[order] = total
-    return out
+    values[np.concatenate(at)] = total
+    return values
 
 
 def _converged(values: np.ndarray) -> np.ndarray:
@@ -393,9 +403,9 @@ def _converged(values: np.ndarray) -> np.ndarray:
     return values
 
 
-def integrals(jobs) -> np.ndarray:
-    """The jobs' values from one engine call; OnSigmaError if one does not converge."""
-    return _converged(_level_integrals(jobs))
+def integrals(*batches: LevelJobs) -> np.ndarray:
+    """The batches' values from one engine call, in order; OnSigmaError if one does not converge."""
+    return _converged(_level_integrals(*batches))
 
 
 # -- job builders ------------------------------------------------------------------
@@ -403,9 +413,9 @@ def integrals(jobs) -> np.ndarray:
 _UNREACHED = "trajectory does not reach the section"
 
 
-def _arc_jobs(kernels, levels: _Levels, y, through=True, start=None) -> list:
-    """Per level, one kernel each, the job along its passage arc from height y
-    up to turn, or the error of its first failed check.  turn is the root of
+def _arc_jobs(kernel, levels: _Levels, y, through=True, start=None) -> LevelJobs:
+    """The kernel's jobs along the levels' passage arcs from height y up to
+    turn, each row's error that of its first failed check.  turn is the root of
     the first interval at or above y's where W rises, so P falls there (a y
     on a critical point counts as above it).  The arc starts at y_sec, its
     highest crossing of {x = +-x0} between turn and the root below it, or at
@@ -431,16 +441,14 @@ def _arc_jobs(kernels, levels: _Levels, y, through=True, start=None) -> list:
         start = np.where(crossing, levels.sections, -np.inf).max(axis=1)
     with np.errstate(invalid="ignore"):
         upper = np.sqrt(turn - start)
-    return _jobs(kernels, levels, "arc", start, turn, -_synthetic_division(p, turn), upper, checks)
+    return _jobs(kernel, levels, "arc", start, turn, -_synthetic_division(p, turn), upper, checks)
 
 
-def _bridged(f, lam: float):
-    """f(x, -y, lambda) at this lambda: the density on the cusp_local model at
-    lambda = 0 that the sign bridge (x, y, H) -> (x, -y, -H) makes of the
-    one-dof model with density f."""
-    if not isinstance(f, Density):
-        return lambda x, y, _: f(x, -y, lam)
-    return Density([(c * lam**k * (-1) ** j, (i, j, 0)) for (i, j, k), c in f.terms.items()])
+def _bridged(f):
+    """f(x, -y, lambda): the density that the sign bridge (x, y, H) -> (x, -y, -H)
+    makes of the one-dof model's f, on the levels of the cusp_local model at
+    lambda = 0 and read at the jobs' lambda, the lambda asked."""
+    return f.mirror_y() if isinstance(f, Density) else lambda x, y, lam: f(x, -y, lam)
 
 
 def _passage_levels(model: FibrationModel, points) -> _Levels:
@@ -450,33 +458,31 @@ def _passage_levels(model: FibrationModel, points) -> _Levels:
     return _levels(model, points, model.x0)
 
 
-def passage_jobs(model: FibrationModel, points, levels: _Levels | None = None) -> list[LevelJob]:
-    """Passage-time jobs at the (H, lambda) points, on ``levels`` if given (``_passage_levels``)."""
-    points = list(points)
+def passage_jobs(model: FibrationModel, points, levels: _Levels | None = None) -> LevelJobs:
+    """Passage-time jobs at the (H, lambda) points, on ``levels`` if given
+    (``_passage_levels``); their lambda is the one asked."""
+    points, f = list(points), model.density
     if model.kind == NODE:
         raise ValueError("use asymptotics.node_passage for the node model")
     if model.kind == ONE_DOF:
         if any(H <= 0 for H, _ in points):
             raise ValueError("one-dof passage requires H > 0")
-        # one kernel per distinct lambda (the engine groups by kernel)
-        bridged = {l: form_kernel(_bridged(model.density, l)) for l in {l for _, l in points}}
-        kernels = [bridged[l] for _, l in points]
-    else:
-        kernels = [form_kernel(model.density)] * len(points)
+        f = _bridged(f)
     levels = _passage_levels(model, points) if levels is None else levels
-    return _built(_arc_jobs(kernels, levels, -math.inf))
+    jobs = _arc_jobs(form_kernel(f), levels, -math.inf).built()
+    return jobs._replace(lam=np.array([lam for _, lam in points], dtype=float))
 
 
-def oval_jobs(model: FibrationModel, points, kernel, oval: str) -> list[LevelJob]:
+def oval_jobs(model: FibrationModel, points, kernel, oval: str) -> LevelJobs:
     """Jobs integrating a form or area kernel around the oval at the (H, lambda) points."""
-    levels = _levels(model, points)
-    return _built(_oval_jobs([kernel] * len(levels.points), levels, oval))
+    return _oval_jobs(kernel, _levels(model, points), oval).built()
 
 
-def node_jobs(f, H_values) -> list[LevelJob]:
+def node_jobs(f, H_values) -> LevelJobs:
     """Jobs for Pi(H) = int_H^1 f(H/y, y) dy/y on the node model H = x*y."""
-    kernel = _weight(f)
-    return [LevelJob(kernel, 0.0, "node", H, 1.0, np.zeros(0), 0.0, -math.log(H)) for H in H_values]
+    a, upper = np.array(H_values, dtype=float), np.array([-math.log(H) for H in H_values])
+    zeros, r = np.zeros(len(a)), np.zeros((len(a), 0))
+    return LevelJobs(_weight(f), "node", zeros, a, zeros + 1.0, zeros, upper, r, [None] * len(a))
 
 
 # -- section times ----------------------------------------------------------------
@@ -518,52 +524,47 @@ def _lead(v: np.ndarray) -> np.ndarray:
     return v[nonzero[0] :] if nonzero.size else np.zeros(1)
 
 
-def section_jobs(model: FibrationModel, points) -> list[LevelJob | None]:
+def section_jobs(model: FibrationModel, points) -> LevelJobs:
     """Jobs for the times from N1 = {x = x0}, x0 the model's, to the
     (x, y, lambda) points along their passage arcs: up the branch x > 0 from
     the crossing y_sec to the turning point above the point, then down the
     branch x < 0, past N2 if need be; on y = turn - s^2, x = s sqrt(R), the
     one-sided f dy/(2x) for s from sign(x) sqrt(turn - y) to
-    sqrt(turn - y_sec).  None on N1 (time 0).  The levels with their sections
-    and the zeros of f on them are one stacked root solve.  ValueError
-    where f vanishes on a stretch; StratumError where a point is off its arc
-    or before N1 (x > x0 among them), or f < 0; OnSigmaError past a turning
-    point at a saddle (``_arc_jobs``).
-    """
+    sqrt(turn - y_sec), lower = upper on N1 (time 0).  The levels with their
+    sections and the zeros of f on them are one stacked root solve.  Raised
+    per point, in order: ValueError where f vanishes on a stretch;
+    StratumError where a point is off its arc or before N1 (x > x0 among
+    them), or f < 0; OnSigmaError past a turning point at a saddle (``_arc_jobs``)."""
     points = [(float(x), float(y), float(lam)) for x, y, lam in points]
-    x0 = model.x0  # the one-dof points move to a model with its own x0
-    densities = [model.density] * len(points)
-    if model.kind == ONE_DOF:
-        bridged = {lam: _bridged(model.density, lam) for _, _, lam in points}
-        densities = [bridged[lam] for _, _, lam in points]
-        model, points = cusp_local_model(), [(x, -y, 0.0) for x, y, _ in points]
-    kernels = {id(f): lambda xs, ys, ls, f=f: 0.5 * f(xs, ys, ls) for f in densities}
+    x0, f, lams = model.x0, model.density, [lam for *_, lam in points]
+    if model.kind == ONE_DOF:  # x0 stays the one-dof model's
+        f, model, points = _bridged(f), cusp_local_model(), [(x, -y, 0.0) for x, y, _ in points]
     heights = [(x * x + np.polyval(model.potential_coeffs(lam), y), lam) for x, y, lam in points]
     ask = _level_ask(model, heights, x0)  # its first rows are the levels' P
-    polys = [_zero_poly(f, p, lam) for (*_, lam), f, p in zip(points, densities, ask[0])]
+    polys = [_zero_poly(f, p, lam) for p, lam in zip(ask[0], lams)]
     levels, zeros = _solved(ask, (polys, np.ndarray.tolist))
     xs, ys, _ = np.reshape(points, (-1, 3)).T
-    arcs = _arc_jobs([kernels[id(f)] for f in densities], levels, ys, xs < 0)  # past the turn
-    jobs: list[LevelJob | None] = []
-    for (x, y, lam), f, job, roots in zip(points, densities, arcs, zeros):
-        if isinstance(job, Exception):
-            raise job
-        job.lower = lower = math.copysign(math.sqrt(max(job.b - y, 0.0)), x)
-        if lower >= job.upper:  # on N1 up to rounding, or before it on the branch x > 0
+    jobs = _arc_jobs(lambda x, y, lam: 0.5 * f(x, y, lam), levels, ys, xs < 0)  # past the turn
+    lower = []
+    ends = zip(jobs.errors, jobs.b.tolist(), jobs.upper.tolist(), jobs.r, zeros)
+    for (x, y, _), lam, (error, b, upper, r, roots) in zip(points, lams, ends):
+        if error is not None:
+            raise error
+        lower.append(math.copysign(math.sqrt(max(b - y, 0.0)), x))
+        if lower[-1] >= upper:  # on N1 up to rounding, or before it on the branch x > 0
             if abs(x - x0) > 1e-12 * x0:
                 raise StratumError(_UNREACHED)
-            jobs.append(None)
+            lower[-1] = upper
             continue
-        for yz in (z for z in roots if z <= job.b):
-            for sz in (s * math.sqrt(job.b - yz) for s in (1.0, -1.0)):
+        for yz in (z for z in roots if z <= b):
+            for sz in (s * math.sqrt(b - yz) for s in (1.0, -1.0)):
                 # f vanishes on the branch through xz if it is the smaller there
-                xz = sz * math.sqrt(max(np.polyval(job.r, yz), 0.0))
-                if lower <= sz <= job.upper and abs(f(xz, yz, lam)) <= abs(f(-xz, yz, lam)):
+                xz = sz * math.sqrt(max(np.polyval(r, yz), 0.0))
+                if lower[-1] <= sz <= upper and abs(f(xz, yz, lam)) <= abs(f(-xz, yz, lam)):
                     raise ValueError(_VANISHES)
         if f(x, y, lam) < 0:
             raise StratumError(_UNREACHED)
-        jobs.append(job)
-    return jobs
+    return jobs._replace(lam=np.array(lams), lower=np.array(lower))
 
 
 # -- the scalar API: batches of one ------------------------------------------------
@@ -575,8 +576,9 @@ def section_time(model: FibrationModel, x, y, lam):
     together, one time per point from one engine call."""
     points = np.broadcast_arrays(x, y, lam)
     jobs = section_jobs(model, zip(*(v.ravel() for v in points)))
-    out = np.zeros(len(jobs))
-    out[[job is not None for job in jobs]] = integrals([job for job in jobs if job is not None])
+    moving = np.flatnonzero(jobs.lower < jobs.upper)
+    out = np.zeros(len(jobs.errors))
+    out[moving] = integrals(jobs.take(moving))
     return out.reshape(points[0].shape) if points[0].ndim else float(out[0])
 
 
@@ -631,8 +633,8 @@ def _lobe_areas(model: FibrationModel, levels: _Levels, a: np.ndarray) -> np.nda
     """h(lambda) on the lobe levels H = W(a) at the saddles a, from one engine
     call: the lobe runs from a up to the turn above it, an improper but
     convergent integral, sqrt(H - W) vanishing linearly at a."""
-    jobs = _arc_jobs([area_kernel(model.density)] * len(levels.points), levels, a, False, a)
-    return integrals(_built(jobs)) / (2.0 * math.pi)
+    jobs = _arc_jobs(area_kernel(model.density), levels, a, False, a).built()
+    return integrals(jobs) / (2.0 * math.pi)
 
 
 # -- action charts -----------------------------------------------------------------
@@ -701,41 +703,41 @@ def action_chart(
     model away from Sigma_hyp.  The levels of the cells in the domain, their
     sections and strata depend on the window alone and are read off its
     ``_chart_table`` (one stacked root solve per window in a process); each
-    column's jobs are built on the cells of its strata with the density's
-    kernels, and all integrals are one engine call; each cell is the scalar
-    value bit for bit.  The rows keep the H and lambda asked.
+    column is one batch on the cells of its strata with a density's kernel,
+    and all integrals are one engine call; each cell is the scalar value bit
+    for bit.  The rows keep the H and lambda asked.
     """
     H_values, lam_values = tuple(H_values), tuple(lam_values)
     form, area = form_kernel(model.density), area_kernel(model.density)
     rows = [ActionChartRow(h, lam, "outside", *[None] * 5) for lam in lam_values for h in H_values]
     at, strata, levels = _chart_table(model.kind, model.x0, H_values, lam_values)
     near = [rows[i] for i in at]
-    for row, stratum in zip(near, strata):
-        row.stratum = stratum
+    for row, stratum in zip(near, strata):  # I = lambda on each stratum's oval
+        row.stratum, row.I = stratum, None if stratum == "outside" else row.lam
     kept = {stratum_filter} if stratum_filter else {"narrow", "wide", "outside"}
-    inside = [i for i, row in enumerate(near) if row.stratum != "outside" and row.stratum in kept]
-    narrow = [i for i in inside if near[i].stratum == "narrow"]
-    loops = _built(_oval_jobs([form] * len(narrow), levels.take(narrow), "narrow"))
+    inside = [i for i, stratum in enumerate(strata) if stratum != "outside" and stratum in kept]
+    narrow = [i for i in inside if strata[i] == "narrow"]
+    loops = _oval_jobs(form, levels.take(narrow), "narrow").built()
     on_inside = levels.take(inside)
     columns = [  # each on the cells of its strata; I_circ has Pi_circ's ends and R
-        ("Pi", inside, _arc_jobs([form] * len(inside), on_inside, -math.inf)),
+        ("Pi", inside, _arc_jobs(form, on_inside, -math.inf)),
         ("Pi_circ", narrow, loops),
-        ("I_circ", narrow, [replace(job, kernel=area) for job in loops]),
+        ("I_circ", narrow, loops._replace(kernel=area)),
     ]
     if model.kind == CUSP_COMPACT:
-        columns.append(("I_mu", inside, _oval_jobs([area] * len(inside), on_inside, "wide")))
-    cells = [(near[i], name, job) for name, at, jobs in columns for i, job in zip(at, jobs)]
-    cells = [cell for cell in cells if isinstance(cell[2], LevelJob)]
-    values = _level_integrals([job for *_, job in cells]).tolist()
-    for (row, name, _), v in zip(cells, values):
-        row.I = row.lam  # every inside cell has a job: its stratum's oval
-        if math.isnan(v) and name in ("Pi_circ", "I_circ"):  # Pi and I_mu may be blank
-            raise OnSigmaError(f"{name} does not converge at (H, lambda) = ({row.H}, {row.lam})")
-        if math.isnan(v):
-            continue
-        if name == "I_circ":
-            v = v / (2.0 * math.pi)
-        elif name == "I_mu":
-            v = v / (2.0 * math.pi) + mu_shift * row.lam
-        setattr(row, name, v)
+        columns.append(("I_mu", inside, _oval_jobs(area, on_inside, "wide")))
+    values = _level_integrals(*(jobs for *_, jobs in columns))
+    values = np.split(values, np.cumsum([len(cells) for _, cells, _ in columns]))
+    for (name, cells, _), part in zip(columns, values):
+        for i, v in zip(cells, part.tolist()):
+            row = near[i]
+            if math.isnan(v) and name in ("Pi_circ", "I_circ"):  # Pi and I_mu may be blank
+                raise OnSigmaError(f"{name} does not converge at (H, lambda) = ({row.H}, {row.lam})")
+            if math.isnan(v):
+                continue
+            if name == "I_circ":
+                v = v / (2.0 * math.pi)
+            elif name == "I_mu":
+                v = v / (2.0 * math.pi) + mu_shift * row.lam
+            setattr(row, name, v)
     return ActionChart(rows=[row for row in rows if row.stratum in kept], mu_shift=mu_shift)

@@ -57,8 +57,8 @@ from scipy.special import elliprf, hyp2f1
 from cuspinv.asymptotics import fit_puiseux
 from cuspinv.brieskorn import BrieskornPair, _level_chart
 from cuspinv.flows import _VANISHES, PeriodLattice, ReducedSystem, SymplecticModel
-from cuspinv.model import CUSP_COMPACT, Density, FibrationModel, bifurcation_diagram, densities_at
-from cuspinv.quadrature import LevelJob, OnSigmaError, StratumError
+from cuspinv.model import CUSP_COMPACT, Density, FibrationModel, bifurcation_diagram
+from cuspinv.quadrature import LevelJobs, OnSigmaError, StratumError
 from cuspinv.quadrature import loop_action, loop_period, oval_bounds, passage_time, wide_action
 from cuspinv.series import DEFAULT_ORDER, TruncatedSeries
 from cuspinv.specfun import puiseux_constants
@@ -570,11 +570,11 @@ class BumpPushforward:
 
     def _z_rhs(self, lam: float):
         """Z = rho v, with d/dt log det Dpsi0 = div Z as a third component."""
-        values = densities_at((self.sm._f, self.sm._H_x, self.sm._H_y, self._f_x, self._f_y), lam)
+        polys = (self.sm._f, self.sm._H_x, self.sm._H_y, self._f_x, self._f_y)
 
         def rhs(_t, state):
             x, y, _ = state
-            fv, hx, hy, fx, fy = values(x, y)
+            fv, hx, hy, fx, fy = (p.eval(x, y, lam) for p in polys)
             if fv == 0.0:
                 raise ValueError(_VANISHES)
             vx, vy = -hy / fv, hx / fv
@@ -845,12 +845,12 @@ def cusp_pair(wc) -> tuple[float | None, float | None]:
 
 def unfused_field(sm, lam: float, n: int):
     """rhs(t, state) -> list: the reduced field (n = 2) or the H-field (n = 4)
-    of a SymplecticModel at lambda, its polynomials read from one
-    ``model.densities_at`` table per call, the field not written into a step."""
-    values = densities_at((sm._f, sm._H_x, sm._H_y, sm._H_lam, sm._X_lam)[: n + 1], lam)
+    of a SymplecticModel at lambda, each polynomial read by ``Density.eval``,
+    the field not written into a step."""
+    polys = (sm._f, sm._H_x, sm._H_y, sm._H_lam, sm._X_lam)[: n + 1]
 
     def rhs(_t, state):
-        fv, hx, hy, *lam_parts = values(state[0], state[1])
+        fv, hx, hy, *lam_parts = (p.eval(state[0], state[1], lam) for p in polys)
         if fv == 0.0:
             raise ValueError("degenerate Omega: density vanishes at the point")
         vx, vy = -hy / fv, hx / fv
@@ -956,12 +956,18 @@ def scalar_oval_ends(level: ScalarLevel, oval: str) -> tuple[float, float]:
     raise ValueError(f"unknown oval {oval!r}")
 
 
-def scalar_oval_job(kernel, level: ScalarLevel, oval: str) -> LevelJob:
+def _one_job(kernel, level: ScalarLevel, sub: str, a, b, r, upper) -> LevelJobs:
+    """A batch of one job over t in [0, upper]."""
+    ends = (np.array([v], dtype=float) for v in (level.lam, a, b))
+    return LevelJobs(kernel, sub, *ends, np.zeros(1), np.array([upper]), np.array([r]), [None])
+
+
+def scalar_oval_job(kernel, level: ScalarLevel, oval: str) -> LevelJobs:
     a, b = scalar_oval_ends(level, oval)
     r = -scalar_division(scalar_division(level.p, a), b)
     if np.polyval(r, 0.5 * (a + b)) <= 0:
         raise OnSigmaError("deflated factor not positive on the oval")
-    return LevelJob(kernel, level.lam, "oval", a, b, r, 0.0, math.pi / 2.0)
+    return _one_job(kernel, level, "oval", a, b, r, math.pi / 2.0)
 
 
 _UNREACHED = "trajectory does not reach the section"
@@ -991,11 +997,11 @@ def scalar_arc(level: ScalarLevel, y: float, through: bool = True):
     return max(crossings), turn
 
 
-def scalar_passage_job(kernel, level: ScalarLevel) -> LevelJob:
+def scalar_passage_job(kernel, level: ScalarLevel) -> LevelJobs:
     """The passage from N1 to N2 along a level with its sections."""
     y_sec, turn = scalar_arc(level, -math.inf)
     r = -scalar_division(level.p, turn)
-    return LevelJob(kernel, level.lam, "arc", y_sec, turn, r, 0.0, math.sqrt(turn - y_sec))
+    return _one_job(kernel, level, "arc", y_sec, turn, r, math.sqrt(turn - y_sec))
 
 
 def polymul_zero_poly(f, p: np.ndarray, lam: float) -> np.ndarray:

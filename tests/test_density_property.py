@@ -4,7 +4,7 @@ kernels, drawn by hypothesis: bit for bit against the naive term-by-term sum."""
 import numpy as np
 import pytest
 
-from cuspinv.model import Density, _evaluator, densities_at
+from cuspinv.model import Density
 from cuspinv.quadrature import area_kernel, form_kernel
 
 pytest.importorskip("hypothesis")
@@ -53,21 +53,6 @@ _ODD_DENSITIES = st.tuples(
     _DENSITIES, st.sampled_from((3, 5)), st.integers(0, 2), st.integers(0, 2), _COORD.filter(bool)
 ).map(lambda t: t[0] + Density({(t[1], t[2], t[3]): t[4]}))
 _BLOCK = hnp.arrays(np.float64, (5, 7), elements=_COORD)
-_COEFFICIENTS = st.one_of(
-    st.floats(-100.0, 100.0, allow_nan=False),
-    st.integers(-50, 50),
-    st.fractions(-50, 50, max_denominator=97),
-).filter(bool)
-#: every list of the pair ends in the empty density, a constant and a pure-lambda one
-_FIXED_SUPPORTS = [(), ((0, 0, 0),), ((0, 0, 1), (0, 0, 3))]
-
-
-@st.composite
-def _same_support(draw):
-    """Two lists of densities with one monomial support and drawn coefficients."""
-    supports = draw(st.lists(st.sets(st.tuples(*[st.integers(0, 4)] * 3), max_size=6), max_size=4))
-    supports += _FIXED_SUPPORTS
-    return tuple([Density({e: draw(_COEFFICIENTS) for e in s}) for s in supports] for _ in range(2))
 
 
 class TestDensityEvalProperty:
@@ -79,7 +64,6 @@ class TestDensityEvalProperty:
     def test_scalars(self, f, x, y, lam):
         for xs in (x, -x):
             assert _bits(f.eval(xs, y, lam)) == _bits(_naive_eval(f, xs, y, lam))
-            assert densities_at([f], lam)(xs, y) == [f.eval(xs, y, lam)]
 
     @_PROPERTY
     @given(
@@ -114,30 +98,6 @@ class TestDensityEvalProperty:
     def test_scalar_calls_equal_one_array_call(self, f, x, y, lam):
         loop = [[f.eval(a, b, lam) for a, b in zip(*rows)] for rows in zip(x.tolist(), y.tolist())]
         assert _bits(loop) == _bits(f.eval(x, y, lam))
-
-    @_PROPERTY
-    @given(st.lists(_DENSITIES, min_size=1, max_size=5), _COORD, _COORD, _COORD)
-    def test_shared_table_equals_each_at(self, fs, x, y, lam):
-        # the flows' right-hand sides: several polynomials from one power table
-        values = densities_at(fs, lam)(x, y)
-        assert _bits(values) == _bits([densities_at([f], lam)(x, y)[0] for f in fs])
-        assert _bits(values) == _bits([f.eval(x, y, lam) for f in fs])
-
-    @_PROPERTY
-    @given(_same_support(), _COORD, _COORD, _COORD, _COORD, hnp.arrays(np.float64, 6, elements=_COORD))
-    def test_one_evaluator_per_shape(self, pair, lam1, lam2, x, y, xs):
-        # the generated evaluator is cached by the (i, j) of the terms alone,
-        # so its coefficients and lambda powers must be bound per call
-        first, second = pair
-        bound = [(first, lam, densities_at(first, lam)) for lam in (lam1, lam2)]
-        misses = _evaluator.cache_info().misses
-        bound += [(second, lam, densities_at(second, lam)) for lam in (lam1, lam2)]
-        assert _evaluator.cache_info().misses == misses
-        for u in (x, xs, -x):
-            for fs, lam, values in bound:
-                # a value that reads no array is a float, where eval broadcasts
-                got = [np.broadcast_to(v, np.shape(u)) for v in values(u, y)]
-                assert _bits(got) == _bits([f.eval(u, y, lam) for f in fs])
 
     @_PROPERTY
     @given(_BLOCK, _BLOCK, _COORD)

@@ -305,9 +305,10 @@ class TestParabolicEquivalent:
 
 
 def _count_calls(monkeypatch, spoiled=None) -> dict:
-    """The batch sizes of the stacked root solves ("roots") and the engine
-    calls ("engine") from here on; ``spoiled`` names an engine value set to
-    NaN, as an integral that does not converge gives."""
+    """The batch sizes of the stacked root solves ("roots") and the rows
+    without an error of the engine calls ("engine") from here on; ``spoiled``
+    names an engine value set to NaN, as an integral that does not converge
+    gives."""
     calls = {"roots": [], "engine": []}
     real_roots, real_engine = model_module._stacked_roots, quadrature._level_integrals
 
@@ -315,9 +316,9 @@ def _count_calls(monkeypatch, spoiled=None) -> dict:
         calls["roots"].append(len(polys))
         return real_roots(polys)
 
-    def engine(jobs):
-        calls["engine"].append(len(jobs))
-        values = real_engine(jobs)
+    def engine(*batches):
+        calls["engine"].append(sum(error is None for jobs in batches for error in jobs.errors))
+        values = real_engine(*batches)
         if spoiled is not None:
             values[spoiled] = np.nan
         return values

@@ -374,7 +374,7 @@ class TestPeriodLattice:
 
     def test_one_level_and_one_engine_call(self, monkeypatch):
         # the three integrals of a lattice share one root solve of the level
-        # and the W' of its lambda
+        # and the W' of its lambda, and one engine call of a batch of one per kernel
         calls = []
         real_roots, real_engine = model_module._stacked_roots, quadrature._level_integrals
 
@@ -382,9 +382,9 @@ class TestPeriodLattice:
             calls.append(("roots", len(polys)))
             return real_roots(polys)
 
-        def engine(jobs):
-            calls.append(("engine", len(jobs)))
-            return real_engine(jobs)
+        def engine(*batches):
+            calls.append(("engine", [len(jobs.errors) for jobs in batches]))
+            return real_engine(*batches)
 
         monkeypatch.setattr(model_module, "_stacked_roots", roots)
         monkeypatch.setattr(quadrature, "_level_integrals", engine)
@@ -392,7 +392,7 @@ class TestPeriodLattice:
         for h, lam, stratum in ((0.05, 0.02, "wide"), (0.0, -0.05, "narrow")):
             calls.clear()
             lat = period_lattice(sm, h, lam, stratum)
-            assert calls == [("roots", 2), ("engine", 3)]
+            assert calls == [("roots", 2), ("engine", [1, 1, 1])]
             if stratum == "narrow":
                 assert lat.basis[1][0] == loop_period(sm.model, h, lam)
 
@@ -541,7 +541,7 @@ class TestTransport:
     def test_pullback_residual_counts(self, monkeypatch):
         # five transported points: per system one solve of the levels, their
         # sections, the W' of each lambda and the f-zero polynomials, and one
-        # engine call
+        # engine call of one batch
         calls = []
         real_roots, real_engine = model_module._stacked_roots, quadrature._level_integrals
 
@@ -549,21 +549,21 @@ class TestTransport:
             calls.append(("roots", len(polys)))
             return real_roots(polys)
 
-        def engine(jobs):
-            calls.append(("engine", len(jobs)))
-            return real_engine(jobs)
+        def engine(*batches):
+            calls.append(("engine", [len(jobs.errors) for jobs in batches]))
+            return real_engine(*batches)
 
         monkeypatch.setattr(model_module, "_stacked_roots", roots)
         monkeypatch.setattr(quadrature, "_level_integrals", engine)
         sm = SymplecticModel(cusp_local_model(F_ONE))
         q = _branch_point(sm, -0.3, 0.034)
         pullback_residual(sm, SymplecticModel(cusp_local_model(F_TILT)), q)
-        assert calls == [("roots", 16), ("engine", 5)] * 2
+        assert calls == [("roots", 16), ("engine", [5])] * 2
         # three points: all 15 stencil points in the same three calls per system
         calls.clear()
         rows = np.array([_branch_point(sm, l, 0.034) for l in (-0.3, -0.25, -0.2)])
         pullback_residual(sm, SymplecticModel(cusp_local_model(F_TILT)), rows)
-        assert calls == [("roots", 48), ("engine", 15)] * 2
+        assert calls == [("roots", 48), ("engine", [15])] * 2
 
     def test_pullback_residual_of_an_array_is_per_point(self):
         sm = SymplecticModel(cusp_local_model(F_ONE))

@@ -23,9 +23,9 @@ from cuspinv.model import (
     canonicalize_base,
     cusp_compact_model,
     cusp_local_model,
-    densities_at,
     is_parabolic,
 )
+from cuspinv.flows import SymplecticModel
 from cuspinv.quadrature import separatrix_action
 from cuspinv.series import TruncatedSeries
 from oracles import cusp_pair, local_sigma_values, reference_polish, reference_real_roots
@@ -104,8 +104,9 @@ class TestDensity:
 
 
 class TestDensityAt:
-    """The per-lambda evaluator ``densities_at`` of one polynomial gives
-    Density.eval bit for bit on floats."""
+    """The reduced field of the generated DOP853 step, its polynomials f, H_x
+    and H_y read by the term code of ``model._terms_source`` at a lambda,
+    gives (-H_y / f, H_x / f) from Density.eval bit for bit on floats."""
 
     @staticmethod
     def _random_density(rng) -> Density:
@@ -117,26 +118,38 @@ class TestDensityAt:
         terms[(0, 1, 0)], terms[(0, 1, 1)] = 0.3, -0.7
         return Density(terms)
 
+    @staticmethod
+    def _check(sm, lam, x, y) -> None:
+        field, _ = sm._system(lam, 2)
+        f, h = sm.model.density, sm.model.hamiltonian()
+        fv = f.eval(x, y, lam)
+        if fv == 0.0:
+            with pytest.raises(ValueError, match="vanishes"):
+                field(0.0, [x, y])
+            return
+        want = [-h.diff(1).eval(x, y, lam) / fv, h.diff(0).eval(x, y, lam) / fv]
+        assert [v.hex() for v in field(0.0, [x, y])] == [v.hex() for v in want]
+
     def test_matches_eval_on_random_densities(self):
         rng = np.random.default_rng(20261018)
         checked = 0
-        for _ in range(60):
-            f = self._random_density(rng)
+        for k in range(60):
+            sm = SymplecticModel((cusp_local_model, cusp_compact_model)[k % 2](self._random_density(rng)))
             for lam in (0.0, 1.0, -1.0, float(rng.uniform(-1.5, 1.5))):
-                values = densities_at([f], lam)
                 xs = [0.0, -0.0, *rng.uniform(-2.0, 2.0, 4)]
                 ys = [0.0, *rng.uniform(-2.0, 2.0, 4)]
                 for x in map(float, xs):
                     for y in map(float, ys):
-                        assert values(x, y) == [f.eval(x, y, lam)]
+                        self._check(sm, lam, x, y)
                         checked += 1
         assert checked == 60 * 4 * 30
 
     def test_exact_coefficients_and_empty_density(self):
-        f = Density({(0, 0, 0): 1, (1, 2, 1): Fraction(1, 3), (0, 0, 2): 2})
-        assert densities_at([f], 0.25)(0.5, -0.75) == [f.eval(0.5, -0.75, 0.25)]
-        assert densities_at([f], 0)(0.5, -0.75) == [f.eval(0.5, -0.75, 0)]
-        assert densities_at([Density({})], 0.3)(0.2, 0.1) == [0.0]
+        sm = SymplecticModel(cusp_local_model(Density({(0, 0, 0): 1, (1, 2, 1): Fraction(1, 3), (0, 0, 2): 2})))
+        for lam in (0.25, 0.0, -1.5):
+            self._check(sm, lam, 0.5, -0.75)
+        with pytest.raises(ValueError, match="vanishes"):
+            SymplecticModel(cusp_local_model(Density({})))._system(0.3, 2)[0](0.0, [0.2, 0.1])
 
 
 class TestFibrationModel:

@@ -20,7 +20,7 @@ from cuspinv.flows import SymplecticModel, period_lattice
 from cuspinv.quadrature import (
     ActionChart,
     ActionChartRow,
-    LevelJob,
+    LevelJobs,
     OnSigmaError,
     StratumError,
     action_chart,
@@ -63,6 +63,15 @@ from oracles import (
 F_ONE = Density.constant(1)
 F_Y = Density({(0, 1, 0): 1})
 F_MIXED = Density({(0, 0, 0): 1.0, (0, 1, 0): 0.1, (2, 0, 0): 0.05})
+#: lambda terms, two of them sharing an (i, j) with a lambda-free term
+F_LAMBDA = Density(
+    {(0, 0, 0): 1.0, (0, 1, 1): 0.5, (0, 0, 1): -0.3, (0, 1, 0): 0.1, (2, 0, 2): 0.4, (1, 1, 0): 0.05}
+)
+
+
+def _at_lambda(f: Density, lam: float) -> Density:
+    """The lambda-free density f(x, y, lam), each term c lam^k."""
+    return Density([(c * lam**k, (i, j, 0)) for (i, j, k), c in f.terms.items()])
 
 
 class TestOvalBounds:
@@ -223,11 +232,27 @@ class TestPassageArc:
         assert abs(v - passage_time(one_dof_model(at_lam), 0.3)) <= 1e-13 * v
         assert abs(v - passage_time(one_dof_model(f), 0.3, 0.0)) > 1e-3
 
-    def test_one_kernel_per_lambda_through_the_bridge(self):
-        points = [(0.1, 0.0), (0.2, 0.5), (0.3, 0.0), (0.4, 0.5)]
-        jobs = passage_jobs(one_dof_model(F_MIXED), points)
-        kernels = [id(j.kernel) for j in jobs]
-        assert kernels[0] == kernels[2] != kernels[1] == kernels[3]
+    def test_one_kernel_for_every_lambda_through_the_bridge(self):
+        # one batch, one kernel, its rows at the lambdas asked; each row's
+        # value is its scalar call's, bit for bit
+        model = one_dof_model(F_LAMBDA)
+        points = [(0.1, 0.0), (0.2, 0.5), (0.3, 0.0), (0.4, -0.2)]
+        jobs = passage_jobs(model, points)
+        assert jobs.lam.tolist() == [lam for _, lam in points]
+        assert integrals(jobs).tolist() == [passage_time(model, h, lam) for h, lam in points]
+
+    @pytest.mark.parametrize("lam", [-0.2, 0.3])
+    def test_bridge_reads_the_density_at_lambda(self, lam):
+        # the lambda-dependent density at lambda against the lambda-free one
+        # it gives there at lambda = 0: equal up to the rounding of c lambda^k
+        model, fixed = one_dof_model(F_LAMBDA), one_dof_model(_at_lambda(F_LAMBDA, lam))
+        for h in (0.01, 0.3, 1.5):
+            want = passage_time(fixed, h)
+            assert passage_time(model, h, lam) == pytest.approx(want, rel=1e-15, abs=0.0)
+        y_sec = [(h + model.x0**2) ** (1.0 / 3.0) for h in (0.05, 0.4)]
+        for x, y in [(0.5 * model.x0, 0.9), (-model.x0, y_sec[0]), (-0.3 * model.x0, y_sec[1])]:
+            want = section_time(fixed, x, y, 0.0)
+            assert section_time(model, x, y, lam) == pytest.approx(want, rel=1e-15, abs=0.0)
 
 
 class TestLoopPeriod:
@@ -386,11 +411,13 @@ class TestSeparatrixAction:
         engine_calls = []
         real_engine = quadrature._level_integrals
         monkeypatch.setattr(
-            quadrature, "_level_integrals", lambda jobs: engine_calls.append(len(jobs)) or real_engine(jobs)
+            quadrature,
+            "_level_integrals",
+            lambda *batches: engine_calls.append(_rows(batches)) or real_engine(*batches),
         )
         got = separatrix_action(m, lams)
-        # one saddle solve, one solve of the levels and their W', one engine call
-        assert [len(c) for c in calls] == [6, 12] and engine_calls == [6]
+        # one saddle solve, one solve of the levels and their W', one engine call of one batch
+        assert [len(c) for c in calls] == [6, 12] and engine_calls == [(1, 6)]
         assert got.shape == (2, 3) and got.ravel().tolist() == want
         assert type(want[0]) is float
 
@@ -548,6 +575,11 @@ def _level_coeffs(model, H, lam):
     return tuple(p)
 
 
+def _rows(batches) -> tuple[int, int]:
+    """(batches, rows without an error) of an engine call."""
+    return len(batches), sum(error is None for jobs in batches for error in jobs.errors)
+
+
 def _count_root_solves(monkeypatch):
     """The polynomial batches handed to the stacked root solve, wherever it is called."""
     calls = []
@@ -597,7 +629,7 @@ def _quad_cell(model, H, lam, name):
     f = model.density
     if name == "Pi":
         job = scalar_passage_job(None, level)
-        return quad_level_integral(level.p, quad_form_kernel(f.eval, lam), job.a, job.b, False)
+        return quad_level_integral(level.p, quad_form_kernel(f.eval, lam), job.a[0], job.b[0], False)
     a, b = scalar_oval_ends(level, "wide" if name == "I_mu" else "narrow")
     if name == "Pi_circ":
         return quad_level_integral(level.p, quad_form_kernel(f.eval, lam), a, b, True)
@@ -651,9 +683,9 @@ class TestBatchedEngine:
         engine_calls = []
         real_engine = quadrature._level_integrals
 
-        def engine(jobs):
-            engine_calls.append(len(jobs))
-            return real_engine(jobs)
+        def engine(*batches):
+            engine_calls.append(_rows(batches)[1])
+            return real_engine(*batches)
 
         monkeypatch.setattr(quadrature, "_level_integrals", engine)
         root_calls = _count_root_solves(monkeypatch)
@@ -739,28 +771,54 @@ class TestBatchedEngine:
             assert not sigma.any()
             assert (interval[:count].tolist(), int((~np.isnan(crit)).sum())) == exact, (h, lam)
 
-    def test_interleaved_groups_answer_in_the_callers_order(self):
+    def test_batches_answer_in_the_callers_order(self):
         # wide ovals under the form and the area kernel, passage arcs under the
-        # same form kernel and node jobs, shuffled together: the engine sorts
-        # them into groups and returns each job's value, bit for bit as its
-        # group's batch alone gives it, at the job's place in the call
+        # same form kernel and node jobs, each batch split in two, so that
+        # batches share their kernel, and shuffled: each row's value is bit for
+        # bit what its batch alone gives, at the row's place in the call, and
+        # NaN where the row has an error (a level below the wells, the arcs
+        # that miss the sections)
         m = cusp_compact_model(F_CHART)
         form, area = form_kernel(m.density), area_kernel(m.density)
         points = [(h, lam) for h in (-0.008, 0.0, 0.006) for lam in (-0.05, -0.01, 0.02)]
-        levels = quadrature._levels(m, points, m.x0)
-        groups = [
-            quadrature._oval_jobs([form] * len(points), levels, "wide"),
-            quadrature._oval_jobs([area] * len(points), levels, "wide"),
-            quadrature._arc_jobs([form] * len(points), levels, -math.inf)[1:],
+        levels = quadrature._levels(m, [*points, (-0.2, 0.0)], m.x0)
+        rng = np.random.default_rng(17)
+        parts = []
+        for jobs in (
+            quadrature._oval_jobs(form, levels, "wide"),
+            quadrature._oval_jobs(area, levels, "wide"),
+            quadrature._arc_jobs(form, levels, -math.inf),
             quadrature.node_jobs(F_MIXED, [0.05, 0.2, 0.6]),
-        ]
-        alone = {id(j): v for g in groups for j, v in zip(g, quadrature._level_integrals(g))}
-        batch = [j for g in groups for j in g]
-        assert all(isinstance(j, LevelJob) for j in batch)
-        assert len({(id(j.kernel), j.sub) for j in batch}) == 4
-        np.random.default_rng(17).shuffle(batch)
-        got = quadrature._level_integrals(batch)
-        assert [v.hex() for v in got.tolist()] == [alone[id(j)].hex() for j in batch]
+        ):
+            cut, n = int(rng.integers(1, len(jobs.errors))), len(jobs.errors)
+            parts += [jobs.take(list(range(cut))), jobs.take(list(range(cut, n)))]
+        assert len({(id(jobs.kernel), jobs.sub) for jobs in parts}) == 4
+        alone = [quadrature._level_integrals(jobs) for jobs in parts]
+        errors = [error is not None for jobs in parts for error in jobs.errors]
+        assert 0 < sum(errors) < len(errors)
+        assert np.isnan(np.concatenate(alone)[errors]).all()
+        order = rng.permutation(len(parts)).tolist()
+        got = quadrature._level_integrals(*(parts[k] for k in order))
+        want = np.concatenate([alone[k] for k in order])
+        assert [v.hex() for v in got.tolist()] == [v.hex() for v in want.tolist()]
+
+    def test_batches_of_one_kernel_are_one_group(self):
+        # two batches sharing a kernel and a substitution call the kernel as
+        # often, on the same nodes, as the one batch of all their rows
+        m = cusp_compact_model(F_CHART)
+        form, nodes = form_kernel(m.density), []
+
+        def kernel(x, y, lam):
+            nodes.append(x.shape)
+            return form(x, y, lam)
+
+        points = [(h, lam) for h in (-0.008, 0.0, 0.006) for lam in (-0.05, -0.01, 0.02)]
+        jobs = quadrature._arc_jobs(kernel, quadrature._levels(m, points, m.x0), -math.inf)
+        whole = quadrature._level_integrals(jobs)
+        calls, nodes[:] = list(nodes), []
+        split = quadrature._level_integrals(jobs.take([0, 1, 2, 3]), jobs.take([4, 5, 6, 7, 8]))
+        assert nodes == calls and len(calls) > 1
+        assert split.tobytes() == whole.tobytes()
 
     def test_subinterval_limit_is_an_error(self, monkeypatch):
         # near Sigma_hyp the loop period needs many subintervals; a job that
@@ -778,19 +836,21 @@ class TestBatchedEngine:
             action_chart(m, [h], [lam])
 
 
-def _same_job(got, build):
-    """``got``, a batched builder's entry, is the job ``build()`` of the scalar
-    route, bit for bit, or an error of the type and message it raises."""
+def _same_job(jobs, i, build):
+    """Row i of ``jobs``, a batched builder's, is the job ``build()`` of the
+    scalar route, a batch of one, bit for bit, or an error of the type and
+    message it raises."""
+    got = jobs.errors[i]
     try:
         want = build()
     except ValueError as exc:
         assert type(got) is type(exc) and str(got) == str(exc)
         return type(exc)
-    assert isinstance(got, LevelJob)
+    assert got is None
     fields = ("a", "b", "lam", "lower", "upper")
-    assert [float(getattr(got, k)).hex() for k in fields] == [float(getattr(want, k)).hex() for k in fields]
-    assert got.sub == want.sub and got.r.tobytes() == want.r.tobytes()
-    return LevelJob
+    assert [getattr(jobs, k)[i].hex() for k in fields] == [getattr(want, k)[0].hex() for k in fields]
+    assert jobs.sub == want.sub and jobs.r[i].tobytes() == want.r[0].tobytes()
+    return LevelJobs
 
 
 class TestBatchedBuilders:
@@ -825,43 +885,42 @@ class TestBatchedBuilders:
         scalar = [scalar_level(model, h, lam, model.x0) for h, lam in points]
         seen = {}
         builders = [
-            ("Pi", quadrature._arc_jobs([form] * n, levels, -math.inf),
+            ("Pi", quadrature._arc_jobs(form, levels, -math.inf),
              lambda lv: scalar_passage_job(form, lv)),
-            ("narrow", quadrature._oval_jobs([form] * n, levels, "narrow"),
+            ("narrow", quadrature._oval_jobs(form, levels, "narrow"),
              lambda lv: scalar_oval_job(form, lv, "narrow")),
         ]
         if model.kind == "cusp_compact":
             builders.append(
-                ("wide", quadrature._oval_jobs([area] * n, levels, "wide"),
+                ("wide", quadrature._oval_jobs(area, levels, "wide"),
                  lambda lv: scalar_oval_job(area, lv, "wide"))
             )
         else:
             with pytest.raises(ValueError, match="compact model only"):
-                quadrature._oval_jobs([area] * n, levels, "wide")
+                quadrature._oval_jobs(area, levels, "wide")
         # the levels the rule puts on Sigma: the injected ones at 0 and 1e-13
         # of the spread from either branch, half of those past the grid
         on_sigma = levels.sigma.any(axis=1).tolist()
         assert sum(on_sigma) == (n - 21 * 21 - 5) // 2
         for name, built, build in builders:
-            assert len(built) == n
-            for got, level, on in zip(built, scalar, on_sigma):
-                if on and (name == "narrow" or isinstance(got, OnSigmaError)):
+            assert len(built.errors) == n and built.r.shape[0] == n
+            assert built.kernel is (area if name == "wide" else form)
+            for i, (level, on) in enumerate(zip(scalar, on_sigma)):
+                if on and (name == "narrow" or isinstance(built.errors[i], OnSigmaError)):
                     # no narrow oval on Sigma, nor an oval or arc the rule refuses
-                    assert isinstance(got, OnSigmaError)
+                    assert isinstance(built.errors[i], OnSigmaError)
                     kind = OnSigmaError
                 else:
-                    kind = _same_job(got, lambda: build(level))
+                    kind = _same_job(built, i, lambda: build(level))
                 seen.setdefault(name, set()).add(kind)
-                if kind is LevelJob:
-                    assert got.kernel is (area if name == "wide" else form)
         # every route is taken: jobs, and the errors of Sigma and of the strata
-        assert seen["narrow"] == {LevelJob, OnSigmaError}
+        assert seen["narrow"] == {LevelJobs, OnSigmaError}
         if model.kind == "cusp_compact":
             # the blank-Pi region: wide levels whose arc misses the sections
-            assert seen["Pi"] == {LevelJob, StratumError, OnSigmaError}
-            assert {LevelJob, StratumError, OnSigmaError} <= seen["wide"]
+            assert seen["Pi"] == {LevelJobs, StratumError, OnSigmaError}
+            assert {LevelJobs, StratumError, OnSigmaError} <= seen["wide"]
         else:
-            assert LevelJob in seen["Pi"] and OnSigmaError in seen["Pi"]
+            assert LevelJobs in seen["Pi"] and OnSigmaError in seen["Pi"]
 
     def test_one_dof_bridged_passages(self):
         rng = np.random.default_rng(5)
@@ -869,9 +928,10 @@ class TestBatchedBuilders:
         points = [(h, lam) for h, lam in zip(rng.uniform(1e-4, 2.0, 40), rng.choice([-0.2, 0.0, 0.3], 40))]
         bridge = cusp_local_model()
         jobs = passage_jobs(model, points)
-        for job, (h, lam) in zip(jobs, points, strict=True):
-            assert _same_job(job, lambda: scalar_passage_job(None, scalar_level(bridge, -h, 0.0, model.x0))) is LevelJob
-            assert job.kernel is jobs[[l for _, l in points].index(lam)].kernel
+        assert len(jobs.errors) == len(points)
+        for i, (h, lam) in enumerate(points):
+            want = scalar_passage_job(None, scalar_level(bridge, -h, 0.0, model.x0))
+            assert _same_job(jobs, i, lambda: want._replace(lam=np.array([lam]))) is LevelJobs
 
     @pytest.mark.parametrize(
         "make, h, lam, stratum",
@@ -889,18 +949,18 @@ class TestBatchedBuilders:
         sm = SymplecticModel(make(F_MIXED))
         level = scalar_level(sm.model, h, lam)
         engine = []
-        monkeypatch.setattr(flows, "integrals", lambda jobs: engine.append(jobs) or np.ones(len(jobs)))
+        monkeypatch.setattr(flows, "integrals", lambda *batches: engine.append(batches) or np.ones(len(batches)))
         try:
-            want = [scalar_oval_job(None, level, stratum)] * 3
+            want = scalar_oval_job(None, level, stratum)
         except ValueError as exc:
             with pytest.raises(type(exc), match=re.escape(str(exc))):
                 period_lattice(sm, h, lam, stratum)
             return
         period_lattice(sm, h, lam, stratum)
-        (jobs,) = engine
-        assert len({id(job.kernel) for job in jobs}) == 3
-        for got, job in zip(jobs, want, strict=True):
-            assert _same_job(got, lambda: job) is LevelJob
+        (batches,) = engine
+        assert len(batches) == 3 and len({id(jobs.kernel) for jobs in batches}) == 3
+        for jobs in batches:
+            assert len(jobs.errors) == 1 and _same_job(jobs, 0, lambda: want) is LevelJobs
 
 
 class TestZeroPoly:

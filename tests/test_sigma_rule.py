@@ -26,7 +26,6 @@ from cuspinv.model import (  # noqa: E402
 )
 from cuspinv.quadrature import (  # noqa: E402
     QUAD_LIMIT,
-    LevelJob,
     OnSigmaError,
     StratumError,
     loop_action,
@@ -55,8 +54,8 @@ def test_diagram_and_builders_agree_on_sigma_hyp(make, lam, t, hyperbolic):
     h_ell, h_hyp = diagram.branch_values(lam)
     H = (h_hyp if hyperbolic else h_ell) + t * (h_hyp - h_ell)
     levels = quadrature._levels(model, [(H, lam)], model.x0)
-    (narrow,) = quadrature._oval_jobs([None], levels, "narrow")
-    (passage,) = quadrature._arc_jobs([None], levels, -math.inf)
+    (narrow,) = quadrature._oval_jobs(None, levels, "narrow").errors
+    (passage,) = quadrature._arc_jobs(None, levels, -math.inf).errors
     (stratum,) = diagram.strata([(H, lam)])
     (a,) = saddles(model, np.array([lam]))[1]
     (flags,) = sigma_flags([H], [np.polyval(model.potential_coeffs(lam), levels.crit[0])])
@@ -67,9 +66,9 @@ def test_diagram_and_builders_agree_on_sigma_hyp(make, lam, t, hyperbolic):
         assert stratum == "outside"
         assert isinstance(narrow, OnSigmaError) and isinstance(passage, OnSigmaError)
     if stratum == "narrow":
-        assert isinstance(narrow, LevelJob)
+        assert narrow is None
         blank_pi = isinstance(passage, StratumError) and make is cusp_compact_model
-        assert isinstance(passage, LevelJob) or blank_pi
+        assert passage is None or blank_pi
     # the points within 1e-13 of the spread lie on Sigma, those 1e-9 away off it
     assert flags.any() == (abs(t) <= 1e-13)
 
@@ -110,7 +109,7 @@ def test_strata_are_what_the_builders_build(model_files, make, lam, which, t):
     (stratum,) = bifurcation_diagram(model, domain_radius=math.inf).strata([(H, lam)])
     levels = quadrature._levels(model, [(H, lam)])
     ovals = ("narrow", "wide") if make is cusp_compact_model else ("narrow",)
-    built = [o for o in ovals if isinstance(quadrature._oval_jobs([None], levels, o)[0], LevelJob)]
+    built = [o for o in ovals if quadrature._oval_jobs(None, levels, o).errors == [None]]
     at_cusp = abs(H) <= SIGMA_RTOL and abs(lam) <= SIGMA_RTOL
     assert stratum == ("outside" if at_cusp or not built else built[0])
     for asked in ("narrow", "wide"):
