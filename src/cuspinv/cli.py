@@ -159,6 +159,7 @@ def cmd_actions(args) -> int:
     model = _load_model(args.model, args.command)
     nh, nl = _parse_grid(args.grid)
     grid = np.linspace(*args.h_range, nh), np.linspace(*args.l_range, nl)
+    grid[0][0], grid[1][0] = args.h_range[0], args.l_range[0]  # linspace's start + 0 * step loses -0.0
     chart = action_chart(model, *grid, mu_shift=args.mu_shift, stratum_filter=args.stratum)
     if args.format == "csv":
         _emit(chart.to_csv(), args.out)

@@ -27,8 +27,9 @@ jobs, a row per level with the error of its first failed check, which a
 caller raises (``LevelJobs.built``) or leaves blank, the engine's NaN.  The
 strata are the oval builders' rule, read off their failed checks
 (``_strata``): a chart and a lattice classify on the levels they integrate,
-a chart on its window's levels, which depend on no density and are solved
-once per window in a process (``_chart_table``).
+a chart on its window's levels, solved once per window (``_chart_table``);
+its columns, linear in f, sum those of f's monomials x^i y^j of even i,
+each integrated once per window (``_chart_moments``).
 
 Orientation: loop periods and loop actions are positive; passage times run
 from N1 = {x = +x0} to N2 = {x = -x0} (swapping the sections flips the
@@ -62,6 +63,7 @@ from .model import (
     _critical_ask,
     _horner,
     _potentials,
+    _powers,
     _solved,
     _synthetic_division,
     cusp_local_model,
@@ -689,6 +691,27 @@ def _chart_table(kind: str, x0: float, H_values: tuple, lam_values: tuple):
     return tuple(near), tuple(_strata(levels, DEFAULT_DOMAIN_RADIUS)), levels.frozen()
 
 
+@lru_cache(maxsize=64)
+def _chart_moments(kind: str, x0: float, H_values: tuple, lam_values: tuple, i: int, j: int):
+    """Read-only scalar values Pi, Pi_circ, I_circ, I_mu of x^i y^j at a window's cells
+    in the domain (``_chart_table``), once per key in a process, from one engine call
+    on all but the outside cells; NaN where a cell has no job or it does not converge."""
+    _, strata, levels = _chart_table(kind, x0, H_values, lam_values)
+    form, area = (kernel(Density({(i, j, 0): 1.0})) for kernel in (form_kernel, area_kernel))
+    inside = [c for c, stratum in enumerate(strata) if stratum != "outside"]
+    narrow = [c for c in inside if strata[c] == "narrow"]
+    loops, on_inside = _oval_jobs(form, levels.take(narrow), "narrow").built(), levels.take(inside)
+    # each column on the cells of its strata; I_circ has Pi_circ's ends and R
+    columns = [_arc_jobs(form, on_inside, -math.inf), loops, loops._replace(kernel=area)]
+    columns += [_oval_jobs(area, on_inside, "wide")] if kind == CUSP_COMPACT else []
+    cells = [inside, narrow, narrow, inside][: len(columns)]
+    out = np.full((4, len(strata)), np.nan)
+    out[[k for k, at in enumerate(cells) for _ in at], sum(cells, [])] = _level_integrals(*columns)
+    out[2:] /= 2.0 * math.pi  # the actions: areas over 2 pi
+    out.setflags(write=False)
+    return out
+
+
 def action_chart(
     model: FibrationModel,
     H_values,
@@ -702,42 +725,29 @@ def action_chart(
     Pi_circ and I_circ exist on the narrow stratum, I_mu on the compact
     model away from Sigma_hyp.  The levels of the cells in the domain, their
     sections and strata depend on the window alone and are read off its
-    ``_chart_table`` (one stacked root solve per window in a process); each
-    column is one batch on the cells of its strata with a density's kernel,
-    and all integrals are one engine call; each cell is the scalar value bit
-    for bit.  The rows keep the H and lambda asked.
+    ``_chart_table``, one stacked root solve per window in a process.  A cell
+    is the sum from 0.0 over f's terms c x^i y^j lambda^k of even i, in
+    ``Density._plan`` order, of (c lambda^k) times the monomial's values
+    (``_chart_moments``): within 1e-13 of f's scalar value, bit for bit at
+    f = 1, whatever ran before.  The rows keep the H and lambda asked.
     """
     H_values, lam_values = tuple(H_values), tuple(lam_values)
-    form, area = form_kernel(model.density), area_kernel(model.density)
     rows = [ActionChartRow(h, lam, "outside", *[None] * 5) for lam in lam_values for h in H_values]
-    at, strata, levels = _chart_table(model.kind, model.x0, H_values, lam_values)
+    at, strata, _ = _chart_table(model.kind, model.x0, H_values, lam_values)
     near = [rows[i] for i in at]
-    for row, stratum in zip(near, strata):  # I = lambda on each stratum's oval
-        row.stratum, row.I = stratum, None if stratum == "outside" else row.lam
+    lam = np.array([row.lam for row in near], dtype=float)  # the lambdas asked
+    powers, values = _powers(lam, model.density._plan[3]), np.zeros((4, len(near)))
+    # an odd i has both kernels exactly 0; f odd in x is 0 times the columns of 1
+    for c, i, j, k in [t for t in model.density._plan[0] if t[1] % 2 == 0] or [(0.0, 0, 0, 0)]:
+        moments = _chart_moments(model.kind, model.x0, H_values, lam_values, i, j)
+        values = values + (c * powers[k] if k else c) * moments
+    values[3] += mu_shift * lam
     kept = {stratum_filter} if stratum_filter else {"narrow", "wide", "outside"}
-    inside = [i for i, stratum in enumerate(strata) if stratum != "outside" and stratum in kept]
-    narrow = [i for i in inside if strata[i] == "narrow"]
-    loops = _oval_jobs(form, levels.take(narrow), "narrow").built()
-    on_inside = levels.take(inside)
-    columns = [  # each on the cells of its strata; I_circ has Pi_circ's ends and R
-        ("Pi", inside, _arc_jobs(form, on_inside, -math.inf)),
-        ("Pi_circ", narrow, loops),
-        ("I_circ", narrow, loops._replace(kernel=area)),
-    ]
-    if model.kind == CUSP_COMPACT:
-        columns.append(("I_mu", inside, _oval_jobs(area, on_inside, "wide")))
-    values = _level_integrals(*(jobs for *_, jobs in columns))
-    values = np.split(values, np.cumsum([len(cells) for _, cells, _ in columns]))
-    for (name, cells, _), part in zip(columns, values):
-        for i, v in zip(cells, part.tolist()):
-            row = near[i]
-            if math.isnan(v) and name in ("Pi_circ", "I_circ"):  # Pi and I_mu may be blank
-                raise OnSigmaError(f"{name} does not converge at (H, lambda) = ({row.H}, {row.lam})")
-            if math.isnan(v):
-                continue
-            if name == "I_circ":
-                v = v / (2.0 * math.pi)
-            elif name == "I_mu":
-                v = v / (2.0 * math.pi) + mu_shift * row.lam
-            setattr(row, name, v)
+    narrow = [c for c, stratum in enumerate(strata) if stratum == "narrow" and stratum in kept]
+    for name, column in zip(("Pi_circ", "I_circ"), values[1:3, narrow]):  # Pi and I_mu may be blank
+        for row in [near[narrow[c]] for c in np.flatnonzero(np.isnan(column))][:1]:
+            raise OnSigmaError(f"{name} does not converge at (H, lambda) = ({row.H}, {row.lam})")
+    for row, stratum, *cell in zip(near, strata, *values.tolist()):  # NaN on the outside cells
+        row.stratum, row.I = stratum, None if stratum == "outside" else row.lam  # I on each oval
+        row.Pi, row.Pi_circ, row.I_circ, row.I_mu = (None if math.isnan(v) else v for v in cell)
     return ActionChart(rows=[row for row in rows if row.stratum in kept], mu_shift=mu_shift)

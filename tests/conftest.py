@@ -3,12 +3,13 @@ import pytest
 from cuspinv import equivalence, quadrature
 
 #: the per-process level tables of the fixed sample grids and of the chart
-#: windows, each an lru_cache
+#: windows, and the chart windows' per-monomial columns, each an lru_cache
 TABLES = (
     equivalence._passage_table,
     equivalence._report_table,
     equivalence._verdict_table,
     quadrature._chart_table,
+    quadrature._chart_moments,
 )
 
 

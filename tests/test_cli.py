@@ -181,6 +181,17 @@ class TestActions:
         assert out == ""
         assert dest.read_text().startswith("H,lambda")
 
+    @pytest.mark.parametrize("option", ["--h-range", "--l-range"])
+    def test_range_keeps_its_signed_zero_start(self, files, capsys, option):
+        # linspace's first value is start + 0 * step, 0.0 for a start of -0.0
+        ranges = {"--h-range": ["0.0", "0.003"], "--l-range": ["0.0", "0.01"]}
+        ranges[option][0] = "-0.0"
+        argv = ["actions", "--model", str(files["compact"]), "--grid", "2x2"]
+        _, out, _ = _run(capsys, argv + [a for k, v in ranges.items() for a in (k, *v)])
+        column = 0 if option == "--h-range" else 1
+        firsts = [line.split(",")[column] for line in out.splitlines()[1:]]
+        assert firsts == (["-0", "0.003"] * 2 if column == 0 else ["-0", "-0", "0.01", "0.01"])
+
     def test_empty_grid_exit_2(self, files, capsys):
         code, out, err = _run(
             capsys, ["actions", "--model", str(files["compact"]), "--grid", "0x3"]
@@ -933,16 +944,18 @@ def test_numeric_option_rejects_non_finite(tmp_path, capsys, command, option, va
 #: sys1's narrow and wide levels; warm, only what depends on the request is
 #: solved, for a verdict the one solve of d2's branch values and sys2's levels
 #: at the images of phi.  A chart's levels and strata depend on its window
-#: alone (``quadrature._chart_table``): solved cold, read warm.  A transport
-#: solves per system its levels with the zeros of f on them
+#: alone (``quadrature._chart_table``), and its columns are sums of its
+#: window's columns of each monomial of f (``quadrature._chart_moments``):
+#: solved and integrated cold, read warm.  A transport solves per system its
+#: levels with the zeros of f on them
 SOLVES_PER_REQUEST = [
     ("decompose --density {f1}", (1, 1), (0, 1)),
     # the chart's strata and the lattice's stratum check read the one level solve
-    ("actions --model {compact}", (1, 1), (0, 1)),
+    ("actions --model {compact}", (1, 1), (0, 0)),
     (
         "actions --model {compact} --grid 21x21 --h-range -0.01 0.01 --l-range -0.06 0.02",
         (1, 1),
-        (0, 1),
+        (0, 0),
     ),
     ("invariants --sys {local}", (2, 1), (0, 1)),
     ("invariants --sys {compact}", (2, 1), (0, 1)),

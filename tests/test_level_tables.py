@@ -1,8 +1,9 @@
 """The level tables of the fixed sample grids (``equivalence._passage_table``,
 ``_report_table`` and ``_verdict_table``) and of the chart windows
-(``quadrature._chart_table``): built once per model kind and grid or window
-in a process, read-only, and what they hold is what a request of any density
-would solve itself."""
+(``quadrature._chart_table``), and the chart windows' columns per monomial
+(``quadrature._chart_moments``): built once per model kind and grid or window
+(and monomial) in a process, read-only, and what they hold is what a request
+of any density would solve itself."""
 
 import contextlib
 import io
@@ -114,7 +115,7 @@ def test_caller_chosen_values_leave_the_tables_alone(tmp_path, capsys):
     for argv in requests:
         assert main([str(a) for a in argv]) == 0
     filled = [table.cache_info().currsize for table in TABLES]
-    assert filled == [1, 1, 1, 0]
+    assert filled == [1, 1, 1, 0, 0]
     others = [
         ["actions", "--model", paths["compact"]],
         ["lattice", "--sys", paths["compact"], "--at", "0.0", "-0.05", "--verify"],
@@ -128,7 +129,8 @@ def test_caller_chosen_values_leave_the_tables_alone(tmp_path, capsys):
     separatrix_action(m, np.array([-0.064, -0.048, -0.032]))
     passage_time(FibrationModel("one_dof"), 1e-9)
     capsys.readouterr()
-    assert [table.cache_info().currsize for table in TABLES] == [1, 1, 1, 1]  # the chart's window
+    # the chart's window and its columns of the monomials 1 and y
+    assert [table.cache_info().currsize for table in TABLES] == [1, 1, 1, 1, 2]
 
 
 # -- the chart windows' table ------------------------------------------------------
@@ -160,13 +162,19 @@ def test_chart_table_filled_by_another_density_gives_the_cold_charts(kind, f, g)
             paths[name].write_text(json.dumps(FibrationModel(kind, density, 0.25).to_json()))
         cold = []
         for variant in _CHART_VARIANTS:
-            quadrature._chart_table.cache_clear()
+            _clear()
             cold.append(_cli_out(["actions", "--model", paths["g"], *variant]))
-        quadrature._chart_table.cache_clear()
-        _cli_out(["actions", "--model", paths["f"]])  # f's chart builds the table that g's read
+        _clear()
+        _cli_out(["actions", "--model", paths["f"]])  # f's chart builds the tables that g's read
         warm = [_cli_out(["actions", "--model", paths["g"], *v]) for v in _CHART_VARIANTS]
     assert warm == cold
     assert quadrature._chart_table.cache_info().currsize == 1
+    assert quadrature._chart_moments.cache_info().currsize == len(_even_monomials(f, g))
+
+
+def _even_monomials(*densities) -> set:
+    """The (i, j) of the terms of even i of the densities, the chart columns they read."""
+    return {(i, j) for f in densities for i, j, _ in f.terms if i % 2 == 0}
 
 
 def _chart_text(model, H_values, lam_values) -> str:
@@ -183,13 +191,41 @@ def test_signed_zero_window_gives_its_own_cold_bytes(kind):
     H, lams = np.linspace(0.0, 0.01, 5), np.linspace(-0.06, 0.0, 7)
     signed = [(-0.0, *H[1:]), lams], [H, (*lams[:-1], -0.0)]
     for window in signed:
-        quadrature._chart_table.cache_clear()
+        _clear()
         cold = _chart_text(model, *window)
         assert "-0" in cold
-        quadrature._chart_table.cache_clear()
+        _clear()
         unsigned = _chart_text(model, H, lams)
         assert _chart_text(model, *window) == cold != unsigned
         assert quadrature._chart_table.cache_info().currsize == 1
+        assert quadrature._chart_moments.cache_info().currsize == 2  # 1 and y
+
+
+#: two densities whose even-x monomials 1 (in f also as lambda), y and x^2 (in
+#: g as x^2 lambda) are common, y^2 in g alone; f's x y lambda has no column
+_F = Density({(0, 0, 0): 1.0, (0, 1, 0): 0.2, (0, 0, 1): 0.3, (2, 0, 0): -0.1, (1, 1, 1): 0.05})
+_G = Density({(0, 0, 0): 0.9, (0, 1, 0): -0.15, (0, 2, 0): 0.4, (2, 0, 1): 0.25})
+
+
+@pytest.mark.parametrize("signed", ["none", "H", "lambda"])
+@pytest.mark.parametrize("kind", [CUSP_LOCAL, CUSP_COMPACT])
+def test_chart_after_another_density_gives_the_cold_bytes(kind, signed):
+    # g's columns of 1, y and x^2 come from f's chart, on the unsigned window,
+    # and that of y^2 is g's own: its CSV and JSON are its cold ones
+    H, lams = np.linspace(0.0, 0.01, 5), np.linspace(-0.06, 0.0, 7)
+    window = {
+        "none": (H, lams),
+        "H": ((-0.0, *H[1:]), lams),
+        "lambda": (H, (*lams[:-1], -0.0)),
+    }[signed]
+    f, g = (FibrationModel(kind, density, 0.25) for density in (_F, _G))
+    _clear()
+    cold = _chart_text(g, *window)
+    _clear()
+    _chart_text(f, H, lams)
+    assert quadrature._chart_moments.cache_info().currsize == 3  # 1, y and x^2
+    assert _chart_text(g, *window) == cold
+    assert quadrature._chart_moments.cache_info().currsize == 4  # and y^2
 
 
 def test_chart_table_arrays_are_read_only():
@@ -205,6 +241,23 @@ def test_chart_table_arrays_are_read_only():
     assert isinstance(levels.points, tuple)
 
 
+def test_chart_moments_are_read_only_one_entry_per_window_and_monomial():
+    window = (CUSP_COMPACT, 0.25, tuple(np.linspace(-0.01, 0.01, 7)), tuple(np.linspace(-0.06, 0.02, 7)))
+    near = quadrature._chart_table(*window)[0]
+    f = FibrationModel(CUSP_COMPACT, _F, 0.25)
+    action_chart(f, *window[2:])
+    monomials = _even_monomials(_F)
+    assert quadrature._chart_moments.cache_info().currsize == len(monomials) == 3
+    for i, j in monomials:
+        moments = quadrature._chart_moments(*window, i, j)
+        assert moments.shape == (4, len(near)) and moments.dtype == float
+        with pytest.raises(ValueError, match="read-only"):
+            moments[...] = 0
+    assert quadrature._chart_moments.cache_info().misses == 3
+    action_chart(FibrationModel(CUSP_COMPACT, _G, 0.25), *window[2:])
+    assert quadrature._chart_moments.cache_info().currsize == len(monomials | _even_monomials(_G)) == 4
+
+
 def test_chart_table_entry_per_kind_x0_and_window():
     table, f = quadrature._chart_table, Density({(0, 0, 0): 1.0, (0, 1, 0): 0.1})
     H, lams = np.linspace(-0.01, 0.01, 5), np.linspace(-0.06, 0.02, 5)
@@ -217,8 +270,8 @@ def test_chart_table_entry_per_kind_x0_and_window():
         (CUSP_LOCAL, 0.25, (H[:-1], lams)),
     ]:
         action_chart(FibrationModel(kind, f, x0), *window)
-        sizes.append(table.cache_info().currsize)
-    assert sizes == [1, 1, 2, 3, 4]
+        sizes.append((table.cache_info().currsize, quadrature._chart_moments.cache_info().currsize))
+    assert sizes == [(1, 2), (1, 2), (2, 4), (3, 6), (4, 8)]  # the columns of 1 and y per window
 
 
 def test_other_requests_leave_the_chart_table_alone(tmp_path, capsys):

@@ -9,6 +9,7 @@ from cuspinv import quadrature
 from cuspinv.model import (
     DEFAULT_DOMAIN_RADIUS,
     Density,
+    FibrationModel,
     bifurcation_diagram,
     cusp_compact_model,
     cusp_local_model,
@@ -518,6 +519,28 @@ class TestActionChart:
         assert chart.rows
         assert all(r.stratum == "narrow" for r in chart.rows)
 
+    @pytest.mark.parametrize("make", [cusp_local_model, cusp_compact_model])
+    def test_odd_x_terms_leave_the_chart_bytes(self, make):
+        # both kernels of an odd power of x are exactly 0
+        hs, ls = np.linspace(-0.01, 0.01, 7), np.linspace(-0.06, 0.02, 7)
+        odd = F_MIXED + Density({(1, 1, 0): 0.05, (1, 0, 1): 0.1})
+        text = []
+        for f in (F_MIXED, odd):
+            chart = action_chart(make(f), hs, ls, mu_shift=1)
+            text.append(chart.to_csv() + repr([vars(row) for row in chart.rows]))
+        assert text[0] == text[1]
+
+    @pytest.mark.parametrize("make", [cusp_local_model, cusp_compact_model])
+    def test_density_odd_in_x_gives_zero_columns(self, make):
+        # 0 where f = 1 has a value, blank where it has none
+        hs, ls = np.linspace(-0.01, 0.01, 7), np.linspace(-0.06, 0.02, 7)
+        odd = action_chart(make(Density({(1, 0, 0): 1.0, (1, 1, 1): 0.2})), hs, ls)
+        ones = action_chart(make(F_ONE), hs, ls)
+        assert [r.stratum for r in odd.rows] == [r.stratum for r in ones.rows]
+        cells = [(getattr(a, k), getattr(b, k)) for a, b in zip(odd.rows, ones.rows) for k in CHART_FIELDS]
+        assert all(v is None if w is None else v == 0.0 for v, w in cells)
+        assert sum(w is not None for _, w in cells) > 0
+
     def test_mu_shift_column(self):
         m = cusp_compact_model(F_ONE)
         c0 = action_chart(m, [0.0], [-0.05], mu_shift=0)
@@ -666,20 +689,32 @@ class TestBatchedEngine:
                 names.add(name)
         assert names == set(CHART_FIELDS)
 
-    def test_chart_cells_are_the_scalar_values(self):
-        scalar = {
-            "Pi": passage_time,
-            "Pi_circ": loop_period,
-            "I_circ": loop_action,
-            "I_mu": wide_action,
-        }
+    SCALAR = {"Pi": passage_time, "Pi_circ": loop_period, "I_circ": loop_action, "I_mu": wide_action}
+
+    def test_chart_cells_are_sums_of_monomial_scalar_values(self):
+        # the sum over f's terms of even i, in _plan order from 0.0, of
+        # (c lambda^k) times the scalar value of the unit monomial x^i y^j
+        for model, chart in self._charts():
+            terms = [(c, i, j, k) for c, i, j, k in model.density._plan[0] if i % 2 == 0]
+            assert len(terms) < len(model.density.terms)  # F_CHART's x y has no column
+            for row, name, value in _cells(chart):
+                want = 0.0
+                for c, i, j, k in terms:
+                    unit = FibrationModel(model.kind, Density({(i, j, 0): 1.0}), model.x0)
+                    want = want + c * math.prod([row.lam] * k) * self.SCALAR[name](unit, row.H, row.lam)
+                assert value == want, (model.kind, row, name)
+
+    def test_chart_cells_are_the_scalar_values_to_1e_13(self):
+        # the bound test_chart_matches_scalar_quad holds the chart to
         for model, chart in self._charts():
             for row, name, value in _cells(chart):
-                assert value == scalar[name](model, row.H, row.lam), (model.kind, row, name)
+                want = self.SCALAR[name](model, row.H, row.lam)
+                assert abs(value - want) <= 1e-13 * abs(want), (model.kind, row, name)
 
-    def test_one_engine_call_and_one_root_solve_per_level(self, monkeypatch):
+    def test_one_root_solve_per_window_and_one_engine_call_per_monomial(self, monkeypatch):
         # one stacked solve of the levels and sections of all cells in the
-        # domain with the W' of their lambdas, which gives the strata too
+        # domain with the W' of their lambdas, which gives the strata too, and
+        # one engine call per even-x monomial new to the window
         engine_calls = []
         real_engine = quadrature._level_integrals
 
@@ -690,7 +725,8 @@ class TestBatchedEngine:
         monkeypatch.setattr(quadrature, "_level_integrals", engine)
         root_calls = _count_root_solves(monkeypatch)
         hs, ls = self.GRID[0], [*self.GRID[1], 0.09]  # a row past the radius
-        for model in (cusp_compact_model(F_CHART), cusp_local_model(F_CHART)):
+        for make in (cusp_compact_model, cusp_local_model):
+            model = make(F_CHART)  # the monomials 1 (also as lambda), y, x^2 and x y
             engine_calls.clear()
             root_calls.clear()
             chart = action_chart(model, hs, ls)
@@ -700,13 +736,18 @@ class TestBatchedEngine:
             near_lams = dict.fromkeys(r.lam for r in near)
             dws = [(0.0, *np.polyder(model.potential_coeffs(lam))) for lam in near_lams]
             inside = [r for r in chart.rows if r.stratum != "outside"]
-            assert len(engine_calls) == 1 and engine_calls[0] > len(inside) > 0
+            assert len(engine_calls) == 3 and all(n > len(inside) > 0 for n in engine_calls)
             assert len(near) < len(chart.rows)
             assert len(root_calls) == 1
             assert sorted(root_calls[0]) == sorted(polys + dws)
             # every level polynomial is solved exactly once
             solved = [p for c in root_calls for p in c]
             assert all(solved.count(p) == 1 for p in polys)
+            # a density of seen monomials: no call, no solve; y^2 is new
+            action_chart(make(Density({(0, 1, 1): 2.0, (2, 0, 0): 0.1, (1, 0, 0): 0.3})), hs, ls)
+            assert (len(engine_calls), len(root_calls)) == (3, 1)
+            action_chart(make(Density({(0, 0, 0): 1.0, (0, 2, 0): 0.1})), hs, ls)
+            assert (len(engine_calls), len(root_calls)) == (4, 1)
 
     @pytest.mark.parametrize("model", [cusp_local_model(F_CHART), cusp_compact_model(F_CHART)])
     @pytest.mark.parametrize("with_sections", [False, True])
@@ -830,6 +871,7 @@ class TestBatchedEngine:
         assert loop_period(m, h, lam) > 0
         assert action_chart(m, [h], [lam]).rows[0].stratum == "narrow"
         monkeypatch.setattr(quadrature, "QUAD_LIMIT", 2)
+        quadrature._chart_moments.cache_clear()  # the chart's columns under the patched limit
         with pytest.raises(OnSigmaError):
             loop_period(m, h, lam)
         with pytest.raises(OnSigmaError):
