@@ -15,6 +15,10 @@ Parabolic orbits and cuspidal tori are compared per the action criteria: a
 supplied base map must respect the bifurcation diagrams with their branch
 labels and transport the actions (I, I_o, and on compact models I_mu up to
 an integer multiple of I).  No search for the base map is attempted.
+
+The integrals on the fixed sample grids (the fitted one-dof passages, a
+report's lobes, a verdict's ovals) are sums of per-monomial values
+(``quadrature._sums``), integrated once per grid in a process.
 """
 
 from __future__ import annotations
@@ -40,8 +44,8 @@ from .model import (
     one_dof_model,
     saddles,
 )
-from .quadrature import _converged, _level_ask, _level_integrals, _lobe_areas, _levels, _oval_jobs
-from .quadrature import _passage_levels, area_kernel, integrals, passage_jobs
+from .quadrature import _Grid, _arc_jobs, _bridged, _converged, _level_ask, _levels, _oval_jobs
+from .quadrature import _passage_levels, _sums, area_kernel, form_kernel, integrals, passage_jobs
 from .series import TruncatedSeries, phi_r_apply, phi_r_invert
 from .specfun import puiseux_constants
 from . import asymptotics
@@ -353,60 +357,46 @@ def parabolic_equivalent(
     return EquivalenceVerdict(equivalent=ok, checks=checks)
 
 
-def _oval_actions(jobs1, jobs2, values1, values2):
-    """Oval area / 2 pi of sys1 and sys2 from their area jobs (``_oval_jobs``)
-    and the engine's values of them.  A sys1 level without its job or whose
-    integral does not converge raises; such a sys2 level gives None."""
-    jobs1.built()
-    return _converged(values1).tolist(), [None if math.isnan(v) else v for v in values2.tolist()]
-
-
-@lru_cache(maxsize=8)
-def _verdict_table(kind: str, wide_grid: tuple):
-    """sys1's half of a verdict, which depends on its kind alone: (H_ell, H_hyp)
-    at the sigma and grid lambdas, the 9 narrow points read off them and the
-    levels there and on the wide grid; two root solves, once per process, read-only."""
+@lru_cache(maxsize=16)
+def _verdict_levels(kind: str, target_lams: tuple, narrow: tuple, wide: tuple):
+    """A system's half of a verdict, once per process from one root solve: (H_ell, H_hyp) at
+    the ``target_lams`` and the area ``_Grid``s of the ``narrow`` and ``wide`` ovals."""
     model = FibrationModel(kind)
-    values = bifurcation_diagram(model).branch_values(_SIGMA_LAMS + _GRID_LAMS)
-    h_ell, h_hyp = (tuple(v.tolist()) for v in values)
-    narrow = []  # three points across the swallow tail per lambda
-    for lam, h_e, h_h in zip(_GRID_LAMS, h_ell[4:], h_hyp[4:]):
-        mid, half = 0.5 * (h_e + h_h), 0.5 * (h_h - h_e)
-        narrow += [(mid + 0.8 * t * half, lam) for t in (-0.5, 0.0, 0.5)]
-    levels = _solved(*(_level_ask(model, p) for p in (narrow, wide_grid) if p))
-    return h_ell, h_hyp, tuple(narrow), tuple(lv.frozen() for lv in levels)
+    asks = [bifurcation_diagram(model)._branch_ask(list(target_lams), (0, 1))]
+    targets, *levels = _solved(*asks, *(_level_ask(model, p) for p in (narrow, wide) if p))
+    targets.setflags(write=False)
+    ovals = zip(("narrow", "wide"), levels)
+    return targets, tuple(_Grid((_oval_jobs(area_kernel, lv, oval),), {}) for oval, lv in ovals)
 
 
 def _parabolic_checks(
     sys1: FibrationModel, sys2: FibrationModel, phi, checks: dict, action_rtol: float, wide=()
 ):
-    """The sigma, I and I_circ checks of two oriented systems, added to
-    ``checks``, and given the images of the wide grid, the wide-oval actions
-    (``_oval_actions``) there.  sys1's branch values and levels come from
-    its ``_verdict_table``; the request's one root solve is all that depends
-    on phi: d2's branch values at the images of d1's Sigma samples and sys2's
-    narrow and wide levels at the images.  All integrals are one engine call.
-    """
+    """The sigma, I and I_circ checks of two oriented systems, added to ``checks``,
+    and given the images of the wide grid, the wide-oval actions of both there.  Each
+    system's branch values and grids come from ``_verdict_levels`` at its points,
+    sys1's samples (9 narrow ones read off its branch values), sys2's their images."""
     if abs(base_map_jacobian(phi, 0.0, 0.0)) < 1e-12:
         raise ValueError("base map phi is degenerate at the cusp point")
-    h_ell, h_hyp, narrow, levels1 = _verdict_table(sys1.kind, _WIDE_GRID if wide else ())
+    branches = _verdict_levels(sys1.kind, _SIGMA_LAMS + _GRID_LAMS, (), ())[0].tolist()
+    narrow = tuple(  # three points across the swallow tail per lambda
+        (0.5 * (h_e + h_h) + 0.8 * t * (0.5 * (h_h - h_e)), lam)
+        for (h_e, h_h), lam in zip(branches[4:], _GRID_LAMS) for t in (-0.5, 0.0, 0.5)
+    )
+    sigma_lams = tuple(lam for lam in _SIGMA_LAMS for _ in range(2))  # a Sigma sample per branch
+    _, grids1 = _verdict_levels(sys1.kind, sigma_lams, narrow, _WIDE_GRID if wide else ())
 
     # cusp point (0, 0) must map to the cusp point, each branch onto the same branch
-    images = [
-        (index, value, *_phi_eval(phi, value, lam))
-        for lam, pair in zip(_SIGMA_LAMS, zip(h_ell, h_hyp))
-        for index, value in enumerate(pair)
-    ]
+    samples = [(i, v, lam) for lam, pair in zip(_SIGMA_LAMS, branches) for i, v in enumerate(pair)]
+    images = [(index, value, *_phi_eval(phi, value, lam)) for index, value, lam in samples]
     # I at the narrow points; sys2's levels at their images, then at the wide grid's
     narrow_images = [_phi_eval(phi, h, lam) for h, lam in narrow]
     i_resid = [abs(l_t - l) / max(abs(l), 1e-9) for (_, l), (_, l_t) in zip(narrow, narrow_images)]
     i_ok = all(r_i <= action_rtol for r_i in i_resid)
-    targets, *levels2 = _solved(
-        bifurcation_diagram(sys2)._branch_ask([l for *_, l in images if l < 0], (0, 1)),
-        *(_level_ask(sys2, p) for p in (narrow_images, wide) if p),
-    )
+    image_lams = tuple(l for *_, l in images if l < 0)  # an image off lambda < 0 has no target
+    targets, grids2 = _verdict_levels(sys2.kind, image_lams, tuple(narrow_images), tuple(wide))
 
-    targets = iter(targets.tolist())  # an image off lambda < 0 has no target
+    targets = iter(targets.tolist())
     sigma_resid = [math.hypot(*_phi_eval(phi, 0.0, 0.0))] + [
         abs(h_t - next(targets)[index]) / max(abs(value), 1e-6) if lam_t < 0 else math.inf
         for index, value, h_t, lam_t in images
@@ -414,24 +404,21 @@ def _parabolic_checks(
     sigma_ok = sigma_resid[0] <= 1e-9 and all(res <= BRANCH_RTOL for res in sigma_resid[1:])
     checks["sigma"] = {"ok": sigma_ok, "residuals": sigma_resid}
 
-    # I_circ, and I_mu on a wide grid, from one engine call; an image without
-    # a narrow oval gives an infinite I_circ residual
-    kernels = (area_kernel(sys1.density), area_kernel(sys2.density))  # one group each
-    jobs = [
-        _oval_jobs(k, lv, oval)
-        for oval, pair in zip(("narrow", "wide"), zip(levels1, levels2))
-        for k, lv in zip(kernels, pair)
-    ]
-    values = _level_integrals(*jobs) / (2.0 * math.pi)
-    values = np.split(values, np.cumsum([len(j.errors) for j in jobs]))
+    # I_circ, and I_mu on a wide grid; an image without a narrow oval gives an
+    # infinite I_circ residual
+    values = _sums(*((g, sys1.density) for g in grids1), *((g, sys2.density) for g in grids2))
+    actions = []
+    for grid, v1, v2 in zip(grids1, values, values[len(grids1) :]):  # per oval, area / 2 pi
+        grid.columns[0].built()  # a sys1 level without its job or value raises; sys2's give None
+        actions.append((_converged(v1).tolist(), [None if math.isnan(v) else v for v in v2.tolist()]))
     io_resid = [
         math.inf if io_2 is None else abs(io_1 - io_2) / max(abs(io_1), 1e-12)
-        for io_1, io_2 in zip(*_oval_actions(*jobs[:2], *values[:2]))
+        for io_1, io_2 in zip(*actions[0])
     ]
     io_ok = all(r_o <= action_rtol for r_o in io_resid)
     checks["I"] = {"ok": i_ok, "residuals": i_resid}
     checks["I_circ"] = {"ok": io_ok, "residuals": io_resid}
-    return sigma_ok and i_ok and io_ok, _oval_actions(*jobs[2:], *values[2:4]) if wide else None
+    return sigma_ok and i_ok and io_ok, actions[1] if wide else None
 
 
 def cusp_torus_equivalent(
@@ -500,13 +487,14 @@ class InvariantReport:
 
 @lru_cache(maxsize=8)
 def _passage_table(x0: float, grid: tuple):
-    """The density-free one-dof ``_passage_levels`` of a grid: once per process, read-only."""
-    return _passage_levels(one_dof_model(x0=x0), [(h, 0.0) for h in grid]).frozen()
+    """The ``_Grid`` of the one-dof passages of a grid, once per process."""
+    levels = _passage_levels(one_dof_model(x0=x0), [(h, 0.0) for h in grid])
+    return _Grid((_arc_jobs(form_kernel, levels, -math.inf),), {})
 
 
 def fitted_pair(density, h_max: float = 0.1, n_samples: int = 48, order=(2, 2, 6)):
     """(a, b) series fitted from one-dof passage samples of ``density`` at
-    ``n_samples`` H from 1e-9 to ``h_max``, on their ``_passage_table``.
+    ``n_samples`` H from 1e-9 to ``h_max``, a Density's sums on their ``_passage_table``.
 
     The default orders suit polynomial densities of degree <= 5, whose
     fractional families terminate at H^2 exactly; the long analytic tail is
@@ -514,21 +502,26 @@ def fitted_pair(density, h_max: float = 0.1, n_samples: int = 48, order=(2, 2, 6
     """
     mdl = one_dof_model(density)
     grid = np.geomspace(1e-9, h_max, n_samples)
-    levels = _passage_table(mdl.x0, tuple(grid.tolist()))
-    samples = list(zip(grid, integrals(passage_jobs(mdl, [(h, 0.0) for h in grid], levels))))
+    table, f = _passage_table(mdl.x0, tuple(grid.tolist())), _bridged(mdl.density)
+    jobs = table.columns[0].built()
+    if isinstance(f, Density):
+        samples = list(zip(grid, _converged(_sums((table, f))[0])))
+    else:  # a callable's own jobs
+        samples = list(zip(grid, integrals(jobs._replace(kernel=form_kernel(f)))))
     return asymptotics.fit_puiseux(samples, order=order, relative_weights=True)
 
 
 @lru_cache(maxsize=8)
 def _report_table(kind: str, lam_values: tuple, log_lam_values: tuple):
     """The lambdas, saddles a and W''(a) of an invariant report's two grids
-    and the lobe levels H = W(a) on the first, which depend on the model
-    kind alone; two root solves, once per process, arrays read-only."""
+    and the ``_Grid`` of h (``separatrix_action``) on the first, which depend
+    on the model kind alone; two root solves, once per process, read-only."""
     model, n = FibrationModel(kind), len(lam_values)
     lams, a, h, d2w = saddles(model, np.array(lam_values + log_lam_values, dtype=float))
     for v in (a, d2w):
         v.setflags(write=False)
-    return tuple(lams), a, d2w, _levels(model, zip(h[:n].tolist(), lams[:n])).frozen()
+    lobes = _levels(model, zip(h[:n].tolist(), lams[:n]))
+    return tuple(lams), a, d2w, _Grid((_arc_jobs(area_kernel, lobes, a[:n], False, a[:n]),), {})
 
 
 def invariant_report(
@@ -542,7 +535,7 @@ def invariant_report(
     slice through H^K (:func:`brieskorn.model_pair`, the same route for both
     kinds) and the canonical_f normal form.  h(lambda) and, on the local
     model, the hyperbolic log coefficients are given on the lambda grids,
-    read off the grids' ``_report_table``; one engine call.
+    read off the grids' ``_report_table``, h by its sums (``_sums``).
     The density must be positive at the orbit: a vanishing one raises
     through :func:`_oriented`, a negative one in the normalization.
     """
@@ -552,7 +545,8 @@ def invariant_report(
     norm = normalize_invariant(pair)
     n, log_lams = len(lam_values), tuple(log_lam_values) * (sys.kind == CUSP_LOCAL)
     lams, a, d2w, lobes = _report_table(sys.kind, tuple(lam_values), log_lams)
-    h_samples = list(zip(lam_values, _lobe_areas(sys, lobes, a[:n]).tolist()))
+    lobes.columns[0].built()
+    h_samples = list(zip(lam_values, _converged(_sums((lobes, sys.density))[0]).tolist()))
     alphas = asymptotics._saddle_log_coeff(sys, lams[n:], a[n:], d2w[n:])
     log_coeffs = list(zip(log_lams, alphas.tolist()))
     orientation = {

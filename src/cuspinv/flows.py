@@ -125,8 +125,8 @@ def _step(n: int, shape):
     (``model._bound_at``), written into each stage: for n = 2 (f, H_x, H_y)
     and the plane field (-H_y / f, H_x / f), for n = 4 also H_lambda and X_lambda
     and the H-field.  These read x and y only, so only theirs are stage
-    arguments; lambda's sums, of exact zeros, are left out, its state moved by
-    h * 0.0 and its error terms, 0.0, kept in the mean."""
+    arguments; lambda's sums, of exact zeros, are left out, its state kept as
+    it is (a -0.0 stays) and its error terms, 0.0, kept in the mean."""
     c, (*a, b, e5, e3) = _tableau()
     params, terms = _terms_source(shape)
     comps = [0, 1, 3] if n == 4 else list(range(n))  # not lambda's zeros
@@ -144,7 +144,7 @@ def _step(n: int, shape):
     for s in range(1, len(c)):
         args = [f"u{i} + {dot(a[s], i)} * h" for i in range(n)]
         body += field(*args[:2], [f"k{s}_{i}" for i in comps])
-    body += [f"n{i} = u{i} + h * {dot(b, i) if i in comps else '0.0'}" for i in range(n)]
+    body += [f"n{i} = u{i}" + (f" + h * {dot(b, i)}" if i in comps else "") for i in range(n)]
     body += [f"s{i} = ATOL + max(abs(u{i}), abs(n{i})) * RTOL" for i in comps]
     for r, e in (("r5", e5), ("r3", e3)):
         body += [f"q{i} = {dot(e, i)} / s{i}" for i in comps]

@@ -27,9 +27,9 @@ jobs, a row per level with the error of its first failed check, which a
 caller raises (``LevelJobs.built``) or leaves blank, the engine's NaN.  The
 strata are the oval builders' rule, read off their failed checks
 (``_strata``): a chart and a lattice classify on the levels they integrate,
-a chart on its window's levels, solved once per window (``_chart_table``);
-its columns, linear in f, sum those of f's monomials x^i y^j of even i,
-each integrated once per window (``_chart_moments``).
+a chart on its window's levels, solved once per window (``_chart_table``).
+The invariants are linear in f: a density-free sample grid (``_Grid``) keeps
+per monomial its values, and a request sums those of f's terms (``_sums``).
 
 Orientation: loop periods and loop actions are positive; passage times run
 from N1 = {x = +x0} to N2 = {x = -x0} (swapping the sections flips the
@@ -121,13 +121,6 @@ class _Levels(NamedTuple):
         """The levels of the given rows."""
         fields = (v if v is None else v[rows] for v in self[2:])
         return _Levels(self.kind, [self.points[i] for i in rows], *fields)
-
-    def frozen(self) -> _Levels:
-        """These levels, points a tuple and arrays read-only: a table's, for all requests."""
-        for v in self[2:]:
-            if v is not None:
-                v.setflags(write=False)
-        return self._replace(points=tuple(self.points))
 
 
 def _level_ask(model: FibrationModel, points, x0: float | None = None):
@@ -233,17 +226,17 @@ class LevelJobs(NamedTuple):
         return LevelJobs(*self[:2], *(v[rows] for v in self[2:-1]), [self.errors[i] for i in rows])
 
     def built(self) -> LevelJobs:
-        """These jobs; the first error among them raised."""
+        """These jobs; the first error among them raised anew (a table's jobs serve many requests)."""
         for error in self.errors:
             if error is not None:
-                raise error
+                raise type(error)(*error.args)
         return self
 
 
 def _jobs(kernel, levels: _Levels, sub: str, a, b, r, upper, checks) -> LevelJobs:
-    """The levels' jobs over t in [0, upper], each row's error that of its
-    first failed check; ``checks`` are (failed mask, exception type, message
-    with fields {H} and {lam})."""
+    """The levels' jobs over t in [0, upper], arrays read-only, each row's error
+    that of its first failed check; ``checks`` are (failed mask, exception
+    type, message with fields {H} and {lam})."""
     errors = [None] * len(levels.points)
     for failed, kind, message in checks:
         for i in np.flatnonzero(failed).tolist():
@@ -251,7 +244,9 @@ def _jobs(kernel, levels: _Levels, sub: str, a, b, r, upper, checks) -> LevelJob
                 H, lam = levels.points[i]
                 errors[i] = kind(message.format(H=H, lam=lam))
     lam = np.array([lam for _, lam in levels.points], dtype=float)
-    return LevelJobs(kernel, sub, lam, a, b, np.zeros(len(a)), upper, r, errors)
+    for v in (lam, a, b, lower := np.zeros(len(a)), upper, r):
+        v.setflags(write=False)
+    return LevelJobs(kernel, sub, lam, a, b, lower, upper, r, errors)
 
 
 def _oval_jobs(kernel, levels: _Levels, oval: str) -> LevelJobs:
@@ -410,6 +405,43 @@ def integrals(*batches: LevelJobs) -> np.ndarray:
     return _converged(_level_integrals(*batches))
 
 
+# -- density-free grids ------------------------------------------------------------
+
+
+class _Grid(NamedTuple):
+    """A table's density-free jobs, a batch per column with kernel ``form_kernel`` or ``area_kernel``,
+    and per monomial (i, j) the read-only values of x^i y^j in column order (filled by ``_sums``)."""
+
+    columns: tuple
+    moments: dict
+
+
+def _sums(*asks: tuple[_Grid, Density]) -> list[np.ndarray]:
+    """Per (grid, f), f's values to 1e-13, NaN as the engine's: from 0.0, in ``Density._plan``
+    order, the sum over f's terms of even i (both kernels of an odd i are 0; f odd in x sums
+    0.0 times the values of 1) of c lambda^k (``_powers``, the jobs' lambdas, a -0.0 as 0.0)
+    times the grid's values of x^i y^j.  The monomials new to a grid are integrated first, in
+    one engine call, each job on its own subintervals: the bits of a call per monomial."""
+    terms = [[t for t in f._plan[0] if t[1] % 2 == 0] or [(0.0, 0, 0, 0)] for _, f in asks]
+    new = {(id(g), i, j): (g, i, j) for (g, _), ts in zip(asks, terms) for _, i, j, _ in ts}
+    new = [(g, i, j) for g, i, j in new.values() if (i, j) not in g.moments]
+    units = [(g, Density({(i, j, 0): 1.0})) for g, i, j in new]
+    batches = [jobs._replace(kernel=jobs.kernel(unit)) for g, unit in units for jobs in g.columns]
+    ends = list(accumulate(len(b.errors) for b in batches))
+    parts = iter(np.split(_level_integrals(*batches), ends)) if batches else None
+    for g, i, j in new:
+        scales = [2.0 * math.pi if jobs.kernel is area_kernel else 1.0 for jobs in g.columns]
+        g.moments[i, j] = np.concatenate([next(parts) / scale for scale in scales])
+        g.moments[i, j].setflags(write=False)
+    out = []
+    for (grid, f), ts in zip(asks, terms):
+        powers, total = _powers(np.concatenate([jobs.lam for jobs in grid.columns]), f._plan[3]), 0.0
+        for c, i, j, k in ts:
+            total = total + (c * powers[k] if k else c) * grid.moments[i, j]
+        out.append(total)
+    return out
+
+
 # -- job builders ------------------------------------------------------------------
 
 _UNREACHED = "trajectory does not reach the section"
@@ -455,23 +487,20 @@ def _bridged(f):
 
 def _passage_levels(model: FibrationModel, points) -> _Levels:
     """The passages' levels, with sections; one-dof ones by the sign bridge, on x0 and H alone."""
-    if model.kind == ONE_DOF:
-        return _levels(cusp_local_model(), [(-H, 0.0) for H, _ in points], model.x0)
-    return _levels(model, points, model.x0)
+    if model.kind != ONE_DOF:
+        return _levels(model, points, model.x0)
+    if any(H <= 0 for H, _ in points):
+        raise ValueError("one-dof passage requires H > 0")
+    return _levels(cusp_local_model(), [(-H, 0.0) for H, _ in points], model.x0)
 
 
-def passage_jobs(model: FibrationModel, points, levels: _Levels | None = None) -> LevelJobs:
-    """Passage-time jobs at the (H, lambda) points, on ``levels`` if given
-    (``_passage_levels``); their lambda is the one asked."""
+def passage_jobs(model: FibrationModel, points) -> LevelJobs:
+    """Passage-time jobs at the (H, lambda) points (``_passage_levels``), at the lambda asked."""
     points, f = list(points), model.density
     if model.kind == NODE:
         raise ValueError("use asymptotics.node_passage for the node model")
-    if model.kind == ONE_DOF:
-        if any(H <= 0 for H, _ in points):
-            raise ValueError("one-dof passage requires H > 0")
-        f = _bridged(f)
-    levels = _passage_levels(model, points) if levels is None else levels
-    jobs = _arc_jobs(form_kernel(f), levels, -math.inf).built()
+    kernel = form_kernel(_bridged(f) if model.kind == ONE_DOF else f)
+    jobs = _arc_jobs(kernel, _passage_levels(model, points), -math.inf).built()
     return jobs._replace(lam=np.array([lam for _, lam in points], dtype=float))
 
 
@@ -623,20 +652,13 @@ def wide_action(model: FibrationModel, H: float, lam: float, k: int = 0) -> floa
 def separatrix_action(model: FibrationModel, lam):
     """h(lambda) = max_H I_o(H, lambda), attained on the hyperbolic branch;
     for an array of lambdas, one value per lambda from one saddle solve
-    (``model.saddles``), one solve of the lobe levels and ``_lobe_areas``.
-    StratumError where the hyperbolic branch does not exist."""
+    (``model.saddles``), one solve of the lobe levels H = W(a) and one engine call, a lobe
+    from a up to the turn above it.  StratumError where the hyperbolic branch does not exist."""
     lams = np.asarray(lam, dtype=float)
     flat, a, h, _ = saddles(model, lams)
-    out = _lobe_areas(model, _levels(model, zip(h.tolist(), flat)), a)
+    jobs = _arc_jobs(area_kernel(model.density), _levels(model, zip(h.tolist(), flat)), a, False, a)
+    out = integrals(jobs.built()) / (2.0 * math.pi)
     return out.reshape(lams.shape) if lams.ndim else float(out[0])
-
-
-def _lobe_areas(model: FibrationModel, levels: _Levels, a: np.ndarray) -> np.ndarray:
-    """h(lambda) on the lobe levels H = W(a) at the saddles a, from one engine
-    call: the lobe runs from a up to the turn above it, an improper but
-    convergent integral, sqrt(H - W) vanishing linearly at a."""
-    jobs = _arc_jobs(area_kernel(model.density), levels, a, False, a).built()
-    return integrals(jobs) / (2.0 * math.pi)
 
 
 # -- action charts -----------------------------------------------------------------
@@ -680,36 +702,25 @@ class ActionChart:
 
 @lru_cache(maxsize=8)
 def _chart_table(kind: str, x0: float, H_values: tuple, lam_values: tuple):
-    """The levels of a chart window, which read no density, once per model
-    kind, x0 and H and lambda values in a process (a -0.0 meets the 0.0
-    entry, whose roots are the same bits): the indices of the window's cells
-    in the domain (lambda-major, H-minor), their strata (``_strata``) and
-    their ``_levels`` with the sections at x0, read-only."""
+    """What of a chart window reads no density, once per model kind, x0 and H and lambda
+    values in a process (a -0.0 meets the 0.0 entry, whose roots are the same bits): the
+    indices of the window's cells in the domain (lambda-major, H-minor), their strata
+    (``_strata``), the ``_Grid`` of the columns Pi, Pi_circ, I_circ and I_mu (compact),
+    each on the cells of its strata, and the (column, cell) of each of its values."""
     cells = [(h, lam) for lam in lam_values for h in H_values]
     near = [i for i, cell in enumerate(cells) if math.hypot(*cell) <= DEFAULT_DOMAIN_RADIUS]
     levels = _levels(FibrationModel(kind, x0=x0), [cells[i] for i in near], x0)
-    return tuple(near), tuple(_strata(levels, DEFAULT_DOMAIN_RADIUS)), levels.frozen()
-
-
-@lru_cache(maxsize=64)
-def _chart_moments(kind: str, x0: float, H_values: tuple, lam_values: tuple, i: int, j: int):
-    """Read-only scalar values Pi, Pi_circ, I_circ, I_mu of x^i y^j at a window's cells
-    in the domain (``_chart_table``), once per key in a process, from one engine call
-    on all but the outside cells; NaN where a cell has no job or it does not converge."""
-    _, strata, levels = _chart_table(kind, x0, H_values, lam_values)
-    form, area = (kernel(Density({(i, j, 0): 1.0})) for kernel in (form_kernel, area_kernel))
+    strata = _strata(levels, DEFAULT_DOMAIN_RADIUS)
     inside = [c for c, stratum in enumerate(strata) if stratum != "outside"]
     narrow = [c for c in inside if strata[c] == "narrow"]
-    loops, on_inside = _oval_jobs(form, levels.take(narrow), "narrow").built(), levels.take(inside)
-    # each column on the cells of its strata; I_circ has Pi_circ's ends and R
-    columns = [_arc_jobs(form, on_inside, -math.inf), loops, loops._replace(kernel=area)]
-    columns += [_oval_jobs(area, on_inside, "wide")] if kind == CUSP_COMPACT else []
-    cells = [inside, narrow, narrow, inside][: len(columns)]
-    out = np.full((4, len(strata)), np.nan)
-    out[[k for k, at in enumerate(cells) for _ in at], sum(cells, [])] = _level_integrals(*columns)
-    out[2:] /= 2.0 * math.pi  # the actions: areas over 2 pi
-    out.setflags(write=False)
-    return out
+    loops = _oval_jobs(form_kernel, levels.take(narrow), "narrow").built()
+    on_inside = levels.take(inside)
+    # I_circ has Pi_circ's ends and R
+    columns = [_arc_jobs(form_kernel, on_inside, -math.inf), loops, loops._replace(kernel=area_kernel)]
+    columns += [_oval_jobs(area_kernel, on_inside, "wide")] if kind == CUSP_COMPACT else []
+    pairs = [(k, c) for k, cs in enumerate([inside, narrow, narrow, inside][: len(columns)]) for c in cs]
+    where = tuple(np.array(pairs, dtype=int).reshape(-1, 2).T)  # the (column, cell) of each value
+    return tuple(near), tuple(strata), _Grid(tuple(columns), {}), where
 
 
 def action_chart(
@@ -725,29 +736,24 @@ def action_chart(
     Pi_circ and I_circ exist on the narrow stratum, I_mu on the compact
     model away from Sigma_hyp.  The levels of the cells in the domain, their
     sections and strata depend on the window alone and are read off its
-    ``_chart_table``, one stacked root solve per window in a process.  A cell
-    is the sum from 0.0 over f's terms c x^i y^j lambda^k of even i, in
-    ``Density._plan`` order, of (c lambda^k) times the monomial's values
-    (``_chart_moments``): within 1e-13 of f's scalar value, bit for bit at
-    f = 1, whatever ran before.  The rows keep the H and lambda asked.
+    ``_chart_table``, one stacked root solve per window in a process.  The
+    cells are sums of f's monomials' values there (``_sums``): within 1e-13
+    of f's scalar value, bit for bit at f = 1, whatever ran before.  The rows
+    keep the H and lambda asked.
     """
     H_values, lam_values = tuple(H_values), tuple(lam_values)
     rows = [ActionChartRow(h, lam, "outside", *[None] * 5) for lam in lam_values for h in H_values]
-    at, strata, _ = _chart_table(model.kind, model.x0, H_values, lam_values)
-    near = [rows[i] for i in at]
-    lam = np.array([row.lam for row in near], dtype=float)  # the lambdas asked
-    powers, values = _powers(lam, model.density._plan[3]), np.zeros((4, len(near)))
-    # an odd i has both kernels exactly 0; f odd in x is 0 times the columns of 1
-    for c, i, j, k in [t for t in model.density._plan[0] if t[1] % 2 == 0] or [(0.0, 0, 0, 0)]:
-        moments = _chart_moments(model.kind, model.x0, H_values, lam_values, i, j)
-        values = values + (c * powers[k] if k else c) * moments
-    values[3] += mu_shift * lam
+    at, strata, grid, where = _chart_table(model.kind, model.x0, H_values, lam_values)
+    near, values = [rows[i] for i in at], np.full((4, len(at)), np.nan)
+    values[where] = _sums((grid, model.density))[0]
+    values[3] += mu_shift * np.array([row.lam for row in near], dtype=float)  # the lambdas asked
     kept = {stratum_filter} if stratum_filter else {"narrow", "wide", "outside"}
     narrow = [c for c, stratum in enumerate(strata) if stratum == "narrow" and stratum in kept]
     for name, column in zip(("Pi_circ", "I_circ"), values[1:3, narrow]):  # Pi and I_mu may be blank
         for row in [near[narrow[c]] for c in np.flatnonzero(np.isnan(column))][:1]:
             raise OnSigmaError(f"{name} does not converge at (H, lambda) = ({row.H}, {row.lam})")
-    for row, stratum, *cell in zip(near, strata, *values.tolist()):  # NaN on the outside cells
+    cells = np.where(np.isnan(values), None, values).tolist()  # blank, the outside cells too
+    for row, stratum, *cell in zip(near, strata, *cells):
         row.stratum, row.I = stratum, None if stratum == "outside" else row.lam  # I on each oval
-        row.Pi, row.Pi_circ, row.I_circ, row.I_mu = (None if math.isnan(v) else v for v in cell)
+        row.Pi, row.Pi_circ, row.I_circ, row.I_mu = cell
     return ActionChart(rows=[row for row in rows if row.stratum in kept], mu_shift=mu_shift)

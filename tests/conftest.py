@@ -2,14 +2,14 @@ import pytest
 
 from cuspinv import equivalence, quadrature
 
-#: the per-process level tables of the fixed sample grids and of the chart
-#: windows, and the chart windows' per-monomial columns, each an lru_cache
+#: the per-process tables of the fixed sample grids, of a verdict's branch
+#: values and levels and of the chart windows, each an lru_cache; the grids
+#: among them keep their monomials' values
 TABLES = (
     equivalence._passage_table,
     equivalence._report_table,
-    equivalence._verdict_table,
+    equivalence._verdict_levels,
     quadrature._chart_table,
-    quadrature._chart_moments,
 )
 
 

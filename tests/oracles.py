@@ -38,7 +38,10 @@ against whose roots those of the section times' must agree bit for bit, and
 the exact (alpha, beta) of a whole density rewritten term by term by the
 rules R1-R4 instead of summed from per-monomial tables, also on the cusp
 models through their pulled-back density, against which the tables must
-agree Fraction for Fraction.  It also holds a test system for the transport
+agree Fraction for Fraction, and the values of a density on a table's
+density-free grid from its own jobs, one engine call on f's kernels
+(``direct_values``), the route of every request before the grids' sums of
+per-monomial values.  It also holds a test system for the transport
 map: a model pushed forward along a bump field (``BumpPushforward``), whose
 bump flow steps with ``loop_dop853``.
 """
@@ -58,7 +61,7 @@ from cuspinv.asymptotics import fit_puiseux
 from cuspinv.brieskorn import BrieskornPair, _level_chart
 from cuspinv.flows import _VANISHES, PeriodLattice, ReducedSystem, SymplecticModel
 from cuspinv.model import CUSP_COMPACT, Density, FibrationModel, bifurcation_diagram
-from cuspinv.quadrature import LevelJobs, OnSigmaError, StratumError
+from cuspinv.quadrature import LevelJobs, OnSigmaError, StratumError, _level_integrals, area_kernel
 from cuspinv.quadrature import loop_action, loop_period, oval_bounds, passage_time, wide_action
 from cuspinv.series import DEFAULT_ORDER, TruncatedSeries
 from cuspinv.specfun import puiseux_constants
@@ -1018,3 +1021,15 @@ def polymul_zero_poly(f, p: np.ndarray, lam: float) -> np.ndarray:
     if odd.any():
         even = np.polysub(np.polymul(even, even), np.polymul(p, np.polymul(odd, odd)))
     return even
+
+
+def direct_values(grid, f) -> np.ndarray:
+    """The values of f on a table's grid (``quadrature._Grid``) from f's own
+    jobs: each column's jobs with the kernel of f, all in one engine call, in
+    column order, the areas over 2 pi, NaN where a row has an error or its
+    job does not converge."""
+    batches = [jobs._replace(kernel=jobs.kernel(f)) for jobs in grid.columns]
+    ends = np.cumsum([len(jobs.errors) for jobs in batches])[:-1]
+    values = np.split(_level_integrals(*batches), ends)
+    scales = [2.0 * math.pi if jobs.kernel is area_kernel else 1.0 for jobs in grid.columns]
+    return np.concatenate([v / scale for v, scale in zip(values, scales)])

@@ -696,11 +696,11 @@ PINNED_DIGESTS = [
     ),
     (
         "invariants --sys {local_p}",
-        "3c9c5464793eee68cd8d5644cc59f0be1d38fee64768f42c0e7f420a0809d793",
+        "5a5e1e1ab3b734cc52a0c9bdbd6fc6bcc9522983b8492a1214aeaa9fffc052cb",
     ),
     (
         "invariants --sys {compact_p}",
-        "5d7443b483f62c7dc9259c802db459c6c75ff5f1f82a8a76c419100e11fa8c2e",
+        "d9a51b0b9d6c0d1ea861e428637db27b6f1588b4cda25d0848ee953986bd49b0",
     ),
     (
         "decompose --density {f1}",
@@ -708,11 +708,11 @@ PINNED_DIGESTS = [
     ),
     (
         "compare --sys1 {local} --sys2 {local_p}",
-        "cef48b7ff81332d416be7030cb32fa9b9e5adb4df7ae25650e29bcc7566a12a9",
+        "dc15f7d143ed6e62d67a65e0c76c0826462a2f073a9c2a563bfa8a3a9421825f",
     ),
     (
         "compare --sys1 {compact} --sys2 {compact_p}",
-        "7ad079e8b8f6e43ce13e2082af620bf300354bab478ce222663e76cc61fe6c5d",
+        "b42824036c9806cbecc58f116a0421323fd836d73c385bed2f7ca3ffe1f78457",
     ),
     (
         "compare --sys1 {local} --sys2 {local_p} --phi {shift}",
@@ -720,7 +720,7 @@ PINNED_DIGESTS = [
     ),
     (
         "compare --sys1 {compact} --sys2 {compact_p} --phi {scale}",
-        "1de2f3ecda246c6559af107f2393b3a1cec03baf417b2a623f2d95d05c0ff4ec",
+        "65dc907a9991735d097db8de5e41f741a18e7ee5359f3c8f4ea2e45010096ba3",
     ),
     (
         "transport --sys1 {local} --sys2 {local_p} --points {pts_local}",
@@ -941,26 +941,26 @@ def test_numeric_option_rejects_non_finite(tmp_path, capsys, command, option, va
 #: and are solved once per process (the ``equivalence`` tables): cold, a
 #: decompose solves its passage levels, an invariant report the saddles of
 #: both lambda grids, then the lobes, and a verdict d1's branch values, then
-#: sys1's narrow and wide levels; warm, only what depends on the request is
-#: solved, for a verdict the one solve of d2's branch values and sys2's levels
-#: at the images of phi.  A chart's levels and strata depend on its window
-#: alone (``quadrature._chart_table``), and its columns are sums of its
-#: window's columns of each monomial of f (``quadrature._chart_moments``):
-#: solved and integrated cold, read warm.  A transport solves per system its
-#: levels with the zeros of f on them
+#: sys1's narrow and wide levels with the branch values at its Sigma samples.
+#: sys2's are keyed by the images of phi, so under the identity map sys2 of
+#: sys1's kind reads sys1's.  A chart's levels and strata depend on its window
+#: alone (``quadrature._chart_table``).  Every grid keeps its monomials'
+#: values, and a request sums those of f's terms (``quadrature._sums``): a
+#: request's new monomials are integrated cold in one engine call, and warm
+#: nothing is solved or integrated.  A transport solves per system its levels
+#: with the zeros of f on them
 SOLVES_PER_REQUEST = [
-    ("decompose --density {f1}", (1, 1), (0, 1)),
-    # the chart's strata and the lattice's stratum check read the one level solve
+    ("decompose --density {f1}", (1, 1), (0, 0)),
     ("actions --model {compact}", (1, 1), (0, 0)),
     (
         "actions --model {compact} --grid 21x21 --h-range -0.01 0.01 --l-range -0.06 0.02",
         (1, 1),
         (0, 0),
     ),
-    ("invariants --sys {local}", (2, 1), (0, 1)),
-    ("invariants --sys {compact}", (2, 1), (0, 1)),
-    ("compare --sys1 {local} --sys2 {local2}", (3, 1), (1, 1)),
-    ("compare --sys1 {compact} --sys2 {compact}", (3, 1), (1, 1)),
+    ("invariants --sys {local}", (2, 1), (0, 0)),
+    ("invariants --sys {compact}", (2, 1), (0, 0)),
+    ("compare --sys1 {local} --sys2 {local2}", (2, 1), (0, 0)),
+    ("compare --sys1 {compact} --sys2 {compact}", (2, 1), (0, 0)),
     ("lattice --sys {compact} --at 0.0 -0.05 --verify", (1, 1), (1, 1)),
     ("lattice --sys {compact} --at 0.05 0.02 --stratum wide --verify", (1, 1), (1, 1)),
     ("transport --sys1 {local} --sys2 {local2} --points {pts}", (2, 2), (2, 2)),

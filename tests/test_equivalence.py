@@ -25,6 +25,7 @@ from cuspinv.model import (
 )
 from cuspinv.series import TruncatedSeries, phi_r_apply, phi_r_invert
 from cuspinv.specfun import puiseux_constants
+from conftest import TABLES
 from oracles import compact_fitted_pair, triple_pair
 
 F_ONE = Density.constant(1)
@@ -263,27 +264,37 @@ class TestParabolicEquivalent:
         v = parabolic_equivalent(m, m, self.SHIFT)
         assert not v.equivalent
         assert v.checks["I_circ"] == {"ok": False, "residuals": [math.inf] * 9}
-        # cold: sys1's two table solves and the request's
-        assert (len(calls["roots"]), calls["engine"]) == (3, [9])
+        # cold: sys1's two table solves and sys2's at the images; sys1's 9
+        # narrow levels for each of 1 and y, no image with a job
+        assert (len(calls["roots"]), calls["engine"]) == (3, [18])
 
     def test_unconverged_image_is_an_infinite_residual(self, monkeypatch):
-        # the engine's NaN (more than QUAD_LIMIT subintervals) on a sys2 job
-        # reads as that job's failure; on a sys1 job it raises
+        # the engine's NaN (more than QUAD_LIMIT subintervals) on a monomial's
+        # job of sys2's grid reads as that level's failure; of sys1's it raises
         m = cusp_local_model(F_ONE_PLUS_Y)
-        calls = _count_calls(monkeypatch, spoiled=-1)
-        v = parabolic_equivalent(m, m)
+        nudge = (Density({(1, 0, 0): 1, (0, 0, 0): 1e-9}), Density({(0, 1, 0): 1}))
+        calls = _count_calls(monkeypatch, spoiled=-1)  # sys2's last level, of y
+        v = parabolic_equivalent(m, m, nudge)
         assert not v.equivalent
-        assert v.checks["I_circ"]["residuals"][-1] == math.inf
-        assert max(v.checks["I_circ"]["residuals"][:-1]) == 0.0
-        assert (len(calls["roots"]), calls["engine"]) == (3, [18])
-        calls = _count_calls(monkeypatch, spoiled=0)
+        residuals = v.checks["I_circ"]["residuals"]
+        assert residuals[-1] == math.inf and all(map(math.isfinite, residuals[:-1]))
+        # sys2's levels at the images are a grid of their own
+        assert (len(calls["roots"]), calls["engine"]) == (3, [36])
+        monkeypatch.undo()
+        for table in TABLES:
+            table.cache_clear()
+        calls = _count_calls(monkeypatch, spoiled=0)  # sys1's first level, of 1
         with pytest.raises(quadrature.OnSigmaError):
             parabolic_equivalent(m, m)
-        # warm: sys1's table was built by the first verdict
-        assert (len(calls["roots"]), calls["engine"]) == (1, [18])
+        # the identity's images are sys1's points: one grid for both systems
+        assert (len(calls["roots"]), calls["engine"]) == (2, [18])
+        with pytest.raises(quadrature.OnSigmaError):
+            parabolic_equivalent(m, m)  # warm: the table keeps the NaN
+        assert (len(calls["roots"]), calls["engine"]) == (2, [18])
 
     def test_verdict_checks_make_one_engine_call(self, monkeypatch):
-        # the narrow and the wide integrals of both systems together
+        # the narrow and the wide integrals of each monomial of both systems
+        # together; under the identity map sys2 reads sys1's grids
         calls = _count_calls(monkeypatch)
         m = cusp_compact_model(F_ONE_PLUS_Y)
         assert parabolic_equivalent(m, m).equivalent
@@ -300,8 +311,8 @@ class TestParabolicEquivalent:
         v = cusp_torus_equivalent(m, m, phi)
         assert not v.equivalent and v.k is None
         assert v.checks["I_mu"] == {"ok": False, "k": None, "residuals": []}
-        # sys1's 9 narrow and 4 wide integrals; no image has an oval
-        assert (len(calls["roots"]), calls["engine"]) == (3, [13])
+        # sys1's 9 narrow and 4 wide integrals of 1 and y; no image has an oval
+        assert (len(calls["roots"]), calls["engine"]) == (3, [26])
 
 
 def _count_calls(monkeypatch, spoiled=None) -> dict:
@@ -324,7 +335,6 @@ def _count_calls(monkeypatch, spoiled=None) -> dict:
         return values
 
     monkeypatch.setattr(model_module, "_stacked_roots", roots)
-    monkeypatch.setattr(equivalence_module, "_level_integrals", engine)
     monkeypatch.setattr(quadrature, "_level_integrals", engine)
     return calls
 
@@ -361,12 +371,12 @@ class TestVanishingDensity:
 
 
 class TestDiagramQueries:
-    # cold, three root solves: sys1's table, d1's at its 4 sigma lambdas and 3
-    # grid lambdas, then sys1's 9 narrow levels with the W' of their 3 lambdas
-    # and, on the torus, its 4 wide levels with the W' of their 4 lambdas;
-    # then the request's one solve of d2's W' at the images of the 4 x 2
-    # branch values and sys2's levels at the images of sys1's.  Warm, that
-    # one solve only
+    # cold, two root solves: d1's at its 4 sigma lambdas and 3 grid lambdas,
+    # then sys1's table: the W' at the 4 x 2 branch values, its 9 narrow
+    # levels with the W' of their 3 lambdas and, on the torus, its 4 wide
+    # levels with the W' of their 4 lambdas.  Under the identity map sys2's
+    # table is sys1's, and its monomials are sys1's: one engine call cold,
+    # and warm no solve and no engine call
     @pytest.mark.parametrize(
         "verdict, sys1, sys2, equivalent",
         [
@@ -397,12 +407,12 @@ class TestDiagramQueries:
         calls = _count_calls(monkeypatch)
         assert verdict(sys1, sys2).equivalent == equivalent
         wide = 4 + 4 if verdict is cusp_torus_equivalent else 0
-        assert calls["roots"] == [7, 9 + 3 + wide, 8 + 9 + 3 + wide]
+        assert calls["roots"] == [7, 8 + 9 + 3 + wide]
         assert len(calls["engine"]) == 1
         calls["roots"].clear()
         assert verdict(sys1, sys2).equivalent == equivalent
-        assert calls["roots"] == [8 + 9 + 3 + wide]
-        assert len(calls["engine"]) == 2
+        assert calls["roots"] == []
+        assert len(calls["engine"]) == 1
 
 
 class TestCuspTorusEquivalent:

@@ -297,12 +297,15 @@ class TestFlowEngine:
         rhs, ref_calls = unfused_field(sm, lam, size), []
         ref, rejected = loop_dop853(lambda t, y: ref_calls.append(1) or rhs(t, y), y0, times)
         states, calls, attempts = _counted_solve(sm, lam, size, y0, times)
+        if size == 4:
+            # the step keeps lambda as it is on every row; the loop stepper
+            # moves it by h * 0.0, which turns -0.0 to 0.0 forward only
+            assert [row[2].hex() for row in states] == [lam.hex()] * len(times)
+            states = [[*row[:2], lam + t * 0.0, row[3]] for row, t in zip(states, times)]
         assert _hex(states) == _hex(ref)
         assert len(calls) + 11 * len(attempts) == len(ref_calls)
         if rejects:
             assert rejected > 0
-        if size == 4:  # lambda moves by h * 0.0: -0.0 turns to 0.0 forward only
-            assert [row[2].hex() for row in states] == [(lam + t * 0.0).hex() for t in times]
 
     def test_h_flow_calls_the_field_between_steps(self, monkeypatch):
         # the field runs in Python twice at the start and once after each
@@ -440,6 +443,14 @@ class TestTrajectoryDump:
         assert len(lines) == 12
         h_vals = [float(row.split(",")[5]) for row in lines[1:]]
         assert max(h_vals) - min(h_vals) < 1e-10
+
+    def test_signed_zero_lambda_stays_on_every_row(self):
+        # the step carries the constant lambda component as it is: -0.0 stays
+        from cuspinv.flows import trajectory_csv
+
+        sm = SymplecticModel(cusp_local_model(F_ONE))
+        rows = trajectory_csv(sm, (0.1, -0.2, -0.0, 0.0), "H", 0.5, 3).splitlines()[1:]
+        assert [(row.split(",")[3], row.split(",")[6]) for row in rows] == [("-0", "-0")] * 3
 
 
 class TestTransport:

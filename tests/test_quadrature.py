@@ -711,10 +711,10 @@ class TestBatchedEngine:
                 want = self.SCALAR[name](model, row.H, row.lam)
                 assert abs(value - want) <= 1e-13 * abs(want), (model.kind, row, name)
 
-    def test_one_root_solve_per_window_and_one_engine_call_per_monomial(self, monkeypatch):
+    def test_one_root_solve_per_window_and_one_engine_call_for_new_monomials(self, monkeypatch):
         # one stacked solve of the levels and sections of all cells in the
         # domain with the W' of their lambdas, which gives the strata too, and
-        # one engine call per even-x monomial new to the window
+        # one engine call for the even-x monomials new to the window
         engine_calls = []
         real_engine = quadrature._level_integrals
 
@@ -736,7 +736,7 @@ class TestBatchedEngine:
             near_lams = dict.fromkeys(r.lam for r in near)
             dws = [(0.0, *np.polyder(model.potential_coeffs(lam))) for lam in near_lams]
             inside = [r for r in chart.rows if r.stratum != "outside"]
-            assert len(engine_calls) == 3 and all(n > len(inside) > 0 for n in engine_calls)
+            assert len(engine_calls) == 1 and engine_calls[0] > 3 * len(inside) > 0
             assert len(near) < len(chart.rows)
             assert len(root_calls) == 1
             assert sorted(root_calls[0]) == sorted(polys + dws)
@@ -745,9 +745,9 @@ class TestBatchedEngine:
             assert all(solved.count(p) == 1 for p in polys)
             # a density of seen monomials: no call, no solve; y^2 is new
             action_chart(make(Density({(0, 1, 1): 2.0, (2, 0, 0): 0.1, (1, 0, 0): 0.3})), hs, ls)
-            assert (len(engine_calls), len(root_calls)) == (3, 1)
+            assert (len(engine_calls), len(root_calls)) == (1, 1)
             action_chart(make(Density({(0, 0, 0): 1.0, (0, 2, 0): 0.1})), hs, ls)
-            assert (len(engine_calls), len(root_calls)) == (4, 1)
+            assert (len(engine_calls), len(root_calls)) == (2, 1)
 
     @pytest.mark.parametrize("model", [cusp_local_model(F_CHART), cusp_compact_model(F_CHART)])
     @pytest.mark.parametrize("with_sections", [False, True])
@@ -871,7 +871,7 @@ class TestBatchedEngine:
         assert loop_period(m, h, lam) > 0
         assert action_chart(m, [h], [lam]).rows[0].stratum == "narrow"
         monkeypatch.setattr(quadrature, "QUAD_LIMIT", 2)
-        quadrature._chart_moments.cache_clear()  # the chart's columns under the patched limit
+        quadrature._chart_table.cache_clear()  # the chart's columns under the patched limit
         with pytest.raises(OnSigmaError):
             loop_period(m, h, lam)
         with pytest.raises(OnSigmaError):
