@@ -227,8 +227,11 @@ def cmd_transport(args) -> int:
     sys1, sys2 = (_load_model(path, args.command) for path in (args.sys1, args.sys2))
     sys1, sys2 = flows.SymplecticModel(sys1), flows.SymplecticModel(sys2)
     points = _load(args.points, "points", _points)
-    if any(q[0] > min(sys1.model.x0, sys2.model.x0) for q in points):
+    x0, h = min(sys1.model.x0, sys2.model.x0), flows.STENCIL_H
+    if any(q[0] > x0 for q in points):
         raise InputError(f"a point of {args.points} lies before the section N1 = {{x = x0}}")
+    if any(q[0] + h > x0 for q in points):
+        raise InputError(f"a point of {args.points} lies within the stencil step {h} of N1")
     try:
         residuals = flows.pullback_residual(sys1, sys2, np.reshape(points, (-1, 4)))
     except StratumError as exc:  # from the section times, before any flow

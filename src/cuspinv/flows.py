@@ -50,6 +50,8 @@ FLOW_ATOL = 1e-12
 SAFETY, MIN_FACTOR, MAX_FACTOR, ERROR_EXPONENT = 0.9, 0.2, 10.0, -1.0 / 8.0
 #: the longest section time accepted: a later backward crossing of N1 is unreached
 SECTION_T_MAX = 200.0
+#: the step of ``pullback_residual``'s centred stencil; it transports x + STENCIL_H too
+STENCIL_H = 1e-5
 _VANISHES = "degenerate Omega: density vanishes at the point"
 
 
@@ -365,7 +367,7 @@ def pullback_residual(sys1, sys2, point):
     rows = np.atleast_2d(point)
     lams = rows[:, 2] if rows.shape[1] > 2 else np.zeros(len(rows))
     # each point and its four stencil points at distance h
-    xy, h = rows[:, :2], 1e-5
+    xy, h = rows[:, :2], STENCIL_H
     stencil = np.stack((xy, xy + (h, 0.0), xy - (h, 0.0), xy + (0.0, h), xy - (0.0, h)), axis=1)
     q = np.column_stack((stencil.reshape(-1, 2), np.repeat(lams, 5), np.zeros(5 * len(rows))))
     moved = transport_map(s1, s2, q)[:, :2].reshape(-1, 5, 2)

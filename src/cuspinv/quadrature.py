@@ -18,14 +18,14 @@ w dy/(2x) over both branches (passage times, loop periods), the area kernel
 x times the integral of f across the level (loop, wide and separatrix
 actions); a Density's kernel reads it at +x and -x from one
 ``Density.eval_pm``, each term once.  One engine, ``_level_integrals``, sums
-the jobs of its batches with an adaptive Gauss-Kronrod G10K21 rule, the
-batches of one kernel and substitution a group whose subintervals are one
-slice; a job's value depends on its own subintervals only.  The builders,
-``_oval_jobs`` and ``_arc_jobs`` (passages from y = -inf, section times, the
-separatrix lobe), take a batch of levels and give one kernel's batch of
-jobs, a row per level with the error of its first failed check, which a
-caller raises (``LevelJobs.built``) or leaves blank, the engine's NaN.  The
-strata are the oval builders' rule, read off their failed checks
+the jobs of its batches with an adaptive Gauss-Kronrod G10K21 rule, each
+batch a group whose subintervals are one slice; a job's value depends on its
+own subintervals only.  A builder is a rule and ``_jobs``: the rule, ``_ovals``
+or ``_arcs`` (passages from y = -inf, section times, the separatrix lobe),
+gives a batch of levels their ends, R and failed-check masks, and ``_jobs``
+one kernel's batch of jobs, a row per level with the error of its first
+failed check, which a caller raises (``LevelJobs.built``) or leaves blank,
+the engine's NaN.  The strata are the oval rule, read off its failed checks
 (``_strata``): a chart and a lattice classify on the levels they integrate,
 a chart on its window's levels, solved once per window (``_chart_table``).
 The invariants are linear in f: a density-free sample grid (``_Grid``) keeps
@@ -307,36 +307,27 @@ def _level_integrals(*batches: LevelJobs) -> np.ndarray:
     current estimate, or at the floor _ROUNDOFF times its integral of |f|
     (QUADPACK's round-off stop), and bisects the rest.  A job's subintervals
     stay in order along its range and every sum over them runs in that order.
+    Each batch is a group, its kernel called once per block on its subintervals.
     """
     starts = [0, *accumulate(len(jobs.errors) for jobs in batches)]
     values = np.full(starts[-1], np.nan)
-    # batches that share a kernel and a substitution are one group, a range
-    # of rows from firsts[g], so that np.repeat keeps its subintervals in one slice
-    groups: dict = {}
-    for k, jobs in enumerate(batches):
-        groups.setdefault((id(jobs.kernel), jobs.sub), []).append(k)
     width = max((jobs.r.shape[1] for jobs in batches), default=0)
-    heads, firsts, parts, at = [], [0], [], []
-    for members in groups.values():
-        heads.append(batches[members[0]][:2])
-        for k in members:
-            jobs = batches[k]
-            rows = np.flatnonzero([error is None for error in jobs.errors])
-            # lambda, a, b, lower, upper and R padded with leading zeros, which Horner's sums ignore
-            pad = np.zeros((len(jobs.errors), width - jobs.r.shape[1]))
-            parts.append(np.column_stack((*jobs[2:7], pad, jobs.r))[rows])
-            at.append(starts[k] + rows)
-        firsts.append(sum(map(len, at)))
-    n = firsts[-1]
-    if not n:
+    # each batch a group: the rows of its jobs without an error, a range of the table from firsts[k]
+    kept = [np.flatnonzero([error is None for error in jobs.errors]) for jobs in batches]
+    firsts = [0, *accumulate(map(len, kept))]
+    if not (n := firsts[-1]):
         return values
-    table = np.concatenate(parts)
+    # lambda, a, b, lower, upper and R padded with leading zeros, which Horner's sums ignore
+    pads = (np.zeros((len(jobs.errors), width - jobs.r.shape[1])) for jobs in batches)
+    table = np.concatenate(
+        [np.column_stack((*jobs[2:7], pad, jobs.r))[k] for jobs, pad, k in zip(batches, pads, kept)]
+    )
     (lam, a, b, lower, upper), r = table[:, :5].T, table[:, 5:]
 
     def integrand(jk: np.ndarray, t: np.ndarray) -> np.ndarray:
         out = np.empty_like(t)
         cuts = np.searchsorted(jk, firsts).tolist()
-        for (kernel, sub), start, stop in zip(heads, cuts, cuts[1:]):
+        for (kernel, sub, *_), start, stop in zip(batches, cuts, cuts[1:]):
             if start == stop:
                 continue
             rows = slice(start, stop)
@@ -389,7 +380,7 @@ def _level_integrals(*batches: LevelJobs) -> np.ndarray:
         mid = 0.5 * (lo + hi)
         lo, hi = np.column_stack((lo, mid)).ravel(), np.column_stack((mid, hi)).ravel()
     total[count > QUAD_LIMIT] = np.nan
-    values[np.concatenate(at)] = total
+    values[np.concatenate([start + k for start, k in zip(starts, kept)])] = total
     return values
 
 
@@ -448,15 +439,19 @@ _UNREACHED = "trajectory does not reach the section"
 
 
 def _arc_jobs(kernel, levels: _Levels, y, through=True, start=None) -> LevelJobs:
-    """The kernel's jobs along the levels' passage arcs from height y up to
-    turn, each row's error that of its first failed check.  turn is the root of
-    the first interval at or above y's where W rises, so P falls there (a y
-    on a critical point counts as above it).  The arc starts at y_sec, its
-    highest crossing of {x = +-x0} between turn and the root below it, or at
-    ``start`` on levels without sections.  StratumError without turn or
-    crossing; OnSigmaError for an arc through a saddle where ``through``
-    holds: H on Sigma at an end of the intervals from the root below turn to
-    turn."""
+    """The kernel's jobs along the levels' passage arcs (``_arcs``)."""
+    return _jobs(kernel, levels, *_arcs(levels, y, through, start))
+
+
+def _arcs(levels: _Levels, y, through=True, start=None) -> tuple:
+    """``_jobs``' arguments past the levels for their passage arcs from height
+    y up to turn, R and the checks, as ``_ovals``.  turn is the root of the
+    first interval at or above y's where W rises, so P falls there (a y on a
+    critical point counts as above it).  The arc starts at y_sec, its highest
+    crossing of {x = +-x0} between turn and the root below it, or at ``start``
+    on levels without sections.  StratumError without turn or crossing;
+    OnSigmaError for an arc through a saddle where ``through`` holds: H on
+    Sigma at an end of the intervals from the root below turn to turn."""
     p, rows = levels.p, np.arange(len(levels.p))
     above = (levels.crit <= np.asarray(y, dtype=float)[..., None]).sum(axis=1)  # y's interval
     falls = levels.rises & (levels.interval >= above[:, None])
@@ -475,7 +470,7 @@ def _arc_jobs(kernel, levels: _Levels, y, through=True, start=None) -> LevelJobs
         start = np.where(crossing, levels.sections, -np.inf).max(axis=1)
     with np.errstate(invalid="ignore"):
         upper = np.sqrt(turn - start)
-    return _jobs(kernel, levels, "arc", start, turn, -_synthetic_division(p, turn), upper, checks)
+    return "arc", start, turn, -_synthetic_division(p, turn), upper, checks
 
 
 def _bridged(f):
@@ -562,40 +557,37 @@ def section_jobs(model: FibrationModel, points) -> LevelJobs:
     branch x < 0, past N2 if need be; on y = turn - s^2, x = s sqrt(R), the
     one-sided f dy/(2x) for s from sign(x) sqrt(turn - y) to
     sqrt(turn - y_sec), lower = upper on N1 (time 0).  The levels with their
-    sections and the zeros of f on them are one stacked root solve.  Raised
-    per point, in order: ValueError where f vanishes on a stretch;
-    StratumError where a point is off its arc or before N1 (x > x0 among
-    them), or f < 0; OnSigmaError past a turning point at a saddle (``_arc_jobs``)."""
-    points = [(float(x), float(y), float(lam)) for x, y, lam in points]
-    x0, f, lams = model.x0, model.density, [lam for *_, lam in points]
+    sections and the zeros of f on them are one stacked root solve; the point
+    checks are masks on arrays, after ``_arcs``' in one ``_jobs`` call.  The
+    first failing point raises its first failed check (``LevelJobs.built``):
+    the arc's; StratumError before N1 (lower >= upper off x = x0); ValueError
+    where f vanishes on the stretch; StratumError where f < 0 at the point.
+    A point on N1 takes neither of the last two.  ValueError, before all of
+    them, where f vanishes on a whole level (``_zero_poly``)."""
+    xs, ys, lams = np.reshape(np.array(list(points), dtype=float), (-1, 3)).T
+    x0, f, at = model.x0, model.density, lams
     if model.kind == ONE_DOF:  # x0 stays the one-dof model's
-        f, model, points = _bridged(f), cusp_local_model(), [(x, -y, 0.0) for x, y, _ in points]
-    heights = [(x * x + np.polyval(model.potential_coeffs(lam), y), lam) for x, y, lam in points]
-    ask = _level_ask(model, heights, x0)  # its first rows are the levels' P
-    polys = [_zero_poly(f, p, lam) for p, lam in zip(ask[0], lams)]
-    levels, zeros = _solved(ask, (polys, np.ndarray.tolist))
-    xs, ys, _ = np.reshape(points, (-1, 3)).T
-    jobs = _arc_jobs(lambda x, y, lam: 0.5 * f(x, y, lam), levels, ys, xs < 0)  # past the turn
-    lower = []
-    ends = zip(jobs.errors, jobs.b.tolist(), jobs.upper.tolist(), jobs.r, zeros)
-    for (x, y, _), lam, (error, b, upper, r, roots) in zip(points, lams, ends):
-        if error is not None:
-            raise error
-        lower.append(math.copysign(math.sqrt(max(b - y, 0.0)), x))
-        if lower[-1] >= upper:  # on N1 up to rounding, or before it on the branch x > 0
-            if abs(x - x0) > 1e-12 * x0:
-                raise StratumError(_UNREACHED)
-            lower[-1] = upper
-            continue
-        for yz in (z for z in roots if z <= b):
-            for sz in (s * math.sqrt(b - yz) for s in (1.0, -1.0)):
-                # f vanishes on the branch through xz if it is the smaller there
-                xz = sz * math.sqrt(max(np.polyval(r, yz), 0.0))
-                if lower[-1] <= sz <= upper and abs(f(xz, yz, lam)) <= abs(f(-xz, yz, lam)):
-                    raise ValueError(_VANISHES)
-        if f(x, y, lam) < 0:
-            raise StratumError(_UNREACHED)
-    return jobs._replace(lam=np.array(lams), lower=np.array(lower))
+        f, model, ys, at = _bridged(f), cusp_local_model(), -ys, np.zeros_like(lams)
+    heights = xs * xs + _horner(_potentials(model, at.tolist()).T, ys)
+    ask = _level_ask(model, zip(heights.tolist(), at.tolist()), x0)  # its first rows are the levels' P
+    polys = [_zero_poly(f, p, lam) for p, lam in zip(ask[0], lams.tolist())]
+    levels, zeros = _solved(ask, (polys, np.asarray))
+    sub, a, b, r, upper, checks = _arcs(levels, ys, xs < 0)  # past the turn
+    with np.errstate(invalid="ignore"):
+        lower = np.copysign(np.sqrt(np.maximum(b - ys, 0.0)), xs)
+        moving = lower < upper  # else on N1 up to rounding, or before it on the branch x > 0
+        s = np.sqrt(b[:, None] - zeros) * [[[1.0]], [[-1.0]]]  # on both branches, NaN above turn
+        xz = s * np.sqrt(np.maximum(_horner(r.T[..., None], zeros), 0.0))
+        plus, minus = f.eval_pm(xz, zeros, lams[:, None])
+    # a zero on the stretch, where f vanishes on the branch through xz if it is the smaller there
+    vanishes = (lower[:, None] <= s) & (s <= upper[:, None]) & (np.abs(plus) <= np.abs(minus))
+    checks += [
+        (~moving & (np.abs(xs - x0) > 1e-12 * x0), StratumError, _UNREACHED),
+        (moving & vanishes.any(axis=(0, 2)), ValueError, _VANISHES),
+        (moving & (f.eval(xs, ys, lams) < 0), StratumError, _UNREACHED),
+    ]
+    jobs = _jobs(lambda x, y, lam: 0.5 * f(x, y, lam), levels, sub, a, b, r, upper, checks).built()
+    return jobs._replace(lam=lams, lower=np.where(moving, lower, upper))
 
 
 # -- the scalar API: batches of one ------------------------------------------------

@@ -41,7 +41,9 @@ models through their pulled-back density, against which the tables must
 agree Fraction for Fraction, and the values of a density on a table's
 density-free grid from its own jobs, one engine call on f's kernels
 (``direct_values``), the route of every request before the grids' sums of
-per-monomial values.  It also holds a test system for the transport
+per-monomial values, and the checks of the section times one point at a
+time in a Python loop (``scalar_section_checks``), the route before they
+were masks on arrays.  It also holds a test system for the transport
 map: a model pushed forward along a bump field (``BumpPushforward``), whose
 bump flow steps with ``loop_dop853``.
 """
@@ -60,8 +62,11 @@ from scipy.special import elliprf, hyp2f1
 from cuspinv.asymptotics import fit_puiseux
 from cuspinv.brieskorn import BrieskornPair, _level_chart
 from cuspinv.flows import _VANISHES, PeriodLattice, ReducedSystem, SymplecticModel
-from cuspinv.model import CUSP_COMPACT, Density, FibrationModel, bifurcation_diagram
+from cuspinv.model import CUSP_COMPACT, ONE_DOF, Density, FibrationModel, bifurcation_diagram
+from cuspinv.model import _solved, cusp_local_model
+from cuspinv.quadrature import _VANISHES as _SECTION_VANISHES
 from cuspinv.quadrature import LevelJobs, OnSigmaError, StratumError, _level_integrals, area_kernel
+from cuspinv.quadrature import _arc_jobs, _bridged, _level_ask, _zero_poly
 from cuspinv.quadrature import loop_action, loop_period, oval_bounds, passage_time, wide_action
 from cuspinv.series import DEFAULT_ORDER, TruncatedSeries
 from cuspinv.specfun import puiseux_constants
@@ -1021,6 +1026,43 @@ def polymul_zero_poly(f, p: np.ndarray, lam: float) -> np.ndarray:
     if odd.any():
         even = np.polysub(np.polymul(even, even), np.polymul(p, np.polymul(odd, odd)))
     return even
+
+
+def scalar_section_checks(model: FibrationModel, points) -> LevelJobs:
+    """``quadrature.section_jobs`` one point at a time: the heights by
+    ``np.polyval`` per point, the zeros of f on each level as lists, and the
+    checks of each point in a Python loop, raised as it meets them: the arc's
+    error, then before N1 (on N1 the time is 0 and no further check runs),
+    f vanishing on the stretch at a zero on the smaller branch, f < 0."""
+    points = [(float(x), float(y), float(lam)) for x, y, lam in points]
+    x0, f, lams = model.x0, model.density, [lam for *_, lam in points]
+    if model.kind == ONE_DOF:
+        f, model, points = _bridged(f), cusp_local_model(), [(x, -y, 0.0) for x, y, _ in points]
+    heights = [(x * x + np.polyval(model.potential_coeffs(lam), y), lam) for x, y, lam in points]
+    ask = _level_ask(model, heights, x0)
+    polys = [_zero_poly(f, p, lam) for p, lam in zip(ask[0], lams)]
+    levels, zeros = _solved(ask, (polys, np.ndarray.tolist))
+    xs, ys, _ = np.reshape(points, (-1, 3)).T
+    jobs = _arc_jobs(lambda x, y, lam: 0.5 * f(x, y, lam), levels, ys, xs < 0)
+    lower = []
+    ends = zip(jobs.errors, jobs.b.tolist(), jobs.upper.tolist(), jobs.r, zeros)
+    for (x, y, _), lam, (error, b, upper, r, roots) in zip(points, lams, ends):
+        if error is not None:
+            raise error
+        lower.append(math.copysign(math.sqrt(max(b - y, 0.0)), x))
+        if lower[-1] >= upper:
+            if abs(x - x0) > 1e-12 * x0:
+                raise StratumError(_UNREACHED)
+            lower[-1] = upper
+            continue
+        for yz in (z for z in roots if z <= b):
+            for sz in (s * math.sqrt(b - yz) for s in (1.0, -1.0)):
+                xz = sz * math.sqrt(max(np.polyval(r, yz), 0.0))
+                if lower[-1] <= sz <= upper and abs(f(xz, yz, lam)) <= abs(f(-xz, yz, lam)):
+                    raise ValueError(_SECTION_VANISHES)
+        if f(x, y, lam) < 0:
+            raise StratumError(_UNREACHED)
+    return jobs._replace(lam=np.array(lams), lower=np.array(lower))
 
 
 def direct_values(grid, f) -> np.ndarray:

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from cuspinv import flows
 from cuspinv.cli import build_parser, main
 from cuspinv.model import Density
 
@@ -562,8 +563,9 @@ def test_import_leaves_scipy_out():
 
 class TestTransport:
     def test_points_roundtrip(self, files, capsys):
+        # the second point a stencil step and a bit more from N1 = {x = 1}
         pts = files["tmp"] / "pts.json"
-        pts.write_text(json.dumps([[0.028, -0.4805, -0.3]]))
+        pts.write_text(json.dumps([[0.028, -0.4805, -0.3], [1.0 - 2e-5, -1.0844460694249132, -0.3]]))
         code, out, _ = _run(
             capsys,
             [
@@ -577,10 +579,9 @@ class TestTransport:
             ],
         )
         assert code == 0
-        data = json.loads(out)
-        entry = data["points"][0]
-        assert abs(entry["xy_residual"]) < 1e-6
-        assert entry["fiber_drift"] < 1e-9
+        for entry in json.loads(out)["points"]:
+            assert abs(entry["xy_residual"]) < 1e-6
+            assert entry["fiber_drift"] < 1e-9
 
     def test_empty_points_file(self, files, capsys):
         pts = files["tmp"] / "pts.json"
@@ -603,14 +604,25 @@ class TestTransport:
         assert code == 1
         assert "density vanishes" in err
 
-    def test_point_before_the_section_exit_2(self, files, capsys):
-        # x > x0: the point lies before N1 = {x = x0} on its passage
+    @pytest.mark.parametrize(
+        "point, reason",
+        [
+            # x > x0: the point lies before N1 = {x = x0} on its passage
+            ([1.5, -0.5, -0.3], "before the section N1"),
+            # on N1 or within the residual's stencil step of it, its stencil
+            # point x + h lies before N1 (this said "off the map's domain")
+            ([1.0, -1.0844460694249132, -0.3], f"within the stencil step {flows.STENCIL_H} of N1"),
+            ([1.0 - 5e-6, -1.0844460694249132, -0.3], f"within the stencil step {flows.STENCIL_H} of N1"),
+        ],
+        ids=["before", "on", "near"],
+    )
+    def test_point_before_the_section_exit_2(self, files, capsys, point, reason):
         pts = files["tmp"] / "pts.json"
-        pts.write_text(json.dumps([[0.028, -0.4805, -0.3], [1.5, -0.5, -0.3]]))
+        pts.write_text(json.dumps([[0.028, -0.4805, -0.3], point]))
         argv = ["transport", "--sys1", str(files["local"]), "--sys2", str(files["local"])]
         code, out, err = _run(capsys, argv + ["--points", str(pts)])
         assert code == 2 and out == ""
-        assert "before the section N1" in err
+        assert reason in err and "domain" not in err
 
     def test_bad_points_exit_2(self, files, capsys):
         pts = files["tmp"] / "pts.json"

@@ -815,26 +815,30 @@ class TestBatchedEngine:
     def test_batches_answer_in_the_callers_order(self):
         # wide ovals under the form and the area kernel, passage arcs under the
         # same form kernel and node jobs, each batch split in two, so that
-        # batches share their kernel, and shuffled: each row's value is bit for
-        # bit what its batch alone gives, at the row's place in the call, and
-        # NaN where the row has an error (a level below the wells, the arcs
-        # that miss the sections)
+        # batches share their kernel, the passage arcs whole as well, and
+        # shuffled: each row's value is bit for bit what its batch alone gives,
+        # at the row's place in the call, and NaN where the row has an error
+        # (a level below the wells, the arcs that miss the sections); the two
+        # halves of the arcs give the bits of the whole
         m = cusp_compact_model(F_CHART)
         form, area = form_kernel(m.density), area_kernel(m.density)
         points = [(h, lam) for h in (-0.008, 0.0, 0.006) for lam in (-0.05, -0.01, 0.02)]
         levels = quadrature._levels(m, [*points, (-0.2, 0.0)], m.x0)
         rng = np.random.default_rng(17)
         parts = []
+        arcs = quadrature._arc_jobs(form, levels, -math.inf)
         for jobs in (
             quadrature._oval_jobs(form, levels, "wide"),
             quadrature._oval_jobs(area, levels, "wide"),
-            quadrature._arc_jobs(form, levels, -math.inf),
+            arcs,
             quadrature.node_jobs(F_MIXED, [0.05, 0.2, 0.6]),
         ):
             cut, n = int(rng.integers(1, len(jobs.errors))), len(jobs.errors)
             parts += [jobs.take(list(range(cut))), jobs.take(list(range(cut, n)))]
+        parts.append(arcs)
         assert len({(id(jobs.kernel), jobs.sub) for jobs in parts}) == 4
         alone = [quadrature._level_integrals(jobs) for jobs in parts]
+        assert np.concatenate(alone[4:6]).tobytes() == alone[-1].tobytes()
         errors = [error is not None for jobs in parts for error in jobs.errors]
         assert 0 < sum(errors) < len(errors)
         assert np.isnan(np.concatenate(alone)[errors]).all()
@@ -842,24 +846,6 @@ class TestBatchedEngine:
         got = quadrature._level_integrals(*(parts[k] for k in order))
         want = np.concatenate([alone[k] for k in order])
         assert [v.hex() for v in got.tolist()] == [v.hex() for v in want.tolist()]
-
-    def test_batches_of_one_kernel_are_one_group(self):
-        # two batches sharing a kernel and a substitution call the kernel as
-        # often, on the same nodes, as the one batch of all their rows
-        m = cusp_compact_model(F_CHART)
-        form, nodes = form_kernel(m.density), []
-
-        def kernel(x, y, lam):
-            nodes.append(x.shape)
-            return form(x, y, lam)
-
-        points = [(h, lam) for h in (-0.008, 0.0, 0.006) for lam in (-0.05, -0.01, 0.02)]
-        jobs = quadrature._arc_jobs(kernel, quadrature._levels(m, points, m.x0), -math.inf)
-        whole = quadrature._level_integrals(jobs)
-        calls, nodes[:] = list(nodes), []
-        split = quadrature._level_integrals(jobs.take([0, 1, 2, 3]), jobs.take([4, 5, 6, 7, 8]))
-        assert nodes == calls and len(calls) > 1
-        assert split.tobytes() == whole.tobytes()
 
     def test_subinterval_limit_is_an_error(self, monkeypatch):
         # near Sigma_hyp the loop period needs many subintervals; a job that
