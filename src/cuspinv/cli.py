@@ -26,6 +26,7 @@ import numpy as np
 
 from . import brieskorn, equivalence, flows
 from .model import CUSP_COMPACT, CUSP_LOCAL, IDENTITY_BASE_MAP, ONE_DOF, Density, FibrationModel
+from .model import _is_number
 from .quadrature import StratumError, _levels, _strata, action_chart
 from .specfun import puiseux_constants
 
@@ -61,23 +62,17 @@ def _load_model(path: str, command: str) -> FibrationModel:
 def _base_map(data) -> tuple[Density, Density]:
     """The base map (H~, F~) of entries "Ht" and "Ft", each
     {"terms": [{"c": c, "e": [i, j]}]} in (H, F)."""
-    out = []
-    for key in ("Ht", "Ft"):
-        terms = [(t["c"], tuple(t["e"])) for t in data[key]["terms"]]
-        if any(len(e) != 2 for _, e in terms):
-            raise ValueError("base-map exponents are pairs [i, j]")
-        out.append(Density([(c, (*e, 0)) for c, e in terms]))
-    return tuple(out)
-
-
-def _finite(v) -> bool:
-    return isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
+    parts = [data[key]["terms"] for key in ("Ht", "Ft")]
+    if any(len(t["e"]) != 2 for ts in parts for t in ts):
+        raise ValueError("base-map exponents are pairs [i, j]")
+    return tuple(Density.from_json({"terms": [{**t, "e": [*t["e"], 0]} for t in ts]}) for ts in parts)
 
 
 def _points(data) -> list[np.ndarray]:
     """[x, y, lambda, phi] of each [x, y, lambda(, phi)] entry, phi 0 where left out."""
     if not isinstance(data, list) or not all(
-        isinstance(p, list) and len(p) in (3, 4) and all(map(_finite, p)) for p in data
+        isinstance(p, list) and len(p) in (3, 4) and all(_is_number(v) and math.isfinite(v) for v in p)
+        for p in data
     ):
         raise ValueError("points file must hold [x, y, lambda(, phi)] lists of finite numbers")
     return [np.array([*p, 0.0][:4], dtype=float) for p in data]
@@ -321,7 +316,7 @@ def _config_value(action: argparse.Action, key: str, value):
     try:
         if not isinstance(items, list) or len(items) != (action.nargs or 1):
             raise ValueError(f"expected {action.nargs or 1} value(s)")
-        if any(isinstance(v, bool) or not isinstance(v, (str, int, float)) for v in items):
+        if not all(_is_number(v) or isinstance(v, str) for v in items):
             raise ValueError("values must be strings or numbers")
         out = [(action.type or str)(str(v)) for v in items]
         if action.choices and any(v not in action.choices for v in out):

@@ -105,11 +105,12 @@ class RescaleMap:
         return gv ** (-1.0 / 6.0) * (gdv * H + gv)
 
     def h_inverse(self, H_target: float) -> float:
-        """Solve h(H) = target on the monotone branch through 0."""
+        """Solve h(H) = target on the monotone branch through 0: Newton steps on
+        h(t) - target within a bracket of the root, bisecting where one leaves it."""
         if H_target == 0.0:
             return 0.0
-        g0 = float(self.g.coeffs[0])
-        dh = lambda t: float(self.g.eval(t)) + float(self.g.deriv().eval(t)) * t
+        g0, gd = float(self.g.coeffs[0]), self.g.deriv()
+        dh = lambda t: float(self.g.eval(t)) + float(gd.eval(t)) * t
         end = math.copysign(max(abs(H_target) / g0, 1e-8), H_target)
         for _ in range(200):
             if (self.h(end) - H_target) * math.copysign(1.0, H_target) >= 0:
@@ -119,11 +120,17 @@ class RescaleMap:
             end *= 1.5
         else:
             raise ValueError("h inverse bracket not found")
-        # scipy is imported here, so that importing the package does not load it
-        from scipy.optimize import brentq
-
         lo, hi = (0.0, end) if H_target > 0 else (end, 0.0)
-        return brentq(lambda t: self.h(t) - H_target, lo, hi, xtol=1e-15, rtol=1e-15)
+        t = H_target / g0
+        while (r := self.h(t) - H_target) != 0.0:
+            lo, hi = (lo, t) if r > 0 else (t, hi)  # h(lo) < target < h(hi)
+            step = t - r / d if (d := dh(t)) > 0 else math.nan
+            if step == t:  # at the rounding of h
+                break
+            t = step if lo < step < hi else 0.5 * (lo + hi)
+            if not lo < t < hi:  # no float left between lo and hi
+                break
+        return t
 
     def inverse(self, u: float, v: float) -> tuple[float, float]:
         H = self.h_inverse(_ONE_DOF_H(u, v))

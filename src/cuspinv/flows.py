@@ -21,9 +21,9 @@ The plane part (-H_y / f, H_x / f) of every field reads f, H_x, H_y and any
 extra polynomials from one power table per point, in code generated once per
 shape (``model._terms_source``), bit for bit ``Density.eval``.  Every flow is
 one run of _solve, a DOP853 stepper on Python floats (Hairer, Norsett and
-Wanner, Solving ODEs I, II.5) with scipy's tableau and step control, each
-requested time a step end, its step straight-line code generated once per
-shape (``_step``), the H-field and the reduced field written into its stages.
+Wanner, Solving ODEs I, II.5) with scipy's tableau (``_TABLEAU``) and step
+control, each requested time a step end, its step straight-line code generated
+once per shape (``_step``), the H-field or the reduced field in its stages.
 Section times are no flows but level integrals (``quadrature.section_time``).
 
 Period lattices follow Gamma(T_p) = Gamma_0 . J^-1(p) with Gamma_0 =
@@ -105,16 +105,45 @@ class SymplecticModel:
         return out if np.ndim(t) else out[0]
 
 
-@lru_cache(maxsize=None)
-def _tableau():
-    """DOP853's C and the rows of A, then B, E5 and E3, as nonzero (stage,
-    weight) pairs, read once from scipy.integrate.DOP853.  E5 and E3 vanish on
-    the FSAL stage 13, so no error estimate needs f(t + h, y_new)."""
-    from scipy.integrate import DOP853  # here, so that importing cuspinv does not load scipy
-
-    weights = [row[:s] for s, row in enumerate(DOP853.A)] + [DOP853.B, DOP853.E5, DOP853.E3]
-    pairs = tuple(tuple((j, w) for j, w in enumerate(v.tolist()) if w) for v in weights)
-    return tuple(DOP853.C.tolist()), pairs
+#: DOP853's nodes C, then the nonzero (stage, weight) pairs of the rows of A, of
+#: B, E5 and E3: scipy.integrate.DOP853's constants, repr-exact.  E5 and E3
+#: vanish on the FSAL stage 13, so no error estimate needs f(t + h, y_new).
+_TABLEAU = (
+    (0.0, 0.05260015195876773, 0.0789002279381516, 0.1183503419072274, 0.2816496580927726,
+        0.3333333333333333, 0.25, 0.3076923076923077, 0.6512820512820513, 0.6, 0.8571428571428571,
+        1.0),
+    (
+        (),
+        ((0, 0.05260015195876773),),
+        ((0, 0.0197250569845379), (1, 0.0591751709536137)),
+        ((0, 0.02958758547680685), (2, 0.08876275643042054)),
+        ((0, 0.2413651341592667), (2, -0.8845494793282861), (3, 0.924834003261792)),
+        ((0, 0.037037037037037035), (3, 0.17082860872947386), (4, 0.12546768756682242)),
+        ((0, 0.037109375), (3, 0.17025221101954405), (4, 0.06021653898045596), (5, -0.017578125)),
+        ((0, 0.03709200011850479), (3, 0.17038392571223998), (4, 0.10726203044637328),
+            (5, -0.015319437748624402), (6, 0.008273789163814023)),
+        ((0, 0.6241109587160757), (3, -3.3608926294469414), (4, -0.868219346841726),
+            (5, 27.59209969944671), (6, 20.154067550477894), (7, -43.48988418106996)),
+        ((0, 0.47766253643826434), (3, -2.4881146199716677), (4, -0.590290826836843),
+            (5, 21.230051448181193), (6, 15.279233632882423), (7, -33.28821096898486),
+            (8, -0.020331201708508627)),
+        ((0, -0.9371424300859873), (3, 5.186372428844064), (4, 1.0914373489967295),
+            (5, -8.149787010746927), (6, -18.52006565999696), (7, 22.739487099350505),
+            (8, 2.4936055526796523), (9, -3.0467644718982196)),
+        ((0, 2.273310147516538), (3, -10.53449546673725), (4, -2.0008720582248625),
+            (5, -17.9589318631188), (6, 27.94888452941996), (7, -2.8589982771350235),
+            (8, -8.87285693353063), (9, 12.360567175794303), (10, 0.6433927460157636)),
+        ((0, 0.054293734116568765), (5, 4.450312892752409), (6, 1.8915178993145003),  # B
+            (7, -5.801203960010585), (8, 0.3111643669578199), (9, -0.1521609496625161),
+            (10, 0.20136540080403034), (11, 0.04471061572777259)),
+        ((0, 0.01312004499419488), (5, -1.2251564463762044), (6, -0.4957589496572502),  # E5
+            (7, 1.6643771824549864), (8, -0.35032884874997366), (9, 0.3341791187130175),
+            (10, 0.08192320648511571), (11, -0.022355307863886294)),
+        ((0, -0.18980075407240762), (5, 4.450312892752409), (6, 1.8915178993145003),  # E3
+            (7, -5.801203960010585), (8, -0.4226823213237919), (9, -0.1521609496625161),
+            (10, 0.20136540080403034), (11, 0.02265179219836082)),
+    ),
+)
 
 
 @lru_cache(maxsize=64)
@@ -129,7 +158,7 @@ def _step(n: int, shape):
     and the H-field.  These read x and y only, so only theirs are stage
     arguments; lambda's sums, of exact zeros, are left out, its state kept as
     it is (a -0.0 stays) and its error terms, 0.0, kept in the mean."""
-    c, (*a, b, e5, e3) = _tableau()
+    c, (*a, b, e5, e3) = _TABLEAU
     params, terms = _terms_source(shape)
     comps = [0, 1, 3] if n == 4 else list(range(n))  # not lambda's zeros
 

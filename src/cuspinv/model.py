@@ -67,6 +67,11 @@ class StratumError(ValueError):
     """Base point is outside the stratum required by the operation."""
 
 
+def _is_number(v) -> bool:
+    """Whether v is a number as JSON reads one: an int or a float, not true or false."""
+    return type(v) in (int, float)
+
+
 class Density:
     """Trivariate polynomial sum c * x^i y^j lambda^k.
 
@@ -103,7 +108,10 @@ class Density:
     def from_json(cls, data) -> "Density":
         if isinstance(data, str):
             data = json.loads(data)
-        return cls([(t["c"], tuple(t["e"])) for t in data["terms"]])
+        terms = [(t["c"], tuple(t["e"])) for t in data["terms"]]
+        if kinds := {type(v) for c, e in terms for v in (c, *e)} - {int, float}:  # as _is_number
+            raise ValueError(f"a term entry is a {min(k.__name__ for k in kinds)}, not a number")
+        return cls(terms)
 
     def to_json(self) -> dict:
         return {"terms": [{"c": float(c), "e": list(e)} for e, c in self.terms.items()]}
@@ -386,7 +394,9 @@ class FibrationModel:
     def from_json(cls, data) -> "FibrationModel":
         if isinstance(data, str):
             data = json.loads(data)
-        return cls(data["kind"], Density.from_json(data["density"]), float(data.get("x0", 1.0)))
+        if not _is_number(x0 := data.get("x0", 1.0)):
+            raise ValueError(f"section offset x0 {x0!r} is not a number")
+        return cls(data["kind"], Density.from_json(data["density"]), float(x0))
 
 
 def cusp_local_model(density=None, x0: float = 1.0) -> FibrationModel:

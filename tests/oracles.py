@@ -497,10 +497,10 @@ def loop_dop853(rhs, y0, times) -> tuple[list, int]:
     the same order, so the generated straight-line step must agree bit for
     bit, with as many right-hand-side calls."""
     from cuspinv.flows import ERROR_EXPONENT, FLOW_ATOL, FLOW_RTOL, MAX_FACTOR, MIN_FACTOR
-    from cuspinv.flows import SAFETY, _tableau
+    from cuspinv.flows import SAFETY, _TABLEAU
 
     times = [float(v) for v in times]
-    c, (*a, b, e5, e3) = _tableau()
+    c, (*a, b, e5, e3) = _TABLEAU
     t_end, t, y, h_abs, out, rejections = max(times, key=abs), 0.0, [float(v) for v in y0], None, {}, 0
     for t_stop in sorted(set(times), key=abs):
         while t != t_stop:

@@ -540,10 +540,38 @@ verify_relations verify_relations_numeric wide_action
 """.split()
 
 
-def test_import_leaves_scipy_out():
-    # scipy is loaded by the first flow or rescaling, not by the import, and
-    # no flow step is generated; the package exports the pinned API, each
-    # name defined
+#: one request of each subcommand and a pushed-forward density, in a fresh
+#: process; argv[1] "block" makes every scipy import fail first.  Prints the
+#: exit code and stdout of each request, the density's value and whether scipy
+#: was loaded, as JSON
+_NUMPY_ONLY_RUN = """
+import contextlib, io, json, sys
+if sys.argv[1] == "block":
+    class Block:
+        def find_spec(self, name, path=None, target=None):
+            if name.partition(".")[0] == "scipy":
+                raise ImportError(f"{name} is blocked")
+    sys.meta_path.insert(0, Block())
+from cuspinv import cli
+from cuspinv.equivalence import RescaleMap
+from cuspinv.model import Density
+from cuspinv.series import TruncatedSeries
+out = []
+for argv in json.loads(sys.argv[2]):
+    with contextlib.redirect_stdout(io.StringIO()) as text:
+        out.append([cli.main(argv), text.getvalue()])
+rmap = RescaleMap(TruncatedSeries([1.0, 0.5], order=4))
+out.append(repr(rmap.pushforward_density(Density({(0, 0, 0): 1, (0, 1, 0): 1}))(0.3, 0.7)))
+print(json.dumps([out, "scipy" in sys.modules]))
+"""
+
+
+def test_import_leaves_scipy_out(files):
+    # numpy is the only run-time dependency: importing the package loads no
+    # scipy and generates no flow step, and with scipy imports made to fail
+    # every subcommand and the rescaling's inverse answer as they do with
+    # scipy importable, neither loading it; the package exports the pinned
+    # API, each name defined
     code = (
         "import sys, cuspinv, cuspinv.cli; print('scipy' in sys.modules); "
         "print(' '.join(sorted(cuspinv.__all__))); "
@@ -559,6 +587,29 @@ def test_import_leaves_scipy_out():
     assert generated == "0"
     assert names.split() == PUBLIC_API
     assert defined == "True"
+
+    pts = files["tmp"] / "pts.json"
+    pts.write_text(json.dumps([[0.028, -0.4805, -0.3]]))
+    f = {k: str(v) for k, v in files.items()}
+    requests = [
+        ["decompose", "--density", f["f1"]],
+        ["actions", "--model", f["compact"], "--grid", "3x3"],
+        ["compare", "--sys1", f["local"], "--sys2", f["local2"]],
+        ["invariants", "--sys", f["compact"]],
+        ["lattice", "--sys", f["compact"], "--at", "0.0", "-0.05", "--verify"],
+        ["transport", "--sys1", f["local"], "--sys2", f["local2"], "--points", str(pts)],
+    ]
+    runs = {}
+    for mode in ("block", "open"):
+        argv = [sys.executable, "-c", _NUMPY_ONLY_RUN, mode, json.dumps(requests)]
+        run = subprocess.run(argv, capture_output=True, text=True, env=env)
+        assert run.returncode == 0, run.stderr
+        runs[mode], scipy_loaded = json.loads(run.stdout)
+        assert scipy_loaded is False
+    *answers, value = runs["block"]
+    assert [code for code, _ in answers] == [0] * len(requests)
+    assert all(text for _, text in answers) and math.isfinite(float(value))
+    assert runs["block"] == runs["open"]
 
 
 class TestTransport:
@@ -819,6 +870,40 @@ class TestBadInput:
         argv = ["lattice", "--sys", str(files["compact"]), "--at", "nan", "-0.05"]
         code, out, err = _exit(capsys, argv)
         assert code == 2 and out == "" and "not a finite number" in err
+
+    @pytest.mark.parametrize(
+        "kind, entry",
+        [
+            ("density", {"c": True, "e": [0, 0, 0]}),  # was read as 1
+            ("density", {"c": "1.0", "e": [0, 0, 0]}),
+            ("density", {"c": 1.0, "e": [0, True, 0]}),  # was read as y
+            ("model", {"x0": True}),  # was read as 1.0
+            ("model", {"x0": "0.5"}),  # was read as 0.5
+            ("model", {"x0": None}),
+            ("base-map", {"c": True, "e": [1, 0]}),
+            ("base-map", {"c": 1.0, "e": [True, 0]}),
+        ],
+        ids=["c-true", "c-string", "e-true", "x0-true", "x0-string", "x0-null", "phi-c", "phi-e"],
+    )
+    def test_entry_that_is_no_number_exit_2(self, files, capsys, kind, entry):
+        # JSON's true is no 1 and "0.5" no 0.5: each is rejected as the
+        # transport points' are, not converted
+        path = files["tmp"] / "entry.json"
+        if kind == "density":
+            path.write_text(json.dumps({"terms": [entry]}))
+            argv = ["decompose", "--density", str(path), "--no-cross-check"]
+        elif kind == "model":
+            density = {"terms": [{"c": 1.0, "e": [0, 0, 0]}]}
+            path.write_text(json.dumps({"kind": "cusp_compact", "density": density, **entry}))
+            argv = ["actions", "--model", str(path), "--grid", "2x2"]
+        else:
+            phi = _phi({}, {(0, 1): 1.0})
+            phi["Ht"]["terms"] = [entry]
+            path.write_text(json.dumps(phi))
+            argv = ["compare", "--sys1", str(files["local"]), "--sys2", str(files["local"])]
+            argv += ["--phi", str(path)]
+        code, out, err = _exit(capsys, argv)
+        assert code == 2 and out == "" and f"bad {kind} file" in err and "not a number" in err
 
     @pytest.mark.parametrize(
         "point",

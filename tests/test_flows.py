@@ -240,13 +240,25 @@ class TestFlowEngine:
         with pytest.raises(ValueError, match="flow times must be finite and of one sign"):
             sm.flow((0.2, 0.4, -0.3, 1.0), "H", times)
 
-    def test_tableau_read_from_scipy(self):
-        # C[s] is the row sum of A, B sums to 1, and the error weights vanish
-        # on the FSAL stage, so a rejected step needs no f(t + h, y_new)
+    def test_tableau_literals_are_scipys(self):
+        # the literals are scipy.integrate.DOP853's C, A below the diagonal, B,
+        # E5 and E3 bit for bit, each weight listed once with its stage and no
+        # zero weight listed; C[s] is the row sum of A, B sums to 1, and the
+        # error weights vanish on the FSAL stage, so a rejected step needs no
+        # f(t + h, y_new)
         from scipy.integrate import DOP853
 
-        c, (*rows, b, e5, e3) = flows._tableau()
+        c, (*rows, b, e5, e3) = flows._TABLEAU
         assert len(c) == len(rows) == 12
+        assert np.array(c).tobytes() == DOP853.C.tobytes()
+        assert not np.triu(DOP853.A).any()
+        theirs = [row[:s] for s, row in enumerate(DOP853.A)] + [DOP853.B, DOP853.E5, DOP853.E3]
+        for pairs, weights in zip([*rows, b, e5, e3], theirs, strict=True):
+            assert all(type(j) is int and type(w) is float and w != 0.0 for j, w in pairs)
+            full = np.zeros(len(weights))
+            full[[j for j, _ in pairs]] = [w for _, w in pairs]
+            assert len({j for j, _ in pairs}) == len(pairs)
+            assert full.tobytes() == weights.tobytes()
         for c_s, row in zip(c, rows):
             assert abs(c_s - math.fsum(w for _, w in row)) <= 2e-15
         assert abs(math.fsum(w for _, w in b) - 1.0) <= 1e-15
