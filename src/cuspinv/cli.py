@@ -70,11 +70,11 @@ def _base_map(data) -> tuple[Density, Density]:
 
 def _points(data) -> list[np.ndarray]:
     """[x, y, lambda, phi] of each [x, y, lambda(, phi)] entry, phi 0 where left out."""
-    if not isinstance(data, list) or not all(
-        isinstance(p, list) and len(p) in (3, 4) and all(_is_number(v) and math.isfinite(v) for v in p)
-        for p in data
-    ):
-        raise ValueError("points file must hold [x, y, lambda(, phi)] lists of finite numbers")
+    for p in data if isinstance(data, list) else [data]:
+        if not isinstance(p, list) or len(p) not in (3, 4) or not all(
+            _is_number(v) and math.isfinite(v) for v in p
+        ):
+            raise ValueError(f"{p!r:.40} is no [x, y, lambda(, phi)] list of finite numbers")
     return [np.array([*p, 0.0][:4], dtype=float) for p in data]
 
 

@@ -32,6 +32,7 @@ from __future__ import annotations
 import json
 import math
 import operator
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -68,8 +69,9 @@ class StratumError(ValueError):
 
 
 def _is_number(v) -> bool:
-    """Whether v is a number as JSON reads one: an int or a float, not true or false."""
-    return type(v) in (int, float)
+    """Whether v is a number as JSON reads one that a float can hold: an int
+    or a float, not true or false, nor an int beyond float range."""
+    return type(v) is float or type(v) is int and abs(v) <= sys.float_info.max
 
 
 class Density:
@@ -111,7 +113,11 @@ class Density:
         terms = [(t["c"], tuple(t["e"])) for t in data["terms"]]
         if kinds := {type(v) for c, e in terms for v in (c, *e)} - {int, float}:  # as _is_number
             raise ValueError(f"a term entry is a {min(k.__name__ for k in kinds)}, not a number")
-        return cls(terms)
+        density = cls(terms)
+        if max(map(abs, density.terms.values()), default=0) > sys.float_info.max:  # an int no float holds
+            e = next(e for e, c in density.terms.items() if not _is_number(c))
+            raise ValueError(f"the coefficient at {e} is an integer beyond float range")
+        return density
 
     def to_json(self) -> dict:
         return {"terms": [{"c": float(c), "e": list(e)} for e, c in self.terms.items()]}
@@ -394,8 +400,10 @@ class FibrationModel:
     def from_json(cls, data) -> "FibrationModel":
         if isinstance(data, str):
             data = json.loads(data)
+        if not isinstance(data, dict):
+            raise ValueError(f"a model is a JSON object, not {data!r:.40}")
         if not _is_number(x0 := data.get("x0", 1.0)):
-            raise ValueError(f"section offset x0 {x0!r} is not a number")
+            raise ValueError(f"section offset x0 {x0!r:.40} is not a number, or beyond float range")
         return cls(data["kind"], Density.from_json(data["density"]), float(x0))
 
 
@@ -722,15 +730,10 @@ class ParabolicVerdict:
 
 
 def _to_exact_point(point):
-    out = []
-    for v in point:
-        if isinstance(v, _EXACT_TYPES):
-            out.append(Fraction(v))
-        elif isinstance(v, float) and v.is_integer():
-            out.append(Fraction(int(v)))
-        else:
-            return None
-    return tuple(out)
+    """The point in Fractions where each coordinate is an int, a Fraction or an
+    integral float; None otherwise."""
+    exact = (isinstance(v, _EXACT_TYPES) or isinstance(v, float) and v.is_integer() for v in point)
+    return tuple(map(Fraction, point)) if all(exact) else None
 
 
 def _float_rank(matrix) -> int:
@@ -741,19 +744,14 @@ def _float_rank(matrix) -> int:
     return int(np.sum(s > RANK_THRESHOLD * s[0]))
 
 
-def _exact_rank2(m) -> int:
-    if all(m[i][j] == 0 for i in range(2) for j in range(2)):
+def _exact_rank(matrix) -> int:
+    """Rank by Gaussian elimination over the Fractions."""
+    rows = [list(map(Fraction, row)) for row in matrix if any(row)]
+    if not rows:
         return 0
-    det = m[0][0] * m[1][1] - m[0][1] * m[1][0]
-    return 2 if det != 0 else 1
-
-
-def _exact_det3(m):
-    return (
-        m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
-        - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
-        + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0])
-    )
+    pivot = rows.pop()
+    j = next(j for j, a in enumerate(pivot) if a != 0)
+    return 1 + _exact_rank([[a - r[j] / pivot[j] * b for a, b in zip(r, pivot)] for r in rows])
 
 
 def is_parabolic(H: Density, F: Density, point) -> ParabolicVerdict:
@@ -763,13 +761,18 @@ def is_parabolic(H: Density, F: Density, point) -> ParabolicVerdict:
       (i)   d^2 H0 restricted to ker dF has rank 1,
       (ii)  the cubic form d^3 H0 does not vanish on ker d^2 H0,
       (iii) d^2 (H - k F) has full rank,
-    for the unique k with dH(P) = k dF(P).  Polynomial derivatives are exact;
-    with rational data the rank decisions are exact as well, otherwise a
-    relative singular-value threshold, RANK_THRESHOLD, is used.
+    for the unique k with dH(P) = k dF(P).  Polynomial derivatives are exact.
+    The zero test and the rank are chosen once, from the data: exact (v == 0,
+    elimination over the Fractions) where the coefficients and the point are
+    rational, else within RANK_THRESHOLD (relative singular values for ranks).
     """
     exact_pt = _to_exact_point(point)
     exact = exact_pt is not None and H.is_exact() and F.is_exact()
     pt = exact_pt if exact else tuple(float(v) for v in point)
+    zero, rank = ((lambda v, scale=0.0: v == 0), _exact_rank) if exact else (
+        (lambda v, scale=0.0: abs(float(v)) <= RANK_THRESHOLD * max(1.0, scale)),
+        _float_rank,
+    )
 
     dF = F.gradient(pt)
     dH = H.gradient(pt)
@@ -780,54 +783,36 @@ def is_parabolic(H: Density, F: Density, point) -> ParabolicVerdict:
     # k from dH = k dF, checked for consistency; inconsistent => rank 2, regular
     m = max(range(3), key=lambda i: abs(float(dF[i])))
     k = dH[m] / dF[m]
-    if exact:
-        consistent = all(dH[i] - k * dF[i] == 0 for i in range(3))
-    else:
-        resid = max(abs(float(dH[i] - k * dF[i])) for i in range(3))
-        scale = max(max(abs(float(v)) for v in dH), nF)
-        consistent = resid <= RANK_THRESHOLD * max(1.0, scale)
-    if not consistent:
+    scale = max(max(abs(float(v)) for v in dH), nF)
+    if not all(zero(dH[i] - k * dF[i], scale) for i in range(3)):
         return ParabolicVerdict(REGULAR, k, -1, 0, -1)
 
     W = H - F * k
     hess = W.hessian(pt)
 
-    # basis of ker dF
-    p, q, r = dF
-    if m == 2:
-        basis = [(r, 0, -p), (0, r, -q)]
-    elif m == 1:
-        basis = [(q, -p, 0), (0, -r, q)]
-    else:
-        basis = [(-q, p, 0), (-r, 0, p)]
+    # basis of ker dF: dF[m] e_i - dF[i] e_m for the two axes i other than m
+    basis = [
+        tuple(dF[m] if j == i else -dF[i] if j == m else 0 for j in range(3)) for i in range(3) if i != m
+    ]
 
     def quad(mat, u, v):
         return sum(mat[i][j] * u[i] * v[j] for i in range(3) for j in range(3))
 
     m2 = [[quad(hess, basis[i], basis[j]) for j in range(2)] for i in range(2)]
-
-    if exact:
-        rank_restricted = _exact_rank2(m2)
-        rank_full = 3 if _exact_det3(hess) != 0 else _float_rank(hess)
-    else:
-        rank_restricted = _float_rank(m2)
-        rank_full = _float_rank(hess)
-
+    rank_restricted, rank_full = rank(m2), rank(hess)
     if rank_restricted != 1:
         return ParabolicVerdict(FAILS_I, k, rank_restricted, 0, rank_full)
 
-    # kernel direction of the restricted quadratic form
+    # kernel direction of the restricted quadratic form, from its larger row:
+    # the two rows of a rank-1 form are parallel
     a11, a12 = m2[0][0], m2[0][1]
     a22 = m2[1][1]
-    if exact:
-        c = (-a12, a11) if (a11 != 0 or a12 != 0) else (-a22, a12)
-    else:
-        c = (-a12, a11) if max(abs(float(a11)), abs(float(a12))) >= max(
-            abs(float(a12)), abs(float(a22))
-        ) else (-a22, a12)
+    c = (-a12, a11) if max(abs(float(a11)), abs(float(a12))) >= max(
+        abs(float(a12)), abs(float(a22))
+    ) else (-a22, a12)
     v = tuple(c[0] * basis[0][i] + c[1] * basis[1][i] for i in range(3))
     vmax = max(v, key=lambda t: abs(float(t)))
-    v = tuple(t / vmax for t in v)
+    v = tuple(t / vmax for t in v)  # its largest entry is 1
 
     # third derivative along v within {F = F(P)}: the curve's acceleration is
     # constrained by F, contributing -3 d2F(v,v) d2W(v,n)/dF(n)
@@ -838,12 +823,7 @@ def is_parabolic(H: Density, F: Density, point) -> ParabolicVerdict:
     d2W_vn = quad(hess, v, n_vec)
     v3 = d3 - 3 * d2F_vv * d2W_vn / dF[m]
 
-    if exact:
-        fails_ii = v3 == 0
-    else:
-        vnorm = max(abs(float(t)) for t in v)
-        fails_ii = abs(float(v3)) <= RANK_THRESHOLD * max(1.0, vnorm**3)
-    if fails_ii:
+    if zero(v3):
         return ParabolicVerdict(FAILS_II, k, rank_restricted, v3, rank_full)
 
     if rank_full != 3:

@@ -214,14 +214,7 @@ def phi_r_invert(series: TruncatedSeries, r) -> TruncatedSeries:
     """Inverse of phi_r; requires non-integral r (phi_r is bijective iff r not in Z)."""
     if _is_integral(r):
         raise ValueError("phi_r is not bijective for integral r")
-    out = []
-    for k, c in enumerate(series.coeffs):
-        d = k + r
-        if isinstance(c, _EXACT_TYPES) and isinstance(d, (Fraction, int)):
-            out.append(Fraction(c) / Fraction(d))
-        else:
-            out.append(c / d)
-    return TruncatedSeries(out)
+    return TruncatedSeries([c / (k + r) for k, c in enumerate(series.coeffs)])
 
 
 class PuiseuxTriple:

@@ -906,6 +906,46 @@ class TestBadInput:
         assert code == 2 and out == "" and f"bad {kind} file" in err and "not a number" in err
 
     @pytest.mark.parametrize(
+        "command, where, named",
+        [
+            ("decompose", "density c", "coefficient at (0, 0, 0)"),
+            ("actions", "model x0", "x0 1000"),
+            ("invariants", "model c", "coefficient at (0, 1, 0)"),
+            ("actions", "model c", "coefficient at (0, 1, 0)"),
+            ("lattice", "model c", "coefficient at (0, 1, 0)"),
+            ("transport", "point", "[0.028, 1000"),
+            ("compare", "base-map c", "coefficient at (0, 1, 0)"),
+            ("actions", "model list", "not [1, 2]"),
+        ],
+        ids=["density-c", "x0", "invariants-c", "actions-c", "lattice-c", "point", "phi-c", "list"],
+    )
+    def test_entry_beyond_float_range_exit_2(self, files, capsys, command, where, named):
+        # a 400-digit integer is valid JSON that no float holds; it was read,
+        # and the computation failed on it (exit 1), as on a model that is a list
+        big, path = 10**400, files["tmp"] / "big.json"
+        one = {"c": 1.0, "e": [0, 0, 0]}
+        model = {"kind": "cusp_compact", "density": {"terms": [one]}, "x0": 0.25}
+        local = str(files["local"])
+        if where == "density c":
+            path.write_text(json.dumps({"terms": [{"c": big, "e": [0, 0, 0]}]}))
+            argv = ["--density", str(path)]
+        elif where == "point":
+            path.write_text(json.dumps([[0.028, big, -0.3]]))
+            argv = ["--sys1", local, "--sys2", local, "--points", str(path)]
+        elif where == "base-map c":
+            path.write_text(json.dumps(_phi({(1, 0): 1.0}, {(0, 1): big})))
+            argv = ["--sys1", local, "--sys2", local, "--phi", str(path)]
+        else:
+            big_c = {"terms": [one, {"c": big, "e": [0, 1, 0]}]}
+            data = {"model x0": {**model, "x0": big}, "model c": {**model, "density": big_c},
+                    "model list": [1, 2]}[where]
+            path.write_text(json.dumps(data))
+            flag = "--model" if command == "actions" else "--sys"
+            argv = [flag, str(path)] + (["--at", "0.0", "-0.05"] if command == "lattice" else [])
+        code, out, err = _exit(capsys, [command, *argv])
+        assert code == 2 and out == "" and "input error" in err and named in err
+
+    @pytest.mark.parametrize(
         "point",
         [
             ["0.028", -0.4805, -0.3],

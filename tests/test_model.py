@@ -543,6 +543,13 @@ class TestIsParabolic:
         v = is_parabolic(h, F_LAM, (0, 0, 0))
         assert v.verdict == "fails_iii"
 
+    def test_exact_rank_full_keeps_a_tiny_eigenvalue(self):
+        # d^2 H = diag(2, 2e-10, 0): a float SVD's threshold would read rank 1,
+        # below the restricted rank 2
+        h = Density({(2, 0, 0): 1, (0, 2, 0): Fraction(1, 10**10)})
+        v = is_parabolic(h, F_LAM, (0, 0, 0))
+        assert (v.verdict, v.rank_d2H0, v.rank_full) == ("fails_i", 2, 2)
+
     def test_dF_zero_rejected(self):
         with pytest.raises(ValueError):
             is_parabolic(H_STD, Density({(0, 0, 2): 1}), (0, 0, 0))

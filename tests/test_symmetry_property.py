@@ -1,5 +1,6 @@
 """The models' exact symmetries drawn by hypothesis: the one-dof sign bridge
-of the passage time and the mu-shift of the chart's I_mu column."""
+of the passage time, the mu-shift of the chart's I_mu column and the weighted
+scalings of the local model's integrals."""
 
 from dataclasses import replace
 
@@ -12,11 +13,12 @@ from hypothesis import strategies as st  # noqa: E402
 from cuspinv.model import (  # noqa: E402
     Density,
     OnSigmaError,
+    bifurcation_diagram,
     cusp_compact_model,
     cusp_local_model,
     one_dof_model,
 )
-from cuspinv.quadrature import action_chart, passage_time  # noqa: E402
+from cuspinv.quadrature import action_chart, loop_action, loop_period, passage_time  # noqa: E402
 
 EPS = 2.0**-52
 
@@ -64,3 +66,28 @@ def test_mu_shift_column(f, H, lam, k):
     else:
         expected = base.I_mu + k * lam
         assert abs(shifted.I_mu - expected) <= 4 * EPS * max(abs(base.I_mu), abs(k * lam))
+
+
+def _close(a, b):
+    return abs(a - b) <= 1e-13 * abs(b)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    st.integers(-3, 3).filter(bool),
+    st.floats(-0.3, -1e-3),
+    st.floats(0.1, 0.9),
+    st.floats(-0.05, 0.05),
+)
+def test_weighted_scaling(k, lam, t, H_open):
+    # with f = 1, (x, y, lambda, H) -> (s^3 x, s^2 y, s^4 lambda, s^6 H) maps
+    # the local model to itself and f dx^dy to s^5 f dx^dy: periods scale by
+    # 1/s and actions by s^5; a power of 2 as s scales every float exactly
+    s, m = 2.0**k, cusp_local_model()
+    h_ell, h_hyp = bifurcation_diagram(m).branch_values(lam)
+    H = h_ell + t * (h_hyp - h_ell)
+    assert _close(s * loop_period(m, s**6 * H, s**4 * lam), loop_period(m, H, lam))
+    assert _close(loop_action(m, s**6 * H, s**4 * lam), s**5 * loop_action(m, H, lam))
+    # the sections x = +-x0 scale with x
+    scaled = passage_time(cusp_local_model(x0=s**3), s**6 * H_open, s**4 * lam)
+    assert _close(s * scaled, passage_time(m, H_open, lam))
